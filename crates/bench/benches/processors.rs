@@ -90,11 +90,10 @@ fn div_chain(iters: u32) -> Program {
 /// Whole-processor step throughput (simulated cycles per wall-second):
 /// US-I, US-II and the hybrid at n ∈ {16, 64, 256} on a long-latency
 /// div chain, a memory-latency-bound pointer chase, and a dense-issue
-/// dot product. `event/…` rows run the default event-driven engine
-/// (packed flag networks on), `scalar_flags/…` rows the same engine
-/// with the scalar per-flag reference path, and `naive/…` rows the
-/// retained tick-every-cycle reference — all three simulate identical
-/// cycle counts, so the elem/s throughput columns compare directly.
+/// dot product. `event/…` rows run the default event-driven engine and
+/// `naive/…` rows the retained tick-every-cycle reference — both
+/// simulate identical cycle counts, so the elem/s throughput columns
+/// compare directly.
 fn bench_step_throughput(c: &mut Criterion) {
     let workloads: Vec<(&str, Program, bool)> = vec![
         ("div_chain", div_chain(48), false),
@@ -125,10 +124,6 @@ fn bench_step_throughput(c: &mut Criterion) {
                 g.throughput(Throughput::Elements(r.cycles));
                 let id = format!("{arch}/{kernel}/n={n}");
                 g.bench_with_input(BenchmarkId::new("event", &id), &cfg, |b, cfg| {
-                    b.iter(|| Ultrascalar::new(cfg.clone()).run(black_box(prog)).cycles)
-                });
-                let scalar = cfg.clone().without_packed_flags();
-                g.bench_with_input(BenchmarkId::new("scalar_flags", &id), &scalar, |b, cfg| {
                     b.iter(|| Ultrascalar::new(cfg.clone()).run(black_box(prog)).cycles)
                 });
                 let naive = cfg.clone().without_cycle_skipping();

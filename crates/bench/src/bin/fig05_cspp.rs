@@ -333,8 +333,8 @@ fn main() {
     }
     println!("{t}");
     println!(
-        "one sliced sweep forwards 64 registers' 32-bit values; the engine's\n\
-         packed_values path uses the same plane layout for its snapshot."
+        "one sliced sweep forwards 64 registers' 32-bit values; the lane batch\n\
+         engine keeps its per-lane values in the same bit-plane layout."
     );
 
     let args: Vec<String> = std::env::args().skip(1).collect();

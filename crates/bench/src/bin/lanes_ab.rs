@@ -7,7 +7,7 @@
 //! one `LaneBatchEngine::run_batch` (leader engine pass + bit-sliced
 //! lock-step for the rest). Both sides are measured in interleaved
 //! rounds with the order rotated per round, per-round ratios, median
-//! over rounds — the step_ab drift-cancelling protocol.
+//! over rounds, which cancels host drift.
 //!
 //! The grid crosses clean kernels with the branchy pair
 //! (`branch_gauntlet`, `spec_storm`) and a bimodal-predictor arch row:
@@ -63,8 +63,8 @@ fn main() {
         ("spec_storm", spec_storm_seeded(iters)),
     ];
     let branchy = ["branch_gauntlet", "spec_storm"];
-    // The pipelined row exercises lane batching over the hop-banded
-    // packed readiness path; the bimodal row is the epoch-segmented
+    // The pipelined row exercises lane batching under distance-dependent
+    // forwarding; the bimodal row is the epoch-segmented
     // regime — the leader mispredicts, the batch replays across each
     // flush boundary, and `spec_storm`'s seeded wrong-path probe peels
     // a few lanes mid-replay.

@@ -334,8 +334,20 @@ pub fn parse_serve(args: &[String]) -> Result<ServeOptions, String> {
     Ok(o)
 }
 
+/// Largest `--window` (and serve `options.window`) accepted. The engine
+/// and the memory network allocate per-station state for the whole
+/// window up front, so an unbounded window would let one request
+/// exhaust memory.
+pub const MAX_WINDOW: usize = 1 << 16;
+
 /// Build the processor configuration from parsed options.
 pub fn build_config(o: &RunOptions) -> Result<ProcConfig, String> {
+    if o.window > MAX_WINDOW {
+        return Err(format!(
+            "--window {} exceeds the maximum of {MAX_WINDOW} stations",
+            o.window
+        ));
+    }
     if !(0.0..=1.0).contains(&o.mem_exp) {
         return Err(format!(
             "--mem-exp {} out of range (the bandwidth exponent p in M(s) = s^p \
@@ -453,13 +465,6 @@ pub fn execute_program(o: &RunOptions, program: &Program) -> Result<(RunResult, 
         out.push_str(&format!(", {} store→load forwards", r.stats.store_forwards));
     }
     out.push('\n');
-    if r.stats.packed_fallbacks > 0 && fallback_warning_is_first(proc.config()) {
-        out.push_str(
-            "warning: packed flag networks requested but inactive — the engine fell back \
-             to the scalar scan (register file wider than the packed lane words); \
-             repeated runs with this configuration warn once, stats stay authoritative\n",
-        );
-    }
     // Forced-SWAR dispatch is worth one line per configuration: a run
     // whose numbers were taken with the vector substrate pinned off
     // should say so (results are bit-identical either way, only
@@ -467,7 +472,7 @@ pub fn execute_program(o: &RunOptions, program: &Program) -> Result<(RunResult, 
     // a faster level to give up.
     if (proc.config().force_swar || ultrascalar_prefix::force_swar_active())
         && ultrascalar_prefix::detected_simd_level() != "swar"
-        && warning_is_first("forced-swar", proc.config())
+        && warning_is_first(proc.config())
     {
         out.push_str(&format!(
             "note: SIMD dispatch pinned to the portable SWAR substrate (host supports {}) \
@@ -494,31 +499,22 @@ pub fn execute_program(o: &RunOptions, program: &Program) -> Result<(RunResult, 
     Ok((r, out))
 }
 
-/// True the first time the (`kind`, `cfg`) pair is seen by the
-/// warn-once registry, false on every repeat: a client issuing
-/// thousands of runs under one configuration used to get one stderr
-/// line per run. Process-global and a linear scan — distinct
-/// configurations per process are few, and the stats counters stay
-/// authoritative regardless. Warning kinds are independent keys, so a
-/// packed-fallback warning never suppresses a forced-SWAR note for the
-/// same configuration (or vice versa).
-pub(crate) fn warning_is_first(kind: &'static str, cfg: &ProcConfig) -> bool {
-    static SEEN: std::sync::OnceLock<std::sync::Mutex<Vec<(&'static str, ProcConfig)>>> =
+/// True the first time `cfg` is seen by the warn-once registry, false
+/// on every repeat: a client issuing thousands of runs under one
+/// configuration used to get one stderr line per run. Process-global
+/// and a linear scan — distinct configurations per process are few.
+fn warning_is_first(cfg: &ProcConfig) -> bool {
+    static SEEN: std::sync::OnceLock<std::sync::Mutex<Vec<ProcConfig>>> =
         std::sync::OnceLock::new();
     let mut seen = SEEN
         .get_or_init(|| std::sync::Mutex::new(Vec::new()))
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
-    if seen.iter().any(|(k, c)| *k == kind && c == cfg) {
+    if seen.contains(cfg) {
         return false;
     }
-    seen.push((kind, cfg.clone()));
+    seen.push(cfg.clone());
     true
-}
-
-/// The packed-fallback warning's registry key (see [`warning_is_first`]).
-pub(crate) fn fallback_warning_is_first(cfg: &ProcConfig) -> bool {
-    warning_is_first("packed-fallback", cfg)
 }
 
 /// `usim asm`: assemble and list a program.
@@ -705,33 +701,26 @@ mod tests {
     }
 
     #[test]
-    fn packed_fallback_warning_stays_quiet_and_dedups() {
-        let src = "
-            li r1, 6
-            li r2, 7
-            mul r3, r1, r2
-            halt
-        ";
-        // Pipelined forwarding now rides the hop-banded readiness
-        // words: no fallback, no warning.
-        let o = parse_run(&args("k.asm --window 8 --per-hop 1")).unwrap();
-        let (r, report) = execute_run(&o, src).unwrap();
-        assert_eq!(r.stats.packed_fallbacks, 0);
-        assert!(!report.contains("warning"));
-        // Wide register files stay packed too: 128 registers, clean.
-        let o = parse_run(&args("k.asm --window 8 --regs 128")).unwrap();
-        let (r, report) = execute_run(&o, src).unwrap();
-        assert_eq!(r.stats.packed_fallbacks, 0);
-        assert!(!report.contains("warning"));
-        // The warning registry itself de-duplicates per distinct
-        // configuration: first sighting prints, repeats stay silent,
-        // a different configuration prints again.
+    fn warning_registry_dedups_per_config() {
+        // First sighting prints, repeats stay silent, a different
+        // configuration prints again.
         let a = ProcConfig::ultrascalar_i(2).with_fetch_width(1);
         let b = ProcConfig::ultrascalar_i(2).with_fetch_width(2);
-        assert!(fallback_warning_is_first(&a));
-        assert!(!fallback_warning_is_first(&a));
-        assert!(fallback_warning_is_first(&b));
-        assert!(!fallback_warning_is_first(&a.clone()));
+        assert!(warning_is_first(&a));
+        assert!(!warning_is_first(&a));
+        assert!(warning_is_first(&b));
+        assert!(!warning_is_first(&a.clone()));
+    }
+
+    #[test]
+    fn oversized_window_is_a_config_error() {
+        let o = parse_run(&args(&format!("k.asm --window {MAX_WINDOW}"))).unwrap();
+        assert!(build_config(&o).is_ok());
+        for w in [MAX_WINDOW + 1, 1 << 40] {
+            let o = parse_run(&args(&format!("k.asm --window {w}"))).unwrap();
+            let e = build_config(&o).unwrap_err();
+            assert!(e.contains("exceeds the maximum"), "{e}");
+        }
     }
 
     #[test]

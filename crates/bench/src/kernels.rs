@@ -1,4 +1,4 @@
-//! The A/B benchmark kernels, shared by `step_ab` and `lanes_ab`.
+//! The A/B benchmark kernels of `lanes_ab` and the lane differential tests.
 //!
 //! Each kernel pins one engine regime (blocked-station-heavy,
 //! forwarding-heavy, …). The `*_seeded` variants read their working
@@ -11,9 +11,8 @@
 
 use ultrascalar_isa::Program;
 
-/// Dependent `div` chains in a loop — the blocked-station-heavy regime
-/// where the packed unready-word gate replaces per-source operand
-/// resolution for every stalled station on every scanned cycle.
+/// Dependent `div` chains in a loop — the blocked-station-heavy regime:
+/// most stations wait on an operand on every walked cycle.
 pub fn div_chain(iters: u32) -> Program {
     let src = format!(
         r"
@@ -61,9 +60,9 @@ pub fn div_chain_seeded(iters: u32) -> Program {
 }
 
 /// The same blocked-heavy regime spread across the upper half of a
-/// 128-entry register file: every live operand sits past lane word 0,
-/// so the engine's multi-word unready mask does real work (before the
-/// lanes went multi-word this kernel fell back to the scalar scan).
+/// 128-entry register file: every live operand sits past register 64,
+/// so lane batching and the engine's rename table cover wide register
+/// files.
 pub fn wide_div_chain(iters: u32) -> Program {
     let src = format!(
         r"
@@ -110,10 +109,7 @@ pub fn wide_div_chain_seeded(iters: u32) -> Program {
 /// Forwarding-heavy fan: a hub register rewritten twice per loop
 /// round, each rewrite feeding a fan of dependent accumulator adds.
 /// Nearly every operand read in the window resolves against an
-/// in-flight writer, so this is the regime where the packed *value*
-/// snapshot (`ProcConfig::packed_values`) replaces the scalar
-/// last-writer walk on the hottest path — and where the per-cycle
-/// last-writer map reset it removes is widest relative to work done.
+/// in-window writer, so producer-link probes dominate the walk.
 pub fn forward_fan(iters: u32) -> Program {
     let src = format!(
         r"

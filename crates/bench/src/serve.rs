@@ -186,7 +186,8 @@ pub struct ServeCounters {
     pub cycles_simulated: u64,
     /// Total instructions committed across all runs.
     pub instructions_committed: u64,
-    /// Runs in which the engine fell back to the scalar scan.
+    /// Sum of [`ultrascalar::ProcStats::packed_fallbacks`]: always 0,
+    /// kept so the stats report keeps its `"packed_fallbacks"` key.
     pub packed_fallbacks: u64,
     /// Wall time spent handling requests, summed across workers
     /// (parse + simulate + respond).
@@ -452,7 +453,7 @@ impl Worker {
                 let run_started = Instant::now();
                 pooled.engine.run_reusing(&program, &mut pooled.result);
                 let run_wall = run_started.elapsed();
-                count_run(shared, &cfg, &pooled.result);
+                count_run(shared, &pooled.result);
                 line_out.clear();
                 let wall_us = req.timing.then_some(run_wall.as_micros() as u64);
                 write_run(line_out, req, &cfg, &pooled.result, wall_us);
@@ -584,7 +585,7 @@ impl Worker {
             let wall_us = group[0]
                 .timing
                 .then_some(run_started.elapsed().as_micros() as u64);
-            count_run(shared, &cfg, &pooled.result);
+            count_run(shared, &pooled.result);
             write_run(line_out, &group[0], &cfg, &pooled.result, wall_us);
             line_out.push('\n');
         } else {
@@ -632,7 +633,7 @@ impl Worker {
                 Ordering::Relaxed,
             );
             for (req, r) in group[..n].iter().zip(group_results.iter()) {
-                count_run(shared, &cfg, r);
+                count_run(shared, r);
                 let wall_us = req.timing.then_some(share.as_micros() as u64);
                 write_run(line_out, req, &cfg, r, wall_us);
                 line_out.push('\n');
@@ -694,11 +695,7 @@ fn affinity_checkout<'a>(
 }
 
 /// Post-run counter roll-up, shared by the serial and group paths.
-/// The packed-fallback stderr diagnostic is de-duplicated to one line
-/// per distinct configuration (a fallback-prone client used to spam
-/// one warning per run); the aggregated counter in the stats report
-/// stays authoritative either way.
-fn count_run(shared: &ServeShared, cfg: &ProcConfig, r: &RunResult) {
+fn count_run(shared: &ServeShared, r: &RunResult) {
     shared.runs.fetch_add(1, Ordering::Relaxed);
     shared
         .cycles_simulated
@@ -709,13 +706,6 @@ fn count_run(shared: &ServeShared, cfg: &ProcConfig, r: &RunResult) {
     shared
         .packed_fallbacks
         .fetch_add(r.stats.packed_fallbacks, Ordering::Relaxed);
-    if r.stats.packed_fallbacks > 0 && crate::cli::fallback_warning_is_first(cfg) {
-        eprintln!(
-            "usim serve: packed flag networks requested but inactive for this \
-             configuration (register file wider than the packed lane words); \
-             further runs with it stay quiet — see packed_fallbacks in stats"
-        );
-    }
 }
 
 /// The `{"ok":false,…}` error response, shared by `handle_line` and

@@ -96,10 +96,10 @@ const REQ_HYBRID: &str = r#"{"program":"li r1, 0\nli r2, 8\nli r3, 0\nloop:\nsw 
 const REQ_MUL: &str = r#"{"program":"li r1, 6\nli r2, 7\nmul r3, r1, r2\nhalt\n","options":{"arch":"usi","window":8,"predictor":"bimodal:64"}}"#;
 
 /// Forwarding-heavy fan: a hub register rewritten then read by a fan
-/// of dependent adds. Every operand resolve in this kernel hits the
-/// packed value snapshot (`ProcConfig::packed_values`), so the probe
-/// pins the snapshot's writer-value/sequence lanes as allocation-free
-/// too — they live in the pooled engine's retained scan scratch.
+/// of dependent adds. Nearly every operand resolve in this kernel
+/// forwards from an in-window producer link, so the probe pins the
+/// engine's station ring and rename table as allocation-free too —
+/// they live in the pooled engine's retained scratch.
 const REQ_FAN: &str = r#"{"program":"li r1, 3\naddi r1, r1, 1\nadd r2, r2, r1\nadd r3, r3, r1\nadd r4, r4, r1\naddi r1, r1, 2\nadd r5, r5, r1\nadd r6, r6, r1\nadd r7, r7, r1\nhalt\n","options":{"arch":"usi","window":8,"predictor":"bimodal:64"}}"#;
 
 #[test]

@@ -103,6 +103,25 @@ fn errors_are_reported_not_fatal() {
     assert!(ok.starts_with("{\"ok\":true,"), "{ok}");
 }
 
+/// A window far past `cli::MAX_WINDOW` would make the engine and the
+/// memory network allocate per-station state for all of it; it must
+/// come back as an error response, and the server must keep serving.
+#[test]
+fn oversized_window_is_rejected_and_serving_continues() {
+    let mut s = Server::new(8, 4);
+    let huge = 1u64 << 53;
+    let req = format!(r#"{{"program":"li r1, 1\nhalt\n","options":{{"window":{huge}}}}}"#);
+    let resp = s.handle_line(&req).to_string();
+    assert!(resp.starts_with("{\"ok\":false,"), "{resp}");
+    assert!(resp.contains("exceeds the maximum"), "{resp}");
+    let edge = ultrascalar_bench::cli::MAX_WINDOW + 1;
+    let req = format!(r#"{{"program":"li r1, 1\nhalt\n","options":{{"window":{edge}}}}}"#);
+    assert!(s.handle_line(&req).starts_with("{\"ok\":false,"));
+    assert_eq!(s.counters().errors, 2);
+    let ok = s.handle_line(PROG).to_string();
+    assert!(ok.starts_with("{\"ok\":true,"), "{ok}");
+}
+
 #[test]
 fn failed_assembly_is_not_cached() {
     let mut s = Server::new(8, 4);

@@ -109,39 +109,6 @@ pub struct ProcConfig {
     /// cycle-exact either way; `false` retains the naive
     /// tick-every-cycle loop as a differential-testing reference.
     pub cycle_skip: bool,
-    /// Packed word-parallel flag networks (on by default): the
-    /// program-order scan keeps its four all-earlier AND flags in one
-    /// bit-packed lane word and maintains hop-banded register-unready
-    /// lane words (64 registers per word, covering the ISA's full
-    /// 256-register space; one nested band per H-tree level under
-    /// [`ForwardModel::Pipelined`], a single band under
-    /// [`ForwardModel::SingleCycle`]) plus a per-register
-    /// readiness-time table, so a blocked station is detected by
-    /// AND-ing its decode-time source mask against a small word array
-    /// instead of re-deriving readiness per source operand. Results are
-    /// cycle-exact either way; `false` retains the scalar flag path as
-    /// a differential-testing reference. When the gate must fall back
-    /// to the scalar scan despite this flag (`num_regs` wider than the
-    /// packed lane words), `ProcStats::packed_fallbacks` records the
-    /// downgrade.
-    pub packed_flags: bool,
-    /// Packed *value* forwarding (on by default; requires
-    /// [`ProcConfig::packed_flags`]): the scan batches last-writer
-    /// value/readiness propagation into a per-cycle packed register
-    /// snapshot — struct-of-arrays value/seq/readiness tables gated by
-    /// a has-writer lane word, the engine-side form of the bit-sliced
-    /// value CSPP in `ultrascalar_prefix::sliced` — so the per-cycle
-    /// reset is a word-parallel clear of the lane words instead of an
-    /// `O(num_regs)` scalar-map fill, and a station that passes the
-    /// unready-mask gate reads its operands straight out of the
-    /// snapshot lanes. Results are cycle-exact either way; `false`
-    /// retains the scalar last-writer resolve as a
-    /// differential-testing reference. The flag rides on the same gate
-    /// as `packed_flags` (`num_regs` within the packed lane words) and
-    /// the same `ProcStats::packed_fallbacks` diagnostic; under
-    /// pipelined forwarding the snapshot resolve extracts per-consumer
-    /// `ready_at` horizons from the hop-banded readiness state.
-    pub packed_values: bool,
     /// Pin the substrate's portable SWAR kernels for the duration of
     /// every run under this config (off by default), bypassing the
     /// runtime AVX2 dispatch in `ultrascalar_prefix::simd`. Dispatch
@@ -151,13 +118,6 @@ pub struct ProcConfig {
     /// on an AVX2 host. The `USIM_FORCE_SWAR` environment variable
     /// (read once per process) forces the same fallback globally.
     pub force_swar: bool,
-    /// Run the packed readiness path even on configuration shapes
-    /// where [`ProcConfig::packed_shape_wins`] says it net-loses (off
-    /// by default). Results are cycle-exact either way; this exists so
-    /// A/B harnesses and differential tests can still reach the gated
-    /// path (e.g. the hop-banded pipelined readiness words) on shapes
-    /// the engine would otherwise run scalar.
-    pub packed_override: bool,
 }
 
 impl ProcConfig {
@@ -178,10 +138,7 @@ impl ProcConfig {
             trace_cache: None,
             fetch_width: None,
             cycle_skip: true,
-            packed_flags: true,
-            packed_values: true,
             force_swar: false,
-            packed_override: false,
         }
     }
 
@@ -260,61 +217,11 @@ impl ProcConfig {
         self
     }
 
-    /// Builder: disable the packed word-parallel flag networks, forcing
-    /// the scalar per-flag/per-operand path. Packed value forwarding
-    /// rides on the flag networks (the unready-mask gate and readiness
-    /// tables), so this clears [`ProcConfig::packed_values`] too.
-    /// Cycle-exact results are identical with packing on; this exists
-    /// as the differential-testing reference and for apples-to-apples
-    /// simulator-performance measurements.
-    pub fn without_packed_flags(mut self) -> Self {
-        self.packed_flags = false;
-        self.packed_values = false;
-        self
-    }
-
-    /// Builder: disable packed value forwarding only, keeping the
-    /// packed flag networks and unready-mask gate but resolving
-    /// operands through the scalar last-writer map. Cycle-exact results
-    /// are identical either way; this isolates the value-snapshot
-    /// contribution for differential testing and A/B measurement.
-    pub fn without_packed_values(mut self) -> Self {
-        self.packed_values = false;
-        self
-    }
-
     /// Builder: pin the substrate's portable SWAR kernels for every
     /// run under this config (see [`ProcConfig::force_swar`]).
     pub fn with_force_swar(mut self) -> Self {
         self.force_swar = true;
         self
-    }
-
-    /// Builder: run the packed readiness path even on shapes where it
-    /// measures as a net loss (see [`ProcConfig::packed_override`]).
-    pub fn with_packed_override(mut self) -> Self {
-        self.packed_override = true;
-        self
-    }
-
-    /// Does the packed readiness path pay for itself under this
-    /// configuration's *shape*? Measured on the interleaved step_ab
-    /// A/B harness (`BENCH_step_ab.json`): the packed gate wins
-    /// 1.02–1.14× on single-cycle-forwarding shapes with latency-free
-    /// memory and sub-window clusters, and net-loses under pipelined
-    /// forwarding (band upkeep plus per-lane hop refinement outweigh
-    /// the skipped operand resolutions, 0.87–0.96×), latency-bearing
-    /// memory (runs dominated by stall cycles the scan cannot
-    /// shorten) and batch-refill `C = n` windows. The engine runs the
-    /// scalar scan on losing shapes — recording the decision in
-    /// `ProcStats::packed_shape_gated` — unless
-    /// [`ProcConfig::packed_override`] punches through; results are
-    /// cycle-exact on either path.
-    pub fn packed_shape_wins(&self) -> bool {
-        matches!(self.forward, ForwardModel::SingleCycle)
-            && self.cluster < self.window
-            && self.mem.hop_latency == 0
-            && self.mem.base_latency == 0
     }
 
     /// Number of clusters `K = n / C`.
@@ -386,26 +293,13 @@ mod tests {
             .with_latency(LatencyModel::unit())
             .with_shared_alus(2)
             .with_memory_renaming()
-            .without_packed_flags()
             .with_forwarding(ForwardModel::Pipelined { per_hop: 1 });
-        assert!(!c.packed_flags);
-        // Value forwarding rides on the flag networks: clearing the
-        // flags clears it too.
-        assert!(!c.packed_values);
         assert_eq!(c.predictor, PredictorKind::Bimodal(64));
         assert_eq!(c.latency, LatencyModel::unit());
         assert_eq!(c.alus, Some(2));
         assert!(c.memory_renaming);
         assert_eq!(c.forward, ForwardModel::Pipelined { per_hop: 1 });
         assert!(c.validate().is_ok());
-    }
-
-    #[test]
-    fn packed_values_clears_independently() {
-        let c = ProcConfig::ultrascalar_i(4);
-        assert!(c.packed_flags && c.packed_values);
-        let c = c.without_packed_values();
-        assert!(c.packed_flags && !c.packed_values);
     }
 
     #[test]

@@ -1,12 +1,43 @@
 //! The unified Ultrascalar engine: US-I (`C = 1`), US-II (`C = n`) and
 //! the hybrid (`1 < C < n`) as one cycle-accurate model.
 //!
-//! See the crate docs for the cycle conventions. The per-cycle work —
-//! one program-order scan maintaining running AND flags ("all earlier
-//! finished / stored / loaded / confirmed") and a last-writer-per-
-//! register map — is exactly the computation the hardware's CSPP
-//! circuits perform in `Θ(log n)` gate delay; the simulator does it in
-//! `O(n + L)` serial work per cycle.
+//! See the crate docs for the cycle conventions. The window is one ring
+//! over the `n` physical stations: slot `s` is H-tree leaf `s` (the
+//! [`InstrTiming::slot`] a committed instruction reports) and belongs
+//! to cluster `s / C`. The occupied stations run in program order from
+//! a cluster-aligned `head` slot, wrapping around; commit advances
+//! `head` a whole cluster at a time, refill appends at the tail and a
+//! flush truncates the tail.
+//!
+//! # One walk per cycle
+//!
+//! The hardware's CSPP finds each station's nearest preceding writer of
+//! every source register anew each cycle. For a station that is already
+//! in the window that writer cannot change: refill only appends younger
+//! stations, a flush only drops stations younger than the flushing
+//! branch (and so younger than every surviving station's producers),
+//! and a commit only retires the oldest stations, turning a forwarded
+//! operand into a committed-register-file read. So refill gives each
+//! station its producers once, as `(slot, seq)` links read from a
+//! per-register rename table (the youngest in-window writer so far; a
+//! flush rebuilds it from the surviving window, as a conventional
+//! rename map restores its checkpoint). Resolving an operand is then
+//! one probe: a producer with `seq` at or past the oldest station's is
+//! still in the window and forwards from its slot — ready at
+//! `done + 1 + fwd.extra(producer, consumer)` — and any other producer
+//! has committed, so the operand reads the committed register file. The
+//! probe reads the producer live, inside the same program-order walk
+//! that issues, so a consumer sees the producer's state as of its own
+//! walk step: issued earlier in this cycle's walk (then not yet ready),
+//! or completed by a memory response in an earlier cycle.
+//!
+//! That walk is the cycle's only pass over the window. Besides issue
+//! and the running all-earlier AND flags ("all earlier stores / loads /
+//! branches done, store addresses resolved"), it yields the issue
+//! count, the occupancy, the branches completing this cycle (the only
+//! stations branch resolution visits) and the done prefix commit
+//! retires from. The simulator does in `O(n)` serial work per cycle
+//! what the circuits do in `Θ(log n)` gate delay.
 //!
 //! Three of the paper's extension mechanisms are implemented behind
 //! configuration switches (all off by default):
@@ -24,30 +55,25 @@
 //!   study).
 
 // Index-based window loops are deliberate throughout: entries are
-// mutated mid-scan, which iterator borrows cannot express.
+// mutated mid-walk, which iterator borrows cannot express.
 #![allow(clippy::needless_range_loop)]
-
-use std::collections::VecDeque;
 
 use crate::config::{ForwardModel, ProcConfig};
 use crate::fetch::{FetchUnit, TraceCache};
 use crate::processor::{Processor, RunResult};
-use crate::station::{
-    mask_intersection, MemPhase, RegMask, StationEntry, MAX_PACKED_REGS, REG_LANE_WORDS,
-};
+use crate::station::{MemPhase, StationEntry};
 use crate::stats::ProcStats;
 use crate::timing::InstrTiming;
 use ultrascalar_isa::{Instr, Program};
 use ultrascalar_memsys::{MemRequest, MemResponse, MemSystem, ReqKind};
-use ultrascalar_prefix::packed::{hop_band_count, hop_level, HopBands};
+
 /// Fuel given to the golden interpreter when pre-computing the perfect
 /// fetch path. Far beyond any workload in this repository.
 const ORACLE_FUEL: usize = 50_000_000;
 
-// Lane assignments of the packed all-earlier flag word: the paper's
-// side-by-side 1-bit AND networks (Figure 5, plus the renaming
-// variant) kept as bits of one `u64` and narrowed word-parallel, the
-// software mirror of `ultrascalar_prefix::packed::AndWords` lanes.
+// Lanes of the all-earlier flag word: the paper's side-by-side 1-bit
+// AND networks (Figure 5, plus the renaming variant), narrowed as the
+// walk passes each station.
 const F_STORES_DONE: u64 = 1 << 0;
 const F_LOADS_DONE: u64 = 1 << 1;
 const F_BRANCHES_DONE: u64 = 1 << 2;
@@ -55,141 +81,53 @@ const F_STORES_RESOLVED: u64 = 1 << 3;
 /// Lanes gating a store issue: every older store, load and branch done.
 const F_STORE_ISSUE: u64 = F_STORES_DONE | F_LOADS_DONE | F_BRANCHES_DONE;
 
-/// A cluster of up to `C` stations. In hardware every cluster always
-/// has `C` stations; here `entries` holds only the occupied ones (all
-/// clusters except possibly the youngest are full).
-#[derive(Debug, Clone)]
-struct Cluster {
-    /// Monotone allocation index; `index % K` is the physical position
-    /// in the cluster ring (fat-tree placement).
-    ring_index: usize,
-    entries: Vec<StationEntry>,
-}
-
-/// Reusable per-cycle scratch for the program-order scan. Hoisting
-/// these buffers out of the cycle loop makes the steady-state scan
-/// allocation-free: each cycle clears them in place instead of
-/// re-allocating (`last_writer` used to be a fresh `vec![None; regs]`
-/// and the locator a fresh `HashMap` every cycle).
-#[derive(Debug, Default)]
-struct ScanScratch {
-    /// Most recent preceding writer per architectural register.
-    last_writer: Vec<Option<Writer>>,
-    /// Distance-0 readiness base of register `r`'s most recent
-    /// preceding writer (packed-flags fast path): `0` when the register
-    /// reads from the committed file, `completion + 1` for an in-window
-    /// writer, `u64::MAX` for a writer with no scheduled completion. A
-    /// consumer's actual readiness is this base plus the hop-distance
-    /// forwarding cost (zero under single-cycle forwarding). Paired
-    /// with the scan's readiness bands, it lets a blocked station's
-    /// wake-up event be read off directly instead of re-resolving its
-    /// operands.
-    writer_ready_at: Vec<u64>,
-    /// Window ring position of register `r`'s most recent preceding
-    /// writer (packed fast path under pipelined forwarding): feeds the
-    /// per-consumer hop-distance band refinement and the banded
-    /// `ready_at` extraction in the snapshot resolve. Live only where
-    /// the per-cycle has-writer / band lanes are raised, so it needs no
-    /// per-cycle clear.
-    writer_pos: Vec<usize>,
-    /// Hop-distance readiness bands: band `d` holds the registers whose
-    /// most recent preceding writer's value is not yet visible `d`
-    /// H-tree levels away. Exactly one band under single-cycle
-    /// forwarding (the original position-independent unready word);
-    /// `log2(window)+1` nested bands under pipelined forwarding, the
-    /// widest gating the one word-array blocked test. Cleared
-    /// word-parallel each cycle and rebuilt by the scan.
-    bands: HopBands<REG_LANE_WORDS>,
-    /// Packed register snapshot, value lane (packed-values fast path):
-    /// the most recent preceding writer's value per register. Together
-    /// with `writer_seq` and `writer_ready_at` this is the
-    /// struct-of-arrays form of `last_writer` — the engine-side
-    /// counterpart of the bit-sliced value CSPP
-    /// (`ultrascalar_prefix::sliced`), maintained incrementally by the
-    /// scan instead of re-swept per cycle. Entries are live only where
-    /// the per-cycle has-writer lane word has the register's bit
-    /// raised, so the snapshot needs **no** per-cycle clear: the
-    /// word-parallel has-writer reset (four words) replaces the
-    /// `O(num_regs)` scalar-map fill.
-    writer_value: Vec<u32>,
-    /// Packed register snapshot, sequence lane: the writer's `seq`,
-    /// for forwarding-distance accounting.
-    writer_seq: Vec<u64>,
-    /// Resolved state of each older store, in program order (memory
-    /// renaming only).
-    store_infos: Vec<StoreInfo>,
-    /// Memory requests offered to the arbiter this cycle.
-    requests: Vec<MemRequest>,
-}
-
-impl ScanScratch {
-    /// Size the per-register tables for a program's register file and
-    /// empty everything, reusing retained capacity (allocation-free
-    /// whenever the file is no wider than any previously prepared one).
-    fn prepare(&mut self, num_regs: usize, num_bands: usize) {
-        self.last_writer.clear();
-        self.last_writer.resize(num_regs, None);
-        self.writer_ready_at.clear();
-        self.writer_ready_at.resize(num_regs, 0);
-        self.writer_pos.clear();
-        self.writer_pos.resize(num_regs, 0);
-        self.bands.prepare(num_bands);
-        self.writer_value.clear();
-        self.writer_value.resize(num_regs, 0);
-        self.writer_seq.clear();
-        self.writer_seq.resize(num_regs, 0);
-        self.store_infos.clear();
-        self.requests.clear();
-    }
-
-    /// Reset for a new cycle without releasing capacity. Under the
-    /// packed-values snapshot the per-register tables are *not* swept:
-    /// every slot the cycle reads is gated by a has-writer (or
-    /// unready) lane bit that is rebuilt from zero each cycle, so
-    /// stale slots are unreachable and the whole reset is the word-
-    /// parallel lane-word clear in the scan loop.
-    fn reset(&mut self, packed_values: bool) {
-        if !packed_values {
-            self.last_writer.fill(None);
-            self.writer_ready_at.fill(0);
-        }
-        // The readiness bands are rebuilt from zero every cycle — the
-        // word-parallel clear here is the whole reset the banded gate
-        // needs (the base/position tables are read only at raised
-        // lanes).
-        self.bands.clear();
-        self.store_infos.clear();
-        self.requests.clear();
-    }
-}
-
-/// Locate the window entry with sequence number `id`, replacing the
-/// per-cycle `HashMap` locator with an allocation-free binary search.
-///
-/// Sequence numbers are allocated monotonically and never reused, and
-/// both refill (push youngest) and flush (truncate a suffix) preserve
-/// program order, so the window is always globally sorted ascending by
-/// `seq` — clusters first by their last entry, then entries within the
-/// cluster. Note the ranges are *not* contiguous (a misprediction flush
-/// followed by refill leaves seq gaps even inside one cluster), so
-/// `seq - base` arithmetic would be unsound; search is required.
-fn locate(window: &VecDeque<Cluster>, id: u64) -> Option<(usize, usize)> {
-    let ci = window.partition_point(|cl| cl.entries.last().is_none_or(|e| e.seq < id));
-    let cl = window.get(ci)?;
-    let ei = cl.entries.binary_search_by_key(&id, |e| e.seq).ok()?;
-    Some((ci, ei))
-}
-
-/// Snapshot of the most recent preceding writer of a register during
-/// the program-order scan.
+/// A decode-time producer link: the station that held the nearest
+/// preceding writer of a source register when the consumer entered the
+/// window.
 #[derive(Debug, Clone, Copy)]
-struct Writer {
+struct Link {
     seq: u64,
-    completed_at: Option<u64>,
-    value: u32,
-    /// Window ring position of the writer (for distance-based
-    /// forwarding latency).
-    pos: usize,
+    slot: usize,
+}
+
+/// One physical station: its occupant and the occupant's producer
+/// links, aligned with `Instr::reads` (`None` where the operand is
+/// absent or no in-window writer preceded it at refill).
+#[derive(Debug, Clone)]
+struct Station {
+    e: StationEntry,
+    src: [Option<Link>; 2],
+}
+
+/// Slot of the station `j` places younger than the one at `head`.
+#[inline(always)]
+fn ring_slot(head: usize, j: usize, n: usize) -> usize {
+    let s = head + j;
+    if s >= n {
+        s - n
+    } else {
+        s
+    }
+}
+
+/// Slot of the occupied station with sequence number `seq`, by binary
+/// search: sequence numbers are allocated monotonically and never
+/// reused, and refill (append) and flush (truncate) preserve program
+/// order, so the occupied run is sorted by `seq` — with gaps where a
+/// flush squashed stations, so `seq - base` arithmetic would be
+/// unsound.
+fn locate(ring: &[Station], head: usize, len: usize, seq: u64) -> Option<usize> {
+    let (mut lo, mut hi) = (0, len);
+    while lo < hi {
+        let mid = (lo + hi) / 2;
+        if ring[ring_slot(head, mid, ring.len())].e.seq < seq {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    let s = ring_slot(head, lo, ring.len());
+    (lo < len && ring[s].e.seq == seq).then_some(s)
 }
 
 /// The resolved value of one source operand.
@@ -224,12 +162,47 @@ impl Source {
     }
 }
 
-/// Resolved state of an older store, tracked during the scan for
-/// memory renaming.
+/// Resolve operand `k` of the station in `slot` at cycle `t`: one probe
+/// of its producer link. A producer whose `seq` is at or past the
+/// oldest occupied station's (`front_seq`) is still in the window and
+/// forwards; otherwise it has committed and the committed register
+/// file holds its value.
+#[inline(always)]
+fn operand(
+    ring: &[Station],
+    slot: usize,
+    k: usize,
+    front_seq: u64,
+    t: u64,
+    fwd: ForwardModel,
+    committed: &[u32],
+) -> Option<Source> {
+    let st = &ring[slot];
+    let r = st.e.instr.reads()[k]?;
+    Some(match st.src[k] {
+        Some(p) if p.seq >= front_seq => {
+            let w = &ring[p.slot].e;
+            // `done + 1` first, then the saturating hop cost.
+            let ready_at = w
+                .completed_at
+                .map(|done| (done + 1).saturating_add(fwd.extra(p.slot, slot)));
+            Source::Forwarded {
+                value: w.result.unwrap_or(0),
+                ready: ready_at.is_some_and(|ra| ra <= t),
+                ready_at,
+                dist: st.e.seq - p.seq,
+            }
+        }
+        _ => Source::Committed {
+            value: committed[r.index()],
+        },
+    })
+}
+
+/// An older store whose address and data are known, tracked during the
+/// walk for memory renaming.
 #[derive(Debug, Clone, Copy)]
 struct StoreInfo {
-    /// Are the store's address and data known (operands ready)?
-    resolved: bool,
     addr: usize,
     value: u32,
 }
@@ -307,94 +280,17 @@ impl ReplayLog {
     }
 }
 
-/// Wake-up collection for the packed-gate fast path: `blocked` is the
-/// non-empty intersection of a station's source mask with the scan's
-/// register-unready lane words. Under single-cycle forwarding a blocked
-/// source becomes usable exactly one cycle after its writer completes,
-/// so the readiness time is read straight off the per-register table
-/// without building a [`Source`] (`u64::MAX` entries — writers with no
-/// scheduled completion — contribute no bound). Only the first `words`
-/// lane words can hold raised bits (the caller's intersection is
-/// truncated to the program's live register prefix).
-///
-/// Returns the **max** of the blocking sources' known readiness times
-/// (0 when none is scheduled): the station issues only when *all*
-/// sources are ready, so the max of the known ones is a lower bound on
-/// its issue cycle — both the wake-up event the cycle skip may jump to
-/// and the bound cached in [`StationEntry::not_before`].
-#[inline(always)]
-fn packed_wakeups(blocked: &RegMask, words: usize, ready_at: &[u64], t: u64) -> u64 {
-    let mut bound = 0u64;
-    for (j, &word) in blocked.iter().take(words).enumerate() {
-        let mut w = word;
-        while w != 0 {
-            let r = j * 64 + w.trailing_zeros() as usize;
-            w &= w - 1;
-            let ra = ready_at[r];
-            if ra > t && ra != u64::MAX {
-                bound = bound.max(ra);
-            }
-        }
-    }
-    bound
-}
-
-/// Per-lane refinement of a top-band hit under pipelined forwarding:
-/// for each raised source lane, test the band at the *actual*
-/// producer→consumer hop distance (one bit probe; the bands nest, so
-/// the top-band intersection over-approximates). Returns whether any
-/// source truly blocks at its distance, plus the **max** of the truly
-/// blocking sources' known readiness times (0 when none is scheduled)
-/// — the issue-cycle lower bound cached in
-/// [`StationEntry::not_before`]. A hit that refines to "ready at every
-/// actual distance" lets the caller fall through to issue.
-// Hot-path helper: the arguments are disjoint borrows of scan scratch
-// that a bundling struct would force into one, fighting the borrow
-// checker at every call site.
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-fn banded_blocked(
-    blocked: &RegMask,
-    words: usize,
-    bands: &HopBands<REG_LANE_WORDS>,
-    ready_at: &[u64],
-    writer_pos: &[usize],
-    pos: usize,
-    per_hop: u64,
-    t: u64,
-) -> (bool, u64) {
-    let mut any = false;
-    let mut bound = 0u64;
-    for (j, &word) in blocked.iter().take(words).enumerate() {
-        let mut w = word;
-        while w != 0 {
-            let r = j * 64 + w.trailing_zeros() as usize;
-            w &= w - 1;
-            let lvl = hop_level(writer_pos[r], pos);
-            if !bands.test(lvl, r) {
-                continue; // ready at this consumer's distance
-            }
-            any = true;
-            let ra = ready_at[r].saturating_add(ForwardModel::extra_at(per_hop, lvl));
-            if ra > t && ra != u64::MAX {
-                bound = bound.max(ra);
-            }
-        }
-    }
-    (any, bound)
-}
-
 /// The unified Ultrascalar processor model.
 ///
 /// The engine retains its allocation-heavy working state — fetch unit,
-/// memory system, window clusters, scan buffers, trace cache — across
-/// runs. [`Processor::run_reusing`] rewinds all of it in place, so a
-/// warm engine serving its second and later requests for a same-shape
-/// program performs **zero** allocations (the serve-mode probe pins
-/// this); [`Processor::run`] produces identical results and merely
-/// pays for a fresh [`RunResult`]. Retention is invisible to results:
-/// the reuse-equivalence tests pin a warm engine cycle-exact against a
-/// freshly constructed one.
+/// memory system, station ring, rename table, walk buffers, trace
+/// cache — across runs. [`Processor::run_reusing`] rewinds all of it in
+/// place, so a warm engine serving its second and later requests for a
+/// same-shape program performs **zero** allocations (the serve-mode
+/// probe pins this); [`Processor::run`] produces identical results and
+/// merely pays for a fresh [`RunResult`]. Retention is invisible to
+/// results: the reuse-equivalence tests pin a warm engine cycle-exact
+/// against a freshly constructed one.
 #[derive(Debug)]
 pub struct Ultrascalar {
     cfg: ProcConfig,
@@ -402,18 +298,25 @@ pub struct Ultrascalar {
 }
 
 /// Working state retained across runs. Everything here is rewound (not
-/// rebuilt) at the top of each run; the cluster pool recycles the
-/// per-cluster entry vectors that commit and flush would otherwise
-/// drop, closing the last per-cycle allocation in the refill path.
+/// rebuilt) at the top of each run.
 #[derive(Debug, Default)]
 struct EngineScratch {
     fetch: Option<FetchUnit>,
     mem: Option<MemSystem>,
     trace_cache: Option<TraceCache>,
-    window: VecDeque<Cluster>,
-    /// Free list of cluster entry vectors (always pushed cleared).
-    cluster_pool: Vec<Vec<StationEntry>>,
-    scan: ScanScratch,
+    /// The `n` physical stations, indexed by slot.
+    ring: Vec<Station>,
+    /// Per architectural register, the youngest writer refill has
+    /// placed in the window (possibly since committed — the operand
+    /// probe tells).
+    rename: Vec<Option<Link>>,
+    /// Program-order indices of the branches completing this cycle.
+    resolving: Vec<usize>,
+    /// The resolved older stores, in program order (memory renaming
+    /// only; searched only while every older store is resolved).
+    store_infos: Vec<StoreInfo>,
+    /// Memory requests offered to the arbiter this cycle.
+    requests: Vec<MemRequest>,
     /// Wrong-path trace of the most recent run (see [`ReplayLog`]).
     replay: ReplayLog,
     alu_free_at: Vec<u64>,
@@ -492,68 +395,24 @@ impl Processor for Ultrascalar {
             .then(ultrascalar_prefix::ForceSwarGuard::force);
         let n = self.cfg.window;
         let c = self.cfg.cluster;
-        let k = n / c;
         let lat = self.cfg.latency;
         let fwd = self.cfg.forward;
         let renaming = self.cfg.memory_renaming;
-        // The packed readiness fast path covers both forwarding
-        // models: single-cycle forwarding keeps one reader-independent
-        // unready word, pipelined forwarding keeps one nested band per
-        // H-tree hop level so distance-dependent readiness is still a
-        // word-array test. The lanes live in `REG_LANE_WORDS` words,
-        // covering every register file the ISA can express
-        // (`num_regs <= 256`); the width check — the only remaining
-        // fallback — is a safeguard against the ISA widening without
-        // this path.
-        let packed_ok = program.num_regs <= MAX_PACKED_REGS;
-        // Shape gate: the packed path only runs where the step_ab A/B
-        // data says it wins (see `ProcConfig::packed_shape_wins`);
-        // `packed_override` punches through for A/B harnesses and
-        // differential tests. The decision is recorded in
-        // `ProcStats::packed_shape_gated` below.
-        let shape_ok = self.cfg.packed_override || self.cfg.packed_shape_wins();
-        let packed = self.cfg.packed_flags && packed_ok && shape_ok;
-        // Value forwarding rides on the flag networks: it needs the
-        // unready-mask gate (so blocked stations never read the
-        // snapshot) and the readiness table the gate maintains.
-        let packed_vals = packed && self.cfg.packed_values;
-        // Live prefix of the lane words for this program's register
-        // file: the mask tests never touch words no register can reach.
-        let lane_words = program.num_regs.div_ceil(64).min(REG_LANE_WORDS);
-        // Pipelined forwarding inside the packed path: the per-hop
-        // cost, and the number of hop-distance readiness bands — one
-        // under single-cycle forwarding (the plain unready word),
-        // `log2(window)+1` under pipelined forwarding (window ring
-        // positions span `0..n`).
-        let pipelined = match fwd {
-            ForwardModel::SingleCycle => None,
-            ForwardModel::Pipelined { per_hop } => Some(per_hop),
-        };
-        let num_bands = if pipelined.is_some() {
-            hop_band_count(n)
-        } else {
-            1
-        };
-        // Loop invariants of the per-writer band update: the per-level
-        // readiness step and the total distance-0→top-band extra. A
-        // writer whose base horizon plus `top_extra` has passed is
-        // ready at *every* distance and usually needs no column write
-        // at all (the bands start each scan pass cleared).
-        let hop_step = pipelined.map_or(0, |ph| ph.saturating_mul(2));
-        let top_extra = hop_step.saturating_mul(num_bands as u64 - 1);
 
         // Rewind the retained working state in place. The engine's
         // configuration is fixed at construction, so each component's
         // shape (predictor kind, memory config, trace-cache geometry,
-        // ALU pool size) never changes between runs — reset, not
-        // rebuild, except on the very first run.
+        // ALU pool size, ring size) never changes between runs — reset,
+        // not rebuild, except on the very first run.
         let EngineScratch {
             fetch,
             mem,
             trace_cache,
-            window,
-            cluster_pool,
-            scan,
+            ring,
+            rename,
+            resolving,
+            store_infos,
+            requests,
             replay,
             alu_free_at,
             accepted,
@@ -570,14 +429,23 @@ impl Processor for Ultrascalar {
             None => *mem = Some(MemSystem::new(self.cfg.mem.clone(), &program.init_mem)),
         }
         let mem = mem.as_mut().expect("memory system initialised above");
-        // A previous run that hit the cycle budget leaves clusters in
-        // the window; recycle them.
-        while let Some(mut cl) = window.pop_front() {
-            cl.entries.clear();
-            cluster_pool.push(cl.entries);
+        if ring.len() != n {
+            let vacant = Station {
+                e: StationEntry::new(u64::MAX, 0, Instr::Nop, 0, 0),
+                src: [None; 2],
+            };
+            *ring = vec![vacant; n];
         }
+        rename.clear();
+        rename.resize(program.num_regs, None);
+        resolving.clear();
+        store_infos.clear();
+        requests.clear();
+        // The occupied run: `len` stations in program order from the
+        // cluster-aligned slot `head`.
+        let mut head: usize = 0;
+        let mut len: usize = 0;
         let mut next_seq: u64 = 0;
-        let mut alloc_counter: usize = 0;
 
         // The caller's result buffer is the working state: committed
         // registers and timings accumulate directly into `out`, so
@@ -593,19 +461,6 @@ impl Processor for Ultrascalar {
         stats.reset();
         timings.clear();
         committed_regs.clone_from(&program.init_regs);
-        if self.cfg.packed_flags && !packed_ok {
-            // Visible diagnostic instead of a silent downgrade: the
-            // run asked for the packed fast path but the gate kept the
-            // scalar scan (a register file wider than the packed lane
-            // words — pipelined forwarding now rides the banded path).
-            stats.packed_fallbacks += 1;
-        }
-        if self.cfg.packed_flags && packed_ok && !shape_ok {
-            // Deliberate policy decision, distinct from the width
-            // fallback above: this shape measures as a net loss for
-            // the packed path, so the scalar scan runs instead.
-            stats.packed_shape_gated += 1;
-        }
         let mut halted = false;
         // Shared-ALU pool: first cycle each unit is free again.
         alu_free_at.clear();
@@ -626,87 +481,51 @@ impl Processor for Ultrascalar {
         };
         let mut fetch_stalled_until: u64 = 0;
 
-        // Refill: fill the youngest partial cluster, then allocate new
-        // clusters, stations becoming live at `visible_at`; at most
-        // `fetch_width` instructions per cycle.
+        // Refill: append fetched instructions at the tail — filling the
+        // youngest partial cluster, then fresh ones — stations becoming
+        // live at `visible_at`; at most `fetch_width` per cycle. Each
+        // station links its sources to their producers here, once.
         let fetch_budget = self.cfg.fetch_width.unwrap_or(n);
-        let refill = |window: &mut VecDeque<Cluster>,
+        let refill = |ring: &mut [Station],
+                      rename: &mut [Option<Link>],
+                      head: usize,
+                      len: &mut usize,
                       fetch: &mut FetchUnit,
                       next_seq: &mut u64,
-                      alloc_counter: &mut usize,
-                      pool: &mut Vec<Vec<StationEntry>>,
                       visible_at: u64| {
             let mut budget = fetch_budget;
-            let pull = |fetch: &mut FetchUnit,
-                        seq: &mut u64,
-                        budget: &mut usize|
-             -> Option<StationEntry> {
-                if *budget == 0 {
-                    return None;
+            while *len < n && budget > 0 {
+                let Some(f) = fetch.next() else { return };
+                budget -= 1;
+                let seq = *next_seq;
+                *next_seq += 1;
+                let slot = ring_slot(head, *len, n);
+                let reads = f.instr.reads();
+                let src = [
+                    reads[0].and_then(|r| rename[r.index()]),
+                    reads[1].and_then(|r| rename[r.index()]),
+                ];
+                if let Some(rd) = f.instr.writes() {
+                    rename[rd.index()] = Some(Link { seq, slot });
                 }
-                let f = fetch.next()?;
-                let e = StationEntry::new(*seq, f.pc, f.instr, f.predicted_next, visible_at);
-                *seq += 1;
-                *budget -= 1;
-                Some(e)
-            };
-            if let Some(back) = window.back_mut() {
-                while back.entries.len() < c {
-                    match pull(fetch, next_seq, &mut budget) {
-                        Some(e) => back.entries.push(e),
-                        None => return,
-                    }
-                }
-            }
-            while window.len() < k {
-                // Recycle an entry vector dropped by commit or flush;
-                // pool vectors are always pushed cleared.
-                let mut entries = pool.pop().unwrap_or_default();
-                entries.reserve(c);
-                while entries.len() < c {
-                    match pull(fetch, next_seq, &mut budget) {
-                        Some(e) => entries.push(e),
-                        None => break,
-                    }
-                }
-                if entries.is_empty() {
-                    pool.push(entries);
-                    return;
-                }
-                window.push_back(Cluster {
-                    ring_index: *alloc_counter,
-                    entries,
-                });
-                *alloc_counter += 1;
+                ring[slot] = Station {
+                    e: StationEntry::new(seq, f.pc, f.instr, f.predicted_next, visible_at),
+                    src,
+                };
+                *len += 1;
             }
         };
 
         // Initial fill: the window starts filling at cycle 0.
-        refill(
-            window,
-            fetch,
-            &mut next_seq,
-            &mut alloc_counter,
-            cluster_pool,
-            0,
-        );
+        refill(ring, rename, head, &mut len, fetch, &mut next_seq, 0);
 
-        // Per-cycle scan buffers, reused across the whole run.
-        scan.prepare(program.num_regs, num_bands);
-
-        // Commit epoch for the per-entry `not_before` cache: cached
-        // issue bounds are conditioned on producers forwarding
-        // in-window, and an in-order commit publishes the committed
-        // register file (readable from commit+2, possibly before the
-        // forwarding horizon), so every commit invalidates all bounds.
-        let mut commit_epoch: u64 = 1;
         let mut t: u64 = 0;
         while t < self.cfg.max_cycles {
-            if window.is_empty() && fetch.exhausted() {
+            if len == 0 && fetch.exhausted() {
                 // Nothing in flight and nothing left to fetch.
                 break;
             }
-            let occupancy: u64 = window.iter().map(|cl| cl.entries.len() as u64).sum();
+            let occupancy = len as u64;
             stats.occupancy_sum += occupancy;
 
             // Event-driven cycle skipping: while the cycle executes we
@@ -720,551 +539,254 @@ impl Processor for Ultrascalar {
             let mut completes_now = false;
             let alu_stalls_before = stats.alu_stalls;
 
-            // ---- Phase A: program-order scan; issue & collect memory
-            // requests. Prefix flags mirror the CSPP circuits, computed
-            // on start-of-cycle state; the four all-earlier AND
-            // networks live side by side as lanes of one packed word,
-            // narrowed in place as the scan passes each station.
+            // ---- Phase A: the program-order walk; issue & collect
+            // memory requests. Prefix flags mirror the CSPP circuits,
+            // computed on start-of-cycle state.
             let mut flags: u64 = F_STORES_DONE | F_LOADS_DONE | F_BRANCHES_DONE | F_STORES_RESOLVED;
-            // Register-readiness band words (`scan.bands`): band lane
-            // `r` is raised while the most recent preceding writer of
-            // register `r` has not produced a value usable at that hop
-            // distance this cycle — the software form of the
-            // per-register ready-bit CSPP lanes (paper Figure 4), 64
-            // registers per word across `REG_LANE_WORDS` words, so a
-            // blocked reader is detected by one word-array mask test
-            // against the widest band (plus, under pipelined
-            // forwarding, a per-lane probe of the band at the actual
-            // hop distance).
-            //
-            // Has-writer lane words: lane `r` is raised once the scan
-            // has passed a writer of register `r` this cycle. Rebuilt
-            // from zero every cycle, this is the only per-cycle reset
-            // the packed-values snapshot needs (the value/seq/readiness
-            // tables are read exclusively at raised lanes).
-            let mut has_writer: RegMask = [0; REG_LANE_WORDS];
-            scan.reset(packed_vals);
-            let ScanScratch {
-                last_writer,
-                writer_ready_at,
-                writer_pos,
-                bands,
-                writer_value,
-                writer_seq,
-                store_infos,
-                requests,
-            } = &mut *scan;
+            let front_seq = ring[head].e.seq;
+            let mut issued_now = 0usize;
+            // Leading stations finished before this cycle: commit's
+            // input.
+            let mut done_prefix = 0usize;
+            resolving.clear();
+            store_infos.clear();
+            requests.clear();
             let mut free_alus = alu_free_at.iter().filter(|&&f| f <= t).count();
 
-            for ci in 0..window.len() {
-                for ei in 0..window[ci].entries.len() {
-                    let pos = (window[ci].ring_index % k) * c + ei;
-                    let entry = &window[ci].entries[ei];
-
-                    // Resolve this entry's sources from the scan state,
-                    // applying the forwarding-latency model.
-                    let seq = entry.seq;
-                    let resolve = |r: ultrascalar_isa::Reg| -> Source {
-                        let i = r.index();
-                        if packed_vals {
-                            // Snapshot resolve: a lane extraction from
-                            // the packed register snapshot instead of a
-                            // per-register match. Readiness comes off
-                            // the same base table the band gate
-                            // maintains; pipelined forwarding layers
-                            // the consumer's hop-distance cost on top
-                            // (the banded `ready_at` extraction).
-                            return if has_writer[i / 64] >> (i % 64) & 1 == 1 {
-                                let base = writer_ready_at[i];
-                                let ra = match pipelined {
-                                    None => base,
-                                    Some(ph) => base.saturating_add(ForwardModel::extra_at(
-                                        ph,
-                                        hop_level(writer_pos[i], pos),
-                                    )),
-                                };
-                                Source::Forwarded {
-                                    value: writer_value[i],
-                                    ready: ra <= t,
-                                    ready_at: (ra != u64::MAX).then_some(ra),
-                                    dist: seq - writer_seq[i],
-                                }
-                            } else {
-                                Source::Committed {
-                                    value: committed_regs[i],
-                                }
-                            };
-                        }
-                        match last_writer[i] {
-                            Some(w) => {
-                                // `done + 1` first, then the saturating
-                                // hop cost — the same composition as
-                                // the packed base table, so the two
-                                // resolve paths agree even where
-                                // `extra` saturates.
-                                let ready_at = w
-                                    .completed_at
-                                    .map(|done| (done + 1).saturating_add(fwd.extra(w.pos, pos)));
-                                Source::Forwarded {
-                                    value: w.value,
-                                    ready: ready_at.is_some_and(|ra| ra <= t),
-                                    ready_at,
-                                    dist: seq - w.seq,
-                                }
-                            }
-                            None => Source::Committed {
-                                value: committed_regs[i],
-                            },
-                        }
-                    };
-
-                    let eligible = entry.issued_at.is_none() && t >= entry.fetched_at;
-                    // A memory op may spend several cycles re-offering a
-                    // rejected request; record its forwardings only on
-                    // the first attempt.
-                    let first_attempt = entry.mem == MemPhase::None;
-                    let mut issued_alu_class = false;
-                    // Cached issue bound: while no commit has
-                    // intervened and the bound is still in the future,
-                    // the entry provably cannot issue — skip the gate
-                    // and operand resolution outright and keep the
-                    // bound as this entry's wake-up event.
-                    let cached_blocked =
-                        packed && entry.nb_epoch == commit_epoch && entry.not_before > t;
-                    if cached_blocked {
-                        next_source_ready = next_source_ready.min(entry.not_before);
-                    }
-                    if eligible && !cached_blocked {
-                        // Packed fast gate: a station is blocked only if
-                        // its decode-time source mask intersects the
-                        // widest readiness band — one word-array test
-                        // (vector on AVX2 hosts) replaces the full
-                        // operand resolution, which then runs only for
-                        // stations that can actually issue. Under
-                        // pipelined forwarding a top-band hit is
-                        // refined per raised lane against the band at
-                        // the actual producer→consumer hop distance
-                        // (the bands nest, so a top-band miss is an
-                        // exact all-distances-ready answer).
-                        let gate_blocked = packed && bands.intersects(&entry.src_mask) && {
-                            let blocked =
-                                mask_intersection(bands.top(), &entry.src_mask, lane_words);
-                            let (truly, bound) = match pipelined {
-                                None => (
-                                    true,
-                                    packed_wakeups(&blocked, lane_words, writer_ready_at, t),
-                                ),
-                                Some(per_hop) => banded_blocked(
-                                    &blocked,
-                                    lane_words,
-                                    bands,
-                                    writer_ready_at,
-                                    writer_pos,
-                                    pos,
-                                    per_hop,
-                                    t,
-                                ),
-                            };
-                            if truly && bound > t {
-                                next_source_ready = next_source_ready.min(bound);
-                                let e = &mut window[ci].entries[ei];
-                                e.not_before = bound;
-                                e.nb_epoch = commit_epoch;
-                            }
-                            truly
+            for j in 0..len {
+                let pos = ring_slot(head, j, n);
+                let entry = &ring[pos].e;
+                let seq = entry.seq;
+                let eligible = entry.issued_at.is_none() && t >= entry.fetched_at;
+                // A memory op may spend several cycles re-offering a
+                // rejected request; record its forwardings only on
+                // the first attempt.
+                let first_attempt = entry.mem == MemPhase::None;
+                let mut issued_alu_class = false;
+                if eligible {
+                    let s0 = operand(ring, pos, 0, front_seq, t, fwd, committed_regs);
+                    let s1 = operand(ring, pos, 1, front_seq, t, fwd, committed_regs);
+                    let ready = s0.as_ref().is_none_or(Source::ready)
+                        && s1.as_ref().is_none_or(Source::ready);
+                    if ready {
+                        let record_fw = |stats: &mut ProcStats, s: &Option<Source>| match s {
+                            Some(Source::Forwarded { dist, .. }) => stats.record_forward(*dist),
+                            Some(Source::Committed { .. }) => stats.regfile_reads += 1,
+                            None => {}
                         };
-                        if !gate_blocked {
-                            let entry = &window[ci].entries[ei];
-                            let srcs = entry.instr.reads();
-                            let s0 = srcs[0].map(&resolve);
-                            let s1 = srcs[1].map(&resolve);
-                            let ready = s0.as_ref().is_none_or(Source::ready)
-                                && s1.as_ref().is_none_or(Source::ready);
-                            if ready {
-                                let record_fw = |stats: &mut ProcStats, s: &Option<Source>| match s
-                                {
-                                    Some(Source::Forwarded { dist, .. }) => {
-                                        stats.record_forward(*dist)
+                        let e = &mut ring[pos].e;
+                        let instr = e.instr;
+                        match instr {
+                            Instr::Alu { op, .. } => {
+                                if self.cfg.alus.is_none() || free_alus > 0 {
+                                    if self.cfg.alus.is_some() {
+                                        free_alus -= 1;
+                                        issued_alu_class = true;
                                     }
-                                    Some(Source::Committed { .. }) => stats.regfile_reads += 1,
-                                    None => {}
+                                    let v = op.apply(
+                                        s0.as_ref().expect("alu rs1").value(),
+                                        s1.as_ref().expect("alu rs2").value(),
+                                    );
+                                    e.issued_at = Some(t);
+                                    e.completed_at = Some(t + lat.of(&instr) - 1);
+                                    e.result = Some(v);
+                                    e.actual_next = Some(e.pc + 1);
+                                    record_fw(stats, &s0);
+                                    record_fw(stats, &s1);
+                                } else {
+                                    stats.alu_stalls += 1;
+                                }
+                            }
+                            Instr::AluImm { op, imm, .. } => {
+                                if self.cfg.alus.is_none() || free_alus > 0 {
+                                    if self.cfg.alus.is_some() {
+                                        free_alus -= 1;
+                                        issued_alu_class = true;
+                                    }
+                                    let v = op
+                                        .apply(s0.as_ref().expect("alui rs1").value(), imm as u32);
+                                    e.issued_at = Some(t);
+                                    e.completed_at = Some(t + lat.of(&instr) - 1);
+                                    e.result = Some(v);
+                                    e.actual_next = Some(e.pc + 1);
+                                    record_fw(stats, &s0);
+                                } else {
+                                    stats.alu_stalls += 1;
+                                }
+                            }
+                            Instr::LoadImm { imm, .. } => {
+                                e.issued_at = Some(t);
+                                e.completed_at = Some(t + lat.of(&instr) - 1);
+                                e.result = Some(imm as u32);
+                                e.actual_next = Some(e.pc + 1);
+                            }
+                            Instr::Branch { cond, target, .. } => {
+                                let a = s0.as_ref().expect("branch rs1").value();
+                                let b = s1.as_ref().expect("branch rs2").value();
+                                let taken = cond.eval(a, b);
+                                e.issued_at = Some(t);
+                                e.completed_at = Some(t + lat.of(&instr) - 1);
+                                e.taken = Some(taken);
+                                e.actual_next =
+                                    Some(if taken { target as usize } else { e.pc + 1 });
+                                record_fw(stats, &s0);
+                                record_fw(stats, &s1);
+                            }
+                            Instr::Jump { target } => {
+                                e.issued_at = Some(t);
+                                e.completed_at = Some(t);
+                                e.actual_next = Some(target as usize);
+                            }
+                            Instr::Halt | Instr::Nop => {
+                                e.issued_at = Some(t);
+                                e.completed_at = Some(t);
+                                e.actual_next = Some(e.pc + 1);
+                            }
+                            Instr::Load { offset, .. } => {
+                                let base = s0.as_ref().expect("load base").value();
+                                let addr =
+                                    (base.wrapping_add(offset as u32) as usize) % mem.words();
+                                // Memory renaming: once every older
+                                // store's address is known, either
+                                // forward from the nearest match or go
+                                // to memory immediately. Without it, a
+                                // load waits for every older store.
+                                let go = if renaming {
+                                    flags & F_STORES_RESOLVED != 0
+                                } else {
+                                    flags & F_STORES_DONE != 0
                                 };
-                                let instr = entry.instr;
-                                match instr {
-                                    Instr::Alu { op, .. } => {
-                                        if self.cfg.alus.is_none() || free_alus > 0 {
-                                            if self.cfg.alus.is_some() {
-                                                free_alus -= 1;
-                                                issued_alu_class = true;
-                                            }
-                                            let v = op.apply(
-                                                s0.as_ref().expect("alu rs1").value(),
-                                                s1.as_ref().expect("alu rs2").value(),
-                                            );
-                                            let e = &mut window[ci].entries[ei];
-                                            e.issued_at = Some(t);
-                                            e.completed_at = Some(t + lat.of(&instr) - 1);
-                                            e.result = Some(v);
-                                            e.actual_next = Some(e.pc + 1);
-                                            record_fw(stats, &s0);
-                                            record_fw(stats, &s1);
-                                        } else {
-                                            stats.alu_stalls += 1;
-                                        }
+                                let hit = (renaming && go)
+                                    .then(|| store_infos.iter().rev().find(|s| s.addr == addr))
+                                    .flatten();
+                                if let Some(s) = hit {
+                                    e.issued_at = Some(t);
+                                    e.completed_at = Some(t);
+                                    e.result = Some(s.value);
+                                    e.actual_next = Some(e.pc + 1);
+                                    e.mem_addr = Some(addr);
+                                    stats.store_forwards += 1;
+                                    record_fw(stats, &s0);
+                                } else if go {
+                                    requests.push(MemRequest {
+                                        id: seq,
+                                        leaf: pos,
+                                        addr,
+                                        kind: ReqKind::Load,
+                                    });
+                                    e.mem = MemPhase::Requesting;
+                                    e.mem_addr = Some(addr);
+                                    if first_attempt {
+                                        record_fw(stats, &s0);
                                     }
-                                    Instr::AluImm { op, imm, .. } => {
-                                        if self.cfg.alus.is_none() || free_alus > 0 {
-                                            if self.cfg.alus.is_some() {
-                                                free_alus -= 1;
-                                                issued_alu_class = true;
-                                            }
-                                            let v = op.apply(
-                                                s0.as_ref().expect("alui rs1").value(),
-                                                imm as u32,
-                                            );
-                                            let e = &mut window[ci].entries[ei];
-                                            e.issued_at = Some(t);
-                                            e.completed_at = Some(t + lat.of(&instr) - 1);
-                                            e.result = Some(v);
-                                            e.actual_next = Some(e.pc + 1);
-                                            record_fw(stats, &s0);
-                                        } else {
-                                            stats.alu_stalls += 1;
-                                        }
-                                    }
-                                    Instr::LoadImm { imm, .. } => {
-                                        let e = &mut window[ci].entries[ei];
-                                        e.issued_at = Some(t);
-                                        e.completed_at = Some(t + lat.of(&instr) - 1);
-                                        e.result = Some(imm as u32);
-                                        e.actual_next = Some(e.pc + 1);
-                                    }
-                                    Instr::Branch { cond, target, .. } => {
-                                        let a = s0.as_ref().expect("branch rs1").value();
-                                        let b = s1.as_ref().expect("branch rs2").value();
-                                        let taken = cond.eval(a, b);
-                                        let e = &mut window[ci].entries[ei];
-                                        e.issued_at = Some(t);
-                                        e.completed_at = Some(t + lat.of(&instr) - 1);
-                                        e.taken = Some(taken);
-                                        e.actual_next =
-                                            Some(if taken { target as usize } else { e.pc + 1 });
+                                }
+                            }
+                            Instr::Store { offset, .. } => {
+                                if flags & F_STORE_ISSUE == F_STORE_ISSUE {
+                                    let base = s0.as_ref().expect("store base").value();
+                                    let val = s1.as_ref().expect("store src").value();
+                                    let addr =
+                                        (base.wrapping_add(offset as u32) as usize) % mem.words();
+                                    requests.push(MemRequest {
+                                        id: seq,
+                                        leaf: pos,
+                                        addr,
+                                        kind: ReqKind::Store(val),
+                                    });
+                                    e.mem = MemPhase::Requesting;
+                                    e.mem_addr = Some(addr);
+                                    if first_attempt {
                                         record_fw(stats, &s0);
                                         record_fw(stats, &s1);
                                     }
-                                    Instr::Jump { target } => {
-                                        let e = &mut window[ci].entries[ei];
-                                        e.issued_at = Some(t);
-                                        e.completed_at = Some(t);
-                                        e.actual_next = Some(target as usize);
-                                    }
-                                    Instr::Halt | Instr::Nop => {
-                                        let e = &mut window[ci].entries[ei];
-                                        e.issued_at = Some(t);
-                                        e.completed_at = Some(t);
-                                        e.actual_next = Some(e.pc + 1);
-                                    }
-                                    Instr::Load { offset, .. } => {
-                                        let base = s0.as_ref().expect("load base").value();
-                                        let addr = (base.wrapping_add(offset as u32) as usize)
-                                            % mem.words();
-                                        if renaming {
-                                            // Memory renaming: once every
-                                            // older store's address is
-                                            // known, either forward from
-                                            // the nearest match or go to
-                                            // memory immediately.
-                                            if flags & F_STORES_RESOLVED != 0 {
-                                                let hit = store_infos
-                                                    .iter()
-                                                    .rev()
-                                                    .find(|s| s.addr == addr);
-                                                if let Some(s) = hit {
-                                                    let v = s.value;
-                                                    let e = &mut window[ci].entries[ei];
-                                                    e.issued_at = Some(t);
-                                                    e.completed_at = Some(t);
-                                                    e.result = Some(v);
-                                                    e.actual_next = Some(e.pc + 1);
-                                                    e.mem_addr = Some(addr);
-                                                    stats.store_forwards += 1;
-                                                    record_fw(stats, &s0);
-                                                } else {
-                                                    requests.push(MemRequest {
-                                                        id: seq,
-                                                        leaf: pos,
-                                                        addr,
-                                                        kind: ReqKind::Load,
-                                                    });
-                                                    let e = &mut window[ci].entries[ei];
-                                                    e.mem = MemPhase::Requesting;
-                                                    e.mem_addr = Some(addr);
-                                                    if first_attempt {
-                                                        record_fw(stats, &s0);
-                                                    }
-                                                }
-                                            }
-                                        } else if flags & F_STORES_DONE != 0 {
-                                            requests.push(MemRequest {
-                                                id: seq,
-                                                leaf: pos,
-                                                addr,
-                                                kind: ReqKind::Load,
-                                            });
-                                            let e = &mut window[ci].entries[ei];
-                                            e.mem = MemPhase::Requesting;
-                                            e.mem_addr = Some(addr);
-                                            if first_attempt {
-                                                record_fw(stats, &s0);
-                                            }
-                                        }
-                                    }
-                                    Instr::Store { offset, .. } => {
-                                        if flags & F_STORE_ISSUE == F_STORE_ISSUE {
-                                            let base = s0.as_ref().expect("store base").value();
-                                            let val = s1.as_ref().expect("store src").value();
-                                            let addr = (base.wrapping_add(offset as u32) as usize)
-                                                % mem.words();
-                                            requests.push(MemRequest {
-                                                id: seq,
-                                                leaf: pos,
-                                                addr,
-                                                kind: ReqKind::Store(val),
-                                            });
-                                            let e = &mut window[ci].entries[ei];
-                                            e.mem = MemPhase::Requesting;
-                                            e.mem_addr = Some(addr);
-                                            if first_attempt {
-                                                record_fw(stats, &s0);
-                                                record_fw(stats, &s1);
-                                            }
-                                        }
-                                    }
-                                }
-                            } else {
-                                // Blocked on operands. Each pending
-                                // forwarded source whose producer already
-                                // has a scheduled completion becomes usable
-                                // at a known future cycle — a wake-up event
-                                // for the cycle skip. (Sources whose
-                                // producers have not even issued are
-                                // covered transitively: the oldest blocked
-                                // entry in the window always reduces to an
-                                // issued producer, an in-flight memory op,
-                                // or a fetch stall.)
-                                for s in [&s0, &s1] {
-                                    if let Some(Source::Forwarded {
-                                        ready: false,
-                                        ready_at: Some(ra),
-                                        ..
-                                    }) = s
-                                    {
-                                        if *ra > t {
-                                            next_source_ready = next_source_ready.min(*ra);
-                                        }
-                                    }
                                 }
                             }
                         }
+                    } else {
+                        // Blocked on operands. Each pending forwarded
+                        // source whose producer already has a scheduled
+                        // completion becomes usable at a known future
+                        // cycle — a wake-up event for the cycle skip.
+                        // (Sources whose producers have not even issued
+                        // are covered transitively: the oldest blocked
+                        // entry in the window always reduces to an
+                        // issued producer, an in-flight memory op, or a
+                        // fetch stall.)
+                        next_source_ready = next_source_ready.min(wake_up(&s0, &s1, t));
                     }
+                }
 
-                    // Update the prefix state with this entry (its own
-                    // start-of-cycle doneness — unaffected by an issue
-                    // this cycle, since done_before is strict).
-                    let entry = &window[ci].entries[ei];
-                    let done = entry.done_before(t);
-                    match entry.completed_at {
-                        Some(ct) if ct > t => next_completion = next_completion.min(ct),
-                        Some(ct) if ct == t => completes_now = true,
-                        _ => {}
-                    }
-                    if entry.instr.is_load() && !done {
-                        flags &= !F_LOADS_DONE;
-                    }
-                    let mut resolved_store_addr = None;
-                    if entry.instr.is_store() {
-                        if !done {
-                            flags &= !F_STORES_DONE;
-                        }
-                        if renaming {
-                            // Packed gate, same shape as the issue
-                            // path: an unresolved store gates every
-                            // younger load under renaming, and its
-                            // operands' readiness times are wake-up
-                            // events. The issue gate above already
-                            // cached this entry's bound when it found
-                            // it blocked this cycle, so a hot cache
-                            // answers without touching the bands.
-                            let cached_blocked =
-                                packed && entry.nb_epoch == commit_epoch && entry.not_before > t;
-                            if cached_blocked {
-                                next_source_ready = next_source_ready.min(entry.not_before);
-                            }
-                            let gate_blocked = cached_blocked
-                                || (packed && bands.intersects(&entry.src_mask) && {
-                                    let blocked =
-                                        mask_intersection(bands.top(), &entry.src_mask, lane_words);
-                                    let (truly, bound) = match pipelined {
-                                        None => (
-                                            true,
-                                            packed_wakeups(
-                                                &blocked,
-                                                lane_words,
-                                                writer_ready_at,
-                                                t,
-                                            ),
-                                        ),
-                                        Some(per_hop) => banded_blocked(
-                                            &blocked,
-                                            lane_words,
-                                            bands,
-                                            writer_ready_at,
-                                            writer_pos,
-                                            pos,
-                                            per_hop,
-                                            t,
-                                        ),
-                                    };
-                                    if truly && bound > t {
-                                        next_source_ready = next_source_ready.min(bound);
-                                    }
-                                    truly
-                                });
-                            if gate_blocked {
-                                flags &= !F_STORES_RESOLVED;
-                                store_infos.push(StoreInfo {
-                                    resolved: false,
-                                    addr: 0,
-                                    value: 0,
-                                });
-                            } else {
-                                // Recompute the store's operands against
-                                // the *current* scan state (values are
-                                // stable once their producers are ready).
-                                let srcs = entry.instr.reads();
-                                let s0 = srcs[0].map(&resolve);
-                                let s1 = srcs[1].map(&resolve);
-                                let resolved = s0.as_ref().is_none_or(Source::ready)
-                                    && s1.as_ref().is_none_or(Source::ready);
-                                if !resolved {
-                                    // An unresolved store gates every
-                                    // younger load under renaming; its
-                                    // operands' readiness times are wake-up
-                                    // events too.
-                                    for s in [&s0, &s1] {
-                                        if let Some(Source::Forwarded {
-                                            ready: false,
-                                            ready_at: Some(ra),
-                                            ..
-                                        }) = s
-                                        {
-                                            if *ra > t {
-                                                next_source_ready = next_source_ready.min(*ra);
-                                            }
-                                        }
-                                    }
-                                }
-                                let info = if resolved {
-                                    let base = s0.as_ref().expect("store base").value();
-                                    let offset = match entry.instr {
-                                        Instr::Store { offset, .. } => offset,
-                                        _ => unreachable!("store arm"),
-                                    };
-                                    StoreInfo {
-                                        resolved: true,
-                                        addr: (base.wrapping_add(offset as u32) as usize)
-                                            % mem.words(),
-                                        value: s1.as_ref().expect("store src").value(),
-                                    }
-                                } else {
-                                    StoreInfo {
-                                        resolved: false,
-                                        addr: 0,
-                                        value: 0,
-                                    }
-                                };
-                                if !info.resolved {
-                                    flags &= !F_STORES_RESOLVED;
-                                }
-                                resolved_store_addr = info.resolved.then_some(info.addr);
-                                store_infos.push(info);
-                            }
+                // Update the prefix state with this entry (its own
+                // start-of-cycle doneness — unaffected by an issue this
+                // cycle, since done_before is strict).
+                let entry = &ring[pos].e;
+                if entry.issued_at == Some(t) {
+                    issued_now += 1;
+                }
+                let done = entry.done_before(t);
+                if done && done_prefix == j {
+                    done_prefix += 1;
+                }
+                match entry.completed_at {
+                    Some(ct) if ct > t => next_completion = next_completion.min(ct),
+                    Some(ct) if ct == t => {
+                        completes_now = true;
+                        if entry.instr.is_branch() {
+                            resolving.push(j);
                         }
                     }
-                    if let Some(addr) = resolved_store_addr {
-                        // A renaming-resolved store's address shapes the
-                        // schedule (younger loads forward from it) even
-                        // when the store never issues — wrong-path stores
-                        // never do — so the flush replay log needs it.
-                        window[ci].entries[ei].mem_addr = Some(addr);
+                    _ => {}
+                }
+                if entry.instr.is_load() && !done {
+                    flags &= !F_LOADS_DONE;
+                }
+                if entry.instr.is_branch() && !done {
+                    flags &= !F_BRANCHES_DONE;
+                }
+                if let Instr::Store { offset, .. } = entry.instr {
+                    if !done {
+                        flags &= !F_STORES_DONE;
                     }
-                    let entry = &window[ci].entries[ei];
-                    if entry.instr.is_branch() && !done {
-                        flags &= !F_BRANCHES_DONE;
-                    }
-                    if let Some(rd) = entry.instr.writes() {
-                        if packed_vals {
-                            // Update the packed snapshot lanes in place
-                            // of the scalar map: value, seq and the
-                            // has-writer lane bit (readiness joins
-                            // below, shared with the unready gate).
-                            let i = rd.index();
-                            writer_value[i] = entry.result.unwrap_or(0);
-                            writer_seq[i] = entry.seq;
-                            has_writer[i / 64] |= 1u64 << (i % 64);
-                        } else {
-                            last_writer[rd.index()] = Some(Writer {
-                                seq: entry.seq,
-                                completed_at: entry.completed_at,
-                                value: entry.result.unwrap_or(0),
-                                pos,
+                    if renaming {
+                        // Recompute the store's operands against the
+                        // current walk state (values are stable once
+                        // their producers are ready). An unresolved
+                        // store gates every younger load, and its
+                        // operands' readiness times are wake-up events.
+                        let s0 = operand(ring, pos, 0, front_seq, t, fwd, committed_regs);
+                        let s1 = operand(ring, pos, 1, front_seq, t, fwd, committed_regs);
+                        let resolved = s0.as_ref().is_none_or(Source::ready)
+                            && s1.as_ref().is_none_or(Source::ready);
+                        if resolved {
+                            let base = s0.as_ref().expect("store base").value();
+                            let addr = (base.wrapping_add(offset as u32) as usize) % mem.words();
+                            store_infos.push(StoreInfo {
+                                addr,
+                                value: s1.as_ref().expect("store src").value(),
                             });
-                        }
-                        if packed {
-                            // Per-register readiness: the distance-0
-                            // base is usable one cycle after
-                            // completion; hop-distance costs are
-                            // layered on per band. An entry issuing
-                            // *this* cycle has `done + 1 > t`, so
-                            // same-cycle readers correctly see it
-                            // unready.
-                            let i = rd.index();
-                            let base = entry.completed_at.map_or(u64::MAX, |done| done + 1);
-                            writer_ready_at[i] = base;
-                            match pipelined {
-                                None => {
-                                    // One band: the plain unready bit.
-                                    bands.assign_lane(i, (base <= t) as usize);
-                                }
-                                Some(_) => {
-                                    writer_pos[i] = pos;
-                                    if base.saturating_add(top_extra) <= t {
-                                        // Ready at every distance —
-                                        // the unchanged-column early
-                                        // exit makes this free unless
-                                        // an earlier same-register
-                                        // writer raised the lane this
-                                        // pass.
-                                        bands.assign_lane(i, num_bands);
-                                    } else {
-                                        bands.assign_lane_horizon(i, base, hop_step, t);
-                                    }
-                                }
-                            }
+                            // A renaming-resolved store's address shapes
+                            // the schedule (younger loads forward from
+                            // it) even when the store never issues —
+                            // wrong-path stores never do — so the flush
+                            // replay log needs it.
+                            ring[pos].e.mem_addr = Some(addr);
+                        } else {
+                            next_source_ready = next_source_ready.min(wake_up(&s0, &s1, t));
+                            flags &= !F_STORES_RESOLVED;
                         }
                     }
-                    if issued_alu_class {
-                        // Occupy a shared ALU through the completion
-                        // cycle.
-                        let done_at = window[ci].entries[ei]
-                            .completed_at
-                            .expect("alu-class issue sets completion");
-                        let slot = alu_free_at
-                            .iter_mut()
-                            .find(|f| **f <= t)
-                            .expect("a free ALU was counted");
-                        *slot = done_at + 1;
-                    }
+                }
+                if issued_alu_class {
+                    // Occupy a shared ALU through the completion cycle.
+                    let done_at = ring[pos]
+                        .e
+                        .completed_at
+                        .expect("alu-class issue sets completion");
+                    let unit = alu_free_at
+                        .iter_mut()
+                        .find(|f| **f <= t)
+                        .expect("a free ALU was counted");
+                    *unit = done_at + 1;
                 }
             }
 
@@ -1275,15 +797,16 @@ impl Processor for Ultrascalar {
             mem.tick_into(t, requests, accepted, responses);
             let had_responses = !responses.is_empty();
             for &id in accepted.iter() {
-                if let Some((ci, ei)) = locate(window, id) {
-                    let e = &mut window[ci].entries[ei];
+                if let Some(s) = locate(ring, head, len, id) {
+                    let e = &mut ring[s].e;
                     e.issued_at = Some(t);
                     e.mem = MemPhase::InFlight;
+                    issued_now += 1;
                 }
             }
             for resp in responses.iter() {
-                if let Some((ci, ei)) = locate(window, resp.id) {
-                    let e = &mut window[ci].entries[ei];
+                if let Some(s) = locate(ring, head, len, resp.id) {
+                    let e = &mut ring[s].e;
                     if e.mem == MemPhase::InFlight {
                         e.completed_at = Some(t);
                         e.result = resp.value;
@@ -1295,86 +818,70 @@ impl Processor for Ultrascalar {
 
             // Issue-rate histogram: stations that began execution (or
             // had a memory request accepted) this cycle.
-            let issued_now = window
-                .iter()
-                .flat_map(|cl| cl.entries.iter())
-                .filter(|e| e.issued_at == Some(t))
-                .count();
             stats.record_issue_count(issued_now);
 
             // ---- Phase C: branch resolution, training and the paper's
-            // one-cycle misprediction recovery.
-            'resolve: for ci in 0..window.len() {
-                for ei in 0..window[ci].entries.len() {
-                    let e = &window[ci].entries[ei];
-                    if e.instr.is_branch() && e.completed_at == Some(t) {
-                        fetch.train(e.pc, e.taken.unwrap_or(false));
-                        if e.mispredicted() {
-                            let correct = e.actual_next.expect("resolved branch has next");
-                            // Record the wrong-path suffix before it is
-                            // squashed (ascending seq: the rest of this
-                            // cluster, then every younger cluster).
-                            let flusher_seq = e.seq;
-                            let start = replay.entries.len();
-                            for fe in &window[ci].entries[ei + 1..] {
-                                replay.push_entry(fe, t);
-                            }
-                            for cl in window.iter().skip(ci + 1) {
-                                for fe in &cl.entries {
-                                    replay.push_entry(fe, t);
-                                }
-                            }
-                            if replay.entries.len() > start {
-                                replay.events.push(FlushEvent {
-                                    branch_seq: flusher_seq,
-                                    start,
-                                    len: replay.entries.len() - start,
-                                });
-                            }
-                            // Flush everything younger: later clusters
-                            // entirely, this cluster past the branch.
-                            let mut flushed = 0u64;
-                            while window.len() > ci + 1 {
-                                if let Some(mut cl) = window.pop_back() {
-                                    flushed += cl.entries.len() as u64;
-                                    cl.entries.clear();
-                                    cluster_pool.push(cl.entries);
-                                }
-                            }
-                            let keep = ei + 1;
-                            flushed += (window[ci].entries.len() - keep) as u64;
-                            window[ci].entries.truncate(keep);
-                            stats.flushed += flushed;
-                            // Refilled clusters reuse the flushed
-                            // physical slots (hardware overwrites the
-                            // squashed stations in place).
-                            alloc_counter = window[ci].ring_index + 1;
-                            fetch.redirect(correct);
-                            if let Some(tc) = &mut trace_cache {
-                                fetch_stalled_until = t + 1 + tc.redirect(correct);
-                            }
-                            break 'resolve;
-                        }
+            // one-cycle misprediction recovery, over this cycle's
+            // completing branches in program order.
+            for &j in resolving.iter() {
+                let e = &ring[ring_slot(head, j, n)].e;
+                fetch.train(e.pc, e.taken.unwrap_or(false));
+                if !e.mispredicted() {
+                    continue;
+                }
+                let correct = e.actual_next.expect("resolved branch has next");
+                let flusher_seq = e.seq;
+                // Record the wrong-path suffix before it is squashed.
+                let start = replay.entries.len();
+                for k in j + 1..len {
+                    replay.push_entry(&ring[ring_slot(head, k, n)].e, t);
+                }
+                if replay.entries.len() > start {
+                    replay.events.push(FlushEvent {
+                        branch_seq: flusher_seq,
+                        start,
+                        len: replay.entries.len() - start,
+                    });
+                }
+                // Flush everything younger; refill reuses the flushed
+                // slots (hardware overwrites the squashed stations in
+                // place).
+                stats.flushed += (len - (j + 1)) as u64;
+                len = j + 1;
+                done_prefix = done_prefix.min(len);
+                // Roll the rename table back to the surviving window.
+                rename.fill(None);
+                for k in 0..len {
+                    let slot = ring_slot(head, k, n);
+                    let e = &ring[slot].e;
+                    if let Some(rd) = e.instr.writes() {
+                        rename[rd.index()] = Some(Link { seq: e.seq, slot });
                     }
                 }
+                fetch.redirect(correct);
+                if let Some(tc) = &mut trace_cache {
+                    fetch_stalled_until = t + 1 + tc.redirect(correct);
+                }
+                break;
             }
 
             // ---- Phase D: in-order commit at cluster granularity
             // (the oldest-station CSPP, evaluated on start-of-cycle
-            // state).
+            // state): the oldest cluster retires once it is complete
+            // and inside the done prefix.
             let mut committed_any = false;
-            while let Some(front) = window.front() {
-                let complete_cluster = front.entries.len() == c || fetch.exhausted();
-                let all_done = front.entries.iter().all(|e| e.done_before(t));
-                if !(complete_cluster && all_done) {
+            while len > 0 {
+                let cl_len = len.min(c);
+                let complete_cluster = cl_len == c || fetch.exhausted();
+                if !(complete_cluster && done_prefix >= cl_len) {
                     break;
                 }
-                let mut cluster = window.pop_front().expect("front exists");
-                let ring_index = cluster.ring_index;
                 committed_any = true;
-                for (ei, e) in cluster.entries.drain(..).enumerate() {
-                    let synthetic = e.is_synthetic(program.len());
-                    if !synthetic {
+                // `head` is cluster-aligned and `C` divides `n`, so a
+                // cluster never wraps.
+                for slot in head..head + cl_len {
+                    let e = &ring[slot].e;
+                    if !e.is_synthetic(program.len()) {
                         stats.committed += 1;
                         timings.push(InstrTiming {
                             seq: e.seq,
@@ -1383,7 +890,7 @@ impl Processor for Ultrascalar {
                             fetched: e.fetched_at,
                             issue: e.issued_at.expect("committed ⇒ issued"),
                             complete: e.completed_at.expect("committed ⇒ completed"),
-                            slot: (ring_index % k) * c + ei,
+                            slot,
                         });
                         if e.instr.is_branch() {
                             stats.branches += 1;
@@ -1400,15 +907,12 @@ impl Processor for Ultrascalar {
                         halted = true;
                     }
                 }
-                cluster_pool.push(cluster.entries);
+                head = ring_slot(head, c, n);
+                len -= cl_len;
+                done_prefix -= cl_len;
                 if halted {
                     break;
                 }
-            }
-            if committed_any {
-                // Committed registers became readable: every cached
-                // issue bound is now suspect (see `commit_epoch`).
-                commit_epoch += 1;
             }
             if halted {
                 t += 1;
@@ -1419,14 +923,7 @@ impl Processor for Ultrascalar {
             // (unless a trace-cache miss is stalling fetch).
             let seq_before_refill = next_seq;
             if t + 1 >= fetch_stalled_until {
-                refill(
-                    window,
-                    fetch,
-                    &mut next_seq,
-                    &mut alloc_counter,
-                    cluster_pool,
-                    t + 1,
-                );
+                refill(ring, rename, head, &mut len, fetch, &mut next_seq, t + 1);
             }
             let refilled = next_seq != seq_before_refill;
 
@@ -1434,7 +931,7 @@ impl Processor for Ultrascalar {
             // nothing issued or stalled on an ALU, no memory traffic in
             // either direction, no completion, no commit and no refill
             // — then every cycle up to the next scheduled event is an
-            // identical no-op: the scan re-derives the same blocked
+            // identical no-op: the walk re-derives the same blocked
             // state (operand readiness and prefix flags depend only on
             // completion times, all in the future), commit and refill
             // stay ineligible, and skipping the memory system's empty
@@ -1456,8 +953,7 @@ impl Processor for Ultrascalar {
                 // A stalled fetch re-enables refill in the Phase E of
                 // cycle `fetch_stalled_until - 1`; that is an event
                 // only if the window has room for the refill to fill.
-                let room = window.len() < k || window.back().is_some_and(|cl| cl.entries.len() < c);
-                if t + 1 < fetch_stalled_until && room && !fetch.exhausted() {
+                if t + 1 < fetch_stalled_until && len < n && !fetch.exhausted() {
                     event = event.min(fetch_stalled_until - 1);
                 }
                 // No event at all (a genuinely wedged machine) spins to
@@ -1484,4 +980,24 @@ impl Processor for Ultrascalar {
         *out_cycles = t;
         *out_halted = halted;
     }
+}
+
+/// The earliest future cycle at which a blocked station's pending
+/// forwarded operands become usable (`u64::MAX` if none has a scheduled
+/// producer completion).
+fn wake_up(s0: &Option<Source>, s1: &Option<Source>, t: u64) -> u64 {
+    let mut at = u64::MAX;
+    for s in [s0, s1] {
+        if let Some(Source::Forwarded {
+            ready: false,
+            ready_at: Some(ra),
+            ..
+        }) = s
+        {
+            if *ra > t {
+                at = at.min(*ra);
+            }
+        }
+    }
+    at
 }

@@ -242,7 +242,9 @@ pub fn config_shard_hash(cfg: &ProcConfig) -> u64 {
     h = mix(h, cfg.memory_renaming as u64);
     h = mix(h, cfg.fetch_width.map_or(0, |f| f as u64 + 1));
     h = mix(h, cfg.force_swar as u64);
-    h = mix(h, cfg.packed_override as u64);
+    // A removed boolean knob used to be mixed in here; mixing its
+    // constant `false` keeps every shard placement unchanged.
+    h = mix(h, 0);
     // Mix the variant discriminant in multiplicatively instead of the
     // old `per_hop + 1`, which overflowed (a debug-build panic) on
     // `per_hop == u64::MAX`. Forcing the low bit keeps every pipelined
@@ -446,6 +448,35 @@ mod tests {
             config_shard_hash(&a),
             config_shard_hash(&ProcConfig::ultrascalar_i(16))
         );
+    }
+
+    /// Shard placement is part of serve's observable behaviour (which
+    /// worker's shard warms which engine), so the hash values are
+    /// pinned across config-field removals.
+    #[test]
+    fn shard_hash_values_are_pinned() {
+        use crate::config::ForwardModel;
+        use crate::predict::PredictorKind;
+        let cases = [
+            (ProcConfig::ultrascalar_i(16), 0x74e8_5fdf_f7f8_091d),
+            (
+                ProcConfig::hybrid(64, 16)
+                    .with_predictor(PredictorKind::Bimodal(256))
+                    .with_memory_renaming()
+                    .with_shared_alus(4),
+                0xcaae_7797_4aa6_1df7,
+            ),
+            (
+                ProcConfig::ultrascalar_ii(8)
+                    .with_forwarding(ForwardModel::Pipelined { per_hop: 3 })
+                    .with_fetch_width(2)
+                    .with_force_swar(),
+                0xa491_278f_f4bd_1685,
+            ),
+        ];
+        for (cfg, want) in cases {
+            assert_eq!(config_shard_hash(&cfg), want, "{cfg:?}");
+        }
     }
 
     /// Regression: the forwarding-model mix used `per_hop + 1`, which

@@ -2,55 +2,6 @@
 
 use ultrascalar_isa::Instr;
 
-/// Lane words in a packed register mask. Four words cover the ISA's
-/// entire register space (`Reg` is a `u8`, and programs validate
-/// `num_regs <= 256`), so the packed engine path never has to fall
-/// back to the scalar scan on account of register-file width.
-pub const REG_LANE_WORDS: usize = 4;
-
-/// Registers covered by the packed readiness path: `64 · W` lanes.
-pub const MAX_PACKED_REGS: usize = 64 * REG_LANE_WORDS;
-
-/// A per-register bit mask over multi-word lanes: bit `r % 64` of word
-/// `r / 64` belongs to register `r` — the engine-side fixed-width form
-/// of the `[u64; W]` lane words in `ultrascalar_prefix::packed`.
-pub type RegMask = [u64; REG_LANE_WORDS];
-
-/// Word-wise AND over the first `words` lane words (the live prefix
-/// for the running program: `num_regs.div_ceil(64)` words; higher
-/// words can never be raised and are skipped). This sits on the
-/// engine's per-station hot path, so the common narrow widths are
-/// spelled out rather than looped — `words` is constant over a run and
-/// the match predicts perfectly, keeping a `num_regs <= 64` program at
-/// exactly one AND like the original single-word mask.
-#[inline(always)]
-pub fn mask_intersection(a: &RegMask, b: &RegMask, words: usize) -> RegMask {
-    let mut out = [0u64; REG_LANE_WORDS];
-    match words {
-        1 => out[0] = a[0] & b[0],
-        2 => {
-            out[0] = a[0] & b[0];
-            out[1] = a[1] & b[1];
-        }
-        _ => {
-            for j in 0..REG_LANE_WORDS {
-                out[j] = a[j] & b[j];
-            }
-        }
-    }
-    out
-}
-
-/// True iff any of the first `words` lane words is raised.
-#[inline(always)]
-pub fn mask_any(m: &RegMask, words: usize) -> bool {
-    match words {
-        1 => m[0] != 0,
-        2 => (m[0] | m[1]) != 0,
-        _ => m.iter().any(|&w| w != 0),
-    }
-}
-
 /// Progress of an instruction's memory access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MemPhase {
@@ -65,9 +16,9 @@ pub enum MemPhase {
 /// One occupied execution station (paper Figure 2: "each station
 /// includes its own functional units, its own register file, instruction
 /// decode logic and control logic"). The per-station register file is
-/// not materialised — the engine reconstructs each station's view from
-/// program order every cycle, which is exactly what the CSPP datapath
-/// computes.
+/// not materialised — the engine reads each operand from the producer
+/// the CSPP datapath would find, linked once when the station is
+/// filled (see [`crate::engine`]).
 #[derive(Debug, Clone)]
 pub struct StationEntry {
     /// Dynamic sequence number (program order, monotone).
@@ -102,40 +53,11 @@ pub struct StationEntry {
     pub mem_addr: Option<usize>,
     /// Resolved architectural next pc (branches/jumps; `pc+1` others).
     pub actual_next: Option<usize>,
-    /// Lane `r` set iff the instruction reads register `r`, over
-    /// [`REG_LANE_WORDS`] lane words (every architectural register has
-    /// a lane — the ISA caps register files at [`MAX_PACKED_REGS`]).
-    /// Fixed at decode, so per-cycle readiness gating is a word-array
-    /// AND against the scan's unready lane words.
-    pub src_mask: RegMask,
-    /// Cached lower bound on this station's issue cycle, learned the
-    /// last time the packed gate found it operand-blocked: the **max**
-    /// of its blocking sources' known readiness times (an entry issues
-    /// only when *all* sources are ready, so the max of the known ones
-    /// bounds it from below; sources with unscheduled producers add no
-    /// bound, they can only delay further). While the bound holds, the
-    /// scan skips the gate and operand resolution for this entry
-    /// outright — the dominant per-cycle cost in deeply blocked
-    /// windows. `u64::MAX` means "blocked with no scheduled wake-up".
-    pub not_before: u64,
-    /// Commit epoch [`not_before`](Self::not_before) was computed in.
-    /// The bound is conditioned on producers forwarding in-window: an
-    /// in-order commit publishes the committed register file, which
-    /// consumers may read from commit+2 — possibly *before* the
-    /// forwarding horizon — so any commit invalidates every cached
-    /// bound. Flushes only remove younger entries (producers are
-    /// fixed) and scheduled completions are immutable, so the epoch
-    /// counter only needs to advance on commits.
-    pub nb_epoch: u64,
 }
 
 impl StationEntry {
     /// A freshly fetched entry.
     pub fn new(seq: u64, pc: usize, instr: Instr, predicted_next: usize, fetched_at: u64) -> Self {
-        let mut src_mask: RegMask = [0; REG_LANE_WORDS];
-        for r in instr.reads().iter().flatten() {
-            src_mask[r.index() / 64] |= 1u64 << (r.index() % 64);
-        }
         StationEntry {
             seq,
             pc,
@@ -149,10 +71,6 @@ impl StationEntry {
             taken: None,
             mem_addr: None,
             actual_next: None,
-            src_mask,
-            // `0 > t` never holds, so a fresh entry always resolves.
-            not_before: 0,
-            nb_epoch: 0,
         }
     }
 
@@ -235,31 +153,5 @@ mod tests {
         let e = StationEntry::new(0, 10, Instr::Halt, 10, 0);
         assert!(e.is_synthetic(10));
         assert!(!e.is_synthetic(11));
-    }
-
-    #[test]
-    fn src_mask_covers_high_registers() {
-        let e = StationEntry::new(
-            0,
-            0,
-            Instr::Alu {
-                op: ultrascalar_isa::AluOp::Add,
-                rd: Reg(0),
-                rs1: Reg(65),
-                rs2: Reg(255),
-            },
-            1,
-            0,
-        );
-        assert_eq!(e.src_mask[0], 0);
-        assert_eq!(e.src_mask[1], 1 << 1); // r65 = word 1, bit 1
-        assert_eq!(e.src_mask[3], 1 << 63); // r255 = word 3, bit 63
-        let unready: RegMask = [0, 1 << 1, 0, 0];
-        assert!(mask_any(&mask_intersection(&unready, &e.src_mask, 4), 4));
-        let ready: RegMask = [!0, 0, !0, 0];
-        assert!(!mask_any(&mask_intersection(&ready, &e.src_mask, 4), 4));
-        // Truncated to the live word prefix, higher words drop out.
-        assert!(!mask_any(&mask_intersection(&unready, &e.src_mask, 1), 1));
-        assert!(mask_any(&mask_intersection(&unready, &e.src_mask, 2), 2));
     }
 }

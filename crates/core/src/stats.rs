@@ -36,27 +36,15 @@ pub struct ProcStats {
     /// Issue opportunities lost to shared-ALU contention: ready
     /// instructions that could not start because no ALU was free.
     pub alu_stalls: u64,
-    /// Runs in which `ProcConfig::packed_flags` was requested but the
-    /// engine's gate kept the scalar scan — since pipelined forwarding
-    /// rides the hop-banded readiness words, the only remaining cause
-    /// is a register file wider than the packed lane words
-    /// (`num_regs > 256`). The packed-values snapshot rides on the
-    /// same gate, so a counted fallback also means the value-snapshot
-    /// resolve did not run.
-    /// Zero whenever the packed fast path actually ran — a silent
-    /// downgrade would otherwise be invisible in sweeps over the very
-    /// regimes the packed paths exist for. `usim serve` aggregates
-    /// this counter across requests in its `{"cmd":"stats"}` report.
+    /// Always 0. Counted runs whose packed register-readiness scan fell
+    /// back to a scalar one; the engine now has a single walk, so there
+    /// is nothing to fall back from. Kept so consumers of the field
+    /// (`usim serve` reports it as `"packed_fallbacks"`) keep their
+    /// format.
     pub packed_fallbacks: u64,
-    /// Runs in which the packed fast path was requested and would fit
-    /// the lane words, but the engine's *shape gate* chose the scalar
-    /// scan because the configuration shape measures as a net loss for
-    /// the packed path (see `ProcConfig::packed_shape_wins`; pipelined
-    /// forwarding, latency-bearing memory or a batch-refill `C = n`
-    /// window). Distinct from `packed_fallbacks`: that counter marks a
-    /// capability fallback, this one a deliberate, measured policy
-    /// decision. `ProcConfig::packed_override` forces the packed path
-    /// and keeps this at zero.
+    /// Always 0. Counted runs whose configuration shape routed them off
+    /// the packed scan; kept, like [`ProcStats::packed_fallbacks`], for
+    /// the consumers that read it.
     pub packed_shape_gated: u64,
     /// Memory-system counters.
     pub mem: MemStats,

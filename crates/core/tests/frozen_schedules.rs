@@ -1,0 +1,444 @@
+//! Frozen schedules: every observable field of a run — cycles, halt,
+//! registers, memory, every `ProcStats` counter and histogram, every
+//! per-instruction timing — folded into one FNV-64 digest per
+//! (configuration corner, program) and compared against digests
+//! recorded in `data/frozen_schedules.txt`.
+//!
+//! The corners are the feature interactions the engine's program-order
+//! walk has to get right: memory-renaming store re-resolution, shared
+//! ALUs, latency-bearing memory, the trace cache, fetch caps, no cycle
+//! skipping, and pipelined forwarding across windows (1 to 7 H-tree
+//! hop levels) and per-hop costs from 0 to the saturating `u64`
+//! extremes. Each corner runs ~20 seeded random programs at every
+//! register-file width regime (6, 65, 128 and 256 registers) plus the
+//! standard kernel suite. A schedule change anywhere — a cycle, a slot,
+//! a forwarding distance — changes a digest.
+//!
+//! The two path-selection diagnostics `packed_fallbacks` and
+//! `packed_shape_gated` are not schedule data; they are kept out of the
+//! digest and pinned at zero instead.
+
+use std::collections::HashMap;
+
+use ultrascalar::{
+    ForwardModel, LatencyModel, PredictorKind, ProcConfig, ProcStats, Processor, RunResult,
+    Ultrascalar,
+};
+use ultrascalar_isa::{workload, AluOp, BranchCond, Instr, Program, Reg};
+use ultrascalar_memsys::{CacheConfig, MemConfig, MemStats, NetworkKind};
+
+const FROZEN: &str = include_str!("data/frozen_schedules.txt");
+
+/// Register-file widths: one lane word, the first lane of a second
+/// word, an exact two-word boundary and the ISA's maximum.
+const WIDTHS: [usize; 4] = [6, 65, 128, 256];
+
+/// Random programs per (corner, width).
+const PROGRAMS: u32 = 20;
+
+struct Rng(u64);
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self
+            .0
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        self.0 >> 33
+    }
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+}
+
+fn random_program(rng: &mut Rng, nregs: usize) -> Program {
+    let len = 12 + rng.below(20) as usize;
+    let mut instrs = Vec::new();
+    for i in 0..len {
+        let r = |rng: &mut Rng| Reg(rng.below(nregs as u64) as u8);
+        match rng.below(10) {
+            0..=2 => instrs.push(Instr::AluImm {
+                op: [AluOp::Add, AluOp::Sub, AluOp::Xor][rng.below(3) as usize],
+                rd: r(rng),
+                rs1: r(rng),
+                imm: rng.below(32) as i32,
+            }),
+            3..=4 => instrs.push(Instr::Alu {
+                op: [AluOp::Add, AluOp::Mul, AluOp::And, AluOp::Div][rng.below(4) as usize],
+                rd: r(rng),
+                rs1: r(rng),
+                rs2: r(rng),
+            }),
+            5 => instrs.push(Instr::Load {
+                rd: r(rng),
+                base: r(rng),
+                offset: rng.below(16) as i32,
+            }),
+            6 => instrs.push(Instr::Store {
+                src: r(rng),
+                base: r(rng),
+                offset: rng.below(16) as i32,
+            }),
+            7 => instrs.push(Instr::LoadImm {
+                rd: r(rng),
+                imm: rng.below(64) as i32,
+            }),
+            8 => {
+                // Forward branch only (termination guaranteed).
+                let tgt = (i as u64 + 1 + rng.below(4)).min(len as u64) as u32;
+                instrs.push(Instr::Branch {
+                    cond: [BranchCond::Eq, BranchCond::Ne, BranchCond::Lt][rng.below(3) as usize],
+                    rs1: r(rng),
+                    rs2: r(rng),
+                    target: tgt,
+                });
+            }
+            _ => instrs.push(Instr::Nop),
+        }
+    }
+    instrs.push(Instr::Halt);
+    Program {
+        instrs,
+        num_regs: nregs,
+        init_regs: (0..nregs as u32).map(|x| x * 3 + 1).collect(),
+        init_mem: (0..32).map(|x| x as u32 * 7 + 2).collect(),
+    }
+}
+
+/// The feature-interaction corners.
+fn feature_corners() -> Vec<(String, ProcConfig)> {
+    let lat = LatencyModel {
+        branch: 2,
+        ..LatencyModel::default()
+    };
+    vec![
+        (
+            "us1-plain".into(),
+            ProcConfig::ultrascalar_i(8)
+                .with_predictor(PredictorKind::Bimodal(16))
+                .with_latency(lat),
+        ),
+        (
+            "us1-renaming-realmem".into(),
+            ProcConfig::ultrascalar_i(8)
+                .with_predictor(PredictorKind::Bimodal(16))
+                .with_memory_renaming()
+                .with_mem(MemConfig::realistic(8, 1 << 16))
+                .with_latency(lat),
+        ),
+        (
+            "hybrid-all".into(),
+            ProcConfig::hybrid(16, 4)
+                .with_predictor(PredictorKind::Bimodal(16))
+                .with_memory_renaming()
+                .with_shared_alus(2)
+                .with_trace_cache(1, 3)
+                .with_fetch_width(3)
+                .with_latency(lat),
+        ),
+        (
+            "us2-pipelined".into(),
+            ProcConfig::ultrascalar_ii(8)
+                .with_predictor(PredictorKind::NotTaken)
+                .with_forwarding(ForwardModel::Pipelined { per_hop: 2 })
+                .with_memory_renaming()
+                .with_latency(lat),
+        ),
+        (
+            "us1-noskip".into(),
+            ProcConfig::ultrascalar_i(8)
+                .with_predictor(PredictorKind::Taken)
+                .with_shared_alus(1)
+                .without_cycle_skipping()
+                .with_latency(lat),
+        ),
+        (
+            "hybrid-cache-butterfly".into(),
+            ProcConfig::hybrid(16, 4)
+                .with_predictor(PredictorKind::Btfn)
+                .with_mem(
+                    MemConfig::realistic(16, 1 << 12)
+                        .with_network(NetworkKind::Butterfly)
+                        .with_cluster_cache(CacheConfig::small(4)),
+                ),
+        ),
+    ]
+}
+
+/// Pipelined-forwarding corners: windows spanning 1 to 7 hop levels
+/// × per-hop costs, the saturating extremes (a huge hop cost must pin
+/// the readiness horizon at "never", not wrap it into the past), and
+/// renaming under US-II and the hybrid.
+fn pipelined_corners() -> Vec<(String, ProcConfig)> {
+    let lat = LatencyModel {
+        branch: 2,
+        ..LatencyModel::default()
+    };
+    let mut out = Vec::new();
+    for window in [1usize, 2, 8, 16, 64] {
+        for per_hop in [0u64, 1, 2, 7] {
+            out.push((
+                format!("us1-w{window}-hop{per_hop}"),
+                ProcConfig::ultrascalar_i(window)
+                    .with_predictor(PredictorKind::Bimodal(16))
+                    .with_forwarding(ForwardModel::Pipelined { per_hop })
+                    .with_latency(lat),
+            ));
+        }
+    }
+    for per_hop in [u64::MAX, u64::MAX / 2, u64::MAX / 3, 1u64 << 62] {
+        for window in [2usize, 8] {
+            let cfg = ProcConfig {
+                max_cycles: 20_000,
+                ..ProcConfig::ultrascalar_i(window)
+            };
+            out.push((
+                format!("sat-w{window}-hop{per_hop:x}"),
+                cfg.with_forwarding(ForwardModel::Pipelined { per_hop }),
+            ));
+        }
+    }
+    out.push((
+        "us2-renaming-hop3".into(),
+        ProcConfig::ultrascalar_ii(8)
+            .with_memory_renaming()
+            .with_forwarding(ForwardModel::Pipelined { per_hop: 3 }),
+    ));
+    for per_hop in [1u64, 4] {
+        out.push((
+            format!("hybrid-renaming-hop{per_hop}"),
+            ProcConfig::hybrid(16, 4)
+                .with_memory_renaming()
+                .with_forwarding(ForwardModel::Pipelined { per_hop }),
+        ));
+    }
+    out
+}
+
+fn corners() -> Vec<(String, ProcConfig)> {
+    let mut out = feature_corners();
+    out.extend(pipelined_corners());
+    out
+}
+
+/// The programs of one group: `PROGRAMS` seeded random programs at one
+/// register width, or (`None`) the standard kernel suite.
+fn programs(width: Option<usize>) -> Vec<(String, Program)> {
+    match width {
+        Some(nregs) => {
+            let mut rng = Rng(0xF0_2E_5EED ^ nregs as u64);
+            let mut out = Vec::new();
+            let mut i = 0u32;
+            while i < PROGRAMS {
+                let p = random_program(&mut rng, nregs);
+                if p.validate().is_ok() {
+                    out.push((format!("L{nregs}-{i}"), p));
+                    i += 1;
+                }
+            }
+            out
+        }
+        None => workload::standard_suite(6)
+            .into_iter()
+            .map(|(name, p)| (name.to_string(), p))
+            .collect(),
+    }
+}
+
+/// FNV-1a over 64-bit words.
+struct Fnv(u64);
+impl Fnv {
+    fn word(&mut self, w: u64) {
+        self.0 ^= w;
+        self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    fn words(&mut self, ws: impl ExactSizeIterator<Item = u64>) {
+        self.word(ws.len() as u64);
+        for w in ws {
+            self.word(w);
+        }
+    }
+}
+
+/// Digest of every schedule-bearing field of a run. The destructuring
+/// is exhaustive, so a new result field fails to compile here until it
+/// is either folded in or explicitly excluded.
+fn digest(r: &RunResult) -> u64 {
+    let RunResult {
+        halted,
+        cycles,
+        regs,
+        mem,
+        stats,
+        timings,
+    } = r;
+    let ProcStats {
+        cycles: stat_cycles,
+        committed,
+        branches,
+        mispredictions,
+        flushed,
+        occupancy_sum,
+        forward_dist,
+        regfile_reads,
+        issue_hist,
+        store_forwards,
+        alu_stalls,
+        packed_fallbacks: _,
+        packed_shape_gated: _,
+        mem: mem_stats,
+    } = stats;
+    let MemStats {
+        admitted,
+        link_rejections,
+        bank_conflicts,
+        loads,
+        stores,
+        cache_hits,
+        cache_misses,
+    } = *mem_stats;
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    h.word(*halted as u64);
+    h.word(*cycles);
+    h.words(regs.iter().map(|&v| v as u64));
+    h.words(mem.iter().map(|&v| v as u64));
+    for w in [
+        *stat_cycles,
+        *committed,
+        *branches,
+        *mispredictions,
+        *flushed,
+        *occupancy_sum,
+        *regfile_reads,
+        *store_forwards,
+        *alu_stalls,
+        admitted,
+        link_rejections,
+        bank_conflicts,
+        loads,
+        stores,
+        cache_hits,
+        cache_misses,
+    ] {
+        h.word(w);
+    }
+    h.words(forward_dist.iter().copied());
+    h.words(issue_hist.iter().copied());
+    h.word(timings.len() as u64);
+    for x in timings {
+        for w in [
+            x.seq,
+            x.pc as u64,
+            ultrascalar_isa::encode(&x.instr),
+            x.fetched,
+            x.issue,
+            x.complete,
+            x.slot as u64,
+        ] {
+            h.word(w);
+        }
+    }
+    h.0
+}
+
+/// `(key, digest)` for every corner × program of one group, with the
+/// path-selection diagnostics pinned at zero.
+fn run_group(width: Option<usize>) -> Vec<(String, u64)> {
+    let progs = programs(width);
+    let mut out = Vec::new();
+    for (corner, cfg) in corners() {
+        let mut engine = Ultrascalar::new(cfg);
+        let mut r = RunResult::default();
+        for (name, p) in &progs {
+            engine.run_reusing(p, &mut r);
+            let key = format!("{corner} {name}");
+            assert_eq!(r.stats.packed_fallbacks, 0, "{key}: packed_fallbacks");
+            assert_eq!(r.stats.packed_shape_gated, 0, "{key}: packed_shape_gated");
+            out.push((key, digest(&r)));
+        }
+    }
+    out
+}
+
+fn frozen() -> HashMap<&'static str, u64> {
+    FROZEN
+        .lines()
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .map(|l| {
+            let (key, hex) = l.rsplit_once(' ').expect("`<corner> <program> <digest>`");
+            let d = u64::from_str_radix(hex, 16).expect("hex digest");
+            (key, d)
+        })
+        .collect()
+}
+
+fn check_group(width: Option<usize>) {
+    let frozen = frozen();
+    let mut drifted = Vec::new();
+    for (key, d) in run_group(width) {
+        match frozen.get(key.as_str()) {
+            Some(&want) if want == d => {}
+            Some(&want) => drifted.push(format!("{key}: frozen {want:016x}, now {d:016x}")),
+            None => drifted.push(format!("{key}: missing from the frozen file")),
+        }
+    }
+    assert!(
+        drifted.is_empty(),
+        "{} schedules drifted, first: {:#?}",
+        drifted.len(),
+        &drifted[..drifted.len().min(8)]
+    );
+}
+
+#[test]
+fn frozen_random_programs_6_regs() {
+    check_group(Some(6));
+}
+
+#[test]
+fn frozen_random_programs_65_regs() {
+    check_group(Some(65));
+}
+
+#[test]
+fn frozen_random_programs_128_regs() {
+    check_group(Some(128));
+}
+
+#[test]
+fn frozen_random_programs_256_regs() {
+    check_group(Some(256));
+}
+
+#[test]
+fn frozen_standard_suite() {
+    check_group(None);
+}
+
+/// The frozen file holds exactly the cases the groups above check — no
+/// stale entries that nothing compares any more.
+#[test]
+fn frozen_file_matches_the_case_list() {
+    let cases = corners().len() * (WIDTHS.len() * PROGRAMS as usize + programs(None).len());
+    assert_eq!(frozen().len(), cases);
+}
+
+/// The `force_swar` config knob pins the portable SWAR substrate for
+/// the whole run (the field-debugging escape hatch behind
+/// `USIM_FORCE_SWAR`); dispatch may change cost, never a result, so a
+/// forced run must be byte-identical to the native one — cycles,
+/// registers, memory, stats, timings.
+#[test]
+fn force_swar_runs_are_byte_identical() {
+    let mut rng = Rng(0x5AFE_5115);
+    for iter in 0..40u32 {
+        let prog = random_program(&mut rng, 65);
+        if prog.validate().is_err() {
+            continue;
+        }
+        for (name, cfg) in feature_corners() {
+            let native = Ultrascalar::new(cfg.clone()).run(&prog);
+            let forced = Ultrascalar::new(cfg.with_force_swar()).run(&prog);
+            assert_eq!(native, forced, "iter {iter} {name}");
+        }
+    }
+}

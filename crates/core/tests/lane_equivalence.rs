@@ -33,7 +33,7 @@ impl Rng {
     }
 }
 
-/// Random terminating program in the packed_equivalence style, with
+/// Random terminating program in the frozen_schedules style, with
 /// the operand mix skewed toward the divergence sources: branches on
 /// arbitrary registers and register-indirect loads/stores.
 fn random_program(rng: &mut Rng, nregs: usize) -> Program {
@@ -102,7 +102,7 @@ fn random_program(rng: &mut Rng, nregs: usize) -> Program {
     }
 }
 
-/// Serial ground truth: each program through a fresh scalar engine.
+/// Serial ground truth: each program through a fresh engine.
 fn serial_runs(cfg: &ProcConfig, programs: &[Program]) -> Vec<RunResult> {
     programs
         .iter()
@@ -111,9 +111,6 @@ fn serial_runs(cfg: &ProcConfig, programs: &[Program]) -> Vec<RunResult> {
 }
 
 fn assert_identical(got: &RunResult, want: &RunResult, ctx: &str) {
-    // Lane batching must never push any configuration — pipelined
-    // forwarding included — off the packed path.
-    assert_eq!(got.stats.packed_fallbacks, 0, "{ctx}: fallback counter");
     assert_eq!(got.halted, want.halted, "{ctx}: halted");
     assert_eq!(got.cycles, want.cycles, "{ctx}: cycles");
     assert_eq!(got.regs, want.regs, "{ctx}: registers");
@@ -138,24 +135,16 @@ fn check_batch(batcher: &mut LaneBatcher, cfg: &ProcConfig, programs: &[Program]
 fn standard_kernel_suite_matches_serial() {
     // Every named kernel, vectorized over lanes with independent
     // random initial registers, across the three paper architectures —
-    // plus pipelined forwarding, which lane-batches on the hop-banded
-    // packed path like any other configuration.
+    // plus pipelined forwarding, which lane-batches like any other
+    // configuration.
     let configs = [
         ("usi", ProcConfig::ultrascalar_i(16)),
-        // The usii and pipelined shapes are gated off the packed path
-        // by default; the override applies to both the batched run and
-        // its serial twin, keeping the comparison meaningful while the
-        // packed machinery stays under test.
-        (
-            "usii",
-            ProcConfig::ultrascalar_ii(16).with_packed_override(),
-        ),
+        ("usii", ProcConfig::ultrascalar_ii(16)),
         ("hybrid", ProcConfig::hybrid(16, 4)),
         (
             "usi-pipelined",
             ProcConfig::ultrascalar_i(16)
-                .with_forwarding(ultrascalar::ForwardModel::Pipelined { per_hop: 1 })
-                .with_packed_override(),
+                .with_forwarding(ultrascalar::ForwardModel::Pipelined { per_hop: 1 }),
         ),
     ];
     for (name, cfg) in &configs {
@@ -202,8 +191,7 @@ fn forced_divergence_random_sweep_is_bit_exact() {
         (
             "usi-pipelined",
             ProcConfig::ultrascalar_i(8)
-                .with_forwarding(ultrascalar::ForwardModel::Pipelined { per_hop: 1 })
-                .with_packed_override(),
+                .with_forwarding(ultrascalar::ForwardModel::Pipelined { per_hop: 1 }),
         ),
     ];
     let mut batchers: Vec<LaneBatcher> = configs.iter().map(|_| LaneBatcher::new()).collect();
@@ -307,12 +295,7 @@ proptest! {
         let pred = PredictorKind::Bimodal(1usize << table_bits);
         let (name, cfg) = match arch {
             0 => ("usi", ProcConfig::ultrascalar_i(16).with_predictor(pred)),
-            1 => (
-                "usii",
-                ProcConfig::ultrascalar_ii(16)
-                    .with_packed_override()
-                    .with_predictor(pred),
-            ),
+            1 => ("usii", ProcConfig::ultrascalar_ii(16).with_predictor(pred)),
             _ => ("hybrid", ProcConfig::hybrid(16, 4).with_predictor(pred)),
         };
         let prog = if random_prog {

@@ -13,9 +13,9 @@ use ultrascalar_memsys::{Bandwidth, CacheConfig, MemConfig, NetworkKind};
 
 /// The configuration corners the serving mode is expected to cycle
 /// through: every reset path in the engine (fetch rewind, predictor
-/// rewind, trace-cache flush, memory-system rewind, cluster recycling,
-/// shared-ALU pool, packed and scalar scan) is on at least one of
-/// them.
+/// rewind, trace-cache flush, memory-system rewind, station ring and
+/// rename table, shared-ALU pool, pipelined forwarding) is on at least
+/// one of them.
 fn configs() -> Vec<(&'static str, ProcConfig)> {
     let realistic_mem = MemConfig {
         n_leaves: 16,
@@ -59,7 +59,7 @@ fn configs() -> Vec<(&'static str, ProcConfig)> {
                 ),
         ),
         (
-            "usi-pipelined-scalar-scan",
+            "usi-pipelined",
             ProcConfig::ultrascalar_i(8).with_forwarding(ForwardModel::Pipelined { per_hop: 1 }),
         ),
     ]

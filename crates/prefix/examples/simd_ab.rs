@@ -8,7 +8,7 @@
 //! (identical-code rows drift by ±25% between runs), so this harness
 //! interleaves the two dispatch modes round-robin inside one process
 //! and reports the median ratio across rounds — the same protocol the
-//! `step_ab` engine benchmark uses.
+//! `lanes_ab` benchmark uses.
 
 use std::time::Instant;
 use ultrascalar_prefix::lanes::{self, LaneValue};

@@ -650,170 +650,10 @@ impl BitWords {
 
 /// H-tree communication distance between ring positions `a` and `b`:
 /// the height of their lowest common ancestor, i.e. the bit-length of
-/// `a XOR b`. Zero iff `a == b`; at most [`hop_band_count`]` - 1` for
-/// positions inside one ring.
+/// `a XOR b`. Zero iff `a == b`.
 #[inline]
 pub fn hop_level(a: usize, b: usize) -> usize {
     (usize::BITS - (a ^ b).leading_zeros()) as usize
-}
-
-/// Number of distinct hop levels between positions of a ring with
-/// `ring` leaves (`0..ring`): `bit_length(ring - 1) + 1`, counting the
-/// degenerate level 0. One for a single-leaf ring.
-#[inline]
-pub fn hop_band_count(ring: usize) -> usize {
-    if ring <= 1 {
-        1
-    } else {
-        hop_level(0, ring - 1) + 1
-    }
-}
-
-/// Hop-distance readiness bands over `64·W`-lane packed words: band
-/// `d` holds the lanes whose values are *not yet* visible to a
-/// consumer `d` H-tree levels away from the producer. Readiness times
-/// grow monotonically with hop distance, so the per-lane state
-/// collapses to a single number — the first level at which the lane is
-/// still unready — and the bands nest:
-/// `bands[0] ⊆ bands[1] ⊆ … ⊆ bands[top]`. A consumer that misses the
-/// *top* band is therefore ready at every distance (one word-array
-/// AND), while a hit pins down exactly which levels still block via
-/// [`HopBands::test`].
-///
-/// Only the top band is materialised as a lane word (it is the word
-/// the fast gate ANDs against); the inner bands are carried as the
-/// per-lane first-unready level, which answers [`HopBands::test`] with
-/// one byte compare. This keeps the per-writer update in a
-/// simulation's hot scan loop at one byte store plus one bit
-/// read-modify-write — writing `log2(window)+1` separate band words
-/// per producer per cycle measurably drags the whole packed path
-/// below the scalar resolve it exists to beat. With a single band
-/// this degenerates to the plain distance-independent unready word.
-#[derive(Debug, Clone)]
-pub struct HopBands<const W: usize> {
-    /// The widest band: lanes unready at the farthest hop distance
-    /// (the union of every virtual inner band, by nesting).
-    top: [u64; W],
-    /// Per-lane first unready level, `num_bands` when ready at every
-    /// distance. Only meaningful once `prepare` has run.
-    first_unready: Vec<u8>,
-    /// Number of (virtual) bands; zero until `prepare`.
-    num_bands: usize,
-}
-
-impl<const W: usize> Default for HopBands<W> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<const W: usize> HopBands<W> {
-    /// An empty band set; size it with [`HopBands::prepare`].
-    pub fn new() -> Self {
-        HopBands {
-            top: [0; W],
-            first_unready: Vec::new(),
-            num_bands: 0,
-        }
-    }
-
-    /// Resize to `num_bands` all-clear bands, reusing retained
-    /// capacity (allocation-free once the lane table exists).
-    ///
-    /// # Panics
-    /// Panics if `num_bands` is zero or greater than 255.
-    pub fn prepare(&mut self, num_bands: usize) {
-        assert!(num_bands > 0, "at least one hop band");
-        assert!(num_bands <= u8::MAX as usize, "band count fits a byte");
-        self.num_bands = num_bands;
-        self.first_unready.resize(W * 64, 0);
-        self.clear();
-    }
-
-    /// Clear every band in place: every lane ready at every distance.
-    #[inline]
-    pub fn clear(&mut self) {
-        self.top = [0; W];
-        self.first_unready.fill(self.num_bands as u8);
-    }
-
-    /// Number of bands.
-    #[inline]
-    pub fn num_bands(&self) -> usize {
-        self.num_bands
-    }
-
-    /// The widest band — the union of every band (nesting), so a lane
-    /// clear here is ready at *every* hop distance.
-    #[inline]
-    pub fn top(&self) -> &[u64; W] {
-        &self.top
-    }
-
-    /// Does `mask` hit any lane of the top band? The packed gate's
-    /// fast reject: a miss means every masked lane is ready at every
-    /// hop distance. One `vptest` under AVX2 (`W = 4`), the portable
-    /// word loop otherwise — see [`crate::simd::mask_and_any`].
-    #[inline]
-    pub fn intersects(&self, mask: &[u64; W]) -> bool {
-        crate::simd::mask_and_any(&self.top, mask)
-    }
-
-    /// Is `lane` unready at hop level `band`? Levels past the top band
-    /// report the top band (saturating — readiness is monotone, so the
-    /// top band answers for every farther distance).
-    ///
-    /// # Panics
-    /// Panics if the band set was never prepared.
-    #[inline]
-    pub fn test(&self, band: usize, lane: usize) -> bool {
-        band.min(self.num_bands - 1) >= self.first_unready[lane] as usize
-    }
-
-    /// Write one lane's whole readiness column: unready in every band
-    /// `first_unready..`, ready below — `first_unready == 0` marks the
-    /// lane blocked at every distance, `first_unready >= num_bands`
-    /// ready at every distance. This is the per-writer "promotion"
-    /// update: as completion horizons pass, callers re-assign with a
-    /// larger `first_unready` and the lane drains out of the nearer
-    /// bands.
-    #[inline]
-    pub fn assign_lane(&mut self, lane: usize, first_unready: usize) {
-        let first = first_unready.min(self.num_bands) as u8;
-        if self.first_unready[lane] == first {
-            // Unchanged column ⇒ unchanged top bit. After the
-            // per-cycle clear every lane sits at `num_bands` (ready),
-            // so the dominant long-completed-writer case exits here
-            // without touching the top band word.
-            return;
-        }
-        self.first_unready[lane] = first;
-        let (j, bit) = (lane / 64, 1u64 << (lane % 64));
-        let unready = ((first as usize) < self.num_bands) as u64;
-        self.top[j] = (self.top[j] & !bit) | (unready.wrapping_neg() & bit);
-    }
-
-    /// Write one lane's readiness column directly from its distance-0
-    /// horizon: band `d` becomes set (unready) iff
-    /// `horizon + step·d > t`, i.e. the value has not yet crossed `d`
-    /// H-tree levels by cycle `t`. Equivalent to
-    /// [`HopBands::assign_lane`] with
-    /// `first_unready = ⌊(t − horizon)/step⌋ + 1` (clamped, 0 when
-    /// `horizon > t`, `num_bands` when `step == 0` and `horizon ≤ t`),
-    /// but division-free: the level search walks at most `num_bands`
-    /// saturating additions and usually exits on the first. `step`
-    /// saturates per level, so a huge per-hop latency pins the horizon
-    /// at `u64::MAX` ("never arrives from afar") instead of wrapping.
-    #[inline]
-    pub fn assign_lane_horizon(&mut self, lane: usize, horizon: u64, step: u64, t: u64) {
-        let mut level = 0usize;
-        let mut h = horizon;
-        while level < self.num_bands && h <= t {
-            level += 1;
-            h = h.saturating_add(step);
-        }
-        self.assign_lane(lane, level);
-    }
 }
 
 #[cfg(test)]

@@ -221,24 +221,6 @@ pub(crate) fn packed_down_sweep_avx2<O: WordOp, const W: usize>(
     false
 }
 
-/// Word-array intersection test `any(a[j] & b[j] != 0)` — the packed
-/// gate's top-band AND.
-///
-/// Deliberately **not** runtime-dispatched to `vptest`: a
-/// `#[target_feature]` function can never inline into the engine's
-/// generic scan loop, and the call overhead costs more than the seven
-/// scalar ops it would replace (~2% of whole-simulation time measured
-/// via `gprofng` on the pipelined step_ab cells). The branchless fold
-/// below autovectorizes to two 128-bit `pand`/`por` pairs anyway.
-#[inline(always)]
-pub fn mask_and_any<const W: usize>(a: &[u64; W], b: &[u64; W]) -> bool {
-    let mut acc = 0u64;
-    for j in 0..W {
-        acc |= a[j] & b[j];
-    }
-    acc != 0
-}
-
 /// AVX2 form of the lane-parallel 64×64 bit transpose, returning
 /// `false` (matrix untouched) when dispatch is off.
 #[inline]
@@ -512,21 +494,5 @@ mod tests {
             active_simd_level() == "avx2",
             detected_simd_level() == "avx2"
         );
-    }
-
-    #[test]
-    fn mask_and_any_matches_scalar() {
-        let cases: [([u64; 4], [u64; 4]); 4] = [
-            ([0; 4], [!0; 4]),
-            ([1, 0, 0, 0], [1, 0, 0, 0]),
-            ([0, 0, 0, 1 << 63], [0, 0, 0, 1 << 63]),
-            ([0xF0, 0, 0, 0], [0x0F, !0, 0, 0]),
-        ];
-        for (a, b) in cases {
-            let want = a.iter().zip(b.iter()).any(|(&x, &y)| x & y != 0);
-            assert_eq!(mask_and_any(&a, &b), want, "{a:?} {b:?}");
-            let _guard = ForceSwarGuard::force();
-            assert_eq!(mask_and_any(&a, &b), want, "swar {a:?} {b:?}");
-        }
     }
 }

@@ -372,104 +372,13 @@ fn ring_oracle_sweep_boundary_lanes_vs_generic() {
     }
 }
 
-/// Hop-band bookkeeping: the per-lane `assign_lane` column write must
-/// produce nested bands (`bands[d] ⊆ bands[d+1]`), `test` must agree
-/// with the assigned first-unready level (saturating past the top
-/// band), and re-assignment ("promotion" as horizons pass) must fully
-/// overwrite the previous column.
+/// Hop-level geometry: the H-tree LCA height is the bit-length of
+/// `a XOR b`, zero on the diagonal.
 #[test]
-fn hop_bands_nest_and_promote() {
-    use ultrascalar_prefix::packed::{hop_band_count, hop_level, HopBands};
-    // Level geometry: bit-length of XOR, zero on the diagonal.
+fn hop_level_is_xor_bit_length() {
+    use ultrascalar_prefix::packed::hop_level;
     assert_eq!(hop_level(5, 5), 0);
     assert_eq!(hop_level(4, 5), 1);
     assert_eq!(hop_level(0, 7), 3);
-    assert_eq!(hop_band_count(1), 1);
-    assert_eq!(hop_band_count(8), 4);
-    assert_eq!(hop_band_count(64), 7);
-
-    let mut rng = XorShift(0x0BAD_5EED_0000_0001);
-    let mut bands: HopBands<4> = HopBands::new();
-    for num_bands in 1..=7usize {
-        bands.prepare(num_bands);
-        let mut expect = vec![num_bands; 256]; // ready everywhere
-        for _ in 0..200 {
-            let lane = (rng.next() % 256) as usize;
-            let first = (rng.next() % (num_bands as u64 + 2)) as usize;
-            bands.assign_lane(lane, first);
-            expect[lane] = first;
-            for (lane, &first) in expect.iter().enumerate() {
-                for d in 0..num_bands + 2 {
-                    assert_eq!(
-                        bands.test(d, lane),
-                        d.min(num_bands - 1) >= first.min(num_bands),
-                        "bands={num_bands} lane={lane} level={d} first={first}"
-                    );
-                }
-            }
-            // Nesting: a lane unready at level d is unready at d+1.
-            for d in 0..num_bands.saturating_sub(1) {
-                for lane in 0..256 {
-                    assert!(
-                        !bands.test(d, lane) || bands.test(d + 1, lane),
-                        "band {d} not nested in {} (lane {lane})",
-                        d + 1
-                    );
-                }
-            }
-            // The top band is the union.
-            for lane in 0..256 {
-                let any = (0..num_bands).any(|d| bands.test(d, lane));
-                assert_eq!(bands.top()[lane / 64] >> (lane % 64) & 1 == 1, any);
-            }
-        }
-        bands.clear();
-        for lane in 0..256 {
-            assert!(!bands.test(num_bands - 1, lane), "clear left lane {lane}");
-        }
-    }
-}
-
-/// The division-free horizon assignment must agree with
-/// `assign_lane` fed the closed-form first-unready level
-/// `⌊(t − horizon)/step⌋ + 1` — across the zero-step and saturating
-/// extremes where the closed form needs its special cases.
-#[test]
-fn hop_bands_horizon_assignment_matches_closed_form() {
-    use ultrascalar_prefix::packed::HopBands;
-    let mut rng = XorShift(0xD1F1_5103_0000_0001);
-    let mut by_horizon: HopBands<4> = HopBands::new();
-    let mut by_level: HopBands<4> = HopBands::new();
-    for num_bands in 1..=7usize {
-        by_horizon.prepare(num_bands);
-        by_level.prepare(num_bands);
-        for iter in 0..400 {
-            let lane = (rng.next() % 256) as usize;
-            let t = rng.next() % 1000;
-            let (horizon, step) = match iter % 5 {
-                0 => (rng.next() % 1200, rng.next() % 8), // dense
-                1 => (rng.next() % 1200, 0),              // step 0
-                2 => (u64::MAX, rng.next()),              // MAX sentinel
-                3 => (rng.next() % 1200, u64::MAX / 2 + rng.next() % 64), // saturating step
-                _ => (rng.next(), rng.next()),            // arbitrary
-            };
-            by_horizon.assign_lane_horizon(lane, horizon, step, t);
-            let first = if horizon > t {
-                0
-            } else {
-                match (t - horizon).checked_div(step) {
-                    None => num_bands, // step 0: ready at every distance
-                    Some(q) => (q + 1).min(num_bands as u64) as usize,
-                }
-            };
-            by_level.assign_lane(lane, first);
-            for d in 0..num_bands {
-                assert_eq!(
-                    by_horizon.test(d, lane),
-                    by_level.test(d, lane),
-                    "bands={num_bands} lane={lane} d={d} horizon={horizon} step={step} t={t}"
-                );
-            }
-        }
-    }
+    assert_eq!(hop_level(0, 63), 6);
 }
