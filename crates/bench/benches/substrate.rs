@@ -10,7 +10,7 @@ use ultrascalar_memsys::{Bandwidth, MemConfig, MemRequest, MemSystem, NetworkKin
 use ultrascalar_prefix::op::{SegOp, SegPair};
 use ultrascalar_prefix::{
     cspp_ring, cspp_tree, packed_cspp_ring, scan, AndWords, ArenaScan, BoolAnd, First,
-    PackedCsppScratch, PackedCsppScratchW, Sum,
+    PackedCsppScratch, Sum,
 };
 
 fn bench_scans(c: &mut Criterion) {
@@ -48,20 +48,6 @@ fn bench_cspp(c: &mut Criterion) {
         });
     }
     g.finish();
-}
-
-/// One multi-word packed pass: every lane of every `[u64; W]` word
-/// carries the same boolean problem, so a pass does the generic row's
-/// work `64 · W` times over.
-fn bench_packed_w<const W: usize>(b: &mut criterion::Bencher, vals: &[bool], seg: &[bool]) {
-    let vw: Vec<[u64; W]> = vals.iter().map(|&v| [if v { !0 } else { 0 }; W]).collect();
-    let sw: Vec<[u64; W]> = seg.iter().map(|&s| [if s { !0 } else { 0 }; W]).collect();
-    let mut scratch = PackedCsppScratchW::<W>::new();
-    let mut out = Vec::new();
-    b.iter(|| {
-        scratch.cspp_into::<AndWords>(black_box(&vw), black_box(&sw), &mut out);
-        out.len()
-    })
 }
 
 /// Boolean AND-CSPP — the paper's "all earlier stations met the
@@ -128,22 +114,6 @@ fn bench_packed(c: &mut Criterion) {
                 })
             },
         );
-        // Multi-word lanes: one pass over [u64; W] words evaluates
-        // 64·W independent lane networks. W=4 covers the ISA's full
-        // 256-register space per evaluation.
-        for (name, lanes) in [
-            ("packed_tree_w2_128lane", 128u64),
-            ("packed_tree_w4_256lane", 256),
-        ] {
-            g.throughput(Throughput::Elements(lanes * n as u64));
-            g.bench_with_input(BenchmarkId::new(name, n), &(&vals, &seg), |b, (v, s)| {
-                if lanes == 128 {
-                    bench_packed_w::<2>(b, v, s);
-                } else {
-                    bench_packed_w::<4>(b, v, s);
-                }
-            });
-        }
         // The packed ring is quadratic like the scalar ring — oracle
         // only, charted at one small size.
         if n == 64 {

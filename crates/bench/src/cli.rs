@@ -465,21 +465,6 @@ pub fn execute_program(o: &RunOptions, program: &Program) -> Result<(RunResult, 
         out.push_str(&format!(", {} store→load forwards", r.stats.store_forwards));
     }
     out.push('\n');
-    // Forced-SWAR dispatch is worth one line per configuration: a run
-    // whose numbers were taken with the vector substrate pinned off
-    // should say so (results are bit-identical either way, only
-    // throughput changes). Only noteworthy when the host actually has
-    // a faster level to give up.
-    if (proc.config().force_swar || ultrascalar_prefix::force_swar_active())
-        && ultrascalar_prefix::detected_simd_level() != "swar"
-        && warning_is_first(proc.config())
-    {
-        out.push_str(&format!(
-            "note: SIMD dispatch pinned to the portable SWAR substrate (host supports {}) \
-             — via USIM_FORCE_SWAR or the force_swar config flag\n",
-            ultrascalar_prefix::detected_simd_level()
-        ));
-    }
     if o.show_regs {
         out.push_str("registers:\n");
         for (i, v) in r.regs.iter().enumerate() {
@@ -497,24 +482,6 @@ pub fn execute_program(o: &RunOptions, program: &Program) -> Result<(RunResult, 
         out.push_str(&render_station_occupancy(&r.timings, o.window));
     }
     Ok((r, out))
-}
-
-/// True the first time `cfg` is seen by the warn-once registry, false
-/// on every repeat: a client issuing thousands of runs under one
-/// configuration used to get one stderr line per run. Process-global
-/// and a linear scan — distinct configurations per process are few.
-fn warning_is_first(cfg: &ProcConfig) -> bool {
-    static SEEN: std::sync::OnceLock<std::sync::Mutex<Vec<ProcConfig>>> =
-        std::sync::OnceLock::new();
-    let mut seen = SEEN
-        .get_or_init(|| std::sync::Mutex::new(Vec::new()))
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    if seen.contains(cfg) {
-        return false;
-    }
-    seen.push(cfg.clone());
-    true
 }
 
 /// `usim asm`: assemble and list a program.
@@ -698,18 +665,6 @@ mod tests {
         let (r, _) = execute_run(&o, src).unwrap();
         assert!(r.halted);
         assert_eq!(r.regs[3], 51);
-    }
-
-    #[test]
-    fn warning_registry_dedups_per_config() {
-        // First sighting prints, repeats stay silent, a different
-        // configuration prints again.
-        let a = ProcConfig::ultrascalar_i(2).with_fetch_width(1);
-        let b = ProcConfig::ultrascalar_i(2).with_fetch_width(2);
-        assert!(warning_is_first(&a));
-        assert!(!warning_is_first(&a));
-        assert!(warning_is_first(&b));
-        assert!(!warning_is_first(&a.clone()));
     }
 
     #[test]

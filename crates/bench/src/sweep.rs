@@ -128,9 +128,9 @@ pub struct JsonPoint {
     pub wall_s: f64,
     /// Simulated cycles (steps), when the point ran the cycle engine.
     pub steps: Option<u64>,
-    /// Independent bit-lanes evaluated per pass, when the point timed a
-    /// packed SWAR substrate form (`64 · W` for word width `W`; absent
-    /// for scalar/generic forms).
+    /// Independent lanes evaluated per pass, when the point timed a
+    /// lane-parallel form (a packed substrate pass or a lane batch;
+    /// absent for scalar/generic forms).
     pub lanes: Option<u64>,
 }
 
@@ -147,24 +147,20 @@ impl JsonPoint {
 #[derive(Debug, Clone)]
 pub struct JsonReport {
     experiment: String,
-    /// Host SIMD capability and the dispatch level actually in effect
-    /// when the report was started — stamped into every artifact so
-    /// numbers from different hosts (or forced-SWAR runs) are
+    /// The SIMD level the substrate dispatches to on this host —
+    /// stamped into every artifact so numbers from different hosts are
     /// comparable at a glance.
-    simd_detected: &'static str,
     simd_active: &'static str,
     points: Vec<JsonPoint>,
     summaries: Vec<(String, f64)>,
 }
 
 impl JsonReport {
-    /// Start an empty report for the named experiment. The host's
-    /// detected SIMD level and the currently active dispatch level are
-    /// recorded at construction time.
+    /// Start an empty report for the named experiment, recording the
+    /// host's SIMD dispatch level.
     pub fn new(experiment: &str) -> Self {
         JsonReport {
             experiment: experiment.to_string(),
-            simd_detected: ultrascalar_prefix::detected_simd_level(),
             simd_active: ultrascalar_prefix::active_simd_level(),
             points: Vec::new(),
             summaries: Vec::new(),
@@ -226,10 +222,7 @@ impl JsonReport {
             "  \"experiment\": \"{}\",\n",
             escape(&self.experiment)
         ));
-        out.push_str(&format!(
-            "  \"simd_detected\": \"{}\",\n  \"simd_active\": \"{}\",\n",
-            self.simd_detected, self.simd_active
-        ));
+        out.push_str(&format!("  \"simd_active\": \"{}\",\n", self.simd_active));
         let total: f64 = self.points.iter().map(|p| p.wall_s).sum();
         out.push_str(&format!("  \"total_point_wall_s\": {:.6},\n", total));
         out.push_str("  \"points\": [\n");

@@ -109,15 +109,6 @@ pub struct ProcConfig {
     /// cycle-exact either way; `false` retains the naive
     /// tick-every-cycle loop as a differential-testing reference.
     pub cycle_skip: bool,
-    /// Pin the substrate's portable SWAR kernels for the duration of
-    /// every run under this config (off by default), bypassing the
-    /// runtime AVX2 dispatch in `ultrascalar_prefix::simd`. Dispatch
-    /// never changes an observable result — both paths are bit-for-bit
-    /// identical — so this is purely a diagnostic/A-B knob: rule out a
-    /// suspect vector codepath in the field, or measure the SWAR twin
-    /// on an AVX2 host. The `USIM_FORCE_SWAR` environment variable
-    /// (read once per process) forces the same fallback globally.
-    pub force_swar: bool,
 }
 
 impl ProcConfig {
@@ -138,7 +129,6 @@ impl ProcConfig {
             trace_cache: None,
             fetch_width: None,
             cycle_skip: true,
-            force_swar: false,
         }
     }
 
@@ -214,13 +204,6 @@ impl ProcConfig {
     /// and for apples-to-apples simulator-performance measurements.
     pub fn without_cycle_skipping(mut self) -> Self {
         self.cycle_skip = false;
-        self
-    }
-
-    /// Builder: pin the substrate's portable SWAR kernels for every
-    /// run under this config (see [`ProcConfig::force_swar`]).
-    pub fn with_force_swar(mut self) -> Self {
-        self.force_swar = true;
         self
     }
 

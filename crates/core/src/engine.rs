@@ -384,15 +384,6 @@ impl Processor for Ultrascalar {
 
     fn run_reusing(&mut self, program: &Program, out: &mut RunResult) {
         program.validate().expect("program must validate");
-        // Pin the portable SWAR substrate for the whole run when the
-        // config asks for it (RAII: dispatch is restored on every exit
-        // path). The toggle is process-global, but dispatch never
-        // changes an observable result — concurrent runs under mixed
-        // settings only vary which bit-identical kernel executes.
-        let _swar_guard = self
-            .cfg
-            .force_swar
-            .then(ultrascalar_prefix::ForceSwarGuard::force);
         let n = self.cfg.window;
         let c = self.cfg.cluster;
         let lat = self.cfg.latency;

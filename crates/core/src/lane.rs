@@ -20,11 +20,11 @@
 //! [`LaneBatcher`] exploits exactly that: lane 0 (the *leader*) runs
 //! through the real engine once; the other lanes advance through a
 //! bit-sliced architectural lock-step pass over the
-//! [`ultrascalar_prefix::lanes`] substrate — one [`LaneValue`]
-//! (a `SlicedPair<32, 1>`, 32 bit-planes × 64 lanes) per architectural
-//! register, one word op advancing all lanes at once. Lanes that stay
-//! converged with the leader inherit the leader's timing verbatim and
-//! keep their own architectural state from the bit-planes.
+//! [`ultrascalar_prefix::lanes`] substrate — one [`LaneValue`] (32
+//! bit-planes × 64 lanes) per architectural register, one word op
+//! advancing all lanes at once. Lanes that stay converged with the
+//! leader inherit the leader's timing verbatim and keep their own
+//! architectural state from the bit-planes.
 //!
 //! # Epoch-segmented schedule sharing
 //!
@@ -338,7 +338,7 @@ impl LaneBatcher {
 
         // Per-register lane bundles from each lane's initial registers.
         self.regs.clear();
-        self.regs.resize(num_regs, LaneValue::identity());
+        self.regs.resize(num_regs, [0; 32]);
         let mut vals = [0u32; LANES];
         for (r, bundle) in self.regs.iter_mut().enumerate() {
             vals = [0u32; LANES];

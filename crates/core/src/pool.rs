@@ -241,10 +241,9 @@ pub fn config_shard_hash(cfg: &ProcConfig) -> u64 {
     h = mix(h, cfg.alus.map_or(0, |k| k as u64 + 1));
     h = mix(h, cfg.memory_renaming as u64);
     h = mix(h, cfg.fetch_width.map_or(0, |f| f as u64 + 1));
-    h = mix(h, cfg.force_swar as u64);
-    // A removed boolean knob used to be mixed in here; mixing its
+    // Two removed boolean knobs used to be mixed in here; mixing their
     // constant `false` keeps every shard placement unchanged.
-    h = mix(h, 0);
+    h = mix(mix(h, 0), 0);
     // Mix the variant discriminant in multiplicatively instead of the
     // old `per_hop + 1`, which overflowed (a debug-build panic) on
     // `per_hop == u64::MAX`. Forcing the low bit keeps every pipelined
@@ -469,9 +468,8 @@ mod tests {
             (
                 ProcConfig::ultrascalar_ii(8)
                     .with_forwarding(ForwardModel::Pipelined { per_hop: 3 })
-                    .with_fetch_width(2)
-                    .with_force_swar(),
-                0xa491_278f_f4bd_1685,
+                    .with_fetch_width(2),
+                0xf064_2d98_50b9_21b0,
             ),
         ];
         for (cfg, want) in cases {

@@ -225,7 +225,7 @@ fn corners() -> Vec<(String, ProcConfig)> {
 fn programs(width: Option<usize>) -> Vec<(String, Program)> {
     match width {
         Some(nregs) => {
-            let mut rng = Rng(0xF0_2E_5EED ^ nregs as u64);
+            let mut rng = Rng(0xF02E_5EED ^ nregs as u64);
             let mut out = Vec::new();
             let mut i = 0u32;
             while i < PROGRAMS {
@@ -420,25 +420,4 @@ fn frozen_standard_suite() {
 fn frozen_file_matches_the_case_list() {
     let cases = corners().len() * (WIDTHS.len() * PROGRAMS as usize + programs(None).len());
     assert_eq!(frozen().len(), cases);
-}
-
-/// The `force_swar` config knob pins the portable SWAR substrate for
-/// the whole run (the field-debugging escape hatch behind
-/// `USIM_FORCE_SWAR`); dispatch may change cost, never a result, so a
-/// forced run must be byte-identical to the native one — cycles,
-/// registers, memory, stats, timings.
-#[test]
-fn force_swar_runs_are_byte_identical() {
-    let mut rng = Rng(0x5AFE_5115);
-    for iter in 0..40u32 {
-        let prog = random_program(&mut rng, 65);
-        if prog.validate().is_err() {
-            continue;
-        }
-        for (name, cfg) in feature_corners() {
-            let native = Ultrascalar::new(cfg.clone()).run(&prog);
-            let forced = Ultrascalar::new(cfg.with_force_swar()).run(&prog);
-            assert_eq!(native, forced, "iter {iter} {name}");
-        }
-    }
 }

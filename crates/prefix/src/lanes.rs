@@ -1,17 +1,13 @@
 //! Lane-parallel 32-bit values: 64 independent simulations per plane
 //! word.
 //!
-//! [`crate::sliced`] carries register *values* as bit-planes so one
-//! tree sweep forwards `64·W` registers of **one** machine. This module
-//! inverts the lane assignment: bit `l` of every plane belongs to
-//! *simulation* `l`, so a single word-parallel operation advances the
-//! same architectural register of 64 **independent machines** at once
-//! (the QiMeng-CPU-v2 data-dependency-as-bitplane trick applied to
-//! whole runs instead of one run's flags). The storage is literally the
-//! sliced substrate's pair type — [`LaneValue`] is `SlicedPair<32, 1>`,
-//! 32 planes × 64 lanes, with the segment word unused — so the lane
-//! batch engine in `ultrascalar` rides the same representation the
-//! value CSPP was built from.
+//! A [`LaneValue`] is 32 bit-planes of 64 lanes: bit `l` of plane `p`
+//! is bit `p` of *simulation* `l`'s value, so a single word-parallel
+//! operation advances the same architectural register of 64
+//! **independent machines** at once (the QiMeng-CPU-v2
+//! data-dependency-as-bitplane trick applied to whole runs instead of
+//! one run's flags). The lane batch engine in `ultrascalar` keeps its
+//! register files in this form.
 //!
 //! Three evaluation strategies cover the ISA's operator zoo:
 //!
@@ -22,27 +18,32 @@
 //!   word of a plane-wise subtract, yielding a per-lane **mask** word
 //!   directly — exactly the form the divergence check needs;
 //! * **plane relabelling** — a shift by a lane-uniform amount moves
-//!   whole planes (`planes[p] ← planes[p ∓ sh]`), zero or sign-fill
-//!   supplied by the vacated end;
+//!   whole planes (`v[p] ← v[p ∓ sh]`), zero or sign-fill supplied by
+//!   the vacated end;
 //! * **extract/compute/deposit** — `Mul`/`Div`/`Rem` and lane-varying
 //!   shifts transpose the 64×32 bit matrix out to ordinary `u32`s
 //!   ([`extract`]), apply the scalar operator per lane, and transpose
 //!   back ([`deposit`]). The transpose is the textbook 64×64 in-place
 //!   block-swap network, 6 levels of masked exchanges.
 //!
+//! The transpose is the workspace's one runtime-dispatched kernel: on
+//! AVX2 hosts it runs the vector form in [`crate::simd`] (measured
+//! there); elsewhere it runs the scalar network below, which is also
+//! the reference the AVX2 form is tested against bit for bit.
+//! Everything else here is scalar word code: vector forms of the
+//! ripple adder and the planewise ops lost to these loops on
+//! measurement.
+//!
 //! Every operation is total on all 64 lanes — inactive lanes simply
 //! compute don't-care values — so callers gate by a lane *mask* instead
 //! of branching per lane.
 
-use crate::sliced::SlicedPair;
-
 /// Lane capacity of one plane word: one independent simulation per bit.
 pub const LANES: usize = 64;
 
-/// The 64-lane 32-bit value bundle: bit `l` of `planes[p][0]` is bit
-/// `p` of lane `l`'s value. The segment word of the underlying
-/// [`SlicedPair`] is unused (always zero) in this role.
-pub type LaneValue = SlicedPair<32, 1>;
+/// The 64-lane 32-bit value bundle: bit `l` of plane `p` is bit `p` of
+/// lane `l`'s value.
+pub type LaneValue = [u64; 32];
 
 /// A lane mask with the low `n` bits raised.
 ///
@@ -59,15 +60,18 @@ pub fn mask_lo(n: usize) -> u64 {
 }
 
 /// Transpose a 64×64 bit matrix in place (LSB-first: bit `c` of row
-/// `r` moves to bit `r` of row `c`). The classic block-swap network:
-/// at level `j` every row pair `(k, k|j)` exchanges the high-`j` half
-/// of `k` with the low-`j` half of `k|j` under mask `m`.
+/// `r` moves to bit `r` of row `c`), on the AVX2 form where the host
+/// has it and the scalar network otherwise.
 fn transpose64(a: &mut [u64; 64]) {
-    // Runtime-dispatch: the AVX2 form exchanges 4-row runs per vector
-    // op (bit-for-bit identical); this scalar network is the fallback.
-    if crate::simd::transpose64_avx2(a) {
-        return;
+    if !crate::simd::transpose64_avx2(a) {
+        transpose64_scalar(a);
     }
+}
+
+/// The classic block-swap network: at level `j` every row pair
+/// `(k, k|j)` exchanges the high-`j` half of `k` with the low-`j` half
+/// of `k|j` under mask `m`.
+fn transpose64_scalar(a: &mut [u64; 64]) {
     let mut j = 32;
     let mut m: u64 = 0x0000_0000_FFFF_FFFF;
     while j != 0 {
@@ -90,19 +94,15 @@ pub fn deposit(vals: &[u32; LANES]) -> LaneValue {
         *row = v as u64;
     }
     transpose64(&mut rows);
-    let mut out = LaneValue::identity();
-    for (plane, &row) in out.planes.iter_mut().zip(rows.iter()) {
-        plane[0] = row;
-    }
+    let mut out = [0u64; 32];
+    out.copy_from_slice(&rows[..32]);
     out
 }
 
 /// Unpack the bit-planes back into 64 per-lane values.
 pub fn extract(v: &LaneValue, vals: &mut [u32; LANES]) {
     let mut rows = [0u64; 64];
-    for (p, row) in rows.iter_mut().take(32).enumerate() {
-        *row = v.planes[p][0];
-    }
+    rows[..32].copy_from_slice(v);
     transpose64(&mut rows);
     for (val, &row) in vals.iter_mut().zip(rows.iter()) {
         *val = row as u32;
@@ -112,11 +112,7 @@ pub fn extract(v: &LaneValue, vals: &mut [u32; LANES]) {
 /// The same value in every lane: plane `p` is all-ones iff bit `p` of
 /// `v` is set.
 pub fn broadcast(v: u32) -> LaneValue {
-    let mut out = LaneValue::identity();
-    for p in 0..32 {
-        out.planes[p][0] = if v >> p & 1 == 1 { u64::MAX } else { 0 };
-    }
-    out
+    std::array::from_fn(|p| if v >> p & 1 == 1 { u64::MAX } else { 0 })
 }
 
 /// Read one lane's value (bit gather; [`extract`] amortises better for
@@ -125,8 +121,8 @@ pub fn broadcast(v: u32) -> LaneValue {
 pub fn lane(v: &LaneValue, l: usize) -> u32 {
     assert!(l < LANES, "lane out of range");
     let mut out = 0u32;
-    for p in 0..32 {
-        out |= ((v.planes[p][0] >> l & 1) as u32) << p;
+    for (p, &plane) in v.iter().enumerate() {
+        out |= ((plane >> l & 1) as u32) << p;
     }
     out
 }
@@ -136,17 +132,16 @@ pub fn lane(v: &LaneValue, l: usize) -> u32 {
 ///
 /// Deliberately **not** AVX2-dispatched: a vectorized Kogge–Stone
 /// carry network was measured at ~0.3× of this ripple on an AVX2 host
-/// (`examples/simd_ab.rs`) — the ripple's single-word carry chain
-/// inlines into four scalar ops per plane with no memory round-trips,
-/// while the log-depth network pays per-round load/store traffic.
-/// The same measurement rejected planewise vector ALU/compare forms.
+/// — the ripple's single-word carry chain inlines into four scalar ops
+/// per plane with no memory round-trips, while the log-depth network
+/// pays per-round load/store traffic.
 pub fn add(a: &LaneValue, b: &LaneValue) -> LaneValue {
-    let mut out = LaneValue::identity();
+    let mut out = [0u64; 32];
     let mut carry = 0u64;
     for p in 0..32 {
-        let (x, y) = (a.planes[p][0], b.planes[p][0]);
+        let (x, y) = (a[p], b[p]);
         let xy = x ^ y;
-        out.planes[p][0] = xy ^ carry;
+        out[p] = xy ^ carry;
         carry = (x & y) | (carry & xy);
     }
     out
@@ -154,12 +149,12 @@ pub fn add(a: &LaneValue, b: &LaneValue) -> LaneValue {
 
 /// Lane-wise wrapping `a - b` (as `a + !b + 1`).
 pub fn sub(a: &LaneValue, b: &LaneValue) -> LaneValue {
-    let mut out = LaneValue::identity();
+    let mut out = [0u64; 32];
     let mut carry = u64::MAX;
     for p in 0..32 {
-        let (x, y) = (a.planes[p][0], !b.planes[p][0]);
+        let (x, y) = (a[p], !b[p]);
         let xy = x ^ y;
-        out.planes[p][0] = xy ^ carry;
+        out[p] = xy ^ carry;
         carry = (x & y) | (carry & xy);
     }
     out
@@ -167,27 +162,27 @@ pub fn sub(a: &LaneValue, b: &LaneValue) -> LaneValue {
 
 /// Lane-wise bitwise AND.
 pub fn and(a: &LaneValue, b: &LaneValue) -> LaneValue {
-    let mut out = LaneValue::identity();
+    let mut out = [0u64; 32];
     for p in 0..32 {
-        out.planes[p][0] = a.planes[p][0] & b.planes[p][0];
+        out[p] = a[p] & b[p];
     }
     out
 }
 
 /// Lane-wise bitwise OR.
 pub fn or(a: &LaneValue, b: &LaneValue) -> LaneValue {
-    let mut out = LaneValue::identity();
+    let mut out = [0u64; 32];
     for p in 0..32 {
-        out.planes[p][0] = a.planes[p][0] | b.planes[p][0];
+        out[p] = a[p] | b[p];
     }
     out
 }
 
 /// Lane-wise bitwise XOR.
 pub fn xor(a: &LaneValue, b: &LaneValue) -> LaneValue {
-    let mut out = LaneValue::identity();
+    let mut out = [0u64; 32];
     for p in 0..32 {
-        out.planes[p][0] = a.planes[p][0] ^ b.planes[p][0];
+        out[p] = a[p] ^ b[p];
     }
     out
 }
@@ -196,7 +191,7 @@ pub fn xor(a: &LaneValue, b: &LaneValue) -> LaneValue {
 pub fn eq_mask(a: &LaneValue, b: &LaneValue) -> u64 {
     let mut diff = 0u64;
     for p in 0..32 {
-        diff |= a.planes[p][0] ^ b.planes[p][0];
+        diff |= a[p] ^ b[p];
     }
     !diff
 }
@@ -208,8 +203,8 @@ fn carry_out(a: &LaneValue, b: &LaneValue, flip_sign: bool) -> u64 {
     let mut carry = u64::MAX;
     for p in 0..32 {
         let flip = if flip_sign && p == 31 { u64::MAX } else { 0 };
-        let x = a.planes[p][0] ^ flip;
-        let y = !(b.planes[p][0] ^ flip);
+        let x = a[p] ^ flip;
+        let y = !(b[p] ^ flip);
         let xy = x ^ y;
         carry = (x & y) | (carry & xy);
     }
@@ -231,8 +226,8 @@ pub fn lt_mask(a: &LaneValue, b: &LaneValue) -> u64 {
 /// A 0/1 value per lane from a mask (plane 0 ← mask) — the `Slt`/`Sltu`
 /// result form.
 pub fn mask_value(mask: u64) -> LaneValue {
-    let mut out = LaneValue::identity();
-    out.planes[0][0] = mask;
+    let mut out = [0u64; 32];
+    out[0] = mask;
     out
 }
 
@@ -244,10 +239,8 @@ pub fn mask_value(mask: u64) -> LaneValue {
 pub fn sll_uniform(a: &LaneValue, sh: u32) -> LaneValue {
     let sh = sh as usize;
     assert!(sh < 32, "shift amount must be pre-masked");
-    let mut out = LaneValue::identity();
-    for p in sh..32 {
-        out.planes[p][0] = a.planes[p - sh][0];
-    }
+    let mut out = [0u64; 32];
+    out[sh..].copy_from_slice(&a[..32 - sh]);
     out
 }
 
@@ -259,10 +252,8 @@ pub fn sll_uniform(a: &LaneValue, sh: u32) -> LaneValue {
 pub fn srl_uniform(a: &LaneValue, sh: u32) -> LaneValue {
     let sh = sh as usize;
     assert!(sh < 32, "shift amount must be pre-masked");
-    let mut out = LaneValue::identity();
-    for p in 0..32 - sh {
-        out.planes[p][0] = a.planes[p + sh][0];
-    }
+    let mut out = [0u64; 32];
+    out[..32 - sh].copy_from_slice(&a[sh..]);
     out
 }
 
@@ -274,14 +265,10 @@ pub fn srl_uniform(a: &LaneValue, sh: u32) -> LaneValue {
 pub fn sra_uniform(a: &LaneValue, sh: u32) -> LaneValue {
     let sh = sh as usize;
     assert!(sh < 32, "shift amount must be pre-masked");
-    let mut out = LaneValue::identity();
-    let sign = a.planes[31][0];
+    let mut out = [0u64; 32];
+    let sign = a[31];
     for p in 0..32 {
-        out.planes[p][0] = if p + sh < 32 {
-            a.planes[p + sh][0]
-        } else {
-            sign
-        };
+        out[p] = if p + sh < 32 { a[p + sh] } else { sign };
     }
     out
 }
@@ -295,9 +282,9 @@ pub fn uniform_value(a: &LaneValue, mask: u64) -> Option<u32> {
         return Some(0);
     }
     let reference = lane(a, mask.trailing_zeros() as usize);
-    for p in 0..32 {
+    for (p, &plane) in a.iter().enumerate() {
         let want = if reference >> p & 1 == 1 { mask } else { 0 };
-        if a.planes[p][0] & mask != want {
+        if plane & mask != want {
             return None;
         }
     }
@@ -350,22 +337,14 @@ mod tests {
         let v = deposit(&vals);
         // Plane semantics: bit l of plane p is bit p of lane l.
         for (l, &val) in vals.iter().enumerate() {
-            for p in 0..32 {
-                assert_eq!(
-                    v.planes[p][0] >> l & 1,
-                    (val >> p & 1) as u64,
-                    "plane {p} lane {l}"
-                );
+            for (p, plane) in v.iter().enumerate() {
+                assert_eq!(plane >> l & 1, (val >> p & 1) as u64, "plane {p} lane {l}");
             }
             assert_eq!(lane(&v, l), val);
         }
         let mut back = [0u32; LANES];
         extract(&v, &mut back);
         assert_eq!(back, vals);
-        // And the SlicedPair accessors agree with the lane view.
-        for (l, &val) in vals.iter().enumerate() {
-            assert_eq!(v.lane_value(l), val as u64);
-        }
     }
 
     #[test]
@@ -375,25 +354,43 @@ mod tests {
         }
     }
 
-    /// Dispatch consistency for the transpose kernel behind
-    /// [`deposit`]/[`extract`]: the AVX2 and portable forms must be
-    /// byte-identical on random lane fills, both directions.
+    /// The AVX2 transpose behind [`deposit`]/[`extract`] against the
+    /// scalar block-swap network, called directly on the same inputs:
+    /// every single-bit matrix, all-zero, all-ones and 256 seeded
+    /// random fills. The scalar form must also be its own inverse.
+    /// The AVX2 half is skipped on hosts without AVX2, where the scalar
+    /// network is the only path.
     #[test]
-    fn transpose_dispatch_forced_swar_is_byte_identical() {
-        for seed in 1..=16u64 {
-            let vals = random_lanes(seed.wrapping_mul(0xA076_1D64_78BD_642F));
-            let native_dep = deposit(&vals);
-            let mut native_ext = [0u32; LANES];
-            extract(&native_dep, &mut native_ext);
-            let swar_dep;
-            let mut swar_ext = [0u32; LANES];
-            {
-                let _pin = crate::simd::ForceSwarGuard::force();
-                swar_dep = deposit(&vals);
-                extract(&swar_dep, &mut swar_ext);
+    fn transpose_avx2_matches_scalar_network() {
+        let mut inputs: Vec<[u64; 64]> = Vec::new();
+        for r in 0..64 {
+            for c in 0..64 {
+                let mut a = [0u64; 64];
+                a[r] = 1 << c;
+                inputs.push(a);
             }
-            assert_eq!(native_dep, swar_dep, "seed {seed}: deposit");
-            assert_eq!(native_ext, swar_ext, "seed {seed}: extract");
+        }
+        inputs.push([0; 64]);
+        inputs.push([u64::MAX; 64]);
+        let mut s = 0x5EED_7A45_0000_0001u64;
+        for _ in 0..256 {
+            inputs.push(std::array::from_fn(|_| xorshift(&mut s)));
+        }
+        for (i, input) in inputs.iter().enumerate() {
+            let mut scalar = *input;
+            transpose64_scalar(&mut scalar);
+            for (r, row) in input.iter().enumerate() {
+                for (c, col) in scalar.iter().enumerate() {
+                    assert_eq!(col >> r & 1, row >> c & 1, "input {i} ({r}, {c})");
+                }
+            }
+            let mut back = scalar;
+            transpose64_scalar(&mut back);
+            assert_eq!(&back, input, "input {i}: scalar is not an involution");
+            let mut vector = *input;
+            if crate::simd::transpose64_avx2(&mut vector) {
+                assert_eq!(vector, scalar, "input {i}: AVX2 differs from scalar");
+            }
         }
     }
 
@@ -506,7 +503,7 @@ mod tests {
         assert_eq!(mask_lo(1), 1);
         assert_eq!(mask_lo(5), 0b11111);
         assert_eq!(mask_lo(64), u64::MAX);
-        assert_eq!(mask_value(0b101).planes[0][0], 0b101);
+        assert_eq!(mask_value(0b101)[0], 0b101);
         assert_eq!(lane(&mask_value(0b100), 2), 1);
         assert_eq!(lane(&mask_value(0b100), 1), 0);
     }

@@ -26,31 +26,24 @@
 //!   the circuit generators build netlists through,
 //! * [`packed`] — bit-packed boolean CSPP: 64 one-bit networks per
 //!   `u64` word evaluated word-parallel (SWAR), the production form of
-//!   the paper's flag and ready-bit circuits; the multi-word
-//!   [`packed::PackedCsppScratchW`] form evaluates `64·W` lanes per
-//!   pass for problems wider than one machine word (e.g. register
-//!   files with up to 256 logical registers), and the
-//!   [`packed::BitWords`] bitset backs packed per-cycle state
+//!   the paper's flag and ready-bit circuits, plus the
+//!   [`packed::BitWords`] bitset that backs packed per-cycle state
 //!   elsewhere in the workspace,
 //! * [`lanes`] — the lane-parallel *simulation* view of the same
-//!   substrate: bit `l` of every plane belongs to independent
-//!   simulation `l`, so [`lanes::LaneValue`] (a [`SlicedPair<32, 1>`])
-//!   advances one architectural register of 64 machines per word op —
-//!   planewise ALU/compare forms, lane-uniform shift relabelling, and
-//!   a transpose-based extract/compute/deposit escape hatch,
-//! * [`sliced`] — bit-sliced *value* CSPP: whole `B`-bit register
-//!   values stored as `B` bit-planes per node, so one tree sweep
-//!   forwards the last-writer **value** for `64·W` registers at once
-//!   under the register-forwarding select operator (the software
-//!   analogue of the paper's Figure 4 value datapath),
+//!   word-parallel idea: bit `l` of every plane belongs to independent
+//!   simulation `l`, so a [`lanes::LaneValue`] (32 bit-planes × 64
+//!   lanes) advances one architectural register of 64 machines per
+//!   word op — planewise ALU/compare forms, lane-uniform shift
+//!   relabelling, and a transpose-based extract/compute/deposit escape
+//!   hatch,
 //! * [`op`] — the associative-operator abstraction shared by all of the
 //!   above, including the two operators used in the paper
 //!   ([`op::First`], the register-forwarding operator `a ⊗ b = a`, and
 //!   [`op::BoolAnd`], the sequencing operator `a ⊗ b = a ∧ b`),
-//! * [`simd`] — runtime-dispatched AVX2 forms of the hot combine
-//!   kernels (`is_x86_feature_detected!`), bit-for-bit identical to
-//!   the portable SWAR twins, with the `USIM_FORCE_SWAR` /
-//!   [`simd::set_force_swar`] escape hatch pinning the fallback.
+//! * [`simd`] — the one runtime-dispatched AVX2 kernel
+//!   (`is_x86_feature_detected!`): the 64×64 bit transpose behind
+//!   [`lanes`]' deposit/extract, bit-for-bit identical to the scalar
+//!   network it falls back to.
 //!
 //! The gate-level realisations of the same structures live in the
 //! `ultrascalar-circuit` crate; property tests there check that the
@@ -59,7 +52,7 @@
 #![deny(missing_docs)]
 // `unsafe` is denied crate-wide and re-allowed in exactly one place:
 // the `simd` module, whose `std::arch` intrinsic calls sit behind
-// runtime feature detection and safe wrappers.
+// runtime feature detection and a safe wrapper.
 #![deny(unsafe_code)]
 
 pub mod arena;
@@ -70,7 +63,6 @@ pub mod packed;
 pub mod scan;
 pub mod sched;
 pub mod simd;
-pub mod sliced;
 pub mod tree;
 
 pub use arena::{cspp_heap_with, ArenaScan};
@@ -78,15 +70,9 @@ pub use cspp::{cspp_ring, cspp_tree, segmented_prefix_ring, segmented_prefix_tre
 pub use lanes::LaneValue;
 pub use op::{BoolAnd, BoolOr, First, Last, Max, Min, PrefixOp, SegPair, Sum};
 pub use packed::{
-    pack_lane, pack_lane_w, packed_cspp_ring, packed_cspp_ring_w, unpack_lane, unpack_lane_w,
-    AndWords, BitWords, OrWords, PackedCsppScratch, PackedCsppScratchW, PackedPair, PackedPairW,
-    WordOp,
+    pack_lane, packed_cspp_ring, unpack_lane, AndWords, BitWords, OrWords, PackedCsppScratch,
+    PackedPair, WordOp,
 };
 pub use sched::allocate_oldest_first;
-pub use simd::{
-    active_simd_level, detected_simd_level, force_swar_active, set_force_swar, ForceSwarGuard,
-};
-pub use sliced::{
-    pack_value_lane, sliced_cspp_ring, unpack_value_lane, SlicedCsppScratch, SlicedPair,
-};
+pub use simd::active_simd_level;
 pub use tree::{tree_scan_exclusive, tree_scan_inclusive, TreeScan};

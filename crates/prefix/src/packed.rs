@@ -43,11 +43,6 @@
 pub trait WordOp {
     /// Value word of the identity leaf (segment word is zero).
     const IDENTITY: u64;
-    /// True for the AND-shaped lifted combine `vb & (sb | va)`, false
-    /// for the OR shape `(va & !sb) | vb` — lets width-specialised
-    /// (SIMD) combine kernels pick the formula at monomorphisation
-    /// time instead of through the scalar `combine_value` callback.
-    const IS_AND: bool;
     /// Value word of `(va, sa) ⊗ (vb, sb)` (the segment word of the
     /// result is `sa | sb` for every operator).
     fn combine_value(va: u64, vb: u64, sb: u64) -> u64;
@@ -60,7 +55,6 @@ pub struct AndWords;
 
 impl WordOp for AndWords {
     const IDENTITY: u64 = !0;
-    const IS_AND: bool = true;
     #[inline]
     fn combine_value(va: u64, vb: u64, sb: u64) -> u64 {
         // sb ? vb : (va & vb), per bit.
@@ -75,7 +69,6 @@ pub struct OrWords;
 
 impl WordOp for OrWords {
     const IDENTITY: u64 = 0;
-    const IS_AND: bool = false;
     #[inline]
     fn combine_value(va: u64, vb: u64, sb: u64) -> u64 {
         // sb ? vb : (va | vb), per bit.
@@ -306,272 +299,6 @@ pub fn unpack_lane(words: &[u64], lane: usize) -> Vec<bool> {
     words.iter().map(|w| w >> lane & 1 == 1).collect()
 }
 
-/// A `64·W`-lane interval summary over `W` lane words: bit `L % 64` of
-/// `value[L / 64]`/`seg[L / 64]` belongs to lane `L`. The multi-word
-/// generalisation of [`PackedPair`], used when one machine word cannot
-/// hold every lane (e.g. the engine's per-register readiness networks
-/// for register files wider than 64).
-///
-/// `#[repr(C)]` pins `value` before `seg` in memory so the AVX2
-/// combine kernel in [`crate::simd`] can treat the whole `W = 2` pair
-/// as one 256-bit lane group.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(C)]
-pub struct PackedPairW<const W: usize> {
-    /// Per-lane accumulated value since the nearest contained boundary.
-    pub value: [u64; W],
-    /// Per-lane "interval contains a segment boundary" flag.
-    pub seg: [u64; W],
-}
-
-impl<const W: usize> PackedPairW<W> {
-    /// The identity summary of operator `O` (absorbed on either side).
-    #[inline]
-    pub fn identity<O: WordOp>() -> Self {
-        PackedPairW {
-            value: [O::IDENTITY; W],
-            seg: [0; W],
-        }
-    }
-
-    /// Lift a station's input words to a leaf summary.
-    #[inline]
-    pub fn leaf(value: [u64; W], seg: [u64; W]) -> Self {
-        PackedPairW { value, seg }
-    }
-
-    /// The lifted segmented combine, `self` covering the interval
-    /// immediately before `rhs`. Word `j` combines independently of
-    /// every other word: lanes never interact.
-    #[inline]
-    pub fn combine<O: WordOp>(self, rhs: PackedPairW<W>) -> Self {
-        let mut value = [0u64; W];
-        let mut seg = [0u64; W];
-        for j in 0..W {
-            value[j] = O::combine_value(self.value[j], rhs.value[j], rhs.seg[j]);
-            seg[j] = self.seg[j] | rhs.seg[j];
-        }
-        PackedPairW { value, seg }
-    }
-}
-
-/// Cyclic segmented parallel prefix over `64·W` packed lanes, linear
-/// ring reference — the multi-word mirror of [`packed_cspp_ring`].
-/// Semantics per lane are identical to [`crate::cspp::cspp_ring`],
-/// including the all-segments-low cyclic wrap (don't-care artefact
-/// values, `seg = 0`).
-///
-/// # Panics
-/// Panics if `values.len() != seg.len()` or the ring is empty.
-pub fn packed_cspp_ring_w<O: WordOp, const W: usize>(
-    values: &[[u64; W]],
-    seg: &[[u64; W]],
-) -> Vec<PackedPairW<W>> {
-    assert_eq!(values.len(), seg.len(), "value/segment length mismatch");
-    assert!(!values.is_empty(), "CSPP ring must be non-empty");
-    let n = values.len();
-    let mut whole = PackedPairW::identity::<O>();
-    for i in 0..n {
-        whole = whole.combine::<O>(PackedPairW::leaf(values[i], seg[i]));
-    }
-    let mut out = Vec::with_capacity(n);
-    let mut acc = whole;
-    for i in 0..n {
-        out.push(acc);
-        acc = acc.combine::<O>(PackedPairW::leaf(values[i], seg[i]));
-    }
-    out
-}
-
-/// Reusable scratch for the multi-word log-depth packed tree — the
-/// `[u64; W]` generalisation of [`PackedCsppScratch`], evaluating
-/// `64·W` boolean lane networks per pass. Retains its heap buffers
-/// across calls, so steady-state evaluation performs **zero**
-/// allocations once the ring size has been seen.
-#[derive(Debug, Clone)]
-pub struct PackedCsppScratchW<const W: usize> {
-    /// Up-sweep interval summaries, heap layout over `2 * size` slots.
-    summaries: Vec<PackedPairW<W>>,
-    /// Down-sweep prefixes, same layout.
-    prefix: Vec<PackedPairW<W>>,
-    /// `(n, identity value word)` of the last sweep, as in
-    /// [`PackedCsppScratch`]: while unchanged, the padding leaves above
-    /// `n` still hold the operator identity and no refill is needed.
-    shape: (usize, u64),
-}
-
-impl<const W: usize> Default for PackedCsppScratchW<W> {
-    fn default() -> Self {
-        PackedCsppScratchW {
-            summaries: Vec::new(),
-            prefix: Vec::new(),
-            shape: (0, 0),
-        }
-    }
-}
-
-impl<const W: usize> PackedCsppScratchW<W> {
-    /// Fresh scratch with no retained capacity.
-    pub fn new() -> Self {
-        PackedCsppScratchW::default()
-    }
-
-    /// As in the single-word scratch: size both buffers with identity
-    /// padding; a repeat call with the same `(n, identity)` is free.
-    fn ensure_shape(&mut self, n: usize, size: usize, identity: PackedPairW<W>) {
-        if self.shape == (n, identity.value[0]) {
-            return;
-        }
-        self.summaries.clear();
-        self.summaries.resize(2 * size, identity);
-        self.prefix.clear();
-        self.prefix.resize(2 * size, identity);
-        self.shape = (n, identity.value[0]);
-    }
-
-    /// Up-sweep + down-sweep shared by the cyclic and seeded forms,
-    /// identical in structure to the single-word sweep.
-    fn sweep<O: WordOp>(
-        &mut self,
-        values: &[[u64; W]],
-        seg: &[[u64; W]],
-        init: Option<PackedPairW<W>>,
-        out: &mut Vec<PackedPairW<W>>,
-    ) {
-        assert_eq!(values.len(), seg.len(), "value/segment length mismatch");
-        assert!(!values.is_empty(), "CSPP ring must be non-empty");
-        let n = values.len();
-        let size = n.next_power_of_two();
-        self.ensure_shape(n, size, PackedPairW::identity::<O>());
-        for i in 0..n {
-            self.summaries[size + i] = PackedPairW::leaf(values[i], seg[i]);
-        }
-        // Both sweeps runtime-dispatch to the AVX2 kernels in
-        // [`crate::simd`] (bit-for-bit identical); the scalar loops
-        // are the portable fallback.
-        if !crate::simd::packed_up_sweep_avx2::<O, W>(&mut self.summaries, size) {
-            for k in (1..size).rev() {
-                self.summaries[k] = self.summaries[2 * k].combine::<O>(self.summaries[2 * k + 1]);
-            }
-        }
-        let seed = init.unwrap_or(self.summaries[1]);
-        self.prefix[1] = seed;
-        if !crate::simd::packed_down_sweep_avx2::<O, W>(&mut self.prefix, &self.summaries, size) {
-            for k in 1..size {
-                let p = self.prefix[k];
-                self.prefix[2 * k] = p;
-                self.prefix[2 * k + 1] = p.combine::<O>(self.summaries[2 * k]);
-            }
-        }
-        out.clear();
-        out.extend_from_slice(&self.prefix[size..size + n]);
-    }
-
-    /// Cyclic segmented parallel prefix via the log-depth tree, into a
-    /// caller-provided output buffer. Semantics identical to
-    /// [`packed_cspp_ring_w`] (property-tested), work `Θ(n · W)` words,
-    /// allocation-free once buffers are warm.
-    ///
-    /// # Panics
-    /// Panics if `values.len() != seg.len()` or the ring is empty.
-    pub fn cspp_into<O: WordOp>(
-        &mut self,
-        values: &[[u64; W]],
-        seg: &[[u64; W]],
-        out: &mut Vec<PackedPairW<W>>,
-    ) {
-        self.sweep::<O>(values, seg, None, out);
-    }
-
-    /// Non-cyclic segmented *exclusive* prefix seeded with `init`
-    /// flowing in before station 0 — the multi-word mirror of
-    /// [`PackedCsppScratch::segmented_exclusive_into`].
-    ///
-    /// # Panics
-    /// Panics if `values.len() != seg.len()` or the input is empty.
-    pub fn segmented_exclusive_into<O: WordOp>(
-        &mut self,
-        values: &[[u64; W]],
-        seg: &[[u64; W]],
-        init: PackedPairW<W>,
-        out: &mut Vec<PackedPairW<W>>,
-    ) {
-        self.sweep::<O>(values, seg, Some(init), out);
-    }
-
-    /// Paper Figure 5, `64·W` lanes at a time: for each station, per
-    /// lane, "have all older stations raised their condition bit?". The
-    /// segment boundary is the `oldest` station in every lane; the
-    /// output at `oldest` itself wraps the whole ring and is don't-care
-    /// (returned as-is), exactly like
-    /// [`PackedCsppScratch::all_earlier_into`].
-    ///
-    /// # Panics
-    /// Panics if `oldest >= conditions.len()` or the ring is empty.
-    pub fn all_earlier_into(
-        &mut self,
-        conditions: &[[u64; W]],
-        oldest: usize,
-        out: &mut Vec<[u64; W]>,
-    ) {
-        assert!(!conditions.is_empty(), "CSPP ring must be non-empty");
-        assert!(oldest < conditions.len(), "oldest station out of range");
-        let n = conditions.len();
-        let size = n.next_power_of_two();
-        self.ensure_shape(n, size, PackedPairW::identity::<AndWords>());
-        for (i, &cond) in conditions.iter().enumerate() {
-            let seg = if i == oldest { [!0u64; W] } else { [0u64; W] };
-            self.summaries[size + i] = PackedPairW::leaf(cond, seg);
-        }
-        if !crate::simd::packed_up_sweep_avx2::<AndWords, W>(&mut self.summaries, size) {
-            for k in (1..size).rev() {
-                self.summaries[k] =
-                    self.summaries[2 * k].combine::<AndWords>(self.summaries[2 * k + 1]);
-            }
-        }
-        let root = self.summaries[1];
-        self.prefix[1] = root;
-        if !crate::simd::packed_down_sweep_avx2::<AndWords, W>(
-            &mut self.prefix,
-            &self.summaries,
-            size,
-        ) {
-            for k in 1..size {
-                let p = self.prefix[k];
-                self.prefix[2 * k] = p;
-                self.prefix[2 * k + 1] = p.combine::<AndWords>(self.summaries[2 * k]);
-            }
-        }
-        out.clear();
-        out.extend(self.prefix[size..size + n].iter().map(|p| p.value));
-    }
-}
-
-/// Set bit `lane` of `words[i]` to `bits[i]` for every station `i` —
-/// the multi-word form of [`pack_lane`], addressing `64 · W` lanes.
-///
-/// # Panics
-/// Panics if `lane >= 64 * W` or `words.len() != bits.len()`.
-pub fn pack_lane_w<const W: usize>(words: &mut [[u64; W]], lane: usize, bits: &[bool]) {
-    assert!(lane < 64 * W, "lane out of range");
-    assert_eq!(words.len(), bits.len(), "station count mismatch");
-    let (j, b) = (lane / 64, lane % 64);
-    for (w, &bit) in words.iter_mut().zip(bits) {
-        w[j] = (w[j] & !(1u64 << b)) | ((bit as u64) << b);
-    }
-}
-
-/// Extract lane `lane` of each multi-word station as a boolean vector —
-/// the inverse of [`pack_lane_w`].
-///
-/// # Panics
-/// Panics if `lane >= 64 * W`.
-pub fn unpack_lane_w<const W: usize>(words: &[[u64; W]], lane: usize) -> Vec<bool> {
-    assert!(lane < 64 * W, "lane out of range");
-    let (j, b) = (lane / 64, lane % 64);
-    words.iter().map(|w| w[j] >> b & 1 == 1).collect()
-}
-
 /// A fixed-length bitset over `u64` words with word-parallel clears —
 /// the packed replacement for per-cycle `Vec<bool>` occupancy maps
 /// (butterfly stage wires) and per-register readiness lanes (the
@@ -795,103 +522,5 @@ mod tests {
         let mut s = PackedCsppScratch::new();
         let mut out = Vec::new();
         s.all_earlier_into(&[1, 2], 7, &mut out);
-    }
-
-    /// Multi-word identity really is two-sided for both operators.
-    #[test]
-    fn multiword_identities_absorb() {
-        let x = PackedPairW::<3>::leaf([0xDEAD, !0, 0], [0xF0F0, 0, !0]);
-        assert_eq!(
-            PackedPairW::identity::<AndWords>().combine::<AndWords>(x),
-            x
-        );
-        assert_eq!(
-            x.combine::<AndWords>(PackedPairW::identity::<AndWords>()),
-            x
-        );
-        assert_eq!(PackedPairW::identity::<OrWords>().combine::<OrWords>(x), x);
-        assert_eq!(x.combine::<OrWords>(PackedPairW::identity::<OrWords>()), x);
-    }
-
-    /// Every word of a multi-word problem evolves exactly like the
-    /// same inputs fed to the single-word forms, ring and tree alike.
-    #[test]
-    fn multiword_matches_single_word_per_word() {
-        let mut state = 0xD1CE_F00D_5EED_1234u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let mut scratch = PackedCsppScratchW::<4>::new();
-        let mut out = Vec::new();
-        for n in [1usize, 2, 3, 7, 8, 9, 63, 64, 65] {
-            let values: Vec<[u64; 4]> = (0..n).map(|_| [next(), next(), next(), next()]).collect();
-            let seg: Vec<[u64; 4]> = (0..n)
-                .map(|_| {
-                    [
-                        next() & next(),
-                        next() & next(),
-                        next() & next(),
-                        next() & next(),
-                    ]
-                })
-                .collect();
-            let ring = packed_cspp_ring_w::<AndWords, 4>(&values, &seg);
-            scratch.cspp_into::<AndWords>(&values, &seg, &mut out);
-            assert_eq!(out, ring, "tree vs ring, n={n}");
-            for j in 0..4 {
-                let vj: Vec<u64> = values.iter().map(|v| v[j]).collect();
-                let sj: Vec<u64> = seg.iter().map(|s| s[j]).collect();
-                let single = packed_cspp_ring::<AndWords>(&vj, &sj);
-                for i in 0..n {
-                    assert_eq!(ring[i].value[j], single[i].value, "n={n} word {j} st {i}");
-                    assert_eq!(ring[i].seg[j], single[i].seg, "n={n} word {j} st {i}");
-                }
-            }
-        }
-    }
-
-    /// Figure 5's worked example in a lane of the second word.
-    #[test]
-    fn figure5_example_in_a_high_lane() {
-        let n = 8;
-        let lane = 64 + 17;
-        let mut cond = vec![[0u64; 2]; n];
-        let bits: Vec<bool> = (0..n).map(|i| [6, 7, 0, 1, 3].contains(&i)).collect();
-        pack_lane_w(&mut cond, lane, &bits);
-        let mut scratch = PackedCsppScratchW::<2>::new();
-        let mut out = Vec::new();
-        scratch.all_earlier_into(&cond, 6, &mut out);
-        let got = unpack_lane_w(&out, lane);
-        for (i, &o) in got.iter().enumerate() {
-            let expected = matches!(i, 7 | 0 | 1 | 2);
-            if i != 6 {
-                assert_eq!(o, expected, "station {i}");
-            }
-        }
-    }
-
-    #[test]
-    fn multiword_seeded_exclusive_matches_serial() {
-        let values = [[0b1u64, 0b0], [0b0, 0b1], [0b1, 0b1], [0b1, 0b0]];
-        let seg = [[0b0u64, 0b1], [0b1, 0b0], [0b0, 0b0], [0b0, 0b1]];
-        let init = PackedPairW::leaf([0b1, 0b0], [0b1, 0b1]);
-        let mut scratch = PackedCsppScratchW::<2>::new();
-        let mut out = Vec::new();
-        scratch.segmented_exclusive_into::<AndWords>(&values, &seg, init, &mut out);
-        let mut acc = init;
-        for i in 0..4 {
-            assert_eq!(out[i], acc, "station {i}");
-            acc = acc.combine::<AndWords>(PackedPairW::leaf(values[i], seg[i]));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "lane out of range")]
-    fn multiword_lane_bounds_checked() {
-        let mut words = vec![[0u64; 2]; 3];
-        pack_lane_w(&mut words, 128, &[true, false, true]);
     }
 }

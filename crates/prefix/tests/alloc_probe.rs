@@ -5,9 +5,7 @@
 //! evaluations, arena rebuilds/scans and incremental leaf updates must
 //! perform **zero** allocations. This is the whole point of the arena
 //! design: the simulator's cycle loop evaluates these networks millions
-//! of times. The measured loop runs under native dispatch *and* with
-//! the portable SWAR substrate pinned, so the AVX2 kernels' scratch is
-//! covered too — both forms share the same retained buffers.
+//! of times.
 //!
 //! Counting is gated on a const-initialised thread-local so only the
 //! probe thread's allocations register: the libtest harness thread
@@ -78,70 +76,30 @@ static A: Counting = Counting;
 
 use ultrascalar_prefix::arena::ArenaScan;
 use ultrascalar_prefix::op::{SegOp, SegPair, Sum};
-use ultrascalar_prefix::packed::{
-    AndWords, BitWords, PackedCsppScratch, PackedCsppScratchW, PackedPair, PackedPairW,
-};
-use ultrascalar_prefix::sliced::{SlicedCsppScratch, SlicedPair};
+use ultrascalar_prefix::packed::{AndWords, BitWords, PackedCsppScratch};
 
 #[test]
 fn substrate_steady_state_allocates_nothing() {
     const N: usize = 1024;
     let values: Vec<u64> = (0..N as u64).map(|i| i.wrapping_mul(0x9E37_79B9)).collect();
     let seg: Vec<u64> = (0..N as u64).map(|i| i.wrapping_mul(0x85EB_CA6B)).collect();
-    let values_w: Vec<[u64; 4]> = (0..N as u64)
-        .map(|i| std::array::from_fn(|j| (i + j as u64).wrapping_mul(0x9E37_79B9)))
-        .collect();
-    let seg_w: Vec<[u64; 4]> = (0..N as u64)
-        .map(|i| std::array::from_fn(|j| (i + j as u64).wrapping_mul(0x85EB_CA6B)))
-        .collect();
     let leaves: Vec<SegPair<u32>> = (0..N as u32)
         .map(|i| SegPair::leaf(i * 7 + 1, i % 5 == 2))
         .collect();
-    let sliced_leaves: Vec<SlicedPair<32, 1>> = (0..N as u64)
-        .map(|i| {
-            let mut leaf = SlicedPair::identity();
-            for lane in 0..64 {
-                leaf.set_lane(
-                    lane,
-                    (i * 64 + lane as u64).wrapping_mul(0x9E37_79B9) & 0xFFFF_FFFF,
-                    (i + lane as u64).is_multiple_of(3),
-                );
-            }
-            leaf
-        })
-        .collect();
-    let mut sliced_init = SlicedPair::<32, 1>::identity();
-    for lane in 0..64 {
-        sliced_init.set_lane(lane, lane as u64 * 5 + 1, true);
-    }
 
     let mut packed = PackedCsppScratch::new();
     let mut packed_out = Vec::new();
     let mut flags_out = Vec::new();
-    let mut packed_w = PackedCsppScratchW::<4>::new();
-    let mut packed_w_out: Vec<PackedPairW<4>> = Vec::new();
     let mut arena = ArenaScan::new();
     let mut arena_out = Vec::new();
     let mut bits = BitWords::new(N);
-    let mut sliced = SlicedCsppScratch::<32, 1>::new();
-    let mut sliced_out: Vec<SlicedPair<32, 1>> = Vec::new();
 
-    let steady = |packed: &mut PackedCsppScratch,
-                  packed_out: &mut Vec<PackedPair>,
-                  flags_out: &mut Vec<u64>,
-                  packed_w: &mut PackedCsppScratchW<4>,
-                  packed_w_out: &mut Vec<PackedPairW<4>>,
-                  arena: &mut ArenaScan<SegPair<u32>>,
-                  arena_out: &mut Vec<SegPair<u32>>,
-                  bits: &mut BitWords,
-                  sliced: &mut SlicedCsppScratch<32, 1>,
-                  sliced_out: &mut Vec<SlicedPair<32, 1>>| {
-        packed.cspp_into::<AndWords>(&values, &seg, packed_out);
-        packed.all_earlier_into(&values, 17, flags_out);
-        packed_w.cspp_into::<AndWords>(&values_w, &seg_w, packed_w_out);
+    let mut steady = || {
+        packed.cspp_into::<AndWords>(&values, &seg, &mut packed_out);
+        packed.all_earlier_into(&values, 17, &mut flags_out);
         arena.build::<SegOp<Sum>>(&leaves);
         let root = *arena.root();
-        arena.scan_exclusive_into::<SegOp<Sum>>(root, arena_out);
+        arena.scan_exclusive_into::<SegOp<Sum>>(root, &mut arena_out);
         for i in (0..N).step_by(97) {
             arena.update_leaf::<SegOp<Sum>>(i, SegPair::leaf(i as u32, i % 2 == 0));
         }
@@ -150,81 +108,15 @@ fn substrate_steady_state_allocates_nothing() {
             bits.set(i);
         }
         assert!(bits.any());
-        // Bit-sliced value network: both the ring form (tree +
-        // whole-ring fold) and the seeded register-file form must run
-        // out of the same retained scratch.
-        sliced.cspp_into(&sliced_leaves, sliced_out);
-        sliced.segmented_exclusive_into(&sliced_leaves, &sliced_init, sliced_out);
     };
 
-    // Warm-up under both dispatch modes: sizes every retained buffer
-    // on the native (AVX2 where detected) and the forced-SWAR path, so
-    // the measured loops below must stay allocation-free regardless of
-    // which kernel dispatch selects.
-    steady(
-        &mut packed,
-        &mut packed_out,
-        &mut flags_out,
-        &mut packed_w,
-        &mut packed_w_out,
-        &mut arena,
-        &mut arena_out,
-        &mut bits,
-        &mut sliced,
-        &mut sliced_out,
-    );
-    {
-        let _swar = ultrascalar_prefix::ForceSwarGuard::force();
-        steady(
-            &mut packed,
-            &mut packed_out,
-            &mut flags_out,
-            &mut packed_w,
-            &mut packed_w_out,
-            &mut arena,
-            &mut arena_out,
-            &mut bits,
-            &mut sliced,
-            &mut sliced_out,
-        );
-    }
+    // Warm-up: sizes every retained buffer.
+    steady();
 
     let guard = ProbeGuard::arm();
     let before = ALLOCS.load(Ordering::SeqCst);
     for _ in 0..50 {
-        steady(
-            &mut packed,
-            &mut packed_out,
-            &mut flags_out,
-            &mut packed_w,
-            &mut packed_w_out,
-            &mut arena,
-            &mut arena_out,
-            &mut bits,
-            &mut sliced,
-            &mut sliced_out,
-        );
-    }
-    // The same warm loop with dispatch pinned to the portable SWAR
-    // kernels: the AVX2 and SWAR forms share every retained buffer, so
-    // neither mode may allocate once warm (the guard swap itself is
-    // two atomic stores, allocation-free).
-    {
-        let _swar = ultrascalar_prefix::ForceSwarGuard::force();
-        for _ in 0..50 {
-            steady(
-                &mut packed,
-                &mut packed_out,
-                &mut flags_out,
-                &mut packed_w,
-                &mut packed_w_out,
-                &mut arena,
-                &mut arena_out,
-                &mut bits,
-                &mut sliced,
-                &mut sliced_out,
-            );
-        }
+        steady();
     }
     let after = ALLOCS.load(Ordering::SeqCst);
     drop(guard);

@@ -7,8 +7,7 @@ use proptest::prelude::*;
 use ultrascalar_prefix::cspp::{cspp_all_earlier, cspp_ring, segmented_prefix_ring};
 use ultrascalar_prefix::op::{BoolAnd, BoolOr, SegPair};
 use ultrascalar_prefix::packed::{
-    packed_cspp_ring, packed_cspp_ring_w, unpack_lane, unpack_lane_w, AndWords, OrWords,
-    PackedCsppScratch, PackedCsppScratchW, PackedPair, WordOp,
+    packed_cspp_ring, unpack_lane, AndWords, OrWords, PackedCsppScratch, PackedPair, WordOp,
 };
 
 /// Check every lane of a packed CSPP result against the generic ring
@@ -179,57 +178,6 @@ proptest! {
             );
         }
     }
-
-    /// Multi-word (W = 4, 256 lanes) log-depth tree vs multi-word ring
-    /// oracle — exact equality including wrap artefacts.
-    #[test]
-    fn multiword_tree_matches_multiword_ring(
-        raw in proptest::collection::vec(any::<u64>(), 8..=520),
-    ) {
-        let n = raw.len() / 8;
-        let values: Vec<[u64; 4]> =
-            (0..n).map(|i| [raw[8 * i], raw[8 * i + 1], raw[8 * i + 2], raw[8 * i + 3]]).collect();
-        let seg: Vec<[u64; 4]> = (0..n)
-            .map(|i| {
-                [
-                    raw[8 * i + 4] & raw[8 * i],
-                    raw[8 * i + 5] & raw[8 * i + 1],
-                    raw[8 * i + 6] & raw[8 * i + 2],
-                    raw[8 * i + 7] & raw[8 * i + 3],
-                ]
-            })
-            .collect();
-        let mut scratch = PackedCsppScratchW::<4>::new();
-        let mut out = Vec::new();
-        scratch.cspp_into::<AndWords>(&values, &seg, &mut out);
-        prop_assert_eq!(&out, &packed_cspp_ring_w::<AndWords, 4>(&values, &seg));
-        scratch.cspp_into::<OrWords>(&values, &seg, &mut out);
-        prop_assert_eq!(&out, &packed_cspp_ring_w::<OrWords, 4>(&values, &seg));
-    }
-
-    /// Multi-word all-earlier vs the generic form, at the word-boundary
-    /// lanes of a W = 2 (128-lane) problem.
-    #[test]
-    fn multiword_all_earlier_matches_generic(
-        raw in proptest::collection::vec(any::<u64>(), 2..=260),
-        oldest_raw in any::<usize>(),
-    ) {
-        let n = raw.len() / 2;
-        let conds: Vec<[u64; 2]> = (0..n).map(|i| [raw[2 * i], raw[2 * i + 1]]).collect();
-        let oldest = oldest_raw % n;
-        let mut scratch = PackedCsppScratchW::<2>::new();
-        let mut out = Vec::new();
-        scratch.all_earlier_into(&conds, oldest, &mut out);
-        for lane in [0usize, 1, 62, 63, 64, 65, 126, 127] {
-            let lane_c = unpack_lane_w(&conds, lane);
-            let generic = cspp_all_earlier(&lane_c, oldest);
-            prop_assert_eq!(
-                &unpack_lane_w(&out, lane),
-                &generic,
-                "lane {}", lane
-            );
-        }
-    }
 }
 
 /// Deterministic xorshift for the exhaustive sweeps below.
@@ -243,11 +191,11 @@ impl XorShift {
     }
 }
 
-/// Tree vs ring for one operator/width at every ring size `n` in
+/// Tree vs ring for one operator at every ring size `n` in
 /// `1..=130`, with several random word fills per size. One scratch is
 /// reused across all sizes, so the sweep also exercises the
 /// shape-change path (`ensure_shape` re-padding between every size).
-fn sweep_tree_vs_ring_single<O: WordOp>(seed: u64) {
+fn sweep_tree_vs_ring<O: WordOp>(seed: u64) {
     let mut rng = XorShift(seed);
     let mut scratch = PackedCsppScratch::new();
     let mut out = Vec::new();
@@ -260,109 +208,45 @@ fn sweep_tree_vs_ring_single<O: WordOp>(seed: u64) {
                 .collect();
             let ring = packed_cspp_ring::<O>(&values, &seg);
             scratch.cspp_into::<O>(&values, &seg, &mut out);
-            assert_eq!(out, ring, "single-word n={n}");
+            assert_eq!(out, ring, "n={n}");
         }
-    }
-}
-
-fn sweep_tree_vs_ring_multi<O: WordOp, const W: usize>(seed: u64) {
-    let mut rng = XorShift(seed);
-    let mut scratch = PackedCsppScratchW::<W>::new();
-    let mut out = Vec::new();
-    for n in 1..=130usize {
-        let values: Vec<[u64; W]> = (0..n)
-            .map(|_| std::array::from_fn(|_| rng.next()))
-            .collect();
-        let seg: Vec<[u64; W]> = (0..n)
-            .map(|_| std::array::from_fn(|_| rng.next() & rng.next() & rng.next()))
-            .collect();
-        let ring = packed_cspp_ring_w::<O, W>(&values, &seg);
-        scratch.cspp_into::<O>(&values, &seg, &mut out);
-        assert_eq!(out, ring, "W={W} n={n}");
     }
 }
 
 /// Exhaustive differential sweep of the packed CSPP tree against the
 /// ring oracle for **every** ring size `n ∈ 1..=130` — deterministic
 /// coverage of the word-boundary sizes 63/64/65/127/128/129 and every
-/// non-power-of-two padding shape in between, for both operators and
-/// lane widths W ∈ {1, 2, 4}.
+/// non-power-of-two padding shape in between, for both operators.
 #[test]
 fn ring_oracle_sweep_every_n_1_to_130() {
-    sweep_tree_vs_ring_single::<AndWords>(0x1357_9BDF_2468_ACE0);
-    sweep_tree_vs_ring_single::<OrWords>(0x0FED_CBA9_8765_4321);
-    sweep_tree_vs_ring_multi::<AndWords, 2>(0xA5A5_5A5A_C3C3_3C3C);
-    sweep_tree_vs_ring_multi::<OrWords, 2>(0x1111_2222_3333_4444);
-    sweep_tree_vs_ring_multi::<AndWords, 4>(0xDEAD_BEEF_CAFE_F00D);
-    sweep_tree_vs_ring_multi::<OrWords, 4>(0x9876_5432_10AB_CDEF);
+    sweep_tree_vs_ring::<AndWords>(0x1357_9BDF_2468_ACE0);
+    sweep_tree_vs_ring::<OrWords>(0x0FED_CBA9_8765_4321);
 }
 
-/// Dispatch consistency: the same inputs through the log-depth trees
-/// under whatever dispatch the host selects (AVX2 where detected) and
-/// again with the portable SWAR substrate pinned must produce
-/// **byte-identical** outputs — dispatch may change cost, never a
-/// result. Both passes live inside one `#[test]` because the
-/// force-SWAR pin is process-global and libtest runs tests
-/// concurrently: pinning here must not silently downgrade a
-/// neighbouring test's native pass mid-measurement.
-#[test]
-fn dispatch_forced_swar_is_byte_identical() {
-    fn both_modes<O: WordOp, const W: usize>(seed: u64) {
-        let mut rng = XorShift(seed);
-        let mut scratch = PackedCsppScratchW::<W>::new();
-        for n in 1..=130usize {
-            let values: Vec<[u64; W]> = (0..n)
-                .map(|_| std::array::from_fn(|_| rng.next()))
-                .collect();
-            let seg: Vec<[u64; W]> = (0..n)
-                .map(|_| std::array::from_fn(|_| rng.next() & rng.next()))
-                .collect();
-            let mut native = Vec::new();
-            scratch.cspp_into::<O>(&values, &seg, &mut native);
-            let mut swar = Vec::new();
-            {
-                let _pin = ultrascalar_prefix::ForceSwarGuard::force();
-                scratch.cspp_into::<O>(&values, &seg, &mut swar);
-            }
-            assert_eq!(native, swar, "W={W} n={n}: dispatch changed a result");
-        }
-    }
-    both_modes::<AndWords, 1>(0x00D1_5A7C_0000_0001);
-    both_modes::<OrWords, 1>(0x1111_AAAA_BBBB_0001);
-    both_modes::<AndWords, 2>(0x2222_CCCC_DDDD_0002);
-    both_modes::<OrWords, 2>(0x3333_EEEE_FFFF_0003);
-    both_modes::<AndWords, 4>(0x4444_9999_8888_0004);
-    both_modes::<OrWords, 4>(0x5555_7777_6666_0005);
-}
-
-/// The same sweep against the *generic* per-lane tree at the lane-word
-/// boundaries: the packed form is contractually a stack of 64·W
-/// independent boolean networks, so lanes 63/64/65 (and 127/128/129
-/// for W = 4) must reproduce `cspp_ring` on their booleans exactly.
+/// The same sweep against the *generic* per-lane ring at the word's
+/// edge lanes: the packed form is contractually a stack of 64
+/// independent boolean networks, so lanes 0 and 63 must reproduce
+/// `cspp_ring` on their booleans exactly.
 #[test]
 fn ring_oracle_sweep_boundary_lanes_vs_generic() {
     let mut rng = XorShift(0xB16B_00B5_0000_1337);
     for n in 1..=130usize {
-        let values: Vec<[u64; 4]> = (0..n)
-            .map(|_| std::array::from_fn(|_| rng.next()))
-            .collect();
-        let seg: Vec<[u64; 4]> = (0..n)
-            .map(|_| std::array::from_fn(|_| rng.next() & rng.next()))
-            .collect();
-        let packed = packed_cspp_ring_w::<AndWords, 4>(&values, &seg);
-        for lane in [0usize, 63, 64, 65, 127, 128, 129, 255] {
-            let lane_v = unpack_lane_w(&values, lane);
-            let lane_s = unpack_lane_w(&seg, lane);
+        let values: Vec<u64> = (0..n).map(|_| rng.next()).collect();
+        let seg: Vec<u64> = (0..n).map(|_| rng.next() & rng.next()).collect();
+        let packed = packed_cspp_ring::<AndWords>(&values, &seg);
+        for lane in [0usize, 63] {
+            let lane_v = unpack_lane(&values, lane);
+            let lane_s = unpack_lane(&seg, lane);
             let generic = cspp_ring::<bool, BoolAnd>(&lane_v, &lane_s);
             for i in 0..n {
                 assert_eq!(
-                    packed[i].seg[lane / 64] >> (lane % 64) & 1 == 1,
+                    packed[i].seg >> lane & 1 == 1,
                     generic[i].seg,
                     "n={n} lane {lane} station {i}: seg"
                 );
                 if generic[i].seg {
                     assert_eq!(
-                        packed[i].value[lane / 64] >> (lane % 64) & 1 == 1,
+                        packed[i].value >> lane & 1 == 1,
                         generic[i].value,
                         "n={n} lane {lane} station {i}: value"
                     );
