@@ -7,11 +7,7 @@ use std::hint::black_box;
 use ultrascalar_circuit::generators::{CombineOp, CsppTree};
 use ultrascalar_circuit::Netlist;
 use ultrascalar_memsys::{Bandwidth, MemConfig, MemRequest, MemSystem, NetworkKind, ReqKind};
-use ultrascalar_prefix::op::{SegOp, SegPair};
-use ultrascalar_prefix::{
-    cspp_ring, cspp_tree, packed_cspp_ring, scan, AndWords, ArenaScan, BoolAnd, First,
-    PackedCsppScratch, Sum,
-};
+use ultrascalar_prefix::{cspp_ring, cspp_tree, scan, First, Sum};
 
 fn bench_scans(c: &mut Criterion) {
     let mut g = c.benchmark_group("prefix_scan");
@@ -46,83 +42,6 @@ fn bench_cspp(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("tree", n), &(&vals, &seg), |b, (v, s)| {
             b.iter(|| cspp_tree::<_, First>(black_box(v), black_box(s)))
         });
-    }
-    g.finish();
-}
-
-/// Boolean AND-CSPP — the paper's "all earlier stations met the
-/// condition" network — generic vs arena vs packed SWAR forms. The
-/// packed forms evaluate 64 independent lane problems per pass; the
-/// per-lane ratio against the generic tree is what the README quotes.
-fn bench_packed(c: &mut Criterion) {
-    let mut g = c.benchmark_group("packed_cspp");
-    for &n in &[64usize, 256, 1024] {
-        let vals: Vec<bool> = (0..n).map(|i| i % 3 != 1).collect();
-        let seg: Vec<bool> = (0..n).map(|i| i % 17 == 4).collect();
-        let leaves: Vec<SegPair<bool>> = vals
-            .iter()
-            .zip(&seg)
-            .map(|(&v, &s)| SegPair::leaf(v, s))
-            .collect();
-        // Lane-packed words: every lane carries the same problem, so
-        // one packed pass does the generic row's work 64 times over.
-        let vw: Vec<u64> = vals.iter().map(|&v| if v { !0 } else { 0 }).collect();
-        let sw: Vec<u64> = seg.iter().map(|&s| if s { !0 } else { 0 }).collect();
-
-        g.throughput(Throughput::Elements(n as u64));
-        g.bench_with_input(
-            BenchmarkId::new("generic_tree", n),
-            &(&vals, &seg),
-            |b, (v, s)| b.iter(|| cspp_tree::<bool, BoolAnd>(black_box(v), black_box(s))),
-        );
-        // Equal work to one packed pass: the generic tree must run
-        // once per lane to cover the 64 problems a single packed
-        // evaluation handles word-parallel.
-        g.throughput(Throughput::Elements(64 * n as u64));
-        g.bench_with_input(
-            BenchmarkId::new("generic_tree_64_problems", n),
-            &(&vals, &seg),
-            |b, (v, s)| {
-                b.iter(|| {
-                    (0..64)
-                        .map(|_| cspp_tree::<bool, BoolAnd>(black_box(v), black_box(s)).len())
-                        .sum::<usize>()
-                })
-            },
-        );
-        g.throughput(Throughput::Elements(n as u64));
-        g.bench_with_input(BenchmarkId::new("arena_scan", n), &leaves, |b, leaves| {
-            let mut arena = ArenaScan::new();
-            let mut out = Vec::new();
-            b.iter(|| {
-                arena.build::<SegOp<BoolAnd>>(black_box(leaves));
-                let root = *arena.root();
-                arena.scan_exclusive_into::<SegOp<BoolAnd>>(root, &mut out);
-                out.len()
-            })
-        });
-        g.throughput(Throughput::Elements(64 * n as u64));
-        g.bench_with_input(
-            BenchmarkId::new("packed_tree_64lane", n),
-            &(&vw, &sw),
-            |b, (v, s)| {
-                let mut scratch = PackedCsppScratch::new();
-                let mut out = Vec::new();
-                b.iter(|| {
-                    scratch.cspp_into::<AndWords>(black_box(v), black_box(s), &mut out);
-                    out.len()
-                })
-            },
-        );
-        // The packed ring is quadratic like the scalar ring — oracle
-        // only, charted at one small size.
-        if n == 64 {
-            g.bench_with_input(
-                BenchmarkId::new("packed_ring_64lane", n),
-                &(&vw, &sw),
-                |b, (v, s)| b.iter(|| packed_cspp_ring::<AndWords>(black_box(v), black_box(s))),
-            );
-        }
     }
     g.finish();
 }
@@ -204,6 +123,6 @@ fn bench_fattree(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_scans, bench_cspp, bench_packed, bench_netlist, bench_fattree
+    targets = bench_scans, bench_cspp, bench_netlist, bench_fattree
 }
 criterion_main!(benches);

@@ -128,9 +128,8 @@ pub struct JsonPoint {
     pub wall_s: f64,
     /// Simulated cycles (steps), when the point ran the cycle engine.
     pub steps: Option<u64>,
-    /// Independent lanes evaluated per pass, when the point timed a
-    /// lane-parallel form (a packed substrate pass or a lane batch;
-    /// absent for scalar/generic forms).
+    /// Independent simulations advanced per pass, when the point timed
+    /// a lane batch (absent for serial runs).
     pub lanes: Option<u64>,
 }
 
@@ -178,8 +177,8 @@ impl JsonReport {
         self
     }
 
-    /// Append one measured point that evaluated `lanes` independent
-    /// bit-lane networks per pass (the packed substrate forms).
+    /// Append one measured point that advanced `lanes` independent
+    /// simulations per pass (a lane batch).
     pub fn point_with_lanes(
         &mut self,
         label: &str,

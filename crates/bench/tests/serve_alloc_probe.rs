@@ -102,19 +102,25 @@ const REQ_MUL: &str = r#"{"program":"li r1, 6\nli r2, 7\nmul r3, r1, r2\nhalt\n"
 /// they live in the pooled engine's retained scratch.
 const REQ_FAN: &str = r#"{"program":"li r1, 3\naddi r1, r1, 1\nadd r2, r2, r1\nadd r3, r3, r1\nadd r4, r4, r1\naddi r1, r1, 2\nadd r5, r5, r1\nadd r6, r6, r1\nadd r7, r7, r1\nhalt\n","options":{"arch":"usi","window":8,"predictor":"bimodal:64"}}"#;
 
+/// The loop kernel on the memory network `usim run --mem-exp 0.5
+/// --butterfly` builds: banked memory behind a butterfly whose
+/// per-cycle link raster is a `BitWords` bitset, so the memsys warm
+/// path (stage clears, bank queues, responses) is probed too.
+const REQ_MEMNET: &str = r#"{"program":"li r1, 0\nli r2, 8\nli r3, 0\nloop:\nsw r1, (r1)\nlw r4, (r1)\nadd r3, r3, r4\naddi r1, r1, 1\nblt r1, r2, loop\nhalt\n","options":{"arch":"usi","window":8,"predictor":"bimodal:64","mem_exp":0.5,"network":"butterfly"}}"#;
+
 #[test]
 fn serve_request_loop_allocates_nothing_in_steady_state() {
     let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
     let mut server = Server::new(8, 4);
 
     let steady = |server: &mut Server| {
-        for req in [REQ_LOOP, REQ_HYBRID, REQ_MUL, REQ_FAN] {
+        for req in [REQ_LOOP, REQ_HYBRID, REQ_MUL, REQ_FAN, REQ_MEMNET] {
             let resp = server.handle_line(req);
             assert!(resp.starts_with("{\"ok\":true,"));
         }
     };
 
-    // Warm-up: assembles both programs, builds both engines, sizes
+    // Warm-up: assembles every program, builds every engine, sizes
     // every reused buffer.
     steady(&mut server);
     steady(&mut server);
@@ -132,12 +138,13 @@ fn serve_request_loop_allocates_nothing_in_steady_state() {
         0,
         "serve request loop allocated in steady state"
     );
-    assert_eq!(server.counters().runs - runs_before, 200);
+    assert_eq!(server.counters().runs - runs_before, 250);
     // Every probed request was a cache/pool hit (the fan shares the
     // loop kernel's configuration, so it is a third program but not a
-    // third engine).
+    // third engine; the memory-network request reuses the loop
+    // program under a third configuration).
     assert_eq!(server.program_stats().misses, 3);
-    assert_eq!(server.engine_stats().misses, 2);
+    assert_eq!(server.engine_stats().misses, 3);
 }
 
 #[test]

@@ -122,6 +122,28 @@ fn oversized_window_is_rejected_and_serving_continues() {
     assert!(ok.starts_with("{\"ok\":true,"), "{ok}");
 }
 
+/// A register count of 2^53 - 1 must be refused before the register
+/// file (36 PB) is allocated: on one connection, it gets an error line
+/// and the next request an answer.
+#[test]
+fn huge_regs_is_rejected_and_the_connection_keeps_serving() {
+    let mut s = Server::new(8, 4);
+    let huge = r#"{"program":"li r1, 6\nhalt\n","options":{"regs":9007199254740991}}"#;
+    let input = format!("{huge}\n{PROG}\n");
+    let mut out: Vec<u8> = Vec::new();
+    serve_stream(&mut s, input.as_bytes(), &mut out);
+    let lines: Vec<&str> = std::str::from_utf8(&out).unwrap().lines().collect();
+    assert_eq!(lines.len(), 2, "{lines:?}");
+    assert!(lines[0].starts_with("{\"ok\":false,"), "{}", lines[0]);
+    assert!(
+        lines[0].contains("register count 9007199254740991 not in 1..=256"),
+        "{}",
+        lines[0]
+    );
+    assert!(lines[1].starts_with("{\"ok\":true,"), "{}", lines[1]);
+    assert!(lines[1].contains("\"halted\":true"), "{}", lines[1]);
+}
+
 #[test]
 fn failed_assembly_is_not_cached() {
     let mut s = Server::new(8, 4);

@@ -1,0 +1,23 @@
+//! Process-level checks of the `usim` binary's error contract: a bad
+//! input exits 1 with a one-line message, never an abort.
+
+use std::process::Command;
+
+/// A register count of 2^53 - 1 must be range-checked before the
+/// register file (36 PB) is allocated, not abort the process.
+#[test]
+fn run_with_huge_regs_exits_1_with_a_one_line_error() {
+    let fib = concat!(env!("CARGO_MANIFEST_DIR"), "/../../asm/fib.asm");
+    let out = Command::new(env!("CARGO_BIN_EXE_usim"))
+        .args(["run", fib, "--regs", "9007199254740991"])
+        .output()
+        .expect("spawn usim");
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert!(out.stdout.is_empty(), "{out:?}");
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(err.lines().count(), 1, "{err}");
+    assert!(
+        err.contains("register count 9007199254740991 not in 1..=256"),
+        "{err}"
+    );
+}

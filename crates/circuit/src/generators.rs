@@ -139,7 +139,7 @@ impl CsppTree {
         // Up-sweep + root-tied down-sweep over the left-packed heap
         // layout, shared with the algorithmic substrate: "combining"
         // two interval summaries emits the combine block's gates into
-        // the netlist. The arena walk skips unoccupied nodes, so
+        // the netlist. The sweep skips unoccupied nodes, so
         // non-power-of-two widths generate no dead combine blocks.
         let leaves: Vec<(Bus, NodeId)> = values
             .iter()

@@ -26,6 +26,14 @@ pub enum ForwardModel {
     },
 }
 
+/// H-tree communication distance between ring positions `a` and `b`:
+/// the height of their lowest common ancestor, i.e. the bit-length of
+/// `a XOR b`. Zero iff `a == b`.
+#[inline]
+fn hop_level(a: usize, b: usize) -> usize {
+    (usize::BITS - (a ^ b).leading_zeros()) as usize
+}
+
 impl ForwardModel {
     /// Extra forwarding cycles from station position `a` to `b`
     /// (positions are window ring slots; the H-tree LCA height is the
@@ -34,9 +42,7 @@ impl ForwardModel {
     pub fn extra(&self, a: usize, b: usize) -> u64 {
         match *self {
             ForwardModel::SingleCycle => 0,
-            ForwardModel::Pipelined { per_hop } => {
-                Self::extra_at(per_hop, ultrascalar_prefix::packed::hop_level(a, b))
-            }
+            ForwardModel::Pipelined { per_hop } => Self::extra_at(per_hop, hop_level(a, b)),
         }
     }
 
@@ -245,6 +251,16 @@ impl ProcConfig {
 mod tests {
     use super::*;
 
+    /// Hop-level geometry: the H-tree LCA height is the bit-length of
+    /// `a XOR b`, zero on the diagonal.
+    #[test]
+    fn hop_level_is_xor_bit_length() {
+        assert_eq!(hop_level(5, 5), 0);
+        assert_eq!(hop_level(4, 5), 1);
+        assert_eq!(hop_level(0, 7), 3);
+        assert_eq!(hop_level(0, 63), 6);
+    }
+
     #[test]
     fn presets() {
         assert_eq!(ProcConfig::ultrascalar_i(8).num_clusters(), 8);
@@ -346,7 +362,7 @@ mod tests {
             };
             proptest::prop_assert!(g.extra(a, b) >= f.extra(a, b));
             // And monotone in hop distance via the level form.
-            let lvl = ultrascalar_prefix::packed::hop_level(a, b);
+            let lvl = hop_level(a, b);
             proptest::prop_assert_eq!(
                 f.extra(a, b),
                 ForwardModel::extra_at(per_hop, lvl)

@@ -144,6 +144,9 @@ fn parse_target(tok: &str) -> PendingTarget {
 /// Assemble source text into a [`Program`] with `num_regs` logical
 /// registers. The resulting program is validated.
 pub fn assemble(src: &str, num_regs: usize) -> Result<Program, AsmError> {
+    // `Program::new` allocates the register file, so a huge count must
+    // be refused here, not by the final `validate`.
+    Program::check_reg_count(num_regs).map_err(|e| err(0, format!("validation failed: {e}")))?;
     let mut labels: HashMap<String, u32> = HashMap::new();
     let mut pendings: Vec<(usize, Pending)> = Vec::new();
     let mut init_mem: Vec<u32> = Vec::new();

@@ -106,6 +106,15 @@ impl Program {
         self.instrs.is_empty()
     }
 
+    /// Reject a register-file size outside `1..=256` — before anything
+    /// is sized by it.
+    pub(crate) fn check_reg_count(num_regs: usize) -> Result<(), ProgramError> {
+        if num_regs == 0 || num_regs > 256 {
+            return Err(ProgramError::BadRegCount(num_regs));
+        }
+        Ok(())
+    }
+
     /// Check every register index and control-flow target against the
     /// program's own parameters. Every processor model calls this before
     /// running.
@@ -113,9 +122,7 @@ impl Program {
     /// A branch/jump target equal to `instrs.len()` is allowed (falling
     /// off the end halts, like an implicit final `halt`).
     pub fn validate(&self) -> Result<(), ProgramError> {
-        if self.num_regs == 0 || self.num_regs > 256 {
-            return Err(ProgramError::BadRegCount(self.num_regs));
-        }
+        Self::check_reg_count(self.num_regs)?;
         if self.init_regs.len() != self.num_regs {
             return Err(ProgramError::InitRegsLength {
                 got: self.init_regs.len(),

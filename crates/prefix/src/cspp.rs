@@ -20,10 +20,21 @@
 //!
 //! Both a quadratic-work reference evaluation ([`cspp_ring`]) and the
 //! hardware's `Θ(log n)`-depth tree evaluation ([`cspp_tree`]) are
-//! provided; property tests pin them together.
+//! provided; property tests pin them together. The tree forms, and the
+//! circuit generators' gate-emitting [`cspp_heap_with`], all run the
+//! one sweep in [`crate::tree`].
 
 use crate::op::{PrefixOp, SegOp, SegPair};
-use crate::tree::TreeScan;
+use crate::tree::exclusive_sweep_with;
+
+/// Lift each station's `(value, segment bit)` to a leaf summary.
+fn seg_leaves<T: Clone>(xs: &[T], seg: &[bool]) -> Vec<SegPair<T>> {
+    assert_eq!(xs.len(), seg.len(), "value/segment length mismatch");
+    xs.iter()
+        .zip(seg)
+        .map(|(x, &s)| SegPair::leaf(x.clone(), s))
+        .collect()
+}
 
 /// Non-cyclic segmented *exclusive* backward-looking prefix, linear
 /// reference implementation.
@@ -62,17 +73,7 @@ pub fn segmented_prefix_tree<T: Clone, O: PrefixOp<T>>(
     seg: &[bool],
     init: SegPair<T>,
 ) -> Vec<SegPair<T>> {
-    assert_eq!(xs.len(), seg.len(), "value/segment length mismatch");
-    if xs.is_empty() {
-        return Vec::new();
-    }
-    let leaves: Vec<SegPair<T>> = xs
-        .iter()
-        .zip(seg)
-        .map(|(x, &s)| SegPair::leaf(x.clone(), s))
-        .collect();
-    let tree = TreeScan::build::<SegOp<O>>(&leaves);
-    tree.scan_exclusive::<SegOp<O>>(init)
+    exclusive_sweep_with(&seg_leaves(xs, seg), |_| init, SegOp::<O>::combine)
 }
 
 /// Cyclic segmented parallel prefix, quadratic reference evaluation.
@@ -96,9 +97,9 @@ pub fn segmented_prefix_tree<T: Clone, O: PrefixOp<T>>(
 ///
 /// This is the slow reference form, kept as the oracle for property
 /// tests; production paths (benches, the allocator in
-/// [`crate::sched`]) use [`cspp_tree`] or the packed/arena forms. A
-/// debug assertion rejects rings beyond 4096 stations to catch the
-/// reference form sneaking into a sized sweep.
+/// [`crate::sched`]) use [`cspp_tree`]. A debug assertion rejects
+/// rings beyond 4096 stations to catch the reference form sneaking
+/// into a sized sweep.
 ///
 /// # Panics
 /// Panics if `xs.len() != seg.len()` or the ring is empty.
@@ -107,8 +108,8 @@ pub fn cspp_ring<T: Clone, O: PrefixOp<T>>(xs: &[T], seg: &[bool]) -> Vec<SegPai
     assert!(!xs.is_empty(), "CSPP ring must be non-empty");
     debug_assert!(
         xs.len() <= 4096,
-        "cspp_ring is the slow reference form; use cspp_tree (or the \
-         packed/arena forms) for rings beyond 4096 stations"
+        "cspp_ring is the slow reference form; use cspp_tree for rings \
+         beyond 4096 stations"
     );
     let n = xs.len();
     let leaf = |j: usize| SegPair::leaf(xs[j].clone(), seg[j]);
@@ -136,19 +137,26 @@ pub fn cspp_ring<T: Clone, O: PrefixOp<T>>(xs: &[T], seg: &[bool]) -> Vec<SegPai
 /// # Panics
 /// Panics on empty input or if `xs.len() != seg.len()`.
 pub fn cspp_tree<T: Clone, O: PrefixOp<T>>(xs: &[T], seg: &[bool]) -> Vec<SegPair<T>> {
-    assert_eq!(xs.len(), seg.len(), "value/segment length mismatch");
-    assert!(!xs.is_empty(), "CSPP ring must be non-empty");
-    let leaves: Vec<SegPair<T>> = xs
-        .iter()
-        .zip(seg)
-        .map(|(x, &s)| SegPair::leaf(x.clone(), s))
-        .collect();
-    let tree = TreeScan::build::<SegOp<O>>(&leaves);
-    let root = tree.root().clone();
-    // Tying the top of the tree: what flows into leaf 0 "from before" is
-    // the summary of the whole ring, i.e. the accumulation since the
-    // *last* raised segment bit — exactly the wrap-around.
-    tree.scan_exclusive::<SegOp<O>>(root)
+    cspp_heap_with(&seg_leaves(xs, seg), SegOp::<O>::combine)
+}
+
+/// Cyclic prefix over a heap-layout tree, driven by a *closure*
+/// instead of a [`PrefixOp`] — the building block the circuit
+/// generators use, where "combining" two summaries means **emitting
+/// gates into a netlist** (the closure captures `&mut Netlist`).
+///
+/// Tying the top of the tree: what flows into leaf 0 "from before" is
+/// the root's own summary — for segmented leaves, the accumulation
+/// since the *last* raised segment bit, exactly the paper's cyclic
+/// wrap (Figure 4). Returns `out[i]` = the combination flowing into
+/// leaf `i` from its cyclic predecessors, in the fixed combination
+/// order of [`exclusive_sweep_with`].
+///
+/// # Panics
+/// Panics on empty input.
+pub fn cspp_heap_with<T: Clone>(leaves: &[T], combine: impl FnMut(&T, &T) -> T) -> Vec<T> {
+    assert!(!leaves.is_empty(), "CSPP ring must be non-empty");
+    exclusive_sweep_with(leaves, T::clone, combine)
 }
 
 /// Paper Figure 5 convenience: the 1-bit CSPP with the AND operator.
@@ -235,8 +243,30 @@ mod tests {
         assert_eq!(out[7].value, (10, true));
     }
 
+    /// Deterministic xorshift for the size sweeps below.
+    fn xorshift(state: &mut u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state
+    }
+
+    /// Segment bits for sweep fill `fill`: none at all (every output a
+    /// wrap-around artefact, which must still agree), dense, sparse,
+    /// and all raised.
+    fn seg_fill(n: usize, fill: usize, state: &mut u64) -> Vec<bool> {
+        (0..n)
+            .map(|_| match fill {
+                0 => false,
+                1 => xorshift(state) & 1 == 1,
+                2 => xorshift(state) & 7 == 0,
+                _ => true,
+            })
+            .collect()
+    }
+
     #[test]
-    fn ring_and_tree_agree_on_exhaustive_small_and_cases() {
+    fn ring_and_tree_agree_every_n_1_to_130() {
         // All 4^n (value, seg) patterns for small n, AND operator.
         for n in 1..=6usize {
             for pattern in 0..(1u32 << (2 * n)) {
@@ -247,19 +277,73 @@ mod tests {
                 assert_eq!(a, b, "n={n} pattern={pattern:b}");
             }
         }
+        // Every ring size up to 130 — each non-power-of-two padding
+        // shape and the 63/64/65, 127/128/129 boundaries — under Sum,
+        // First and the paper's AND operator.
+        let mut state = 0x1357_9BDF_2468_ACE0u64;
+        for n in 1..=130usize {
+            for fill in 0..4 {
+                let vals: Vec<u64> = (0..n).map(|_| xorshift(&mut state) % 1000).collect();
+                let bits: Vec<bool> = vals.iter().map(|v| v % 5 != 0).collect();
+                let seg = seg_fill(n, fill, &mut state);
+                assert_eq!(
+                    cspp_ring::<_, Sum>(&vals, &seg),
+                    cspp_tree::<_, Sum>(&vals, &seg),
+                    "Sum n={n} fill={fill}"
+                );
+                assert_eq!(
+                    cspp_ring::<_, First>(&vals, &seg),
+                    cspp_tree::<_, First>(&vals, &seg),
+                    "First n={n} fill={fill}"
+                );
+                assert_eq!(
+                    cspp_ring::<_, BoolAnd>(&bits, &seg),
+                    cspp_tree::<_, BoolAnd>(&bits, &seg),
+                    "BoolAnd n={n} fill={fill}"
+                );
+            }
+        }
     }
 
     #[test]
     fn noncyclic_ring_and_tree_agree() {
-        for n in 1..40usize {
+        let mut state = 0x0FED_CBA9_8765_4321u64;
+        for n in 1..=130usize {
             let vals: Vec<u64> = (0..n as u64).map(|i| i * 11 + 5).collect();
-            let seg: Vec<bool> = (0..n).map(|i| i % 3 == 1).collect();
-            let init = SegPair::leaf(999u64, true);
-            assert_eq!(
-                segmented_prefix_ring::<_, Sum>(&vals, &seg, init),
-                segmented_prefix_tree::<_, Sum>(&vals, &seg, init),
-                "n={n}"
-            );
+            for fill in 0..4 {
+                let seg = seg_fill(n, fill, &mut state);
+                // Non-identity seeds, with and without a boundary bit.
+                for init in [SegPair::leaf(999u64, true), SegPair::leaf(7, false)] {
+                    assert_eq!(
+                        segmented_prefix_ring::<_, Sum>(&vals, &seg, init),
+                        segmented_prefix_tree::<_, Sum>(&vals, &seg, init),
+                        "n={n} fill={fill} init={init:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn heap_with_closure_matches_cspp_ring() {
+        for n in 1..=33usize {
+            let vals: Vec<u32> = (0..n as u32).map(|i| i * 7 + 1).collect();
+            let seg: Vec<bool> = (0..n).map(|i| i % 4 == 1).collect();
+            let leaves: Vec<SegPair<u32>> = vals
+                .iter()
+                .zip(&seg)
+                .map(|(&v, &s)| SegPair::leaf(v, s))
+                .collect();
+            let mut combines = 0usize;
+            let out = cspp_heap_with(&leaves, |a, b| {
+                combines += 1;
+                SegOp::<First>::combine(a, b)
+            });
+            assert_eq!(out, cspp_ring::<u32, First>(&vals, &seg), "n={n}");
+            // Work stays linear in n even for non-powers of two: at
+            // most one combine per occupied internal node in each
+            // sweep.
+            assert!(combines <= 4 * n, "n={n} combines={combines}");
         }
     }
 

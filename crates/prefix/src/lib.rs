@@ -16,22 +16,19 @@
 //! This crate provides those primitives as pure algorithms:
 //!
 //! * [`scan`] — serial reference scans (inclusive, exclusive, segmented),
-//! * [`tree`] — work-efficient tree scans with circuit-depth accounting,
+//! * [`tree`] — the one left-balanced up/down tree sweep
+//!   ([`tree::exclusive_sweep_with`]) behind every tree form below and
+//!   the circuit generators' netlists, plus plain tree scans,
 //! * [`cspp`] — segmented and cyclic-segmented prefix, both a naive
 //!   reference "ring" evaluation and the logarithmic-depth tree
-//!   evaluation used by the hardware,
-//! * [`arena`] — the same scans into retained, `Option`-free scratch
-//!   with zero steady-state allocations and `O(log n)` incremental leaf
-//!   updates ([`arena::ArenaScan`]), plus the closure-driven heap CSPP
-//!   the circuit generators build netlists through,
-//! * [`packed`] — bit-packed boolean CSPP: 64 one-bit networks per
-//!   `u64` word evaluated word-parallel (SWAR), the production form of
-//!   the paper's flag and ready-bit circuits, plus the
-//!   [`packed::BitWords`] bitset that backs packed per-cycle state
-//!   elsewhere in the workspace,
-//! * [`lanes`] — the lane-parallel *simulation* view of the same
-//!   word-parallel idea: bit `l` of every plane belongs to independent
-//!   simulation `l`, so a [`lanes::LaneValue`] (32 bit-planes × 64
+//!   evaluation used by the hardware, plus the closure-driven
+//!   [`cspp::cspp_heap_with`] the circuit generators emit gates through,
+//! * [`sched`] — the Memo 2 shared-ALU scheduler as a cyclic prefix
+//!   count,
+//! * [`packed`] — the [`packed::BitWords`] bitset behind the memory
+//!   butterfly's per-cycle link raster,
+//! * [`lanes`] — lane-parallel *simulation*: bit `l` of every plane
+//!   belongs to independent simulation `l`, so a [`lanes::LaneValue`] (32 bit-planes × 64
 //!   lanes) advances one architectural register of 64 machines per
 //!   word op — planewise ALU/compare forms, lane-uniform shift
 //!   relabelling, and a transpose-based extract/compute/deposit escape
@@ -55,7 +52,6 @@
 // runtime feature detection and a safe wrapper.
 #![deny(unsafe_code)]
 
-pub mod arena;
 pub mod cspp;
 pub mod lanes;
 pub mod op;
@@ -65,14 +61,12 @@ pub mod sched;
 pub mod simd;
 pub mod tree;
 
-pub use arena::{cspp_heap_with, ArenaScan};
-pub use cspp::{cspp_ring, cspp_tree, segmented_prefix_ring, segmented_prefix_tree};
+pub use cspp::{
+    cspp_heap_with, cspp_ring, cspp_tree, segmented_prefix_ring, segmented_prefix_tree,
+};
 pub use lanes::LaneValue;
 pub use op::{BoolAnd, BoolOr, First, Last, Max, Min, PrefixOp, SegPair, Sum};
-pub use packed::{
-    pack_lane, packed_cspp_ring, unpack_lane, AndWords, BitWords, OrWords, PackedCsppScratch,
-    PackedPair, WordOp,
-};
+pub use packed::BitWords;
 pub use sched::allocate_oldest_first;
 pub use simd::active_simd_level;
-pub use tree::{tree_scan_exclusive, tree_scan_inclusive, TreeScan};
+pub use tree::{tree_scan_exclusive, tree_scan_inclusive};

@@ -1,144 +1,94 @@
-//! Tree-structured scans with circuit-depth accounting.
+//! The crate's one tree-structured scan: a left-balanced up/down sweep.
 //!
 //! A parallel-prefix *tree* evaluates a scan in `Θ(log n)` combining
 //! depth instead of the `Θ(n)` of a serial chain — this is exactly the
 //! transformation the paper applies to go from the linear mux-ring
 //! datapath (Figure 1) to the logarithmic CSPP datapath (Figure 4).
 //!
-//! [`TreeScan`] materialises the binary tree so that, besides computing
-//! the scan, it can *report the number of operator applications on the
-//! critical path* ([`TreeScan::depth`]). The `ultrascalar-vlsi` crate
-//! cross-checks its closed-form gate-delay expressions against these
-//! measured depths, and the benches for the paper's Figure 11 use them
-//! as the "gate delay" measurements.
+//! [`exclusive_sweep_with`] is the only tree walk in the crate: the
+//! CSPP tree forms in [`crate::cspp`], the plain tree scans below and
+//! the circuit generators (through [`crate::cspp::cspp_heap_with`],
+//! whose combine emits gates into a netlist) all run it. Its gate-level
+//! `Θ(log n)` depth is measured on those generated netlists
+//! (`fig05_cspp`, `tests/paper_claims.rs`).
+//!
+//! The layout is the canonical hardware one: leaves in order over a
+//! heap of `2 * size` slots (`size = ceil_pow2(n)`), internal nodes
+//! combining contiguous intervals. Occupancy is *arithmetic*, not data:
+//! node `k` covers `span(k) = (2*size) >> bitlen(k)` leaves starting at
+//! leaf `k*span(k) - size`, so it is occupied iff `k * span(k) < size +
+//! n`. Because leaves are left-packed, a node's right child being
+//! occupied implies its left child is too, so non-power-of-two widths
+//! cost no dead combines.
 
 use crate::op::PrefixOp;
 
-/// An up-sweep/down-sweep scan over an explicit binary tree.
+/// Number of leaves covered by heap node `k` in a tree of `size`
+/// leaf slots (`size` a power of two, `k` in `1..2*size`).
+#[inline]
+fn node_span(size: usize, k: usize) -> usize {
+    debug_assert!(k >= 1 && k < 2 * size);
+    (2 * size) >> (usize::BITS - k.leading_zeros())
+}
+
+/// Does heap node `k` cover at least one of the `n` real leaves?
+#[inline]
+fn occupied(size: usize, n: usize, k: usize) -> bool {
+    // Leftmost leaf index covered by k is k*span - size.
+    k * node_span(size, k) < size + n
+}
+
+/// Exclusive scan of `leaves` by one up-sweep and one down-sweep over
+/// the left-balanced heap, with `combine` as the (associative)
+/// operator.
 ///
-/// The tree is the canonical layout used by hardware parallel-prefix
-/// networks: leaves in order, internal nodes combining contiguous
-/// intervals, left-balanced for arbitrary (non-power-of-two) widths.
-#[derive(Debug, Clone)]
-pub struct TreeScan<T> {
-    n: usize,
-    /// `summaries[k]` holds the interval summary of node `k` in a heap
-    /// layout over `2*ceil_pow2(n)` slots; `None` outside the tree.
-    summaries: Vec<Option<T>>,
-    size: usize,
-    /// Operator applications on the longest root-to-leaf path
-    /// (up-sweep + down-sweep).
-    depth: usize,
-    /// Total operator applications (work).
-    work: usize,
-}
-
-fn ceil_pow2(n: usize) -> usize {
-    n.next_power_of_two()
-}
-
-impl<T: Clone> TreeScan<T> {
-    /// Build the up-sweep phase: compute interval summaries for every
-    /// tree node from the leaf values.
-    ///
-    /// # Panics
-    /// Panics on empty input.
-    pub fn build<O: PrefixOp<T>>(xs: &[T]) -> Self {
-        assert!(!xs.is_empty(), "TreeScan requires at least one element");
-        let n = xs.len();
-        let size = ceil_pow2(n);
-        let mut summaries: Vec<Option<T>> = vec![None; 2 * size];
-        for (i, x) in xs.iter().enumerate() {
-            summaries[size + i] = Some(x.clone());
-        }
-        let mut work = 0usize;
-        for k in (1..size).rev() {
-            let l = summaries[2 * k].clone();
-            let r = summaries[2 * k + 1].clone();
-            summaries[k] = match (l, r) {
-                (Some(a), Some(b)) => {
-                    work += 1;
-                    Some(O::combine(&a, &b))
-                }
-                (Some(a), None) => Some(a),
-                (None, Some(b)) => Some(b),
-                (None, None) => None,
-            };
-        }
-        // Up-sweep contributes ceil(log2 n) levels; the down-sweep the
-        // same again. Depth is finalised in the scan methods.
-        let levels = size.trailing_zeros() as usize;
-        TreeScan {
-            n,
-            summaries,
-            size,
-            depth: levels,
-            work,
+/// `seed` receives the root summary — the fold of every leaf — and
+/// returns the value flowing into leaf 0 from before: the root itself
+/// in a cyclic circuit whose tree top is tied (paper Figure 4), or the
+/// committed state / an identity in a non-cyclic scan. `out[i]` is then
+/// `seed ⊗ leaves[0] ⊗ … ⊗ leaves[i-1]`.
+///
+/// The combination *order* — which pairs are combined, bottom-up then
+/// top-down — is fixed, so a gate-emitting `combine` generates the
+/// canonical `Θ(log n)`-depth circuit. Empty input returns an empty
+/// vector without calling `seed`.
+pub fn exclusive_sweep_with<T: Clone>(
+    leaves: &[T],
+    seed: impl FnOnce(&T) -> T,
+    mut combine: impl FnMut(&T, &T) -> T,
+) -> Vec<T> {
+    let n = leaves.len();
+    if n == 0 {
+        return Vec::new();
+    }
+    let size = n.next_power_of_two();
+    // Unoccupied slots hold filler that is never read.
+    let mut summaries: Vec<T> = vec![leaves[0].clone(); 2 * size];
+    summaries[size..size + n].clone_from_slice(leaves);
+    for k in (1..size).rev() {
+        if occupied(size, n, 2 * k + 1) {
+            let c = combine(&summaries[2 * k], &summaries[2 * k + 1]);
+            summaries[k] = c;
+        } else if occupied(size, n, 2 * k) {
+            // Left-packed: an occupied node with an empty right child
+            // just forwards its left child's summary.
+            summaries[k] = summaries[2 * k].clone();
         }
     }
-
-    /// Number of leaves.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// True iff the tree has no leaves (never: `build` rejects empty).
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// Total reduction of all leaves (the root summary).
-    pub fn root(&self) -> &T {
-        self.summaries[1]
-            .as_ref()
-            .expect("non-empty tree has a root summary")
-    }
-
-    /// Operator applications on the critical path of a full
-    /// up-sweep + down-sweep evaluation: `2 * ceil(log2 n)`.
-    pub fn depth(&self) -> usize {
-        2 * self.depth
-    }
-
-    /// Operator applications performed by the up-sweep (`build`).
-    pub fn work(&self) -> usize {
-        self.work
-    }
-
-    /// Down-sweep producing the *exclusive* scan. `before_all` is the
-    /// value flowing into the leftmost leaf — the committed state in the
-    /// processor datapath, or the wrapped-around root summary in a
-    /// cyclic circuit. Read-only: the summaries are not modified, so a
-    /// built tree can be scanned repeatedly (and concurrently) with
-    /// different seeds.
-    pub fn scan_exclusive<O: PrefixOp<T>>(&self, before_all: T) -> Vec<T> {
-        // prefix[k] = combination of everything strictly before node k's
-        // interval, seeded with `before_all`.
-        let mut prefix: Vec<Option<T>> = vec![None; 2 * self.size];
-        prefix[1] = Some(before_all);
-        for k in 1..self.size {
-            let p = match prefix[k].clone() {
-                Some(p) => p,
-                None => continue,
-            };
-            // Left child sees the same prefix.
-            prefix[2 * k] = Some(p.clone());
-            // Right child sees prefix ⊗ left-summary.
-            if 2 * k + 1 < 2 * self.size {
-                prefix[2 * k + 1] = match &self.summaries[2 * k] {
-                    Some(ls) => Some(O::combine(&p, ls)),
-                    None => Some(p),
-                };
-            }
+    let mut prefix: Vec<T> = vec![seed(&summaries[1]); 2 * size];
+    for k in 1..size {
+        if !occupied(size, n, k) {
+            continue;
         }
-        (0..self.n)
-            .map(|i| {
-                prefix[self.size + i]
-                    .clone()
-                    .expect("every leaf receives a prefix")
-            })
-            .collect()
+        // Left child (occupied whenever k is) sees the same prefix;
+        // right child sees prefix ⊗ left-summary.
+        let p = prefix[k].clone();
+        if occupied(size, n, 2 * k + 1) {
+            prefix[2 * k + 1] = combine(&p, &summaries[2 * k]);
+        }
+        prefix[2 * k] = p;
     }
+    prefix[size..size + n].to_vec()
 }
 
 /// Convenience: inclusive tree scan of `xs` (depth `Θ(log n)`).
@@ -150,26 +100,16 @@ pub fn tree_scan_inclusive<T: Clone, O: PrefixOp<T>>(xs: &[T]) -> Vec<T> {
     let Some((first, tail)) = xs.split_first() else {
         return Vec::new();
     };
+    let ex = exclusive_sweep_with(tail, |_| first.clone(), O::combine);
     let mut out = Vec::with_capacity(xs.len());
     out.push(first.clone());
-    if tail.is_empty() {
-        return out;
-    }
-    let tail_tree = TreeScan::build::<O>(tail);
-    let ex = tail_tree.scan_exclusive::<O>(first.clone());
-    for (e, x) in ex.iter().zip(tail) {
-        out.push(O::combine(e, x));
-    }
+    out.extend(ex.iter().zip(tail).map(|(e, x)| O::combine(e, x)));
     out
 }
 
 /// Convenience: exclusive tree scan with an explicit identity/seed.
 pub fn tree_scan_exclusive<T: Clone, O: PrefixOp<T>>(xs: &[T], identity: T) -> Vec<T> {
-    if xs.is_empty() {
-        return Vec::new();
-    }
-    let tree = TreeScan::build::<O>(xs);
-    tree.scan_exclusive::<O>(identity)
+    exclusive_sweep_with(xs, |_| identity, O::combine)
 }
 
 #[cfg(test)]
@@ -177,6 +117,28 @@ mod tests {
     use super::*;
     use crate::op::{First, Max, Sum};
     use crate::scan;
+
+    #[test]
+    fn occupancy_arithmetic_matches_option_heap() {
+        for n in 1..=40usize {
+            let size = n.next_power_of_two();
+            // Reference: propagate leaf occupancy up the heap.
+            let mut occ = vec![false; 2 * size];
+            for i in 0..n {
+                occ[size + i] = true;
+            }
+            for k in (1..size).rev() {
+                occ[k] = occ[2 * k] || occ[2 * k + 1];
+            }
+            for k in 1..2 * size {
+                assert_eq!(occupied(size, n, k), occ[k], "n={n} k={k}");
+                // Left-packed invariant: right occupied => left occupied.
+                if k < size && occ[2 * k + 1] {
+                    assert!(occ[2 * k]);
+                }
+            }
+        }
+    }
 
     #[test]
     fn matches_serial_inclusive_all_small_sizes() {
@@ -203,35 +165,11 @@ mod tests {
     }
 
     #[test]
-    fn depth_is_logarithmic() {
-        for k in 0..12u32 {
-            let n = 1usize << k;
-            let xs = vec![1u32; n];
-            let tree = TreeScan::build::<Sum>(&xs);
-            assert_eq!(tree.depth(), 2 * k as usize, "n = {n}");
-        }
-        // Non-power-of-two widths round up.
-        let tree = TreeScan::build::<Sum>(&vec![1u32; 100]);
-        assert_eq!(tree.depth(), 2 * 7);
-    }
-
-    #[test]
-    fn work_is_linear() {
-        // Up-sweep of a power-of-two width performs exactly n-1 combines.
-        for k in 1..10u32 {
-            let n = 1usize << k;
-            let tree = TreeScan::build::<Sum>(&vec![1u32; n]);
-            assert_eq!(tree.work(), n - 1, "n = {n}");
-        }
-    }
-
-    #[test]
-    fn root_is_total_reduction() {
+    fn seed_receives_total_reduction() {
+        // A root-tied (cyclic) sweep hands the whole fold to leaf 0.
         let xs: Vec<u32> = (1..=10).collect();
-        let tree = TreeScan::build::<Sum>(&xs);
-        assert_eq!(*tree.root(), 55);
-        let tree = TreeScan::build::<Max>(&xs);
-        assert_eq!(*tree.root(), 10);
+        assert_eq!(exclusive_sweep_with(&xs, |r| *r, Sum::combine)[0], 55);
+        assert_eq!(exclusive_sweep_with(&xs, |r| *r, Max::combine)[0], 10);
     }
 
     #[test]
@@ -247,8 +185,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one element")]
-    fn empty_build_panics() {
-        let _ = TreeScan::<u32>::build::<Sum>(&[]);
+    fn empty_input_scans_to_empty() {
+        assert!(tree_scan_inclusive::<u32, Sum>(&[]).is_empty());
+        assert!(tree_scan_exclusive::<u32, Sum>(&[], 0).is_empty());
+        let out = exclusive_sweep_with(&[] as &[u32], |_| unreachable!(), Sum::combine);
+        assert!(out.is_empty());
     }
 }
