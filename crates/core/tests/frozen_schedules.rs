@@ -9,7 +9,8 @@
 //! ALUs, latency-bearing memory, the trace cache, fetch caps, no cycle
 //! skipping, and pipelined forwarding across windows (1 to 7 H-tree
 //! hop levels) and per-hop costs from 0 to the saturating `u64`
-//! extremes. Each corner runs ~20 seeded random programs at every
+//! extremes, plus windows of 96 to 256 stations, wider than one 64-bit
+//! word. Each corner runs ~20 seeded random programs at every
 //! register-file width regime (6, 65, 128 and 256 registers) plus the
 //! standard kernel suite. A schedule change anywhere — a cycle, a slot,
 //! a forwarding distance — changes a digest.
@@ -214,9 +215,47 @@ fn pipelined_corners() -> Vec<(String, ProcConfig)> {
     out
 }
 
+/// Windows wider than one 64-bit word, so a per-slot bitset over the
+/// ring spans several words and the program-order walk wraps around
+/// the ring across a word boundary. The non-power-of-two window leaves
+/// the last word partial.
+fn wide_corners() -> Vec<(String, ProcConfig)> {
+    let lat = LatencyModel {
+        branch: 2,
+        ..LatencyModel::default()
+    };
+    vec![
+        (
+            "us1-w200".into(),
+            ProcConfig::ultrascalar_i(200)
+                .with_predictor(PredictorKind::Bimodal(16))
+                .with_mem(MemConfig::realistic(200, 1 << 16))
+                .with_latency(lat),
+        ),
+        (
+            "hybrid-w96-c32".into(),
+            ProcConfig::hybrid(96, 32)
+                .with_predictor(PredictorKind::Bimodal(16))
+                .with_memory_renaming()
+                .with_shared_alus(2)
+                .with_trace_cache(4, 2)
+                .with_latency(lat),
+        ),
+        (
+            "us2-w256".into(),
+            ProcConfig::ultrascalar_ii(256)
+                .with_predictor(PredictorKind::Bimodal(16))
+                .with_forwarding(ForwardModel::Pipelined { per_hop: 1 })
+                .with_memory_renaming()
+                .with_latency(lat),
+        ),
+    ]
+}
+
 fn corners() -> Vec<(String, ProcConfig)> {
     let mut out = feature_corners();
     out.extend(pipelined_corners());
+    out.extend(wide_corners());
     out
 }
 
