@@ -65,6 +65,11 @@
 //! in-flight requests, unblocks idle readers, joins every worker, and
 //! the aggregate stderr summary prints exactly once.
 //!
+//! A request line is at most [`MAX_LINE_BYTES`] long. The rest of a
+//! longer line is drained up to its newline without being buffered,
+//! and the line gets one error response; the connection keeps
+//! serving.
+//!
 //! The JSON codec is hand-rolled like [`crate::sweep::JsonReport`]:
 //! this workspace takes no serde dependency. Identical requests
 //! produce byte-identical responses (per-request wall time is
@@ -87,6 +92,11 @@ use ultrascalar::{
 };
 use ultrascalar_isa::{CacheStats, Program, ShardedProgramCache};
 use ultrascalar_memsys::NetworkKind;
+
+/// The longest request line `usim serve` buffers, newline included:
+/// far above any valid request, small enough that a client streaming
+/// bytes with no newline cannot grow server memory without bound.
+pub const MAX_LINE_BYTES: usize = 4 << 20;
 
 /// Lock recovering from poison: the guarded state is cache/registry
 /// bookkeeping whose invariants hold on every exit path, so one
@@ -401,6 +411,19 @@ impl Worker {
             .wall_nanos
             .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
         &self.line_out
+    }
+
+    /// Answer a request line longer than [`MAX_LINE_BYTES`]: one error
+    /// line (newline included), counted as a failed request.
+    fn reject_long_line(&mut self) {
+        self.shared.requests.fetch_add(1, Ordering::Relaxed);
+        self.shared.worker_requests[self.slot].fetch_add(1, Ordering::Relaxed);
+        self.shared.errors.fetch_add(1, Ordering::Relaxed);
+        self.line_out.clear();
+        let _ = writeln!(
+            self.line_out,
+            "{{\"ok\":false,\"error\":\"request line longer than {MAX_LINE_BYTES} bytes\"}}"
+        );
     }
 
     fn handle_inner(&mut self, line: &str) -> Result<(), String> {
@@ -1294,6 +1317,9 @@ enum LineRead {
     Line { rest: usize },
     /// Clean EOF on a line boundary.
     Eof,
+    /// A line longer than [`MAX_LINE_BYTES`], drained through its
+    /// newline; only its first `MAX_LINE_BYTES` bytes were buffered.
+    TooLong,
     /// EOF mid-line: the partial bytes are in the buffer, unprocessed.
     PartialEof,
     /// Read error.
@@ -1302,8 +1328,11 @@ enum LineRead {
 
 /// Read one line (through its `\n`) into `buf` via `fill_buf` /
 /// `consume`, so the bytes already buffered behind it stay observable.
+/// At most [`MAX_LINE_BYTES`] are buffered; the rest of a longer line
+/// is consumed and dropped.
 fn read_raw_line<R: BufRead>(reader: &mut R, buf: &mut Vec<u8>) -> LineRead {
     buf.clear();
+    let mut too_long = false;
     loop {
         let chunk = match reader.fill_buf() {
             Ok(c) => c,
@@ -1317,18 +1346,19 @@ fn read_raw_line<R: BufRead>(reader: &mut R, buf: &mut Vec<u8>) -> LineRead {
                 LineRead::PartialEof
             };
         }
-        match chunk.iter().position(|&b| b == b'\n') {
-            Some(pos) => {
-                buf.extend_from_slice(&chunk[..=pos]);
-                let rest = chunk.len() - (pos + 1);
-                reader.consume(pos + 1);
-                return LineRead::Line { rest };
-            }
-            None => {
-                buf.extend_from_slice(chunk);
-                let len = chunk.len();
-                reader.consume(len);
-            }
+        let newline = chunk.iter().position(|&b| b == b'\n');
+        let take = newline.map_or(chunk.len(), |pos| pos + 1);
+        let room = MAX_LINE_BYTES - buf.len();
+        too_long |= take > room;
+        buf.extend_from_slice(&chunk[..take.min(room)]);
+        let rest = chunk.len() - take;
+        reader.consume(take);
+        if newline.is_some() {
+            return if too_long {
+                LineRead::TooLong
+            } else {
+                LineRead::Line { rest }
+            };
         }
     }
 }
@@ -1390,6 +1420,16 @@ fn stream_loop<R: BufRead, W: Write>(worker: &mut Worker, mut reader: R, mut wri
         } else {
             match read_raw_line(&mut reader, &mut line) {
                 LineRead::Line { rest: r } => rest = r,
+                LineRead::TooLong => {
+                    worker.reject_long_line();
+                    if writer.write_all(worker.line_out.as_bytes()).is_err()
+                        || writer.flush().is_err()
+                    {
+                        disconnect(worker);
+                        break;
+                    }
+                    continue;
+                }
                 LineRead::Eof => break,
                 LineRead::PartialEof => {
                     // The client vanished mid-line: a partial request

@@ -108,13 +108,20 @@ const REQ_FAN: &str = r#"{"program":"li r1, 3\naddi r1, r1, 1\nadd r2, r2, r1\na
 /// path (stage clears, bank queues, responses) is probed too.
 const REQ_MEMNET: &str = r#"{"program":"li r1, 0\nli r2, 8\nli r3, 0\nloop:\nsw r1, (r1)\nlw r4, (r1)\nadd r3, r3, r4\naddi r1, r1, 1\nblt r1, r2, loop\nhalt\n","options":{"arch":"usi","window":8,"predictor":"bimodal:64","mem_exp":0.5,"network":"butterfly"}}"#;
 
+/// A 256-station hybrid (clusters of 64, memory renaming) on a loop
+/// whose alternating branch the bimodal predictor keeps missing: the
+/// window spans four bitset words, and every misprediction flush
+/// squashes parked stations out of the engine's waiter lists, so the
+/// probe pins the wake-up lists as allocation-free through flushes.
+const REQ_WIDE: &str = r#"{"program":"li r1, 0\nli r2, 40\nli r3, 0\nli r7, 0\nloop:\nandi r4, r1, 1\nbeq r4, r7, even\naddi r3, r3, 3\neven:\nsw r1, (r1)\nlw r5, (r1)\nadd r3, r3, r5\naddi r1, r1, 1\nblt r1, r2, loop\nhalt\n","options":{"arch":"hybrid","window":256,"cluster":64,"predictor":"bimodal:64","renaming":true}}"#;
+
 #[test]
 fn serve_request_loop_allocates_nothing_in_steady_state() {
     let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
     let mut server = Server::new(8, 4);
 
     let steady = |server: &mut Server| {
-        for req in [REQ_LOOP, REQ_HYBRID, REQ_MUL, REQ_FAN, REQ_MEMNET] {
+        for req in [REQ_LOOP, REQ_HYBRID, REQ_MUL, REQ_FAN, REQ_MEMNET, REQ_WIDE] {
             let resp = server.handle_line(req);
             assert!(resp.starts_with("{\"ok\":true,"));
         }
@@ -124,6 +131,8 @@ fn serve_request_loop_allocates_nothing_in_steady_state() {
     // every reused buffer.
     steady(&mut server);
     steady(&mut server);
+    let wide = server.handle_line(REQ_WIDE);
+    assert!(wide.contains("\"mispredictions\":42,"), "{wide}");
 
     let runs_before = server.counters().runs;
     let guard = ProbeGuard::arm();
@@ -138,13 +147,14 @@ fn serve_request_loop_allocates_nothing_in_steady_state() {
         0,
         "serve request loop allocated in steady state"
     );
-    assert_eq!(server.counters().runs - runs_before, 250);
+    assert_eq!(server.counters().runs - runs_before, 300);
     // Every probed request was a cache/pool hit (the fan shares the
     // loop kernel's configuration, so it is a third program but not a
     // third engine; the memory-network request reuses the loop
-    // program under a third configuration).
-    assert_eq!(server.program_stats().misses, 3);
-    assert_eq!(server.engine_stats().misses, 3);
+    // program under a third configuration; the wide request is a
+    // fourth program and configuration).
+    assert_eq!(server.program_stats().misses, 4);
+    assert_eq!(server.engine_stats().misses, 4);
 }
 
 #[test]

@@ -2,7 +2,9 @@
 //! byte-identical repeats, cache/pool accounting, strict error
 //! handling, and the stream driver.
 
-use ultrascalar_bench::serve::{serve_stream, Server};
+use std::io::BufReader;
+
+use ultrascalar_bench::serve::{serve_stream, Server, MAX_LINE_BYTES};
 
 const PROG: &str =
     r#"{"program":"li r1, 6\nli r2, 7\nmul r3, r1, r2\nhalt\n","options":{"window":8}}"#;
@@ -142,6 +144,28 @@ fn huge_regs_is_rejected_and_the_connection_keeps_serving() {
     );
     assert!(lines[1].starts_with("{\"ok\":true,"), "{}", lines[1]);
     assert!(lines[1].contains("\"halted\":true"), "{}", lines[1]);
+}
+
+/// A line twice [`MAX_LINE_BYTES`] long gets exactly one error line,
+/// and the request after it its normal answer from the same server.
+#[test]
+fn over_long_line_gets_one_error_and_the_stream_keeps_serving() {
+    let mut s = Server::new(8, 4);
+    let mut input = vec![b'x'; 2 * MAX_LINE_BYTES];
+    input.push(b'\n');
+    input.extend_from_slice(PROG.as_bytes());
+    input.push(b'\n');
+    let mut out: Vec<u8> = Vec::new();
+    serve_stream(&mut s, BufReader::new(&input[..]), &mut out);
+    let lines: Vec<&str> = std::str::from_utf8(&out).unwrap().lines().collect();
+    assert_eq!(lines.len(), 2, "{lines:?}");
+    assert_eq!(
+        lines[0],
+        format!("{{\"ok\":false,\"error\":\"request line longer than {MAX_LINE_BYTES} bytes\"}}")
+    );
+    assert_eq!(lines[1], Server::new(8, 4).handle_line(PROG));
+    let c = s.counters();
+    assert_eq!((c.requests, c.errors, c.runs, c.disconnects), (2, 1, 1, 0));
 }
 
 #[test]

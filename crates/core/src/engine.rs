@@ -9,7 +9,7 @@
 //! `head` a whole cluster at a time, refill appends at the tail and a
 //! flush truncates the tail.
 //!
-//! # One walk per cycle
+//! # Producer links
 //!
 //! The hardware's CSPP finds each station's nearest preceding writer of
 //! every source register anew each cycle. For a station that is already
@@ -31,13 +31,44 @@
 //! walk step: issued earlier in this cycle's walk (then not yet ready),
 //! or completed by a memory response in an earlier cycle.
 //!
-//! That walk is the cycle's only pass over the window. Besides issue
-//! and the running all-earlier AND flags ("all earlier stores / loads /
-//! branches done, store addresses resolved"), it yields the issue
-//! count, the occupancy, the branches completing this cycle (the only
-//! stations branch resolution visits) and the done prefix commit
-//! retires from. The simulator does in `O(n)` serial work per cycle
-//! what the circuits do in `Θ(log n)` gate delay.
+//! # Wake-up lists
+//!
+//! Each cycle one program-order walk issues and computes the running
+//! all-earlier AND flags ("all earlier stores / loads / branches done,
+//! store addresses resolved"), the issue count, the branches completing
+//! this cycle (the only stations branch resolution visits) and the done
+//! prefix commit retires from. It visits only the stations that can
+//! change state: the members of an `active` bitset over the ring slots,
+//! found from `head` with trailing-zeros scans. Two kinds of station
+//! leave it:
+//!
+//! * a **finished** station (done before the cycle) leaves the first
+//!   cycle the walk finds it so. It can issue nothing and clears no
+//!   flag, and finished stays finished. Under memory renaming a store
+//!   stays until it retires, because every resolved older store feeds
+//!   the loads' forwarding search.
+//! * a station blocked on an in-window producer whose completion is
+//!   **not yet scheduled** parks on that producer, in an intrusive
+//!   waiter list. Every point that schedules a register writer's
+//!   completion — an ALU, immediate or load-immediate issue, a
+//!   store-forwarded load, a memory response — moves that writer's
+//!   waiters back into the walk.
+//!
+//! Parking is exact. A parked station cannot issue before its producer
+//! schedules a completion, and that producer's result is usable no
+//! earlier than the cycle after, which the woken station reaches in
+//! the walk. Until then its only effect on other stations is that it
+//! is unfinished. The oldest parked station bounds the done prefix, and
+//! the oldest parked load, branch and store (per-kind bitsets) clear
+//! their flag lanes for every younger station. Cycle skip needs no new
+//! event: a parked station's producer is unscheduled, which the
+//! "covered transitively" argument at the blocked-operand wake-ups
+//! already relies on, and the ready time of its other operand, no
+//! longer collected, passes while it is still blocked. Every schedule,
+//! statistic and flush trace is therefore the one a walk over every
+//! station produces, and the per-cycle cost is the visited stations
+//! plus `O(n / 64)` words. The circuits do the same work in
+//! `Θ(log n)` gate delay.
 //!
 //! Three of the paper's extension mechanisms are implemented behind
 //! configuration switches (all off by default):
@@ -66,6 +97,7 @@ use crate::stats::ProcStats;
 use crate::timing::InstrTiming;
 use ultrascalar_isa::{Instr, Program};
 use ultrascalar_memsys::{MemRequest, MemResponse, MemSystem, ReqKind};
+use ultrascalar_prefix::BitWords;
 
 /// Fuel given to the golden interpreter when pre-computing the perfect
 /// fetch path. Far beyond any workload in this repository.
@@ -80,6 +112,125 @@ const F_BRANCHES_DONE: u64 = 1 << 2;
 const F_STORES_RESOLVED: u64 = 1 << 3;
 /// Lanes gating a store issue: every older store, load and branch done.
 const F_STORE_ISSUE: u64 = F_STORES_DONE | F_LOADS_DONE | F_BRANCHES_DONE;
+/// The lane a parked station of each tracked kind (load, branch,
+/// store) clears for every younger station; see [`parked_kind`].
+const KIND_FLAGS: [u64; 3] = [F_LOADS_DONE, F_BRANCHES_DONE, F_STORES_DONE];
+
+/// Index into [`KIND_FLAGS`] of the instruction's kind, if its
+/// doneness feeds an all-earlier flag.
+fn parked_kind(instr: &Instr) -> Option<usize> {
+    match instr {
+        Instr::Load { .. } => Some(0),
+        Instr::Branch { .. } => Some(1),
+        Instr::Store { .. } => Some(2),
+        _ => None,
+    }
+}
+
+/// Which stations the per-cycle walk visits, and who wakes the rest
+/// (see "Wake-up lists" in the module docs). Every set is over ring
+/// slots and holds only occupied ones; an occupied station in neither
+/// `active` nor `parked` is finished.
+/// The waiter lists are circular doubly-linked lists over two fixed
+/// `u32` arrays: nodes `0..n` are the stations, node `n + p` heads
+/// the list of stations parked on producer slot `p`, and an unlinked
+/// node points at itself. Everything is sized once per window, so
+/// parking, waking and flushing never allocate.
+#[derive(Debug, Default)]
+struct WakeLists {
+    /// Stations the walk visits.
+    active: BitWords,
+    /// Stations parked on a producer whose completion is unscheduled.
+    parked: BitWords,
+    /// The parked loads, branches and stores, aligned with
+    /// [`KIND_FLAGS`].
+    parked_by_kind: [BitWords; 3],
+    next: Vec<u32>,
+    prev: Vec<u32>,
+}
+
+impl WakeLists {
+    /// Empty sets and lists for a window of `n` stations.
+    fn reset(&mut self, n: usize) {
+        if self.active.len() != n {
+            self.active = BitWords::new(n);
+            self.parked = BitWords::new(n);
+            self.parked_by_kind = [BitWords::new(n), BitWords::new(n), BitWords::new(n)];
+        } else {
+            self.active.clear();
+            self.parked.clear();
+            self.parked_by_kind.iter_mut().for_each(BitWords::clear);
+        }
+        self.next.clear();
+        self.next.extend(0..2 * n as u32);
+        self.prev.clear();
+        self.prev.extend(0..2 * n as u32);
+    }
+
+    /// Take station `w` (a `kind`, see [`parked_kind`]) out of the walk
+    /// until producer slot `p` schedules its completion.
+    fn park(&mut self, w: usize, p: usize, kind: Option<usize>) {
+        let n = self.active.len();
+        let h = (n + p) as u32;
+        let first = self.next[h as usize];
+        self.next[w] = first;
+        self.prev[w] = h;
+        self.prev[first as usize] = w as u32;
+        self.next[h as usize] = w as u32;
+        self.active.unset(w);
+        self.parked.set(w);
+        if let Some(k) = kind {
+            self.parked_by_kind[k].set(w);
+        }
+    }
+
+    /// Producer slot `p` has scheduled its completion: move every
+    /// station parked on it back into the walk.
+    #[inline]
+    fn wake(&mut self, p: usize) {
+        let h = self.active.len() + p;
+        let mut w = self.next[h] as usize;
+        while w != h {
+            let after = self.next[w] as usize;
+            self.next[w] = w as u32;
+            self.prev[w] = w as u32;
+            self.active.set(w);
+            self.parked.unset(w);
+            self.parked_by_kind.iter_mut().for_each(|b| b.unset(w));
+            w = after;
+        }
+        self.next[h] = h as u32;
+        self.prev[h] = h as u32;
+    }
+
+    /// Drop slots `from..to` from every set and list (a flush squashed
+    /// them). Any station parked on a squashed producer is younger than
+    /// it, so squashed too: unlinking the squashed waiters empties the
+    /// squashed producers' lists.
+    fn squash(&mut self, from: usize, to: usize) {
+        let mut s = from;
+        while let Some(w) = self.parked.next_set(s, to) {
+            let (a, b) = (self.prev[w], self.next[w]);
+            self.next[a as usize] = b;
+            self.prev[b as usize] = a;
+            self.next[w] = w as u32;
+            self.prev[w] = w as u32;
+            s = w + 1;
+        }
+        self.active.clear_range(from, to);
+        self.parked.clear_range(from, to);
+        self.parked_by_kind
+            .iter_mut()
+            .for_each(|b| b.clear_range(from, to));
+    }
+}
+
+/// The first member of `set` in ring order from `head`.
+#[inline]
+fn first_from(set: &BitWords, head: usize) -> Option<usize> {
+    set.next_set(head, set.len())
+        .or_else(|| set.next_set(0, head))
+}
 
 /// A decode-time producer link: the station that held the nearest
 /// preceding writer of a source register when the consumer entered the
@@ -245,9 +396,10 @@ pub struct FlushedEntry {
 }
 
 /// Wrong-path trace of a run: every misprediction flush with its
-/// squashed entries, in flush order. Maintained unconditionally (the
-/// cost is a few pushes per flush), consumed by the lane batcher's
-/// epoch-segmented replay; cleared at the top of every run.
+/// squashed entries, in flush order. Maintained unconditionally (a
+/// flush pushes one entry per squashed station, up to `n - 1`, into
+/// retained buffers), consumed by the lane batcher's epoch-segmented
+/// replay; cleared at the top of every run.
 #[derive(Debug, Default)]
 pub struct ReplayLog {
     /// Flush events, in flush (time) order.
@@ -310,6 +462,8 @@ struct EngineScratch {
     /// placed in the window (possibly since committed — the operand
     /// probe tells).
     rename: Vec<Option<Link>>,
+    /// The walk's station sets and waiter lists.
+    wake: WakeLists,
     /// Program-order indices of the branches completing this cycle.
     resolving: Vec<usize>,
     /// The resolved older stores, in program order (memory renaming
@@ -401,6 +555,7 @@ impl Processor for Ultrascalar {
             trace_cache,
             ring,
             rename,
+            wake,
             resolving,
             store_infos,
             requests,
@@ -429,6 +584,7 @@ impl Processor for Ultrascalar {
         }
         rename.clear();
         rename.resize(program.num_regs, None);
+        wake.reset(n);
         resolving.clear();
         store_infos.clear();
         requests.clear();
@@ -479,6 +635,7 @@ impl Processor for Ultrascalar {
         let fetch_budget = self.cfg.fetch_width.unwrap_or(n);
         let refill = |ring: &mut [Station],
                       rename: &mut [Option<Link>],
+                      active: &mut BitWords,
                       head: usize,
                       len: &mut usize,
                       fetch: &mut FetchUnit,
@@ -503,12 +660,22 @@ impl Processor for Ultrascalar {
                     e: StationEntry::new(seq, f.pc, f.instr, f.predicted_next, visible_at),
                     src,
                 };
+                active.set(slot);
                 *len += 1;
             }
         };
 
         // Initial fill: the window starts filling at cycle 0.
-        refill(ring, rename, head, &mut len, fetch, &mut next_seq, 0);
+        refill(
+            ring,
+            rename,
+            &mut wake.active,
+            head,
+            &mut len,
+            fetch,
+            &mut next_seq,
+            0,
+        );
 
         let mut t: u64 = 0;
         while t < self.cfg.max_cycles {
@@ -530,23 +697,70 @@ impl Processor for Ultrascalar {
             let mut completes_now = false;
             let alu_stalls_before = stats.alu_stalls;
 
-            // ---- Phase A: the program-order walk; issue & collect
-            // memory requests. Prefix flags mirror the CSPP circuits,
-            // computed on start-of-cycle state.
+            // ---- Phase A: the program-order walk over the active
+            // stations; issue & collect memory requests. Prefix flags
+            // mirror the CSPP circuits, computed on start-of-cycle
+            // state.
             let mut flags: u64 = F_STORES_DONE | F_LOADS_DONE | F_BRANCHES_DONE | F_STORES_RESOLVED;
             let front_seq = ring[head].e.seq;
             let mut issued_now = 0usize;
-            // Leading stations finished before this cycle: commit's
-            // input.
-            let mut done_prefix = 0usize;
             resolving.clear();
             store_infos.clear();
             requests.clear();
             let mut free_alus = alu_free_at.iter().filter(|&&f| f <= t).count();
+            // Program-order position of an occupied slot.
+            let at = |slot: usize| {
+                if slot >= head {
+                    slot - head
+                } else {
+                    slot + n - head
+                }
+            };
+            // Leading stations finished before this cycle: commit's
+            // input. A parked station is not finished, so the oldest
+            // one bounds it; the walk lowers it to the oldest visited
+            // station that is not finished either.
+            let mut done_prefix = first_from(&wake.parked, head).map_or(len, at);
+            // The oldest parked load, branch and store clear their
+            // flag lanes for every younger station.
+            let mut kind_drops = [usize::MAX; 3];
+            if done_prefix < len {
+                for (d, set) in kind_drops.iter_mut().zip(&wake.parked_by_kind) {
+                    *d = first_from(set, head).map_or(usize::MAX, at);
+                }
+            }
 
-            for j in 0..len {
-                let pos = ring_slot(head, j, n);
+            // Active slots in ring order from `head`: `[head, n)`, then
+            // `[0, head)`. Each step re-reads the set, so a station
+            // woken earlier in this walk is visited when the walk
+            // reaches it.
+            let (mut cursor, mut end) = (head, n);
+            loop {
+                let Some(pos) = wake.active.next_set(cursor, end) else {
+                    if end == n && head > 0 {
+                        (cursor, end) = (0, head);
+                        continue;
+                    }
+                    break;
+                };
+                cursor = pos + 1;
+                let j = at(pos);
+                debug_assert!(j < len, "active slot {pos} is vacant");
+                for (&d, &lane) in kind_drops.iter().zip(&KIND_FLAGS) {
+                    if j > d {
+                        flags &= !lane;
+                    }
+                }
                 let entry = &ring[pos].e;
+                // A finished station leaves the walk: it issues nothing,
+                // clears no flag and schedules nothing. Under memory
+                // renaming a store stays, because every resolved older
+                // store feeds `store_infos`.
+                let stays = renaming && entry.instr.is_store();
+                if entry.done_before(t) && !stays {
+                    wake.active.unset(pos);
+                    continue;
+                }
                 let seq = entry.seq;
                 let eligible = entry.issued_at.is_none() && t >= entry.fetched_at;
                 // A memory op may spend several cycles re-offering a
@@ -693,6 +907,12 @@ impl Processor for Ultrascalar {
                                 }
                             }
                         }
+                        // An eligible station had no completion, so one
+                        // set here was scheduled just now: wake its
+                        // waiters (none unless it writes a register).
+                        if ring[pos].e.completed_at.is_some() {
+                            wake.wake(pos);
+                        }
                     } else {
                         // Blocked on operands. Each pending forwarded
                         // source whose producer already has a scheduled
@@ -704,6 +924,21 @@ impl Processor for Ultrascalar {
                         // issued producer, an in-flight memory op, or a
                         // fetch stall.)
                         next_source_ready = next_source_ready.min(wake_up(&s0, &s1, t));
+                        // Blocked on a producer that has not scheduled
+                        // its completion: park on it until it does (a
+                        // store that stays in the walk excepted).
+                        let unscheduled = |s: &&Option<Source>| {
+                            matches!(s, Some(Source::Forwarded { ready_at: None, .. }))
+                        };
+                        let blocker = if stays {
+                            None
+                        } else {
+                            [&s0, &s1].iter().position(unscheduled)
+                        };
+                        if let Some(k) = blocker {
+                            let p = ring[pos].src[k].expect("a forwarded operand is linked");
+                            wake.park(pos, p.slot, parked_kind(&ring[pos].e.instr));
+                        }
                     }
                 }
 
@@ -715,8 +950,8 @@ impl Processor for Ultrascalar {
                     issued_now += 1;
                 }
                 let done = entry.done_before(t);
-                if done && done_prefix == j {
-                    done_prefix += 1;
+                if !done {
+                    done_prefix = done_prefix.min(j);
                 }
                 match entry.completed_at {
                     Some(ct) if ct > t => next_completion = next_completion.min(ct),
@@ -803,6 +1038,7 @@ impl Processor for Ultrascalar {
                         e.result = resp.value;
                         e.actual_next = Some(e.pc + 1);
                         e.mem = MemPhase::None;
+                        wake.wake(s);
                     }
                 }
             }
@@ -838,6 +1074,17 @@ impl Processor for Ultrascalar {
                 // slots (hardware overwrites the squashed stations in
                 // place).
                 stats.flushed += (len - (j + 1)) as u64;
+                // The squashed stations are `j + 1..len` from `head`:
+                // at most two linear slot runs.
+                let (from, to) = (head + j + 1, head + len);
+                if from >= n {
+                    wake.squash(from - n, to - n);
+                } else if to <= n {
+                    wake.squash(from, to);
+                } else {
+                    wake.squash(from, n);
+                    wake.squash(0, to - n);
+                }
                 len = j + 1;
                 done_prefix = done_prefix.min(len);
                 // Roll the rename table back to the surviving window.
@@ -898,6 +1145,9 @@ impl Processor for Ultrascalar {
                         halted = true;
                     }
                 }
+                // Renaming keeps finished stores in the walk until
+                // they retire.
+                wake.active.clear_range(head, head + cl_len);
                 head = ring_slot(head, c, n);
                 len -= cl_len;
                 done_prefix -= cl_len;
@@ -914,7 +1164,16 @@ impl Processor for Ultrascalar {
             // (unless a trace-cache miss is stalling fetch).
             let seq_before_refill = next_seq;
             if t + 1 >= fetch_stalled_until {
-                refill(ring, rename, head, &mut len, fetch, &mut next_seq, t + 1);
+                refill(
+                    ring,
+                    rename,
+                    &mut wake.active,
+                    head,
+                    &mut len,
+                    fetch,
+                    &mut next_seq,
+                    t + 1,
+                );
             }
             let refilled = next_seq != seq_before_refill;
 

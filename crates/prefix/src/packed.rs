@@ -2,11 +2,14 @@
 //!
 //! The memory network keeps its per-cycle link occupancy in these
 //! words (`ultrascalar-memsys`'s butterfly raster), so clearing a
-//! stage costs one store per 64 wires instead of one per wire.
+//! stage costs one store per 64 wires instead of one per wire. The
+//! engine keeps its station sets (which stations the per-cycle walk
+//! visits, which are parked on a producer) in them too, and finds the
+//! next member with a trailing-zeros scan.
 
-/// A fixed-length bitset over `u64` words with word-parallel clears —
-/// the packed replacement for per-cycle `Vec<bool>` occupancy maps
-/// (the memory butterfly's stage wires).
+/// A fixed-length bitset over `u64` words with word-parallel clears
+/// and scans — the packed replacement for per-cycle `Vec<bool>` maps
+/// (the memory butterfly's stage wires, the engine's station sets).
 #[derive(Debug, Clone, Default)]
 pub struct BitWords {
     words: Vec<u64>,
@@ -56,6 +59,57 @@ impl BitWords {
         assert!(i < self.len, "bit index out of range");
         self.words[i / 64] |= 1u64 << (i % 64);
     }
+
+    /// Lower bit `i`.
+    ///
+    /// # Panics
+    /// Panics if `i >= len`.
+    #[inline]
+    pub fn unset(&mut self, i: usize) {
+        assert!(i < self.len, "bit index out of range");
+        self.words[i / 64] &= !(1u64 << (i % 64));
+    }
+
+    /// Lower every bit in `from..to` (one store per word touched).
+    ///
+    /// # Panics
+    /// Panics if `to > len`.
+    pub fn clear_range(&mut self, from: usize, to: usize) {
+        assert!(to <= self.len, "bit range out of range");
+        let mut i = from;
+        while i < to {
+            let (w, b) = (i / 64, i % 64);
+            let span = (64 - b).min(to - i);
+            let ones = if span == 64 { !0 } else { (1u64 << span) - 1 };
+            self.words[w] &= !(ones << b);
+            i += span;
+        }
+    }
+
+    /// The lowest raised bit in `from..to`, if any: a trailing-zeros
+    /// scan, one load per word up to the first hit.
+    ///
+    /// # Panics
+    /// Panics if `from < to` and `to` lies past the last word.
+    #[inline]
+    pub fn next_set(&self, from: usize, to: usize) -> Option<usize> {
+        if from >= to {
+            return None;
+        }
+        let mut w = from / 64;
+        let mut bits = self.words[w] & (!0u64 << (from % 64));
+        loop {
+            if bits != 0 {
+                let i = w * 64 + bits.trailing_zeros() as usize;
+                return (i < to).then_some(i);
+            }
+            w += 1;
+            if w * 64 >= to {
+                return None;
+            }
+            bits = self.words[w];
+        }
+    }
 }
 
 #[cfg(test)]
@@ -74,6 +128,41 @@ mod tests {
         assert_eq!((0..130).filter(|&i| b.get(i)).count(), 3);
         b.clear();
         assert!((0..130).all(|i| !b.get(i)));
+    }
+
+    #[test]
+    fn unset_clear_range_and_next_set_match_a_bool_model() {
+        let len = 200;
+        let mut b = BitWords::new(len);
+        let mut model = vec![false; len];
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        for _ in 0..2000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let i = (x % len as u64) as usize;
+            let j = ((x >> 20) % (len as u64 + 1)) as usize;
+            match (x >> 40) % 4 {
+                0 | 1 => {
+                    b.set(i);
+                    model[i] = true;
+                }
+                2 => {
+                    b.unset(i);
+                    model[i] = false;
+                }
+                _ => {
+                    let (lo, hi) = (i.min(j), i.max(j));
+                    b.clear_range(lo, hi);
+                    model[lo..hi].fill(false);
+                }
+            }
+            let (lo, hi) = (i.min(j), i.max(j));
+            let want = (lo..hi).find(|&k| model[k]);
+            assert_eq!(b.next_set(lo, hi), want, "next_set({lo}, {hi})");
+            assert!((0..len).all(|k| b.get(k) == model[k]));
+        }
+        assert_eq!(b.next_set(5, 5), None);
     }
 
     #[test]
