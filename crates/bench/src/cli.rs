@@ -340,6 +340,16 @@ pub fn parse_serve(args: &[String]) -> Result<ServeOptions, String> {
 /// exhaust memory.
 pub const MAX_WINDOW: usize = 1 << 16;
 
+/// Largest `--alus` (and serve `options.alus`) accepted: the shared-ALU
+/// pool is allocated up front, and a pool wider than the widest window
+/// could never be busy.
+pub const MAX_ALUS: usize = MAX_WINDOW;
+
+/// Largest bimodal table (`--predictor bimodal:K`) accepted; the
+/// counter table is allocated up front. The experiments use at most
+/// 256 entries.
+pub const MAX_BIMODAL_ENTRIES: usize = 1 << 16;
+
 /// Build the processor configuration from parsed options.
 pub fn build_config(o: &RunOptions) -> Result<ProcConfig, String> {
     if o.window > MAX_WINDOW {
@@ -347,6 +357,18 @@ pub fn build_config(o: &RunOptions) -> Result<ProcConfig, String> {
             "--window {} exceeds the maximum of {MAX_WINDOW} stations",
             o.window
         ));
+    }
+    if let Some(k) = o.alus.filter(|&k| k > MAX_ALUS) {
+        return Err(format!(
+            "--alus {k} exceeds the maximum of {MAX_ALUS} shared ALUs"
+        ));
+    }
+    if let PredictorKind::Bimodal(k) = o.predictor {
+        if k > MAX_BIMODAL_ENTRIES {
+            return Err(format!(
+                "bimodal:{k} exceeds the maximum of {MAX_BIMODAL_ENTRIES} counters"
+            ));
+        }
     }
     if !(0.0..=1.0).contains(&o.mem_exp) {
         return Err(format!(
@@ -675,6 +697,34 @@ mod tests {
             let o = parse_run(&args(&format!("k.asm --window {w}"))).unwrap();
             let e = build_config(&o).unwrap_err();
             assert!(e.contains("exceeds the maximum"), "{e}");
+        }
+    }
+
+    #[test]
+    fn oversized_or_zero_pools_are_config_errors() {
+        for (flags, needle) in [
+            (format!("--alus {MAX_ALUS}"), None),
+            (format!("--predictor bimodal:{MAX_BIMODAL_ENTRIES}"), None),
+            ("--alus 100000000000".into(), Some("exceeds the maximum")),
+            (
+                format!("--alus {}", MAX_ALUS + 1),
+                Some("exceeds the maximum"),
+            ),
+            (
+                "--predictor bimodal:100000000000".into(),
+                Some("exceeds the maximum"),
+            ),
+            ("--predictor bimodal:0".into(), Some("at least one counter")),
+            ("--alus 0".into(), Some("at least one ALU")),
+        ] {
+            let o = parse_run(&args(&format!("k.asm {flags}"))).unwrap();
+            match needle {
+                None => assert!(build_config(&o).is_ok(), "{flags}"),
+                Some(n) => {
+                    let e = build_config(&o).unwrap_err();
+                    assert!(e.contains(n), "{flags}: {e}");
+                }
+            }
         }
     }
 

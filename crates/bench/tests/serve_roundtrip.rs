@@ -146,6 +146,39 @@ fn huge_regs_is_rejected_and_the_connection_keeps_serving() {
     assert!(lines[1].contains("\"halted\":true"), "{}", lines[1]);
 }
 
+/// Pool sizes that used to panic the predictor constructor or abort
+/// the process on allocation each get exactly one error line, and the
+/// request after each is answered byte-identically to a fresh server.
+#[test]
+fn zero_or_huge_pools_get_one_error_each_and_the_stream_keeps_serving() {
+    let mut s = Server::new(8, 4);
+    let bad = [
+        (r#""predictor":"bimodal:0""#, "at least one counter"),
+        (
+            r#""predictor":"bimodal:100000000000""#,
+            "exceeds the maximum",
+        ),
+        (r#""alus":100000000000"#, "exceeds the maximum"),
+    ];
+    let mut input = String::new();
+    for (opt, _) in bad {
+        input.push_str(&format!(
+            "{{\"program\":\"li r1, 6\\nhalt\\n\",\"options\":{{{opt}}}}}\n{PROG}\n"
+        ));
+    }
+    let mut out: Vec<u8> = Vec::new();
+    serve_stream(&mut s, input.as_bytes(), &mut out);
+    let lines: Vec<&str> = std::str::from_utf8(&out).unwrap().lines().collect();
+    assert_eq!(lines.len(), 2 * bad.len(), "{lines:?}");
+    let answer = Server::new(8, 4).handle_line(PROG).to_string();
+    for (pair, (opt, needle)) in lines.chunks(2).zip(bad) {
+        assert!(pair[0].starts_with("{\"ok\":false,"), "{opt}: {}", pair[0]);
+        assert!(pair[0].contains(needle), "{opt}: {}", pair[0]);
+        assert_eq!(pair[1], answer, "{opt}");
+    }
+    assert_eq!(s.counters().errors, bad.len() as u64);
+}
+
 /// A line twice [`MAX_LINE_BYTES`] long gets exactly one error line,
 /// and the request after it its normal answer from the same server.
 #[test]

@@ -21,3 +21,27 @@ fn run_with_huge_regs_exits_1_with_a_one_line_error() {
         "{err}"
     );
 }
+
+/// Pool sizes the engine would assert on or fail to allocate — a
+/// zero-entry bimodal table, a hundred-billion-entry one, a
+/// hundred-billion-ALU pool — are typed configuration errors: exit 1,
+/// one line, no panic (exit 101) or allocation abort (exit 134).
+#[test]
+fn run_with_zero_or_huge_pools_exits_1_with_a_one_line_error() {
+    let fib = concat!(env!("CARGO_MANIFEST_DIR"), "/../../asm/fib.asm");
+    for (flag, value, needle) in [
+        ("--predictor", "bimodal:0", "at least one counter"),
+        ("--predictor", "bimodal:100000000000", "exceeds the maximum"),
+        ("--alus", "100000000000", "exceeds the maximum"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_usim"))
+            .args(["run", fib, flag, value])
+            .output()
+            .expect("spawn usim");
+        assert_eq!(out.status.code(), Some(1), "{flag} {value}: {out:?}");
+        assert!(out.stdout.is_empty(), "{out:?}");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(err.lines().count(), 1, "{err}");
+        assert!(err.contains(needle), "{flag} {value}: {err}");
+    }
+}

@@ -83,7 +83,8 @@ impl Processor for BaselineOoO {
         let n = self.cfg.window;
         let lat = self.cfg.latency;
 
-        let mut fetch = FetchUnit::new(program, self.cfg.predictor, ORACLE_FUEL);
+        let words = self.cfg.mem.words;
+        let mut fetch = FetchUnit::new(program, self.cfg.predictor, ORACLE_FUEL, words);
         let mut mem = MemSystem::new(self.cfg.mem.clone(), &program.init_mem);
         let mut committed_regs = program.init_regs.clone();
         let mut rename: Vec<Option<u64>> = vec![None; program.num_regs];

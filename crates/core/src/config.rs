@@ -243,6 +243,12 @@ impl ProcConfig {
         if self.fetch_width == Some(0) {
             return Err("fetch width must be at least one".into());
         }
+        if self.predictor == PredictorKind::Bimodal(0) {
+            return Err("a bimodal predictor needs at least one counter".into());
+        }
+        if matches!(self.trace_cache, Some((0, _))) {
+            return Err("a trace cache needs at least one entry".into());
+        }
         Ok(())
     }
 }
@@ -307,6 +313,24 @@ mod tests {
             .with_shared_alus(0)
             .validate()
             .is_err());
+    }
+
+    /// The sizes `Predictor::new` and the trace cache assert on are
+    /// configuration errors, not panics.
+    #[test]
+    fn zero_predictor_and_trace_cache_sizes_rejected() {
+        let base = ProcConfig::ultrascalar_i(4);
+        assert!(base
+            .clone()
+            .with_predictor(PredictorKind::Bimodal(0))
+            .validate()
+            .is_err());
+        assert!(base.clone().with_trace_cache(0, 3).validate().is_err());
+        assert!(base
+            .with_predictor(PredictorKind::Bimodal(1))
+            .with_trace_cache(1, 0)
+            .validate()
+            .is_ok());
     }
 
     #[test]

@@ -543,6 +543,7 @@ impl Processor for Ultrascalar {
         let lat = self.cfg.latency;
         let fwd = self.cfg.forward;
         let renaming = self.cfg.memory_renaming;
+        let (predictor, words) = (self.cfg.predictor, self.cfg.mem.words);
 
         // Rewind the retained working state in place. The engine's
         // configuration is fixed at construction, so each component's
@@ -566,8 +567,8 @@ impl Processor for Ultrascalar {
         } = &mut self.scratch;
         replay.clear();
         match fetch {
-            Some(f) => f.reset(program, self.cfg.predictor, ORACLE_FUEL),
-            None => *fetch = Some(FetchUnit::new(program, self.cfg.predictor, ORACLE_FUEL)),
+            Some(f) => f.reset(program, predictor, ORACLE_FUEL, words),
+            None => *fetch = Some(FetchUnit::new(program, predictor, ORACLE_FUEL, words)),
         }
         let fetch = fetch.as_mut().expect("fetch unit initialised above");
         match mem {

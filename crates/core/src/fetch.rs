@@ -49,11 +49,13 @@ pub enum FetchUnit {
 impl FetchUnit {
     /// Build a fetch unit for `program` with the given predictor. For
     /// [`PredictorKind::Perfect`] the golden interpreter pre-computes
-    /// the correct path (up to `fuel` dynamic instructions).
-    pub fn new(program: &Program, kind: PredictorKind, fuel: usize) -> Self {
+    /// the correct path (up to `fuel` dynamic instructions) over a
+    /// memory of `mem_words` words, the size the processor's memory
+    /// wraps addresses at.
+    pub fn new(program: &Program, kind: PredictorKind, fuel: usize, mem_words: usize) -> Self {
         match kind {
             PredictorKind::Perfect => {
-                let mut interp = Interp::new(program, 1 << 16);
+                let mut interp = Interp::new(program, mem_words);
                 let (_, trace) = interp.run_traced(fuel);
                 let mut seq: Vec<Fetched> = trace
                     .iter()
@@ -91,12 +93,12 @@ impl FetchUnit {
 
     /// Rewind to the start of `program` with the given predictor kind,
     /// reusing retained buffers wherever the shape allows. Equivalent
-    /// to `*self = FetchUnit::new(program, kind, fuel)` but
+    /// to `*self = FetchUnit::new(program, kind, fuel, mem_words)` but
     /// allocation-free when `program` is the one already loaded: a
     /// replay unit rewinds its position instead of re-running the
     /// golden interpreter, and a path unit rewinds its pc and clears
     /// predictor training in place.
-    pub fn reset(&mut self, program: &Program, kind: PredictorKind, fuel: usize) {
+    pub fn reset(&mut self, program: &Program, kind: PredictorKind, fuel: usize, mem_words: usize) {
         match self {
             FetchUnit::Replay {
                 program: held, pos, ..
@@ -121,7 +123,7 @@ impl FetchUnit {
             }
             _ => {}
         }
-        *self = FetchUnit::new(program, kind, fuel);
+        *self = FetchUnit::new(program, kind, fuel, mem_words);
     }
 
     /// Fetch the next instruction along the (predicted) path, or `None`
@@ -237,7 +239,7 @@ mod tests {
     #[test]
     fn path_fetch_follows_not_taken_prediction() {
         let p = branchy_program();
-        let mut f = FetchUnit::new(&p, PredictorKind::NotTaken, 1000);
+        let mut f = FetchUnit::new(&p, PredictorKind::NotTaken, 1000, 1 << 16);
         let pcs: Vec<usize> = std::iter::from_fn(|| f.next()).map(|x| x.pc).collect();
         // Predicts fall-through: 0, 1, 2, 3(halt) then stops.
         assert_eq!(pcs, vec![0, 1, 2, 3]);
@@ -247,7 +249,7 @@ mod tests {
     #[test]
     fn path_fetch_follows_taken_prediction() {
         let p = branchy_program();
-        let mut f = FetchUnit::new(&p, PredictorKind::Taken, 1000);
+        let mut f = FetchUnit::new(&p, PredictorKind::Taken, 1000, 1 << 16);
         let pcs: Vec<usize> = std::iter::from_fn(|| f.next()).map(|x| x.pc).collect();
         assert_eq!(pcs, vec![0, 3]);
     }
@@ -255,7 +257,7 @@ mod tests {
     #[test]
     fn perfect_fetch_replays_golden_path() {
         let p = branchy_program();
-        let mut f = FetchUnit::new(&p, PredictorKind::Perfect, 1000);
+        let mut f = FetchUnit::new(&p, PredictorKind::Perfect, 1000, 1 << 16);
         let pcs: Vec<usize> = std::iter::from_fn(|| f.next()).map(|x| x.pc).collect();
         assert_eq!(pcs, vec![0, 3]);
     }
@@ -263,7 +265,7 @@ mod tests {
     #[test]
     fn redirect_resumes_on_correct_path() {
         let p = branchy_program();
-        let mut f = FetchUnit::new(&p, PredictorKind::NotTaken, 1000);
+        let mut f = FetchUnit::new(&p, PredictorKind::NotTaken, 1000, 1 << 16);
         assert_eq!(f.next().unwrap().pc, 0);
         assert_eq!(f.next().unwrap().pc, 1);
         // Branch resolves taken: redirect to 3.
@@ -275,7 +277,7 @@ mod tests {
     #[test]
     fn falling_off_end_supplies_synthetic_halt() {
         let p = Program::new(vec![Instr::Nop], 1);
-        let mut f = FetchUnit::new(&p, PredictorKind::NotTaken, 1000);
+        let mut f = FetchUnit::new(&p, PredictorKind::NotTaken, 1000, 1 << 16);
         assert_eq!(f.next().unwrap().pc, 0);
         let halt = f.next().unwrap();
         assert_eq!(halt.pc, 1);
@@ -283,7 +285,7 @@ mod tests {
         assert!(f.next().is_none());
 
         // Perfect replay does the same.
-        let mut f = FetchUnit::new(&p, PredictorKind::Perfect, 1000);
+        let mut f = FetchUnit::new(&p, PredictorKind::Perfect, 1000, 1 << 16);
         assert_eq!(f.next().unwrap().pc, 0);
         assert!(matches!(f.next().unwrap().instr, Instr::Halt));
         assert!(f.next().is_none());
@@ -292,7 +294,7 @@ mod tests {
     #[test]
     fn jump_targets_are_followed_without_prediction() {
         let p = Program::new(vec![Instr::Jump { target: 2 }, Instr::Nop, Instr::Halt], 1);
-        let mut f = FetchUnit::new(&p, PredictorKind::NotTaken, 1000);
+        let mut f = FetchUnit::new(&p, PredictorKind::NotTaken, 1000, 1 << 16);
         let pcs: Vec<usize> = std::iter::from_fn(|| f.next()).map(|x| x.pc).collect();
         assert_eq!(pcs, vec![0, 2]);
     }
@@ -302,7 +304,7 @@ mod tests {
         for (name, p) in workload::standard_suite(1) {
             let mut interp = Interp::new(&p, 1 << 16);
             let (_, trace) = interp.run_traced(1_000_000);
-            let mut f = FetchUnit::new(&p, PredictorKind::Perfect, 1_000_000);
+            let mut f = FetchUnit::new(&p, PredictorKind::Perfect, 1_000_000, 1 << 16);
             for rec in &trace {
                 let got = f.next().expect("fetch supplies whole trace");
                 assert_eq!(got.pc, rec.pc, "{name}");
@@ -314,7 +316,7 @@ mod tests {
     #[should_panic(expected = "perfect fetch redirected")]
     fn perfect_redirect_panics() {
         let p = branchy_program();
-        let mut f = FetchUnit::new(&p, PredictorKind::Perfect, 1000);
+        let mut f = FetchUnit::new(&p, PredictorKind::Perfect, 1000, 1 << 16);
         f.redirect(0);
     }
 }

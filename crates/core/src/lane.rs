@@ -900,10 +900,9 @@ fn branch_mask(cond: BranchCond, a: &LaneValue, b: &LaneValue) -> u64 {
     }
 }
 
-/// The ISSUE-facing convenience wrapper: an engine plus its lane
-/// batcher as one unit, for callers that own their engine (benches,
-/// tests). `usim serve` composes [`LaneBatcher`] with pooled engines
-/// directly instead.
+/// An engine plus its lane batcher as one unit, for callers that own
+/// their engine (the `lanes_ab` sweep). `usim serve` composes
+/// [`LaneBatcher`] with pooled engines directly instead.
 #[derive(Debug)]
 pub struct LaneBatchEngine {
     engine: Ultrascalar,
@@ -932,10 +931,5 @@ impl LaneBatchEngine {
     /// Run a batch; see [`LaneBatcher::run_batch`].
     pub fn run_batch<P: Borrow<Program>>(&mut self, programs: &[P], out: &mut [RunResult]) {
         self.batcher.run_batch(&mut self.engine, programs, out);
-    }
-
-    /// Direct scalar access to the wrapped engine.
-    pub fn engine_mut(&mut self) -> &mut Ultrascalar {
-        &mut self.engine
     }
 }

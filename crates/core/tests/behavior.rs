@@ -3,7 +3,8 @@
 //! misprediction recovery, and memory-bandwidth sensitivity.
 
 use ultrascalar::{
-    render_timing_diagram, LatencyModel, PredictorKind, ProcConfig, Processor, Ultrascalar,
+    render_timing_diagram, BaselineOoO, LatencyModel, PredictorKind, ProcConfig, Processor,
+    Ultrascalar,
 };
 use ultrascalar_isa::{assemble, workload};
 use ultrascalar_memsys::{Bandwidth, MemConfig, NetworkKind};
@@ -354,4 +355,27 @@ fn issue_histogram_is_consistent() {
     assert!(r.stats.mean_issue_rate() > 0.0);
     // No cycle can issue more than the window width.
     assert!(r.stats.issue_hist.len() <= 8 + 1);
+}
+
+/// The perfect oracle walks the golden path over the processor's own
+/// memory size: the store to address 20 lands on word 4 of a 16-word
+/// memory, so the branch is taken. An oracle over a larger memory
+/// predicted the fall-through and the engine panicked on the redirect.
+#[test]
+fn perfect_oracle_wraps_addresses_like_the_processor() {
+    let prog = assemble(
+        "li r1, 20\nli r2, 7\nsw r2, (r1)\nlw r3, 4(r0)\nbeq r3, r2, 6\nli r4, 1\nhalt",
+        8,
+    )
+    .unwrap();
+    let cfg = ProcConfig::ultrascalar_i(4).with_mem(MemConfig::ideal(4, 16));
+    let runs = [
+        Ultrascalar::new(cfg.clone()).run(&prog),
+        BaselineOoO::new(cfg).run(&prog),
+    ];
+    for r in runs {
+        assert!(r.halted);
+        assert_eq!((r.regs[3], r.regs[4]), (7, 0), "the branch was taken");
+        assert_eq!(r.mem.len(), 16);
+    }
 }

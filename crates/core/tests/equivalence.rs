@@ -1,12 +1,13 @@
-//! Architectural-equivalence tests: every processor model must produce
-//! exactly the golden interpreter's architectural state, and the
-//! Ultrascalar I must be cycle-for-cycle identical to the conventional
-//! baseline (the paper's central functional claim).
+//! Architectural-equivalence tests on the standard kernel suite: every
+//! processor model must produce exactly the golden interpreter's
+//! architectural state, and the Ultrascalar I must be cycle-for-cycle
+//! identical to the conventional baseline (the paper's central
+//! functional claim). Random programs and configurations are checked
+//! the same ways in `differential.rs`.
 
-use proptest::prelude::*;
 use ultrascalar::processor::check_against_golden;
 use ultrascalar::{BaselineOoO, PredictorKind, ProcConfig, Processor, Ultrascalar};
-use ultrascalar_isa::workload::{self, RandomCfg};
+use ultrascalar_isa::workload;
 use ultrascalar_isa::Program;
 use ultrascalar_memsys::{Bandwidth, MemConfig, NetworkKind};
 
@@ -76,26 +77,6 @@ fn all_models_match_golden_with_constrained_memory() {
                 &prog,
                 name,
             );
-        }
-    }
-}
-
-#[test]
-fn random_programs_match_golden_across_models_and_windows() {
-    for seed in 0..12u64 {
-        let prog = workload::random_program(&RandomCfg {
-            seed,
-            len: 150,
-            ..RandomCfg::default()
-        });
-        for n in [1usize, 2, 4, 8, 16] {
-            for cfg in all_processor_configs(n) {
-                check(
-                    cfg.with_predictor(PredictorKind::Bimodal(16)),
-                    &prog,
-                    &format!("random seed {seed}"),
-                );
-            }
         }
     }
 }
@@ -173,51 +154,5 @@ fn ultrascalar_i_is_cycle_identical_to_baseline_under_memory_pressure() {
             &prog,
             name,
         );
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn prop_models_match_golden(
-        seed in 0u64..10_000,
-        n_pow in 0u32..5,
-        mem_frac in 0.0f64..0.5,
-        branch_frac in 0.0f64..0.2,
-    ) {
-        let n = 1usize << n_pow;
-        let prog = workload::random_program(&RandomCfg {
-            seed,
-            len: 120,
-            mem_frac,
-            branch_frac,
-            ..RandomCfg::default()
-        });
-        for cfg in all_processor_configs(n) {
-            let mut p = Ultrascalar::new(cfg.with_predictor(PredictorKind::Bimodal(16)));
-            let r = p.run(&prog);
-            prop_assert!(check_against_golden(&r, &prog, FUEL).is_ok(),
-                "{} diverged on seed {seed}", p.name());
-        }
-    }
-
-    #[test]
-    fn prop_usi_cycle_identical_to_baseline(
-        seed in 0u64..10_000,
-        n_pow in 0u32..5,
-    ) {
-        let n = 1usize << n_pow;
-        let prog = workload::random_program(&RandomCfg {
-            seed,
-            len: 100,
-            ..RandomCfg::default()
-        });
-        let cfg = ProcConfig::ultrascalar_i(n).with_predictor(PredictorKind::Bimodal(16));
-        let a = Ultrascalar::new(cfg.clone()).run(&prog);
-        let b = BaselineOoO::new(cfg).run(&prog);
-        prop_assert_eq!(a.cycles, b.cycles);
-        prop_assert_eq!(a.regs, b.regs);
-        prop_assert_eq!(a.timings, b.timings);
     }
 }

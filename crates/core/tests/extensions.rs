@@ -1,52 +1,16 @@
 //! Tests for the paper's extension mechanisms: the shared-ALU
-//! scheduler (§1/§7), memory renaming (§7), and the pipelined
-//! (distance-dependent) forwarding study (§7).
+//! scheduler (§1/§7), memory renaming (§7), the pipelined
+//! (distance-dependent) forwarding study (§7), cluster caches, fetch
+//! width and the trace cache. These pin each mechanism's effect;
+//! that every mechanism, alone or combined, preserves architectural
+//! state and US-I/baseline identity is checked in `differential.rs`.
 
 use proptest::prelude::*;
-use ultrascalar::processor::check_against_golden;
-use ultrascalar::{BaselineOoO, ForwardModel, PredictorKind, ProcConfig, Processor, Ultrascalar};
+use ultrascalar::{ForwardModel, PredictorKind, ProcConfig, Processor, Ultrascalar};
+use ultrascalar_isa::assemble;
 use ultrascalar_isa::workload::{self, RandomCfg};
-use ultrascalar_isa::{assemble, Program};
-
-const FUEL: usize = 5_000_000;
-
-fn golden(cfg: ProcConfig, prog: &Program, label: &str) {
-    let mut p = Ultrascalar::new(cfg);
-    let r = p.run(prog);
-    check_against_golden(&r, prog, FUEL).unwrap_or_else(|e| panic!("{label} on {}: {e}", p.name()));
-}
 
 // ---------- shared ALUs ----------
-
-#[test]
-fn shared_alus_preserve_architectural_state() {
-    for (name, prog) in workload::standard_suite(31) {
-        for k in [1usize, 2, 4, 16] {
-            golden(
-                ProcConfig::ultrascalar_i(8)
-                    .with_shared_alus(k)
-                    .with_predictor(PredictorKind::Bimodal(32)),
-                &prog,
-                name,
-            );
-        }
-    }
-}
-
-#[test]
-fn shared_alus_cycle_identical_to_baseline() {
-    for (name, prog) in workload::standard_suite(37) {
-        for k in [1usize, 2, 8] {
-            let cfg = ProcConfig::ultrascalar_i(8)
-                .with_shared_alus(k)
-                .with_predictor(PredictorKind::Bimodal(32));
-            let a = Ultrascalar::new(cfg.clone()).run(&prog);
-            let b = BaselineOoO::new(cfg).run(&prog);
-            assert_eq!(a.cycles, b.cycles, "{name} k={k}");
-            assert_eq!(a.timings, b.timings, "{name} k={k}");
-        }
-    }
-}
 
 #[test]
 fn more_alus_never_hurt() {
@@ -139,24 +103,6 @@ fn paper_projection_window_128_with_16_shared_alus() {
 }
 
 // ---------- memory renaming ----------
-
-#[test]
-fn memory_renaming_preserves_architectural_state() {
-    for (name, prog) in workload::standard_suite(43) {
-        golden(
-            ProcConfig::ultrascalar_i(8)
-                .with_memory_renaming()
-                .with_predictor(PredictorKind::Bimodal(32)),
-            &prog,
-            name,
-        );
-        golden(
-            ProcConfig::ultrascalar_ii(8).with_memory_renaming(),
-            &prog,
-            name,
-        );
-    }
-}
 
 #[test]
 fn store_to_load_forwarding_hits_and_saves_memory_traffic() {
@@ -253,26 +199,6 @@ fn renaming_respects_aliasing() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Memory renaming must never change architectural results, for
-    /// arbitrary aliasing patterns.
-    #[test]
-    fn prop_renaming_equals_golden(seed in 0u64..10_000) {
-        let prog = workload::random_program(&RandomCfg {
-            seed,
-            len: 150,
-            mem_frac: 0.45,
-            store_frac: 0.5,
-            mem_span: 8, // dense aliasing
-            ..RandomCfg::default()
-        });
-        let cfg = ProcConfig::ultrascalar_i(8)
-            .with_memory_renaming()
-            .with_predictor(PredictorKind::Bimodal(16));
-        let mut p = Ultrascalar::new(cfg);
-        let r = p.run(&prog);
-        prop_assert!(check_against_golden(&r, &prog, FUEL).is_ok(), "seed {seed}");
-    }
-
     /// Renaming can only help (or tie) cycle counts under ideal memory.
     #[test]
     fn prop_renaming_never_slower_under_ideal_memory(seed in 0u64..1_000) {
@@ -294,19 +220,6 @@ proptest! {
 }
 
 // ---------- pipelined forwarding ----------
-
-#[test]
-fn pipelined_forwarding_preserves_architectural_state() {
-    for (name, prog) in workload::standard_suite(47) {
-        golden(
-            ProcConfig::ultrascalar_i(16)
-                .with_forwarding(ForwardModel::Pipelined { per_hop: 1 })
-                .with_predictor(PredictorKind::Bimodal(32)),
-            &prog,
-            name,
-        );
-    }
-}
 
 #[test]
 fn per_hop_zero_equals_single_cycle() {
@@ -383,48 +296,7 @@ fn local_dependencies_degrade_less_under_pipelining() {
     );
 }
 
-/// Extensions compose: all three at once, still architecturally exact.
-#[test]
-fn all_extensions_together_match_golden() {
-    for (name, prog) in workload::standard_suite(59) {
-        golden(
-            ProcConfig::hybrid(16, 4)
-                .with_shared_alus(4)
-                .with_memory_renaming()
-                .with_forwarding(ForwardModel::Pipelined { per_hop: 1 })
-                .with_predictor(PredictorKind::Bimodal(64)),
-            &prog,
-            name,
-        );
-    }
-}
-
 // ---------- distributed cluster caches (memsys feature, §7) ----------
-
-#[test]
-fn cluster_caches_preserve_architectural_state() {
-    use ultrascalar_memsys::{Bandwidth, CacheConfig, MemConfig, NetworkKind};
-    let mem = MemConfig {
-        n_leaves: 8,
-        bandwidth: Bandwidth::constant(1.0),
-        banks: 4,
-        bank_occupancy: 1,
-        hop_latency: 1,
-        base_latency: 0,
-        words: 1 << 12,
-        network: NetworkKind::FatTree,
-        cluster_cache: Some(CacheConfig::small(2)),
-    };
-    for (name, prog) in workload::standard_suite(67) {
-        golden(
-            ProcConfig::hybrid(8, 4)
-                .with_mem(mem.clone())
-                .with_predictor(PredictorKind::Bimodal(32)),
-            &prog,
-            name,
-        );
-    }
-}
 
 #[test]
 fn cluster_caches_help_reuse_heavy_kernels() {
@@ -465,63 +337,7 @@ fn cluster_caches_help_reuse_heavy_kernels() {
     );
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Cluster caches must be architecturally invisible under arbitrary
-    /// aliasing, store mixes and mispredictions.
-    #[test]
-    fn prop_cluster_caches_equal_golden(seed in 0u64..10_000) {
-        use ultrascalar_memsys::{CacheConfig, MemConfig};
-        let prog = workload::random_program(&RandomCfg {
-            seed,
-            len: 150,
-            mem_frac: 0.4,
-            store_frac: 0.5,
-            mem_span: 16,
-            branch_frac: 0.1,
-            ..RandomCfg::default()
-        });
-        let mem = MemConfig::realistic(8, 1 << 12)
-            .with_cluster_cache(CacheConfig::small(4));
-        let cfg = ProcConfig::ultrascalar_i(8)
-            .with_mem(mem)
-            .with_predictor(PredictorKind::Bimodal(16));
-        let mut p = Ultrascalar::new(cfg);
-        let r = p.run(&prog);
-        prop_assert!(check_against_golden(&r, &prog, FUEL).is_ok(), "seed {seed}");
-    }
-}
-
 // ---------- fetch-width ablation ----------
-
-#[test]
-fn fetch_width_preserves_architectural_state() {
-    for (name, prog) in workload::standard_suite(71) {
-        for f in [1usize, 2, 4] {
-            golden(
-                ProcConfig::ultrascalar_i(8)
-                    .with_fetch_width(f)
-                    .with_predictor(PredictorKind::Bimodal(32)),
-                &prog,
-                name,
-            );
-        }
-    }
-}
-
-#[test]
-fn fetch_width_cycle_identical_to_baseline() {
-    for (name, prog) in workload::standard_suite(73) {
-        let cfg = ProcConfig::ultrascalar_i(8)
-            .with_fetch_width(2)
-            .with_predictor(PredictorKind::Bimodal(32));
-        let a = Ultrascalar::new(cfg.clone()).run(&prog);
-        let b = BaselineOoO::new(cfg).run(&prog);
-        assert_eq!(a.cycles, b.cycles, "{name}");
-        assert_eq!(a.timings, b.timings, "{name}");
-    }
-}
 
 #[test]
 fn narrower_fetch_never_helps() {
@@ -549,32 +365,6 @@ fn fetch_width_one_caps_ipc_at_one() {
 }
 
 // ---------- trace-cache fetch model ----------
-
-#[test]
-fn trace_cache_preserves_architectural_state() {
-    for (name, prog) in workload::standard_suite(79) {
-        golden(
-            ProcConfig::ultrascalar_i(8)
-                .with_trace_cache(4, 5)
-                .with_predictor(PredictorKind::NotTaken),
-            &prog,
-            name,
-        );
-    }
-}
-
-#[test]
-fn trace_cache_cycle_identical_to_baseline() {
-    for (name, prog) in workload::standard_suite(83) {
-        let cfg = ProcConfig::ultrascalar_i(8)
-            .with_trace_cache(4, 5)
-            .with_predictor(PredictorKind::Bimodal(8));
-        let a = Ultrascalar::new(cfg.clone()).run(&prog);
-        let b = BaselineOoO::new(cfg).run(&prog);
-        assert_eq!(a.cycles, b.cycles, "{name}");
-        assert_eq!(a.timings, b.timings, "{name}");
-    }
-}
 
 #[test]
 fn trace_cache_misses_cost_cycles() {

@@ -5,102 +5,17 @@
 //! a scalar engine. That is the mode's entire contract: lane batching
 //! is a throughput optimisation, never an observable one.
 //!
-//! The forced-divergence sweep is the adversarial half: random
-//! programs with branches and register-indirect memory operands, over
-//! lanes seeded with independent random initial registers, so lanes
-//! peel off at random steps (different branch directions, different
-//! effective addresses). Every peeled lane's result must still match
-//! its serial twin bit-for-bit — divergence must be contained, never
-//! silently approximated.
+//! The random sweep over programs, configurations and batch sizes
+//! lives in `differential.rs`; these tests pin directed shapes: epoch
+//! segmentation, a single divergent lane, full convergence, fallbacks
+//! and warm scratch.
 
 use proptest::prelude::*;
 use ultrascalar::{
     LaneBatcher, PredictorKind, ProcConfig, Processor, RunResult, Ultrascalar, MAX_LANES,
 };
-use ultrascalar_isa::{workload, AluOp, BranchCond, Instr, Program, Reg};
-
-struct Rng(u64);
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.0 >> 33
-    }
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
-
-/// Random terminating program in the frozen_schedules style, with
-/// the operand mix skewed toward the divergence sources: branches on
-/// arbitrary registers and register-indirect loads/stores.
-fn random_program(rng: &mut Rng, nregs: usize) -> Program {
-    let len = 12 + rng.below(20) as usize;
-    let mut instrs = Vec::new();
-    for i in 0..len {
-        let r = |rng: &mut Rng| Reg(rng.below(nregs as u64) as u8);
-        match rng.below(10) {
-            0..=1 => instrs.push(Instr::AluImm {
-                op: [AluOp::Add, AluOp::Sub, AluOp::Xor, AluOp::Srl][rng.below(4) as usize],
-                rd: r(rng),
-                rs1: r(rng),
-                imm: rng.below(32) as i32,
-            }),
-            2..=3 => instrs.push(Instr::Alu {
-                op: [
-                    AluOp::Add,
-                    AluOp::Mul,
-                    AluOp::And,
-                    AluOp::Div,
-                    AluOp::Sll,
-                    AluOp::Sltu,
-                ][rng.below(6) as usize],
-                rd: r(rng),
-                rs1: r(rng),
-                rs2: r(rng),
-            }),
-            4..=5 => instrs.push(Instr::Load {
-                rd: r(rng),
-                base: r(rng),
-                offset: rng.below(16) as i32,
-            }),
-            6 => instrs.push(Instr::Store {
-                src: r(rng),
-                base: r(rng),
-                offset: rng.below(16) as i32,
-            }),
-            7 => instrs.push(Instr::LoadImm {
-                rd: r(rng),
-                imm: rng.below(64) as i32,
-            }),
-            8..=9 => {
-                // Forward branch only (termination guaranteed).
-                let tgt = (i as u64 + 1 + rng.below(4)).min(len as u64) as u32;
-                instrs.push(Instr::Branch {
-                    cond: [
-                        BranchCond::Eq,
-                        BranchCond::Ne,
-                        BranchCond::Lt,
-                        BranchCond::Geu,
-                    ][rng.below(4) as usize],
-                    rs1: r(rng),
-                    rs2: r(rng),
-                    target: tgt,
-                });
-            }
-            _ => instrs.push(Instr::Nop),
-        }
-    }
-    instrs.push(Instr::Halt);
-    Program {
-        instrs,
-        num_regs: nregs,
-        init_regs: vec![0; nregs],
-        init_mem: (0..32).map(|x| x as u32 * 7 + 2).collect(),
-    }
-}
+use ultrascalar_isa::workload::{self, RandomCfg};
+use ultrascalar_isa::Program;
 
 /// Serial ground truth: each program through a fresh engine.
 fn serial_runs(cfg: &ProcConfig, programs: &[Program]) -> Vec<RunResult> {
@@ -170,52 +85,6 @@ fn full_width_batch_matches_serial() {
         MAX_LANES as u64,
         "every lane accounted for"
     );
-}
-
-#[test]
-fn forced_divergence_random_sweep_is_bit_exact() {
-    // The adversarial sweep: random programs, random per-lane seeds,
-    // so lanes diverge (branch directions, effective addresses) at
-    // random steps. Byte-identical results required regardless of how
-    // many lanes peel. Includes a Bimodal config where the leader run
-    // usually mispredicts, exercising epoch-segmented replay across
-    // the leader's flush boundaries.
-    let mut rng = Rng(0xD17E5 ^ 0xFFFF_0000_0000);
-    let configs = [
-        ("usi-perfect", ProcConfig::ultrascalar_i(8)),
-        (
-            "usi-bimodal",
-            ProcConfig::ultrascalar_i(8).with_predictor(PredictorKind::Bimodal(16)),
-        ),
-        ("hybrid-perfect", ProcConfig::hybrid(16, 4)),
-        (
-            "usi-pipelined",
-            ProcConfig::ultrascalar_i(8)
-                .with_forwarding(ultrascalar::ForwardModel::Pipelined { per_hop: 1 }),
-        ),
-    ];
-    let mut batchers: Vec<LaneBatcher> = configs.iter().map(|_| LaneBatcher::new()).collect();
-    for iter in 0..60 {
-        let prog = random_program(&mut rng, 6);
-        if prog.validate().is_err() {
-            continue;
-        }
-        let n = [2, 3, 9, 31][iter % 4];
-        let programs = workload::lane_variants(&prog, n, rng.next());
-        for ((name, cfg), batcher) in configs.iter().zip(batchers.iter_mut()) {
-            check_batch(
-                batcher,
-                cfg,
-                &programs,
-                &format!("iter {iter} {name} n={n}"),
-            );
-        }
-    }
-    // The sweep must actually have exercised both the lock-step path
-    // and divergence peeling, or it is testing nothing.
-    let perfect = batchers[0].stats();
-    assert!(perfect.batches > 0, "no group ever lane-batched");
-    assert!(perfect.peels > 0, "no lane ever peeled");
 }
 
 /// A parameterised branchy loop in the `branch_gauntlet`/`spec_storm`
@@ -299,7 +168,16 @@ proptest! {
             _ => ("hybrid", ProcConfig::hybrid(16, 4).with_predictor(pred)),
         };
         let prog = if random_prog {
-            random_program(&mut Rng(data_seed | 1), 6)
+            workload::random_program(&RandomCfg {
+                len: 24,
+                num_regs: 6,
+                branch_frac: 0.2,
+                li_frac: 0.1,
+                mem_span: 16,
+                base_regs: 6,
+                seed: data_seed,
+                ..RandomCfg::default()
+            })
         } else {
             branchy_loop(iters, data_seed)
         };

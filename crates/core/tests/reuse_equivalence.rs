@@ -74,25 +74,6 @@ fn assert_same(ctx: &str, warm: &RunResult, fresh: &RunResult) {
     assert_eq!(warm.timings, fresh.timings, "{ctx}: timings");
 }
 
-/// One warm engine per config, driven through the whole kernel suite
-/// twice (the second pass hits the same-program fetch rewind), checked
-/// point by point against throwaway fresh engines.
-#[test]
-fn reused_engine_is_cycle_exact_across_the_suite() {
-    let suite = workload::standard_suite(5);
-    for (cname, cfg) in configs() {
-        let mut warm = Ultrascalar::new(cfg.clone());
-        let mut out = RunResult::default();
-        for pass in 0..2 {
-            for (kname, prog) in &suite {
-                warm.run_reusing(prog, &mut out);
-                let fresh = Ultrascalar::new(cfg.clone()).run(prog);
-                assert_same(&format!("{cname}/{kname}/pass{pass}"), &out, &fresh);
-            }
-        }
-    }
-}
-
 /// Alternating between two programs exercises the change-program reset
 /// path (fetch rebuild, memory reload, stale-window recycling) rather
 /// than the same-program rewind.

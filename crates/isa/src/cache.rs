@@ -94,64 +94,49 @@ impl ProgramCache {
     }
 
     /// Return the assembled program for `src` with `num_regs`
-    /// registers, assembling (and caching) on first sight. Assembly
-    /// errors are returned and cached nowhere — a later corrected
-    /// request with the same hash cannot be poisoned.
-    pub fn get_or_assemble(&mut self, src: &str, num_regs: usize) -> Result<&Program, AsmError> {
-        let idx = self.lookup_index(src, num_regs)?;
-        Ok(&self.entries[idx].program)
-    }
-
-    /// Like [`ProgramCache::get_or_assemble`], but hand out a shared
-    /// handle: the concurrent serving loop clones the `Arc` (a
-    /// refcount bump, no allocation) so the program can be simulated
-    /// after the shard lock is released.
-    pub fn get_or_assemble_shared(
+    /// registers, assembling (and caching) on first sight. The handle is
+    /// shared: the concurrent serving loop clones the `Arc` (a refcount
+    /// bump, no allocation) so the program can be simulated after the
+    /// shard lock is released. Assembly errors are returned and cached
+    /// nowhere — a later corrected request with the same hash cannot be
+    /// poisoned.
+    pub fn get_or_assemble(
         &mut self,
         src: &str,
         num_regs: usize,
     ) -> Result<Arc<Program>, AsmError> {
-        let idx = self.lookup_index(src, num_regs)?;
-        Ok(Arc::clone(&self.entries[idx].program))
-    }
-
-    fn lookup_index(&mut self, src: &str, num_regs: usize) -> Result<usize, AsmError> {
         self.stamp += 1;
         let hash = fnv1a(src.as_bytes());
         let found = self
             .entries
-            .iter()
-            .position(|e| e.hash == hash && e.num_regs == num_regs && e.source == src);
-        match found {
-            Some(i) => {
-                self.hits += 1;
-                self.entries[i].last_used = self.stamp;
-                Ok(i)
-            }
-            None => {
-                self.misses += 1;
-                let program = Arc::new(assemble(src, num_regs)?);
-                if self.entries.len() == self.capacity {
-                    let lru = self
-                        .entries
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, e)| e.last_used)
-                        .map(|(i, _)| i)
-                        .expect("cache non-empty at capacity");
-                    self.entries.swap_remove(lru);
-                    self.evictions += 1;
-                }
-                self.entries.push(CacheEntry {
-                    hash,
-                    num_regs,
-                    source: src.to_string(),
-                    program,
-                    last_used: self.stamp,
-                });
-                Ok(self.entries.len() - 1)
-            }
+            .iter_mut()
+            .find(|e| e.hash == hash && e.num_regs == num_regs && e.source == src);
+        if let Some(e) = found {
+            self.hits += 1;
+            e.last_used = self.stamp;
+            return Ok(Arc::clone(&e.program));
         }
+        self.misses += 1;
+        let program = Arc::new(assemble(src, num_regs)?);
+        if self.entries.len() == self.capacity {
+            let lru = self
+                .entries
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, e)| e.last_used)
+                .map(|(i, _)| i)
+                .expect("cache non-empty at capacity");
+            self.entries.swap_remove(lru);
+            self.evictions += 1;
+        }
+        self.entries.push(CacheEntry {
+            hash,
+            num_regs,
+            source: src.to_string(),
+            program: Arc::clone(&program),
+            last_used: self.stamp,
+        });
+        Ok(program)
     }
 
     /// Programs currently cached.
@@ -236,7 +221,7 @@ impl ShardedProgramCache {
     pub fn get_or_assemble(&self, src: &str, num_regs: usize) -> Result<Arc<Program>, AsmError> {
         let hash = fnv1a(src.as_bytes());
         let shard = &self.shards[(hash % self.shards.len() as u64) as usize];
-        lock(shard).get_or_assemble_shared(src, num_regs)
+        lock(shard).get_or_assemble(src, num_regs)
     }
 
     /// Counters summed across all shards.
@@ -267,9 +252,9 @@ mod tests {
     #[test]
     fn repeat_source_hits() {
         let mut c = ProgramCache::new(4);
-        let p1 = c.get_or_assemble(PROG, 32).expect("assembles").clone();
+        let p1 = c.get_or_assemble(PROG, 32).expect("assembles");
         assert_eq!((c.hits(), c.misses()), (0, 1));
-        let p2 = c.get_or_assemble(PROG, 32).expect("assembles").clone();
+        let p2 = c.get_or_assemble(PROG, 32).expect("assembles");
         assert_eq!((c.hits(), c.misses()), (1, 1));
         assert_eq!(p1, p2);
     }
@@ -316,7 +301,7 @@ mod tests {
     #[test]
     fn shared_handle_survives_eviction() {
         let mut c = ProgramCache::new(1);
-        let a = c.get_or_assemble_shared(PROG, 32).expect("assembles");
+        let a = c.get_or_assemble(PROG, 32).expect("assembles");
         c.get_or_assemble("li r1, 1\nhalt\n", 32).expect("evicts");
         assert_eq!(c.evictions(), 1);
         // The evicted program is still alive through the Arc.

@@ -69,6 +69,9 @@ pub struct RandomCfg {
     pub long_op_frac: f64,
     /// Fraction of ALU instructions using an immediate operand.
     pub imm_frac: f64,
+    /// Fraction of instructions that are `li` of a small constant. A
+    /// lane population whose registers differ converges on them.
+    pub li_frac: f64,
     /// Geometric parameter for source-dependency distance: with
     /// probability `dep_geom_p` a source register is the destination of
     /// one of the few most recent writers (short dependency chains →
@@ -76,6 +79,15 @@ pub struct RandomCfg {
     pub dep_geom_p: f64,
     /// Word range addressed by generated loads/stores.
     pub mem_span: u32,
+    /// Loads and stores take their base from `r0..base_regs`; the
+    /// default 4 keeps to the low registers, which start small.
+    pub base_regs: usize,
+    /// `0` generates straight-line code. `k > 0` wraps the body in a
+    /// counted loop that runs it `k` times: the last register counts
+    /// down and `r0` stays zero (the body writes neither), and the loop
+    /// closes with a backward `bne`, so the program always halts and
+    /// non-oracle predictors mispredict.
+    pub loop_iters: u32,
     /// RNG seed.
     pub seed: u64,
 }
@@ -90,8 +102,11 @@ impl Default for RandomCfg {
             branch_frac: 0.1,
             long_op_frac: 0.15,
             imm_frac: 0.3,
+            li_frac: 0.0,
             dep_geom_p: 0.5,
             mem_span: 64,
+            base_regs: 4,
+            loop_iters: 0,
             seed: 0,
         }
     }
@@ -99,23 +114,40 @@ impl Default for RandomCfg {
 
 /// Generate a random, always-terminating program.
 ///
-/// Control flow is restricted to short *forward* branches (skipping
-/// 1–4 instructions), so every generated program terminates regardless
-/// of data values; a `halt` is appended. Memory operands use
-/// register-indirect addressing over `mem_span` words initialised with
-/// pseudo-random data.
+/// Control flow in the body is restricted to short *forward* branches
+/// (skipping 1–4 instructions), so every generated program terminates
+/// regardless of data values; a `halt` is appended. With
+/// [`RandomCfg::loop_iters`] set, the body runs inside a counted loop
+/// whose counter it never writes, and the forward branches stay inside
+/// the loop. Memory operands use register-indirect addressing over
+/// `mem_span` words initialised with pseudo-random data.
 ///
 /// # Panics
-/// Panics if `num_regs < 4` (the generator reserves low registers for
-/// address bases).
+/// Panics unless `4 <= num_regs <= 256` (the ISA names at most 256)
+/// and `1 <= base_regs <= num_regs`.
 pub fn random_program(cfg: &RandomCfg) -> Program {
     assert!(
-        cfg.num_regs >= 4,
-        "random_program needs at least 4 registers"
+        (4..=256).contains(&cfg.num_regs),
+        "random_program needs 4 to 256 registers"
+    );
+    assert!(
+        (1..=cfg.num_regs).contains(&cfg.base_regs),
+        "random_program needs 1 to num_regs base registers"
     );
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let nr = cfg.num_regs as u8;
-    let mut instrs: Vec<Instr> = Vec::with_capacity(cfg.len + 1);
+    let nr = cfg.num_regs;
+    let mut instrs: Vec<Instr> = Vec::with_capacity(cfg.len + 4);
+    // A looped body starts after the counter's `li` and never writes
+    // r0 (the exit comparand) or the counter.
+    let counter = Reg((nr - 1) as u8);
+    let head = usize::from(cfg.loop_iters > 0);
+    if head == 1 {
+        instrs.push(Instr::LoadImm {
+            rd: counter,
+            imm: cfg.loop_iters as i32,
+        });
+    }
+    let dests = if head == 1 { 1..nr - 1 } else { 0..nr };
     // Track recent destination registers for dependency shaping.
     let mut recent: Vec<u8> = Vec::new();
 
@@ -128,17 +160,18 @@ pub fn random_program(cfg: &RandomCfg) -> Program {
             }
             Reg(recent[idx])
         } else {
-            Reg(rng.gen_range(0..nr))
+            Reg(rng.gen_range(0..nr) as u8)
         }
     };
 
-    while instrs.len() < cfg.len {
-        let here = instrs.len();
+    while instrs.len() - head < cfg.len {
+        let here = instrs.len() - head;
         let roll: f64 = rng.gen();
         if roll < cfg.branch_frac && here + 2 < cfg.len {
-            // Forward branch skipping 1..=4 instructions (clamped).
+            // Forward branch skipping 1..=4 instructions (clamped to the
+            // end of the body).
             let skip = rng.gen_range(1..=4usize);
-            let target = (here + 1 + skip).min(cfg.len) as u32;
+            let target = (head + here + 1 + skip).min(head + cfg.len) as u32;
             let cond = BranchCond::ALL[rng.gen_range(0..BranchCond::ALL.len())];
             instrs.push(Instr::Branch {
                 cond,
@@ -147,7 +180,7 @@ pub fn random_program(cfg: &RandomCfg) -> Program {
                 target,
             });
         } else if roll < cfg.branch_frac + cfg.mem_frac {
-            let base = Reg(rng.gen_range(0..4u8)); // low regs hold small values
+            let base = Reg(rng.gen_range(0..cfg.base_regs) as u8);
             let offset = rng.gen_range(0..cfg.mem_span) as i32;
             if rng.gen_bool(cfg.store_frac) {
                 instrs.push(Instr::Store {
@@ -156,12 +189,19 @@ pub fn random_program(cfg: &RandomCfg) -> Program {
                     offset,
                 });
             } else {
-                let rd = Reg(rng.gen_range(0..nr));
+                let rd = Reg(rng.gen_range(dests.clone()) as u8);
                 instrs.push(Instr::Load { rd, base, offset });
                 recent.push(rd.0);
             }
+        } else if roll < cfg.branch_frac + cfg.mem_frac + cfg.li_frac {
+            let rd = Reg(rng.gen_range(dests.clone()) as u8);
+            instrs.push(Instr::LoadImm {
+                rd,
+                imm: rng.gen_range(0..64),
+            });
+            recent.push(rd.0);
         } else {
-            let rd = Reg(rng.gen_range(0..nr));
+            let rd = Reg(rng.gen_range(dests.clone()) as u8);
             let op = if rng.gen_bool(cfg.long_op_frac) {
                 if rng.gen_bool(0.5) {
                     AluOp::Mul
@@ -201,6 +241,20 @@ pub fn random_program(cfg: &RandomCfg) -> Program {
         if recent.len() > 8 {
             recent.remove(0);
         }
+    }
+    if head == 1 {
+        instrs.push(Instr::AluImm {
+            op: AluOp::Sub,
+            rd: counter,
+            rs1: counter,
+            imm: 1,
+        });
+        instrs.push(Instr::Branch {
+            cond: BranchCond::Ne,
+            rs1: counter,
+            rs2: Reg(0),
+            target: 1,
+        });
     }
     instrs.push(Instr::Halt);
 
@@ -986,6 +1040,72 @@ mod tests {
         for (name, p) in standard_suite(3) {
             let mut m = Interp::new(&p, 1 << 12);
             assert!(m.run(5_000_000).halted(), "{name}");
+        }
+    }
+
+    /// Straight-line output is frozen: an FNV-1a digest of the encoded
+    /// programs for a spread of seeds and mixes, recorded before the
+    /// loop shape was added.
+    #[test]
+    fn straight_line_programs_are_frozen() {
+        let mut bytes = Vec::new();
+        for seed in 0..24 {
+            for cfg in [
+                RandomCfg::default(),
+                RandomCfg {
+                    len: 40,
+                    num_regs: 6,
+                    mem_frac: 0.45,
+                    store_frac: 0.5,
+                    mem_span: 8,
+                    ..RandomCfg::default()
+                },
+                RandomCfg {
+                    len: 120,
+                    num_regs: 255,
+                    branch_frac: 0.3,
+                    long_op_frac: 0.6,
+                    ..RandomCfg::default()
+                },
+            ] {
+                bytes.extend(crate::write_binary(&random_program(&RandomCfg {
+                    seed,
+                    ..cfg
+                })));
+            }
+        }
+        assert_eq!(crate::cache::fnv1a(&bytes), 0x9ffb_ec4c_1921_a5d7);
+    }
+
+    /// A looped body never writes `r0` or the counter, so every loop
+    /// program halts after exactly `loop_iters` trips, at every
+    /// register-file size the ISA allows.
+    #[test]
+    fn loop_programs_halt_after_their_trip_count() {
+        for seed in 0..40 {
+            let num_regs = [4, 6, 32, 256][seed as usize % 4];
+            let cfg = RandomCfg {
+                seed,
+                len: 30,
+                num_regs,
+                branch_frac: 0.2,
+                loop_iters: 1 + seed as u32 % 7,
+                ..RandomCfg::default()
+            };
+            let p = random_program(&cfg);
+            assert_eq!(p.validate(), Ok(()), "seed {seed}");
+            let counter = Reg((num_regs - 1) as u8);
+            let body = &p.instrs[1..p.len() - 3];
+            assert!(body
+                .iter()
+                .all(|i| i.writes() != Some(Reg(0)) && i.writes() != Some(counter)));
+            assert!(matches!(
+                p.instrs[p.len() - 2],
+                Instr::Branch { target: 1, .. }
+            ));
+            let mut m = Interp::new(&p, 1 << 10);
+            assert!(m.run(100_000).halted(), "seed {seed} must halt");
+            assert_eq!(m.regs[counter.index()], 0, "seed {seed}");
         }
     }
 }
