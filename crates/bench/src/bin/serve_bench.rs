@@ -122,7 +122,6 @@ fn run_cell(workers: usize, clients: usize, rounds: usize) -> Cell {
         program_cache: 64,
         engines: 16,
         workers,
-        shards: workers,
     }));
     let server = {
         let shared = Arc::clone(&shared);

@@ -97,7 +97,7 @@ const HELP: &str = "usim — Ultrascalar command-line driver
   usim asm  <file.asm> [--regs N] [--emit out.ubin]
                                     assemble; list encodings or write a .ubin
   usim serve [--socket PATH] [--program-cache N] [--engines N]
-             [--workers N] [--shards N]
+             [--workers N]
                                     batch mode: newline-delimited JSON requests
                                     on stdin (or the socket), one JSON response
                                     per line; programs are cached and engines
@@ -110,10 +110,10 @@ serve options:
                            socket mode serves many clients at once, one
                            serving thread per connection
   --workers N              max simultaneous serving threads (default: the
-                           host's available parallelism)
-  --shards N               cache/pool shard count (default: one per worker);
-                           each shard has its own lock, so workers contend
-                           only on hash collisions
+                           host's available parallelism); the program cache
+                           and engine pool get one shard per worker, each
+                           with its own lock, so workers contend only on
+                           hash collisions
   --program-cache N        assembled-program LRU capacity, total (default 64)
   --engines N              warm-engine LRU capacity, total (default 8);
                            consecutive same-config requests batch onto the

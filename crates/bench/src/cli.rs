@@ -259,10 +259,9 @@ pub struct ServeOptions {
     pub program_cache: usize,
     /// Warm-engine pool capacity (total across shards).
     pub engines: usize,
-    /// Maximum simultaneous serving threads in socket mode.
+    /// Maximum simultaneous serving threads in socket mode; the
+    /// program cache and engine pool get one shard per worker.
     pub workers: usize,
-    /// Cache/pool shard count; 0 means one shard per worker.
-    pub shards: usize,
 }
 
 /// The default `--workers`: the host's available parallelism (1 when
@@ -278,7 +277,6 @@ impl Default for ServeOptions {
             program_cache: 64,
             engines: 8,
             workers: default_workers(),
-            shards: 0,
         }
     }
 }
@@ -311,14 +309,6 @@ pub fn parse_serve(args: &[String]) -> Result<ServeOptions, String> {
                     .map_err(|_| "bad --workers".to_string())?;
                 if o.workers == 0 {
                     return Err("--workers must be at least 1".into());
-                }
-            }
-            "--shards" => {
-                o.shards = value(&mut it, "--shards")?
-                    .parse()
-                    .map_err(|_| "bad --shards".to_string())?;
-                if o.shards == 0 {
-                    return Err("--shards must be at least 1".into());
                 }
             }
             flag if flag.starts_with("--") => return Err(format!("unknown flag `{flag}`")),
@@ -598,14 +588,13 @@ mod tests {
         let o = parse_serve(&args("")).unwrap();
         assert_eq!(o, ServeOptions::default());
         assert_eq!(o.workers, default_workers());
-        assert_eq!(o.shards, 0, "shards default to auto (per worker)");
         let o = parse_serve(&args(
-            "--socket /tmp/u.sock --program-cache 4 --engines 2 --workers 3 --shards 2",
+            "--socket /tmp/u.sock --program-cache 4 --engines 2 --workers 3",
         ))
         .unwrap();
         assert_eq!(o.socket.as_deref(), Some("/tmp/u.sock"));
         assert_eq!((o.program_cache, o.engines), (4, 2));
-        assert_eq!((o.workers, o.shards), (3, 2));
+        assert_eq!(o.workers, 3);
     }
 
     #[test]
@@ -617,8 +606,6 @@ mod tests {
         assert!(parse_serve(&args("--engines x")).is_err());
         assert!(parse_serve(&args("--workers 0")).is_err());
         assert!(parse_serve(&args("--workers -1")).is_err());
-        assert!(parse_serve(&args("--shards 0")).is_err());
-        assert!(parse_serve(&args("--shards x")).is_err());
     }
 
     #[test]

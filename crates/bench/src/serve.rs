@@ -21,10 +21,10 @@
 //! structure is sharded and every lock is held for a scan, never for a
 //! simulation:
 //!
-//! * assembled programs live in a [`ShardedProgramCache`]: N
-//!   independent LRU shards selected by the FNV-1a content hash, each
-//!   behind its own mutex. A hit clones an `Arc` out of the shard and
-//!   releases the lock before the engine runs.
+//! * assembled programs live in a [`ShardedProgramCache`]: one
+//!   independent LRU shard per worker, selected by the FNV-1a content
+//!   hash, each behind its own mutex. A hit clones an `Arc` out of the
+//!   shard and releases the lock before the engine runs.
 //! * warm engines live in a [`ShardedEnginePool`] keyed by a
 //!   `ProcConfig` hash with the same discipline, accessed by
 //!   **checkout/checkin**: a checkout removes the engine from its
@@ -37,18 +37,20 @@
 //!   design-space sweep) touches the pool only when the configuration
 //!   changes. Batched runs are counted separately
 //!   (`batched_runs` in `{"cmd":"stats"}`).
-//! * **lane batching**: when a client pipelines — several complete
-//!   request lines already sit in the read buffer — consecutive run
-//!   requests for the same configuration and program are grouped (up
-//!   to [`ultrascalar::MAX_LANES`]) and submitted as one
-//!   [`ultrascalar::LaneBatcher`] batch: one engine pass whose
-//!   schedule is shared across every converged lane, responses
+//! * **lane groups**: every run request is served as a lane group of
+//!   1..=[`ultrascalar::MAX_LANES`] requests, submitted as one
+//!   [`ultrascalar::LaneBatcher`] batch. The request that starts a
+//!   group is its leader; while more complete request lines already
+//!   sit in the read buffer and name the leader's configuration and
+//!   program, they join it. A batch of two or more is one engine pass
+//!   whose schedule is shared across every converged lane; a batch of
+//!   one is the plain serial run. Either way the responses are
 //!   byte-identical to serving the lines one at a time. A
-//!   request/response client never has a second line buffered, so it
-//!   is served exactly as before; grouping only engages when the
-//!   stream is ahead of the server. Lock-step-delivered results and
-//!   divergence peels are counted separately (`lane_batched_runs` /
-//!   `lane_divergence_peels` in `{"cmd":"stats"}`).
+//!   request/response client never has a second line buffered, so
+//!   each of its requests is a group of one. Lock-step-delivered
+//!   results and divergence peels are counted separately
+//!   (`lane_batched_runs` / `lane_divergence_peels` in
+//!   `{"cmd":"stats"}`).
 //!
 //! Each worker keeps the zero-allocation warm path of the serial
 //! server: requests parse into worker-owned reused [`String`] buffers
@@ -87,7 +89,7 @@ use std::time::{Duration, Instant};
 
 use crate::cli::{self, RunOptions, ServeOptions};
 use ultrascalar::{
-    LaneBatcher, PoolStats, PooledEngine, ProcConfig, Processor, RunResult, ShardedEnginePool,
+    LaneBatchStats, LaneBatcher, PoolStats, PooledEngine, ProcConfig, RunResult, ShardedEnginePool,
     MAX_LANES,
 };
 use ultrascalar_isa::{CacheStats, Program, ShardedProgramCache};
@@ -124,6 +126,8 @@ struct Request {
     cmd: Cmd,
     id: String,
     has_id: bool,
+    /// The inline program text; for a run leader with a
+    /// `program_path`, the file's text once it is read.
     program: String,
     has_program: bool,
     program_path: String,
@@ -153,7 +157,7 @@ impl Request {
 
 /// Aggregate serving counters, snapshotted by
 /// [`ServeShared::counters`].
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServeCounters {
     /// Request lines handled (including malformed ones).
     pub requests: u64,
@@ -167,31 +171,9 @@ pub struct ServeCounters {
     /// Runs served on the worker's already-held engine (config-affinity
     /// batching; these never touched a pool shard).
     pub batched_runs: u64,
-    /// Runs whose result was delivered by a lane-batch lock-step pass
-    /// (leader included) rather than its own engine pass.
-    pub lane_batched_runs: u64,
-    /// Lanes peeled back to a serial engine run after diverging from
-    /// their batch leader.
-    pub lane_divergence_peels: u64,
-    /// Clean epochs walked across all lane-batch passes (a
-    /// mispredict-free batch contributes exactly one).
-    pub lane_epochs: u64,
-    /// Lanes peeled during wrong-path segment replay at an epoch
-    /// boundary (subset of `lane_divergence_peels`' sibling counter in
-    /// the batcher; reported separately because they mark predictor
-    /// divergence rather than dataflow divergence).
-    pub lane_replay_peels: u64,
-    /// Groups demoted to serial because members disagreed on register
-    /// or memory shape.
-    pub lane_demote_incompatible: u64,
-    /// Groups demoted to serial because the leader run did not halt.
-    pub lane_demote_leader: u64,
-    /// Groups demoted to serial because the leader's schedule could not
-    /// be walked in lock-step (structural mismatch).
-    pub lane_demote_structure: u64,
-    /// Groups demoted to serial because lane 0's lock-step result
-    /// failed self-verification against the leader.
-    pub lane_demote_verify: u64,
+    /// Lane-batch counters summed over every group of two or more
+    /// requests: the `lane_*` keys of `{"cmd":"stats"}`.
+    pub lane: LaneBatchStats,
     /// Total cycles simulated across all runs.
     pub cycles_simulated: u64,
     /// Total instructions committed across all runs.
@@ -216,14 +198,7 @@ pub struct ServeShared {
     errors: AtomicU64,
     disconnects: AtomicU64,
     batched: AtomicU64,
-    lane_batched: AtomicU64,
-    lane_peels: AtomicU64,
-    lane_epochs: AtomicU64,
-    lane_replay_peels: AtomicU64,
-    lane_demote_incompatible: AtomicU64,
-    lane_demote_leader: AtomicU64,
-    lane_demote_structure: AtomicU64,
-    lane_demote_verify: AtomicU64,
+    lane: Mutex<LaneBatchStats>,
     engines_held: AtomicU64,
     cycles_simulated: AtomicU64,
     instructions_committed: AtomicU64,
@@ -234,32 +209,24 @@ pub struct ServeShared {
 }
 
 impl ServeShared {
-    /// Build the shared serving state from parsed options. A `shards`
-    /// value of 0 resolves to one shard per worker.
+    /// Build the shared serving state from parsed options: one cache
+    /// and one pool shard per worker.
     ///
     /// # Panics
     /// Panics if a capacity or the worker count is zero (the CLI
     /// parser rejects these first).
     pub fn new(o: &ServeOptions) -> Self {
         assert!(o.workers > 0, "serve needs at least one worker");
-        let shards = if o.shards == 0 { o.workers } else { o.shards };
         ServeShared {
-            programs: ShardedProgramCache::new(o.program_cache, shards),
-            engines: ShardedEnginePool::new(o.engines, shards),
+            programs: ShardedProgramCache::new(o.program_cache, o.workers),
+            engines: ShardedEnginePool::new(o.engines, o.workers),
             workers: o.workers,
             requests: AtomicU64::new(0),
             runs: AtomicU64::new(0),
             errors: AtomicU64::new(0),
             disconnects: AtomicU64::new(0),
             batched: AtomicU64::new(0),
-            lane_batched: AtomicU64::new(0),
-            lane_peels: AtomicU64::new(0),
-            lane_epochs: AtomicU64::new(0),
-            lane_replay_peels: AtomicU64::new(0),
-            lane_demote_incompatible: AtomicU64::new(0),
-            lane_demote_leader: AtomicU64::new(0),
-            lane_demote_structure: AtomicU64::new(0),
-            lane_demote_verify: AtomicU64::new(0),
+            lane: Mutex::new(LaneBatchStats::default()),
             engines_held: AtomicU64::new(0),
             cycles_simulated: AtomicU64::new(0),
             instructions_committed: AtomicU64::new(0),
@@ -293,14 +260,7 @@ impl ServeShared {
             errors: self.errors.load(Ordering::Relaxed),
             disconnects: self.disconnects.load(Ordering::Relaxed),
             batched_runs: self.batched.load(Ordering::Relaxed),
-            lane_batched_runs: self.lane_batched.load(Ordering::Relaxed),
-            lane_divergence_peels: self.lane_peels.load(Ordering::Relaxed),
-            lane_epochs: self.lane_epochs.load(Ordering::Relaxed),
-            lane_replay_peels: self.lane_replay_peels.load(Ordering::Relaxed),
-            lane_demote_incompatible: self.lane_demote_incompatible.load(Ordering::Relaxed),
-            lane_demote_leader: self.lane_demote_leader.load(Ordering::Relaxed),
-            lane_demote_structure: self.lane_demote_structure.load(Ordering::Relaxed),
-            lane_demote_verify: self.lane_demote_verify.load(Ordering::Relaxed),
+            lane: *lock(&self.lane),
             cycles_simulated: self.cycles_simulated.load(Ordering::Relaxed),
             instructions_committed: self.instructions_committed.load(Ordering::Relaxed),
             packed_fallbacks: self.packed_fallbacks.load(Ordering::Relaxed),
@@ -336,24 +296,26 @@ impl ServeShared {
 
 /// One serving worker: a handle on the shared state plus the reused
 /// request/response buffers, the config-affinity engine slot, and the
-/// lane-batch group scratch. Each connection (or the stdin stream) is
-/// driven by exactly one worker.
+/// lane group being collected. Each connection (or the stdin stream)
+/// is driven by exactly one worker.
 #[derive(Debug)]
 pub struct Worker {
     shared: Arc<ServeShared>,
     slot: usize,
-    req: Request,
     key: String,
     sval: String,
-    file_src: String,
+    /// The current group's responses, each newline-terminated.
     line_out: String,
     held: Option<PooledEngine>,
     batcher: LaneBatcher,
-    /// Parsed requests of the group being collected (slots reused).
+    /// When the current group's leader was admitted.
+    started: Instant,
+    /// Parsed requests of the group being collected (slots reused);
+    /// slot 0 is the leader.
     group: Vec<Request>,
-    /// The group's resolved configuration (leader's, shared by all).
+    /// The group's configuration (the leader's, shared by all).
     group_cfg: Option<ProcConfig>,
-    /// One cache handle per group member (cleared between groups).
+    /// One cache handle per group member (cleared per leader).
     group_programs: Vec<Arc<Program>>,
     /// One reused result slot per lane.
     group_results: Vec<RunResult>,
@@ -368,13 +330,12 @@ impl Worker {
         Worker {
             shared,
             slot,
-            req: Request::default(),
             key: String::new(),
             sval: String::new(),
-            file_src: String::new(),
             line_out: String::new(),
             held: None,
             batcher: LaneBatcher::new(),
+            started: Instant::now(),
             group: Vec::new(),
             group_cfg: None,
             group_programs: Vec::with_capacity(MAX_LANES),
@@ -396,29 +357,21 @@ impl Worker {
         }
     }
 
-    /// Handle one request line and return the response line (no
-    /// trailing newline). Never fails: malformed requests produce an
-    /// `{"ok":false,"error":…}` response.
+    /// Handle one request line as a group of one and return the
+    /// response line (no trailing newline). Never fails: malformed
+    /// requests produce an `{"ok":false,"error":…}` response.
     pub fn handle_line(&mut self, line: &str) -> &str {
-        let started = Instant::now();
-        self.shared.requests.fetch_add(1, Ordering::Relaxed);
-        self.shared.worker_requests[self.slot].fetch_add(1, Ordering::Relaxed);
-        if let Err(e) = self.handle_inner(line) {
-            self.shared.errors.fetch_add(1, Ordering::Relaxed);
-            write_error_line(&mut self.line_out, &self.req, &e);
+        if self.admit(0, line) {
+            self.execute_group(1);
         }
-        self.shared
-            .wall_nanos
-            .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        &self.line_out
+        self.line_out.strip_suffix('\n').unwrap_or(&self.line_out)
     }
 
     /// Answer a request line longer than [`MAX_LINE_BYTES`]: one error
     /// line (newline included), counted as a failed request.
     fn reject_long_line(&mut self) {
-        self.shared.requests.fetch_add(1, Ordering::Relaxed);
-        self.shared.worker_requests[self.slot].fetch_add(1, Ordering::Relaxed);
-        self.shared.errors.fetch_add(1, Ordering::Relaxed);
+        self.started = Instant::now();
+        self.tally(1, 1);
         self.line_out.clear();
         let _ = writeln!(
             self.line_out,
@@ -426,276 +379,181 @@ impl Worker {
         );
     }
 
-    fn handle_inner(&mut self, line: &str) -> Result<(), String> {
-        let Worker {
-            shared,
-            req,
-            key,
-            sval,
-            file_src,
-            line_out,
-            held,
-            ..
-        } = self;
-        parse_request(line, req, key, sval)?;
-        match req.cmd {
-            Cmd::Stats => {
-                line_out.clear();
-                write_stats(line_out, shared);
-                Ok(())
-            }
-            Cmd::Shutdown => {
-                shared.request_shutdown();
-                line_out.clear();
-                line_out.push_str("{\"ok\":true,\"shutdown\":true}");
-                Ok(())
-            }
-            Cmd::Run => {
-                let src: &str = if req.has_program {
-                    if req.has_program_path {
-                        return Err("give either `program` or `program_path`, not both".into());
-                    }
-                    &req.program
-                } else if req.has_program_path {
-                    file_src.clear();
-                    let bytes = std::fs::read(&req.program_path)
-                        .map_err(|e| format!("cannot read {}: {e}", req.program_path))?;
-                    let text = std::str::from_utf8(&bytes)
-                        .map_err(|e| format!("{} is not UTF-8: {e}", req.program_path))?;
-                    file_src.push_str(text);
-                    file_src
-                } else {
-                    return Err("request needs a `program` or `program_path`".into());
-                };
-                let cfg = cli::build_config(&req.opts)?;
-                let program = shared
-                    .programs
-                    .get_or_assemble(src, req.opts.regs)
-                    .map_err(|e| e.to_string())?;
-                let pooled = affinity_checkout(shared, held, &cfg);
-                let run_started = Instant::now();
-                pooled.engine.run_reusing(&program, &mut pooled.result);
-                let run_wall = run_started.elapsed();
-                count_run(shared, &pooled.result);
-                line_out.clear();
-                let wall_us = req.timing.then_some(run_wall.as_micros() as u64);
-                write_run(line_out, req, &cfg, &pooled.result, wall_us);
-                Ok(())
-            }
+    /// The one place request lines are counted: `requests` more lines
+    /// answered by this worker, `errors` of them with an error
+    /// response, and the wall time since the current leader arrived.
+    fn tally(&self, requests: u64, errors: u64) {
+        let s = &self.shared;
+        s.requests.fetch_add(requests, Ordering::Relaxed);
+        s.worker_requests[self.slot].fetch_add(requests, Ordering::Relaxed);
+        if errors > 0 {
+            s.errors.fetch_add(errors, Ordering::Relaxed);
         }
+        s.wall_nanos
+            .fetch_add(self.started.elapsed().as_nanos() as u64, Ordering::Relaxed);
     }
 
-    /// Parse `line` into group slot 0 and decide whether it can lead a
-    /// lane-batch group: a well-formed run request carrying an inline
-    /// program. Anything else goes through the serial path untouched.
-    fn parse_group_leader(&mut self, line: &str) -> bool {
-        let Worker {
-            group, key, sval, ..
-        } = self;
-        if group.is_empty() {
-            group.push(Request::default());
+    /// Parse `line` into group slot `n` and admit it to the group.
+    ///
+    /// Slot 0 is the leader and starts a new group. A run leader whose
+    /// program and configuration resolve is admitted and waits for
+    /// [`Worker::execute_group`]. Anything else — `stats`, `shutdown`,
+    /// a malformed line, a run that fails to resolve — is answered on
+    /// the spot into `line_out`, and `false` is returned.
+    ///
+    /// Slot `n > 0` joins only if it is an inline-program run with the
+    /// leader's program text, register count and configuration. Its
+    /// cache lookup is then a hit on the entry the leader resolved, so
+    /// the accounting matches serving the line by itself. A line that
+    /// does not join has touched no shared state; the caller serves it
+    /// next, as a leader.
+    fn admit(&mut self, n: usize, line: &str) -> bool {
+        while self.group.len() <= n {
+            self.group.push(Request::default());
         }
-        let slot = &mut group[0];
-        parse_request(line, slot, key, sval).is_ok()
-            && slot.cmd == Cmd::Run
-            && slot.has_program
-            && !slot.has_program_path
-    }
-
-    /// Resolve the group leader's configuration and program. The two
-    /// failure modes differ in what they already counted: an invalid
-    /// configuration touched nothing (the caller can replay the line
-    /// through `handle_line` and get the identical error for free),
-    /// while a failed assembly has already been charged one
-    /// program-cache miss, so the caller must emit the error response
-    /// itself rather than replay the lookup.
-    fn resolve_group_leader(&mut self) -> Result<(), GroupLeaderError> {
-        let req = &self.group[0];
-        let cfg = cli::build_config(&req.opts).map_err(|_| GroupLeaderError::Config)?;
-        let program = self
-            .shared
-            .programs
-            .get_or_assemble(&req.program, req.opts.regs)
-            .map_err(|e| GroupLeaderError::Assemble(e.to_string()))?;
-        self.group_cfg = Some(cfg);
-        self.group_programs.clear();
-        self.group_programs.push(program);
-        Ok(())
-    }
-
-    /// Try to admit `line` into the group as lane `n`. Admission
-    /// requires a run request with the same configuration, program
-    /// text, and register count as the leader; anything else is a
-    /// group breaker the caller reprocesses on its own. An admitted
-    /// member's cache lookup is a guaranteed hit on the entry the
-    /// leader just resolved, so the accounting matches serving the
-    /// line by itself.
-    fn try_join_group(&mut self, n: usize, line: &str) -> bool {
+        if n == 0 {
+            self.started = Instant::now();
+            self.line_out.clear();
+        }
+        let parsed = parse_request(line, &mut self.group[n], &mut self.key, &mut self.sval);
+        if n > 0 {
+            let Worker {
+                shared,
+                group,
+                group_cfg,
+                group_programs,
+                ..
+            } = self;
+            let (leader, req) = (&group[0], &group[n]);
+            let joins = parsed.is_ok()
+                && req.cmd == Cmd::Run
+                && req.has_program
+                && !req.has_program_path
+                && req.opts.regs == leader.opts.regs
+                && req.program == leader.program
+                && cli::build_config(&req.opts).is_ok_and(|cfg| group_cfg.as_ref() == Some(&cfg));
+            if !joins {
+                return false;
+            }
+            return match shared.programs.get_or_assemble(&req.program, req.opts.regs) {
+                Ok(program) => {
+                    group_programs.push(program);
+                    true
+                }
+                Err(_) => false,
+            };
+        }
+        let answer = match parsed {
+            Ok(()) if self.group[0].cmd == Cmd::Run => match self.resolve_run() {
+                Ok(()) => return true,
+                Err(e) => Err(e),
+            },
+            other => other,
+        };
+        self.tally(1, answer.is_err() as u64);
         let Worker {
             shared,
             group,
-            key,
-            sval,
+            line_out,
+            ..
+        } = self;
+        match answer {
+            Err(e) => write_error_line(line_out, &group[0], &e),
+            Ok(()) if group[0].cmd == Cmd::Stats => write_stats(line_out, shared),
+            Ok(()) => {
+                shared.request_shutdown();
+                line_out.push_str("{\"ok\":true,\"shutdown\":true}");
+            }
+        }
+        line_out.push('\n');
+        false
+    }
+
+    /// Resolve the run leader in group slot 0: read its `program_path`
+    /// into its `program` buffer when the program is not inline, build
+    /// its configuration, and look its program up in the cache.
+    fn resolve_run(&mut self) -> Result<(), String> {
+        let Worker {
+            shared,
+            group,
             group_cfg,
             group_programs,
             ..
         } = self;
-        while group.len() <= n {
-            group.push(Request::default());
-        }
-        let (lead, tail) = group.split_at_mut(n);
-        let leader = &lead[0];
-        let slot = &mut tail[0];
-        if parse_request(line, slot, key, sval).is_err()
-            || slot.cmd != Cmd::Run
-            || !slot.has_program
-            || slot.has_program_path
-            || slot.opts.regs != leader.opts.regs
-            || slot.program != leader.program
-        {
-            return false;
-        }
-        let Ok(cfg) = cli::build_config(&slot.opts) else {
-            return false;
-        };
-        if Some(&cfg) != group_cfg.as_ref() {
-            return false;
-        }
-        match shared
-            .programs
-            .get_or_assemble(&slot.program, slot.opts.regs)
-        {
-            Ok(program) => {
-                group_programs.push(program);
-                true
+        let req = &mut group[0];
+        match (req.has_program, req.has_program_path) {
+            (true, true) => return Err("give either `program` or `program_path`, not both".into()),
+            (false, false) => return Err("request needs a `program` or `program_path`".into()),
+            (true, false) => {}
+            (false, true) => {
+                let bytes = std::fs::read(&req.program_path)
+                    .map_err(|e| format!("cannot read {}: {e}", req.program_path))?;
+                let text = std::str::from_utf8(&bytes)
+                    .map_err(|e| format!("{} is not UTF-8: {e}", req.program_path))?;
+                req.program.push_str(text);
             }
-            Err(_) => false,
         }
+        let cfg = cli::build_config(&req.opts)?;
+        let program = shared
+            .programs
+            .get_or_assemble(&req.program, req.opts.regs)
+            .map_err(|e| e.to_string())?;
+        *group_cfg = Some(cfg);
+        group_programs.clear();
+        group_programs.push(program);
+        Ok(())
     }
 
-    /// Execute the collected group of `n` resolved same-config,
-    /// same-program run requests — one lane batch for `n >= 2`, the
-    /// plain serial run for a group of one — and serialise every
-    /// response, in request order and newline-terminated, into
-    /// `line_out`. Counter accounting is exactly what serving the
-    /// lines one at a time would have produced; the lane counters
-    /// additionally record how many results the lock-step pass
-    /// delivered and how many lanes peeled.
+    /// Run the admitted group of `n` requests as one lane batch and
+    /// serialise every response, in request order and
+    /// newline-terminated, into `line_out`. A batch of one is the
+    /// plain serial run. The members after the leader ride the held
+    /// engine, so they count as affinity-batched runs, just as they
+    /// would one line at a time; the lane counters additionally record
+    /// how many results the lock-step pass delivered and how many
+    /// lanes peeled.
     fn execute_group(&mut self, n: usize) {
-        let started = Instant::now();
         let Worker {
             shared,
-            slot,
+            held,
+            batcher,
             group,
             group_cfg,
             group_programs,
             group_results,
-            batcher,
             line_out,
-            held,
             ..
         } = self;
-        let cfg = group_cfg.take().expect("group leader resolved");
-        shared.requests.fetch_add(n as u64, Ordering::Relaxed);
-        shared.worker_requests[*slot].fetch_add(n as u64, Ordering::Relaxed);
+        let cfg = group_cfg.take().expect("group leader admitted");
         let pooled = affinity_checkout(shared, held, &cfg);
-        line_out.clear();
-        if n == 1 {
-            let run_started = Instant::now();
-            pooled
-                .engine
-                .run_reusing(&group_programs[0], &mut pooled.result);
-            let wall_us = group[0]
-                .timing
-                .then_some(run_started.elapsed().as_micros() as u64);
-            count_run(shared, &pooled.result);
-            write_run(line_out, &group[0], &cfg, &pooled.result, wall_us);
-            line_out.push('\n');
-        } else {
-            // The members after the leader ride the held engine, just
-            // as they would have one line at a time.
-            shared.batched.fetch_add(n as u64 - 1, Ordering::Relaxed);
-            while group_results.len() < n {
-                group_results.push(RunResult::default());
-            }
-            let before = *batcher.stats();
-            let run_started = Instant::now();
-            batcher.run_batch(
-                &mut pooled.engine,
-                &group_programs[..n],
-                &mut group_results[..n],
-            );
-            let share = run_started.elapsed() / n as u32;
-            let after = *batcher.stats();
-            shared
-                .lane_batched
-                .fetch_add(after.lane_runs - before.lane_runs, Ordering::Relaxed);
-            shared
-                .lane_peels
-                .fetch_add(after.peels - before.peels, Ordering::Relaxed);
-            shared
-                .lane_epochs
-                .fetch_add(after.epochs - before.epochs, Ordering::Relaxed);
-            shared
-                .lane_replay_peels
-                .fetch_add(after.replay_peels - before.replay_peels, Ordering::Relaxed);
-            shared.lane_demote_incompatible.fetch_add(
-                after.fallback_incompatible - before.fallback_incompatible,
-                Ordering::Relaxed,
-            );
-            shared.lane_demote_leader.fetch_add(
-                after.fallback_leader - before.fallback_leader,
-                Ordering::Relaxed,
-            );
-            shared.lane_demote_structure.fetch_add(
-                after.fallback_structure - before.fallback_structure,
-                Ordering::Relaxed,
-            );
-            shared.lane_demote_verify.fetch_add(
-                after.fallback_verify - before.fallback_verify,
-                Ordering::Relaxed,
-            );
-            for (req, r) in group[..n].iter().zip(group_results.iter()) {
-                count_run(shared, r);
-                let wall_us = req.timing.then_some(share.as_micros() as u64);
-                write_run(line_out, req, &cfg, r, wall_us);
-                line_out.push('\n');
-            }
+        while group_results.len() < n {
+            group_results.push(RunResult::default());
         }
-        shared
-            .wall_nanos
-            .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-    }
-
-    /// The group leader failed to assemble after its cache lookup was
-    /// already counted: emit the error response (newline-terminated,
-    /// into `line_out`) with the same counter effects `handle_line`
-    /// would have had.
-    fn group_leader_error(&mut self, err: &str) {
-        let started = Instant::now();
-        self.shared.requests.fetch_add(1, Ordering::Relaxed);
-        self.shared.worker_requests[self.slot].fetch_add(1, Ordering::Relaxed);
-        self.shared.errors.fetch_add(1, Ordering::Relaxed);
-        write_error_line(&mut self.line_out, &self.group[0], err);
-        self.line_out.push('\n');
-        self.shared
-            .wall_nanos
-            .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        let before = *batcher.stats();
+        let run_started = Instant::now();
+        batcher.run_batch(
+            &mut pooled.engine,
+            &group_programs[..n],
+            &mut group_results[..n],
+        );
+        let share = run_started.elapsed() / n as u32;
+        if n > 1 {
+            shared.batched.fetch_add(n as u64 - 1, Ordering::Relaxed);
+            lock(&shared.lane).merge(&batcher.stats().delta_since(&before));
+        }
+        for (req, r) in group[..n].iter().zip(group_results.iter()) {
+            count_run(shared, r);
+            let wall_us = req.timing.then_some(share.as_micros() as u64);
+            write_run(line_out, req, &cfg, r, wall_us);
+            line_out.push('\n');
+        }
+        self.tally(n as u64, 0);
     }
 }
 
-/// Why a would-be group leader could not be resolved.
-enum GroupLeaderError {
-    /// `build_config` rejected the options (no shared state touched).
-    Config,
-    /// Assembly failed (the program-cache miss is already counted).
-    Assemble(String),
-}
-
-/// Config-affinity engine selection, shared by the serial path and the
-/// lane-batch group path: reuse the held engine when its configuration
-/// matches (counted as a batched run), otherwise swap it through the
-/// pool.
+/// Config-affinity engine selection: reuse the held engine when its
+/// configuration matches (counted as a batched run), otherwise swap it
+/// through the pool.
 fn affinity_checkout<'a>(
     shared: &ServeShared,
     held: &'a mut Option<PooledEngine>,
@@ -717,7 +575,7 @@ fn affinity_checkout<'a>(
     held.as_mut().expect("engine held for this config")
 }
 
-/// Post-run counter roll-up, shared by the serial and group paths.
+/// Post-run counter roll-up for one response.
 fn count_run(shared: &ServeShared, r: &RunResult) {
     shared.runs.fetch_add(1, Ordering::Relaxed);
     shared
@@ -731,10 +589,8 @@ fn count_run(shared: &ServeShared, r: &RunResult) {
         .fetch_add(r.stats.packed_fallbacks, Ordering::Relaxed);
 }
 
-/// The `{"ok":false,…}` error response, shared by `handle_line` and
-/// the group leader's resolution-failure path.
+/// Append the `{"ok":false,…}` error response for `req`.
 fn write_error_line(out: &mut String, req: &Request, err: &str) {
-    out.clear();
     out.push_str("{\"ok\":false,");
     if req.has_id {
         out.push_str("\"id\":\"");
@@ -747,9 +603,8 @@ fn write_error_line(out: &mut String, req: &Request, err: &str) {
 }
 
 /// The single-threaded serving facade: one [`Worker`] over its own
-/// shared state (one shard each). Drives stdin mode and serves as the
-/// serial baseline the concurrent path is pinned byte-identical
-/// against.
+/// shared state (one shard each). Serves as the serial baseline the
+/// concurrent path is pinned byte-identical against.
 #[derive(Debug)]
 pub struct Server {
     worker: Worker,
@@ -767,44 +622,15 @@ impl Server {
             program_cache,
             engines,
             workers: 1,
-            shards: 1,
         };
-        Server::from_shared(Arc::new(ServeShared::new(&o)))
-    }
-
-    /// Create the stdin-mode server over externally built shared state
-    /// (slot 0).
-    pub fn from_shared(shared: Arc<ServeShared>) -> Self {
         Server {
-            worker: Worker::new(shared, 0),
+            worker: Worker::new(Arc::new(ServeShared::new(&o)), 0),
         }
     }
 
     /// The shared serving state (counters, cache/pool stats).
     pub fn shared(&self) -> &Arc<ServeShared> {
         &self.worker.shared
-    }
-
-    /// Snapshot of the aggregate counters.
-    pub fn counters(&self) -> ServeCounters {
-        self.worker.shared.counters()
-    }
-
-    /// Program-cache counters (hits/misses/evictions/entries).
-    pub fn program_stats(&self) -> CacheStats {
-        self.worker.shared.program_stats()
-    }
-
-    /// Engine-pool counters; affinity-batched runs count as hits and
-    /// the held engine counts as warm (see
-    /// [`ServeShared::engine_stats`]).
-    pub fn engine_stats(&self) -> PoolStats {
-        self.worker.shared.engine_stats()
-    }
-
-    /// Has a shutdown request been handled?
-    pub fn shutdown_requested(&self) -> bool {
-        self.worker.shared.is_shutdown()
     }
 
     /// Handle one request line and return the response line (no
@@ -817,11 +643,6 @@ impl Server {
     /// Return the held engine (if any) to the pool.
     pub fn release(&mut self) {
         self.worker.release()
-    }
-
-    /// The one-line human-readable summary printed on shutdown/EOF.
-    pub fn final_stats_line(&self) -> String {
-        final_summary(&self.worker.shared)
     }
 }
 
@@ -851,14 +672,14 @@ pub fn final_summary(shared: &ServeShared) -> String {
         ep.misses,
         ep.evictions,
         c.batched_runs,
-        c.lane_batched_runs,
-        c.lane_epochs,
-        c.lane_divergence_peels,
-        c.lane_replay_peels,
-        c.lane_demote_incompatible,
-        c.lane_demote_leader,
-        c.lane_demote_structure,
-        c.lane_demote_verify,
+        c.lane.lane_runs,
+        c.lane.epochs,
+        c.lane.peels,
+        c.lane.replay_peels,
+        c.lane.fallback_incompatible,
+        c.lane.fallback_leader,
+        c.lane.fallback_structure,
+        c.lane.fallback_verify,
         c.cycles_simulated,
         c.instructions_committed,
         c.packed_fallbacks,
@@ -949,14 +770,14 @@ fn write_stats(out: &mut String, shared: &ServeShared) {
         c.errors,
         c.disconnects,
         c.batched_runs,
-        c.lane_batched_runs,
-        c.lane_divergence_peels,
-        c.lane_epochs,
-        c.lane_replay_peels,
-        c.lane_demote_incompatible,
-        c.lane_demote_leader,
-        c.lane_demote_structure,
-        c.lane_demote_verify,
+        c.lane.lane_runs,
+        c.lane.peels,
+        c.lane.epochs,
+        c.lane.replay_peels,
+        c.lane.fallback_incompatible,
+        c.lane.fallback_leader,
+        c.lane.fallback_structure,
+        c.lane.fallback_verify,
         pc.hits,
         pc.misses,
         pc.evictions,
@@ -997,7 +818,9 @@ fn write_stats(out: &mut String, shared: &ServeShared) {
     out.push_str("]}}");
 }
 
-fn escape_into(out: &mut String, s: &str) {
+/// Append `s` to `out` as the body of a JSON string: quotes,
+/// backslashes and every control character are escaped.
+pub(crate) fn escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -1397,14 +1220,13 @@ fn buffered_line<R: BufRead>(reader: &mut R, rest: &mut usize, buf: &mut Vec<u8>
 /// broken pipe) bump the `disconnects` counter and close only this
 /// stream — the shared state and every other connection stay healthy.
 ///
-/// When the client pipelines, consecutive already-buffered run
-/// requests for one configuration and program are served as a single
-/// lane batch (see the module docs); every response is byte-identical
-/// to serving the lines one at a time, and a group's responses are
-/// written and flushed together. A line that breaks a group (different
-/// request, malformed, a `stats`/`shutdown` command) is stashed and
-/// served next, in order. A request/response client never has a second
-/// line buffered, so it is served exactly as before.
+/// Each run request leads a lane group (see the module docs): while
+/// more complete lines already sit in the read buffer, the ones that
+/// match the leader join it, and the group's responses are written and
+/// flushed together. The line that breaks a group (a different
+/// request, a malformed line, a `stats`/`shutdown` command) is stashed
+/// and served next, in order. A request/response client never has a
+/// second line buffered, so each of its requests is a group of one.
 fn stream_loop<R: BufRead, W: Write>(worker: &mut Worker, mut reader: R, mut writer: W) {
     let mut line: Vec<u8> = Vec::new();
     let mut stash: Vec<u8> = Vec::new();
@@ -1455,73 +1277,36 @@ fn stream_loop<R: BufRead, W: Write>(worker: &mut Worker, mut reader: R, mut wri
         if trimmed.is_empty() {
             continue;
         }
-
-        // Lane-batch grouping: engages only when at least one more
-        // complete line is already buffered behind the leader.
-        if rest > 0 && worker.parse_group_leader(trimmed) {
-            match worker.resolve_group_leader() {
-                Ok(()) => {
-                    let mut n = 1;
-                    let mut poisoned = false;
-                    while n < MAX_LANES {
-                        if !buffered_line(&mut reader, &mut rest, &mut stash) {
-                            break;
-                        }
-                        let Ok(mtext) = std::str::from_utf8(&stash) else {
-                            // Serve the group, then fail the stream
-                            // exactly as the serial loop would have on
-                            // reaching this line.
-                            poisoned = true;
-                            break;
-                        };
-                        let mtrim = mtext.trim();
-                        if mtrim.is_empty() {
-                            continue;
-                        }
-                        if worker.try_join_group(n, mtrim) {
-                            n += 1;
-                        } else {
-                            have_stash = true;
-                            break;
-                        }
-                    }
-                    worker.execute_group(n);
-                    if writer.write_all(worker.line_out.as_bytes()).is_err()
-                        || writer.flush().is_err()
-                    {
-                        disconnect(worker);
-                        break;
-                    }
-                    if poisoned {
-                        disconnect(worker);
-                        break;
-                    }
-                    if worker.shared.is_shutdown() {
-                        break;
-                    }
+        // A line that is not UTF-8 behind the leader ends the stream
+        // once the group before it is answered, as it would have
+        // served one line at a time.
+        let mut poisoned = false;
+        if worker.admit(0, trimmed) {
+            let mut n = 1;
+            while n < MAX_LANES && buffered_line(&mut reader, &mut rest, &mut stash) {
+                let Ok(mtext) = std::str::from_utf8(&stash) else {
+                    poisoned = true;
+                    break;
+                };
+                let mtrim = mtext.trim();
+                if mtrim.is_empty() {
                     continue;
                 }
-                Err(GroupLeaderError::Assemble(e)) => {
-                    worker.group_leader_error(&e);
-                    if writer.write_all(worker.line_out.as_bytes()).is_err()
-                        || writer.flush().is_err()
-                    {
-                        disconnect(worker);
-                        break;
-                    }
-                    continue;
+                if !worker.admit(n, mtrim) {
+                    have_stash = true;
+                    break;
                 }
-                // An invalid configuration touched no shared state:
-                // the serial path below re-derives the same error.
-                Err(GroupLeaderError::Config) => {}
+                n += 1;
             }
+            worker.execute_group(n);
         }
-
-        worker.handle_line(trimmed);
-        worker.line_out.push('\n');
         if writer.write_all(worker.line_out.as_bytes()).is_err() || writer.flush().is_err() {
             // Downstream closed the pipe; count it and stop quietly
             // like `usim run | head` does.
+            disconnect(worker);
+            break;
+        }
+        if poisoned {
             disconnect(worker);
             break;
         }
@@ -1532,8 +1317,7 @@ fn stream_loop<R: BufRead, W: Write>(worker: &mut Worker, mut reader: R, mut wri
 }
 
 /// Run the serving loop for `reader`/`writer` until EOF or a shutdown
-/// request (the stdin mode of `usim serve`, and the serial baseline
-/// for tests).
+/// request: the stdin mode of `usim serve`, over a [`Server`].
 pub fn serve_stream<R: BufRead, W: Write>(server: &mut Server, reader: R, writer: W) {
     stream_loop(&mut server.worker, reader, writer);
 }
@@ -1652,27 +1436,47 @@ pub fn serve(o: &ServeOptions) -> Result<(), String> {
     match &o.socket {
         None => {
             // stdin is one stream: a single worker serves it.
-            let mut server = Server::from_shared(Arc::clone(&shared));
+            let mut worker = Worker::new(Arc::clone(&shared), 0);
             let stdin = std::io::stdin();
             let stdout = std::io::stdout();
-            serve_stream(&mut server, stdin.lock(), stdout.lock());
-            server.release();
+            stream_loop(&mut worker, stdin.lock(), stdout.lock());
+            worker.release();
         }
         Some(path) => {
             eprintln!(
-                "usim serve: listening on {path} ({} worker{}, {} cache shard{})",
+                "usim serve: listening on {path} ({} worker{}, one cache shard each)",
                 shared.workers,
                 if shared.workers == 1 { "" } else { "s" },
-                shared.programs.num_shards(),
-                if shared.programs.num_shards() == 1 {
-                    ""
-                } else {
-                    "s"
-                },
             );
             serve_socket(&shared, path)?;
         }
     }
     eprintln!("{}", final_summary(&shared));
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every ASCII character and one non-BMP character survive
+    /// `escape_into` followed by the request parser's string decoder,
+    /// and no control character reaches the output unescaped.
+    #[test]
+    fn escape_round_trips_through_the_string_parser() {
+        let all: String = (0..=0x7Fu8).map(char::from).chain(['\u{1F600}']).collect();
+        let (mut json, mut back) = (String::new(), String::new());
+        let singles = all.chars().map(String::from);
+        for s in singles.chain([all.clone()]) {
+            json.clear();
+            json.push('"');
+            escape_into(&mut json, &s);
+            json.push('"');
+            assert!(json.chars().all(|c| c >= ' '), "{s:?} escaped as {json:?}");
+            P::new(&json)
+                .string_into(&mut back)
+                .expect("escaped string parses");
+            assert_eq!(back, s, "{s:?} escaped as {json:?}");
+        }
+    }
 }

@@ -24,6 +24,8 @@ use std::time::{Duration, Instant};
 use ultrascalar::{LaneBatchEngine, LaneBatchStats, ProcConfig, RunResult, MAX_LANES};
 use ultrascalar_isa::Program;
 
+use crate::serve::escape_into;
+
 /// Evaluate `f` at every item, in parallel, returning results in input
 /// order.
 ///
@@ -217,20 +219,17 @@ impl JsonReport {
     /// Render the report as a JSON document.
     pub fn render(&self) -> String {
         let mut out = String::from("{\n");
-        out.push_str(&format!(
-            "  \"experiment\": \"{}\",\n",
-            escape(&self.experiment)
-        ));
+        out.push_str("  \"experiment\": \"");
+        escape_into(&mut out, &self.experiment);
+        out.push_str("\",\n");
         out.push_str(&format!("  \"simd_active\": \"{}\",\n", self.simd_active));
         let total: f64 = self.points.iter().map(|p| p.wall_s).sum();
         out.push_str(&format!("  \"total_point_wall_s\": {:.6},\n", total));
         out.push_str("  \"points\": [\n");
         for (i, p) in self.points.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"label\": \"{}\", \"wall_s\": {:.6}",
-                escape(&p.label),
-                p.wall_s
-            ));
+            out.push_str("    {\"label\": \"");
+            escape_into(&mut out, &p.label);
+            out.push_str(&format!("\", \"wall_s\": {:.6}", p.wall_s));
             if let Some(steps) = p.steps {
                 out.push_str(&format!(", \"steps\": {steps}"));
                 if let Some(sps) = p.steps_per_sec() {
@@ -250,7 +249,9 @@ impl JsonReport {
         if !self.summaries.is_empty() {
             out.push_str(",\n  \"summary\": {\n");
             for (i, (name, value)) in self.summaries.iter().enumerate() {
-                out.push_str(&format!("    \"{}\": {:.6}", escape(name), value));
+                out.push_str("    \"");
+                escape_into(&mut out, name);
+                out.push_str(&format!("\": {value:.6}"));
                 if i + 1 < self.summaries.len() {
                     out.push(',');
                 }
@@ -367,17 +368,6 @@ pub fn geomean(ratios: &[f64]) -> f64 {
         return 1.0;
     }
     (ratios.iter().map(|r| r.ln()).sum::<f64>() / ratios.len() as f64).exp()
-}
-
-fn escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            '\n' => vec!['\\', 'n'],
-            c => vec![c],
-        })
-        .collect()
 }
 
 #[cfg(test)]

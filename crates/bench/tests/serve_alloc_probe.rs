@@ -134,7 +134,7 @@ fn serve_request_loop_allocates_nothing_in_steady_state() {
     let wide = server.handle_line(REQ_WIDE);
     assert!(wide.contains("\"mispredictions\":42,"), "{wide}");
 
-    let runs_before = server.counters().runs;
+    let runs_before = server.shared().counters().runs;
     let guard = ProbeGuard::arm();
     let before = ALLOCS.load(Ordering::SeqCst);
     for _ in 0..50 {
@@ -147,14 +147,14 @@ fn serve_request_loop_allocates_nothing_in_steady_state() {
         0,
         "serve request loop allocated in steady state"
     );
-    assert_eq!(server.counters().runs - runs_before, 300);
+    assert_eq!(server.shared().counters().runs - runs_before, 300);
     // Every probed request was a cache/pool hit (the fan shares the
     // loop kernel's configuration, so it is a third program but not a
     // third engine; the memory-network request reuses the loop
     // program under a third configuration; the wide request is a
     // fourth program and configuration).
-    assert_eq!(server.program_stats().misses, 4);
-    assert_eq!(server.engine_stats().misses, 4);
+    assert_eq!(server.shared().program_stats().misses, 4);
+    assert_eq!(server.shared().engine_stats().misses, 4);
 }
 
 #[test]
@@ -167,7 +167,6 @@ fn concurrent_workers_allocate_nothing_in_steady_state() {
         program_cache: 32,
         engines: 32,
         workers: WORKERS,
-        shards: WORKERS,
     }));
     // Each worker gets its own two programs and two configurations
     // (a worker-specific predictor size), so warm-up deterministically

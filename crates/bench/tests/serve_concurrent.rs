@@ -8,7 +8,8 @@ use std::os::unix::net::UnixStream;
 use std::sync::Arc;
 use std::time::Duration;
 
-use ultrascalar_bench::cli::ServeOptions;
+use ultrascalar::config_shard_hash;
+use ultrascalar_bench::cli::{self, RunOptions, ServeOptions};
 use ultrascalar_bench::serve::{serve_socket, ServeShared, Server};
 
 fn sock_path(tag: &str) -> String {
@@ -99,7 +100,6 @@ fn concurrent_clients_get_byte_identical_responses() {
             program_cache: 64,
             engines: 16,
             workers: 4,
-            shards: 4,
         },
     );
     let clients: Vec<_> = (0..CLIENTS)
@@ -145,7 +145,6 @@ fn disconnect_mid_line_closes_only_that_connection() {
             program_cache: 8,
             engines: 4,
             workers: 2,
-            shards: 2,
         },
     );
 
@@ -207,20 +206,37 @@ fn disconnect_mid_line_closes_only_that_connection() {
 
 #[test]
 fn contended_pool_evicts_and_recovers() {
-    // Engine capacity 2 against 4 configurations from 4 clients: the
-    // pool must evict under contention and every response must still
+    // Engine capacity 2 over 4 workers leaves one engine per pool
+    // shard. Client 0 alternates two configurations whose shard hashes
+    // collide, so from its second switch on, each check-in lands in a
+    // full shard and evicts: the eviction is forced by construction,
+    // whatever the other clients do. Clients 1..4 cycle through four
+    // more configurations for contention; every response must still
     // be correct.
+    const WORKERS: usize = 4;
+    let shard = |window: usize| {
+        let o = RunOptions {
+            window,
+            ..RunOptions::default()
+        };
+        config_shard_hash(&cli::build_config(&o).expect("valid config")) % WORKERS as u64
+    };
+    let candidates: Vec<usize> = (9..64usize).filter(|w| !w.is_power_of_two()).collect();
+    let (a, b) = candidates
+        .iter()
+        .flat_map(|&a| candidates.iter().map(move |&b| (a, b)))
+        .find(|&(a, b)| a < b && shard(a) == shard(b))
+        .expect("more windows than shards must collide");
     let (path, shared, handle) = spawn_server(
         "evict",
         ServeOptions {
             socket: None,
             program_cache: 8,
             engines: 2,
-            workers: 4,
-            shards: 1,
+            workers: WORKERS,
         },
     );
-    let clients: Vec<_> = (0..4)
+    let clients: Vec<_> = (0..WORKERS)
         .map(|c| {
             let path = path.clone();
             std::thread::spawn(move || {
@@ -229,7 +245,11 @@ fn contended_pool_evicts_and_recovers() {
                 let mut writer = stream;
                 let mut line = String::new();
                 for i in 0..12 {
-                    let window = 8 << ((c + i) % 4);
+                    let window = match c {
+                        0 if i % 2 == 0 => a,
+                        0 => b,
+                        _ => 8 << ((c + i) % 4),
+                    };
                     let req = format!(
                         r#"{{"program":"li r1, 6\nli r2, 7\nmul r3, r1, r2\nhalt\n","options":{{"arch":"usi","window":{window}}}}}"#
                     );
@@ -248,7 +268,7 @@ fn contended_pool_evicts_and_recovers() {
     }
     assert!(
         shared.engine_stats().evictions > 0,
-        "4 configs against capacity 2 must evict"
+        "windows {a} and {b} share a one-engine shard, so switching between them must evict"
     );
     assert_eq!(shared.counters().errors, 0);
     shutdown_server(&path, handle);
@@ -263,7 +283,6 @@ fn shutdown_drains_and_unblocks_idle_clients() {
             program_cache: 8,
             engines: 4,
             workers: 3,
-            shards: 2,
         },
     );
 

@@ -3,8 +3,11 @@
 //! handling, and the stream driver.
 
 use std::io::BufReader;
+use std::time::Duration;
 
-use ultrascalar_bench::serve::{serve_stream, Server, MAX_LINE_BYTES};
+use ultrascalar_bench::serve::{
+    final_summary, serve_stream, ServeCounters, Server, MAX_LINE_BYTES,
+};
 
 const PROG: &str =
     r#"{"program":"li r1, 6\nli r2, 7\nmul r3, r1, r2\nhalt\n","options":{"window":8}}"#;
@@ -16,19 +19,43 @@ fn repeated_request_is_byte_identical_and_hits_caches() {
     assert!(first.starts_with("{\"ok\":true,"), "{first}");
     assert!(first.contains("\"halted\":true"), "{first}");
     assert!(first.contains("\"instructions\":4"), "{first}");
-    assert_eq!((s.program_stats().hits, s.program_stats().misses), (0, 1));
-    assert_eq!((s.engine_stats().hits, s.engine_stats().misses), (0, 1));
+    assert_eq!(
+        (
+            s.shared().program_stats().hits,
+            s.shared().program_stats().misses
+        ),
+        (0, 1)
+    );
+    assert_eq!(
+        (
+            s.shared().engine_stats().hits,
+            s.shared().engine_stats().misses
+        ),
+        (0, 1)
+    );
     for _ in 0..3 {
         let again = s.handle_line(PROG).to_string();
         assert_eq!(again, first, "identical request, identical response");
     }
-    assert_eq!((s.program_stats().hits, s.program_stats().misses), (3, 1));
+    assert_eq!(
+        (
+            s.shared().program_stats().hits,
+            s.shared().program_stats().misses
+        ),
+        (3, 1)
+    );
     // Consecutive same-config requests batch onto the held engine;
     // they count as warm hits.
-    assert_eq!((s.engine_stats().hits, s.engine_stats().misses), (3, 1));
-    assert_eq!(s.counters().batched_runs, 3);
-    assert_eq!(s.counters().runs, 4);
-    assert_eq!(s.counters().errors, 0);
+    assert_eq!(
+        (
+            s.shared().engine_stats().hits,
+            s.shared().engine_stats().misses
+        ),
+        (3, 1)
+    );
+    assert_eq!(s.shared().counters().batched_runs, 3);
+    assert_eq!(s.shared().counters().runs, 4);
+    assert_eq!(s.shared().counters().errors, 0);
 }
 
 #[test]
@@ -65,7 +92,11 @@ fn options_map_to_the_configured_engine() {
     assert!(usii.contains("\"arch\":\"usii\""), "{usii}");
     // One engine went back to the pool on the config switch, the other
     // is still held by the worker: both are warm.
-    assert_eq!(s.engine_stats().warm, 2, "two distinct configs warmed");
+    assert_eq!(
+        s.shared().engine_stats().warm,
+        2,
+        "two distinct configs warmed"
+    );
 }
 
 #[test]
@@ -99,7 +130,7 @@ fn errors_are_reported_not_fatal() {
         assert!(resp.starts_with("{\"ok\":false,"), "{req} -> {resp}");
         assert!(resp.contains(needle), "{req} -> {resp}");
     }
-    assert_eq!(s.counters().errors, 10);
+    assert_eq!(s.shared().counters().errors, 10);
     // The server still works after every failure.
     let ok = s.handle_line(PROG).to_string();
     assert!(ok.starts_with("{\"ok\":true,"), "{ok}");
@@ -119,7 +150,7 @@ fn oversized_window_is_rejected_and_serving_continues() {
     let edge = ultrascalar_bench::cli::MAX_WINDOW + 1;
     let req = format!(r#"{{"program":"li r1, 1\nhalt\n","options":{{"window":{edge}}}}}"#);
     assert!(s.handle_line(&req).starts_with("{\"ok\":false,"));
-    assert_eq!(s.counters().errors, 2);
+    assert_eq!(s.shared().counters().errors, 2);
     let ok = s.handle_line(PROG).to_string();
     assert!(ok.starts_with("{\"ok\":true,"), "{ok}");
 }
@@ -176,7 +207,7 @@ fn zero_or_huge_pools_get_one_error_each_and_the_stream_keeps_serving() {
         assert!(pair[0].contains(needle), "{opt}: {}", pair[0]);
         assert_eq!(pair[1], answer, "{opt}");
     }
-    assert_eq!(s.counters().errors, bad.len() as u64);
+    assert_eq!(s.shared().counters().errors, bad.len() as u64);
 }
 
 /// A line twice [`MAX_LINE_BYTES`] long gets exactly one error line,
@@ -197,7 +228,7 @@ fn over_long_line_gets_one_error_and_the_stream_keeps_serving() {
         format!("{{\"ok\":false,\"error\":\"request line longer than {MAX_LINE_BYTES} bytes\"}}")
     );
     assert_eq!(lines[1], Server::new(8, 4).handle_line(PROG));
-    let c = s.counters();
+    let c = s.shared().counters();
     assert_eq!((c.requests, c.errors, c.runs, c.disconnects), (2, 1, 1, 0));
 }
 
@@ -205,9 +236,13 @@ fn over_long_line_gets_one_error_and_the_stream_keeps_serving() {
 fn failed_assembly_is_not_cached() {
     let mut s = Server::new(8, 4);
     s.handle_line(r#"{"program":"frobnicate r1\n"}"#);
-    assert_eq!(s.program_stats().entries, 0);
+    assert_eq!(s.shared().program_stats().entries, 0);
     s.handle_line(r#"{"program":"frobnicate r1\n"}"#);
-    assert_eq!(s.program_stats().misses, 2, "errors re-assemble every time");
+    assert_eq!(
+        s.shared().program_stats().misses,
+        2,
+        "errors re-assemble every time"
+    );
 }
 
 #[test]
@@ -229,11 +264,11 @@ fn stats_and_shutdown_commands() {
     assert!(stats.contains("\"pool_shards\":1"), "{stats}");
     assert!(stats.contains("\"worker_requests\":[3]"), "{stats}");
     assert!(stats.contains("\"cycles_simulated\":"), "{stats}");
-    assert!(!s.shutdown_requested());
+    assert!(!s.shared().is_shutdown());
     let bye = s.handle_line(r#"{"cmd":"shutdown"}"#).to_string();
     assert_eq!(bye, "{\"ok\":true,\"shutdown\":true}");
-    assert!(s.shutdown_requested());
-    let line = s.final_stats_line();
+    assert!(s.shared().is_shutdown());
+    let line = final_summary(s.shared());
     assert!(
         line.contains("4 requests (2 runs, 0 errors, 0 disconnects)"),
         "{line}"
@@ -267,7 +302,7 @@ fn stream_driver_answers_each_line_and_stops_on_shutdown() {
     assert_eq!(lines.len(), 3, "{lines:?}");
     assert_eq!(lines[0], lines[1]);
     assert_eq!(lines[2], "{\"ok\":true,\"shutdown\":true}");
-    assert_eq!(s.counters().runs, 2);
+    assert_eq!(s.shared().counters().runs, 2);
 }
 
 #[test]
@@ -281,9 +316,13 @@ fn partial_final_line_counts_as_disconnect_and_is_not_run() {
     let lines: Vec<&str> = std::str::from_utf8(&out).unwrap().lines().collect();
     assert_eq!(lines.len(), 1, "{lines:?}");
     assert!(lines[0].starts_with("{\"ok\":true,"));
-    assert_eq!(s.counters().runs, 1);
-    assert_eq!(s.counters().errors, 0, "a disconnect is not an error");
-    assert_eq!(s.counters().disconnects, 1);
+    assert_eq!(s.shared().counters().runs, 1);
+    assert_eq!(
+        s.shared().counters().errors,
+        0,
+        "a disconnect is not an error"
+    );
+    assert_eq!(s.shared().counters().disconnects, 1);
 }
 
 #[test]
@@ -303,8 +342,8 @@ fn broken_pipe_on_write_counts_as_disconnect() {
     // Both requests arrived pipelined, so they run as one lane-batch
     // group before the first write hits the broken pipe and the stream
     // stops.
-    assert_eq!(s.counters().runs, 2);
-    assert_eq!(s.counters().disconnects, 1);
+    assert_eq!(s.shared().counters().runs, 2);
+    assert_eq!(s.shared().counters().disconnects, 1);
 }
 
 /// A branchy countdown loop under the perfect predictor: one clean
@@ -332,15 +371,18 @@ fn pipelined_identical_requests_lane_batch_byte_identically() {
     for l in &lines {
         assert_eq!(*l, baseline, "lane-batched response must be byte-identical");
     }
-    let c = s.counters();
+    let c = s.shared().counters();
     assert_eq!(c.requests, 4);
     assert_eq!(c.runs, 4);
     assert_eq!(c.errors, 0);
-    assert_eq!(c.lane_batched_runs, 4, "all four lanes rode one batch");
-    assert_eq!(c.lane_divergence_peels, 0);
+    assert_eq!(c.lane.lane_runs, 4, "all four lanes rode one batch");
+    assert_eq!(c.lane.peels, 0);
     assert_eq!(c.batched_runs, 3, "members batch onto the held engine");
     assert_eq!(
-        (s.program_stats().hits, s.program_stats().misses),
+        (
+            s.shared().program_stats().hits,
+            s.shared().program_stats().misses
+        ),
         (3, 1),
         "members hit the leader's cache entry"
     );
@@ -364,25 +406,25 @@ fn bimodal_group_lane_batches_across_epochs_byte_identically() {
     for (l, e) in lines.iter().zip(&expect) {
         assert_eq!(*l, e, "lane-batched response must match serial serving");
     }
-    let c = s.counters();
+    let c = s.shared().counters();
     assert_eq!(c.runs, 3);
     assert_eq!(
-        c.lane_batched_runs, 3,
+        c.lane.lane_runs, 3,
         "mispredicting leader no longer blocks the gate"
     );
     assert!(
-        c.lane_epochs >= 2,
+        c.lane.epochs >= 2,
         "the leader's flushes segment the run into multiple epochs, got {}",
-        c.lane_epochs
+        c.lane.epochs
     );
     // Identical lanes never diverge from the leader, during replay or
     // otherwise, and no demotion cause fires.
-    assert_eq!(c.lane_divergence_peels, 0);
-    assert_eq!(c.lane_replay_peels, 0);
-    assert_eq!(c.lane_demote_incompatible, 0);
-    assert_eq!(c.lane_demote_leader, 0);
-    assert_eq!(c.lane_demote_structure, 0);
-    assert_eq!(c.lane_demote_verify, 0);
+    assert_eq!(c.lane.peels, 0);
+    assert_eq!(c.lane.replay_peels, 0);
+    assert_eq!(c.lane.fallback_incompatible, 0);
+    assert_eq!(c.lane.fallback_leader, 0);
+    assert_eq!(c.lane.fallback_structure, 0);
+    assert_eq!(c.lane.fallback_verify, 0);
 }
 
 #[test]
@@ -407,10 +449,10 @@ fn group_breakers_are_served_in_order() {
     assert!(lines[2].contains("\"lane_batched_runs\":2"), "{}", lines[2]);
     assert!(lines[4].starts_with("{\"ok\":false,"), "{}", lines[4]);
     assert_eq!(lines[6], "{\"ok\":true,\"shutdown\":true}");
-    let c = s.counters();
+    let c = s.shared().counters();
     assert_eq!(c.runs, 4);
     assert_eq!(c.errors, 1);
-    assert_eq!(c.lane_batched_runs, 2, "only the unbroken pair batched");
+    assert_eq!(c.lane.lane_runs, 2, "only the unbroken pair batched");
 }
 
 #[test]
@@ -427,10 +469,109 @@ fn alternating_configs_never_group() {
     assert_eq!(lines[1], lines[3]);
     assert!(lines[0].contains("\"window\":8"), "{}", lines[0]);
     assert!(lines[1].contains("\"window\":16"), "{}", lines[1]);
-    let c = s.counters();
+    let c = s.shared().counters();
     assert_eq!(c.runs, 4);
     assert_eq!(
-        c.lane_batched_runs, 0,
+        c.lane.lane_runs, 0,
         "config changes break every would-be group"
     );
+}
+
+/// A stats response with the values that legitimately differ between
+/// grouped and one-at-a-time serving — the lane counters and wall
+/// time — blanked out.
+fn mask_lane_and_wall(line: &str) -> String {
+    line.split(',')
+        .map(|field| match field.split_once(':') {
+            Some((key, _)) if key.starts_with("\"lane_") || key == "\"wall_s\"" => {
+                format!("{key}:_")
+            }
+            _ => field.to_string(),
+        })
+        .collect::<Vec<_>>()
+        .join(",")
+}
+
+/// Pipelined serving groups buffered lines into lane batches; serving
+/// the same lines one at a time through `handle_line` never groups.
+/// Both must give the same responses and the same accounting: every
+/// counter but the lane counters and wall time, and the program-cache
+/// and engine-pool statistics. The stream covers each way a line can
+/// end or join a group: identical members, members differing only in
+/// `id`, `registers` or `timing: false`, one differing in its
+/// configuration, a `program_path` leader, an
+/// invalid-config leader and an assembly-error leader with lines
+/// buffered behind them, a malformed line, a blank line and `stats`.
+#[test]
+fn pipelined_and_one_at_a_time_serving_account_identically() {
+    let asm =
+        std::env::temp_dir().join(format!("usim-serve-accounting-{}.asm", std::process::id()));
+    std::fs::write(
+        &asm,
+        "li r1, 5\nli r2, 0\nli r3, 0\nloop:\nadd r3, r3, r1\nsubi r1, r1, 1\nbne r1, r2, loop\nhalt\n",
+    )
+    .expect("write temp program");
+    let from_path = format!(
+        r#"{{"program_path":"{}","options":{{"window":8,"predictor":"perfect"}}}}"#,
+        asm.display()
+    );
+    let variant = |field: &str| format!("{{{field},{}", &LOOP_PERFECT[1..]);
+    let bad_config = r#"{"program":"li r1, 1\nhalt\n","options":{"mem_exp":2.5}}"#;
+    let bad_asm = r#"{"id":"asm","program":"frobnicate r1\n"}"#;
+    let lines: Vec<String> = vec![
+        LOOP_PERFECT.into(),
+        LOOP_PERFECT.into(),
+        LOOP_PERFECT.into(),
+        variant(r#""id":"member""#),
+        variant(r#""registers":true"#),
+        variant(r#""timing":false"#),
+        LOOP_PERFECT.replace(r#""window":8"#, r#""window":16"#),
+        PROG.into(),
+        from_path,
+        LOOP_PERFECT.into(),
+        bad_config.into(),
+        LOOP_PERFECT.into(),
+        LOOP_PERFECT.into(),
+        bad_asm.into(),
+        bad_asm.into(),
+        LOOP_PERFECT.into(),
+        "nonsense".into(),
+        String::new(),
+        PROG.into(),
+        r#"{"cmd":"stats"}"#.into(),
+        PROG.into(),
+    ];
+    let input: String = lines.iter().map(|l| format!("{l}\n")).collect();
+
+    let mut grouped = Server::new(8, 4);
+    let mut out: Vec<u8> = Vec::new();
+    serve_stream(&mut grouped, input.as_bytes(), &mut out);
+    let grouped_lines: Vec<String> = std::str::from_utf8(&out)
+        .unwrap()
+        .lines()
+        .map(mask_lane_and_wall)
+        .collect();
+
+    let mut single = Server::new(8, 4);
+    let single_lines: Vec<String> = lines
+        .iter()
+        .filter(|l| !l.trim().is_empty())
+        .map(|l| mask_lane_and_wall(single.handle_line(l)))
+        .collect();
+    std::fs::remove_file(&asm).ok();
+
+    assert_eq!(grouped_lines.len(), 20, "{grouped_lines:?}");
+    assert_eq!(grouped_lines, single_lines);
+    let (g, s) = (grouped.shared(), single.shared());
+    assert!(g.counters().lane.lane_runs > 0, "the stream must group");
+    assert_eq!(s.counters().lane.lane_runs, 0, "handle_line never groups");
+    let unlaned = |c: ServeCounters| ServeCounters {
+        lane: Default::default(),
+        wall: Duration::ZERO,
+        ..c
+    };
+    assert_eq!(unlaned(g.counters()), unlaned(s.counters()));
+    assert_eq!(g.program_stats(), s.program_stats());
+    assert_eq!(g.engine_stats(), s.engine_stats());
+    assert_eq!(g.worker_request_counts(), s.worker_request_counts());
 }

@@ -193,22 +193,6 @@ impl EnginePool {
         self.entries.is_empty()
     }
 
-    /// Acquisitions served by an already-warm engine.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Acquisitions that had to build (or rebuild after eviction) an
-    /// engine.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Warm engines dropped to make room at capacity.
-    pub fn evictions(&self) -> u64 {
-        self.evictions
-    }
-
     /// Counter snapshot.
     pub fn stats(&self) -> PoolStats {
         PoolStats {
@@ -368,11 +352,20 @@ mod tests {
         let a = ProcConfig::ultrascalar_i(4);
         let b = ProcConfig::ultrascalar_ii(4);
         pool.acquire(&a);
-        assert_eq!((pool.hits(), pool.misses(), pool.len()), (0, 1, 1));
+        assert_eq!(
+            (pool.stats().hits, pool.stats().misses, pool.len()),
+            (0, 1, 1)
+        );
         pool.acquire(&a);
-        assert_eq!((pool.hits(), pool.misses(), pool.len()), (1, 1, 1));
+        assert_eq!(
+            (pool.stats().hits, pool.stats().misses, pool.len()),
+            (1, 1, 1)
+        );
         pool.acquire(&b);
-        assert_eq!((pool.hits(), pool.misses(), pool.len()), (1, 2, 2));
+        assert_eq!(
+            (pool.stats().hits, pool.stats().misses, pool.len()),
+            (1, 2, 2)
+        );
     }
 
     #[test]
@@ -386,12 +379,12 @@ mod tests {
         pool.acquire(&a); // refresh a: b is now LRU
         pool.acquire(&c); // evicts b
         assert_eq!(pool.len(), 2);
-        assert_eq!(pool.evictions(), 1);
-        let before = pool.misses();
+        assert_eq!(pool.stats().evictions, 1);
+        let before = pool.stats().misses;
         pool.acquire(&a);
-        assert_eq!(pool.misses(), before, "a must still be warm");
+        assert_eq!(pool.stats().misses, before, "a must still be warm");
         pool.acquire(&b);
-        assert_eq!(pool.misses(), before + 1, "b was evicted");
+        assert_eq!(pool.stats().misses, before + 1, "b was evicted");
     }
 
     #[test]
@@ -411,13 +404,16 @@ mod tests {
         let mut pool = EnginePool::new(2);
         let a = ProcConfig::ultrascalar_i(4);
         assert!(pool.try_take(&a).is_none());
-        assert_eq!((pool.hits(), pool.misses()), (0, 1));
+        assert_eq!((pool.stats().hits, pool.stats().misses), (0, 1));
         pool.put(PooledEngine::new(&a));
         let taken = pool.try_take(&a).expect("warm engine comes back");
-        assert_eq!((pool.hits(), pool.misses(), pool.len()), (1, 1, 0));
+        assert_eq!(
+            (pool.stats().hits, pool.stats().misses, pool.len()),
+            (1, 1, 0)
+        );
         pool.put(taken);
         assert_eq!(pool.len(), 1);
-        assert_eq!(pool.evictions(), 0);
+        assert_eq!(pool.stats().evictions, 0);
     }
 
     #[test]
@@ -428,7 +424,7 @@ mod tests {
         pool.put(PooledEngine::new(&a));
         pool.put(PooledEngine::new(&b));
         assert_eq!(pool.len(), 1);
-        assert_eq!(pool.evictions(), 1);
+        assert_eq!(pool.stats().evictions, 1);
         // The later put (b) survives; a was the LRU.
         assert!(pool.try_take(&b).is_some());
     }

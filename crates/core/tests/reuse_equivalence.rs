@@ -125,5 +125,5 @@ fn pooled_engines_stay_exact_under_eviction() {
             assert_same(&format!("pool/{cname}/{kname}"), &warm, &fresh);
         }
     }
-    assert!(pool.misses() > all.len() as u64, "evictions occurred");
+    assert!(pool.stats().misses > all.len() as u64, "evictions occurred");
 }

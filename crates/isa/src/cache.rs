@@ -149,22 +149,6 @@ impl ProgramCache {
         self.entries.is_empty()
     }
 
-    /// Lookups served without running the assembler.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Lookups that ran the assembler (including ones whose assembly
-    /// failed).
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Entries dropped to make room at capacity.
-    pub fn evictions(&self) -> u64 {
-        self.evictions
-    }
-
     /// Counter snapshot.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
@@ -253,9 +237,9 @@ mod tests {
     fn repeat_source_hits() {
         let mut c = ProgramCache::new(4);
         let p1 = c.get_or_assemble(PROG, 32).expect("assembles");
-        assert_eq!((c.hits(), c.misses()), (0, 1));
+        assert_eq!((c.stats().hits, c.stats().misses), (0, 1));
         let p2 = c.get_or_assemble(PROG, 32).expect("assembles");
-        assert_eq!((c.hits(), c.misses()), (1, 1));
+        assert_eq!((c.stats().hits, c.stats().misses), (1, 1));
         assert_eq!(p1, p2);
     }
 
@@ -265,7 +249,7 @@ mod tests {
         c.get_or_assemble(PROG, 32).expect("assembles");
         let p = c.get_or_assemble(PROG, 8).expect("assembles");
         assert_eq!(p.num_regs, 8);
-        assert_eq!((c.hits(), c.misses(), c.len()), (0, 2, 2));
+        assert_eq!((c.stats().hits, c.stats().misses, c.len()), (0, 2, 2));
     }
 
     #[test]
@@ -273,7 +257,7 @@ mod tests {
         let mut c = ProgramCache::new(4);
         assert!(c.get_or_assemble("bogus r1", 32).is_err());
         assert_eq!(c.len(), 0);
-        assert_eq!(c.misses(), 1);
+        assert_eq!(c.stats().misses, 1);
     }
 
     #[test]
@@ -285,16 +269,16 @@ mod tests {
         c.get_or_assemble(a, 32).expect("assembles");
         c.get_or_assemble(b, 32).expect("assembles");
         c.get_or_assemble(a, 32).expect("assembles"); // refresh a
-        assert_eq!(c.evictions(), 0);
+        assert_eq!(c.stats().evictions, 0);
         c.get_or_assemble(d, 32).expect("assembles"); // evicts b
         assert_eq!(c.len(), 2);
-        assert_eq!(c.evictions(), 1);
-        let misses = c.misses();
+        assert_eq!(c.stats().evictions, 1);
+        let misses = c.stats().misses;
         c.get_or_assemble(a, 32).expect("assembles");
-        assert_eq!(c.misses(), misses, "a still cached");
+        assert_eq!(c.stats().misses, misses, "a still cached");
         c.get_or_assemble(b, 32).expect("assembles");
-        assert_eq!(c.misses(), misses + 1, "b was evicted");
-        assert_eq!(c.evictions(), 2);
+        assert_eq!(c.stats().misses, misses + 1, "b was evicted");
+        assert_eq!(c.stats().evictions, 2);
         assert_eq!(c.stats().entries, 2);
     }
 
@@ -303,7 +287,7 @@ mod tests {
         let mut c = ProgramCache::new(1);
         let a = c.get_or_assemble(PROG, 32).expect("assembles");
         c.get_or_assemble("li r1, 1\nhalt\n", 32).expect("evicts");
-        assert_eq!(c.evictions(), 1);
+        assert_eq!(c.stats().evictions, 1);
         // The evicted program is still alive through the Arc.
         assert_eq!(a.num_regs, 32);
     }
