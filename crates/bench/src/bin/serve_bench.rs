@@ -6,16 +6,17 @@
 //! OS thread per client — and drives a mixed program × configuration
 //! working set shaped like a design-space sweep: each client sends
 //! config-grouped blocks (several programs under one configuration
-//! before switching), the stream shape config-affinity batching is
-//! built for. Per cell it reports requests/sec, p50/p99 round-trip
-//! latency, and the cache/pool hit rates read straight from the shared
-//! serving state, then writes the grid to `BENCH_serve.json`.
+//! before switching). Clients wait for each response before sending
+//! the next request, so no lane groups form. Per cell it reports
+//! requests/sec, p50/p99 round-trip latency, and the cache/pool hit
+//! rates read straight from the shared serving state, then writes the
+//! grid to `BENCH_serve.json`.
 //!
 //! The host's CPU count is recorded in the artifact: multi-worker
 //! *throughput* scaling is only physically available when the host has
 //! cores to scale onto, so the scaling curve must be read against
-//! `host_cpus` (a 1-CPU container measures lock/affinity overhead, not
-//! parallel speedup).
+//! `host_cpus` (on a 1-CPU host every cell shares one core, so the
+//! curve measures lock and scheduling overhead, not parallel speedup).
 //!
 //! ```text
 //! cargo run --release -p ultrascalar-bench --bin serve_bench            full grid
@@ -40,8 +41,8 @@ const PROGRAMS: [&str; 4] = [
     "li r1, 5\\nli r2, 9\\nsw r2, (r1)\\nlw r3, (r1)\\nadd r4, r3, r2\\nhalt\\n",
 ];
 
-/// The configuration side: four topologies, so the engine pool and the
-/// affinity slots both work.
+/// The configuration side: four topologies, so the engine pool serves a
+/// working set too.
 const CONFIGS: [&str; 4] = [
     r#"{"arch":"usi","window":8,"predictor":"bimodal:64"}"#,
     r#"{"arch":"usi","window":16,"predictor":"bimodal:64"}"#,
@@ -59,7 +60,6 @@ struct Cell {
     p99_us: f64,
     program_hit_rate: f64,
     engine_warm_rate: f64,
-    batched_runs: u64,
     pool_evictions: u64,
     errors: u64,
     disconnects: u64,
@@ -183,7 +183,6 @@ fn run_cell(workers: usize, clients: usize, rounds: usize) -> Cell {
         p99_us: percentile_us(&latencies, 0.99),
         program_hit_rate: pc.hits as f64 / (pc.hits + pc.misses).max(1) as f64,
         engine_warm_rate: ep.hits as f64 / (ep.hits + ep.misses).max(1) as f64,
-        batched_runs: c.batched_runs,
         pool_evictions: ep.evictions,
         errors: c.errors,
         disconnects: c.disconnects,
@@ -247,7 +246,7 @@ fn main() {
         "p99 us",
         "prog hit",
         "engine warm",
-        "batched",
+        "evictions",
     ]);
     for cell in &cells {
         t.row(vec![
@@ -258,7 +257,7 @@ fn main() {
             format!("{:.1}", cell.p99_us),
             format!("{:.1}%", cell.program_hit_rate * 100.0),
             format!("{:.1}%", cell.engine_warm_rate * 100.0),
-            cell.batched_runs.to_string(),
+            cell.pool_evictions.to_string(),
         ]);
     }
     println!("{}", t.render());
@@ -272,7 +271,7 @@ fn main() {
             "    {{\"workers\": {}, \"clients\": {}, \"requests\": {}, \
              \"wall_s\": {:.6}, \"rps\": {:.1}, \"p50_us\": {:.2}, \"p99_us\": {:.2}, \
              \"program_cache_hit_rate\": {:.4}, \"engine_warm_rate\": {:.4}, \
-             \"batched_runs\": {}, \"pool_evictions\": {}, \"errors\": {}, \
+             \"pool_evictions\": {}, \"errors\": {}, \
              \"disconnects\": {}}}{}\n",
             cell.workers,
             cell.clients,
@@ -283,7 +282,6 @@ fn main() {
             cell.p99_us,
             cell.program_hit_rate,
             cell.engine_warm_rate,
-            cell.batched_runs,
             cell.pool_evictions,
             cell.errors,
             cell.disconnects,

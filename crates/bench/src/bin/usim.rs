@@ -107,17 +107,16 @@ const HELP: &str = "usim — Ultrascalar command-line driver
 
 serve options:
   --socket PATH            listen on a Unix socket (default: stdin→stdout);
-                           socket mode serves many clients at once, one
-                           serving thread per connection
-  --workers N              max simultaneous serving threads (default: the
-                           host's available parallelism); the program cache
-                           and engine pool get one shard per worker, each
-                           with its own lock, so workers contend only on
-                           hash collisions
-  --program-cache N        assembled-program LRU capacity, total (default 64)
-  --engines N              warm-engine LRU capacity, total (default 8);
-                           consecutive same-config requests batch onto the
-                           worker's held engine without touching the pool
+                           socket mode serves many clients at once;
+                           `program_path` requests are refused there
+  --workers N              socket serving threads, started with the server
+                           (default: the host's available parallelism); each
+                           serves one connection at a time, and further
+                           clients wait in the listen backlog
+  --program-cache N        assembled-program LRU capacity (default 64)
+  --engines N              warm-engine LRU capacity (default 8), shared by
+                           every worker; each run checks an engine out and
+                           back in
 
 run options:
   --arch usi|usii|hybrid   topology (default usi)

@@ -62,6 +62,10 @@ pub struct RunOptions {
     pub max_cycles: u64,
 }
 
+/// The default `--max-cycles` budget (`usim run` takes any larger one;
+/// `usim serve` caps requests at it).
+pub const DEFAULT_MAX_CYCLES: u64 = 50_000_000;
+
 impl Default for RunOptions {
     fn default() -> Self {
         RunOptions {
@@ -81,7 +85,7 @@ impl Default for RunOptions {
             diagram: false,
             occupancy: false,
             show_regs: false,
-            max_cycles: 50_000_000,
+            max_cycles: DEFAULT_MAX_CYCLES,
         }
     }
 }
@@ -255,12 +259,12 @@ pub fn parse_asm(args: &[String]) -> Result<AsmOptions, String> {
 pub struct ServeOptions {
     /// Unix socket path to listen on; serve stdin→stdout when absent.
     pub socket: Option<String>,
-    /// Assembled-program cache capacity (total across shards).
+    /// Assembled-program cache capacity, shared by every worker.
     pub program_cache: usize,
-    /// Warm-engine pool capacity (total across shards).
+    /// Warm-engine pool capacity, shared by every worker.
     pub engines: usize,
-    /// Maximum simultaneous serving threads in socket mode; the
-    /// program cache and engine pool get one shard per worker.
+    /// Serving threads in socket mode, started with the server and
+    /// each serving one connection at a time.
     pub workers: usize,
 }
 

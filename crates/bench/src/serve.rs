@@ -11,86 +11,84 @@
 //! → {"ok":true,"arch":"usi","window":8,"cluster":1,"halted":true,...}
 //! ```
 //!
-//! # Scaling the request plane
+//! # The request plane
 //!
-//! Socket mode accepts many simultaneous clients: the accept loop
-//! spawns one serving thread per connection, bounded by `--workers N`
-//! (default: the host's available parallelism). The scaling problem is
-//! the one the source tradition understands well — shared-structure
-//! hot spots, not compute, bound throughput — so every shared
-//! structure is sharded and every lock is held for a scan, never for a
-//! simulation:
+//! Socket mode starts `--workers N` serving threads (default: the
+//! host's available parallelism) that live as long as the server. Each
+//! owns one [`Worker`] and loops: accept a connection, serve it to its
+//! end, accept the next. Connections beyond the busy threads wait in
+//! the listen backlog. Every thread shares two structures, each one
+//! LRU behind one mutex, locked for a scan and never for a simulation:
 //!
-//! * assembled programs live in a [`ShardedProgramCache`]: one
-//!   independent LRU shard per worker, selected by the FNV-1a content
-//!   hash, each behind its own mutex. A hit clones an `Arc` out of the
-//!   shard and releases the lock before the engine runs.
-//! * warm engines live in a [`ShardedEnginePool`] keyed by a
-//!   `ProcConfig` hash with the same discipline, accessed by
-//!   **checkout/checkin**: a checkout removes the engine from its
-//!   shard, the worker simulates with no lock held, and checkin
-//!   returns it (two workers on the same configuration simply hold
-//!   two engines).
-//! * **config-affinity batching**: a worker keeps its checked-out
-//!   engine across consecutive same-`ProcConfig` requests, so a
-//!   config-sorted request stream (the natural shape of a
-//!   design-space sweep) touches the pool only when the configuration
-//!   changes. Batched runs are counted separately
-//!   (`batched_runs` in `{"cmd":"stats"}`).
-//! * **lane groups**: every run request is served as a lane group of
-//!   1..=[`ultrascalar::MAX_LANES`] requests, submitted as one
-//!   [`ultrascalar::LaneBatcher`] batch. The request that starts a
-//!   group is its leader; while more complete request lines already
-//!   sit in the read buffer and name the leader's configuration and
-//!   program, they join it. A batch of two or more is one engine pass
-//!   whose schedule is shared across every converged lane; a batch of
-//!   one is the plain serial run. Either way the responses are
-//!   byte-identical to serving the lines one at a time. A
-//!   request/response client never has a second line buffered, so
-//!   each of its requests is a group of one. Lock-step-delivered
-//!   results and divergence peels are counted separately
-//!   (`lane_batched_runs` / `lane_divergence_peels` in
-//!   `{"cmd":"stats"}`).
+//! * assembled programs live in a program cache keyed by source text.
+//!   A hit clones an `Arc` out and unlocks before the engine runs.
+//! * warm engines live in an engine pool keyed by `ProcConfig`,
+//!   accessed by **checkout/checkin**: a checkout removes the engine
+//!   from the pool, the worker simulates with the pool unlocked, and
+//!   checkin returns it (two workers on the same configuration simply
+//!   hold two engines).
+//!
+//! Every run request is served as a **lane group** of
+//! 1..=[`ultrascalar::MAX_LANES`] requests, submitted as one
+//! [`ultrascalar::LaneBatcher`] batch on one checked-out engine. The
+//! request that starts a group is its leader; while more complete
+//! request lines already sit in the read buffer and name the leader's
+//! configuration and program, they join it. A batch of two or more is
+//! one engine pass whose schedule is shared across every converged
+//! lane; a batch of one is the plain serial run. Either way the
+//! responses are byte-identical to serving the lines one at a time. A
+//! request/response client never has a second line buffered, so each
+//! of its requests is a group of one. The members past each leader are
+//! counted as `batched_runs`, and as engine-pool hits, so
+//! `engine_pool_hits + engine_pool_misses == runs`; lock-step-delivered
+//! results and divergence peels are counted separately
+//! (`lane_batched_runs` / `lane_divergence_peels` in `{"cmd":"stats"}`).
 //!
 //! Each worker keeps the zero-allocation warm path of the serial
 //! server: requests parse into worker-owned reused [`String`] buffers
 //! and responses serialise into a worker-owned reused line buffer, so
-//! the steady-state request loop — parse, cache hit, affinity/pool
-//! hit, simulate, respond — performs **zero heap allocations per
-//! worker**, under concurrency included (asserted by the
-//! counting-allocator probe in `tests/serve_alloc_probe.rs`).
+//! the steady-state request loop — parse, cache hit, pool hit,
+//! simulate, respond — performs **zero heap allocations per worker**,
+//! under concurrency included (asserted by the counting-allocator probe
+//! in `tests/serve_alloc_probe.rs`).
 //!
 //! A client disconnect (EOF mid-line, broken pipe on write) closes
 //! only that connection and bumps the `disconnects` counter; it can
-//! never take the server down or poison a shard lock. A
-//! `{"cmd":"shutdown"}` from any client stops the accept loop, drains
-//! in-flight requests, unblocks idle readers, joins every worker, and
-//! the aggregate stderr summary prints exactly once.
+//! never take the server down or poison a lock. A panic while serving
+//! a connection is counted as an error; the thread rebuilds its
+//! `Worker` and accepts the next connection. A `{"cmd":"shutdown"}`
+//! from any client closes every open connection, wakes the threads
+//! waiting in `accept`, joins every thread and removes the socket
+//! file; the aggregate stderr summary prints exactly once.
+//!
+//! # Limits
 //!
 //! A request line is at most [`MAX_LINE_BYTES`] long. The rest of a
 //! longer line is drained up to its newline without being buffered,
 //! and the line gets one error response; the connection keeps
-//! serving.
+//! serving. `options.max_cycles` is at most [`MAX_CYCLES`]. Socket
+//! clients must send programs inline: `program_path` is honoured only
+//! on stdin, whose client started the server and can read its files
+//! anyway.
 //!
 //! The JSON codec is hand-rolled like [`crate::sweep::JsonReport`]:
 //! this workspace takes no serde dependency. Identical requests
 //! produce byte-identical responses (per-request wall time is
 //! reported only when the request opts in with `"timing": true`);
-//! cache effectiveness and shard balance are observable through the
-//! counters of a `{"cmd":"stats"}` request and the final summary.
+//! cache effectiveness is observable through the counters of a
+//! `{"cmd":"stats"}` request and the final summary.
 
 use std::fmt::Write as _;
 use std::io::{BufRead, Write};
 use std::net::Shutdown;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use crate::cli::{self, RunOptions, ServeOptions};
 use ultrascalar::{
-    LaneBatchStats, LaneBatcher, PoolStats, PooledEngine, ProcConfig, RunResult, ShardedEnginePool,
-    MAX_LANES,
+    LaneBatchStats, LaneBatcher, PoolStats, ProcConfig, RunResult, ShardedEnginePool, MAX_LANES,
 };
 use ultrascalar_isa::{CacheStats, Program, ShardedProgramCache};
 use ultrascalar_memsys::NetworkKind;
@@ -99,6 +97,15 @@ use ultrascalar_memsys::NetworkKind;
 /// far above any valid request, small enough that a client streaming
 /// bytes with no newline cannot grow server memory without bound.
 pub const MAX_LINE_BYTES: usize = 4 << 20;
+
+/// The largest `options.max_cycles` a request may ask for: the
+/// `usim run` default budget. A serving thread is busy for the whole
+/// run, so one request must not hold it for longer than that.
+pub const MAX_CYCLES: u64 = cli::DEFAULT_MAX_CYCLES;
+
+/// The error a socket client gets for a `program_path` request.
+const NO_PATHS_ON_SOCKETS: &str =
+    "`program_path` is not accepted on socket connections; send the program inline";
 
 /// Lock recovering from poison: the guarded state is cache/registry
 /// bookkeeping whose invariants hold on every exit path, so one
@@ -168,8 +175,8 @@ pub struct ServeCounters {
     /// Connections that ended abnormally (EOF mid-line, read error,
     /// broken pipe on write).
     pub disconnects: u64,
-    /// Runs served on the worker's already-held engine (config-affinity
-    /// batching; these never touched a pool shard).
+    /// Runs that rode a lane group behind its leader, on the engine
+    /// the leader checked out (counted as engine-pool hits).
     pub batched_runs: u64,
     /// Lane-batch counters summed over every group of two or more
     /// requests: the `lane_*` keys of `{"cmd":"stats"}`.
@@ -186,8 +193,8 @@ pub struct ServeCounters {
     pub wall: Duration,
 }
 
-/// The serving state shared by every worker thread: sharded program
-/// cache, sharded engine pool, and atomic aggregate counters.
+/// The serving state shared by every worker thread: the program
+/// cache, the engine pool, and atomic aggregate counters.
 #[derive(Debug)]
 pub struct ServeShared {
     programs: ShardedProgramCache,
@@ -199,7 +206,6 @@ pub struct ServeShared {
     disconnects: AtomicU64,
     batched: AtomicU64,
     lane: Mutex<LaneBatchStats>,
-    engines_held: AtomicU64,
     cycles_simulated: AtomicU64,
     instructions_committed: AtomicU64,
     packed_fallbacks: AtomicU64,
@@ -209,8 +215,9 @@ pub struct ServeShared {
 }
 
 impl ServeShared {
-    /// Build the shared serving state from parsed options: one cache
-    /// and one pool shard per worker.
+    /// Build the shared serving state from parsed options: one
+    /// program cache of `program_cache` entries and one engine pool of
+    /// `engines` engines, each a single LRU behind one lock.
     ///
     /// # Panics
     /// Panics if a capacity or the worker count is zero (the CLI
@@ -218,8 +225,8 @@ impl ServeShared {
     pub fn new(o: &ServeOptions) -> Self {
         assert!(o.workers > 0, "serve needs at least one worker");
         ServeShared {
-            programs: ShardedProgramCache::new(o.program_cache, o.workers),
-            engines: ShardedEnginePool::new(o.engines, o.workers),
+            programs: ShardedProgramCache::new(o.program_cache, 1),
+            engines: ShardedEnginePool::new(o.engines, 1),
             workers: o.workers,
             requests: AtomicU64::new(0),
             runs: AtomicU64::new(0),
@@ -227,7 +234,6 @@ impl ServeShared {
             disconnects: AtomicU64::new(0),
             batched: AtomicU64::new(0),
             lane: Mutex::new(LaneBatchStats::default()),
-            engines_held: AtomicU64::new(0),
             cycles_simulated: AtomicU64::new(0),
             instructions_committed: AtomicU64::new(0),
             packed_fallbacks: AtomicU64::new(0),
@@ -235,11 +241,6 @@ impl ServeShared {
             worker_requests: (0..o.workers).map(|_| AtomicU64::new(0)).collect(),
             shutdown: AtomicBool::new(false),
         }
-    }
-
-    /// Worker-thread bound (`--workers`).
-    pub fn workers(&self) -> usize {
-        self.workers
     }
 
     /// Has any client requested shutdown?
@@ -268,24 +269,21 @@ impl ServeShared {
         }
     }
 
-    /// Program-cache counters summed across shards.
+    /// Program-cache counters.
     pub fn program_stats(&self) -> CacheStats {
         self.programs.stats()
     }
 
-    /// Engine-pool counters summed across shards, folding in the
-    /// serving layer's view of warmth: a run served by the worker's
-    /// held engine (config-affinity batching) counts as a hit, and
-    /// held engines count as warm — `hits + misses == runs` and
-    /// `warm` is every live engine, pooled or held.
+    /// Engine-pool counters, with every lane-group member past its
+    /// leader counted as a hit on the leader's engine, so that
+    /// `hits + misses == runs`.
     pub fn engine_stats(&self) -> PoolStats {
         let mut s = self.engines.stats();
         s.hits += self.batched.load(Ordering::Relaxed);
-        s.warm += self.engines_held.load(Ordering::Relaxed) as usize;
         s
     }
 
-    /// Requests handled per worker slot (shard-balance observability).
+    /// Requests handled per worker slot.
     pub fn worker_request_counts(&self) -> Vec<u64> {
         self.worker_requests
             .iter()
@@ -295,9 +293,8 @@ impl ServeShared {
 }
 
 /// One serving worker: a handle on the shared state plus the reused
-/// request/response buffers, the config-affinity engine slot, and the
-/// lane group being collected. Each connection (or the stdin stream)
-/// is driven by exactly one worker.
+/// request/response buffers and the lane group being collected. Each
+/// connection (or the stdin stream) is driven by exactly one worker.
 #[derive(Debug)]
 pub struct Worker {
     shared: Arc<ServeShared>,
@@ -306,7 +303,8 @@ pub struct Worker {
     sval: String,
     /// The current group's responses, each newline-terminated.
     line_out: String,
-    held: Option<PooledEngine>,
+    /// Whether a run may name a `program_path` (stdin only).
+    reads_paths: bool,
     batcher: LaneBatcher,
     /// When the current group's leader was admitted.
     started: Instant,
@@ -333,7 +331,7 @@ impl Worker {
             key: String::new(),
             sval: String::new(),
             line_out: String::new(),
-            held: None,
+            reads_paths: true,
             batcher: LaneBatcher::new(),
             started: Instant::now(),
             group: Vec::new(),
@@ -346,15 +344,6 @@ impl Worker {
     /// The shared serving state.
     pub fn shared(&self) -> &Arc<ServeShared> {
         &self.shared
-    }
-
-    /// Return the held engine (if any) to the pool. Call at the end of
-    /// a connection so the warm engine is available to other workers.
-    pub fn release(&mut self) {
-        if let Some(engine) = self.held.take() {
-            self.shared.engines_held.fetch_sub(1, Ordering::Relaxed);
-            self.shared.engines.checkin(engine);
-        }
     }
 
     /// Handle one request line as a group of one and return the
@@ -475,6 +464,7 @@ impl Worker {
     fn resolve_run(&mut self) -> Result<(), String> {
         let Worker {
             shared,
+            reads_paths,
             group,
             group_cfg,
             group_programs,
@@ -485,6 +475,7 @@ impl Worker {
             (true, true) => return Err("give either `program` or `program_path`, not both".into()),
             (false, false) => return Err("request needs a `program` or `program_path`".into()),
             (true, false) => {}
+            (false, true) if !*reads_paths => return Err(NO_PATHS_ON_SOCKETS.into()),
             (false, true) => {
                 let bytes = std::fs::read(&req.program_path)
                     .map_err(|e| format!("cannot read {}: {e}", req.program_path))?;
@@ -504,18 +495,17 @@ impl Worker {
         Ok(())
     }
 
-    /// Run the admitted group of `n` requests as one lane batch and
-    /// serialise every response, in request order and
-    /// newline-terminated, into `line_out`. A batch of one is the
-    /// plain serial run. The members after the leader ride the held
-    /// engine, so they count as affinity-batched runs, just as they
-    /// would one line at a time; the lane counters additionally record
-    /// how many results the lock-step pass delivered and how many
-    /// lanes peeled.
+    /// Run the admitted group of `n` requests as one lane batch on one
+    /// engine checked out of the pool, and serialise every response, in
+    /// request order and newline-terminated, into `line_out`. A batch
+    /// of one is the plain serial run. The members after the leader
+    /// ride the leader's engine, so they count as batched runs (and
+    /// pool hits, as they would be one line at a time); the lane
+    /// counters additionally record how many results the lock-step pass
+    /// delivered and how many lanes peeled.
     fn execute_group(&mut self, n: usize) {
         let Worker {
             shared,
-            held,
             batcher,
             group,
             group_cfg,
@@ -525,7 +515,7 @@ impl Worker {
             ..
         } = self;
         let cfg = group_cfg.take().expect("group leader admitted");
-        let pooled = affinity_checkout(shared, held, &cfg);
+        let mut pooled = shared.engines.checkout(&cfg);
         while group_results.len() < n {
             group_results.push(RunResult::default());
         }
@@ -537,6 +527,7 @@ impl Worker {
             &mut group_results[..n],
         );
         let share = run_started.elapsed() / n as u32;
+        shared.engines.checkin(pooled);
         if n > 1 {
             shared.batched.fetch_add(n as u64 - 1, Ordering::Relaxed);
             lock(&shared.lane).merge(&batcher.stats().delta_since(&before));
@@ -549,30 +540,6 @@ impl Worker {
         }
         self.tally(n as u64, 0);
     }
-}
-
-/// Config-affinity engine selection: reuse the held engine when its
-/// configuration matches (counted as a batched run), otherwise swap it
-/// through the pool.
-fn affinity_checkout<'a>(
-    shared: &ServeShared,
-    held: &'a mut Option<PooledEngine>,
-    cfg: &ProcConfig,
-) -> &'a mut PooledEngine {
-    match held {
-        Some(h) if h.engine.config() == cfg => {
-            shared.batched.fetch_add(1, Ordering::Relaxed);
-        }
-        _ => {
-            if let Some(prev) = held.take() {
-                shared.engines_held.fetch_sub(1, Ordering::Relaxed);
-                shared.engines.checkin(prev);
-            }
-            *held = Some(shared.engines.checkout(cfg));
-            shared.engines_held.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-    held.as_mut().expect("engine held for this config")
 }
 
 /// Post-run counter roll-up for one response.
@@ -603,8 +570,8 @@ fn write_error_line(out: &mut String, req: &Request, err: &str) {
 }
 
 /// The single-threaded serving facade: one [`Worker`] over its own
-/// shared state (one shard each). Serves as the serial baseline the
-/// concurrent path is pinned byte-identical against.
+/// shared state. Serves as the serial baseline the concurrent path is
+/// pinned byte-identical against.
 #[derive(Debug)]
 pub struct Server {
     worker: Worker,
@@ -638,11 +605,6 @@ impl Server {
     /// `{"ok":false,"error":…}` response.
     pub fn handle_line(&mut self, line: &str) -> &str {
         self.worker.handle_line(line)
-    }
-
-    /// Return the held engine (if any) to the pool.
-    pub fn release(&mut self) {
-        self.worker.release()
     }
 }
 
@@ -764,7 +726,7 @@ fn write_stats(out: &mut String, shared: &ServeShared) {
          \"engine_pool_hits\":{},\"engine_pool_misses\":{},\
          \"engine_pool_evictions\":{},\"engines_warm\":{},\
          \"cycles_simulated\":{},\"instructions_committed\":{},\"packed_fallbacks\":{},\
-         \"wall_s\":{:.6},\"workers\":{},\"cache_shards\":{},\"pool_shards\":{}",
+         \"wall_s\":{:.6},\"workers\":{}",
         c.requests,
         c.runs,
         c.errors,
@@ -791,8 +753,6 @@ fn write_stats(out: &mut String, shared: &ServeShared) {
         c.packed_fallbacks,
         c.wall.as_secs_f64(),
         shared.workers,
-        shared.programs.num_shards(),
-        shared.engines.num_shards(),
     );
     out.push_str(",\"worker_requests\":[");
     for (i, w) in shared.worker_requests.iter().enumerate() {
@@ -800,20 +760,6 @@ fn write_stats(out: &mut String, shared: &ServeShared) {
             out.push(',');
         }
         let _ = write!(out, "{}", w.load(Ordering::Relaxed));
-    }
-    out.push_str("],\"cache_shard_requests\":[");
-    for (i, s) in shared.programs.shard_stats().into_iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{}", s.hits + s.misses);
-    }
-    out.push_str("],\"pool_shard_requests\":[");
-    for (i, s) in shared.engines.shard_stats().into_iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{}", s.hits + s.misses);
     }
     out.push_str("]}}");
 }
@@ -1121,7 +1067,15 @@ fn parse_options(
             "fetch_width" => o.fetch_width = Some(as_usize(p.number()?, "fetch_width")?),
             "per_hop" => o.per_hop = Some(as_int(p.number()?, "per_hop")?),
             "regs" => o.regs = as_usize(p.number()?, "regs")?,
-            "max_cycles" => o.max_cycles = as_int(p.number()?, "max_cycles")?,
+            "max_cycles" => {
+                o.max_cycles = as_int(p.number()?, "max_cycles")?;
+                if o.max_cycles > MAX_CYCLES {
+                    return Err(format!(
+                        "max_cycles {} exceeds the serve cap of {MAX_CYCLES} cycles",
+                        o.max_cycles
+                    ));
+                }
+            }
             other => return Err(format!("unknown option `{other}`")),
         }
         match p.peek() {
@@ -1322,110 +1276,110 @@ pub fn serve_stream<R: BufRead, W: Write>(server: &mut Server, reader: R, writer
     stream_loop(&mut server.worker, reader, writer);
 }
 
-/// The concurrent socket accept loop: one serving thread per client
-/// connection, bounded by [`ServeShared::workers`] slots. Returns once
-/// a shutdown request has been served and every worker has drained and
-/// joined.
+/// The connections socket-mode threads are serving, by slot, so that
+/// shutdown can close the ones whose threads are parked in a read.
+struct Registry {
+    open: Vec<Option<UnixStream>>,
+    /// Set by the one [`close_all`] call that does the closing.
+    closed: bool,
+}
+
+/// Socket mode: [`ServeShared::workers`] threads, each owning one
+/// [`Worker`] for the server's life and serving one connection at a
+/// time. Returns once a shutdown request has been served (or accepting
+/// failed) and every thread has joined; the socket file is removed on
+/// either path.
 pub fn serve_socket(shared: &Arc<ServeShared>, path: &str) -> Result<(), String> {
     let _ = std::fs::remove_file(path);
     let listener = UnixListener::bind(path).map_err(|e| format!("cannot bind {path}: {e}"))?;
-    let workers = shared.workers;
-    // Free worker slots (a stack) plus the condvar the acceptor waits
-    // on when every slot is busy — this is the `--workers N` bound.
-    let free: Arc<(Mutex<Vec<usize>>, Condvar)> =
-        Arc::new((Mutex::new((0..workers).rev().collect()), Condvar::new()));
-    // One registered read-half per live connection so shutdown can
-    // unblock workers parked in `read_line`.
-    let conns: Arc<Mutex<Vec<Option<UnixStream>>>> =
-        Arc::new(Mutex::new((0..workers).map(|_| None).collect()));
-    let mut slot_handles: Vec<Option<std::thread::JoinHandle<()>>> =
-        (0..workers).map(|_| None).collect();
-    for conn in listener.incoming() {
-        if shared.is_shutdown() {
-            break;
-        }
-        let conn = conn.map_err(|e| format!("accept failed: {e}"))?;
-        if shared.is_shutdown() {
-            // The wake-up connection a shutting-down worker makes to
-            // unblock this accept loop lands here; drop it.
-            break;
-        }
-        // Wait for a free worker slot (connections beyond the bound
-        // queue in the listen backlog).
-        let slot = {
-            let (slots, cv) = &*free;
-            let mut avail = lock(slots);
-            loop {
-                if shared.is_shutdown() {
-                    break None;
-                }
-                if let Some(s) = avail.pop() {
-                    break Some(s);
-                }
-                avail = cv
-                    .wait(avail)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let registry = Mutex::new(Registry {
+        open: (0..shared.workers).map(|_| None).collect(),
+        closed: false,
+    });
+    let failure = std::thread::scope(|scope| {
+        let threads: Vec<_> = (0..shared.workers)
+            .map(|slot| {
+                let (listener, registry) = (&listener, &registry);
+                scope.spawn(move || {
+                    let served = accept_loop(shared, listener, registry, slot);
+                    if served.is_err() {
+                        shared.request_shutdown();
+                    }
+                    close_all(registry, path);
+                    served
+                })
+            })
+            .collect();
+        let mut failure = None;
+        for t in threads {
+            if let Ok(Err(e)) = t.join() {
+                failure.get_or_insert(e);
             }
-        };
-        let Some(slot) = slot else { break };
-        // A freed slot means its previous thread is done; reap it.
-        if let Some(h) = slot_handles[slot].take() {
-            let _ = h.join();
         }
-        let Ok(read_half) = conn.try_clone() else {
+        failure
+    });
+    let _ = std::fs::remove_file(path);
+    failure.map_or(Ok(()), Err)
+}
+
+/// One socket-mode serving thread: accept a connection, serve it to
+/// its end, and repeat until shutdown. A panic while serving counts as
+/// an error and gets the thread a fresh [`Worker`]. Returns an accept
+/// failure.
+fn accept_loop(
+    shared: &Arc<ServeShared>,
+    listener: &UnixListener,
+    registry: &Mutex<Registry>,
+    slot: usize,
+) -> Result<(), String> {
+    let new_worker = || Worker {
+        reads_paths: false,
+        ..Worker::new(Arc::clone(shared), slot)
+    };
+    let mut worker = new_worker();
+    while !shared.is_shutdown() {
+        let (conn, _) = listener
+            .accept()
+            .map_err(|e| format!("accept failed: {e}"))?;
+        let Ok(registered) = conn.try_clone() else {
             shared.disconnects.fetch_add(1, Ordering::Relaxed);
-            let (slots, cv) = &*free;
-            lock(slots).push(slot);
-            cv.notify_one();
             continue;
         };
-        lock(&conns)[slot] = Some(read_half);
-        let shared = Arc::clone(shared);
-        let free = Arc::clone(&free);
-        let conns = Arc::clone(&conns);
-        let path = path.to_string();
-        slot_handles[slot] = Some(std::thread::spawn(move || {
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let mut worker = Worker::new(Arc::clone(&shared), slot);
-                match conn.try_clone() {
-                    Ok(rd) => {
-                        stream_loop(&mut worker, std::io::BufReader::new(rd), &conn);
-                    }
-                    Err(_) => {
-                        shared.disconnects.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                worker.release();
+        // Register before re-checking the flag: a shutdown either
+        // closes this connection along with the rest, or has set the
+        // flag before it started closing and is seen here. The wake-up
+        // connections of `close_all` end here.
+        lock(registry).open[slot] = Some(registered);
+        if !shared.is_shutdown() {
+            let served = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                stream_loop(&mut worker, std::io::BufReader::new(&conn), &conn)
             }));
-            if result.is_err() {
+            if served.is_err() {
                 shared.errors.fetch_add(1, Ordering::Relaxed);
+                worker = new_worker();
             }
-            lock(&conns)[slot] = None;
-            if shared.is_shutdown() {
-                // Drain: unblock every worker parked in read_line and
-                // wake the acceptor so it can stop and join.
-                for c in lock(&conns).iter().flatten() {
-                    let _ = c.shutdown(Shutdown::Both);
-                }
-                let _ = UnixStream::connect(&path);
-            }
-            let (slots, cv) = &*free;
-            lock(slots).push(slot);
-            cv.notify_all();
-        }));
-    }
-    // Stop accepting; drain whoever is still connected and join every
-    // worker before the (single) summary prints.
-    for c in lock(&conns).iter_mut() {
-        if let Some(c) = c.take() {
-            let _ = c.shutdown(Shutdown::Both);
         }
+        lock(registry).open[slot] = None;
     }
-    for h in slot_handles.iter_mut().filter_map(Option::take) {
-        let _ = h.join();
-    }
-    let _ = std::fs::remove_file(path);
     Ok(())
+}
+
+/// Close every registered connection, then connect to `path` once per
+/// thread so that each thread parked in `accept` wakes and sees the
+/// shutdown. Only the first call does anything.
+fn close_all(registry: &Mutex<Registry>, path: &str) {
+    let mut r = lock(registry);
+    if std::mem::replace(&mut r.closed, true) {
+        return;
+    }
+    for c in r.open.iter().flatten() {
+        let _ = c.shutdown(Shutdown::Both);
+    }
+    let threads = r.open.len();
+    drop(r);
+    for _ in 0..threads {
+        let _ = UnixStream::connect(path);
+    }
 }
 
 /// Entry point for `usim serve`: dispatch on stdin/stdout or a Unix
@@ -1437,14 +1391,15 @@ pub fn serve(o: &ServeOptions) -> Result<(), String> {
         None => {
             // stdin is one stream: a single worker serves it.
             let mut worker = Worker::new(Arc::clone(&shared), 0);
-            let stdin = std::io::stdin();
-            let stdout = std::io::stdout();
-            stream_loop(&mut worker, stdin.lock(), stdout.lock());
-            worker.release();
+            stream_loop(
+                &mut worker,
+                std::io::stdin().lock(),
+                std::io::stdout().lock(),
+            );
         }
         Some(path) => {
             eprintln!(
-                "usim serve: listening on {path} ({} worker{}, one cache shard each)",
+                "usim serve: listening on {path} ({} worker{})",
                 shared.workers,
                 if shared.workers == 1 { "" } else { "s" },
             );

@@ -11,9 +11,9 @@
 //! larger than one.
 //!
 //! Two probes: the serial request loop, and four workers hammering the
-//! *shared* sharded caches concurrently — the warm path must stay
-//! allocation-free per worker under contention (shard mutexes, `Arc`
-//! program handles and pool checkout/checkin allocate nothing).
+//! *shared* program cache and engine pool concurrently — the warm path
+//! must stay allocation-free per worker under contention (the locks,
+//! `Arc` program handles and pool checkout/checkin allocate nothing).
 //!
 //! Counting is gated on a const-initialised thread-local so only armed
 //! threads' allocations register (the libtest harness thread lazily
@@ -172,7 +172,7 @@ fn concurrent_workers_allocate_nothing_in_steady_state() {
     // (a worker-specific predictor size), so warm-up deterministically
     // builds exactly two engines per worker — no cross-thread
     // hand-off, no eviction — while every request still goes through
-    // the *shared* shard locks.
+    // the *shared* cache and pool locks.
     let requests_for = |w: usize| -> Vec<String> {
         let k = 64usize << w;
         vec![
@@ -214,7 +214,6 @@ fn concurrent_workers_allocate_nothing_in_steady_state() {
                     }
                 }
                 done.wait();
-                worker.release();
             })
         })
         .collect();
@@ -234,8 +233,7 @@ fn concurrent_workers_allocate_nothing_in_steady_state() {
     assert_eq!(c.runs, (WORKERS * 2 * (2 + ROUNDS)) as u64);
     assert_eq!(c.errors, 0);
     // Warm-up built exactly two programs and two engines per worker;
-    // every probed request was a cache hit plus an affinity or pool
-    // hit.
+    // every probed request was a cache hit plus a pool hit.
     assert_eq!(shared.program_stats().misses, (WORKERS * 2) as u64);
     assert_eq!(shared.engine_stats().misses, (WORKERS * 2) as u64);
     assert_eq!(shared.engine_stats().evictions, 0);

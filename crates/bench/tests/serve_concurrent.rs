@@ -1,15 +1,14 @@
 //! Integration tests for the concurrent `usim serve` socket mode:
 //! byte-identical responses under concurrency, client-disconnect
-//! containment, shard eviction under contention, and graceful
-//! shutdown with idle clients.
+//! containment, pool eviction under contention, refusal of
+//! `program_path`, and graceful shutdown with idle clients.
 
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::sync::Arc;
 use std::time::Duration;
 
-use ultrascalar::config_shard_hash;
-use ultrascalar_bench::cli::{self, RunOptions, ServeOptions};
+use ultrascalar_bench::cli::ServeOptions;
 use ultrascalar_bench::serve::{serve_socket, ServeShared, Server};
 
 fn sock_path(tag: &str) -> String {
@@ -29,13 +28,46 @@ fn connect(path: &str) -> UnixStream {
     panic!("could not connect to {path}");
 }
 
+/// One client connection: request lines out, response lines in.
+struct Client {
+    reader: BufReader<UnixStream>,
+    writer: UnixStream,
+}
+
+impl Client {
+    fn new(path: &str) -> Client {
+        let writer = connect(path);
+        let reader = BufReader::new(writer.try_clone().expect("clone"));
+        Client { reader, writer }
+    }
+
+    /// Send one request line and return its response line, trimmed.
+    fn ask(&mut self, req: &str) -> String {
+        self.writer
+            .write_all(format!("{req}\n").as_bytes())
+            .expect("send");
+        let mut line = String::new();
+        self.reader.read_line(&mut line).expect("response");
+        line.trim_end().to_string()
+    }
+}
+
+/// Start `serve_socket` with the given cache and pool capacities and
+/// worker count on its own thread.
 fn spawn_server(
     tag: &str,
-    o: ServeOptions,
+    program_cache: usize,
+    engines: usize,
+    workers: usize,
 ) -> (String, Arc<ServeShared>, std::thread::JoinHandle<()>) {
     let path = sock_path(tag);
     let _ = std::fs::remove_file(&path);
-    let shared = Arc::new(ServeShared::new(&o));
+    let shared = Arc::new(ServeShared::new(&ServeOptions {
+        socket: None,
+        program_cache,
+        engines,
+        workers,
+    }));
     let handle = {
         let shared = Arc::clone(&shared);
         let path = path.clone();
@@ -45,12 +77,8 @@ fn spawn_server(
 }
 
 fn shutdown_server(path: &str, handle: std::thread::JoinHandle<()>) {
-    let mut stop = connect(path);
-    stop.write_all(b"{\"cmd\":\"shutdown\"}\n")
-        .expect("send shutdown");
-    let mut ack = String::new();
-    BufReader::new(stop).read_line(&mut ack).expect("read ack");
-    assert_eq!(ack.trim_end(), "{\"ok\":true,\"shutdown\":true}");
+    let ack = Client::new(path).ask("{\"cmd\":\"shutdown\"}");
+    assert_eq!(ack, "{\"ok\":true,\"shutdown\":true}");
     handle.join().expect("server thread joins after shutdown");
 }
 
@@ -93,32 +121,14 @@ fn concurrent_clients_get_byte_identical_responses() {
         })
         .collect();
 
-    let (path, shared, handle) = spawn_server(
-        "roundtrip",
-        ServeOptions {
-            socket: None,
-            program_cache: 64,
-            engines: 16,
-            workers: 4,
-        },
-    );
+    let (path, shared, handle) = spawn_server("roundtrip", 64, 16, 4);
     let clients: Vec<_> = (0..CLIENTS)
         .map(|c| {
             let path = path.clone();
             std::thread::spawn(move || {
+                let mut client = Client::new(&path);
                 let script = client_script(c);
-                let stream = connect(&path);
-                let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-                let mut writer = stream;
-                let mut responses = Vec::with_capacity(script.len());
-                for req in &script {
-                    writer.write_all(req.as_bytes()).expect("send");
-                    writer.write_all(b"\n").expect("send newline");
-                    let mut line = String::new();
-                    reader.read_line(&mut line).expect("response");
-                    responses.push(line.trim_end().to_string());
-                }
-                responses
+                script.iter().map(|req| client.ask(req)).collect::<Vec<_>>()
             })
         })
         .collect();
@@ -138,25 +148,11 @@ fn concurrent_clients_get_byte_identical_responses() {
 
 #[test]
 fn disconnect_mid_line_closes_only_that_connection() {
-    let (path, shared, handle) = spawn_server(
-        "disconnect",
-        ServeOptions {
-            socket: None,
-            program_cache: 8,
-            engines: 4,
-            workers: 2,
-        },
-    );
+    let (path, shared, handle) = spawn_server("disconnect", 8, 4, 2);
 
     // A well-behaved client first, to warm the caches.
-    let good = connect(&path);
-    let mut good_r = BufReader::new(good.try_clone().expect("clone"));
-    let mut good_w = good;
-    good_w
-        .write_all(b"{\"program\":\"li r1, 1\\nhalt\\n\"}\n")
-        .expect("send");
-    let mut line = String::new();
-    good_r.read_line(&mut line).expect("response");
+    let mut good = Client::new(&path);
+    let line = good.ask("{\"program\":\"li r1, 1\\nhalt\\n\"}");
     assert!(line.starts_with("{\"ok\":true,"), "{line}");
 
     // A client that dies mid-request: partial line, no newline, then
@@ -169,16 +165,8 @@ fn disconnect_mid_line_closes_only_that_connection() {
     }
     // And one that vanishes between requests (clean EOF): no
     // disconnect counted.
-    {
-        let mut quiet = connect(&path);
-        quiet
-            .write_all(b"{\"program\":\"li r1, 2\\nhalt\\n\"}\n")
-            .expect("send");
-        let mut r = BufReader::new(quiet.try_clone().expect("clone"));
-        let mut resp = String::new();
-        r.read_line(&mut resp).expect("response");
-        assert!(resp.starts_with("{\"ok\":true,"), "{resp}");
-    }
+    let resp = Client::new(&path).ask("{\"program\":\"li r1, 2\\nhalt\\n\"}");
+    assert!(resp.starts_with("{\"ok\":true,"), "{resp}");
 
     // Wait until the rude client's disconnect is recorded.
     for _ in 0..400 {
@@ -191,72 +179,37 @@ fn disconnect_mid_line_closes_only_that_connection() {
     assert_eq!(shared.counters().errors, 0, "a disconnect is not an error");
 
     // The first client's connection is still alive and serving.
-    line.clear();
-    good_w
-        .write_all(b"{\"program\":\"li r1, 1\\nhalt\\n\"}\n")
-        .expect("send after disconnect");
-    good_r
-        .read_line(&mut line)
-        .expect("response after disconnect");
+    let line = good.ask("{\"program\":\"li r1, 1\\nhalt\\n\"}");
     assert!(line.starts_with("{\"ok\":true,"), "{line}");
 
-    drop(good_w);
+    drop(good);
     shutdown_server(&path, handle);
 }
 
 #[test]
 fn contended_pool_evicts_and_recovers() {
-    // Engine capacity 2 over 4 workers leaves one engine per pool
-    // shard. Client 0 alternates two configurations whose shard hashes
-    // collide, so from its second switch on, each check-in lands in a
-    // full shard and evicts: the eviction is forced by construction,
-    // whatever the other clients do. Clients 1..4 cycle through four
-    // more configurations for contention; every response must still
-    // be correct.
+    // Client 0 alternates two configurations and clients 1..4 cycle
+    // through four more, all through one pool of two engines. Each of
+    // the six configurations misses at least once and at most two
+    // engines survive the last check-in, so at least four are evicted,
+    // whatever the interleaving. Every response must still be correct.
     const WORKERS: usize = 4;
-    let shard = |window: usize| {
-        let o = RunOptions {
-            window,
-            ..RunOptions::default()
-        };
-        config_shard_hash(&cli::build_config(&o).expect("valid config")) % WORKERS as u64
-    };
-    let candidates: Vec<usize> = (9..64usize).filter(|w| !w.is_power_of_two()).collect();
-    let (a, b) = candidates
-        .iter()
-        .flat_map(|&a| candidates.iter().map(move |&b| (a, b)))
-        .find(|&(a, b)| a < b && shard(a) == shard(b))
-        .expect("more windows than shards must collide");
-    let (path, shared, handle) = spawn_server(
-        "evict",
-        ServeOptions {
-            socket: None,
-            program_cache: 8,
-            engines: 2,
-            workers: WORKERS,
-        },
-    );
+    let (a, b) = (12, 24);
+    let (path, shared, handle) = spawn_server("evict", 8, 2, WORKERS);
     let clients: Vec<_> = (0..WORKERS)
         .map(|c| {
             let path = path.clone();
             std::thread::spawn(move || {
-                let stream = connect(&path);
-                let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-                let mut writer = stream;
-                let mut line = String::new();
+                let mut client = Client::new(&path);
                 for i in 0..12 {
                     let window = match c {
                         0 if i % 2 == 0 => a,
                         0 => b,
                         _ => 8 << ((c + i) % 4),
                     };
-                    let req = format!(
+                    let line = client.ask(&format!(
                         r#"{{"program":"li r1, 6\nli r2, 7\nmul r3, r1, r2\nhalt\n","options":{{"arch":"usi","window":{window}}}}}"#
-                    );
-                    writer.write_all(req.as_bytes()).expect("send");
-                    writer.write_all(b"\n").expect("send newline");
-                    line.clear();
-                    reader.read_line(&mut line).expect("response");
+                    ));
                     assert!(line.starts_with("{\"ok\":true,"), "{line}");
                     assert!(line.contains(&format!("\"window\":{window}")), "{line}");
                 }
@@ -266,36 +219,51 @@ fn contended_pool_evicts_and_recovers() {
     for t in clients {
         t.join().expect("client thread");
     }
+    let pool = shared.engine_stats();
     assert!(
-        shared.engine_stats().evictions > 0,
-        "windows {a} and {b} share a one-engine shard, so switching between them must evict"
+        pool.evictions >= 4,
+        "six configurations, two engines: {pool:?}"
     );
+    assert_eq!(pool.hits + pool.misses, shared.counters().runs);
     assert_eq!(shared.counters().errors, 0);
+    shutdown_server(&path, handle);
+}
+
+/// A socket client cannot make the server read a file: `program_path`
+/// gets an error line, counted as an error, and the connection keeps
+/// serving.
+#[test]
+fn program_path_is_refused_on_sockets() {
+    let asm = std::env::temp_dir().join(format!("usim-serve-test-{}.asm", std::process::id()));
+    std::fs::write(&asm, "li r1, 1\nhalt\n").expect("write temp program");
+    let (path, shared, handle) = spawn_server("paths", 8, 4, 2);
+    let mut client = Client::new(&path);
+    let refused = client.ask(&format!(
+        r#"{{"id":"p","program_path":"{}"}}"#,
+        asm.display()
+    ));
+    std::fs::remove_file(&asm).ok();
+    assert!(
+        refused.starts_with("{\"ok\":false,\"id\":\"p\",")
+            && refused.contains("`program_path` is not accepted on socket connections"),
+        "{refused}"
+    );
+    let inline = r#"{"program":"li r1, 1\nhalt\n"}"#;
+    assert_eq!(client.ask(inline), Server::new(8, 4).handle_line(inline));
+    let c = shared.counters();
+    assert_eq!((c.requests, c.errors, c.runs), (2, 1, 1));
+    drop(client);
     shutdown_server(&path, handle);
 }
 
 #[test]
 fn shutdown_drains_and_unblocks_idle_clients() {
-    let (path, shared, handle) = spawn_server(
-        "shutdown",
-        ServeOptions {
-            socket: None,
-            program_cache: 8,
-            engines: 4,
-            workers: 3,
-        },
-    );
+    let (path, shared, handle) = spawn_server("shutdown", 8, 4, 3);
 
     // An idle client: connected, mid-session, sending nothing. Its
     // worker is parked in read_line.
-    let idle = connect(&path);
-    let mut idle_r = BufReader::new(idle.try_clone().expect("clone"));
-    let mut idle_w = idle;
-    idle_w
-        .write_all(b"{\"program\":\"li r1, 3\\nhalt\\n\"}\n")
-        .expect("send");
-    let mut line = String::new();
-    idle_r.read_line(&mut line).expect("response");
+    let mut idle = Client::new(&path);
+    let line = idle.ask("{\"program\":\"li r1, 3\\nhalt\\n\"}");
     assert!(line.starts_with("{\"ok\":true,"), "{line}");
 
     // Another client asks for shutdown; the server must drain, kick
@@ -304,8 +272,8 @@ fn shutdown_drains_and_unblocks_idle_clients() {
     assert!(shared.is_shutdown());
 
     // The idle client's connection was closed by the drain: EOF.
-    line.clear();
-    let n = idle_r.read_line(&mut line).expect("EOF read");
+    let mut line = String::new();
+    let n = idle.reader.read_line(&mut line).expect("EOF read");
     assert_eq!(n, 0, "idle connection closed on shutdown: {line:?}");
 
     // The socket file is gone; new connections are refused.

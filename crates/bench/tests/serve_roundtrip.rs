@@ -5,8 +5,9 @@
 use std::io::BufReader;
 use std::time::Duration;
 
+use ultrascalar_bench::cli::RunOptions;
 use ultrascalar_bench::serve::{
-    final_summary, serve_stream, ServeCounters, Server, MAX_LINE_BYTES,
+    self, final_summary, serve_stream, ServeCounters, Server, MAX_LINE_BYTES,
 };
 
 const PROG: &str =
@@ -44,8 +45,7 @@ fn repeated_request_is_byte_identical_and_hits_caches() {
         ),
         (3, 1)
     );
-    // Consecutive same-config requests batch onto the held engine;
-    // they count as warm hits.
+    // Each repeat checks the warm engine out of the pool again.
     assert_eq!(
         (
             s.shared().engine_stats().hits,
@@ -53,7 +53,7 @@ fn repeated_request_is_byte_identical_and_hits_caches() {
         ),
         (3, 1)
     );
-    assert_eq!(s.shared().counters().batched_runs, 3);
+    assert_eq!(s.shared().counters().batched_runs, 0, "no lane groups");
     assert_eq!(s.shared().counters().runs, 4);
     assert_eq!(s.shared().counters().errors, 0);
 }
@@ -90,8 +90,8 @@ fn options_map_to_the_configured_engine() {
         .handle_line(r#"{"program":"li r1, 1\nhalt\n","options":{"arch":"usii","window":8}}"#)
         .to_string();
     assert!(usii.contains("\"arch\":\"usii\""), "{usii}");
-    // One engine went back to the pool on the config switch, the other
-    // is still held by the worker: both are warm.
+    // Both engines went back to the pool after their runs: both are
+    // warm.
     assert_eq!(
         s.shared().engine_stats().warm,
         2,
@@ -125,15 +125,27 @@ fn errors_are_reported_not_fatal() {
             r#"{"program":"li r1, 1\nhalt\n","options":{"quantum":true}}"#,
             "unknown option",
         ),
+        (
+            r#"{"program":"li r1, 1\nhalt\n","options":{"max_cycles":50000001}}"#,
+            "max_cycles 50000001 exceeds the serve cap of 50000000 cycles",
+        ),
+        (
+            r#"{"program":"li r1, 1\nhalt\n","options":{"max_cycles":9007199254740992}}"#,
+            "exceeds the serve cap of 50000000 cycles",
+        ),
     ] {
         let resp = s.handle_line(req).to_string();
         assert!(resp.starts_with("{\"ok\":false,"), "{req} -> {resp}");
         assert!(resp.contains(needle), "{req} -> {resp}");
     }
-    assert_eq!(s.shared().counters().errors, 10);
-    // The server still works after every failure.
+    assert_eq!(s.shared().counters().errors, 12);
+    // The server still works after every failure, and the cycle cap
+    // is the `usim run` default, accepted.
     let ok = s.handle_line(PROG).to_string();
     assert!(ok.starts_with("{\"ok\":true,"), "{ok}");
+    assert_eq!(serve::MAX_CYCLES, RunOptions::default().max_cycles);
+    let at_cap = r#"{"program":"li r1, 1\nhalt\n","options":{"max_cycles":50000000}}"#;
+    assert!(s.handle_line(at_cap).starts_with("{\"ok\":true,"));
 }
 
 /// A window far past `cli::MAX_WINDOW` would make the engine and the
@@ -257,11 +269,9 @@ fn stats_and_shutdown_commands() {
     assert!(stats.contains("\"engine_pool_hits\":1"), "{stats}");
     assert!(stats.contains("\"program_cache_evictions\":0"), "{stats}");
     assert!(stats.contains("\"engine_pool_evictions\":0"), "{stats}");
-    assert!(stats.contains("\"batched_runs\":1"), "{stats}");
+    assert!(stats.contains("\"batched_runs\":0"), "{stats}");
     assert!(stats.contains("\"disconnects\":0"), "{stats}");
     assert!(stats.contains("\"workers\":1"), "{stats}");
-    assert!(stats.contains("\"cache_shards\":1"), "{stats}");
-    assert!(stats.contains("\"pool_shards\":1"), "{stats}");
     assert!(stats.contains("\"worker_requests\":[3]"), "{stats}");
     assert!(stats.contains("\"cycles_simulated\":"), "{stats}");
     assert!(!s.shared().is_shutdown());
@@ -377,7 +387,14 @@ fn pipelined_identical_requests_lane_batch_byte_identically() {
     assert_eq!(c.errors, 0);
     assert_eq!(c.lane.lane_runs, 4, "all four lanes rode one batch");
     assert_eq!(c.lane.peels, 0);
-    assert_eq!(c.batched_runs, 3, "members batch onto the held engine");
+    assert_eq!(c.batched_runs, 3, "members ride the leader's engine");
+    let pool = s.shared().engine_stats();
+    assert_eq!(
+        (pool.hits, pool.misses),
+        (3, 1),
+        "members count as pool hits"
+    );
+    assert_eq!(pool.hits + pool.misses, c.runs);
     assert_eq!(
         (
             s.shared().program_stats().hits,
@@ -478,12 +495,16 @@ fn alternating_configs_never_group() {
 }
 
 /// A stats response with the values that legitimately differ between
-/// grouped and one-at-a-time serving — the lane counters and wall
-/// time — blanked out.
-fn mask_lane_and_wall(line: &str) -> String {
+/// grouped and one-at-a-time serving — the lane counters,
+/// `batched_runs` and wall time — blanked out.
+fn mask_grouping_and_wall(line: &str) -> String {
     line.split(',')
         .map(|field| match field.split_once(':') {
-            Some((key, _)) if key.starts_with("\"lane_") || key == "\"wall_s\"" => {
+            Some((key, _))
+                if key.starts_with("\"lane_")
+                    || key == "\"wall_s\""
+                    || key == "\"batched_runs\"" =>
+            {
                 format!("{key}:_")
             }
             _ => field.to_string(),
@@ -495,13 +516,14 @@ fn mask_lane_and_wall(line: &str) -> String {
 /// Pipelined serving groups buffered lines into lane batches; serving
 /// the same lines one at a time through `handle_line` never groups.
 /// Both must give the same responses and the same accounting: every
-/// counter but the lane counters and wall time, and the program-cache
-/// and engine-pool statistics. The stream covers each way a line can
-/// end or join a group: identical members, members differing only in
-/// `id`, `registers` or `timing: false`, one differing in its
-/// configuration, a `program_path` leader, an
-/// invalid-config leader and an assembly-error leader with lines
-/// buffered behind them, a malformed line, a blank line and `stats`.
+/// counter but the lane counters, `batched_runs` and wall time, and
+/// the program-cache and engine-pool statistics (whose hits and misses
+/// add up to the runs either way). The stream covers each way a line
+/// can end or join a group: identical members, members differing only
+/// in `id`, `registers` or `timing: false`, one differing in its
+/// configuration, a `program_path` leader, an invalid-config leader
+/// and an assembly-error leader with lines buffered behind them, a
+/// malformed line, a blank line and `stats`.
 #[test]
 fn pipelined_and_one_at_a_time_serving_account_identically() {
     let asm =
@@ -549,14 +571,14 @@ fn pipelined_and_one_at_a_time_serving_account_identically() {
     let grouped_lines: Vec<String> = std::str::from_utf8(&out)
         .unwrap()
         .lines()
-        .map(mask_lane_and_wall)
+        .map(mask_grouping_and_wall)
         .collect();
 
     let mut single = Server::new(8, 4);
     let single_lines: Vec<String> = lines
         .iter()
         .filter(|l| !l.trim().is_empty())
-        .map(|l| mask_lane_and_wall(single.handle_line(l)))
+        .map(|l| mask_grouping_and_wall(single.handle_line(l)))
         .collect();
     std::fs::remove_file(&asm).ok();
 
@@ -566,6 +588,7 @@ fn pipelined_and_one_at_a_time_serving_account_identically() {
     assert!(g.counters().lane.lane_runs > 0, "the stream must group");
     assert_eq!(s.counters().lane.lane_runs, 0, "handle_line never groups");
     let unlaned = |c: ServeCounters| ServeCounters {
+        batched_runs: 0,
         lane: Default::default(),
         wall: Duration::ZERO,
         ..c
@@ -574,4 +597,8 @@ fn pipelined_and_one_at_a_time_serving_account_identically() {
     assert_eq!(g.program_stats(), s.program_stats());
     assert_eq!(g.engine_stats(), s.engine_stats());
     assert_eq!(g.worker_request_counts(), s.worker_request_counts());
+    for shared in [g, s] {
+        let pool = shared.engine_stats();
+        assert_eq!(pool.hits + pool.misses, shared.counters().runs);
+    }
 }

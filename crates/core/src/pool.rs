@@ -293,11 +293,6 @@ impl ShardedEnginePool {
         }
     }
 
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
     fn shard(&self, cfg: &ProcConfig) -> &Mutex<EnginePool> {
         &self.shards[(config_shard_hash(cfg) % self.shards.len() as u64) as usize]
     }
@@ -333,11 +328,6 @@ impl ShardedEnginePool {
             total.warm += s.warm;
         }
         total
-    }
-
-    /// Per-shard counter snapshots (for shard-balance observability).
-    pub fn shard_stats(&self) -> Vec<PoolStats> {
-        self.shards.iter().map(|s| lock(s).stats()).collect()
     }
 }
 
