@@ -39,7 +39,7 @@
 //! this cycle (the only stations branch resolution visits) and the done
 //! prefix commit retires from. It visits only the stations that can
 //! change state: the members of an `active` bitset over the ring slots,
-//! found from `head` with trailing-zeros scans. Two kinds of station
+//! found from `head` with trailing-zeros scans. Three kinds of station
 //! leave it:
 //!
 //! * a **finished** station (done before the cycle) leaves the first
@@ -52,7 +52,13 @@
 //!   waiter list. Every point that schedules a register writer's
 //!   completion — an ALU, immediate or load-immediate issue, a
 //!   store-forwarded load, a memory response — moves that writer's
-//!   waiters back into the walk.
+//!   waiters back into the walk. Refill parks a new station the same
+//!   way before its first visit.
+//! * a ready load or store whose all-earlier lane is **clear** is held
+//!   on that lane: a load on "stores done" (on "store addresses
+//!   resolved" under renaming), a store on the first clear lane of the
+//!   three its issue needs. The held station is out of the walk until
+//!   the lane sets at its slot.
 //!
 //! Parking is exact. A parked station cannot issue before its producer
 //! schedules a completion, and that producer's result is usable no
@@ -64,11 +70,41 @@
 //! event: a parked station's producer is unscheduled, which the
 //! "covered transitively" argument at the blocked-operand wake-ups
 //! already relies on, and the ready time of its other operand, no
-//! longer collected, passes while it is still blocked. Every schedule,
-//! statistic and flush trace is therefore the one a walk over every
-//! station produces, and the per-cycle cost is the visited stations
-//! plus `O(n / 64)` words. The circuits do the same work in
-//! `Θ(log n)` gate delay.
+//! longer collected, passes while it is still blocked.
+//!
+//! Refill parking is exact because of the same-walk wake. A station
+//! refilled at the end of cycle `t` is first visible at `t + 1`. Its
+//! producer is older, so the walk at `t + 1` reaches the producer
+//! first; if the producer issues there, its wake puts the station back
+//! in the `active` set, and the walk reaches it later in that same
+//! cycle, as the first visit it would have had. Otherwise the producer
+//! is still unscheduled when the walk reaches the station, which would
+//! have parked it on that first visit. Only a producer still in the
+//! window qualifies (`seq` at or past the oldest station's): an older
+//! one has committed and its slot may hold a younger station.
+//!
+//! Holding is exact because an all-earlier lane at a station only
+//! moves from clear to set while the station is in the window. Refill
+//! appends younger stations, a flush drops younger ones, and commit
+//! retires finished ones, so no event adds an unfinished station older
+//! than it. Each lane keeps the set of its *blockers*: the loads,
+//! branches or stores the walk has not yet found done (set at refill),
+//! and under renaming the stores it has not yet found resolved. A lane
+//! is clear at a slot exactly while some older blocker remains. When
+//! the walk finds a blocker finished (or resolved) and the lane was set
+//! at its slot, that blocker was the lane's oldest, and the lane now
+//! sets up to and including the lane's next blocker (that blocker
+//! clears it only for stations younger than itself). The walk releases
+//! that run's holds, word by word across the ring, and reaches them
+//! later in the same walk. A held station is unfinished, so it counts
+//! in the parked sets for the done prefix and its kind's lane. A load
+//! is held at most once and a store at most three times (once per
+//! lane), which [`WalkCensus`] lets tests check.
+//!
+//! Every schedule, statistic and flush trace is therefore the one a
+//! walk over every station produces, and the per-cycle cost is the
+//! visited stations plus `O(n / 64)` words. The circuits do the same
+//! work in `Θ(log n)` gate delay.
 //!
 //! Three of the paper's extension mechanisms are implemented behind
 //! configuration switches (all off by default):
@@ -105,26 +141,62 @@ const ORACLE_FUEL: usize = 50_000_000;
 
 // Lanes of the all-earlier flag word: the paper's side-by-side 1-bit
 // AND networks (Figure 5, plus the renaming variant), narrowed as the
-// walk passes each station.
+// walk passes each station. Lane `k` is bit `k`; a load, branch or
+// store clears lane [`lane_of`] while unfinished.
 const F_STORES_DONE: u64 = 1 << 0;
 const F_LOADS_DONE: u64 = 1 << 1;
 const F_BRANCHES_DONE: u64 = 1 << 2;
 const F_STORES_RESOLVED: u64 = 1 << 3;
 /// Lanes gating a store issue: every older store, load and branch done.
 const F_STORE_ISSUE: u64 = F_STORES_DONE | F_LOADS_DONE | F_BRANCHES_DONE;
-/// The lane a parked station of each tracked kind (load, branch,
-/// store) clears for every younger station; see [`parked_kind`].
-const KIND_FLAGS: [u64; 3] = [F_LOADS_DONE, F_BRANCHES_DONE, F_STORES_DONE];
+/// The renaming lane's index.
+const RESOLVED_LANE: usize = 3;
 
-/// Index into [`KIND_FLAGS`] of the instruction's kind, if its
-/// doneness feeds an all-earlier flag.
-fn parked_kind(instr: &Instr) -> Option<usize> {
+/// The done lane (flag bit index) the instruction clears while it is
+/// unfinished, if its doneness feeds an all-earlier flag.
+fn lane_of(instr: &Instr) -> Option<usize> {
     match instr {
-        Instr::Load { .. } => Some(0),
-        Instr::Branch { .. } => Some(1),
-        Instr::Store { .. } => Some(2),
+        Instr::Store { .. } => Some(0),
+        Instr::Load { .. } => Some(1),
+        Instr::Branch { .. } => Some(2),
         _ => None,
     }
+}
+
+/// What the per-cycle walk did over a run: the cost it paid (visits)
+/// against the work it found (issues), and every way a station left
+/// or re-entered it. Counted in the engine's retained scratch, never in
+/// [`RunResult`], so no result or digest depends on it; see
+/// [`Ultrascalar::walk_census`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WalkCensus {
+    /// Cycles the engine executed; spans cycle skip jumped are not
+    /// counted.
+    pub cycles: u64,
+    /// Stations the walk visited, summed over the executed cycles.
+    pub visits: u64,
+    /// Stations that began execution or had a memory request accepted.
+    pub issues: u64,
+    /// Ready loads and stores taken out of the walk until an
+    /// all-earlier lane sets at their slot.
+    pub holds: u64,
+    /// Holds ended by their lane setting.
+    pub releases: u64,
+    /// Holds ended by a flush squashing the held station.
+    pub squashed_holds: u64,
+    /// Stations still held when the run ended.
+    pub held_at_end: u64,
+    /// Stations the walk parked on a producer with no scheduled
+    /// completion.
+    pub walk_parks: u64,
+    /// Stations refill parked before their first visit.
+    pub refill_parks: u64,
+    /// Parks ended by the producer scheduling its completion.
+    pub wakes: u64,
+    /// Parks ended by a flush squashing the parked station.
+    pub squashed_parks: u64,
+    /// Stations still parked when the run ended.
+    pub parked_at_end: u64,
 }
 
 /// Which stations the per-cycle walk visits, and who wakes the rest
@@ -135,40 +207,68 @@ fn parked_kind(instr: &Instr) -> Option<usize> {
 /// `u32` arrays: nodes `0..n` are the stations, node `n + p` heads
 /// the list of stations parked on producer slot `p`, and an unlinked
 /// node points at itself. Everything is sized once per window, so
-/// parking, waking and flushing never allocate.
+/// parking, holding, waking and flushing never allocate.
 #[derive(Debug, Default)]
 struct WakeLists {
     /// Stations the walk visits.
     active: BitWords,
-    /// Stations parked on a producer whose completion is unscheduled.
+    /// Stations out of the walk and unfinished: parked on a producer
+    /// or held on a lane.
     parked: BitWords,
-    /// The parked loads, branches and stores, aligned with
-    /// [`KIND_FLAGS`].
+    /// The parked and held stations, by the lane they clear
+    /// ([`lane_of`]).
     parked_by_kind: [BitWords; 3],
+    /// Per flag lane, the stations that may still clear it: the
+    /// loads, branches and stores the walk has not yet found done, and
+    /// under memory renaming the stores it has not yet found resolved.
+    blockers: [BitWords; 4],
+    /// Per flag lane, the ready memory ops waiting for it to set at
+    /// their slot, and how many there are.
+    held: [BitWords; 4],
+    held_count: [u64; 4],
     next: Vec<u32>,
     prev: Vec<u32>,
+    census: WalkCensus,
 }
 
 impl WakeLists {
     /// Empty sets and lists for a window of `n` stations.
     fn reset(&mut self, n: usize) {
         if self.active.len() != n {
-            self.active = BitWords::new(n);
-            self.parked = BitWords::new(n);
-            self.parked_by_kind = [BitWords::new(n), BitWords::new(n), BitWords::new(n)];
+            *self = WakeLists {
+                active: BitWords::new(n),
+                parked: BitWords::new(n),
+                parked_by_kind: std::array::from_fn(|_| BitWords::new(n)),
+                blockers: std::array::from_fn(|_| BitWords::new(n)),
+                held: std::array::from_fn(|_| BitWords::new(n)),
+                held_count: [0; 4],
+                next: Vec::with_capacity(2 * n),
+                prev: Vec::with_capacity(2 * n),
+                census: WalkCensus::default(),
+            };
         } else {
             self.active.clear();
             self.parked.clear();
-            self.parked_by_kind.iter_mut().for_each(BitWords::clear);
+            let sets = self.parked_by_kind.iter_mut();
+            sets.chain(&mut self.blockers)
+                .chain(&mut self.held)
+                .for_each(BitWords::clear);
+            self.held_count = [0; 4];
         }
         self.next.clear();
         self.next.extend(0..2 * n as u32);
         self.prev.clear();
         self.prev.extend(0..2 * n as u32);
+        self.census = WalkCensus::default();
     }
 
-    /// Take station `w` (a `kind`, see [`parked_kind`]) out of the walk
-    /// until producer slot `p` schedules its completion.
+    /// Is station `w` on no waiter list?
+    fn unlinked(&self, w: usize) -> bool {
+        self.next[w] as usize == w
+    }
+
+    /// Take station `w` (clearing lane `kind`, see [`lane_of`]) out of
+    /// the walk until producer slot `p` schedules its completion.
     fn park(&mut self, w: usize, p: usize, kind: Option<usize>) {
         let n = self.active.len();
         let h = (n + p) as u32;
@@ -197,10 +297,82 @@ impl WakeLists {
             self.active.set(w);
             self.parked.unset(w);
             self.parked_by_kind.iter_mut().for_each(|b| b.unset(w));
+            self.census.wakes += 1;
             w = after;
         }
         self.next[h] = h as u32;
         self.prev[h] = h as u32;
+    }
+
+    /// Take the ready memory op `w` (clearing lane `kind`) out of the
+    /// walk until flag lane `lane` sets at its slot.
+    fn hold(&mut self, w: usize, lane: usize, kind: usize) {
+        debug_assert!(
+            self.unlinked(w),
+            "holding station {w}, parked on a producer"
+        );
+        self.active.unset(w);
+        self.parked.set(w);
+        self.parked_by_kind[kind].set(w);
+        self.held[lane].set(w);
+        self.held_count[lane] += 1;
+        self.census.holds += 1;
+    }
+
+    /// The walk has found blocker `b` of `lane` finished (resolved, for
+    /// the renaming lane). If `lane` was set at `b`'s slot, it is now
+    /// set from the slot after `b` up to and including the lane's next
+    /// blocker, which clears it only for younger stations: move that
+    /// run's holds back into the walk, which reaches them later this
+    /// cycle. `head` is the oldest occupied slot.
+    fn unblock(&mut self, lane: usize, b: usize, lane_set: bool, head: usize) {
+        self.blockers[lane].unset(b);
+        if !lane_set || self.held_count[lane] == 0 {
+            return;
+        }
+        // Ring order from `b` to the window's end, unrolled: slot
+        // `s % n` for `s` in `b + 1..lim`.
+        let n = self.active.len();
+        let lim = if b >= head { head + n } else { head };
+        let blockers = &self.blockers[lane];
+        let next = blockers.next_set(b + 1, lim.min(n)).or_else(|| {
+            let wrapped = if lim > n {
+                blockers.next_set(0, lim - n)
+            } else {
+                None
+            };
+            wrapped.map(|s| s + n)
+        });
+        let end = next.map_or(lim, |s| s + 1);
+        self.release(lane, b + 1, end.min(n));
+        if end > n {
+            self.release(lane, 0, end - n);
+        }
+    }
+
+    /// Move the holds on `lane` in slots `from..to` back into the walk,
+    /// one word at a time.
+    fn release(&mut self, lane: usize, from: usize, to: usize) {
+        for (w, mask) in BitWords::range_masks(from, to) {
+            let bits = self.held[lane].word(w) & mask;
+            if bits == 0 {
+                continue;
+            }
+            debug_assert!(
+                (0..64)
+                    .filter(|k| bits >> k & 1 == 1)
+                    .all(|k| self.unlinked(w * 64 + k)),
+                "releasing a station parked on a producer"
+            );
+            self.held[lane].clear_word(w, bits);
+            self.active.or_word(w, bits);
+            self.parked.clear_word(w, bits);
+            self.parked_by_kind
+                .iter_mut()
+                .for_each(|b| b.clear_word(w, bits));
+            self.held_count[lane] -= u64::from(bits.count_ones());
+            self.census.releases += u64::from(bits.count_ones());
+        }
     }
 
     /// Drop slots `from..to` from every set and list (a flush squashed
@@ -210,18 +382,41 @@ impl WakeLists {
     fn squash(&mut self, from: usize, to: usize) {
         let mut s = from;
         while let Some(w) = self.parked.next_set(s, to) {
-            let (a, b) = (self.prev[w], self.next[w]);
-            self.next[a as usize] = b;
-            self.prev[b as usize] = a;
-            self.next[w] = w as u32;
-            self.prev[w] = w as u32;
+            if !self.unlinked(w) {
+                let (a, b) = (self.prev[w], self.next[w]);
+                self.next[a as usize] = b;
+                self.prev[b as usize] = a;
+                self.next[w] = w as u32;
+                self.prev[w] = w as u32;
+                self.census.squashed_parks += 1;
+            }
             s = w + 1;
+        }
+        for (held, count) in self.held.iter_mut().zip(&mut self.held_count) {
+            let squashed = held.count_range(from, to);
+            *count -= squashed;
+            self.census.squashed_holds += squashed;
+            held.clear_range(from, to);
         }
         self.active.clear_range(from, to);
         self.parked.clear_range(from, to);
         self.parked_by_kind
             .iter_mut()
+            .chain(&mut self.blockers)
             .for_each(|b| b.clear_range(from, to));
+    }
+
+    /// Count the stations still out of the walk when a run ends.
+    fn settle_census(&mut self) {
+        let n = self.active.len();
+        let held: u64 = self.held.iter().map(|h| h.count_range(0, n)).sum();
+        debug_assert_eq!(
+            held,
+            self.held_count.iter().sum::<u64>(),
+            "hold count drifted"
+        );
+        self.census.held_at_end = held;
+        self.census.parked_at_end = self.parked.count_range(0, n) - held;
     }
 }
 
@@ -502,6 +697,12 @@ impl Ultrascalar {
     pub fn replay_log(&self) -> &ReplayLog {
         &self.scratch.replay
     }
+
+    /// What the per-cycle walk did in the most recent run (all zero
+    /// before the first).
+    pub fn walk_census(&self) -> WalkCensus {
+        self.scratch.wake.census
+    }
 }
 
 impl Clone for Ultrascalar {
@@ -632,11 +833,14 @@ impl Processor for Ultrascalar {
         // Refill: append fetched instructions at the tail — filling the
         // youngest partial cluster, then fresh ones — stations becoming
         // live at `visible_at`; at most `fetch_width` per cycle. Each
-        // station links its sources to their producers here, once.
+        // station links its sources to their producers here, once, and
+        // parks on the first in-window one with no scheduled completion
+        // instead of entering the walk (a store under renaming excepted,
+        // as in the walk).
         let fetch_budget = self.cfg.fetch_width.unwrap_or(n);
         let refill = |ring: &mut [Station],
                       rename: &mut [Option<Link>],
-                      active: &mut BitWords,
+                      wake: &mut WakeLists,
                       head: usize,
                       len: &mut usize,
                       fetch: &mut FetchUnit,
@@ -661,22 +865,35 @@ impl Processor for Ultrascalar {
                     e: StationEntry::new(seq, f.pc, f.instr, f.predicted_next, visible_at),
                     src,
                 };
-                active.set(slot);
                 *len += 1;
+                let kind = lane_of(&f.instr);
+                if let Some(k) = kind {
+                    wake.blockers[k].set(slot);
+                }
+                let stays = renaming && f.instr.is_store();
+                if stays {
+                    wake.blockers[RESOLVED_LANE].set(slot);
+                }
+                // A producer at or past the oldest station's `seq` is in
+                // the window; an older one has committed (its slot may
+                // hold a younger station by now).
+                let front_seq = ring[head].e.seq;
+                let unscheduled = src
+                    .iter()
+                    .flatten()
+                    .find(|p| p.seq >= front_seq && ring[p.slot].e.completed_at.is_none());
+                match unscheduled {
+                    Some(p) if !stays => {
+                        wake.park(slot, p.slot, kind);
+                        wake.census.refill_parks += 1;
+                    }
+                    _ => wake.active.set(slot),
+                }
             }
         };
 
         // Initial fill: the window starts filling at cycle 0.
-        refill(
-            ring,
-            rename,
-            &mut wake.active,
-            head,
-            &mut len,
-            fetch,
-            &mut next_seq,
-            0,
-        );
+        refill(ring, rename, wake, head, &mut len, fetch, &mut next_seq, 0);
 
         let mut t: u64 = 0;
         while t < self.cfg.max_cycles {
@@ -686,6 +903,7 @@ impl Processor for Ultrascalar {
             }
             let occupancy = len as u64;
             stats.occupancy_sum += occupancy;
+            wake.census.cycles += 1;
 
             // Event-driven cycle skipping: while the cycle executes we
             // collect the earliest future event (a completion, a
@@ -718,12 +936,12 @@ impl Processor for Ultrascalar {
                 }
             };
             // Leading stations finished before this cycle: commit's
-            // input. A parked station is not finished, so the oldest
-            // one bounds it; the walk lowers it to the oldest visited
-            // station that is not finished either.
+            // input. A parked or held station is not finished, so the
+            // oldest one bounds it; the walk lowers it to the oldest
+            // visited station that is not finished either.
             let mut done_prefix = first_from(&wake.parked, head).map_or(len, at);
-            // The oldest parked load, branch and store clear their
-            // flag lanes for every younger station.
+            // The oldest parked or held store, load and branch clear
+            // their lanes for every younger station.
             let mut kind_drops = [usize::MAX; 3];
             if done_prefix < len {
                 for (d, set) in kind_drops.iter_mut().zip(&wake.parked_by_kind) {
@@ -747,18 +965,30 @@ impl Processor for Ultrascalar {
                 cursor = pos + 1;
                 let j = at(pos);
                 debug_assert!(j < len, "active slot {pos} is vacant");
-                for (&d, &lane) in kind_drops.iter().zip(&KIND_FLAGS) {
+                debug_assert!(
+                    !wake.parked.get(pos) && wake.held.iter().all(|h| !h.get(pos)),
+                    "visiting slot {pos}, which is parked or held"
+                );
+                wake.census.visits += 1;
+                for (k, &d) in kind_drops.iter().enumerate() {
                     if j > d {
-                        flags &= !lane;
+                        flags &= !(1 << k);
                     }
                 }
                 let entry = &ring[pos].e;
+                let kind = lane_of(&entry.instr);
+                // A load, branch or store found finished stops blocking
+                // its lane, which may release younger holds.
+                let done = entry.done_before(t);
+                if let Some(k) = kind.filter(|&k| done && wake.blockers[k].get(pos)) {
+                    wake.unblock(k, pos, flags & 1 << k != 0, head);
+                }
                 // A finished station leaves the walk: it issues nothing,
                 // clears no flag and schedules nothing. Under memory
                 // renaming a store stays, because every resolved older
                 // store feeds `store_infos`.
                 let stays = renaming && entry.instr.is_store();
-                if entry.done_before(t) && !stays {
+                if done && !stays {
                     wake.active.unset(pos);
                     continue;
                 }
@@ -865,7 +1095,11 @@ impl Processor for Ultrascalar {
                                 let hit = (renaming && go)
                                     .then(|| store_infos.iter().rev().find(|s| s.addr == addr))
                                     .flatten();
-                                if let Some(s) = hit {
+                                if !go {
+                                    // Held until its lane sets here.
+                                    let lane = if renaming { RESOLVED_LANE } else { 0 };
+                                    wake.hold(pos, lane, 1);
+                                } else if let Some(s) = hit {
                                     e.issued_at = Some(t);
                                     e.completed_at = Some(t);
                                     e.result = Some(s.value);
@@ -905,6 +1139,11 @@ impl Processor for Ultrascalar {
                                         record_fw(stats, &s0);
                                         record_fw(stats, &s1);
                                     }
+                                } else if !stays {
+                                    // Held until the first clear lane of
+                                    // the three sets here.
+                                    let lane = (!flags & F_STORE_ISSUE).trailing_zeros();
+                                    wake.hold(pos, lane as usize, 0);
                                 }
                             }
                         }
@@ -938,19 +1177,19 @@ impl Processor for Ultrascalar {
                         };
                         if let Some(k) = blocker {
                             let p = ring[pos].src[k].expect("a forwarded operand is linked");
-                            wake.park(pos, p.slot, parked_kind(&ring[pos].e.instr));
+                            wake.park(pos, p.slot, kind);
+                            wake.census.walk_parks += 1;
                         }
                     }
                 }
 
                 // Update the prefix state with this entry (its own
-                // start-of-cycle doneness — unaffected by an issue this
-                // cycle, since done_before is strict).
+                // start-of-cycle doneness `done` — unaffected by an issue
+                // this cycle, since done_before is strict).
                 let entry = &ring[pos].e;
                 if entry.issued_at == Some(t) {
                     issued_now += 1;
                 }
-                let done = entry.done_before(t);
                 if !done {
                     done_prefix = done_prefix.min(j);
                 }
@@ -985,6 +1224,10 @@ impl Processor for Ultrascalar {
                         let resolved = s0.as_ref().is_none_or(Source::ready)
                             && s1.as_ref().is_none_or(Source::ready);
                         if resolved {
+                            if wake.blockers[RESOLVED_LANE].get(pos) {
+                                let lane_set = flags & F_STORES_RESOLVED != 0;
+                                wake.unblock(RESOLVED_LANE, pos, lane_set, head);
+                            }
                             let base = s0.as_ref().expect("store base").value();
                             let addr = (base.wrapping_add(offset as u32) as usize) % mem.words();
                             store_infos.push(StoreInfo {
@@ -1047,6 +1290,7 @@ impl Processor for Ultrascalar {
             // Issue-rate histogram: stations that began execution (or
             // had a memory request accepted) this cycle.
             stats.record_issue_count(issued_now);
+            wake.census.issues += issued_now as u64;
 
             // ---- Phase C: branch resolution, training and the paper's
             // one-cycle misprediction recovery, over this cycle's
@@ -1148,6 +1392,13 @@ impl Processor for Ultrascalar {
                 }
                 // Renaming keeps finished stores in the walk until
                 // they retire.
+                debug_assert!(
+                    wake.blockers
+                        .iter()
+                        .chain(&wake.held)
+                        .all(|b| b.next_set(head, head + cl_len).is_none()),
+                    "a retiring cluster still blocks or waits on a lane"
+                );
                 wake.active.clear_range(head, head + cl_len);
                 head = ring_slot(head, c, n);
                 len -= cl_len;
@@ -1168,7 +1419,7 @@ impl Processor for Ultrascalar {
                 refill(
                     ring,
                     rename,
-                    &mut wake.active,
+                    wake,
                     head,
                     &mut len,
                     fetch,
@@ -1221,6 +1472,7 @@ impl Processor for Ultrascalar {
             t += 1;
         }
 
+        wake.settle_census();
         stats.cycles = t;
         stats.mem = mem.stats();
         // Timings carry unique `seq` keys, so the unstable sort is

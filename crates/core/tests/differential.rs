@@ -31,7 +31,8 @@
 //! a replay needs: seed and case index, the config (`Debug`), an `.asm`
 //! dump that reassembles to the same `Program` (asserted for every
 //! case), and the `usim run` line when every sampled field is a `usim`
-//! flag (asserted to parse back to the same config). After the last
+//! flag (asserted to parse back to the same config). A case still
+//! running after [`DEADLINE`] fails the same way. After the last
 //! case the harness asserts it tested something: every sampler value
 //! was drawn and `validate()` rejected some draws, lanes batched,
 //! peeled and peeled in replay, cycle skip jumped, some drawn config
@@ -41,6 +42,9 @@
 
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::mpsc;
+use std::thread;
+use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -62,6 +66,9 @@ const FUEL: usize = 5_000_000;
 const GENEROUS: u64 = 1_000_000;
 /// The skip probe's budget: no tick-every-cycle loop reaches it.
 const PROBE_BUDGET: u64 = 1 << 40;
+/// A case still running after this long has hung (the slowest case
+/// takes well under a second in the dev profile).
+const DEADLINE: Duration = Duration::from_secs(30);
 
 /// The sampler: an RNG plus the record of every named choice it
 /// offered and drew, so the harness can prove it drew them all.
@@ -286,6 +293,7 @@ impl Sampler {
 }
 
 /// One (program, configuration) pair plus its lane-batch shape.
+#[derive(Clone)]
 struct Case {
     index: u64,
     origin: String,
@@ -638,18 +646,20 @@ fn failure_report(c: &Case, msg: &str) -> String {
     )
 }
 
-#[test]
-fn differential_harness() {
-    let mut batcher = LaneBatcher::new();
-    let mut tally = Tally::default();
-    let mut offered = BTreeSet::new();
-    let mut drawn = BTreeSet::new();
-    let mut prev = case(CASES).program;
-    for i in 0..CASES {
-        let c = case(i);
-        offered.extend(c.offered.iter().copied());
-        drawn.extend(c.drawn.iter().copied());
-        tally.rejected += c.rejected;
+/// Run [`check`] on a worker thread and wait at most [`DEADLINE`] for
+/// it, so a case that hangs fails with its replay report instead of
+/// stalling the suite. The batcher and tally travel to the worker and
+/// back. A hung worker is left running (it cannot be joined) and keeps
+/// them; the harness fails anyway, and the process exit ends it.
+fn with_deadline(
+    c: &Case,
+    prev: &Program,
+    mut batcher: LaneBatcher,
+    mut tally: Tally,
+) -> (Option<String>, LaneBatcher, Tally) {
+    let (c, prev) = (c.clone(), prev.clone());
+    let (tx, rx) = mpsc::channel();
+    let worker = thread::spawn(move || {
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             check(&c, &prev, &mut batcher, &mut tally)
         }));
@@ -664,6 +674,38 @@ fn differential_harness() {
                     .unwrap_or_default()
             )),
         };
+        // The receiver is gone only if the deadline passed first.
+        let _ = tx.send((msg, batcher, tally));
+    });
+    match rx.recv_timeout(DEADLINE) {
+        Ok(done) => {
+            worker
+                .join()
+                .expect("the worker catches the case's panics itself");
+            done
+        }
+        Err(_) => (
+            Some(format!("still running after {DEADLINE:?}: a hang")),
+            LaneBatcher::new(),
+            Tally::default(),
+        ),
+    }
+}
+
+#[test]
+fn differential_harness() {
+    let mut batcher = LaneBatcher::new();
+    let mut tally = Tally::default();
+    let mut offered = BTreeSet::new();
+    let mut drawn = BTreeSet::new();
+    let mut prev = case(CASES).program;
+    for i in 0..CASES {
+        let c = case(i);
+        offered.extend(c.offered.iter().copied());
+        drawn.extend(c.drawn.iter().copied());
+        tally.rejected += c.rejected;
+        let msg;
+        (msg, batcher, tally) = with_deadline(&c, &prev, batcher, tally);
         if let Some(msg) = msg {
             panic!("{}", failure_report(&c, &msg));
         }

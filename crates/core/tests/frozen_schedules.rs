@@ -10,10 +10,14 @@
 //! skipping, and pipelined forwarding across windows (1 to 7 H-tree
 //! hop levels) and per-hop costs from 0 to the saturating `u64`
 //! extremes, plus windows of 96 to 256 stations, wider than one 64-bit
-//! word. Each corner runs ~20 seeded random programs at every
-//! register-file width regime (6, 65, 128 and 256 registers) plus the
-//! standard kernel suite. A schedule change anywhere — a cycle, a slot,
-//! a forwarding distance — changes a digest.
+//! word. Two of those wide corners put the window on a memory network
+//! (US-II w128 on the butterfly; the hybrid w256/C = 64 with renaming
+//! and cluster caches on the fat tree), so memory ops wait on
+//! all-earlier lanes across bitset words and requests are rejected and
+//! re-offered. Each of the 42 corners runs 20 seeded random programs
+//! at every register-file width regime (6, 65, 128 and 256 registers)
+//! plus the 14 standard kernels: 3948 cases. A schedule change anywhere
+//! — a cycle, a slot, a forwarding distance — changes a digest.
 //!
 //! The two path-selection diagnostics `packed_fallbacks` and
 //! `packed_shape_gated` are not schedule data; they are kept out of the
@@ -218,7 +222,9 @@ fn pipelined_corners() -> Vec<(String, ProcConfig)> {
 /// Windows wider than one 64-bit word, so a per-slot bitset over the
 /// ring spans several words and the program-order walk wraps around
 /// the ring across a word boundary. The non-power-of-two window leaves
-/// the last word partial.
+/// the last word partial. The last two run on a memory network: held
+/// loads and stores, link rejections, and under renaming loads held on
+/// unresolved store addresses.
 fn wide_corners() -> Vec<(String, ProcConfig)> {
     let lat = LatencyModel {
         branch: 2,
@@ -247,6 +253,23 @@ fn wide_corners() -> Vec<(String, ProcConfig)> {
                 .with_predictor(PredictorKind::Bimodal(16))
                 .with_forwarding(ForwardModel::Pipelined { per_hop: 1 })
                 .with_memory_renaming()
+                .with_latency(lat),
+        ),
+        (
+            "us2-w128-butterfly".into(),
+            ProcConfig::ultrascalar_ii(128)
+                .with_predictor(PredictorKind::Bimodal(16))
+                .with_mem(MemConfig::realistic(128, 1 << 16).with_network(NetworkKind::Butterfly))
+                .with_latency(lat),
+        ),
+        (
+            "hybrid-w256-c64-cache".into(),
+            ProcConfig::hybrid(256, 64)
+                .with_predictor(PredictorKind::Bimodal(16))
+                .with_memory_renaming()
+                .with_mem(
+                    MemConfig::realistic(256, 1 << 16).with_cluster_cache(CacheConfig::small(4)),
+                )
                 .with_latency(lat),
         ),
     ]

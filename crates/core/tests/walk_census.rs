@@ -1,0 +1,194 @@
+//! The walk census (`Ultrascalar::walk_census`) balances: every hold
+//! ends in exactly one release or squash, every park in exactly one
+//! wake or squash, and whatever is left is still in the window when the
+//! run ends — counted there from the engine's sets, not derived from
+//! the other counters. A load waits on one lane that sets once, so it
+//! is held at most once; a store waits on three, so at most three
+//! times. A release that runs past its lane's next blocker, or fires
+//! while an older station still clears the lane, re-holds stations and
+//! breaks that bound.
+
+use ultrascalar::{
+    ForwardModel, PredictorKind, ProcConfig, Processor, RunResult, Ultrascalar, WalkCensus,
+};
+use ultrascalar_isa::workload::{self, RandomCfg};
+use ultrascalar_isa::{Instr, Program};
+use ultrascalar_memsys::{CacheConfig, MemConfig, NetworkKind};
+
+fn configs() -> Vec<(&'static str, ProcConfig)> {
+    let bimodal = PredictorKind::Bimodal(16);
+    vec![
+        (
+            "us1-w8",
+            ProcConfig::ultrascalar_i(8).with_predictor(bimodal),
+        ),
+        (
+            "us1-w64-memnet",
+            ProcConfig::ultrascalar_i(64)
+                .with_predictor(bimodal)
+                .with_mem(MemConfig::realistic(64, 1 << 12)),
+        ),
+        (
+            "us1-w200-memnet-noskip",
+            ProcConfig::ultrascalar_i(200)
+                .with_predictor(bimodal)
+                .with_mem(MemConfig::realistic(200, 1 << 12))
+                .without_cycle_skipping(),
+        ),
+        (
+            "us2-w128-butterfly",
+            ProcConfig::ultrascalar_ii(128)
+                .with_predictor(bimodal)
+                .with_mem(MemConfig::realistic(128, 1 << 12).with_network(NetworkKind::Butterfly)),
+        ),
+        (
+            "hybrid-w256-c64-renaming-cache",
+            ProcConfig::hybrid(256, 64)
+                .with_predictor(bimodal)
+                .with_memory_renaming()
+                .with_mem(
+                    MemConfig::realistic(256, 1 << 12).with_cluster_cache(CacheConfig::small(4)),
+                ),
+        ),
+        (
+            "hybrid-w16-c4-renaming-pipelined",
+            ProcConfig::hybrid(16, 4)
+                .with_predictor(PredictorKind::NotTaken)
+                .with_memory_renaming()
+                .with_shared_alus(2)
+                .with_trace_cache(2, 3)
+                .with_fetch_width(3)
+                .with_forwarding(ForwardModel::Pipelined { per_hop: 2 }),
+        ),
+    ]
+}
+
+fn programs() -> Vec<(String, Program)> {
+    let mut out: Vec<(String, Program)> = workload::standard_suite(7)
+        .into_iter()
+        .map(|(name, p)| (name.to_string(), p))
+        .collect();
+    for seed in 0..12u64 {
+        let cfg = RandomCfg {
+            len: 120,
+            num_regs: 16,
+            mem_frac: 0.5,
+            store_frac: 0.4,
+            branch_frac: if seed % 3 == 0 { 0.0 } else { 0.1 },
+            long_op_frac: 0.3,
+            mem_span: 16,
+            loop_iters: (seed % 4) as u32,
+            seed,
+            ..RandomCfg::default()
+        };
+        out.push((format!("random-{seed}"), workload::random_program(&cfg)));
+    }
+    out
+}
+
+/// The bound on holds: one per fetched load and three per fetched
+/// store (none under memory renaming, where stores stay in the walk).
+/// Every fetched station either commits or is squashed by a flush.
+fn hold_bound(engine: &Ultrascalar, r: &RunResult, renaming: bool) -> u64 {
+    let committed = r.timings.iter().map(|x| x.instr);
+    let flushed = engine.replay_log().entries.iter().map(|e| e.instr);
+    committed
+        .chain(flushed)
+        .map(|i| match i {
+            Instr::Load { .. } => 1,
+            Instr::Store { .. } if !renaming => 3,
+            _ => 0,
+        })
+        .sum()
+}
+
+fn check(key: &str, c: &WalkCensus, r: &RunResult, bound: u64, window: usize, skip: bool) {
+    assert_eq!(
+        c.holds,
+        c.releases + c.squashed_holds + c.held_at_end,
+        "{key}: holds unbalanced: {c:?}"
+    );
+    assert_eq!(
+        c.walk_parks + c.refill_parks,
+        c.wakes + c.squashed_parks + c.parked_at_end,
+        "{key}: parks unbalanced: {c:?}"
+    );
+    assert!(
+        c.holds <= bound,
+        "{key}: {} holds, bound {bound}: {c:?}",
+        c.holds
+    );
+    assert!(
+        c.issues <= c.visits,
+        "{key}: more issues than visits: {c:?}"
+    );
+    assert!(
+        c.visits <= c.cycles * window as u64,
+        "{key}: more visits than stations: {c:?}"
+    );
+    assert!(c.cycles <= r.cycles, "{key}: executed more cycles than ran");
+    if !skip {
+        assert_eq!(
+            c.cycles, r.cycles,
+            "{key}: no skip, yet cycles were skipped"
+        );
+    }
+}
+
+#[test]
+fn walk_census_balances_and_bounds_holds() {
+    let mut total = WalkCensus::default();
+    for (corner, cfg) in configs() {
+        let renaming = cfg.memory_renaming;
+        let (window, skip) = (cfg.window, cfg.cycle_skip);
+        let mut engine = Ultrascalar::new(cfg.clone());
+        assert_eq!(engine.walk_census(), WalkCensus::default());
+        let mut r = RunResult::default();
+        for (name, p) in programs() {
+            let key = format!("{corner} {name}");
+            engine.run_reusing(&p, &mut r);
+            let c = engine.walk_census();
+            check(
+                &key,
+                &c,
+                &r,
+                hold_bound(&engine, &r, renaming),
+                window,
+                skip,
+            );
+            // The census is the run's own: a cold engine counts the same.
+            let mut cold = Ultrascalar::new(cfg.clone());
+            cold.run(&p);
+            assert_eq!(
+                cold.walk_census(),
+                c,
+                "{key}: warm and cold censuses differ"
+            );
+            for (sum, n) in [
+                (&mut total.holds, c.holds),
+                (&mut total.releases, c.releases),
+                (&mut total.squashed_holds, c.squashed_holds),
+                (&mut total.held_at_end, c.held_at_end),
+                (&mut total.walk_parks, c.walk_parks),
+                (&mut total.refill_parks, c.refill_parks),
+                (&mut total.wakes, c.wakes),
+                (&mut total.squashed_parks, c.squashed_parks),
+                (&mut total.parked_at_end, c.parked_at_end),
+            ] {
+                *sum += n;
+            }
+        }
+    }
+    // Every way in and out of the walk occurred somewhere.
+    for (what, n) in [
+        ("holds", total.holds),
+        ("releases", total.releases),
+        ("squashed holds", total.squashed_holds),
+        ("walk parks", total.walk_parks),
+        ("refill parks", total.refill_parks),
+        ("wakes", total.wakes),
+        ("squashed parks", total.squashed_parks),
+    ] {
+        assert!(n > 0, "no run produced {what}: {total:?}");
+    }
+}

@@ -76,14 +76,65 @@ impl BitWords {
     /// Panics if `to > len`.
     pub fn clear_range(&mut self, from: usize, to: usize) {
         assert!(to <= self.len, "bit range out of range");
-        let mut i = from;
-        while i < to {
-            let (w, b) = (i / 64, i % 64);
-            let span = (64 - b).min(to - i);
-            let ones = if span == 64 { !0 } else { (1u64 << span) - 1 };
-            self.words[w] &= !(ones << b);
-            i += span;
+        for (w, mask) in Self::range_masks(from, to) {
+            self.words[w] &= !mask;
         }
+    }
+
+    /// Number of raised bits in `from..to`.
+    ///
+    /// # Panics
+    /// Panics if `to > len`.
+    pub fn count_range(&self, from: usize, to: usize) -> u64 {
+        assert!(to <= self.len, "bit range out of range");
+        Self::range_masks(from, to)
+            .map(|(w, mask)| u64::from((self.words[w] & mask).count_ones()))
+            .sum()
+    }
+
+    /// The words that bits `from..to` occupy, each as `(word index,
+    /// mask of its bits inside the range)`, in order: the way to act
+    /// on a range of several bitsets one word at a time.
+    pub fn range_masks(from: usize, to: usize) -> impl Iterator<Item = (usize, u64)> {
+        let mut i = from;
+        std::iter::from_fn(move || {
+            (i < to).then(|| {
+                let (w, b) = (i / 64, i % 64);
+                let span = (64 - b).min(to - i);
+                let ones = if span == 64 { !0 } else { (1u64 << span) - 1 };
+                i += span;
+                (w, ones << b)
+            })
+        })
+    }
+
+    /// Word `w`: bits `64 * w..64 * w + 64`.
+    ///
+    /// # Panics
+    /// Panics if `w` lies past the last word.
+    #[inline]
+    pub fn word(&self, w: usize) -> u64 {
+        self.words[w]
+    }
+
+    /// Raise the bits of `mask` in word `w`. The mask must lie inside
+    /// the bitset (a mask from [`BitWords::range_masks`] over
+    /// `0..len` does).
+    ///
+    /// # Panics
+    /// Panics if `w` lies past the last word.
+    #[inline]
+    pub fn or_word(&mut self, w: usize, mask: u64) {
+        self.words[w] |= mask;
+    }
+
+    /// Lower the bits of `mask` in word `w`.
+    ///
+    /// # Panics
+    /// Panics if `w` lies past the last word.
+    #[inline]
+    pub fn clear_word(&mut self, w: usize, mask: u64) {
+        self.words[w] &= !mask;
     }
 
     /// The lowest raised bit in `from..to`, if any: a trailing-zeros
@@ -142,7 +193,8 @@ mod tests {
             x ^= x << 17;
             let i = (x % len as u64) as usize;
             let j = ((x >> 20) % (len as u64 + 1)) as usize;
-            match (x >> 40) % 4 {
+            let (lo, hi) = (i.min(j), i.max(j));
+            match (x >> 40) % 6 {
                 0 | 1 => {
                     b.set(i);
                     model[i] = true;
@@ -151,16 +203,46 @@ mod tests {
                     b.unset(i);
                     model[i] = false;
                 }
-                _ => {
-                    let (lo, hi) = (i.min(j), i.max(j));
+                3 => {
                     b.clear_range(lo, hi);
                     model[lo..hi].fill(false);
                 }
+                // Word-wise raise and lower of a range's odd bits.
+                k => {
+                    for (w, mask) in BitWords::range_masks(lo, hi) {
+                        let odd = mask & 0xAAAA_AAAA_AAAA_AAAA;
+                        if k == 4 {
+                            b.or_word(w, odd);
+                        } else {
+                            b.clear_word(w, odd);
+                        }
+                    }
+                    for bit in (lo..hi).filter(|t| t % 2 == 1) {
+                        model[bit] = k == 4;
+                    }
+                }
             }
-            let (lo, hi) = (i.min(j), i.max(j));
             let want = (lo..hi).find(|&k| model[k]);
             assert_eq!(b.next_set(lo, hi), want, "next_set({lo}, {hi})");
+            let count = model[lo..hi].iter().filter(|&&m| m).count() as u64;
+            assert_eq!(b.count_range(lo, hi), count, "count_range({lo}, {hi})");
+            let covered: Vec<usize> = BitWords::range_masks(lo, hi)
+                .flat_map(|(w, mask)| {
+                    (0..64)
+                        .filter(move |k| mask >> k & 1 == 1)
+                        .map(move |k| w * 64 + k)
+                })
+                .collect();
+            assert_eq!(
+                covered,
+                (lo..hi).collect::<Vec<_>>(),
+                "range_masks({lo}, {hi})"
+            );
             assert!((0..len).all(|k| b.get(k) == model[k]));
+            for (w, bits) in model.chunks(64).enumerate() {
+                let want = (0..bits.len()).fold(0u64, |acc, k| acc | (bits[k] as u64) << k);
+                assert_eq!(b.word(w), want, "word({w})");
+            }
         }
         assert_eq!(b.next_set(5, 5), None);
     }
