@@ -15,6 +15,11 @@
 //! must stay allocation-free per worker under contention (the locks,
 //! `Arc` program handles and pool checkout/checkin allocate nothing).
 //!
+//! A bounded-memory probe rides along: a cold perfect-prediction run of
+//! a non-halting loop must allocate in proportion to the run it was
+//! asked for (its cycle budget), not to some fixed look-ahead of the
+//! program's execution.
+//!
 //! Counting is gated on a const-initialised thread-local so only armed
 //! threads' allocations register (the libtest harness thread lazily
 //! initialises channel state mid-run otherwise). The tests serialise
@@ -28,6 +33,10 @@ use std::sync::{Arc, Barrier, Mutex};
 struct Counting;
 
 static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+
+/// Bytes requested by armed threads (a reallocation counts its new
+/// size).
+static BYTES: AtomicUsize = AtomicUsize::new(0);
 
 /// Serialises the probes: both read the process-global counter.
 static GATE: Mutex<()> = Mutex::new(());
@@ -62,6 +71,7 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         if probing() {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
+            BYTES.fetch_add(layout.size(), Ordering::Relaxed);
         }
         unsafe { System.alloc(layout) }
     }
@@ -71,6 +81,7 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         if probing() {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
+            BYTES.fetch_add(new_size, Ordering::Relaxed);
         }
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -338,4 +349,40 @@ fn epoch_replay_loop_allocates_nothing_in_steady_state() {
             "{kname}: the probed batches must replay across epochs ({stats:?})"
         );
     }
+}
+
+#[test]
+fn perfect_prediction_on_a_spin_loop_allocates_boundedly() {
+    use ultrascalar::{ProcConfig, Processor, Ultrascalar};
+    use ultrascalar_isa::{AluOp, Instr, Program, Reg};
+
+    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    // `loop: addi r1, r1, 1; j loop` never halts. The perfect
+    // predictor's oracle must run alongside fetch, not ahead of it.
+    let spin = Program::new(
+        vec![
+            Instr::AluImm {
+                op: AluOp::Add,
+                rd: Reg(1),
+                rs1: Reg(1),
+                imm: 1,
+            },
+            Instr::Jump { target: 0 },
+        ],
+        2,
+    );
+    let mut cfg = ProcConfig::ultrascalar_i(16);
+    cfg.mem.words = 1024;
+    cfg.max_cycles = 1000;
+
+    let guard = ProbeGuard::arm();
+    let before = BYTES.load(Ordering::SeqCst);
+    let result = Ultrascalar::new(cfg).run(&spin);
+    let bytes = BYTES.load(Ordering::SeqCst) - before;
+    drop(guard);
+    assert!(!result.halted, "the spin loop never halts");
+    assert!(
+        bytes < 4 << 20,
+        "a cold 1000-cycle perfect-prediction run allocated {bytes} bytes"
+    );
 }

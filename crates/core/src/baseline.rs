@@ -13,15 +13,13 @@
 use std::collections::VecDeque;
 
 use crate::config::ProcConfig;
-use crate::fetch::{FetchUnit, TraceCache};
+use crate::fetch::FetchUnit;
 use crate::processor::{Processor, RunResult};
 use crate::station::{MemPhase, StationEntry};
 use crate::stats::ProcStats;
 use crate::timing::InstrTiming;
 use ultrascalar_isa::{Instr, Program, Reg};
 use ultrascalar_memsys::{MemRequest, MemSystem, ReqKind};
-
-const ORACLE_FUEL: usize = 50_000_000;
 
 /// A source operand captured at dispatch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,7 +82,8 @@ impl Processor for BaselineOoO {
         let lat = self.cfg.latency;
 
         let words = self.cfg.mem.words;
-        let mut fetch = FetchUnit::new(program, self.cfg.predictor, ORACLE_FUEL, words);
+        let mut fetch = FetchUnit::new(program, self.cfg.predictor, words)
+            .with_trace_cache(self.cfg.trace_cache);
         let mut mem = MemSystem::new(self.cfg.mem.clone(), &program.init_mem);
         let mut committed_regs = program.init_regs.clone();
         let mut rename: Vec<Option<u64>> = vec![None; program.num_regs];
@@ -95,11 +94,6 @@ impl Processor for BaselineOoO {
         let mut timings: Vec<InstrTiming> = Vec::new();
         let mut halted = false;
         let mut alu_free_at: Vec<u64> = self.cfg.alus.map(|k| vec![0u64; k]).unwrap_or_default();
-        let mut trace_cache = self
-            .cfg
-            .trace_cache
-            .map(|(entries, penalty)| TraceCache::new(entries, penalty));
-        let mut fetch_stalled_until: u64 = 0;
 
         // Dispatch: fill the ROB, consulting the rename map once per
         // operand (the conventional design point); at most
@@ -375,10 +369,7 @@ impl Processor for BaselineOoO {
                                 rename[rd.index()] = Some(e.st.seq);
                             }
                         }
-                        fetch.redirect(correct);
-                        if let Some(tc) = &mut trace_cache {
-                            fetch_stalled_until = t + 1 + tc.redirect(correct);
-                        }
+                        fetch.redirect(correct, t + 1);
                         break;
                     }
                 }
@@ -443,7 +434,7 @@ impl Processor for BaselineOoO {
             // ---- Dispatch new instructions, visible next cycle
             // (unless a trace-cache miss is stalling fetch).
             let seq_before_dispatch = next_seq;
-            if t + 1 >= fetch_stalled_until {
+            if t + 1 >= fetch.ready_at() {
                 dispatch(
                     &mut rob,
                     &mut fetch,
@@ -476,8 +467,8 @@ impl Processor for BaselineOoO {
                     event = event.min(m);
                 }
                 let room = rob.len() < n;
-                if t + 1 < fetch_stalled_until && room && !fetch.exhausted() {
-                    event = event.min(fetch_stalled_until - 1);
+                if t + 1 < fetch.ready_at() && room && !fetch.exhausted() {
+                    event = event.min(fetch.ready_at() - 1);
                 }
                 let target = event.min(self.cfg.max_cycles).max(t + 1);
                 let skipped = target - (t + 1);

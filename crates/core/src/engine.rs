@@ -126,7 +126,7 @@
 #![allow(clippy::needless_range_loop)]
 
 use crate::config::{ForwardModel, ProcConfig};
-use crate::fetch::{FetchUnit, TraceCache};
+use crate::fetch::FetchUnit;
 use crate::processor::{Processor, RunResult};
 use crate::station::{MemPhase, StationEntry};
 use crate::stats::ProcStats;
@@ -134,10 +134,6 @@ use crate::timing::InstrTiming;
 use ultrascalar_isa::{Instr, Program};
 use ultrascalar_memsys::{MemRequest, MemResponse, MemSystem, ReqKind};
 use ultrascalar_prefix::BitWords;
-
-/// Fuel given to the golden interpreter when pre-computing the perfect
-/// fetch path. Far beyond any workload in this repository.
-const ORACLE_FUEL: usize = 50_000_000;
 
 // Lanes of the all-earlier flag word: the paper's side-by-side 1-bit
 // AND networks (Figure 5, plus the renaming variant), narrowed as the
@@ -629,15 +625,16 @@ impl ReplayLog {
 
 /// The unified Ultrascalar processor model.
 ///
-/// The engine retains its allocation-heavy working state — fetch unit,
-/// memory system, station ring, rename table, walk buffers, trace
-/// cache — across runs. [`Processor::run_reusing`] rewinds all of it in
-/// place, so a warm engine serving its second and later requests for a
-/// same-shape program performs **zero** allocations (the serve-mode
-/// probe pins this); [`Processor::run`] produces identical results and
-/// merely pays for a fresh [`RunResult`]. Retention is invisible to
-/// results: the reuse-equivalence tests pin a warm engine cycle-exact
-/// against a freshly constructed one.
+/// The engine retains its allocation-heavy working state — fetch unit
+/// (with its predictor and trace cache), memory system, station ring,
+/// rename table, walk buffers — across runs. [`Processor::run_reusing`]
+/// rewinds all of it in place, so a warm engine serving its second and
+/// later requests for a same-shape program performs **zero**
+/// allocations (the serve-mode probe pins this); [`Processor::run`]
+/// produces identical results and merely pays for a fresh
+/// [`RunResult`]. Retention is invisible to results: the
+/// reuse-equivalence tests pin a warm engine cycle-exact against a
+/// freshly constructed one.
 #[derive(Debug)]
 pub struct Ultrascalar {
     cfg: ProcConfig,
@@ -650,7 +647,6 @@ pub struct Ultrascalar {
 struct EngineScratch {
     fetch: Option<FetchUnit>,
     mem: Option<MemSystem>,
-    trace_cache: Option<TraceCache>,
     /// The `n` physical stations, indexed by slot.
     ring: Vec<Station>,
     /// Per architectural register, the youngest writer refill has
@@ -754,7 +750,6 @@ impl Processor for Ultrascalar {
         let EngineScratch {
             fetch,
             mem,
-            trace_cache,
             ring,
             rename,
             wake,
@@ -768,8 +763,13 @@ impl Processor for Ultrascalar {
         } = &mut self.scratch;
         replay.clear();
         match fetch {
-            Some(f) => f.reset(program, predictor, ORACLE_FUEL, words),
-            None => *fetch = Some(FetchUnit::new(program, predictor, ORACLE_FUEL, words)),
+            Some(f) => f.reset(program, words),
+            None => {
+                *fetch = Some(
+                    FetchUnit::new(program, predictor, words)
+                        .with_trace_cache(self.cfg.trace_cache),
+                )
+            }
         }
         let fetch = fetch.as_mut().expect("fetch unit initialised above");
         match mem {
@@ -816,20 +816,6 @@ impl Processor for Ultrascalar {
         if let Some(pool) = self.cfg.alus {
             alu_free_at.resize(pool, 0u64);
         }
-        // Trace-cache fetch model: redirects to uncached trace heads
-        // stall refill.
-        let mut trace_cache = match self.cfg.trace_cache {
-            Some((entries, penalty)) => {
-                match trace_cache {
-                    Some(tc) => tc.reset(),
-                    None => *trace_cache = Some(TraceCache::new(entries, penalty)),
-                }
-                trace_cache.as_mut()
-            }
-            None => None,
-        };
-        let mut fetch_stalled_until: u64 = 0;
-
         // Refill: append fetched instructions at the tail — filling the
         // youngest partial cluster, then fresh ones — stations becoming
         // live at `visible_at`; at most `fetch_width` per cycle. Each
@@ -1341,10 +1327,7 @@ impl Processor for Ultrascalar {
                         rename[rd.index()] = Some(Link { seq: e.seq, slot });
                     }
                 }
-                fetch.redirect(correct);
-                if let Some(tc) = &mut trace_cache {
-                    fetch_stalled_until = t + 1 + tc.redirect(correct);
-                }
+                fetch.redirect(correct, t + 1);
                 break;
             }
 
@@ -1415,7 +1398,7 @@ impl Processor for Ultrascalar {
             // ---- Phase E: refill freed stations, live next cycle
             // (unless a trace-cache miss is stalling fetch).
             let seq_before_refill = next_seq;
-            if t + 1 >= fetch_stalled_until {
+            if t + 1 >= fetch.ready_at() {
                 refill(
                     ring,
                     rename,
@@ -1453,10 +1436,10 @@ impl Processor for Ultrascalar {
                     event = event.min(m);
                 }
                 // A stalled fetch re-enables refill in the Phase E of
-                // cycle `fetch_stalled_until - 1`; that is an event
-                // only if the window has room for the refill to fill.
-                if t + 1 < fetch_stalled_until && len < n && !fetch.exhausted() {
-                    event = event.min(fetch_stalled_until - 1);
+                // the cycle before it is ready; that is an event only
+                // if the window has room for the refill to fill.
+                if t + 1 < fetch.ready_at() && len < n && !fetch.exhausted() {
+                    event = event.min(fetch.ready_at() - 1);
                 }
                 // No event at all (a genuinely wedged machine) spins to
                 // the deadlock guard exactly like the naive loop.

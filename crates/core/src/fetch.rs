@@ -1,14 +1,19 @@
-//! Instruction supply: a predicted-path fetch unit and a perfect-oracle
-//! replay unit.
+//! Instruction supply: one fetch unit that follows the predicted path.
 //!
 //! The paper connects stations to "an instruction trace cache via
 //! fat-tree networks" (§2) and assumes fetch width scales with issue
 //! width; here fetch supplies up to one instruction per freed station
 //! per cycle and follows the predicted path until redirected by a
-//! misprediction.
+//! misprediction. Under perfect prediction the predictor's oracle is
+//! the golden interpreter, stepped once per fetched instruction: fetch
+//! never leaves the committed path, so the k-th fetch is the k-th
+//! golden step and no redirect ever comes. The unit also owns the
+//! optional [`TraceCache`]: a redirect to an uncached trace head stalls
+//! supply for the miss penalty, and both processors ask
+//! [`FetchUnit::ready_at`] when fetch can supply again.
 
 use crate::predict::{Predictor, PredictorKind};
-use ultrascalar_isa::{Instr, Interp, Program};
+use ultrascalar_isa::{Instr, Program};
 
 /// One fetched instruction.
 #[derive(Debug, Clone, Copy)]
@@ -23,196 +28,114 @@ pub struct Fetched {
 
 /// The fetch unit.
 #[derive(Debug, Clone)]
-pub enum FetchUnit {
-    /// Follow the static program along the predicted path.
-    Path {
-        /// The program being fetched.
-        program: Program,
-        /// Next pc to fetch, or `None` after supplying a halt.
-        cur_pc: Option<usize>,
-        /// The branch predictor consulted at fetch.
-        predictor: Predictor,
-    },
-    /// Replay the architecturally correct path (perfect prediction).
-    Replay {
-        /// The program the stream was computed from (kept so
-        /// [`FetchUnit::reset`] can recognise a same-program rewind and
-        /// skip re-running the golden interpreter).
-        program: Program,
-        /// Pre-computed correct-path fetch stream.
-        seq: Vec<Fetched>,
-        /// Next position in `seq`.
-        pos: usize,
-    },
+pub struct FetchUnit {
+    /// The instructions being fetched.
+    instrs: Vec<Instr>,
+    /// Next pc to fetch, or `None` after supplying a halt.
+    cur_pc: Option<usize>,
+    /// The branch predictor consulted at fetch.
+    predictor: Predictor,
+    /// Redirect targets with a cached trace, if the model has one.
+    trace_cache: Option<TraceCache>,
+    /// First cycle fetch can supply after the last redirect.
+    ready_at: u64,
 }
 
 impl FetchUnit {
-    /// Build a fetch unit for `program` with the given predictor. For
-    /// [`PredictorKind::Perfect`] the golden interpreter pre-computes
-    /// the correct path (up to `fuel` dynamic instructions) over a
-    /// memory of `mem_words` words, the size the processor's memory
-    /// wraps addresses at.
-    pub fn new(program: &Program, kind: PredictorKind, fuel: usize, mem_words: usize) -> Self {
-        match kind {
-            PredictorKind::Perfect => {
-                let mut interp = Interp::new(program, mem_words);
-                let (_, trace) = interp.run_traced(fuel);
-                let mut seq: Vec<Fetched> = trace
-                    .iter()
-                    .map(|r| Fetched {
-                        pc: r.pc,
-                        instr: r.instr,
-                        predicted_next: r.next_pc,
-                    })
-                    .collect();
-                // If the program ran off the end (or the trace ended
-                // without an explicit halt), append the synthetic halt
-                // the Path unit would supply.
-                let ends_with_halt = seq.last().is_some_and(|f| matches!(f.instr, Instr::Halt));
-                if !ends_with_halt {
-                    let pc = seq.last().map_or(0, |f| f.predicted_next);
-                    seq.push(Fetched {
-                        pc,
-                        instr: Instr::Halt,
-                        predicted_next: pc,
-                    });
-                }
-                FetchUnit::Replay {
-                    program: program.clone(),
-                    seq,
-                    pos: 0,
-                }
-            }
-            _ => FetchUnit::Path {
-                program: program.clone(),
-                cur_pc: Some(0),
-                predictor: Predictor::new(kind),
-            },
+    /// Build a fetch unit for `program` with the given predictor, over
+    /// a memory of `mem_words` words (the size the processor's memory
+    /// wraps addresses at, which the perfect predictor's oracle needs).
+    pub fn new(program: &Program, kind: PredictorKind, mem_words: usize) -> Self {
+        FetchUnit {
+            instrs: program.instrs.clone(),
+            cur_pc: Some(0),
+            predictor: Predictor::new(kind, program, mem_words),
+            trace_cache: None,
+            ready_at: 0,
         }
     }
 
-    /// Rewind to the start of `program` with the given predictor kind,
-    /// reusing retained buffers wherever the shape allows. Equivalent
-    /// to `*self = FetchUnit::new(program, kind, fuel, mem_words)` but
-    /// allocation-free when `program` is the one already loaded: a
-    /// replay unit rewinds its position instead of re-running the
-    /// golden interpreter, and a path unit rewinds its pc and clears
-    /// predictor training in place.
-    pub fn reset(&mut self, program: &Program, kind: PredictorKind, fuel: usize, mem_words: usize) {
-        match self {
-            FetchUnit::Replay {
-                program: held, pos, ..
-            } if kind == PredictorKind::Perfect && held == program => {
-                *pos = 0;
-                return;
-            }
-            FetchUnit::Path {
-                program: held,
-                cur_pc,
-                predictor,
-            } if kind != PredictorKind::Perfect && predictor.kind() == kind => {
-                if held != program {
-                    held.instrs.clone_from(&program.instrs);
-                    held.num_regs = program.num_regs;
-                    held.init_regs.clone_from(&program.init_regs);
-                    held.init_mem.clone_from(&program.init_mem);
-                }
-                *cur_pc = Some(0);
-                predictor.reset();
-                return;
-            }
-            _ => {}
+    /// Builder: model a trace cache of `(entries, miss_penalty)`
+    /// ([`crate::ProcConfig::trace_cache`]); `None` leaves redirects
+    /// free.
+    pub fn with_trace_cache(mut self, geometry: Option<(usize, u64)>) -> Self {
+        self.trace_cache = geometry.map(|(entries, penalty)| TraceCache::new(entries, penalty));
+        self
+    }
+
+    /// Rewind to the start of `program`, keeping the predictor kind and
+    /// trace-cache geometry. Equivalent to building a new unit, but
+    /// allocation-free once the retained buffers are large enough.
+    pub fn reset(&mut self, program: &Program, mem_words: usize) {
+        self.instrs.clone_from(&program.instrs);
+        self.cur_pc = Some(0);
+        self.predictor.reset(program, mem_words);
+        if let Some(tc) = &mut self.trace_cache {
+            tc.reset();
         }
-        *self = FetchUnit::new(program, kind, fuel, mem_words);
+        self.ready_at = 0;
     }
 
     /// Fetch the next instruction along the (predicted) path, or `None`
     /// if fetch has stopped (a halt was supplied).
     #[allow(clippy::should_implement_trait)] // deliberate hardware name
     pub fn next(&mut self) -> Option<Fetched> {
-        match self {
-            FetchUnit::Replay { seq, pos, .. } => {
-                let f = *seq.get(*pos)?;
-                *pos += 1;
-                Some(f)
-            }
-            FetchUnit::Path {
-                program,
-                cur_pc,
-                predictor,
-            } => {
-                let pc = (*cur_pc)?;
-                if pc >= program.instrs.len() {
-                    // Synthetic halt: falling off the end stops the
-                    // machine (matching the golden interpreter).
-                    *cur_pc = None;
-                    return Some(Fetched {
-                        pc,
-                        instr: Instr::Halt,
-                        predicted_next: pc,
-                    });
-                }
-                let instr = program.instrs[pc];
-                let predicted_next = match instr {
-                    Instr::Jump { target } => target as usize,
-                    Instr::Branch { target, .. } => {
-                        if predictor.predict(pc, target as usize) {
-                            target as usize
-                        } else {
-                            pc + 1
-                        }
-                    }
-                    Instr::Halt => pc, // fetch stops
-                    _ => pc + 1,
-                };
-                *cur_pc = if matches!(instr, Instr::Halt) {
-                    None
-                } else {
-                    Some(predicted_next)
-                };
-                Some(Fetched {
-                    pc,
-                    instr,
-                    predicted_next,
-                })
-            }
-        }
+        let pc = self.cur_pc?;
+        let Some(&instr) = self.instrs.get(pc) else {
+            // Synthetic halt: falling off the end stops the machine
+            // (matching the golden interpreter).
+            self.cur_pc = None;
+            return Some(Fetched {
+                pc,
+                instr: Instr::Halt,
+                predicted_next: pc,
+            });
+        };
+        let predicted_next = self.predictor.next_pc(pc, instr);
+        self.cur_pc = (!matches!(instr, Instr::Halt)).then_some(predicted_next);
+        Some(Fetched {
+            pc,
+            instr,
+            predicted_next,
+        })
     }
 
-    /// Has fetch run dry (halt supplied / trace exhausted)?
+    /// Has fetch run dry (halt supplied)?
     pub fn exhausted(&self) -> bool {
-        match self {
-            FetchUnit::Replay { seq, pos, .. } => *pos >= seq.len(),
-            FetchUnit::Path { cur_pc, .. } => cur_pc.is_none(),
-        }
+        self.cur_pc.is_none()
+    }
+
+    /// The first cycle fetch can supply a station for: the end of the
+    /// last redirect's trace-cache miss stall (0 before any redirect).
+    pub fn ready_at(&self) -> u64 {
+        self.ready_at
     }
 
     /// Redirect to the architecturally correct pc after a misprediction
-    /// flush.
+    /// flush. Fetch supplies again from cycle `at`, or after the miss
+    /// penalty if the trace cache does not hold `pc`.
     ///
     /// # Panics
-    /// Panics on a perfect-replay unit (it can never mispredict).
-    pub fn redirect(&mut self, pc: usize) {
-        match self {
-            FetchUnit::Replay { .. } => {
-                panic!("perfect fetch redirected — misprediction under a perfect oracle")
-            }
-            FetchUnit::Path { cur_pc, .. } => *cur_pc = Some(pc),
-        }
+    /// Panics under perfect prediction (it can never mispredict).
+    pub fn redirect(&mut self, pc: usize, at: u64) {
+        assert!(
+            self.predictor.kind() != PredictorKind::Perfect,
+            "perfect fetch redirected — misprediction under a perfect oracle"
+        );
+        self.cur_pc = Some(pc);
+        self.ready_at = at + self.trace_cache.as_mut().map_or(0, |tc| tc.redirect(pc));
     }
 
     /// Train the predictor on a resolved branch.
     pub fn train(&mut self, pc: usize, taken: bool) {
-        if let FetchUnit::Path { predictor, .. } = self {
-            predictor.update(pc, taken);
-        }
+        self.predictor.update(pc, taken);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ultrascalar_isa::workload;
+    use ultrascalar_isa::{workload, Interp};
     use ultrascalar_isa::{BranchCond, Reg};
 
     fn branchy_program() -> Program {
@@ -239,7 +162,7 @@ mod tests {
     #[test]
     fn path_fetch_follows_not_taken_prediction() {
         let p = branchy_program();
-        let mut f = FetchUnit::new(&p, PredictorKind::NotTaken, 1000, 1 << 16);
+        let mut f = FetchUnit::new(&p, PredictorKind::NotTaken, 1 << 16);
         let pcs: Vec<usize> = std::iter::from_fn(|| f.next()).map(|x| x.pc).collect();
         // Predicts fall-through: 0, 1, 2, 3(halt) then stops.
         assert_eq!(pcs, vec![0, 1, 2, 3]);
@@ -249,7 +172,7 @@ mod tests {
     #[test]
     fn path_fetch_follows_taken_prediction() {
         let p = branchy_program();
-        let mut f = FetchUnit::new(&p, PredictorKind::Taken, 1000, 1 << 16);
+        let mut f = FetchUnit::new(&p, PredictorKind::Taken, 1 << 16);
         let pcs: Vec<usize> = std::iter::from_fn(|| f.next()).map(|x| x.pc).collect();
         assert_eq!(pcs, vec![0, 3]);
     }
@@ -257,7 +180,7 @@ mod tests {
     #[test]
     fn perfect_fetch_replays_golden_path() {
         let p = branchy_program();
-        let mut f = FetchUnit::new(&p, PredictorKind::Perfect, 1000, 1 << 16);
+        let mut f = FetchUnit::new(&p, PredictorKind::Perfect, 1 << 16);
         let pcs: Vec<usize> = std::iter::from_fn(|| f.next()).map(|x| x.pc).collect();
         assert_eq!(pcs, vec![0, 3]);
     }
@@ -265,27 +188,43 @@ mod tests {
     #[test]
     fn redirect_resumes_on_correct_path() {
         let p = branchy_program();
-        let mut f = FetchUnit::new(&p, PredictorKind::NotTaken, 1000, 1 << 16);
+        let mut f = FetchUnit::new(&p, PredictorKind::NotTaken, 1 << 16);
         assert_eq!(f.next().unwrap().pc, 0);
         assert_eq!(f.next().unwrap().pc, 1);
         // Branch resolves taken: redirect to 3.
-        f.redirect(3);
+        f.redirect(3, 0);
         assert_eq!(f.next().unwrap().pc, 3);
         assert!(f.next().is_none());
     }
 
     #[test]
+    fn redirect_stalls_on_a_trace_cache_miss() {
+        let p = branchy_program();
+        let mut f =
+            FetchUnit::new(&p, PredictorKind::NotTaken, 1 << 16).with_trace_cache(Some((2, 3)));
+        assert_eq!(f.ready_at(), 0);
+        f.redirect(3, 5);
+        assert_eq!(f.ready_at(), 8, "a miss stalls for the penalty");
+        f.redirect(3, 10);
+        assert_eq!(f.ready_at(), 10, "a hit resumes at once");
+        f.reset(&p, 1 << 16);
+        assert_eq!(f.ready_at(), 0);
+        f.redirect(3, 1);
+        assert_eq!(f.ready_at(), 4, "reset forgets cached traces");
+    }
+
+    #[test]
     fn falling_off_end_supplies_synthetic_halt() {
         let p = Program::new(vec![Instr::Nop], 1);
-        let mut f = FetchUnit::new(&p, PredictorKind::NotTaken, 1000, 1 << 16);
+        let mut f = FetchUnit::new(&p, PredictorKind::NotTaken, 1 << 16);
         assert_eq!(f.next().unwrap().pc, 0);
         let halt = f.next().unwrap();
         assert_eq!(halt.pc, 1);
         assert!(matches!(halt.instr, Instr::Halt));
         assert!(f.next().is_none());
 
-        // Perfect replay does the same.
-        let mut f = FetchUnit::new(&p, PredictorKind::Perfect, 1000, 1 << 16);
+        // Perfect prediction does the same.
+        let mut f = FetchUnit::new(&p, PredictorKind::Perfect, 1 << 16);
         assert_eq!(f.next().unwrap().pc, 0);
         assert!(matches!(f.next().unwrap().instr, Instr::Halt));
         assert!(f.next().is_none());
@@ -294,7 +233,7 @@ mod tests {
     #[test]
     fn jump_targets_are_followed_without_prediction() {
         let p = Program::new(vec![Instr::Jump { target: 2 }, Instr::Nop, Instr::Halt], 1);
-        let mut f = FetchUnit::new(&p, PredictorKind::NotTaken, 1000, 1 << 16);
+        let mut f = FetchUnit::new(&p, PredictorKind::NotTaken, 1 << 16);
         let pcs: Vec<usize> = std::iter::from_fn(|| f.next()).map(|x| x.pc).collect();
         assert_eq!(pcs, vec![0, 2]);
     }
@@ -304,7 +243,7 @@ mod tests {
         for (name, p) in workload::standard_suite(1) {
             let mut interp = Interp::new(&p, 1 << 16);
             let (_, trace) = interp.run_traced(1_000_000);
-            let mut f = FetchUnit::new(&p, PredictorKind::Perfect, 1_000_000, 1 << 16);
+            let mut f = FetchUnit::new(&p, PredictorKind::Perfect, 1 << 16);
             for rec in &trace {
                 let got = f.next().expect("fetch supplies whole trace");
                 assert_eq!(got.pc, rec.pc, "{name}");
@@ -316,8 +255,8 @@ mod tests {
     #[should_panic(expected = "perfect fetch redirected")]
     fn perfect_redirect_panics() {
         let p = branchy_program();
-        let mut f = FetchUnit::new(&p, PredictorKind::Perfect, 1000, 1 << 16);
-        f.redirect(0);
+        let mut f = FetchUnit::new(&p, PredictorKind::Perfect, 1 << 16);
+        f.redirect(0, 0);
     }
 }
 

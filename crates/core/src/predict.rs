@@ -6,11 +6,14 @@
 //! misprediction in one clock cycle") can be exercised at any accuracy
 //! point, including a *perfect* oracle for pure-dataflow studies.
 
+use ultrascalar_isa::{Instr, Interp, Program};
+
 /// Which predictor a processor uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PredictorKind {
-    /// Oracle: fetch follows the architecturally correct path
-    /// (zero mispredictions).
+    /// Oracle: the golden interpreter runs in lock-step with fetch and
+    /// supplies every branch's true direction, so fetch follows the
+    /// architecturally correct path (zero mispredictions).
     Perfect,
     /// Always predict not-taken (fall through).
     NotTaken,
@@ -23,19 +26,26 @@ pub enum PredictorKind {
     Bimodal(usize),
 }
 
-/// Dynamic predictor state (only the bimodal has any).
+/// Dynamic predictor state: the bimodal's counters, or the perfect
+/// predictor's oracle.
 #[derive(Debug, Clone)]
 pub struct Predictor {
     kind: PredictorKind,
     counters: Vec<u8>,
+    /// The golden interpreter, stepped once per fetched instruction
+    /// (perfect prediction only).
+    oracle: Option<Interp>,
 }
 
 impl Predictor {
-    /// Instantiate a predictor.
+    /// Instantiate a predictor for a run of `program`. The perfect
+    /// predictor's oracle runs it over a memory of `mem_words` words,
+    /// the size the processor's memory wraps addresses at; the other
+    /// kinds ignore both.
     ///
     /// # Panics
     /// Panics for `Bimodal(0)`.
-    pub fn new(kind: PredictorKind) -> Self {
+    pub fn new(kind: PredictorKind, program: &Program, mem_words: usize) -> Self {
         let counters = match kind {
             PredictorKind::Bimodal(entries) => {
                 assert!(entries > 0, "bimodal predictor needs entries");
@@ -43,7 +53,12 @@ impl Predictor {
             }
             _ => Vec::new(),
         };
-        Predictor { kind, counters }
+        let oracle = (kind == PredictorKind::Perfect).then(|| Interp::new(program, mem_words));
+        Predictor {
+            kind,
+            counters,
+            oracle,
+        }
     }
 
     /// The kind this predictor was built with.
@@ -51,24 +66,52 @@ impl Predictor {
         self.kind
     }
 
-    /// Forget all training, in place and allocation-free: every bimodal
-    /// counter returns to its power-on weakly-not-taken state, exactly
-    /// as `Predictor::new(self.kind())` would start.
-    pub fn reset(&mut self) {
+    /// Rewind for a new run of `program`, in place and allocation-free
+    /// once the oracle's buffers are large enough: every bimodal
+    /// counter returns to its power-on weakly-not-taken state and the
+    /// oracle restarts, exactly as
+    /// `Predictor::new(self.kind(), program, mem_words)` would start.
+    pub fn reset(&mut self, program: &Program, mem_words: usize) {
         self.counters.fill(1);
+        if let Some(oracle) = &mut self.oracle {
+            oracle.reset(program, mem_words);
+        }
     }
 
-    /// Predict the direction of the conditional branch at `pc` with the
-    /// given target.
-    pub fn predict(&self, pc: usize, target: usize) -> bool {
-        match self.kind {
-            // Perfect prediction is realised in the fetch unit (it
-            // replays the golden path); if consulted it behaves like
-            // BTFN, but it never is in normal operation.
-            PredictorKind::Perfect | PredictorKind::Btfn => target <= pc,
-            PredictorKind::NotTaken => false,
-            PredictorKind::Taken => true,
-            PredictorKind::Bimodal(_) => self.counters[pc % self.counters.len()] >= 2,
+    /// The pc fetch continues from after `instr` at `pc`: a jump's
+    /// target, the predicted direction of a conditional branch, the
+    /// halt itself (fetch stops there), otherwise the next instruction.
+    ///
+    /// The perfect predictor steps its oracle once per call, so fetch
+    /// must call this for every instruction it supplies, in order.
+    pub fn next_pc(&mut self, pc: usize, instr: Instr) -> usize {
+        let golden = self.oracle.as_mut().map(|oracle| {
+            debug_assert_eq!(oracle.pc, pc, "perfect fetch left the golden path");
+            oracle
+                .step()
+                .expect("perfect fetch supplies nothing past the golden halt")
+        });
+        match instr {
+            Instr::Jump { target } => target as usize,
+            Instr::Branch { target, .. } => {
+                let target = target as usize;
+                let taken = match self.kind {
+                    PredictorKind::Perfect => golden
+                        .and_then(|rec| rec.taken)
+                        .expect("the oracle executed this branch"),
+                    PredictorKind::NotTaken => false,
+                    PredictorKind::Taken => true,
+                    PredictorKind::Btfn => target <= pc,
+                    PredictorKind::Bimodal(_) => self.counters[pc % self.counters.len()] >= 2,
+                };
+                if taken {
+                    target
+                } else {
+                    pc + 1
+                }
+            }
+            Instr::Halt => pc,
+            _ => pc + 1,
         }
     }
 
@@ -89,50 +132,67 @@ impl Predictor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ultrascalar_isa::{BranchCond, Reg};
+
+    /// A heuristic predictor (its program is never read).
+    fn predictor(kind: PredictorKind) -> Predictor {
+        Predictor::new(kind, &Program::new(vec![Instr::Halt], 1), 1)
+    }
+
+    /// Does `p` predict the branch at `pc` to `target` taken?
+    fn taken(p: &mut Predictor, pc: usize, target: usize) -> bool {
+        let branch = Instr::Branch {
+            cond: BranchCond::Eq,
+            rs1: Reg(0),
+            rs2: Reg(0),
+            target: target as u32,
+        };
+        p.next_pc(pc, branch) == target
+    }
 
     #[test]
     fn static_predictors() {
-        let nt = Predictor::new(PredictorKind::NotTaken);
-        assert!(!nt.predict(10, 2));
-        let t = Predictor::new(PredictorKind::Taken);
-        assert!(t.predict(10, 2));
-        let b = Predictor::new(PredictorKind::Btfn);
-        assert!(b.predict(10, 2)); // backward: taken
-        assert!(!b.predict(10, 20)); // forward: not taken
+        let mut nt = predictor(PredictorKind::NotTaken);
+        assert!(!taken(&mut nt, 10, 2));
+        let mut t = predictor(PredictorKind::Taken);
+        assert!(taken(&mut t, 10, 2));
+        let mut b = predictor(PredictorKind::Btfn);
+        assert!(taken(&mut b, 10, 2)); // backward: taken
+        assert!(!taken(&mut b, 10, 20)); // forward: not taken
     }
 
     #[test]
     fn bimodal_learns_a_loop_branch() {
-        let mut p = Predictor::new(PredictorKind::Bimodal(16));
+        let mut p = predictor(PredictorKind::Bimodal(16));
         // Initially weakly not-taken.
-        assert!(!p.predict(5, 1));
+        assert!(!taken(&mut p, 5, 1));
         // Train taken twice → predicts taken.
         p.update(5, true);
         p.update(5, true);
-        assert!(p.predict(5, 1));
+        assert!(taken(&mut p, 5, 1));
         // Saturates: one not-taken doesn't flip it.
         p.update(5, true);
         p.update(5, false);
-        assert!(p.predict(5, 1));
+        assert!(taken(&mut p, 5, 1));
         // But repeated not-taken does.
         p.update(5, false);
         p.update(5, false);
-        assert!(!p.predict(5, 1));
+        assert!(!taken(&mut p, 5, 1));
     }
 
     #[test]
     fn bimodal_entries_are_independent_mod_table() {
-        let mut p = Predictor::new(PredictorKind::Bimodal(4));
+        let mut p = predictor(PredictorKind::Bimodal(4));
         p.update(0, true);
         p.update(0, true);
-        assert!(p.predict(0, 0));
-        assert!(!p.predict(1, 0)); // untrained entry
-        assert!(p.predict(4, 0)); // aliases with pc 0
+        assert!(taken(&mut p, 0, 0));
+        assert!(!taken(&mut p, 1, 0)); // untrained entry
+        assert!(taken(&mut p, 4, 0)); // aliases with pc 0
     }
 
     #[test]
     #[should_panic(expected = "needs entries")]
     fn zero_entry_bimodal_rejected() {
-        let _ = Predictor::new(PredictorKind::Bimodal(0));
+        let _ = predictor(PredictorKind::Bimodal(0));
     }
 }

@@ -66,10 +66,11 @@ impl RunOutcome {
 /// Interpreter state.
 #[derive(Debug, Clone)]
 pub struct Interp {
-    program: Program,
+    /// The program's instructions.
+    instrs: Vec<Instr>,
     /// Current program counter (instruction index).
     pub pc: usize,
-    /// Register file, length `program.num_regs`.
+    /// Register file, length `num_regs` of the program.
     pub regs: Vec<u32>,
     /// Word-addressed data memory.
     pub mem: Vec<u32>,
@@ -91,20 +92,37 @@ impl Interp {
     /// # Panics
     /// Panics if the program fails [`Program::validate`].
     pub fn new(program: &Program, mem_words: usize) -> Self {
+        let mut interp = Interp {
+            instrs: Vec::new(),
+            pc: 0,
+            regs: Vec::new(),
+            mem: Vec::new(),
+            halted: false,
+            steps: 0,
+        };
+        interp.reset(program, mem_words);
+        interp
+    }
+
+    /// Rewind to the start of `program` in place. Equivalent to
+    /// `*self = Interp::new(program, mem_words)`, but allocation-free
+    /// once the retained buffers are large enough.
+    ///
+    /// # Panics
+    /// Panics if the program fails [`Program::validate`].
+    pub fn reset(&mut self, program: &Program, mem_words: usize) {
         program
             .validate()
             .expect("program must validate before execution");
+        self.instrs.clone_from(&program.instrs);
+        self.regs.clone_from(&program.init_regs);
         let size = mem_words.max(program.init_mem.len()).max(1);
-        let mut mem = vec![0u32; size];
-        mem[..program.init_mem.len()].copy_from_slice(&program.init_mem);
-        Interp {
-            program: program.clone(),
-            pc: 0,
-            regs: program.init_regs.clone(),
-            mem,
-            halted: false,
-            steps: 0,
-        }
+        self.mem.clear();
+        self.mem.resize(size, 0);
+        self.mem[..program.init_mem.len()].copy_from_slice(&program.init_mem);
+        self.pc = 0;
+        self.halted = false;
+        self.steps = 0;
     }
 
     /// Dynamic instructions committed so far.
@@ -124,7 +142,7 @@ impl Interp {
         if self.halted {
             return None;
         }
-        let Some(&instr) = self.program.instrs.get(self.pc) else {
+        let Some(&instr) = self.instrs.get(self.pc) else {
             // Fell off the end: implicit halt.
             self.halted = true;
             return None;
@@ -182,7 +200,7 @@ impl Interp {
                 }
             }
         }
-        if next_pc >= self.program.instrs.len() {
+        if next_pc >= self.instrs.len() {
             // Next fetch would fall off the end; treat as a clean halt
             // after this instruction commits.
             self.halted = true;
@@ -408,6 +426,80 @@ mod tests {
         assert_eq!(m.regs, vec![11, 22]);
         assert_eq!(&m.mem[..3], &[5, 6, 7]);
         assert!(m.mem.len() >= 3);
+    }
+
+    /// Everything a fresh interpreter's state consists of.
+    fn assert_same_state(got: &Interp, want: &Interp) {
+        assert_eq!(got.instrs, want.instrs);
+        assert_eq!(got.pc, want.pc);
+        assert_eq!(got.regs, want.regs);
+        assert_eq!(got.mem, want.mem);
+        assert_eq!(got.halted, want.halted);
+        assert_eq!(got.steps, want.steps);
+    }
+
+    #[test]
+    fn reset_matches_a_fresh_interpreter() {
+        // Four registers, a 40-word image and a store/load loop.
+        let large = prog(
+            vec![
+                Instr::LoadImm { rd: Reg(0), imm: 0 },
+                Instr::LoadImm { rd: Reg(1), imm: 5 },
+                Instr::Store {
+                    src: Reg(3),
+                    base: Reg(0),
+                    offset: 20,
+                },
+                Instr::Load {
+                    rd: Reg(2),
+                    base: Reg(0),
+                    offset: 1,
+                },
+                Instr::AluImm {
+                    op: AluOp::Add,
+                    rd: Reg(0),
+                    rs1: Reg(0),
+                    imm: 1,
+                },
+                Instr::Branch {
+                    cond: BranchCond::Ne,
+                    rs1: Reg(0),
+                    rs2: Reg(1),
+                    target: 2,
+                },
+                Instr::Halt,
+            ],
+            4,
+        )
+        .with_init_regs(vec![0, 0, 0, 42])
+        .with_init_mem((0..40).collect());
+        // One register, a 2-word image, and no halt: it falls off the
+        // end.
+        let small = prog(
+            vec![
+                Instr::Load {
+                    rd: Reg(0),
+                    base: Reg(0),
+                    offset: 1,
+                },
+                Instr::Store {
+                    src: Reg(0),
+                    base: Reg(0),
+                    offset: 0,
+                },
+            ],
+            1,
+        )
+        .with_init_mem(vec![7, 8]);
+        let mut reused = Interp::new(&large, 64);
+        reused.run(1000);
+        for (p, mem_words) in [(&small, 4), (&large, 16), (&small, 128), (&large, 64)] {
+            reused.reset(p, mem_words);
+            let mut fresh = Interp::new(p, mem_words);
+            assert_same_state(&reused, &fresh);
+            assert_eq!(reused.run_traced(1000), fresh.run_traced(1000));
+            assert_same_state(&reused, &fresh);
+        }
     }
 
     #[test]
