@@ -26,9 +26,11 @@ fn main() {
     let mut all_equal = true;
     for (name, prog) in workload::standard_suite(2026) {
         let cfg = ProcConfig::ultrascalar_i(8).with_predictor(PredictorKind::Bimodal(64));
-        let a = Ultrascalar::new(cfg.clone()).run(&prog);
-        let b = BaselineOoO::new(cfg).run(&prog);
-        let identical = a.cycles == b.cycles && a.timings == b.timings && a.regs == b.regs;
+        let a = Ultrascalar::new(cfg.clone()).run_timed(&prog);
+        let b = BaselineOoO::new(cfg).run_timed(&prog);
+        let identical = a.cycles == b.cycles
+            && a.recorded_timings() == b.recorded_timings()
+            && a.regs == b.regs;
         all_equal &= identical;
         t.row(vec![
             name.to_string(),

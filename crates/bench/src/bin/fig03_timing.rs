@@ -12,10 +12,10 @@ use ultrascalar_isa::workload;
 fn main() {
     let prog = workload::figure1_sequence();
     let mut proc = Ultrascalar::new(ProcConfig::ultrascalar_i(8));
-    let result = proc.run(&prog);
+    let result = proc.run_timed(&prog);
     println!("Figure 3 — relative execution time of each instruction");
     println!("(division 10 cycles, multiplication 3, addition 1)\n");
-    println!("{}", render_timing_diagram(&result.timings));
+    println!("{}", render_timing_diagram(result.recorded_timings()));
     println!(
         "total: {} cycles for {} instructions (IPC {:.2})",
         result.cycles,

@@ -443,7 +443,13 @@ pub fn execute_program(o: &RunOptions, program: &Program) -> Result<(RunResult, 
     let cfg = build_config(o)?;
     let mut proc = Ultrascalar::new(cfg);
     let name = proc.name();
-    let r = proc.run(program);
+    // Only the timing diagram and the occupancy grid read the
+    // per-instruction record.
+    let r = if o.diagram || o.occupancy {
+        proc.run_timed(program)
+    } else {
+        proc.run(program)
+    };
     let mut out = String::new();
     out.push_str(&format!(
         "{name}: {} — {} instructions in {} cycles (IPC {:.2})\n",
@@ -491,11 +497,11 @@ pub fn execute_program(o: &RunOptions, program: &Program) -> Result<(RunResult, 
     }
     if o.diagram {
         out.push('\n');
-        out.push_str(&render_timing_diagram(&r.timings));
+        out.push_str(&render_timing_diagram(r.recorded_timings()));
     }
     if o.occupancy {
         out.push('\n');
-        out.push_str(&render_station_occupancy(&r.timings, o.window));
+        out.push_str(&render_station_occupancy(r.recorded_timings(), o.window));
     }
     Ok((r, out))
 }

@@ -473,10 +473,10 @@ mod tests {
             let population = workload::lane_variants(&prog, n, 0xD15EA5E);
             let refs: Vec<&Program> = population.iter().collect();
             for cfg in &configs {
-                let mut got = vec![RunResult::default(); n];
+                let mut got = vec![RunResult::recording_timings(); n];
                 pool.run_population(cfg, &refs, &mut got);
                 for (l, (g, p)) in got.iter().zip(&refs).enumerate() {
-                    let mut want = RunResult::default();
+                    let mut want = RunResult::recording_timings();
                     Ultrascalar::new(cfg.clone()).run_reusing(p, &mut want);
                     assert_eq!(g, &want, "lane {l} differs from serial");
                 }

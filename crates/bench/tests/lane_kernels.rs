@@ -21,7 +21,7 @@ fn serial_runs(cfg: &ProcConfig, programs: &[&Program]) -> Vec<RunResult> {
     programs
         .iter()
         .map(|p| {
-            let mut r = RunResult::default();
+            let mut r = RunResult::recording_timings();
             Ultrascalar::new(cfg.clone()).run_reusing(p, &mut r);
             r
         })
@@ -34,7 +34,11 @@ fn assert_identical(label: &str, lane: &RunResult, serial: &RunResult, l: usize)
     assert_eq!(lane.regs, serial.regs, "{label}: lane {l} registers");
     assert_eq!(lane.mem, serial.mem, "{label}: lane {l} memory");
     assert_eq!(lane.stats, serial.stats, "{label}: lane {l} stats");
-    assert_eq!(lane.timings, serial.timings, "{label}: lane {l} timings");
+    assert_eq!(
+        lane.recorded_timings(),
+        serial.recorded_timings(),
+        "{label}: lane {l} timings"
+    );
 }
 
 #[test]
@@ -83,7 +87,7 @@ fn lane_batches_match_serial_over_the_kernel_suite() {
                 let refs: Vec<&Program> = population.iter().collect();
                 let expect = serial_runs(cfg, &refs);
                 let mut engine = LaneBatchEngine::new(cfg.clone());
-                let mut got = vec![RunResult::default(); b];
+                let mut got = vec![RunResult::recording_timings(); b];
                 engine.run_batch(&refs, &mut got);
                 for (l, (g, e)) in got.iter().zip(&expect).enumerate() {
                     assert_identical(&label, g, e, l);
@@ -116,7 +120,7 @@ fn branchy_kernels_segment_into_epochs_and_spec_storm_replay_peels() {
         let refs: Vec<&Program> = population.iter().collect();
         let expect = serial_runs(&cfg, &refs);
         let mut engine = LaneBatchEngine::new(cfg.clone());
-        let mut got = vec![RunResult::default(); 64];
+        let mut got = vec![RunResult::recording_timings(); 64];
         engine.run_batch(&refs, &mut got);
         for (l, (g, e)) in got.iter().zip(&expect).enumerate() {
             assert_identical(kname, g, e, l);

@@ -15,10 +15,11 @@
 //! must stay allocation-free per worker under contention (the locks,
 //! `Arc` program handles and pool checkout/checkin allocate nothing).
 //!
-//! A bounded-memory probe rides along: a cold perfect-prediction run of
+//! Bounded-memory probes ride along: a cold perfect-prediction run of
 //! a non-halting loop must allocate in proportion to the run it was
 //! asked for (its cycle budget), not to some fixed look-ahead of the
-//! program's execution.
+//! program's execution; and a cold 1M-cycle serve run must allocate a
+//! fixed amount, not one record per committed or squashed instruction.
 //!
 //! Counting is gated on a const-initialised thread-local so only armed
 //! threads' allocations register (the libtest harness thread lazily
@@ -385,4 +386,45 @@ fn perfect_prediction_on_a_spin_loop_allocates_boundedly() {
         bytes < 4 << 20,
         "a cold 1000-cycle perfect-prediction run allocated {bytes} bytes"
     );
+}
+
+#[test]
+fn long_serve_runs_allocate_boundedly() {
+    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    // A spin loop under a bimodal predictor commits about a million
+    // instructions per million cycles, and the second loop mispredicts
+    // every other iteration at window 256, squashing up to 255
+    // wrong-path stations per flush. Neither response needs a
+    // per-instruction record.
+    for (name, req, window) in [
+        (
+            "spin",
+            r#"{"program":"loop:\naddi r1, r1, 1\nj loop\n","options":{"window":64,"predictor":"bimodal:256","max_cycles":1000000}}"#,
+            64,
+        ),
+        (
+            "mispredicting",
+            r#"{"program":"loop:\naddi r1, r1, 1\nandi r2, r1, 1\nbeq r2, r0, skip\nnop\nskip:\nj loop\n","options":{"window":256,"predictor":"bimodal:256","max_cycles":1000000}}"#,
+            256,
+        ),
+    ] {
+        let mut server = Server::new(8, 4);
+        let guard = ProbeGuard::arm();
+        let before = BYTES.load(Ordering::SeqCst);
+        let resp = server.handle_line(req).to_string();
+        let bytes = BYTES.load(Ordering::SeqCst) - before;
+        drop(guard);
+        assert!(
+            resp.starts_with("{\"ok\":true,") && resp.contains("\"cycles\":1000000,"),
+            "{name}: {resp}"
+        );
+        assert!(
+            resp.contains(&format!("\"window\":{window},")),
+            "{name}: {resp}"
+        );
+        assert!(
+            bytes < 4 << 20,
+            "{name}: a cold 1M-cycle serve run allocated {bytes} bytes"
+        );
+    }
 }

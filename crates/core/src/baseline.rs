@@ -76,7 +76,7 @@ impl Processor for BaselineOoO {
         format!("baseline-ooo(n={})", self.cfg.window)
     }
 
-    fn run(&mut self, program: &Program) -> RunResult {
+    fn run_reusing(&mut self, program: &Program, out: &mut RunResult) {
         program.validate().expect("program must validate");
         let n = self.cfg.window;
         let lat = self.cfg.latency;
@@ -85,13 +85,26 @@ impl Processor for BaselineOoO {
         let mut fetch = FetchUnit::new(program, self.cfg.predictor, words)
             .with_trace_cache(self.cfg.trace_cache);
         let mut mem = MemSystem::new(self.cfg.mem.clone(), &program.init_mem);
-        let mut committed_regs = program.init_regs.clone();
+        // Registers, stats and timings (when the caller asked for
+        // them) accumulate directly into `out`.
+        let RunResult {
+            halted: out_halted,
+            cycles: out_cycles,
+            regs: committed_regs,
+            mem: out_mem,
+            stats,
+            timings,
+        } = out;
+        committed_regs.clone_from(&program.init_regs);
         let mut rename: Vec<Option<u64>> = vec![None; program.num_regs];
         let mut rob: VecDeque<RobEntry> = VecDeque::with_capacity(n);
         let mut next_seq: u64 = 0;
         let mut alloc_counter: usize = 0;
-        let mut stats = ProcStats::default();
-        let mut timings: Vec<InstrTiming> = Vec::new();
+        stats.reset();
+        let mut timings = timings.as_mut();
+        if let Some(t) = timings.as_mut() {
+            t.clear();
+        }
         let mut halted = false;
         let mut alu_free_at: Vec<u64> = self.cfg.alus.map(|k| vec![0u64; k]).unwrap_or_default();
 
@@ -144,10 +157,10 @@ impl Processor for BaselineOoO {
             &mut rob,
             &mut fetch,
             &mut rename,
-            &committed_regs,
+            committed_regs,
             &mut next_seq,
             &mut alloc_counter,
-            &mut stats,
+            stats,
             0,
         );
 
@@ -389,15 +402,17 @@ impl Processor for BaselineOoO {
                 let synthetic = e.st.is_synthetic(program.len());
                 if !synthetic {
                     stats.committed += 1;
-                    timings.push(InstrTiming {
-                        seq,
-                        pc: e.st.pc,
-                        instr: e.st.instr,
-                        fetched: e.st.fetched_at,
-                        issue: e.st.issued_at.expect("retired ⇒ issued"),
-                        complete: e.st.completed_at.expect("retired ⇒ completed"),
-                        slot: e.ring_index % n,
-                    });
+                    if let Some(timings) = timings.as_mut() {
+                        timings.push(InstrTiming {
+                            seq,
+                            pc: e.st.pc,
+                            instr: e.st.instr,
+                            fetched: e.st.fetched_at,
+                            issue: e.st.issued_at.expect("retired ⇒ issued"),
+                            complete: e.st.completed_at.expect("retired ⇒ completed"),
+                            slot: e.ring_index % n,
+                        });
+                    }
                     if e.st.instr.is_branch() {
                         stats.branches += 1;
                         if e.st.mispredicted() {
@@ -439,10 +454,10 @@ impl Processor for BaselineOoO {
                     &mut rob,
                     &mut fetch,
                     &mut rename,
-                    &committed_regs,
+                    committed_regs,
                     &mut next_seq,
                     &mut alloc_counter,
-                    &mut stats,
+                    stats,
                     t + 1,
                 );
             }
@@ -483,15 +498,15 @@ impl Processor for BaselineOoO {
 
         stats.cycles = t;
         stats.mem = mem.stats();
-        timings.sort_by_key(|x| x.seq);
-        RunResult {
-            halted,
-            cycles: t,
-            regs: committed_regs,
-            mem: mem.snapshot().to_vec(),
-            stats,
-            timings,
-        }
+        // The ROB retires in program order, so the record is already
+        // sorted by `seq`.
+        debug_assert!(timings
+            .as_ref()
+            .is_none_or(|t| t.windows(2).all(|w| w[0].seq < w[1].seq)));
+        out_mem.clear();
+        out_mem.extend_from_slice(mem.snapshot());
+        *out_cycles = t;
+        *out_halted = halted;
     }
 }
 

@@ -127,6 +127,7 @@
 
 use crate::config::{ForwardModel, ProcConfig};
 use crate::fetch::FetchUnit;
+use crate::lane::MAX_LEADER_LOG;
 use crate::processor::{Processor, RunResult};
 use crate::station::{MemPhase, StationEntry};
 use crate::stats::ProcStats;
@@ -587,22 +588,35 @@ pub struct FlushedEntry {
 }
 
 /// Wrong-path trace of a run: every misprediction flush with its
-/// squashed entries, in flush order. Maintained unconditionally (a
-/// flush pushes one entry per squashed station, up to `n - 1`, into
-/// retained buffers), consumed by the lane batcher's epoch-segmented
-/// replay; cleared at the top of every run.
-#[derive(Debug, Default)]
+/// squashed entries, in flush order. Filled only by
+/// [`Ultrascalar::run_logging_flushes`], the run the lane batcher
+/// starts as a group leader (a flush pushes one entry per squashed
+/// station, up to `n - 1`, into retained buffers), and consumed by its
+/// epoch-segmented replay. Every other run leaves it empty. The log
+/// holds at most [`MAX_LEADER_LOG`] entries: a run that would exceed
+/// that stops logging, frees the buffers and reports the log
+/// incomplete.
+#[derive(Debug, Clone, Default)]
 pub struct ReplayLog {
     /// Flush events, in flush (time) order.
     pub events: Vec<FlushEvent>,
     /// Flushed entries, grouped by event (see [`FlushEvent::start`]).
     pub entries: Vec<FlushedEntry>,
+    /// Did the most recent run log every flush?
+    complete: bool,
 }
 
 impl ReplayLog {
     fn clear(&mut self) {
         self.events.clear();
         self.entries.clear();
+        self.complete = false;
+    }
+
+    /// Whether the most recent run logged every flush: it was asked to
+    /// log and stayed within [`MAX_LEADER_LOG`] entries.
+    pub fn is_complete(&self) -> bool {
+        self.complete
     }
 
     /// The entries squashed by one flush event.
@@ -689,9 +703,19 @@ impl Ultrascalar {
     }
 
     /// The wrong-path trace of the most recent run: every misprediction
-    /// flush with its squashed entries, in flush order.
+    /// flush with its squashed entries, in flush order. Empty unless
+    /// that run was [`Ultrascalar::run_logging_flushes`].
     pub fn replay_log(&self) -> &ReplayLog {
         &self.scratch.replay
+    }
+
+    /// [`Processor::run_reusing`], also logging every misprediction
+    /// flush into [`Ultrascalar::replay_log`] (up to
+    /// [`MAX_LEADER_LOG`] entries). The lane batcher runs each group
+    /// leader this way; the schedule and result are the same as an
+    /// unlogged run's.
+    pub fn run_logging_flushes(&mut self, program: &Program, out: &mut RunResult) {
+        self.run_inner(program, out, true);
     }
 
     /// What the per-cycle walk did in the most recent run (all zero
@@ -723,17 +747,18 @@ impl Processor for Ultrascalar {
         }
     }
 
-    fn run(&mut self, program: &Program) -> RunResult {
-        let mut out = RunResult::default();
-        self.run_reusing(program, &mut out);
-        out
-    }
-
     fn reset(&mut self) {
         self.scratch = EngineScratch::default();
     }
 
     fn run_reusing(&mut self, program: &Program, out: &mut RunResult) {
+        self.run_inner(program, out, false);
+    }
+}
+
+impl Ultrascalar {
+    /// One run into `out`; `log_flushes` fills the replay log.
+    fn run_inner(&mut self, program: &Program, out: &mut RunResult, mut log_flushes: bool) {
         program.validate().expect("program must validate");
         let n = self.cfg.window;
         let c = self.cfg.cluster;
@@ -797,8 +822,9 @@ impl Processor for Ultrascalar {
         let mut next_seq: u64 = 0;
 
         // The caller's result buffer is the working state: committed
-        // registers and timings accumulate directly into `out`, so
-        // finishing a run writes nothing it would have to copy.
+        // registers, and timings when the caller asked for them,
+        // accumulate directly into `out`, so finishing a run writes
+        // nothing it would have to copy.
         let RunResult {
             halted: out_halted,
             cycles: out_cycles,
@@ -808,7 +834,10 @@ impl Processor for Ultrascalar {
             timings,
         } = out;
         stats.reset();
-        timings.clear();
+        let mut timings = timings.as_mut();
+        if let Some(t) = timings.as_mut() {
+            t.clear();
+        }
         committed_regs.clone_from(&program.init_regs);
         let mut halted = false;
         // Shared-ALU pool: first cycle each unit is free again.
@@ -1289,16 +1318,20 @@ impl Processor for Ultrascalar {
                 }
                 let correct = e.actual_next.expect("resolved branch has next");
                 let flusher_seq = e.seq;
-                // Record the wrong-path suffix before it is squashed.
+                // Log the wrong-path suffix before it is squashed, or
+                // stop logging if it would overflow the log.
                 let start = replay.entries.len();
-                for k in j + 1..len {
-                    replay.push_entry(&ring[ring_slot(head, k, n)].e, t);
-                }
-                if replay.entries.len() > start {
+                if log_flushes && start + (len - (j + 1)) > MAX_LEADER_LOG {
+                    log_flushes = false;
+                    *replay = ReplayLog::default();
+                } else if log_flushes && j + 1 < len {
+                    for k in j + 1..len {
+                        replay.push_entry(&ring[ring_slot(head, k, n)].e, t);
+                    }
                     replay.events.push(FlushEvent {
                         branch_seq: flusher_seq,
                         start,
-                        len: replay.entries.len() - start,
+                        len: len - (j + 1),
                     });
                 }
                 // Flush everything younger; refill reuses the flushed
@@ -1349,15 +1382,17 @@ impl Processor for Ultrascalar {
                     let e = &ring[slot].e;
                     if !e.is_synthetic(program.len()) {
                         stats.committed += 1;
-                        timings.push(InstrTiming {
-                            seq: e.seq,
-                            pc: e.pc,
-                            instr: e.instr,
-                            fetched: e.fetched_at,
-                            issue: e.issued_at.expect("committed ⇒ issued"),
-                            complete: e.completed_at.expect("committed ⇒ completed"),
-                            slot,
-                        });
+                        if let Some(timings) = timings.as_mut() {
+                            timings.push(InstrTiming {
+                                seq: e.seq,
+                                pc: e.pc,
+                                instr: e.instr,
+                                fetched: e.fetched_at,
+                                issue: e.issued_at.expect("committed ⇒ issued"),
+                                complete: e.completed_at.expect("committed ⇒ completed"),
+                                slot,
+                            });
+                        }
                         if e.instr.is_branch() {
                             stats.branches += 1;
                             if e.mispredicted() {
@@ -1458,9 +1493,12 @@ impl Processor for Ultrascalar {
         wake.settle_census();
         stats.cycles = t;
         stats.mem = mem.stats();
-        // Timings carry unique `seq` keys, so the unstable sort is
-        // deterministic — and, unlike the stable sort, allocation-free.
-        timings.sort_unstable_by_key(|x| x.seq);
+        // Commit retires in program order, so the record is already
+        // sorted by `seq`.
+        debug_assert!(timings
+            .as_ref()
+            .is_none_or(|t| t.windows(2).all(|w| w[0].seq < w[1].seq)));
+        replay.complete = log_flushes;
         out_mem.clear();
         out_mem.extend_from_slice(mem.snapshot());
         *out_cycles = t;

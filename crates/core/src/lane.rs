@@ -84,21 +84,27 @@
 //! # Self-verification
 //!
 //! The lock-step pass mirrors the golden interpreter's semantics, and
-//! lane 0 runs through **both** paths. The pass is pinned against the
-//! engine at every step (committed pc sequence), at every boundary
-//! (lane 0's replayed directions and addresses must equal the logged
-//! ones, and the flush events must tile the committed-sequence gaps
-//! exactly), and at the end (lane 0's lock-step registers, memory,
-//! halt flag and step count against the engine's). Any mismatch — or
-//! a leader run that ran out of cycle budget, or flush structure the
-//! replay cannot account for (nested flushes whose flusher never
-//! commits, wrong-path work past the end of the program) — demotes
-//! the whole group to serial scalar runs, per-cause counted in
-//! [`LaneBatchStats`]. Correctness never depends on the lock-step
-//! pass being right — only throughput does. Batch-level accounting
-//! lives in [`LaneBatchStats`], *outside* [`crate::ProcStats`], so
-//! every per-lane result stays bit-for-bit identical to its serial
-//! twin (a lane counter inside `ProcStats` would break exactly the
+//! lane 0 runs through **both** paths. The leader records nothing per
+//! instruction for the pass: the pass tracks the leader's committed
+//! sequence numbers itself and aligns them with the leader's flush
+//! log. An event is a committed flusher's (*outer*) event iff its
+//! `branch_seq` is below that of every later event, because nested
+//! events precede their outer one. The pass is pinned against the
+//! engine at every step (the next outer event's flusher must be
+//! reached exactly, at a branch), at every boundary (the events must
+//! tile the gap exactly, and lane 0's replayed directions and
+//! addresses must equal the logged ones), and at the end (the walk's
+//! step count must equal the leader's committed count with every
+//! event consumed, and lane 0's lock-step registers and memory must
+//! equal the engine's). Any mismatch — or a leader run that ran out
+//! of cycle budget or of flush log ([`MAX_LEADER_LOG`]), or flush
+//! structure the replay cannot account for — demotes the whole group
+//! to serial scalar runs, per-cause counted in [`LaneBatchStats`].
+//! Correctness never depends on the lock-step pass being right — only
+//! throughput does. Batch-level accounting lives in
+//! [`LaneBatchStats`], *outside* [`crate::ProcStats`], so every
+//! per-lane result stays bit-for-bit identical to its serial twin (a
+//! lane counter inside `ProcStats` would break exactly the
 //! differential guarantee this mode is pinned by).
 
 use std::borrow::Borrow;
@@ -111,6 +117,13 @@ use ultrascalar_prefix::lanes::{self, LaneValue, LANES};
 
 /// Maximum lanes per batch: one simulation per bit of the plane word.
 pub const MAX_LANES: usize = LANES;
+
+/// Most flushed entries a group leader's [`ReplayLog`] holds (about
+/// 24 MB of entries plus at most 12 MB of events). A leader whose log
+/// would grow past it stops logging, and its group is served as serial
+/// runs ([`LaneBatchStats::fallback_leader`]), so no lane group's
+/// memory grows with the length of its run.
+pub const MAX_LEADER_LOG: usize = 1 << 19;
 
 /// Batch-level counters for lane-parallel execution. Kept separate
 /// from [`crate::ProcStats`] so per-lane results remain byte-identical
@@ -141,7 +154,9 @@ pub struct LaneBatchStats {
     /// Demotions: programs not lane-batchable (instruction streams,
     /// register-file sizes, or effective memory sizes differ).
     pub fallback_incompatible: u64,
-    /// Demotions: the leader run never halted (cycle budget).
+    /// Demotions: the leader ran out of budget or log — it never
+    /// halted (cycle budget), or its flush log outgrew
+    /// [`MAX_LEADER_LOG`].
     pub fallback_leader: u64,
     /// Demotions: the lock-step walk could not account for the
     /// leader's schedule — committed-path or flush-boundary structure
@@ -226,6 +241,9 @@ pub struct LaneBatcher {
     /// Undo journal for overlay register writes inside event scopes:
     /// (register, previous generation stamp, previous lane values).
     journal: Vec<(usize, u32, [u32; LANES])>,
+    /// Indices of the leader's outer flush events (those of committed
+    /// flushers), youngest first, so the next one is last.
+    outer: Vec<usize>,
     stats: LaneBatchStats,
 }
 
@@ -258,6 +276,11 @@ impl LaneBatcher {
     /// (anything that borrows as [`Program`]), so pooled callers like
     /// `usim serve` batch straight from their cache handles.
     ///
+    /// Every slot must ask the same of timings as `out[0]`: all
+    /// `Some` (record) or all `None` (record nothing). Converged lanes
+    /// copy the leader's record, so a mixed group is a caller bug
+    /// (checked in debug builds).
+    ///
     /// # Panics
     /// Panics if `programs` and `out` differ in length, are empty, or
     /// exceed [`MAX_LANES`].
@@ -274,6 +297,11 @@ impl LaneBatcher {
             engine.run_reusing(programs[0].borrow(), &mut out[0]);
             return;
         }
+        debug_assert!(
+            out.iter()
+                .all(|slot| slot.timings.is_some() == out[0].timings.is_some()),
+            "every lane's timings sink must match lane 0's"
+        );
         let Some(words) = compatible_words(engine.config(), programs) else {
             self.stats.fallbacks += 1;
             self.stats.fallback_incompatible += 1;
@@ -281,14 +309,15 @@ impl LaneBatcher {
             return;
         };
 
-        // Leader pass through the real engine.
-        engine.run_reusing(programs[0].borrow(), &mut out[0]);
+        // Leader pass through the real engine, logging its flushes.
         let (leader, rest) = out.split_first_mut().expect("n >= 2");
+        engine.run_logging_flushes(programs[0].borrow(), leader);
 
         // Schedule-sharing gate: mispredictions and flushes are now
         // handled epoch-by-epoch (see module docs); only a leader that
-        // ran out of cycle budget demotes the group outright.
-        if !leader.halted {
+        // ran out of cycle budget or of flush log demotes the group
+        // outright.
+        if !leader.halted || !engine.replay_log().is_complete() {
             self.stats.fallbacks += 1;
             self.stats.fallback_leader += 1;
             run_serial(engine, &programs[1..], rest);
@@ -296,6 +325,21 @@ impl LaneBatcher {
         }
 
         let pass = self.lockstep(programs, words, leader, engine.replay_log());
+        self.settle(engine, programs, leader, rest, pass);
+    }
+
+    /// Deliver a group's results from the lock-step pass's verdict:
+    /// shared results if it completed and lane 0 verifies, serial runs
+    /// otherwise.
+    fn settle<P: Borrow<Program>>(
+        &mut self,
+        engine: &mut Ultrascalar,
+        programs: &[P],
+        leader: &RunResult,
+        rest: &mut [RunResult],
+        pass: Option<Lockstep>,
+    ) {
+        let n = programs.len();
         match pass {
             Some(pass) if self.verify_leader(programs[0].borrow().num_regs, leader) => {
                 self.stats.batches += 1;
@@ -320,11 +364,12 @@ impl LaneBatcher {
 
     /// The bit-sliced architectural lock-step pass: a mirror of the
     /// golden interpreter's step semantics over all lanes at once,
-    /// peeling lanes that diverge from lane 0 — aligned step-for-step
-    /// with the leader's committed timings, with every seq gap matched
-    /// against a logged flush event and replayed (see module docs).
-    /// Returns `None` if the walk disagrees with the leader's schedule
-    /// anywhere (which demotes the group to serial).
+    /// peeling lanes that diverge from lane 0. It tracks the leader's
+    /// committed sequence numbers itself and aligns them with the
+    /// leader's flush log: each outer event opens a seq gap after its
+    /// committed flusher, which is matched and replayed (see module
+    /// docs). Returns `None` if the walk disagrees with the leader's
+    /// schedule anywhere (which demotes the group to serial).
     fn lockstep<P: Borrow<Program>>(
         &mut self,
         programs: &[P],
@@ -367,12 +412,25 @@ impl LaneBatcher {
         self.wp_gen.resize(num_regs, 0);
         self.wp_gen_cur = 0;
 
+        // The outer events: nested events precede their outer one, so
+        // an event is outer iff its `branch_seq` is below that of every
+        // later event. Youngest first, so the next one is last.
+        self.outer.clear();
+        let mut later = u64::MAX;
+        for (i, e) in replay.events.iter().enumerate().rev() {
+            if e.branch_seq < later {
+                later = e.branch_seq;
+                self.outer.push(i);
+            }
+        }
+
         let instrs = &p0.instrs;
-        let timings = &leader.timings;
+        let committed = leader.stats.committed;
         let mut active = lanes::mask_lo(n);
         let mut replay_peeled = 0u64;
         let mut pc = 0usize;
-        let mut k = 0usize; // index into the leader's committed timings
+        let mut seq = 0u64; // the leader's seq of this step's instruction
+        let mut walked = 0u64; // committed instructions walked
         let mut ev = 0usize; // index into the leader's flush events
         let mut gaps = 0u64; // flush boundaries walked
         let mut halted = false;
@@ -381,11 +439,10 @@ impl LaneBatcher {
                 // Fell off the end: implicit halt, no commit.
                 break;
             };
-            // The walk must track the leader's committed sequence
-            // exactly; outrunning it or visiting a different pc means
-            // the pass has diverged from the engine.
-            let tk = timings.get(k)?;
-            if tk.pc != pc {
+            // The walk must not outrun the leader's commits. (One that
+            // steps past an outer event's flusher leaves that event
+            // unconsumed, which the end check catches.)
+            if walked == committed {
                 return None;
             }
             let mut next_pc = pc + 1;
@@ -442,38 +499,42 @@ impl LaneBatcher {
                     }
                 }
             }
-            // Epoch boundary: a seq gap to the next committed
-            // instruction means this one flushed wrong-path work. The
-            // gap's flush events (nested ones first, the committed
-            // flusher's own last) must tile it exactly, and every lane
+            // Epoch boundary: the next outer event's flusher is this
+            // branch, so it flushed wrong-path work, and the next
+            // committed seq lies past that event and the nested events
+            // before it. They must tile the gap exactly, and every lane
             // must agree with the leader on the replayed resolved
             // directions and addresses to stay converged across it.
-            if let Some(tn) = timings.get(k + 1) {
-                if tn.seq != tk.seq + 1 {
-                    self.replay_gap(
-                        replay,
-                        &mut ev,
-                        tk.seq,
-                        tn.seq,
-                        words,
-                        &mut active,
-                        &mut replay_peeled,
-                    )?;
-                    gaps += 1;
+            let mut next_seq = seq + 1;
+            let next_outer = self.outer.last().map(|&i| &replay.events[i]);
+            if let Some(e) = next_outer.filter(|e| e.branch_seq == seq) {
+                if !matches!(instr, Instr::Branch { .. }) {
+                    return None;
                 }
+                let outer = self.outer.pop().expect("next_outer is the last");
+                let gap: usize = replay.events.get(ev..=outer)?.iter().map(|e| e.len).sum();
+                next_seq += gap as u64;
+                self.replay_gap(
+                    replay,
+                    &mut ev,
+                    e.branch_seq,
+                    next_seq,
+                    words,
+                    &mut active,
+                    &mut replay_peeled,
+                )?;
+                gaps += 1;
             }
             if next_pc >= instrs.len() {
                 halted = true;
             }
             pc = next_pc;
-            k += 1;
+            seq = next_seq;
+            walked += 1;
         }
-        if k != timings.len() {
-            return None;
-        }
-        if ev != replay.events.len() {
-            // Flush work the walk could not place against a committed
-            // gap: a trailing flush into the synthetic-halt run-out.
+        if walked != committed || ev != replay.events.len() {
+            // The walk stopped short of the leader's commits, or left
+            // flush work it could not place against a committed gap.
             return None;
         }
         Some(Lockstep {
@@ -755,8 +816,9 @@ impl LaneBatcher {
     }
 
     /// Hand out results: converged lanes inherit the leader's schedule
-    /// (cycles, stats, timings) with their own registers and memory
-    /// from the lane substrate; peeled lanes re-run serially.
+    /// (cycles, stats, and timings if it recorded them) with their own
+    /// registers and memory from the lane substrate; peeled lanes
+    /// re-run serially.
     fn assemble<P: Borrow<Program>>(
         &mut self,
         engine: &mut Ultrascalar,
@@ -931,5 +993,217 @@ impl LaneBatchEngine {
     /// Run a batch; see [`LaneBatcher::run_batch`].
     pub fn run_batch<P: Borrow<Program>>(&mut self, programs: &[P], out: &mut [RunResult]) {
         self.batcher.run_batch(&mut self.engine, programs, out);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::predict::PredictorKind;
+    use ultrascalar_isa::workload;
+
+    /// A lane group whose leader's flush log holds nested events: its
+    /// engine, the leader's timed result and the leader's log.
+    struct Group {
+        engine: Ultrascalar,
+        programs: Vec<Program>,
+        leader: RunResult,
+        log: ReplayLog,
+    }
+
+    impl Group {
+        fn find() -> Group {
+            let cfg = ProcConfig::ultrascalar_i(32).with_predictor(PredictorKind::Bimodal(16));
+            for (_, prog) in workload::standard_suite(11) {
+                let programs = workload::lane_variants(&prog, 8, 3);
+                let mut engine = Ultrascalar::new(cfg.clone());
+                let mut leader = RunResult::recording_timings();
+                engine.run_logging_flushes(&programs[0], &mut leader);
+                let log = engine.replay_log().clone();
+                let mut g = Group {
+                    engine,
+                    programs,
+                    leader,
+                    log,
+                };
+                if !g.nested().is_empty() && g.settle(|_, _| {}).batches == 1 {
+                    return g;
+                }
+            }
+            panic!("no suite kernel flushes inside a flush");
+        }
+
+        /// Whether event `i` is outer.
+        fn is_outer(&self, i: usize) -> bool {
+            let ev = &self.log.events;
+            ev[i + 1..].iter().all(|e| e.branch_seq > ev[i].branch_seq)
+        }
+
+        fn outer(&self) -> Vec<usize> {
+            (0..self.log.events.len())
+                .filter(|&i| self.is_outer(i))
+                .collect()
+        }
+
+        fn nested(&self) -> Vec<usize> {
+            (0..self.log.events.len())
+                .filter(|&i| !self.is_outer(i))
+                .collect()
+        }
+
+        /// Plant a defect in copies of the leader's result and log, run
+        /// the lock-step pass against them and deliver the group,
+        /// checking every lane against its serial run; returns the
+        /// batcher's counters.
+        fn settle(&mut self, plant: impl FnOnce(&mut RunResult, &mut ReplayLog)) -> LaneBatchStats {
+            let (mut leader, mut log) = (self.leader.clone(), self.log.clone());
+            plant(&mut leader, &mut log);
+            let mut batcher = LaneBatcher::new();
+            let words = compatible_words(self.engine.config(), &self.programs).expect("compatible");
+            let pass = batcher.lockstep(&self.programs, words, &leader, &log);
+            let mut rest = vec![RunResult::recording_timings(); self.programs.len() - 1];
+            batcher.settle(&mut self.engine, &self.programs, &leader, &mut rest, pass);
+            let mut serial = Ultrascalar::new(self.engine.config().clone());
+            for (got, p) in rest.iter().zip(&self.programs[1..]) {
+                assert_eq!(
+                    got,
+                    &serial.run_timed(p),
+                    "a lane differs from its serial run"
+                );
+            }
+            *batcher.stats()
+        }
+
+        /// The planted defect must demote the group.
+        fn assert_demotes(
+            &mut self,
+            what: &str,
+            plant: impl FnOnce(&mut RunResult, &mut ReplayLog),
+        ) {
+            let s = self.settle(plant);
+            assert_eq!((s.fallback_structure, s.batches), (1, 0), "{what}: {s:?}");
+        }
+    }
+
+    #[test]
+    fn planted_outer_event_off_by_one_demotes() {
+        let mut g = Group::find();
+        for i in g.outer() {
+            for delta in [-1i64, 1] {
+                g.assert_demotes(&format!("event {i} moved by {delta}"), |_, log| {
+                    let e = &mut log.events[i];
+                    e.branch_seq = e.branch_seq.wrapping_add_signed(delta);
+                });
+            }
+        }
+    }
+
+    #[test]
+    fn planted_event_past_the_last_commit_demotes() {
+        let mut g = Group::find();
+        g.assert_demotes("event past the last commit", |_, log| {
+            let mut e = *log.events.last().expect("an event");
+            e.branch_seq = u64::MAX;
+            log.events.push(e);
+        });
+    }
+
+    #[test]
+    fn planted_gap_after_a_non_branch_demotes() {
+        let mut g = Group::find();
+        let timings = g.leader.recorded_timings();
+        let b = g.log.events[*g.outer().last().expect("an outer event")].branch_seq;
+        let k = timings
+            .iter()
+            .position(|t| t.seq == b)
+            .expect("committed flusher");
+        let prev = timings[..k]
+            .iter()
+            .rfind(|t| !t.instr.is_branch())
+            .expect("a committed non-branch before the flusher");
+        // Open the last gap after that instruction instead, keeping the
+        // log self-consistent: every later seq shifts down alike.
+        let shift = b - prev.seq;
+        g.assert_demotes("gap after a non-branch", |_, log| {
+            for e in log.events.iter_mut().filter(|e| e.branch_seq >= b) {
+                e.branch_seq -= shift;
+            }
+            for e in log.entries.iter_mut().filter(|e| e.seq > b) {
+                e.seq -= shift;
+            }
+        });
+    }
+
+    #[test]
+    fn planted_nested_event_outside_its_gap_demotes() {
+        let mut g = Group::find();
+        for i in g.nested() {
+            // The gap's events run from the one after the previous
+            // outer event up to its own outer event, the first later
+            // event with a smaller `branch_seq`; the gap runs from that
+            // flusher past all their entries.
+            let ev = &g.log.events;
+            let o = (i + 1..ev.len())
+                .find(|&j| ev[j].branch_seq < ev[i].branch_seq)
+                .expect("a nested event has an outer one");
+            let first = (0..i).rev().find(|&j| g.is_outer(j)).map_or(0, |j| j + 1);
+            let len: usize = ev[first..=o].iter().map(|e| e.len).sum();
+            let flusher = ev[o].branch_seq;
+            for outside in [flusher, flusher + 1 + len as u64] {
+                g.assert_demotes(&format!("nested event {i} at {outside}"), |_, log| {
+                    log.events[i].branch_seq = outside;
+                });
+            }
+        }
+    }
+
+    /// A leader whose flush log would outgrow [`MAX_LEADER_LOG`] stops
+    /// logging, and its group is served serially; a shorter run of the
+    /// same loop shares its schedule.
+    #[test]
+    fn a_leader_out_of_log_demotes() {
+        // The bimodal counter on `beq` keeps missing the alternating
+        // direction, and each miss squashes most of a 256-station
+        // window.
+        let cfg = ProcConfig::ultrascalar_i(256).with_predictor(PredictorKind::Bimodal(256));
+        for (iters, shares) in [(100, true), (8000, false)] {
+            let src = format!(
+                "li r1, 0\nli r4, 0\nli r3, {iters}\nloop:\naddi r1, r1, 1\nandi r2, r1, 1\n\
+                 beq r2, r4, skip\nnop\nskip:\nbne r1, r3, loop\nhalt\n"
+            );
+            let prog = ultrascalar_isa::assemble(&src, 8).expect("assembles");
+            let programs = workload::lane_variants(&prog, 2, 9);
+            let mut engine = Ultrascalar::new(cfg.clone());
+            let mut batcher = LaneBatcher::new();
+            let mut out = vec![RunResult::default(); 2];
+            batcher.run_batch(&mut engine, &programs, &mut out);
+            let s = *batcher.stats();
+            assert_eq!(
+                (s.batches == 1, s.fallback_leader == 0),
+                (shares, shares),
+                "{iters}: {s:?}"
+            );
+            assert_eq!(engine.replay_log().is_complete(), shares, "{iters}");
+            if !shares {
+                assert_eq!(
+                    engine.replay_log().entries.capacity(),
+                    0,
+                    "{iters}: log kept"
+                );
+            }
+            for (got, p) in out.iter().zip(&programs) {
+                assert_eq!(got, &Ultrascalar::new(cfg.clone()).run(p), "{iters}");
+            }
+        }
+    }
+
+    #[test]
+    fn planted_committed_count_demotes() {
+        let mut g = Group::find();
+        for delta in [-1i64, 1] {
+            g.assert_demotes(&format!("committed count moved by {delta}"), |leader, _| {
+                leader.stats.committed = leader.stats.committed.wrapping_add_signed(delta);
+            });
+        }
     }
 }

@@ -40,7 +40,8 @@ pub struct PooledEngine {
     /// The engine (configuration fixed at pool admission).
     pub engine: Ultrascalar,
     /// Result buffer for [`Processor::run_reusing`]; overwritten by
-    /// each run, so read it before the next acquire-and-run.
+    /// each run, so read it before the next acquire-and-run. It
+    /// records no timings unless its `timings` is set to `Some`.
     pub result: RunResult,
 }
 

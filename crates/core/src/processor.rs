@@ -21,12 +21,35 @@ pub struct RunResult {
     pub mem: Vec<u32>,
     /// Statistics.
     pub stats: ProcStats,
-    /// Per-committed-instruction issue/complete cycles, in program
-    /// order (the paper's Figure 3 data).
-    pub timings: Vec<InstrTiming>,
+    /// The per-instruction timing record (the paper's Figure 3 data):
+    /// one entry per committed instruction, in program order. It is a
+    /// sink the caller supplies: a run fills it only when the buffer it
+    /// writes into holds `Some` (see [`RunResult::recording_timings`]),
+    /// and `None` records nothing, so a run's memory does not grow with
+    /// its length. `Default` is `None`.
+    pub timings: Option<Vec<InstrTiming>>,
 }
 
 impl RunResult {
+    /// An empty result buffer that asks the run writing into it to
+    /// record per-instruction timings.
+    pub fn recording_timings() -> Self {
+        RunResult {
+            timings: Some(Vec::new()),
+            ..RunResult::default()
+        }
+    }
+
+    /// The recorded timings.
+    ///
+    /// # Panics
+    /// Panics if the run was not asked to record them.
+    pub fn recorded_timings(&self) -> &[InstrTiming] {
+        self.timings
+            .as_deref()
+            .expect("the run was not asked to record timings")
+    }
+
     /// Committed instructions per cycle.
     pub fn ipc(&self) -> f64 {
         self.stats.ipc()
@@ -39,19 +62,29 @@ pub trait Processor {
     fn name(&self) -> String;
 
     /// Run `program` until its halt commits or the cycle budget runs
-    /// out.
-    fn run(&mut self, program: &Program) -> RunResult;
-
-    /// Run `program`, writing the outcome into `out` in place. The
-    /// result is identical to [`Processor::run`] — previous contents of
-    /// `out` are fully overwritten — but models that retain working
-    /// state (see [`Processor::reset`]) reuse `out`'s buffers instead
-    /// of allocating a fresh result, which is what makes a warm
-    /// engine's request loop allocation-free. The default delegates to
-    /// `run`.
-    fn run_reusing(&mut self, program: &Program, out: &mut RunResult) {
-        *out = self.run(program);
+    /// out, recording no timings.
+    fn run(&mut self, program: &Program) -> RunResult {
+        let mut out = RunResult::default();
+        self.run_reusing(program, &mut out);
+        out
     }
+
+    /// [`Processor::run`], recording the per-instruction timings.
+    fn run_timed(&mut self, program: &Program) -> RunResult {
+        let mut out = RunResult::recording_timings();
+        self.run_reusing(program, &mut out);
+        out
+    }
+
+    /// Run `program`, writing the outcome into `out` in place. Previous
+    /// contents of `out` are fully overwritten, except that
+    /// `out.timings` chooses whether the run records timings (`Some`
+    /// is cleared and filled, `None` stays `None`). Models reuse
+    /// `out`'s buffers instead of allocating a fresh result, and those
+    /// that retain working state (see [`Processor::reset`]) reuse that
+    /// too, which is what makes a warm engine's request loop
+    /// allocation-free.
+    fn run_reusing(&mut self, program: &Program, out: &mut RunResult);
 
     /// Drop any working state retained across runs, returning the model
     /// to its freshly-constructed (cold) footprint. Purely a memory

@@ -16,7 +16,7 @@ use ultrascalar_memsys::{Bandwidth, MemConfig, NetworkKind};
 fn figure3_timing_reproduced_exactly() {
     let prog = workload::figure1_sequence();
     let mut p = Ultrascalar::new(ProcConfig::ultrascalar_i(8));
-    let r = p.run(&prog);
+    let r = p.run_timed(&prog);
     assert!(r.halted);
     // (issue, complete) per instruction in program order.
     let expect = [
@@ -30,12 +30,17 @@ fn figure3_timing_reproduced_exactly() {
         (1, 1),   // R4 = R0 + R7   : waits for the subtract
     ];
     let got: Vec<(u64, u64)> = r
-        .timings
+        .recorded_timings()
         .iter()
         .take(8)
         .map(|t| (t.issue, t.complete))
         .collect();
-    assert_eq!(got, expect, "\n{}", render_timing_diagram(&r.timings));
+    assert_eq!(
+        got,
+        expect,
+        "\n{}",
+        render_timing_diagram(r.recorded_timings())
+    );
     // The out-of-order hallmark from the paper's §2 narrative: the
     // instruction in station 4 computes right away while the *earlier*
     // write of R0 in station 7 waits ten cycles for the divide.
@@ -47,10 +52,18 @@ fn figure3_timing_reproduced_exactly() {
 #[test]
 fn figure3_identical_on_usii_single_batch() {
     let prog = workload::figure1_sequence();
-    let a = Ultrascalar::new(ProcConfig::ultrascalar_i(16)).run(&prog);
-    let b = Ultrascalar::new(ProcConfig::ultrascalar_ii(16)).run(&prog);
-    let ta: Vec<_> = a.timings.iter().map(|t| (t.issue, t.complete)).collect();
-    let tb: Vec<_> = b.timings.iter().map(|t| (t.issue, t.complete)).collect();
+    let a = Ultrascalar::new(ProcConfig::ultrascalar_i(16)).run_timed(&prog);
+    let b = Ultrascalar::new(ProcConfig::ultrascalar_ii(16)).run_timed(&prog);
+    let ta: Vec<_> = a
+        .recorded_timings()
+        .iter()
+        .map(|t| (t.issue, t.complete))
+        .collect();
+    let tb: Vec<_> = b
+        .recorded_timings()
+        .iter()
+        .map(|t| (t.issue, t.complete))
+        .collect();
     assert_eq!(ta, tb);
 }
 
@@ -70,8 +83,8 @@ fn dependent_chain_sustains_one_per_cycle() {
         halt
     ";
     let prog = assemble(src, 1).unwrap();
-    let r = Ultrascalar::new(ProcConfig::ultrascalar_i(16)).run(&prog);
-    for (i, t) in r.timings.iter().take(6).enumerate() {
+    let r = Ultrascalar::new(ProcConfig::ultrascalar_i(16)).run_timed(&prog);
+    for (i, t) in r.recorded_timings().iter().take(6).enumerate() {
         assert_eq!(t.issue, i as u64, "instruction {i} issue");
     }
     assert_eq!(r.regs[0], 5);
@@ -93,8 +106,8 @@ fn independent_instructions_issue_simultaneously() {
         halt
     ";
     let prog = assemble(src, 8).unwrap();
-    let r = Ultrascalar::new(ProcConfig::ultrascalar_i(16)).run(&prog);
-    assert!(r.timings.iter().take(8).all(|t| t.issue == 0));
+    let r = Ultrascalar::new(ProcConfig::ultrascalar_i(16)).run_timed(&prog);
+    assert!(r.recorded_timings().iter().take(8).all(|t| t.issue == 0));
 }
 
 /// Window-granularity ablation (the paper's §4: the US-II "is less
@@ -132,13 +145,19 @@ fn cluster_granularity_is_free_on_parallel_code() {
         halt
     ";
     let prog = assemble(src, 4).unwrap();
-    let a = Ultrascalar::new(ProcConfig::ultrascalar_i(4)).run(&prog);
-    let b = Ultrascalar::new(ProcConfig::ultrascalar_ii(4)).run(&prog);
+    let a = Ultrascalar::new(ProcConfig::ultrascalar_i(4)).run_timed(&prog);
+    let b = Ultrascalar::new(ProcConfig::ultrascalar_ii(4)).run_timed(&prog);
     // Not asserting equality of total cycles (commit granularity still
     // differs by a constant); issue cycles of the four `li`s match.
     assert_eq!(
-        a.timings.iter().map(|t| t.issue).collect::<Vec<_>>()[..4],
-        b.timings.iter().map(|t| t.issue).collect::<Vec<_>>()[..4]
+        a.recorded_timings()
+            .iter()
+            .map(|t| t.issue)
+            .collect::<Vec<_>>()[..4],
+        b.recorded_timings()
+            .iter()
+            .map(|t| t.issue)
+            .collect::<Vec<_>>()[..4]
     );
 }
 
@@ -307,8 +326,13 @@ fn forwarding_distance_histogram_on_serial_chain() {
 fn unit_latencies_give_dependence_depth() {
     let prog = workload::figure1_sequence();
     let r = Ultrascalar::new(ProcConfig::ultrascalar_i(8).with_latency(LatencyModel::unit()))
-        .run(&prog);
-    let issues: Vec<u64> = r.timings.iter().take(8).map(|t| t.issue).collect();
+        .run_timed(&prog);
+    let issues: Vec<u64> = r
+        .recorded_timings()
+        .iter()
+        .take(8)
+        .map(|t| t.issue)
+        .collect();
     // Dependence depths: div=0; add(R0)=1; add(R1)=0; add(R1')=2;
     // mul=0; add(R2)=1; sub=0; add(R4)=1.
     assert_eq!(issues, vec![0, 1, 0, 2, 0, 1, 0, 1]);
@@ -322,14 +346,18 @@ fn stats_invariants_hold() {
         let r = Ultrascalar::new(
             ProcConfig::ultrascalar_i(n).with_predictor(PredictorKind::Bimodal(16)),
         )
-        .run(&prog);
+        .run_timed(&prog);
         assert!(r.halted, "{name}");
         assert!(r.stats.committed <= r.cycles * n as u64, "{name}");
         assert!(r.stats.mean_occupancy() <= n as f64 + 1e-9, "{name}");
         assert!(r.ipc() > 0.0, "{name}");
-        assert_eq!(r.timings.len() as u64, r.stats.committed, "{name}");
+        assert_eq!(
+            r.recorded_timings().len() as u64,
+            r.stats.committed,
+            "{name}"
+        );
         // Timings are causally sane.
-        for t in &r.timings {
+        for t in r.recorded_timings() {
             assert!(t.complete >= t.issue, "{name}");
         }
     }

@@ -435,7 +435,7 @@ fn same(what: &str, got: &RunResult, want: &RunResult) -> Result<(), String> {
         "mem"
     } else if got.stats != want.stats {
         "stats"
-    } else if got.timings != want.timings {
+    } else if got.timings.is_none() || got.timings != want.timings {
         "timings"
     } else {
         return Ok(());
@@ -486,8 +486,15 @@ fn check(c: &Case, prev: &Program, batcher: &mut LaneBatcher, t: &mut Tally) -> 
     }
 
     // 1. Golden interpreter.
-    let cold = Ultrascalar::new(cfg.clone()).run(p);
+    let cold = Ultrascalar::new(cfg.clone()).run_timed(p);
     t.add(&cold.stats);
+    // Recording the timings changes nothing else.
+    let mut untimed = Ultrascalar::new(cfg.clone()).run(p);
+    if untimed.timings.is_some() {
+        return Err("an untimed run recorded timings".into());
+    }
+    untimed.timings.clone_from(&cold.timings);
+    same("untimed vs timed run", &untimed, &cold)?;
     let saturated = cfg.forward == ForwardModel::Pipelined { per_hop: u64::MAX };
     if cold.halted {
         check_against_golden(&cold, p, FUEL).map_err(|e| format!("golden: {e}"))?;
@@ -504,10 +511,10 @@ fn check(c: &Case, prev: &Program, batcher: &mut LaneBatcher, t: &mut Tally) -> 
 
     // 2. Cycle skip on against off, both engines.
     let no_skip = cfg.clone().without_cycle_skipping();
-    let naive = Ultrascalar::new(no_skip.clone()).run(p);
+    let naive = Ultrascalar::new(no_skip.clone()).run_timed(p);
     same("cycle skip on vs off (Ultrascalar)", &cold, &naive)?;
-    let base = BaselineOoO::new(cfg.clone()).run(p);
-    let naive = BaselineOoO::new(no_skip).run(p);
+    let base = BaselineOoO::new(cfg.clone()).run_timed(p);
+    let naive = BaselineOoO::new(no_skip).run_timed(p);
     same("cycle skip on vs off (BaselineOoO)", &base, &naive)?;
     if saturated && !cold.halted {
         // A wedged window has no next event: skipping jumps straight
@@ -548,11 +555,11 @@ fn check(c: &Case, prev: &Program, batcher: &mut LaneBatcher, t: &mut Tally) -> 
             }
         }
     }
-    let mut out = vec![RunResult::default(); lanes.len()];
+    let mut out = vec![RunResult::recording_timings(); lanes.len()];
     batcher.run_batch(&mut Ultrascalar::new(cfg.clone()), &lanes, &mut out);
     // Serial truth on one reused engine; check 4 pins reuse to cold.
     let mut serial = Ultrascalar::new(cfg.clone());
-    let mut want = RunResult::default();
+    let mut want = RunResult::recording_timings();
     for (l, (got, lane)) in out.iter().zip(&lanes).enumerate() {
         serial.run_reusing(lane, &mut want);
         same(
@@ -564,7 +571,7 @@ fn check(c: &Case, prev: &Program, batcher: &mut LaneBatcher, t: &mut Tally) -> 
 
     // 4. Warm engine against cold, after another program and again.
     let mut warm = Ultrascalar::new(cfg.clone());
-    let mut out = RunResult::default();
+    let mut out = RunResult::recording_timings();
     warm.run_reusing(prev, &mut out);
     warm.run_reusing(p, &mut out);
     same("warm engine after another program vs cold", &out, &cold)?;
@@ -590,8 +597,8 @@ fn check(c: &Case, prev: &Program, batcher: &mut LaneBatcher, t: &mut Tally) -> 
         (cold, base)
     } else {
         (
-            Ultrascalar::new(e9.clone()).run(p),
-            BaselineOoO::new(e9).run(p),
+            Ultrascalar::new(e9.clone()).run_timed(p),
+            BaselineOoO::new(e9).run_timed(p),
         )
     };
     let differs = [
@@ -599,7 +606,7 @@ fn check(c: &Case, prev: &Program, batcher: &mut LaneBatcher, t: &mut Tally) -> 
         ("cycles", us.cycles != base.cycles),
         ("regs", us.regs != base.regs),
         ("mem", us.mem != base.mem),
-        ("timings", us.timings != base.timings),
+        ("timings", us.recorded_timings() != base.recorded_timings()),
     ];
     if let Some((field, _)) = differs.iter().find(|(_, d)| *d) {
         return Err(format!(

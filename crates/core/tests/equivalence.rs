@@ -96,8 +96,8 @@ fn window_of_one_still_works() {
 fn assert_cycle_identical(cfg: ProcConfig, program: &Program, label: &str) {
     let mut us = Ultrascalar::new(cfg.clone());
     let mut base = BaselineOoO::new(cfg);
-    let a = us.run(program);
-    let b = base.run(program);
+    let a = us.run_timed(program);
+    let b = base.run_timed(program);
     assert_eq!(a.halted, b.halted, "{label}: halted");
     assert_eq!(a.cycles, b.cycles, "{label}: total cycles");
     assert_eq!(a.regs, b.regs, "{label}: registers");
@@ -106,8 +106,9 @@ fn assert_cycle_identical(cfg: ProcConfig, program: &Program, label: &str) {
         a.stats.committed, b.stats.committed,
         "{label}: committed count"
     );
-    assert_eq!(a.timings.len(), b.timings.len(), "{label}: timing length");
-    for (x, y) in a.timings.iter().zip(&b.timings) {
+    let (ta, tb) = (a.recorded_timings(), b.recorded_timings());
+    assert_eq!(ta.len(), tb.len(), "{label}: timing length");
+    for (x, y) in ta.iter().zip(tb) {
         assert_eq!(x, y, "{label}: instruction timing for seq {}", x.seq);
     }
 }

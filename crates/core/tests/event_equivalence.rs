@@ -58,12 +58,12 @@ fn division_chain_exact_across_skip() {
         ProcConfig::ultrascalar_ii(4),
         ProcConfig::hybrid(4, 2),
     ] {
-        let fast = Ultrascalar::new(cfg.clone()).run(&prog);
-        let slow = Ultrascalar::new(cfg.without_cycle_skipping()).run(&prog);
+        let fast = Ultrascalar::new(cfg.clone()).run_timed(&prog);
+        let slow = Ultrascalar::new(cfg.without_cycle_skipping()).run_timed(&prog);
         assert!(fast.halted && slow.halted);
         assert_eq!(fast.cycles, slow.cycles);
         assert_eq!(fast.regs, slow.regs);
-        assert_eq!(fast.timings, slow.timings);
+        assert_eq!(fast.recorded_timings(), slow.recorded_timings());
         assert_eq!(fast.stats, slow.stats);
         // The dependent chain of 10-cycle divides must dominate the
         // run: this is the shape where skipping pays.

@@ -40,13 +40,18 @@ fn one_alu_serialises_arithmetic() {
         halt
     ";
     let prog = assemble(src, 8).unwrap();
-    let r1 = Ultrascalar::new(ProcConfig::ultrascalar_i(16).with_shared_alus(1)).run(&prog);
-    let issues: Vec<u64> = r1.timings.iter().take(8).map(|x| x.issue).collect();
+    let r1 = Ultrascalar::new(ProcConfig::ultrascalar_i(16).with_shared_alus(1)).run_timed(&prog);
+    let issues: Vec<u64> = r1
+        .recorded_timings()
+        .iter()
+        .take(8)
+        .map(|x| x.issue)
+        .collect();
     assert_eq!(issues, vec![0, 1, 2, 3, 4, 5, 6, 7]);
     assert!(r1.stats.alu_stalls > 0);
     // With eight ALUs they all go at once.
-    let r8 = Ultrascalar::new(ProcConfig::ultrascalar_i(16).with_shared_alus(8)).run(&prog);
-    assert!(r8.timings.iter().take(8).all(|x| x.issue == 0));
+    let r8 = Ultrascalar::new(ProcConfig::ultrascalar_i(16).with_shared_alus(8)).run_timed(&prog);
+    assert!(r8.recorded_timings().iter().take(8).all(|x| x.issue == 0));
 }
 
 #[test]
@@ -59,9 +64,9 @@ fn multi_cycle_ops_occupy_the_alu() {
         halt
     ";
     let prog = assemble(src, 4).unwrap();
-    let r = Ultrascalar::new(ProcConfig::ultrascalar_i(8).with_shared_alus(1)).run(&prog);
-    assert_eq!(r.timings[0].issue, 0);
-    assert_eq!(r.timings[1].issue, 10);
+    let r = Ultrascalar::new(ProcConfig::ultrascalar_i(8).with_shared_alus(1)).run_timed(&prog);
+    assert_eq!(r.recorded_timings()[0].issue, 0);
+    assert_eq!(r.recorded_timings()[1].issue, 10);
 }
 
 #[test]
@@ -75,12 +80,12 @@ fn oldest_first_alu_priority() {
         halt
     ";
     let prog = assemble(src, 4).unwrap();
-    let r = Ultrascalar::new(ProcConfig::ultrascalar_i(8).with_shared_alus(1)).run(&prog);
+    let r = Ultrascalar::new(ProcConfig::ultrascalar_i(8).with_shared_alus(1)).run_timed(&prog);
     // div at 0..9; the young independent add gets the unit at 10? No:
     // the unit frees at cycle 10, and the *older* dependent add is also
     // ready at 10 (div completes at 9) — oldest wins.
-    assert_eq!(r.timings[1].issue, 10);
-    assert_eq!(r.timings[2].issue, 11);
+    assert_eq!(r.recorded_timings()[1].issue, 10);
+    assert_eq!(r.recorded_timings()[2].issue, 11);
 }
 
 #[test]
@@ -224,13 +229,13 @@ proptest! {
 #[test]
 fn per_hop_zero_equals_single_cycle() {
     for (name, prog) in workload::standard_suite(53) {
-        let a = Ultrascalar::new(ProcConfig::ultrascalar_i(8)).run(&prog);
+        let a = Ultrascalar::new(ProcConfig::ultrascalar_i(8)).run_timed(&prog);
         let b = Ultrascalar::new(
             ProcConfig::ultrascalar_i(8).with_forwarding(ForwardModel::Pipelined { per_hop: 0 }),
         )
-        .run(&prog);
+        .run_timed(&prog);
         assert_eq!(a.cycles, b.cycles, "{name}");
-        assert_eq!(a.timings, b.timings, "{name}");
+        assert_eq!(a.recorded_timings(), b.recorded_timings(), "{name}");
     }
 }
 

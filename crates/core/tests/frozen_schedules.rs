@@ -385,6 +385,7 @@ fn digest(r: &RunResult) -> u64 {
     }
     h.words(forward_dist.iter().copied());
     h.words(issue_hist.iter().copied());
+    let timings = timings.as_deref().expect("frozen runs record timings");
     h.word(timings.len() as u64);
     for x in timings {
         for w in [
@@ -409,7 +410,7 @@ fn run_group(width: Option<usize>) -> Vec<(String, u64)> {
     let mut out = Vec::new();
     for (corner, cfg) in corners() {
         let mut engine = Ultrascalar::new(cfg);
-        let mut r = RunResult::default();
+        let mut r = RunResult::recording_timings();
         for (name, p) in &progs {
             engine.run_reusing(p, &mut r);
             let key = format!("{corner} {name}");

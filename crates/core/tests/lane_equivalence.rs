@@ -21,7 +21,7 @@ use ultrascalar_isa::Program;
 fn serial_runs(cfg: &ProcConfig, programs: &[Program]) -> Vec<RunResult> {
     programs
         .iter()
-        .map(|p| Ultrascalar::new(cfg.clone()).run(p))
+        .map(|p| Ultrascalar::new(cfg.clone()).run_timed(p))
         .collect()
 }
 
@@ -31,14 +31,18 @@ fn assert_identical(got: &RunResult, want: &RunResult, ctx: &str) {
     assert_eq!(got.regs, want.regs, "{ctx}: registers");
     assert_eq!(got.mem, want.mem, "{ctx}: memory");
     assert_eq!(got.stats, want.stats, "{ctx}: stats");
-    assert_eq!(got.timings, want.timings, "{ctx}: timings");
+    assert_eq!(
+        got.recorded_timings(),
+        want.recorded_timings(),
+        "{ctx}: timings"
+    );
 }
 
 /// Run one group both ways and compare every lane.
 fn check_batch(batcher: &mut LaneBatcher, cfg: &ProcConfig, programs: &[Program], ctx: &str) {
     let golden = serial_runs(cfg, programs);
     let refs: Vec<&Program> = programs.iter().collect();
-    let mut out = vec![RunResult::default(); programs.len()];
+    let mut out = vec![RunResult::recording_timings(); programs.len()];
     let mut engine = Ultrascalar::new(cfg.clone());
     batcher.run_batch(&mut engine, &refs, &mut out);
     for (l, (got, want)) in out.iter().zip(golden.iter()).enumerate() {
@@ -321,7 +325,7 @@ fn warm_batcher_reruns_are_identical() {
     let programs = workload::lane_variants(&workload::memcpy(16), 8, 5);
     let refs: Vec<&Program> = programs.iter().collect();
     let golden = serial_runs(&cfg, &programs);
-    let mut out = vec![RunResult::default(); programs.len()];
+    let mut out = vec![RunResult::recording_timings(); programs.len()];
     for round in 0..3 {
         // Interleave an unrelated group so scratch is dirty.
         let other = workload::lane_variants(&workload::sieve(20), 3, round as u64);

@@ -71,7 +71,11 @@ fn assert_same(ctx: &str, warm: &RunResult, fresh: &RunResult) {
     assert_eq!(warm.regs, fresh.regs, "{ctx}: registers");
     assert_eq!(warm.mem, fresh.mem, "{ctx}: memory image");
     assert_eq!(warm.stats, fresh.stats, "{ctx}: statistics");
-    assert_eq!(warm.timings, fresh.timings, "{ctx}: timings");
+    assert_eq!(
+        warm.recorded_timings(),
+        fresh.recorded_timings(),
+        "{ctx}: timings"
+    );
 }
 
 /// Alternating between two programs exercises the change-program reset
@@ -84,11 +88,11 @@ fn alternating_programs_reset_cleanly() {
     let (bname, b) = &suite[suite.len() - 1];
     let cfg = ProcConfig::hybrid(16, 4).with_predictor(PredictorKind::Bimodal(64));
     let mut warm = Ultrascalar::new(cfg.clone());
-    let mut out = RunResult::default();
+    let mut out = RunResult::recording_timings();
     for round in 0..3 {
         for (name, prog) in [(aname, a), (bname, b)] {
             warm.run_reusing(prog, &mut out);
-            let fresh = Ultrascalar::new(cfg.clone()).run(prog);
+            let fresh = Ultrascalar::new(cfg.clone()).run_timed(prog);
             assert_same(&format!("alt/{name}/round{round}"), &out, &fresh);
         }
     }
@@ -100,7 +104,7 @@ fn explicit_reset_keeps_results_exact() {
     let suite = workload::standard_suite(3);
     let cfg = ProcConfig::ultrascalar_i(8).with_predictor(PredictorKind::Bimodal(64));
     let mut engine = Ultrascalar::new(cfg.clone());
-    let mut out = RunResult::default();
+    let mut out = RunResult::recording_timings();
     let (name, prog) = &suite[0];
     engine.run_reusing(prog, &mut out);
     let first = out.clone();
@@ -120,8 +124,10 @@ fn pooled_engines_stay_exact_under_eviction() {
     let mut pool = EnginePool::new(2);
     for (cname, cfg) in all.iter().chain(all.iter()) {
         for (kname, prog) in suite.iter().take(3) {
-            let warm = pool.acquire(cfg).run(prog).clone();
-            let fresh = Ultrascalar::new(cfg.clone()).run(prog);
+            let pooled = pool.acquire(cfg);
+            pooled.result.timings.get_or_insert_with(Vec::new);
+            let warm = pooled.run(prog).clone();
+            let fresh = Ultrascalar::new(cfg.clone()).run_timed(prog);
             assert_same(&format!("pool/{cname}/{kname}"), &warm, &fresh);
         }
     }

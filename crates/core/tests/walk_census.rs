@@ -88,9 +88,14 @@ fn programs() -> Vec<(String, Program)> {
 
 /// The bound on holds: one per fetched load and three per fetched
 /// store (none under memory renaming, where stores stay in the walk).
-/// Every fetched station either commits or is squashed by a flush.
+/// Every fetched station either commits or is squashed by a flush, so
+/// the run must have recorded its timings and logged its flushes.
 fn hold_bound(engine: &Ultrascalar, r: &RunResult, renaming: bool) -> u64 {
-    let committed = r.timings.iter().map(|x| x.instr);
+    assert!(
+        engine.replay_log().is_complete(),
+        "the flush log is partial"
+    );
+    let committed = r.recorded_timings().iter().map(|x| x.instr);
     let flushed = engine.replay_log().entries.iter().map(|e| e.instr);
     committed
         .chain(flushed)
@@ -143,10 +148,10 @@ fn walk_census_balances_and_bounds_holds() {
         let (window, skip) = (cfg.window, cfg.cycle_skip);
         let mut engine = Ultrascalar::new(cfg.clone());
         assert_eq!(engine.walk_census(), WalkCensus::default());
-        let mut r = RunResult::default();
+        let mut r = RunResult::recording_timings();
         for (name, p) in programs() {
             let key = format!("{corner} {name}");
-            engine.run_reusing(&p, &mut r);
+            engine.run_logging_flushes(&p, &mut r);
             let c = engine.walk_census();
             check(
                 &key,
@@ -156,7 +161,8 @@ fn walk_census_balances_and_bounds_holds() {
                 window,
                 skip,
             );
-            // The census is the run's own: a cold engine counts the same.
+            // The census is the run's own: a cold engine, logging and
+            // recording nothing, counts the same.
             let mut cold = Ultrascalar::new(cfg.clone());
             cold.run(&p);
             assert_eq!(

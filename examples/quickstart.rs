@@ -27,9 +27,10 @@ fn main() {
 
     // 2. Build an 8-wide Ultrascalar I (cluster size 1) with the
     //    default Figure 3 latencies, a perfect branch oracle and ideal
-    //    memory, and run the program to completion.
+    //    memory, and run the program to completion, recording each
+    //    instruction's timing (`run` records none).
     let mut proc = Ultrascalar::new(ProcConfig::ultrascalar_i(8));
-    let result = proc.run(&program);
+    let result = proc.run_timed(&program);
 
     // 3. Inspect architectural state and microarchitectural behaviour.
     assert!(result.halted);
@@ -46,6 +47,8 @@ fn main() {
     println!("\nper-instruction timing (first loop iterations):\n");
     println!(
         "{}",
-        render_timing_diagram(&result.timings[..14.min(result.timings.len())])
+        render_timing_diagram(
+            &result.recorded_timings()[..14.min(result.stats.committed as usize)]
+        )
     );
 }

@@ -39,12 +39,12 @@ fn main() {
     ] {
         let mut p = Ultrascalar::new(cfg.with_predictor(PredictorKind::Bimodal(64)));
         let name = p.name();
-        let r = p.run(&program);
+        let r = p.run_timed(&program);
         assert!(r.halted);
         println!("== {name}: {} cycles, IPC {:.2}", r.cycles, r.ipc());
         // Clip long traces for readability.
         let clip: Vec<_> = r
-            .timings
+            .recorded_timings()
             .iter()
             .copied()
             .filter(|t| t.complete < 60)

@@ -12,8 +12,13 @@ use ultrascalar_suite::vlsi::{empirical, fit, hybrid, threed, usi, usii, Tech};
 #[test]
 fn figure3_issue_times() {
     let prog = workload::figure1_sequence();
-    let r = Ultrascalar::new(ProcConfig::ultrascalar_i(8)).run(&prog);
-    let issues: Vec<u64> = r.timings.iter().take(8).map(|t| t.issue).collect();
+    let r = Ultrascalar::new(ProcConfig::ultrascalar_i(8)).run_timed(&prog);
+    let issues: Vec<u64> = r
+        .recorded_timings()
+        .iter()
+        .take(8)
+        .map(|t| t.issue)
+        .collect();
     assert_eq!(issues, vec![0, 10, 0, 11, 0, 3, 0, 1]);
 }
 
