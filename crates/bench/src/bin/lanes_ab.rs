@@ -4,7 +4,7 @@
 //! Each cell times the same population of programs — one seeded kernel
 //! vectorized over `b` lanes with per-lane initial registers — both
 //! ways: `b` serial `run_reusing` passes on a warm scalar engine, and
-//! one `LaneBatchEngine::run_batch` (leader engine pass + bit-sliced
+//! one `LaneBatchEngine::run_batch` (leader engine pass + lane-major
 //! lock-step for the rest). Both sides are measured in interleaved
 //! rounds with the order rotated per round, per-round ratios, median
 //! over rounds, which cancels host drift.

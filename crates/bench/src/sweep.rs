@@ -148,21 +148,15 @@ impl JsonPoint {
 #[derive(Debug, Clone)]
 pub struct JsonReport {
     experiment: String,
-    /// The SIMD level the substrate dispatches to on this host —
-    /// stamped into every artifact so numbers from different hosts are
-    /// comparable at a glance.
-    simd_active: &'static str,
     points: Vec<JsonPoint>,
     summaries: Vec<(String, f64)>,
 }
 
 impl JsonReport {
-    /// Start an empty report for the named experiment, recording the
-    /// host's SIMD dispatch level.
+    /// Start an empty report for the named experiment.
     pub fn new(experiment: &str) -> Self {
         JsonReport {
             experiment: experiment.to_string(),
-            simd_active: ultrascalar_prefix::active_simd_level(),
             points: Vec::new(),
             summaries: Vec::new(),
         }
@@ -222,7 +216,6 @@ impl JsonReport {
         out.push_str("  \"experiment\": \"");
         escape_into(&mut out, &self.experiment);
         out.push_str("\",\n");
-        out.push_str(&format!("  \"simd_active\": \"{}\",\n", self.simd_active));
         let total: f64 = self.points.iter().map(|p| p.wall_s).sum();
         out.push_str(&format!("  \"total_point_wall_s\": {:.6},\n", total));
         out.push_str("  \"points\": [\n");
@@ -286,7 +279,7 @@ impl JsonReport {
 /// config (the ROADMAP's "batching across configs"): the pool keeps
 /// one warm engine per distinct [`ProcConfig`] it has seen, so a
 /// population of `k` seeds costs one leader engine pass plus the
-/// bit-sliced lock-step instead of `k` serial simulations — and a
+/// lock-step pass instead of `k` serial simulations — and a
 /// later cell with the same config reuses the warm engine outright.
 /// Results are byte-identical to serial `run_reusing` calls per
 /// program (the lane engine's differential guarantee), so sweep output

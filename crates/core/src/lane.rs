@@ -18,13 +18,13 @@
 //! differs per run.
 //!
 //! [`LaneBatcher`] exploits exactly that: lane 0 (the *leader*) runs
-//! through the real engine once; the other lanes advance through a
-//! bit-sliced architectural lock-step pass over the
-//! [`ultrascalar_prefix::lanes`] substrate — one [`LaneValue`] (32
-//! bit-planes × 64 lanes) per architectural register, one word op
-//! advancing all lanes at once. Lanes that stay converged with the
-//! leader inherit the leader's timing verbatim and keep their own
-//! architectural state from the bit-planes.
+//! through the real engine once; the other lanes advance through an
+//! architectural lock-step pass that holds each register lane-major —
+//! `[u32; MAX_LANES]`, entry `l` lane `l`'s value — so every
+//! instruction is one per-lane loop over [`AluOp::apply`] or
+//! [`BranchCond::eval`] that the compiler vectorises. Lanes that stay
+//! converged with the leader inherit the leader's timing verbatim and
+//! keep their own architectural state from the lock-step registers.
 //!
 //! # Epoch-segmented schedule sharing
 //!
@@ -113,10 +113,15 @@ use crate::config::ProcConfig;
 use crate::engine::{FlushedEntry, ReplayLog, Ultrascalar};
 use crate::processor::{Processor, RunResult};
 use ultrascalar_isa::{AluOp, BranchCond, Instr, Program};
-use ultrascalar_prefix::lanes::{self, LaneValue, LANES};
 
-/// Maximum lanes per batch: one simulation per bit of the plane word.
-pub const MAX_LANES: usize = LANES;
+/// Maximum lanes per batch: one simulation per bit of the `u64` lane
+/// mask.
+pub const MAX_LANES: usize = 64;
+
+/// One architectural register across a batch: entry `l` is lane `l`'s
+/// value. Lanes past the batch size, and peeled lanes, hold
+/// don't-cares.
+type Lanes = [u32; MAX_LANES];
 
 /// Most flushed entries a group leader's [`ReplayLog`] holds (about
 /// 24 MB of entries plus at most 12 MB of events). A leader whose log
@@ -215,21 +220,22 @@ impl LaneBatchStats {
 /// buffers are reused, so a warm batch allocates nothing.
 #[derive(Debug, Default)]
 pub struct LaneBatcher {
-    /// One 64-lane bundle per architectural register.
-    regs: Vec<LaneValue>,
+    /// The lock-step register file, one lane-major value per
+    /// architectural register.
+    regs: Vec<Lanes>,
     /// Per-lane data memory (entry `l` valid while lane `l` is active).
     mems: Vec<Vec<u32>>,
-    /// Wrong-path register overlay for segment replay: per-register
-    /// per-lane scalar values, generation-stamped so starting a new
-    /// segment is one counter bump instead of a clear.
-    wp_val: Vec<[u32; LANES]>,
+    /// Wrong-path register overlay for segment replay, generation-
+    /// stamped so starting a new segment is one counter bump instead of
+    /// a clear.
+    wp_val: Vec<Lanes>,
     /// Generation stamp per overlay register (`== wp_gen_cur` ⇒ live).
     wp_gen: Vec<u32>,
     /// Current overlay generation (bumped per replayed segment).
     wp_gen_cur: u32,
     /// Wrong-path store overlay for the segment being replayed:
     /// (leader address, per-lane values), youngest last.
-    wp_stores: Vec<(usize, [u32; LANES])>,
+    wp_stores: Vec<(usize, Lanes)>,
     /// Per-gap cursor into each consumed flush event's entries (merge
     /// state for the seq-ordered replay).
     gap_cursors: Vec<usize>,
@@ -240,7 +246,7 @@ pub struct LaneBatcher {
     gap_scopes: Vec<(u64, usize, usize)>,
     /// Undo journal for overlay register writes inside event scopes:
     /// (register, previous generation stamp, previous lane values).
-    journal: Vec<(usize, u32, [u32; LANES])>,
+    journal: Vec<(usize, u32, Lanes)>,
     /// Indices of the leader's outer flush events (those of committed
     /// flushers), youngest first, so the next one is last.
     outer: Vec<usize>,
@@ -341,11 +347,11 @@ impl LaneBatcher {
     ) {
         let n = programs.len();
         match pass {
-            Some(pass) if self.verify_leader(programs[0].borrow().num_regs, leader) => {
+            Some(pass) if self.verify_leader(leader) => {
                 self.stats.batches += 1;
                 self.stats.epochs += pass.epochs;
                 self.stats.lane_runs += pass.active.count_ones() as u64;
-                self.stats.peels += (lanes::mask_lo(n) & !pass.active).count_ones() as u64;
+                self.stats.peels += (first_lanes(n) & !pass.active).count_ones() as u64;
                 self.stats.replay_peels += pass.replay_peeled.count_ones() as u64;
                 self.assemble(engine, programs, leader, rest, pass.active);
             }
@@ -362,7 +368,7 @@ impl LaneBatcher {
         }
     }
 
-    /// The bit-sliced architectural lock-step pass: a mirror of the
+    /// The architectural lock-step pass: a mirror of the
     /// golden interpreter's step semantics over all lanes at once,
     /// peeling lanes that diverge from lane 0. It tracks the leader's
     /// committed sequence numbers itself and aligns them with the
@@ -381,24 +387,17 @@ impl LaneBatcher {
         let p0 = programs[0].borrow();
         let num_regs = p0.num_regs;
 
-        // Per-register lane bundles from each lane's initial registers.
+        // Per-lane initial registers and memory images.
         self.regs.clear();
-        self.regs.resize(num_regs, [0; 32]);
-        let mut vals = [0u32; LANES];
-        for (r, bundle) in self.regs.iter_mut().enumerate() {
-            vals = [0u32; LANES];
-            for (l, p) in programs.iter().enumerate() {
-                vals[l] = p.borrow().init_regs[r];
-            }
-            *bundle = lanes::deposit(&vals);
-        }
-
-        // Per-lane memory images.
+        self.regs.resize(num_regs, [0; MAX_LANES]);
         if self.mems.len() < n {
             self.mems.resize_with(n, Vec::new);
         }
         for (l, p) in programs.iter().enumerate() {
             let p = p.borrow();
+            for (reg, &v) in self.regs.iter_mut().zip(&p.init_regs) {
+                reg[l] = v;
+            }
             let m = &mut self.mems[l];
             m.clear();
             m.resize(words, 0);
@@ -407,7 +406,7 @@ impl LaneBatcher {
 
         // Wrong-path overlay scratch for this batch's register file.
         self.wp_val.clear();
-        self.wp_val.resize(num_regs, [0u32; LANES]);
+        self.wp_val.resize(num_regs, [0; MAX_LANES]);
         self.wp_gen.clear();
         self.wp_gen.resize(num_regs, 0);
         self.wp_gen_cur = 0;
@@ -426,7 +425,7 @@ impl LaneBatcher {
 
         let instrs = &p0.instrs;
         let committed = leader.stats.committed;
-        let mut active = lanes::mask_lo(n);
+        let mut active = first_lanes(n);
         let mut replay_peeled = 0u64;
         let mut pc = 0usize;
         let mut seq = 0u64; // the leader's seq of this step's instruction
@@ -450,37 +449,30 @@ impl LaneBatcher {
                 Instr::Nop => {}
                 Instr::Halt => halted = true,
                 Instr::Jump { target } => next_pc = target as usize,
-                Instr::LoadImm { rd, imm } => {
-                    self.regs[rd.index()] = lanes::broadcast(imm as u32);
-                }
+                Instr::LoadImm { rd, imm } => self.regs[rd.index()] = [imm as u32; MAX_LANES],
                 Instr::Alu { op, rd, rs1, rs2 } => {
-                    let v = eval_alu(op, &self.regs[rs1.index()], &self.regs[rs2.index()], active);
+                    let v = eval_alu(op, &self.regs[rs1.index()], &self.regs[rs2.index()]);
                     self.regs[rd.index()] = v;
                 }
                 Instr::AluImm { op, rd, rs1, imm } => {
-                    let v = eval_alu_imm(op, &self.regs[rs1.index()], imm as u32);
+                    let v = eval_alu(op, &self.regs[rs1.index()], &[imm as u32; MAX_LANES]);
                     self.regs[rd.index()] = v;
                 }
                 Instr::Load { rd, base, offset } => {
-                    lanes::extract(&self.regs[base.index()], &mut vals);
-                    let addr = peel_divergent_addrs(&vals, offset, words, &mut active);
-                    let mut loaded = [0u32; LANES];
-                    let mut act = active;
-                    while act != 0 {
-                        let l = act.trailing_zeros() as usize;
-                        act &= act - 1;
-                        loaded[l] = self.mems[l][addr];
+                    let (addr, diverged) =
+                        mem_addrs(&self.regs[base.index()], offset, words, active);
+                    active &= !diverged;
+                    let dst = &mut self.regs[rd.index()];
+                    for l in lanes_of(active) {
+                        dst[l] = self.mems[l][addr];
                     }
-                    self.regs[rd.index()] = lanes::deposit(&loaded);
                 }
                 Instr::Store { src, base, offset } => {
-                    lanes::extract(&self.regs[base.index()], &mut vals);
-                    let addr = peel_divergent_addrs(&vals, offset, words, &mut active);
-                    lanes::extract(&self.regs[src.index()], &mut vals);
-                    let mut act = active;
-                    while act != 0 {
-                        let l = act.trailing_zeros() as usize;
-                        act &= act - 1;
+                    let (addr, diverged) =
+                        mem_addrs(&self.regs[base.index()], offset, words, active);
+                    active &= !diverged;
+                    let vals = &self.regs[src.index()];
+                    for l in lanes_of(active) {
                         self.mems[l][addr] = vals[l];
                     }
                 }
@@ -660,139 +652,97 @@ impl LaneBatcher {
         active: &mut u64,
         replay_peeled: &mut u64,
     ) -> Option<()> {
-        {
-            match fe.instr {
-                Instr::Nop | Instr::Halt | Instr::Jump { .. } => {}
-                Instr::LoadImm { rd, imm } => self.wp_write(rd.index(), [imm as u32; LANES]),
-                Instr::Alu { op, rd, rs1, rs2 } => {
-                    let a = self.wp_read(rs1.index());
-                    let b = self.wp_read(rs2.index());
-                    let mut out = [0u32; LANES];
-                    for l in 0..LANES {
-                        out[l] = op.apply(a[l], b[l]);
-                    }
-                    self.wp_write(rd.index(), out);
-                }
-                Instr::AluImm { op, rd, rs1, imm } => {
-                    let a = self.wp_read(rs1.index());
-                    let mut out = [0u32; LANES];
-                    for l in 0..LANES {
-                        out[l] = op.apply(a[l], imm as u32);
-                    }
-                    self.wp_write(rd.index(), out);
-                }
-                Instr::Load { rd, base, offset } => {
-                    let Some(addr0) = fe.mem_addr else {
-                        // Never issued ⇒ no consumer of its value ever
-                        // issued either; the value is a don't-care.
-                        self.wp_write(rd.index(), [0u32; LANES]);
-                        return Some(());
-                    };
-                    let bases = self.wp_read(base.index());
-                    self.peel_wrong_addrs(&bases, offset, words, addr0, active, replay_peeled)?;
-                    let mut out = [0u32; LANES];
-                    match self.wp_stores.iter().rev().find(|(a, _)| *a == addr0) {
-                        Some((_, vs)) => out = *vs,
-                        None => {
-                            let mut act = *active;
-                            while act != 0 {
-                                let l = act.trailing_zeros() as usize;
-                                act &= act - 1;
-                                out[l] = self.mems[l][addr0];
-                            }
-                        }
-                    }
-                    self.wp_write(rd.index(), out);
-                }
-                Instr::Store { src, base, offset } => {
-                    let Some(addr0) = fe.mem_addr else {
-                        // Never resolved ⇒ every younger wrong-path
-                        // load was blocked behind it and never issued.
-                        return Some(());
-                    };
-                    let bases = self.wp_read(base.index());
-                    self.peel_wrong_addrs(&bases, offset, words, addr0, active, replay_peeled)?;
-                    let svals = self.wp_read(src.index());
-                    self.wp_stores.push((addr0, svals));
-                }
-                Instr::Branch { cond, rs1, rs2, .. } => {
-                    let Some(dir) = fe.resolved_taken else {
-                        // Untrained (resolved no earlier than the flush
-                        // cycle, or never): left no timing trace.
-                        return Some(());
-                    };
-                    let a = self.wp_read(rs1.index());
-                    let b = self.wp_read(rs2.index());
-                    if cond.eval(a[0], b[0]) != dir {
-                        return None; // lane-0 self-check failed
-                    }
-                    let mut peel = 0u64;
-                    let mut act = *active & !1;
-                    while act != 0 {
-                        let l = act.trailing_zeros() as usize;
-                        act &= act - 1;
-                        if cond.eval(a[l], b[l]) != dir {
-                            peel |= 1u64 << l;
-                        }
-                    }
-                    *active &= !peel;
-                    *replay_peeled |= peel;
-                }
+        let diverged = match fe.instr {
+            Instr::Nop | Instr::Halt | Instr::Jump { .. } => 0,
+            Instr::LoadImm { rd, imm } => {
+                self.wp_write(rd.index(), [imm as u32; MAX_LANES]);
+                0
             }
-        }
+            Instr::Alu { op, rd, rs1, rs2 } => {
+                let v = eval_alu(op, self.wp_read(rs1.index()), self.wp_read(rs2.index()));
+                self.wp_write(rd.index(), v);
+                0
+            }
+            Instr::AluImm { op, rd, rs1, imm } => {
+                let v = eval_alu(op, self.wp_read(rs1.index()), &[imm as u32; MAX_LANES]);
+                self.wp_write(rd.index(), v);
+                0
+            }
+            Instr::Load { rd, base, offset } => {
+                let Some(addr0) = fe.mem_addr else {
+                    // Never issued ⇒ no consumer of its value ever
+                    // issued either; the value is a don't-care.
+                    self.wp_write(rd.index(), [0; MAX_LANES]);
+                    return Some(());
+                };
+                let (addr, diverged) =
+                    mem_addrs(self.wp_read(base.index()), offset, words, *active);
+                if addr != addr0 {
+                    return None; // lane-0 self-check failed
+                }
+                let out = match self.wp_stores.iter().rev().find(|(a, _)| *a == addr0) {
+                    Some(&(_, vals)) => vals,
+                    None => {
+                        let mut out = [0; MAX_LANES];
+                        for l in lanes_of(*active & !diverged) {
+                            out[l] = self.mems[l][addr0];
+                        }
+                        out
+                    }
+                };
+                self.wp_write(rd.index(), out);
+                diverged
+            }
+            Instr::Store { src, base, offset } => {
+                let Some(addr0) = fe.mem_addr else {
+                    // Never resolved ⇒ every younger wrong-path
+                    // load was blocked behind it and never issued.
+                    return Some(());
+                };
+                let (addr, diverged) =
+                    mem_addrs(self.wp_read(base.index()), offset, words, *active);
+                if addr != addr0 {
+                    return None; // lane-0 self-check failed
+                }
+                let vals = *self.wp_read(src.index());
+                self.wp_stores.push((addr0, vals));
+                diverged
+            }
+            Instr::Branch { cond, rs1, rs2, .. } => {
+                let Some(dir) = fe.resolved_taken else {
+                    // Untrained (resolved no earlier than the flush
+                    // cycle, or never): left no timing trace.
+                    return Some(());
+                };
+                let taken = branch_mask(cond, self.wp_read(rs1.index()), self.wp_read(rs2.index()));
+                if (taken & 1 == 1) != dir {
+                    return None; // lane-0 self-check failed
+                }
+                *active & if dir { !taken } else { taken }
+            }
+        };
+        *active &= !diverged;
+        *replay_peeled |= diverged;
         Some(())
     }
 
-    /// Segment-replay address check: lane 0's computed address must
-    /// equal the leader's logged one (else the replay is wrong —
-    /// demote); every other active lane computing a different address
-    /// peels.
-    fn peel_wrong_addrs(
-        &self,
-        bases: &[u32; LANES],
-        offset: i32,
-        words: usize,
-        addr0: usize,
-        active: &mut u64,
-        replay_peeled: &mut u64,
-    ) -> Option<()> {
-        if (bases[0].wrapping_add(offset as u32) as usize) % words != addr0 {
-            return None;
+    /// A register's per-lane values during segment replay: the overlay
+    /// if this segment wrote it, the lock-step architectural state
+    /// otherwise.
+    fn wp_read(&self, r: usize) -> &Lanes {
+        if self.wp_gen[r] == self.wp_gen_cur {
+            &self.wp_val[r]
+        } else {
+            &self.regs[r]
         }
-        let mut peel = 0u64;
-        let mut act = *active & !1;
-        while act != 0 {
-            let l = act.trailing_zeros() as usize;
-            act &= act - 1;
-            if (bases[l].wrapping_add(offset as u32) as usize) % words != addr0 {
-                peel |= 1u64 << l;
-            }
-        }
-        *active &= !peel;
-        *replay_peeled |= peel;
-        Some(())
-    }
-
-    /// Read a register's per-lane values during segment replay: the
-    /// overlay if this segment wrote it, the lock-step architectural
-    /// state otherwise (cached into the overlay so repeated reads cost
-    /// one extraction).
-    fn wp_read(&mut self, r: usize) -> [u32; LANES] {
-        if self.wp_gen[r] != self.wp_gen_cur {
-            let mut vals = [0u32; LANES];
-            lanes::extract(&self.regs[r], &mut vals);
-            self.wp_val[r] = vals;
-            self.wp_gen[r] = self.wp_gen_cur;
-        }
-        self.wp_val[r]
     }
 
     /// Write a register's per-lane values into the segment overlay
     /// (architectural lane state is never touched by wrong-path work),
     /// journalling the displaced state so a closing event scope can
     /// undo it. A stale displaced generation restores as stale — the
-    /// next read simply re-extracts the boundary state.
-    fn wp_write(&mut self, r: usize, vals: [u32; LANES]) {
+    /// next read simply sees the boundary state again.
+    fn wp_write(&mut self, r: usize, vals: Lanes) {
         self.journal.push((r, self.wp_gen[r], self.wp_val[r]));
         self.wp_val[r] = vals;
         self.wp_gen[r] = self.wp_gen_cur;
@@ -801,23 +751,18 @@ impl LaneBatcher {
     /// Cross-check lane 0's lock-step state against the engine's
     /// result. Lane 0 ran both paths; if they disagree, the lock-step
     /// pass is wrong and the group must not share its results.
-    fn verify_leader(&self, num_regs: usize, leader: &RunResult) -> bool {
-        if self.mems[0] != leader.mem {
-            return false;
-        }
-        let mut vals = [0u32; LANES];
-        for r in 0..num_regs {
-            lanes::extract(&self.regs[r], &mut vals);
-            if vals[0] != leader.regs[r] {
-                return false;
-            }
-        }
-        true
+    fn verify_leader(&self, leader: &RunResult) -> bool {
+        self.mems[0] == leader.mem
+            && self
+                .regs
+                .iter()
+                .map(|v| v[0])
+                .eq(leader.regs.iter().copied())
     }
 
     /// Hand out results: converged lanes inherit the leader's schedule
     /// (cycles, stats, and timings if it recorded them) with their own
-    /// registers and memory from the lane substrate; peeled lanes
+    /// registers and memory from the lock-step pass; peeled lanes
     /// re-run serially.
     fn assemble<P: Borrow<Program>>(
         &mut self,
@@ -827,24 +772,6 @@ impl LaneBatcher {
         rest: &mut [RunResult],
         active: u64,
     ) {
-        let num_regs = programs[0].borrow().num_regs;
-        let mut vals = [0u32; LANES];
-        // Registers first, one extraction per architectural register
-        // covering every converged lane at once.
-        for (i, slot) in rest.iter_mut().enumerate() {
-            if active >> (i + 1) & 1 == 1 {
-                slot.regs.clear();
-                slot.regs.resize(num_regs, 0);
-            }
-        }
-        for r in 0..num_regs {
-            lanes::extract(&self.regs[r], &mut vals);
-            for (i, slot) in rest.iter_mut().enumerate() {
-                if active >> (i + 1) & 1 == 1 {
-                    slot.regs[r] = vals[i + 1];
-                }
-            }
-        }
         for (i, slot) in rest.iter_mut().enumerate() {
             let l = i + 1;
             if active >> l & 1 == 1 {
@@ -852,6 +779,8 @@ impl LaneBatcher {
                 slot.cycles = leader.cycles;
                 slot.stats.clone_from(&leader.stats);
                 slot.timings.clone_from(&leader.timings);
+                slot.regs.clear();
+                slot.regs.extend(self.regs.iter().map(|v| v[l]));
                 std::mem::swap(&mut slot.mem, &mut self.mems[l]);
             } else {
                 engine.run_reusing(programs[l].borrow(), slot);
@@ -887,79 +816,70 @@ fn compatible_words<P: Borrow<Program>>(cfg: &ProcConfig, programs: &[P]) -> Opt
     Some(words)
 }
 
-/// Per-lane effective addresses from extracted base values; peels
-/// (clears from `active`) every non-leader lane whose address differs
-/// from lane 0's, and returns the leader's address.
-#[inline]
-fn peel_divergent_addrs(
-    bases: &[u32; LANES],
-    offset: i32,
-    words: usize,
-    active: &mut u64,
-) -> usize {
-    let addr0 = (bases[0].wrapping_add(offset as u32) as usize) % words;
-    let mut act = *active & !1;
-    while act != 0 {
-        let l = act.trailing_zeros() as usize;
-        act &= act - 1;
-        if (bases[l].wrapping_add(offset as u32) as usize) % words != addr0 {
-            *active &= !(1u64 << l);
-        }
-    }
-    addr0
+/// The mask of a batch's `n` lanes (`2 <= n <= 64`).
+fn first_lanes(n: usize) -> u64 {
+    u64::MAX >> (MAX_LANES - n)
 }
 
-/// One ALU op over all lanes. Shifts by a lane-uniform amount (over
-/// the active lanes) relabel planes; everything without a cheap plane
-/// form goes through the transpose escape hatch.
-fn eval_alu(op: AluOp, a: &LaneValue, b: &LaneValue, active: u64) -> LaneValue {
-    match op {
-        AluOp::Add => lanes::add(a, b),
-        AluOp::Sub => lanes::sub(a, b),
-        AluOp::And => lanes::and(a, b),
-        AluOp::Or => lanes::or(a, b),
-        AluOp::Xor => lanes::xor(a, b),
-        AluOp::Slt => lanes::mask_value(lanes::lt_mask(a, b)),
-        AluOp::Sltu => lanes::mask_value(lanes::ltu_mask(a, b)),
-        AluOp::Sll | AluOp::Srl | AluOp::Sra => match lanes::uniform_value(b, active) {
-            Some(sh) => eval_shift(op, a, sh),
-            None => lanes::map2(a, b, |x, y| op.apply(x, y)),
-        },
-        AluOp::Mul | AluOp::Div | AluOp::Rem => lanes::map2(a, b, |x, y| op.apply(x, y)),
-    }
+/// The lanes raised in `mask`, lowest first.
+fn lanes_of(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let l = mask.trailing_zeros() as usize;
+        mask &= mask.wrapping_sub(1);
+        (l < MAX_LANES).then_some(l)
+    })
 }
 
-/// The register–immediate forms: the second operand is lane-uniform by
-/// construction, so shifts always take the plane-relabelling path.
-fn eval_alu_imm(op: AluOp, a: &LaneValue, imm: u32) -> LaneValue {
-    match op {
-        AluOp::Sll | AluOp::Srl | AluOp::Sra => eval_shift(op, a, imm),
-        _ => eval_alu(op, a, &lanes::broadcast(imm), u64::MAX),
-    }
+/// A memory operation's effective address in lane 0, and the mask of
+/// `active` lanes whose address differs from it. Lanes holding lane
+/// 0's base share its address outright; only the rest pay the modulus.
+fn mem_addrs(bases: &Lanes, offset: i32, words: usize, active: u64) -> (usize, u64) {
+    let addr = |base: u32| (base.wrapping_add(offset as u32) as usize) % words;
+    let addr0 = addr(bases[0]);
+    let other_bases = active & branch_mask(BranchCond::Ne, bases, &[bases[0]; MAX_LANES]);
+    let diverged = lanes_of(other_bases)
+        .filter(|&l| addr(bases[l]) != addr0)
+        .fold(0, |m, l| m | 1 << l);
+    (addr0, diverged)
 }
 
-/// Lane-uniform shift (amount masked mod 32, as `AluOp::apply` does).
-#[inline]
-fn eval_shift(op: AluOp, a: &LaneValue, amount: u32) -> LaneValue {
-    let sh = amount & 31;
-    match op {
-        AluOp::Sll => lanes::sll_uniform(a, sh),
-        AluOp::Srl => lanes::srl_uniform(a, sh),
-        AluOp::Sra => lanes::sra_uniform(a, sh),
-        _ => unreachable!("eval_shift is only called for shift ops"),
+/// One ALU op in every lane: a per-lane loop over [`AluOp::apply`],
+/// monomorphised per op so each loop vectorises.
+fn eval_alu(op: AluOp, a: &Lanes, b: &Lanes) -> Lanes {
+    macro_rules! per_lane {
+        ($($op:ident)*) => {
+            match op {
+                $(AluOp::$op => {
+                    let mut out = [0; MAX_LANES];
+                    for l in 0..MAX_LANES {
+                        out[l] = AluOp::$op.apply(a[l], b[l]);
+                    }
+                    out
+                })*
+            }
+        };
     }
+    per_lane!(Add Sub And Or Xor Sll Srl Sra Slt Sltu Mul Div Rem)
 }
 
-/// Per-lane branch condition mask (bit `l` set iff lane `l` takes).
-fn branch_mask(cond: BranchCond, a: &LaneValue, b: &LaneValue) -> u64 {
-    match cond {
-        BranchCond::Eq => lanes::eq_mask(a, b),
-        BranchCond::Ne => !lanes::eq_mask(a, b),
-        BranchCond::Lt => lanes::lt_mask(a, b),
-        BranchCond::Ge => !lanes::lt_mask(a, b),
-        BranchCond::Ltu => lanes::ltu_mask(a, b),
-        BranchCond::Geu => !lanes::ltu_mask(a, b),
+/// A branch condition in every lane, as a mask (bit `l` set iff lane
+/// `l` takes): a per-lane loop over [`BranchCond::eval`], monomorphised
+/// per condition.
+fn branch_mask(cond: BranchCond, a: &Lanes, b: &Lanes) -> u64 {
+    macro_rules! per_lane {
+        ($($cond:ident)*) => {
+            match cond {
+                $(BranchCond::$cond => {
+                    let mut taken = 0u64;
+                    for l in 0..MAX_LANES {
+                        taken |= (BranchCond::$cond.eval(a[l], b[l]) as u64) << l;
+                    }
+                    taken
+                })*
+            }
+        };
     }
+    per_lane!(Eq Ne Lt Ge Ltu Geu)
 }
 
 /// An engine plus its lane batcher as one unit, for callers that own

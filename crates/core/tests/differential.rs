@@ -728,6 +728,11 @@ fn differential_harness() {
     assert!(tally.rejected > 0, "validate() never filtered a draw");
     let lanes = *batcher.stats();
     assert!(lanes.batches > 0, "no group lane-batched: {lanes:?}");
+    // A lock-step pass that lane 0 cannot verify, or that cannot place
+    // the leader's schedule, demotes its group to correct serial runs,
+    // which would hide a wrong lane engine from every check above.
+    assert_eq!(lanes.fallback_verify, 0, "{lanes:?}");
+    assert_eq!(lanes.fallback_structure, 0, "{lanes:?}");
     assert!(lanes.peels > 0, "no lane peeled: {lanes:?}");
     assert!(
         lanes.replay_peels > 0,

@@ -6,16 +6,16 @@
 //! is a throughput optimisation, never an observable one.
 //!
 //! The random sweep over programs, configurations and batch sizes
-//! lives in `differential.rs`; these tests pin directed shapes: epoch
-//! segmentation, a single divergent lane, full convergence, fallbacks
-//! and warm scratch.
+//! lives in `differential.rs`; these tests pin directed shapes: every
+//! ALU op and branch condition, epoch segmentation, a single divergent
+//! lane, full convergence, fallbacks and warm scratch.
 
 use proptest::prelude::*;
 use ultrascalar::{
     LaneBatcher, PredictorKind, ProcConfig, Processor, RunResult, Ultrascalar, MAX_LANES,
 };
 use ultrascalar_isa::workload::{self, RandomCfg};
-use ultrascalar_isa::Program;
+use ultrascalar_isa::{AluOp, BranchCond, Program};
 
 /// Serial ground truth: each program through a fresh engine.
 fn serial_runs(cfg: &ProcConfig, programs: &[Program]) -> Vec<RunResult> {
@@ -38,7 +38,10 @@ fn assert_identical(got: &RunResult, want: &RunResult, ctx: &str) {
     );
 }
 
-/// Run one group both ways and compare every lane.
+/// Run one group both ways and compare every lane. Lane 0's lock-step
+/// state must also verify against the engine: a verify demotion still
+/// delivers correct serial results, so only this check exposes a wrong
+/// lock-step evaluator.
 fn check_batch(batcher: &mut LaneBatcher, cfg: &ProcConfig, programs: &[Program], ctx: &str) {
     let golden = serial_runs(cfg, programs);
     let refs: Vec<&Program> = programs.iter().collect();
@@ -48,6 +51,101 @@ fn check_batch(batcher: &mut LaneBatcher, cfg: &ProcConfig, programs: &[Program]
     for (l, (got, want)) in out.iter().zip(golden.iter()).enumerate() {
         assert_identical(got, want, &format!("{ctx} lane {l}"));
     }
+    let stats = batcher.stats();
+    assert_eq!(
+        stats.fallback_verify, 0,
+        "{ctx}: lane 0 failed to verify: {stats:?}"
+    );
+}
+
+/// Every ALU op, in register form and with immediates 0, -1, 33 and
+/// `i32::MIN`, then every branch condition, across a 64-lane group.
+/// The ALU operands vary per lane and include division by zero,
+/// `i32::MIN`, `u32::MAX` and shift amounts of 32 and more. Each branch
+/// falls through to its own target, so the path never changes; lanes
+/// whose branch operands compare differently from lane 0's peel, and
+/// the rest must ride the batch with every register equal to its
+/// serial run.
+#[test]
+fn every_alu_op_and_branch_cond_lane_batches() {
+    // r1, r2: ALU operands; r3, r4: branch operands; results from r5.
+    let mut src = String::new();
+    let mut rd = 5;
+    for op in AluOp::ALL {
+        let m = op.mnemonic();
+        src += &format!("{m} r{rd}, r1, r2\n");
+        for imm in [0, -1, 33, i32::MIN] {
+            src += &format!("{m}i r{}, r1, {imm}\n", rd + 1);
+            rd += 1;
+        }
+        rd += 1;
+    }
+    src += &format!("sw r5, 1(r0)\nlw r{rd}, 1(r0)\n");
+    for (i, cond) in BranchCond::ALL.iter().enumerate() {
+        src += &format!("{} r3, r4, c{i}\nc{i}:\n", cond.mnemonic());
+    }
+    src += "halt\n";
+    let base = ultrascalar_isa::asm::assemble(&src, rd + 1).expect("assembles");
+
+    // ALU edge cases sit in lanes 0, 1, 4, 5, 8, 9, …, which never
+    // peel; seeded values fill the rest.
+    let edges: [(u32, u32); 12] = [
+        (7, 0),
+        (0x8000_0000, u32::MAX),
+        (u32::MAX, u32::MAX),
+        (0x8000_0000, 0),
+        (0x1234_5678, 32),
+        (0x8765_4321, 33),
+        (0x8000_0001, 31),
+        (u32::MAX, 63),
+        (0, 0),
+        (u32::MAX, 0x8000_0000),
+        (0x8000_0000, 1),
+        (0xDEAD_BEEF, 0xFFFF_FFE1),
+    ];
+    let mut state = 0x5EED_00A1_u64;
+    let mut next = move || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 32) as u32
+    };
+    let programs: Vec<Program> = (0..MAX_LANES)
+        .map(|l| {
+            let k = l / 4 * 2 + l % 4;
+            let (a, b) = match edges.get(k) {
+                Some(&e) if l % 4 < 2 => e,
+                _ => (next(), next()),
+            };
+            // r3 < r4 as signed values only, except in lanes 3 mod 4:
+            // there in turn equal, greater, and less both ways.
+            let l = l as u32;
+            let (c, d) = match (l % 4, l / 4 % 3) {
+                (3, 0) => (l, l),
+                (3, 1) => (l + 9, 3),
+                (3, _) => (l, 2 * l + 1),
+                _ => (u32::MAX - l, 2 * l + 1),
+            };
+            let mut p = base.clone();
+            p.init_regs[1..5].copy_from_slice(&[a, b, c, d]);
+            p
+        })
+        .collect();
+    let directions =
+        |p: &Program| BranchCond::ALL.map(|cond| cond.eval(p.init_regs[3], p.init_regs[4]));
+    let converged = programs
+        .iter()
+        .filter(|p| directions(p) == directions(&programs[0]))
+        .count() as u64;
+
+    let cfg = ProcConfig::ultrascalar_i(16);
+    let mut batcher = LaneBatcher::new();
+    check_batch(&mut batcher, &cfg, &programs, "every op");
+    let stats = *batcher.stats();
+    assert_eq!(stats.batches, 1, "the group must lane-batch: {stats:?}");
+    assert!(stats.lane_runs > 1, "no lane rode the batch: {stats:?}");
+    assert_eq!(stats.lane_runs, converged, "{stats:?}");
+    assert_eq!(stats.peels, MAX_LANES as u64 - converged, "{stats:?}");
 }
 
 #[test]

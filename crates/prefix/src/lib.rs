@@ -27,46 +27,42 @@
 //!   count,
 //! * [`packed`] — the [`packed::BitWords`] bitset behind the memory
 //!   butterfly's per-cycle link raster,
-//! * [`lanes`] — lane-parallel *simulation*: bit `l` of every plane
-//!   belongs to independent simulation `l`, so a [`lanes::LaneValue`] (32 bit-planes × 64
-//!   lanes) advances one architectural register of 64 machines per
-//!   word op — planewise ALU/compare forms, lane-uniform shift
-//!   relabelling, and a transpose-based extract/compute/deposit escape
-//!   hatch,
 //! * [`op`] — the associative-operator abstraction shared by all of the
 //!   above, including the two operators used in the paper
 //!   ([`op::First`], the register-forwarding operator `a ⊗ b = a`, and
-//!   [`op::BoolAnd`], the sequencing operator `a ⊗ b = a ∧ b`),
-//! * [`simd`] — the one runtime-dispatched AVX2 kernel
-//!   (`is_x86_feature_detected!`): the 64×64 bit transpose behind
-//!   [`lanes`]' deposit/extract, bit-for-bit identical to the scalar
-//!   network it falls back to.
+//!   [`op::BoolAnd`], the sequencing operator `a ⊗ b = a ∧ b`).
 //!
 //! The gate-level realisations of the same structures live in the
 //! `ultrascalar-circuit` crate; property tests there check that the
 //! netlists agree with the algorithms in this crate.
 
 #![deny(missing_docs)]
-// `unsafe` is denied crate-wide and re-allowed in exactly one place:
-// the `simd` module, whose `std::arch` intrinsic calls sit behind
-// runtime feature detection and a safe wrapper.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod cspp;
-pub mod lanes;
 pub mod op;
 pub mod packed;
 pub mod scan;
 pub mod sched;
-pub mod simd;
 pub mod tree;
 
 pub use cspp::{
     cspp_heap_with, cspp_ring, cspp_tree, segmented_prefix_ring, segmented_prefix_tree,
 };
-pub use lanes::LaneValue;
 pub use op::{BoolAnd, BoolOr, First, Last, Max, Min, PrefixOp, SegPair, Sum};
 pub use packed::BitWords;
 pub use sched::allocate_oldest_first;
-pub use simd::active_simd_level;
 pub use tree::{tree_scan_exclusive, tree_scan_inclusive};
+
+/// The host's SIMD level, `"avx2"` or `"swar"`, from
+/// `is_x86_feature_detected!`. Detection only: nothing in the workspace
+/// dispatches on it. It is kept solely because the repository
+/// benchmark prints it, and goes with that benchmark's next change
+/// (ROADMAP item 5).
+pub fn active_simd_level() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        return "avx2";
+    }
+    "swar"
+}
