@@ -503,8 +503,8 @@ impl Processor for BaselineOoO {
         debug_assert!(timings
             .as_ref()
             .is_none_or(|t| t.windows(2).all(|w| w[0].seq < w[1].seq)));
-        out_mem.clear();
-        out_mem.extend_from_slice(mem.snapshot());
+        // Sparse: copies only the pages either image marks as written.
+        out_mem.clone_from(mem.image());
         *out_cycles = t;
         *out_halted = halted;
     }

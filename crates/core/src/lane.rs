@@ -113,6 +113,7 @@ use crate::config::ProcConfig;
 use crate::engine::{FlushedEntry, ReplayLog, Ultrascalar};
 use crate::processor::{Processor, RunResult};
 use ultrascalar_isa::{AluOp, BranchCond, Instr, Program};
+use ultrascalar_memsys::MemImage;
 
 /// Maximum lanes per batch: one simulation per bit of the `u64` lane
 /// mask.
@@ -224,7 +225,10 @@ pub struct LaneBatcher {
     /// architectural register.
     regs: Vec<Lanes>,
     /// Per-lane data memory (entry `l` valid while lane `l` is active).
-    mems: Vec<Vec<u32>>,
+    /// Page-tracked, so setting a lane up, verifying lane 0 and handing
+    /// a lane's image to its result (a swap) cost the pages the lanes
+    /// touch, not the memory size.
+    mems: Vec<MemImage>,
     /// Wrong-path register overlay for segment replay, generation-
     /// stamped so starting a new segment is one counter bump instead of
     /// a clear.
@@ -391,17 +395,14 @@ impl LaneBatcher {
         self.regs.clear();
         self.regs.resize(num_regs, [0; MAX_LANES]);
         if self.mems.len() < n {
-            self.mems.resize_with(n, Vec::new);
+            self.mems.resize_with(n, MemImage::default);
         }
         for (l, p) in programs.iter().enumerate() {
             let p = p.borrow();
             for (reg, &v) in self.regs.iter_mut().zip(&p.init_regs) {
                 reg[l] = v;
             }
-            let m = &mut self.mems[l];
-            m.clear();
-            m.resize(words, 0);
-            m[..p.init_mem.len()].copy_from_slice(&p.init_mem);
+            self.mems[l].reset(words, &p.init_mem);
         }
 
         // Wrong-path overlay scratch for this batch's register file.
@@ -473,7 +474,7 @@ impl LaneBatcher {
                     active &= !diverged;
                     let vals = &self.regs[src.index()];
                     for l in lanes_of(active) {
-                        self.mems[l][addr] = vals[l];
+                        self.mems[l].write(addr, vals[l]);
                     }
                 }
                 Instr::Branch {

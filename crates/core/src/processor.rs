@@ -3,6 +3,7 @@
 use crate::stats::ProcStats;
 use crate::timing::InstrTiming;
 use ultrascalar_isa::Program;
+use ultrascalar_memsys::MemImage;
 
 /// The outcome of running a program to completion on a processor model.
 ///
@@ -17,8 +18,11 @@ pub struct RunResult {
     pub cycles: u64,
     /// Committed architectural register file.
     pub regs: Vec<u32>,
-    /// Final data-memory contents.
-    pub mem: Vec<u32>,
+    /// Final data-memory contents. A page-tracked image: a run copies
+    /// into it, and `==` compares, only the pages either side may have
+    /// written, so a reused buffer costs the memory a run touched, not
+    /// the configured `mem.words`. Read it as a `[u32]` slice.
+    pub mem: MemImage,
     /// Statistics.
     pub stats: ProcStats,
     /// The per-instruction timing record (the paper's Figure 3 data):

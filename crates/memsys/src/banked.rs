@@ -5,10 +5,14 @@
 //! sequential accesses evenly. Each bank accepts one access per
 //! `bank_occupancy` cycles.
 
+use crate::image::MemImage;
+
 /// Banked, word-addressed storage with per-bank occupancy tracking.
+/// The storage is a page-tracked [`MemImage`], so a rewind zeroes only
+/// the pages the previous run wrote.
 #[derive(Debug, Clone)]
 pub struct BankedMemory {
-    words: Vec<u32>,
+    words: MemImage,
     banks: usize,
     /// The first cycle at which each bank is free again.
     free_at: Vec<u64>,
@@ -29,7 +33,7 @@ impl BankedMemory {
         assert!(banks > 0, "need at least one bank");
         assert!(words > 0, "need at least one word");
         BankedMemory {
-            words: vec![0; words],
+            words: MemImage::new(words),
             banks,
             free_at: vec![0; banks],
             occupancy: occupancy.max(1),
@@ -38,27 +42,19 @@ impl BankedMemory {
         }
     }
 
-    /// Rewind to the as-constructed state in place (no allocation):
-    /// storage re-zeroed then loaded with `image`, every bank free at
-    /// cycle 0, counters cleared. Word and bank counts are unchanged.
+    /// Rewind in place to `BankedMemory::new(words, ..)` loaded with
+    /// `image` from word 0: the pages the last run wrote re-zeroed (see
+    /// [`MemImage::reset`]), every bank free at cycle 0, counters
+    /// cleared. The bank count is unchanged.
     ///
     /// # Panics
-    /// Panics if the image exceeds the memory size.
-    pub fn reset(&mut self, image: &[u32]) {
-        self.words.fill(0);
-        self.load_image(image);
+    /// Panics if `words == 0` or the image exceeds `words`.
+    pub fn reset(&mut self, words: usize, image: &[u32]) {
+        assert!(words > 0, "need at least one word");
+        self.words.reset(words, image);
         self.free_at.fill(0);
         self.accesses = 0;
         self.bank_conflicts = 0;
-    }
-
-    /// Load an initial image starting at word 0.
-    ///
-    /// # Panics
-    /// Panics if the image exceeds the memory size.
-    pub fn load_image(&mut self, image: &[u32]) {
-        assert!(image.len() <= self.words.len(), "image larger than memory");
-        self.words[..image.len()].copy_from_slice(image);
     }
 
     /// Number of words.
@@ -105,7 +101,7 @@ impl BankedMemory {
         self.accesses += 1;
         match store {
             Some(v) => {
-                self.words[addr] = v;
+                self.words.write(addr, v);
                 Some(v)
             }
             None => Some(self.words[addr]),
@@ -122,12 +118,12 @@ impl BankedMemory {
     #[inline]
     pub fn poke(&mut self, addr: usize, v: u32) {
         let n = self.words.len();
-        self.words[addr % n] = v;
+        self.words.write(addr % n, v);
     }
 
-    /// The full architectural contents (for end-of-run comparison with
-    /// the golden interpreter).
-    pub fn snapshot(&self) -> &[u32] {
+    /// The architectural contents (for end-of-run comparison with the
+    /// golden interpreter, and for copying into a run's result).
+    pub fn image(&self) -> &MemImage {
         &self.words
     }
 }
@@ -188,15 +184,17 @@ mod tests {
     #[test]
     fn image_loading() {
         let mut m = BankedMemory::new(8, 2, 1);
-        m.load_image(&[1, 2, 3]);
-        assert_eq!(&m.snapshot()[..3], &[1, 2, 3]);
-        assert_eq!(m.snapshot()[3], 0);
+        m.poke(6, 9);
+        m.reset(8, &[1, 2, 3]);
+        assert_eq!(&m.image()[..3], &[1, 2, 3]);
+        assert_eq!(m.image()[3], 0);
+        assert_eq!(m.image()[6], 0, "reset zeroes the previous run's stores");
     }
 
     #[test]
     #[should_panic(expected = "image larger")]
     fn oversized_image_rejected() {
         let mut m = BankedMemory::new(2, 1, 1);
-        m.load_image(&[0; 3]);
+        m.reset(2, &[0; 3]);
     }
 }

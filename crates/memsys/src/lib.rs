@@ -16,6 +16,10 @@
 //!   circuits), and blocked requests retry next cycle;
 //! * [`banked`] — the interleaved memory banks behind the tree, with
 //!   per-bank occupancy;
+//! * [`image`] — [`MemImage`], the banks' storage and a run result's
+//!   final memory: a dense image that tracks which 64-word pages may be
+//!   nonzero, so rewinding, copying and comparing one costs the pages a
+//!   run touched rather than the whole memory;
 //! * [`system`] — [`system::MemSystem`], the synchronous request/
 //!   response interface the processor models drive.
 
@@ -27,8 +31,10 @@ pub mod banked;
 pub mod butterfly;
 pub mod cache;
 pub mod fattree;
+pub mod image;
 pub mod system;
 
 pub use bandwidth::Bandwidth;
 pub use cache::{CacheConfig, ClusterCaches};
+pub use image::MemImage;
 pub use system::{MemConfig, MemRequest, MemResponse, MemStats, MemSystem, NetworkKind, ReqKind};

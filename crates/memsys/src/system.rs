@@ -13,6 +13,7 @@ use crate::banked::BankedMemory;
 use crate::butterfly::Butterfly;
 use crate::cache::{CacheConfig, ClusterCaches};
 use crate::fattree::FatTree;
+use crate::image::MemImage;
 
 /// Which interconnect carries requests to the banks (the paper's §2:
 /// "via two fat-tree or butterfly networks").
@@ -218,7 +219,7 @@ impl MemSystem {
     pub fn new(cfg: MemConfig, image: &[u32]) -> Self {
         let words = cfg.words.max(image.len()).max(1);
         let mut banks = BankedMemory::new(words, cfg.banks.max(1), cfg.bank_occupancy);
-        banks.load_image(image);
+        banks.reset(words, image);
         let net = match cfg.network {
             NetworkKind::FatTree => Network::Tree(FatTree::new(cfg.n_leaves.max(1), cfg.bandwidth)),
             NetworkKind::Butterfly => {
@@ -242,21 +243,17 @@ impl MemSystem {
     }
 
     /// Rewind to the freshly-constructed state for a new run, reusing
-    /// every retained buffer: storage is re-zeroed and reloaded with
-    /// `image`, network capacities and caches are cleared, in-flight
-    /// accesses are dropped, and statistics return to zero. After this,
-    /// the system is observationally identical to
-    /// `MemSystem::new(cfg, image)` — the reuse-equivalence tests in
-    /// `ultrascalar` pin that cycle-exactly. Allocation-free unless the
-    /// image forces a different word count than the previous run.
+    /// every retained buffer: the pages of storage the last run wrote
+    /// are re-zeroed and `image` is loaded, network capacities and
+    /// caches are cleared, in-flight accesses are dropped, and
+    /// statistics return to zero. After this, the system is
+    /// observationally identical to `MemSystem::new(cfg, image)` — the
+    /// reuse-equivalence tests in `ultrascalar` pin that cycle-exactly.
+    /// Allocation-free unless the image forces a larger word count than
+    /// any previous run.
     pub fn reset(&mut self, image: &[u32]) {
         let words = self.cfg.words.max(image.len()).max(1);
-        if words == self.banks.len() {
-            self.banks.reset(image);
-        } else {
-            self.banks = BankedMemory::new(words, self.cfg.banks.max(1), self.cfg.bank_occupancy);
-            self.banks.load_image(image);
-        }
+        self.banks.reset(words, image);
         self.net.reset();
         if let Some(caches) = &mut self.caches {
             caches.reset();
@@ -405,8 +402,8 @@ impl MemSystem {
     }
 
     /// Architectural memory contents.
-    pub fn snapshot(&self) -> &[u32] {
-        self.banks.snapshot()
+    pub fn image(&self) -> &MemImage {
+        self.banks.image()
     }
 
     /// Architectural read (no timing effects).
@@ -585,11 +582,11 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_reflects_all_stores() {
+    fn image_reflects_all_stores() {
         let mut m = MemSystem::new(MemConfig::ideal(2, 8), &[]);
         m.tick(0, &[req(1, 0, 1, ReqKind::Store(10))]);
         m.tick(1, &[req(2, 1, 2, ReqKind::Store(20))]);
-        assert_eq!(&m.snapshot()[..3], &[0, 10, 20]);
+        assert_eq!(&m.image()[..3], &[0, 10, 20]);
     }
 }
 

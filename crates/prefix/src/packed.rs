@@ -5,15 +5,32 @@
 //! stage costs one store per 64 wires instead of one per wire. The
 //! engine keeps its station sets (which stations the per-cycle walk
 //! visits, which are parked on a producer) in them too, and finds the
-//! next member with a trailing-zeros scan.
+//! next member with a trailing-zeros scan. A memory image
+//! (`ultrascalar-memsys`'s `MemImage`) marks its written pages in one.
 
 /// A fixed-length bitset over `u64` words with word-parallel clears
 /// and scans — the packed replacement for per-cycle `Vec<bool>` maps
 /// (the memory butterfly's stage wires, the engine's station sets).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct BitWords {
     words: Vec<u64>,
     len: usize,
+}
+
+impl Clone for BitWords {
+    fn clone(&self) -> Self {
+        BitWords {
+            words: self.words.clone(),
+            len: self.len,
+        }
+    }
+
+    /// Hand-written so copying into a retained bitset reuses its
+    /// allocation.
+    fn clone_from(&mut self, source: &Self) {
+        self.words.clone_from(&source.words);
+        self.len = source.len;
+    }
 }
 
 impl BitWords {
@@ -38,6 +55,14 @@ impl BitWords {
     /// Clear every bit (one store per 64 bits).
     pub fn clear(&mut self) {
         self.words.fill(0);
+    }
+
+    /// Become an all-clear bitset of `len` bits in place, reusing the
+    /// allocation when it is large enough.
+    pub fn reset(&mut self, len: usize) {
+        self.words.clear();
+        self.words.resize(len.div_ceil(64), 0);
+        self.len = len;
     }
 
     /// Read bit `i`.
@@ -179,6 +204,21 @@ mod tests {
         assert_eq!((0..130).filter(|&i| b.get(i)).count(), 3);
         b.clear();
         assert!((0..130).all(|i| !b.get(i)));
+    }
+
+    #[test]
+    fn reset_and_clone_from_resize_in_place() {
+        let mut b = BitWords::new(130);
+        b.set(129);
+        b.reset(70);
+        assert_eq!(b.len(), 70);
+        assert!((0..70).all(|i| !b.get(i)));
+        let mut src = BitWords::new(200);
+        src.set(3);
+        src.set(199);
+        b.clone_from(&src);
+        assert_eq!(b.len(), 200);
+        assert_eq!((0..200).filter(|&i| b.get(i)).collect::<Vec<_>>(), [3, 199]);
     }
 
     #[test]
