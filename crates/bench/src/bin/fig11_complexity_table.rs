@@ -5,48 +5,26 @@
 //! L = 32) are printed beside the paper's Θ-claims, plus the dominance
 //! and crossover checks from §7.
 //!
-//! The regime × architecture grid and the crossover searches are
-//! independent sweep points, evaluated concurrently through the
-//! work-stealing harness; results are printed in input order so the
-//! output is byte-identical to a serial run. `--json` additionally
-//! writes per-point wall times to `BENCH_engine.json`.
-//!
 //! ```text
-//! cargo run -p ultrascalar-bench --bin fig11_complexity_table [--json]
+//! cargo run -p ultrascalar-bench --bin fig11_complexity_table
 //! ```
 
 use ultrascalar_bench::fig11::{
     expected, measured_exponents, metrics_of, regime_bandwidth, Arch, REGIMES,
 };
-use ultrascalar_bench::sweep::{json_flag_set, parallel_map_timed, JsonReport};
 use ultrascalar_bench::Table;
 use ultrascalar_memsys::Bandwidth;
 use ultrascalar_vlsi::metrics::ArchParams;
 use ultrascalar_vlsi::{usi, usii, Tech};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut report = JsonReport::new("fig11_complexity_table");
     let tech = Tech::cmos_035();
     let l = 32;
 
     println!("Figure 11 — complexity comparison (growth exponents in n at L = {l})");
     println!("measured = least-squares power-law fit over n = 4^7..4^10; ✓ = matches the paper's Θ-claim\n");
 
-    // The 3 × 4 grid of exponent fits, one sweep point per cell.
-    let grid: Vec<(usize, Arch)> = REGIMES
-        .iter()
-        .enumerate()
-        .flat_map(|(ri, _)| Arch::ALL.into_iter().map(move |a| (ri, a)))
-        .collect();
-    let fitted = parallel_map_timed(&grid, |&(ri, arch)| {
-        measured_exponents(arch, regime_bandwidth(REGIMES[ri]), l, &tech)
-    });
-    for ((ri, arch), (_, wall)) in grid.iter().zip(&fitted) {
-        report.point(&format!("fit/{:?}/{:?}", REGIMES[*ri], arch), *wall, None);
-    }
-
-    for (ri, regime) in REGIMES.into_iter().enumerate() {
+    for regime in REGIMES {
         println!(
             "=== {} ===",
             match regime {
@@ -63,9 +41,9 @@ fn main() {
             "total (want/got)",
             "area (want/got)",
         ]);
-        for (ai, arch) in Arch::ALL.into_iter().enumerate() {
+        for arch in Arch::ALL {
             let want = expected(arch, regime);
-            let (got, _) = fitted[ri * Arch::ALL.len() + ai];
+            let got = measured_exponents(arch, regime_bandwidth(regime), l, &tech);
             let cell = |w: ultrascalar_bench::fig11::Expo, g: f64| {
                 format!(
                     "{} / {:.2} {}",
@@ -123,12 +101,11 @@ fn main() {
     }
     println!("{t}");
 
-    // Crossover n* where US-I overtakes US-II, vs Θ(L²). Each L is an
-    // independent search — another parallel sweep.
+    // Crossover n* where US-I overtakes US-II, vs Θ(L²).
     println!("US-I/US-II crossover vs the paper's n = Θ(L²):");
-    let ls = [8usize, 16, 32, 64];
-    let crossovers = parallel_map_timed(&ls, |&l| {
-        (1..=11u32).map(|k| 4usize.pow(k)).find(|&n| {
+    let mut t = Table::new(vec!["L", "crossover n*", "n*/L^2"]);
+    for l in [8usize, 16, 32, 64] {
+        let crossover = (1..=11u32).map(|k| 4usize.pow(k)).find(|&n| {
             let p = ArchParams {
                 n,
                 l,
@@ -136,17 +113,13 @@ fn main() {
                 mem,
             };
             usi::metrics(&p, &tech).side_um < usii::side_linear_um(&p, &tech)
-        })
-    });
-    let mut t = Table::new(vec!["L", "crossover n*", "n*/L^2"]);
-    for (l, (crossover, wall)) in ls.into_iter().zip(&crossovers) {
-        report.point(&format!("crossover/L={l}"), *wall, None);
+        });
         match crossover {
             Some(n) => {
                 t.row(vec![
                     format!("{l}"),
                     format!("{n}"),
-                    format!("{:.2}", *n as f64 / (l * l) as f64),
+                    format!("{:.2}", n as f64 / (l * l) as f64),
                 ]);
             }
             None => {
@@ -159,8 +132,4 @@ fn main() {
         "n*/L² stays within a bounded constant range across L — the\n\
          crossover scales as Θ(L²), as the paper claims."
     );
-
-    if json_flag_set(&args) {
-        report.write_default().expect("write BENCH_engine.json");
-    }
 }

@@ -3,26 +3,19 @@
 //! committed IPC of the three processors — plus the conventional
 //! baseline — across the kernel suite and window sizes.
 //!
-//! Every (window, kernel) cell runs its simulations as one sweep point
-//! on the work-stealing harness; rows are printed in input order so
-//! the output is byte-identical to a serial run. Each Ultrascalar
-//! config runs a multi-seed *population* (the printed program plus
-//! lane-variant seeds) through the worker's [`LanePool`], so the
-//! per-config simulations lane-batch instead of running serially —
-//! the config-major grouping the sweep harness provides. The printed
-//! IPC comes from population member 0 (the original program), which
-//! the lane engine guarantees byte-identical to a serial run; the
-//! baseline OoO model has no lane engine and stays serial. `--json`
-//! writes per-point wall time and total simulated cycles (all
-//! population members) to `BENCH_engine.json`.
+//! Each Ultrascalar config runs a multi-seed *population* (the printed
+//! program plus lane-variant seeds) through one [`LanePool`], so the
+//! per-config simulations lane-batch instead of running serially. The
+//! printed IPC comes from population member 0 (the original program),
+//! which the lane engine guarantees byte-identical to a serial run;
+//! the baseline OoO model has no lane engine and runs alone.
 //!
 //! ```text
-//! cargo run -p ultrascalar-bench --bin ipc_ablation [--json]
+//! cargo run -p ultrascalar-bench --bin ipc_ablation
 //! ```
 
-use std::time::Instant;
-use ultrascalar::{BaselineOoO, LaneBatchStats, PredictorKind, ProcConfig, Processor, RunResult};
-use ultrascalar_bench::sweep::{json_flag_set, parallel_map_with, JsonReport, LanePool};
+use ultrascalar::{BaselineOoO, PredictorKind, ProcConfig, Processor, RunResult};
+use ultrascalar_bench::sweep::LanePool;
 use ultrascalar_bench::Table;
 use ultrascalar_isa::{workload, Program};
 
@@ -30,88 +23,24 @@ use ultrascalar_isa::{workload, Program};
 /// lane-variant populations sharing its schedule.
 const POP: usize = 8;
 
-/// One table cell: the four processors' results on one kernel.
-struct Cell {
-    kernel: &'static str,
-    base_ipc: f64,
-    usi_ipc: f64,
-    hy_ipc: f64,
-    usii_ipc: f64,
-    slowdown: f64,
-    cycles: u64,
-    lanes: LaneBatchStats,
-    wall: std::time::Duration,
-}
-
 /// Run the printed program plus `POP - 1` lane-variant seeds as one
 /// lane-batched population; returns member 0's result (the printed
-/// number) and the population's total simulated cycles.
-fn population_run(
-    pool: &mut LanePool,
-    cfg: &ProcConfig,
-    prog: &Program,
-    seed: u64,
-) -> (RunResult, u64) {
+/// number).
+fn population_run(pool: &mut LanePool, cfg: &ProcConfig, prog: &Program, seed: u64) -> RunResult {
     let mut population = vec![prog.clone()];
     population.extend(workload::lane_variants(prog, POP - 1, seed));
     let refs: Vec<&Program> = population.iter().collect();
     let mut out = vec![RunResult::default(); POP];
     pool.run_population(cfg, &refs, &mut out);
-    let cycles = out.iter().map(|r| r.cycles).sum();
-    (out.swap_remove(0), cycles)
+    out.swap_remove(0)
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut report = JsonReport::new("ipc_ablation");
     println!("IPC across processors (bimodal predictor, ideal memory)\n");
 
-    let windows = [8usize, 16, 32];
     let kernels = workload::standard_suite(7);
-    let points: Vec<(usize, usize)> = windows
-        .iter()
-        .flat_map(|&n| (0..kernels.len()).map(move |k| (n, k)))
-        .collect();
-    let cells = parallel_map_with(&points, LanePool::new, |pool, &(n, k)| {
-        let start = Instant::now();
-        let (name, prog) = &kernels[k];
-        let seed = 0xAB1E ^ ((n as u64) << 16) ^ k as u64;
-        let pred = PredictorKind::Bimodal(64);
-        let before = pool.stats();
-        let base = BaselineOoO::new(ProcConfig::ultrascalar_i(n).with_predictor(pred)).run(prog);
-        let (usi, usi_cycles) = population_run(
-            pool,
-            &ProcConfig::ultrascalar_i(n).with_predictor(pred),
-            prog,
-            seed,
-        );
-        let (hy, hy_cycles) = population_run(
-            pool,
-            &ProcConfig::hybrid(n, n / 4).with_predictor(pred),
-            prog,
-            seed,
-        );
-        let (usii, usii_cycles) = population_run(
-            pool,
-            &ProcConfig::ultrascalar_ii(n).with_predictor(pred),
-            prog,
-            seed,
-        );
-        Cell {
-            kernel: name,
-            base_ipc: base.ipc(),
-            usi_ipc: usi.ipc(),
-            hy_ipc: hy.ipc(),
-            usii_ipc: usii.ipc(),
-            slowdown: usii.cycles as f64 / usi.cycles as f64,
-            cycles: base.cycles + usi_cycles + hy_cycles + usii_cycles,
-            lanes: pool.stats().delta_since(&before),
-            wall: start.elapsed(),
-        }
-    });
-
-    let mut it = points.iter().zip(&cells);
-    for n in windows {
+    let mut pool = LanePool::new();
+    for n in [8usize, 16, 32] {
         println!("window n = {n} (hybrid: C = {}):", n / 4);
         let mut t = Table::new(vec![
             "kernel",
@@ -121,28 +50,28 @@ fn main() {
             "US-II (C=n)",
             "US-II slowdown",
         ]);
-        for _ in 0..kernels.len() {
-            let (_, cell) = it.next().expect("one cell per (window, kernel)");
-            report.point(
-                &format!("n={n}/{}", cell.kernel),
-                cell.wall,
-                Some(cell.cycles),
-            );
+        for (k, (name, prog)) in kernels.iter().enumerate() {
+            let seed = 0xAB1E ^ ((n as u64) << 16) ^ k as u64;
+            let pred = PredictorKind::Bimodal(64);
+            let usi_cfg = ProcConfig::ultrascalar_i(n).with_predictor(pred);
+            let base = BaselineOoO::new(usi_cfg.clone()).run(prog);
+            let usi = population_run(&mut pool, &usi_cfg, prog, seed);
+            let hy_cfg = ProcConfig::hybrid(n, n / 4).with_predictor(pred);
+            let hy = population_run(&mut pool, &hy_cfg, prog, seed);
+            let usii_cfg = ProcConfig::ultrascalar_ii(n).with_predictor(pred);
+            let usii = population_run(&mut pool, &usii_cfg, prog, seed);
             t.row(vec![
-                cell.kernel.to_string(),
-                format!("{:.2}", cell.base_ipc),
-                format!("{:.2}", cell.usi_ipc),
-                format!("{:.2}", cell.hy_ipc),
-                format!("{:.2}", cell.usii_ipc),
-                format!("{:.2}x", cell.slowdown),
+                name.to_string(),
+                format!("{:.2}", base.ipc()),
+                format!("{:.2}", usi.ipc()),
+                format!("{:.2}", hy.ipc()),
+                format!("{:.2}", usii.ipc()),
+                format!("{:.2}x", usii.cycles as f64 / usi.cycles as f64),
             ]);
         }
         println!("{t}");
     }
-    let mut lanes = LaneBatchStats::default();
-    for c in &cells {
-        lanes.merge(&c.lanes);
-    }
+    let lanes = pool.stats();
     println!(
         "US-I matches the conventional baseline exactly (same ILP), the\n\
          hybrid gives most of it back, and the batch-refill US-II pays the\n\
@@ -158,13 +87,4 @@ fn main() {
         lanes.replay_peels,
         lanes.fallbacks
     );
-    report.summary("lane_batches", lanes.batches as f64);
-    report.summary("lane_runs", lanes.lane_runs as f64);
-    report.summary("lane_peels", lanes.peels as f64);
-    report.summary("lane_replay_peels", lanes.replay_peels as f64);
-    report.summary("lane_fallbacks", lanes.fallbacks as f64);
-
-    if json_flag_set(&args) {
-        report.write_default().expect("write BENCH_engine.json");
-    }
 }

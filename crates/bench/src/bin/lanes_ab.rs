@@ -169,10 +169,11 @@ fn main() {
                     per(stats.peels).to_string(),
                     per(stats.replay_peels).to_string(),
                 ]);
-                report.point(
+                report.point_with_lanes(
                     &format!("serial/{arch}/{kernel}/b={b}"),
                     std::time::Duration::from_secs_f64(ms),
                     Some(steps),
+                    1,
                 );
                 report.point_with_lanes(
                     &format!("lanes/{arch}/{kernel}/b={b}"),

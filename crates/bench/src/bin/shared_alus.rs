@@ -3,27 +3,19 @@
 //! ALUs can be effectively shared … reducing the chip area further."
 //! Sweep the Memo 2 scheduler's pool size on the paper's closing
 //! configuration (window 128) and report IPC cost vs ALU-area savings.
-//!
-//! Every (pool size, kernel) simulation is an independent sweep point
-//! on the work-stealing harness; the cross-pool "worst slowdown"
-//! column (which compares each row against the fully-replicated
-//! k = 128 reference) is derived afterwards from the ordered results,
-//! so the output is byte-identical to a serial run. `--json` writes
-//! per-point wall time and simulated cycles to `BENCH_engine.json`.
+//! The "worst slowdown" column compares each row against the
+//! fully-replicated k = 128 reference.
 //!
 //! ```text
-//! cargo run -p ultrascalar-bench --bin shared_alus [--json]
+//! cargo run -p ultrascalar-bench --bin shared_alus
 //! ```
 
 use ultrascalar::{PredictorKind, ProcConfig, Processor, Ultrascalar};
-use ultrascalar_bench::sweep::{json_flag_set, parallel_map_timed, JsonReport};
 use ultrascalar_bench::Table;
 use ultrascalar_isa::workload;
 use ultrascalar_vlsi::Tech;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut report = JsonReport::new("shared_alus");
     let n = 128;
     let tech = Tech::cmos_035();
     println!("shared-ALU ablation — hybrid, window n = {n}, C = 32, bimodal predictor\n");
@@ -33,25 +25,26 @@ fn main() {
 
     let kernels = workload::standard_suite(77);
     let pools = [128usize, 64, 32, 16, 8, 4];
-    let points: Vec<(usize, usize)> = pools
+    let runs: Vec<Vec<(u64, f64, u64)>> = pools
         .iter()
-        .flat_map(|&k| (0..kernels.len()).map(move |j| (k, j)))
+        .map(|&k| {
+            let cfg = ProcConfig::hybrid(n, 32)
+                .with_shared_alus(k)
+                .with_predictor(PredictorKind::Bimodal(256));
+            let mut engine = Ultrascalar::new(cfg);
+            kernels
+                .iter()
+                .map(|(_, p)| {
+                    let r = engine.run(p);
+                    assert!(r.halted);
+                    (r.cycles, r.ipc(), r.stats.alu_stalls)
+                })
+                .collect()
+        })
         .collect();
-    let runs = parallel_map_timed(&points, |&(k, j)| {
-        let cfg = ProcConfig::hybrid(n, 32)
-            .with_shared_alus(k)
-            .with_predictor(PredictorKind::Bimodal(256));
-        let r = Ultrascalar::new(cfg).run(&kernels[j].1);
-        assert!(r.halted);
-        (r.cycles, r.ipc(), r.stats.alu_stalls)
-    });
-    for (&(k, j), (run, wall)) in points.iter().zip(&runs) {
-        report.point(&format!("alus={k}/{}", kernels[j].0), *wall, Some(run.0));
-    }
 
     // The first pool size (full replication) is the slowdown reference.
-    let per_pool = |i: usize| &runs[i * kernels.len()..(i + 1) * kernels.len()];
-    let reference: Vec<u64> = per_pool(0).iter().map(|(r, _)| r.0).collect();
+    let reference: Vec<u64> = runs[0].iter().map(|r| r.0).collect();
     let mut t = Table::new(vec![
         "ALUs",
         "ALU area mm²",
@@ -59,11 +52,11 @@ fn main() {
         "worst kernel slowdown",
         "total ALU stalls",
     ]);
-    for (i, k) in pools.into_iter().enumerate() {
+    for (k, runs) in pools.into_iter().zip(&runs) {
         let mut log_ipc_sum = 0.0;
         let mut worst = 1.0f64;
         let mut stalls = 0u64;
-        for ((cycles, ipc, s), base) in per_pool(i).iter().map(|(r, _)| r).zip(&reference) {
+        for ((cycles, ipc, s), base) in runs.iter().zip(&reference) {
             log_ipc_sum += ipc.ln();
             stalls += s;
             worst = worst.max(*cycles as f64 / *base as f64);
@@ -83,8 +76,4 @@ fn main() {
          while shedding {:.0} mm² of replicated ALU area (0.35 µm).",
         alu_area(128) - alu_area(16)
     );
-
-    if json_flag_set(&args) {
-        report.write_default().expect("write BENCH_engine.json");
-    }
 }

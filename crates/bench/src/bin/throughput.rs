@@ -6,24 +6,20 @@
 //! × IPC from the cycle-accurate simulator = sustained instructions
 //! per second, per architecture and window size.
 //!
-//! Each (architecture, window) row — a geomean over the whole kernel
-//! suite — is one sweep point on the work-stealing harness; rows are
-//! printed in input order so the output is byte-identical to a serial
-//! run. Every kernel runs as a multi-seed *population* (the scored
-//! program plus lane-variant seeds) through the worker's [`LanePool`]:
-//! the row's config groups its populations onto one warm lane-batch
-//! engine (config-major grouping), and the scored IPC comes from
-//! population member 0, which the lane engine guarantees
-//! byte-identical to a serial run. `--json` writes per-point wall time
-//! and total simulated cycles (all population members) to
-//! `BENCH_engine.json`.
+//! Each (architecture, window) row is a geomean over the whole kernel
+//! suite. Every kernel runs as a multi-seed *population* (the scored
+//! program plus lane-variant seeds) through one [`LanePool`]: the row's
+//! config groups its populations onto one warm lane-batch engine
+//! (config-major grouping), and the scored IPC comes from population
+//! member 0, which the lane engine guarantees byte-identical to a
+//! serial run.
 //!
 //! ```text
-//! cargo run -p ultrascalar-bench --bin throughput [--json]
+//! cargo run -p ultrascalar-bench --bin throughput
 //! ```
 
-use ultrascalar::{LaneBatchStats, PredictorKind, ProcConfig, RunResult};
-use ultrascalar_bench::sweep::{json_flag_set, parallel_map_with, JsonReport, LanePool};
+use ultrascalar::{PredictorKind, ProcConfig, RunResult};
+use ultrascalar_bench::sweep::LanePool;
 use ultrascalar_bench::Table;
 use ultrascalar_isa::{workload, Program};
 use ultrascalar_memsys::Bandwidth;
@@ -34,13 +30,10 @@ use ultrascalar_vlsi::{hybrid, usi, usii, Tech};
 /// riding the same schedule-shared batch.
 const POP: usize = 8;
 
-/// Geomean IPC over the kernel suite (member 0 of each population),
-/// plus total simulated cycles and the row's lane-batch counters.
-fn geomean_ipc(pool: &mut LanePool, cfg: &ProcConfig) -> (f64, u64, LaneBatchStats) {
+/// Geomean IPC over the kernel suite (member 0 of each population).
+fn geomean_ipc(pool: &mut LanePool, cfg: &ProcConfig) -> f64 {
     let kernels = workload::standard_suite(2121);
-    let before = pool.stats();
     let mut s = 0.0;
-    let mut cycles = 0u64;
     for (k, (_, prog)) in kernels.iter().enumerate() {
         let mut population = vec![prog.clone()];
         population.extend(workload::lane_variants(prog, POP - 1, 0x717 ^ k as u64));
@@ -49,22 +42,16 @@ fn geomean_ipc(pool: &mut LanePool, cfg: &ProcConfig) -> (f64, u64, LaneBatchSta
         pool.run_population(cfg, &refs, &mut out);
         assert!(out[0].halted);
         s += out[0].ipc().ln();
-        cycles += out.iter().map(|r| r.cycles).sum::<u64>();
     }
-    let ipc = (s / kernels.len() as f64).exp();
-    (ipc, cycles, pool.stats().delta_since(&before))
+    (s / kernels.len() as f64).exp()
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut report = JsonReport::new("throughput");
     let tech = Tech::cmos_035();
     let l = 32;
     println!("end-to-end throughput — clock from the 0.35 µm layout model ×");
     println!("geomean IPC over the kernel suite (L = {l}, M(n) = Θ(1), bimodal)\n");
 
-    // Build all (architecture, window) rows up front; the simulations
-    // behind each are a parallel sweep with one lane pool per worker.
     let rows: Vec<(String, usize, ultrascalar_vlsi::Metrics, ProcConfig)> = [16usize, 64, 256]
         .into_iter()
         .flat_map(|n| {
@@ -98,11 +85,7 @@ fn main() {
             ]
         })
         .collect();
-    let measured = parallel_map_with(&rows, LanePool::new, |pool, (_, _, _, cfg)| {
-        let start = std::time::Instant::now();
-        let r = geomean_ipc(pool, cfg);
-        (r, start.elapsed())
-    });
+    let mut pool = LanePool::new();
 
     let mut t = Table::new(vec![
         "architecture",
@@ -113,10 +96,8 @@ fn main() {
         "area mm²",
         "MIPS/cm²",
     ]);
-    let mut lanes = LaneBatchStats::default();
-    for ((name, n, m, _), ((ipc, cycles, row_lanes), wall)) in rows.iter().zip(&measured) {
-        report.point(&format!("{name}/n={n}"), *wall, Some(*cycles));
-        lanes.merge(row_lanes);
+    for (name, n, m, cfg) in &rows {
+        let ipc = geomean_ipc(&mut pool, cfg);
         let period_ps = m.total_delay_ps(&tech);
         let mhz = 1e6 / period_ps;
         let mips = mhz * ipc;
@@ -136,6 +117,7 @@ fn main() {
          period erodes its (slightly lower) IPC as n grows; the hybrid\n\
          pairs near-US-I IPC with the best clock and area at scale."
     );
+    let lanes = pool.stats();
     println!(
         "\nlane-batched populations: {} batches over {} epochs, {} lane \
          runs, {} peels ({} replay), {} serial demotions",
@@ -146,13 +128,4 @@ fn main() {
         lanes.replay_peels,
         lanes.fallbacks
     );
-    report.summary("lane_batches", lanes.batches as f64);
-    report.summary("lane_runs", lanes.lane_runs as f64);
-    report.summary("lane_peels", lanes.peels as f64);
-    report.summary("lane_replay_peels", lanes.replay_peels as f64);
-    report.summary("lane_fallbacks", lanes.fallbacks as f64);
-
-    if json_flag_set(&args) {
-        report.write_default().expect("write BENCH_engine.json");
-    }
 }

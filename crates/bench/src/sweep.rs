@@ -1,25 +1,22 @@
-//! Work-stealing parallel sweep harness for the experiment binaries.
+//! Sweep helpers for the experiment binaries.
 //!
-//! Every experiment in this crate is a sweep: the same measurement
-//! evaluated at many independent parameter points (window sizes ×
-//! kernels, architectures × bandwidth regimes, ALU-pool sizes, …).
-//! [`parallel_map`] runs those points concurrently on `std::thread`
+//! A sweep evaluates the same measurement at many independent parameter
+//! points (window sizes × kernels, networks × bandwidths, …).
+//! [`parallel_map_with`] runs those points concurrently on `std::thread`
 //! scoped threads with a shared atomic work index — idle workers steal
 //! the next unclaimed point, so uneven point costs (a 256-wide window
 //! simulates far slower than a 16-wide one) still load-balance.
-//!
 //! Results are returned **in input order** regardless of completion
-//! order, so a binary that computes all its rows through the harness
-//! and then prints sequentially produces byte-identical output to a
-//! serial run.
+//! order, so a binary that computes all its rows through it and then
+//! prints sequentially produces byte-identical output to a serial run.
 //!
-//! [`JsonReport`] is the machine-readable side: each binary accepts a
-//! `--json` flag and dumps per-point wall time and simulation
-//! throughput to `BENCH_engine.json` (hand-rolled serialisation — this
-//! workspace takes no serde dependency).
+//! [`LanePool`] keeps warm lane-batch engines per configuration, and
+//! [`JsonReport`] is the machine-readable side of `lanes_ab --json`
+//! (hand-rolled serialisation — this workspace takes no serde
+//! dependency).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use ultrascalar::{LaneBatchEngine, LaneBatchStats, ProcConfig, RunResult, MAX_LANES};
 use ultrascalar_isa::Program;
@@ -27,35 +24,16 @@ use ultrascalar_isa::Program;
 use crate::serve::escape_into;
 
 /// Evaluate `f` at every item, in parallel, returning results in input
-/// order.
-///
-/// Scheduling is work-stealing over a shared atomic index: each worker
-/// repeatedly claims the next unprocessed item until none remain.
-/// Workers buffer `(index, result)` pairs locally and the caller's
-/// thread merges them after the scope joins, so no locks are held
-/// during measurement and no `unsafe` is needed for the slot writes.
-///
-/// # Panics
-/// Propagates a panic from any worker (the sweep is deterministic, so
-/// a panicking point would panic serially too).
-pub fn parallel_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    parallel_map_with(items, || (), |(), t| f(t))
-}
-
-/// Like [`parallel_map`], but each worker carries mutable state built
-/// once by `init` and threaded through every point it claims.
+/// order. Each worker carries mutable state built once by `init` and
+/// threaded through every point it claims.
 ///
 /// This is how sweeps hoist per-point setup out of the measurement
 /// loop: a worker's state holds warm engines ([`ultrascalar::EnginePool`])
 /// or resettable memory systems, so each point rewinds existing
-/// structures instead of reallocating them. Results are still returned
-/// in input order, and a serial fallback (one worker, one state) keeps
-/// output byte-identical on single-CPU hosts.
+/// structures instead of reallocating them. Workers buffer
+/// `(index, result)` pairs and the caller's thread merges them after
+/// the scope joins, so no lock is held during measurement. On a
+/// single-CPU host one worker runs every point with one state.
 ///
 /// # Panics
 /// Propagates a panic from any worker (the sweep is deterministic, so
@@ -107,20 +85,6 @@ where
         .collect()
 }
 
-/// Like [`parallel_map`], but also measures each point's wall time.
-pub fn parallel_map_timed<T, R, F>(items: &[T], f: F) -> Vec<(R, Duration)>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    parallel_map(items, |t| {
-        let start = Instant::now();
-        let r = f(t);
-        (r, start.elapsed())
-    })
-}
-
 /// One measured sweep point for the JSON report.
 #[derive(Debug, Clone)]
 pub struct JsonPoint {
@@ -130,9 +94,8 @@ pub struct JsonPoint {
     pub wall_s: f64,
     /// Simulated cycles (steps), when the point ran the cycle engine.
     pub steps: Option<u64>,
-    /// Independent simulations advanced per pass, when the point timed
-    /// a lane batch (absent for serial runs).
-    pub lanes: Option<u64>,
+    /// Independent simulations advanced per pass (1 for a serial run).
+    pub lanes: u64,
 }
 
 impl JsonPoint {
@@ -143,8 +106,8 @@ impl JsonPoint {
     }
 }
 
-/// Machine-readable sweep report, written as `BENCH_engine.json` when a
-/// binary is invoked with `--json`.
+/// Machine-readable sweep report (`lanes_ab --json` writes it as
+/// `BENCH_lanes.json`).
 #[derive(Debug, Clone)]
 pub struct JsonReport {
     experiment: String,
@@ -162,19 +125,8 @@ impl JsonReport {
         }
     }
 
-    /// Append one measured point.
-    pub fn point(&mut self, label: &str, wall: Duration, steps: Option<u64>) -> &mut Self {
-        self.points.push(JsonPoint {
-            label: label.to_string(),
-            wall_s: wall.as_secs_f64(),
-            steps,
-            lanes: None,
-        });
-        self
-    }
-
     /// Append one measured point that advanced `lanes` independent
-    /// simulations per pass (a lane batch).
+    /// simulations per pass.
     pub fn point_with_lanes(
         &mut self,
         label: &str,
@@ -186,7 +138,7 @@ impl JsonReport {
             label: label.to_string(),
             wall_s: wall.as_secs_f64(),
             steps,
-            lanes: Some(lanes),
+            lanes,
         });
         self
     }
@@ -229,9 +181,7 @@ impl JsonReport {
                     out.push_str(&format!(", \"steps_per_sec\": {sps:.1}"));
                 }
             }
-            if let Some(lanes) = p.lanes {
-                out.push_str(&format!(", \"lanes\": {lanes}"));
-            }
+            out.push_str(&format!(", \"lanes\": {}", p.lanes));
             out.push('}');
             if i + 1 < self.points.len() {
                 out.push(',');
@@ -262,12 +212,6 @@ impl JsonReport {
         std::fs::write(path, self.render())?;
         eprintln!("wrote {path} ({} points)", self.points.len());
         Ok(())
-    }
-
-    /// Write the report to `BENCH_engine.json` in the current
-    /// directory and note the path on stderr.
-    pub fn write_default(&self) -> std::io::Result<()> {
-        self.write_to("BENCH_engine.json")
     }
 }
 
@@ -371,20 +315,24 @@ mod tests {
     fn results_in_input_order() {
         let items: Vec<u64> = (0..257).collect();
         // Uneven per-point cost to force out-of-order completion.
-        let out = parallel_map(&items, |&x| {
-            if x % 7 == 0 {
-                std::thread::sleep(Duration::from_micros(200));
-            }
-            x * 2
-        });
+        let out = parallel_map_with(
+            &items,
+            || (),
+            |(), &x| {
+                if x % 7 == 0 {
+                    std::thread::sleep(Duration::from_micros(200));
+                }
+                x * 2
+            },
+        );
         assert_eq!(out, items.iter().map(|x| x * 2).collect::<Vec<_>>());
     }
 
     #[test]
     fn empty_and_single_item_sweeps() {
         let none: Vec<u32> = vec![];
-        assert!(parallel_map(&none, |x| *x).is_empty());
-        assert_eq!(parallel_map(&[41u32], |x| x + 1), vec![42]);
+        assert!(parallel_map_with(&none, || (), |(), x| *x).is_empty());
+        assert_eq!(parallel_map_with(&[41u32], || (), |(), x| x + 1), vec![42]);
     }
 
     #[test]
@@ -400,33 +348,25 @@ mod tests {
     }
 
     #[test]
-    fn timed_map_reports_durations() {
-        let out = parallel_map_timed(&[1u32, 2, 3], |x| x * x);
-        assert_eq!(
-            out.iter().map(|(r, _)| *r).collect::<Vec<_>>(),
-            vec![1, 4, 9]
-        );
-    }
-
-    #[test]
     fn json_report_shape() {
         let mut rep = JsonReport::new("unit \"test\"");
-        rep.point("a/n=1", Duration::from_millis(250), Some(1_000_000));
-        rep.point("b", Duration::from_millis(50), None);
+        rep.point_with_lanes("a/n=1", Duration::from_millis(250), Some(1_000_000), 8);
+        rep.point_with_lanes("b", Duration::from_millis(50), None, 1);
         assert_eq!(rep.len(), 2);
         assert!(!rep.is_empty());
         let s = rep.render();
         assert!(s.contains("\"experiment\": \"unit \\\"test\\\"\""));
         assert!(s.contains("\"label\": \"a/n=1\""));
         assert!(s.contains("\"steps\": 1000000"));
-        assert!(s.contains("\"steps_per_sec\": 4000000.0"));
+        assert!(s.contains("\"steps_per_sec\": 4000000.0, \"lanes\": 8}"));
+        assert!(s.contains("\"label\": \"b\", \"wall_s\": 0.050000, \"lanes\": 1}"));
         assert!(!s.lines().last().unwrap().ends_with(','));
     }
 
     #[test]
     fn json_summary_rows() {
         let mut rep = JsonReport::new("summaries");
-        rep.point("a", Duration::from_millis(1), None);
+        rep.point_with_lanes("a", Duration::from_millis(1), None, 1);
         rep.summary("geomean_speedup", 1.25);
         rep.summary("kernel/div_chain", 8.5);
         let s = rep.render();

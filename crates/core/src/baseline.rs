@@ -18,7 +18,7 @@ use crate::processor::{Processor, RunResult};
 use crate::station::{MemPhase, StationEntry};
 use crate::stats::ProcStats;
 use crate::timing::InstrTiming;
-use ultrascalar_isa::{Instr, Program, Reg};
+use ultrascalar_isa::{effective_addr, Instr, Program, Reg};
 use ultrascalar_memsys::{MemRequest, MemSystem, ReqKind};
 
 /// A source operand captured at dispatch.
@@ -295,8 +295,7 @@ impl Processor for BaselineOoO {
                             }
                             Instr::Load { offset, .. } => {
                                 if all_stores_done {
-                                    let addr =
-                                        (v0.wrapping_add(offset as u32) as usize) % mem.words();
+                                    let addr = effective_addr(v0, offset, mem.words());
                                     requests.push(MemRequest {
                                         id: seq,
                                         leaf,
@@ -308,8 +307,7 @@ impl Processor for BaselineOoO {
                             }
                             Instr::Store { offset, .. } => {
                                 if all_stores_done && all_loads_done && all_branches_done {
-                                    let addr =
-                                        (v0.wrapping_add(offset as u32) as usize) % mem.words();
+                                    let addr = effective_addr(v0, offset, mem.words());
                                     requests.push(MemRequest {
                                         id: seq,
                                         leaf,

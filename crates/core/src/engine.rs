@@ -132,7 +132,7 @@ use crate::processor::{Processor, RunResult};
 use crate::station::{MemPhase, StationEntry};
 use crate::stats::ProcStats;
 use crate::timing::InstrTiming;
-use ultrascalar_isa::{Instr, Program};
+use ultrascalar_isa::{effective_addr, Instr, Program};
 use ultrascalar_memsys::{MemRequest, MemResponse, MemSystem, ReqKind};
 use ultrascalar_prefix::BitWords;
 
@@ -1095,8 +1095,7 @@ impl Ultrascalar {
                             }
                             Instr::Load { offset, .. } => {
                                 let base = s0.as_ref().expect("load base").value();
-                                let addr =
-                                    (base.wrapping_add(offset as u32) as usize) % mem.words();
+                                let addr = effective_addr(base, offset, mem.words());
                                 // Memory renaming: once every older
                                 // store's address is known, either
                                 // forward from the nearest match or go
@@ -1140,8 +1139,7 @@ impl Ultrascalar {
                                 if flags & F_STORE_ISSUE == F_STORE_ISSUE {
                                     let base = s0.as_ref().expect("store base").value();
                                     let val = s1.as_ref().expect("store src").value();
-                                    let addr =
-                                        (base.wrapping_add(offset as u32) as usize) % mem.words();
+                                    let addr = effective_addr(base, offset, mem.words());
                                     requests.push(MemRequest {
                                         id: seq,
                                         leaf: pos,
@@ -1244,7 +1242,7 @@ impl Ultrascalar {
                                 wake.unblock(RESOLVED_LANE, pos, lane_set, head);
                             }
                             let base = s0.as_ref().expect("store base").value();
-                            let addr = (base.wrapping_add(offset as u32) as usize) % mem.words();
+                            let addr = effective_addr(base, offset, mem.words());
                             store_infos.push(StoreInfo {
                                 addr,
                                 value: s1.as_ref().expect("store src").value(),

@@ -112,8 +112,7 @@ use std::borrow::Borrow;
 use crate::config::ProcConfig;
 use crate::engine::{FlushedEntry, ReplayLog, Ultrascalar};
 use crate::processor::{Processor, RunResult};
-use ultrascalar_isa::{AluOp, BranchCond, Instr, Program};
-use ultrascalar_memsys::MemImage;
+use ultrascalar_isa::{effective_addr, mem_words, AluOp, BranchCond, Instr, MemImage, Program};
 
 /// Maximum lanes per batch: one simulation per bit of the `u64` lane
 /// mask.
@@ -797,19 +796,18 @@ fn run_serial<P: Borrow<Program>>(engine: &mut Ultrascalar, programs: &[P], out:
     }
 }
 
-/// The effective memory size every lane must agree on (the engine and
-/// interpreter both size memory as
-/// `max(cfg.mem.words, init_mem.len(), 1)`), or `None` if the group is
+/// The memory size every lane must agree on ([`mem_words`], the size
+/// the engine and the interpreter both use), or `None` if the group is
 /// not lane-batchable: instruction streams, register-file sizes, or
-/// effective memory sizes differ.
+/// memory sizes differ.
 fn compatible_words<P: Borrow<Program>>(cfg: &ProcConfig, programs: &[P]) -> Option<usize> {
     let p0 = programs[0].borrow();
-    let words = cfg.mem.words.max(p0.init_mem.len()).max(1);
+    let words = mem_words(cfg.mem.words, &p0.init_mem);
     for p in &programs[1..] {
         let p = p.borrow();
         if p.instrs != p0.instrs
             || p.num_regs != p0.num_regs
-            || cfg.mem.words.max(p.init_mem.len()).max(1) != words
+            || mem_words(cfg.mem.words, &p.init_mem) != words
         {
             return None;
         }
@@ -835,7 +833,7 @@ fn lanes_of(mut mask: u64) -> impl Iterator<Item = usize> {
 /// `active` lanes whose address differs from it. Lanes holding lane
 /// 0's base share its address outright; only the rest pay the modulus.
 fn mem_addrs(bases: &Lanes, offset: i32, words: usize, active: u64) -> (usize, u64) {
-    let addr = |base: u32| (base.wrapping_add(offset as u32) as usize) % words;
+    let addr = |base: u32| effective_addr(base, offset, words);
     let addr0 = addr(bases[0]);
     let other_bases = active & branch_mask(BranchCond::Ne, bases, &[bases[0]; MAX_LANES]);
     let diverged = lanes_of(other_bases)

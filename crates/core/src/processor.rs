@@ -2,8 +2,7 @@
 
 use crate::stats::ProcStats;
 use crate::timing::InstrTiming;
-use ultrascalar_isa::Program;
-use ultrascalar_memsys::MemImage;
+use ultrascalar_isa::{MemImage, Program};
 
 /// The outcome of running a program to completion on a processor model.
 ///
@@ -112,11 +111,16 @@ pub fn check_against_golden(
     if !result.halted {
         return Err("processor did not halt within cycle budget".into());
     }
-    if interp.regs != result.regs {
-        for (i, (a, b)) in interp.regs.iter().zip(&result.regs).enumerate() {
-            if a != b {
-                return Err(format!("register r{i}: golden {a}, processor {b}"));
-            }
+    if interp.regs.len() != result.regs.len() {
+        return Err(format!(
+            "register counts differ: golden {}, processor {}",
+            interp.regs.len(),
+            result.regs.len()
+        ));
+    }
+    for (i, (a, b)) in interp.regs.iter().zip(&result.regs).enumerate() {
+        if a != b {
+            return Err(format!("register r{i}: golden {a}, processor {b}"));
         }
     }
     if result.stats.committed != out.steps() as u64 {
@@ -133,10 +137,91 @@ pub fn check_against_golden(
             result.mem.len()
         ));
     }
-    for (addr, (a, b)) in interp.mem.iter().zip(&result.mem).enumerate() {
+    // Every word, not the page-tracked `==`: the oracle must not trust
+    // the page marks of the image it is checking.
+    for (addr, (a, b)) in interp.mem.iter().zip(result.mem.iter()).enumerate() {
         if a != b {
             return Err(format!("memory[{addr}]: golden {a}, processor {b}"));
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ultrascalar_isa::{Instr, Interp, Reg};
+
+    /// Four words of initial memory; stores 7 at word 2 and halts.
+    fn program() -> Program {
+        Program::new(
+            vec![
+                Instr::LoadImm { rd: Reg(0), imm: 2 },
+                Instr::LoadImm { rd: Reg(1), imm: 7 },
+                Instr::Store {
+                    src: Reg(1),
+                    base: Reg(0),
+                    offset: 0,
+                },
+                Instr::Halt,
+            ],
+            2,
+        )
+        .with_init_mem(vec![1, 2, 3, 4])
+    }
+
+    /// The result a correct processor with 64 Ki words of memory
+    /// returns for `p`.
+    fn correct(p: &Program) -> RunResult {
+        let mut interp = Interp::new(p, 1 << 16);
+        let steps = interp.run(100).steps();
+        let mut r = RunResult {
+            halted: true,
+            regs: interp.regs.clone(),
+            mem: interp.mem.clone(),
+            ..RunResult::default()
+        };
+        r.stats.committed = steps as u64;
+        r
+    }
+
+    fn mismatch(corrupt: impl FnOnce(&mut RunResult)) -> String {
+        let p = program();
+        let mut r = correct(&p);
+        assert_eq!(check_against_golden(&r, &p, 100), Ok(()));
+        corrupt(&mut r);
+        check_against_golden(&r, &p, 100).expect_err("the corrupted result passed")
+    }
+
+    #[test]
+    fn a_wrong_register_is_named() {
+        let e = mismatch(|r| r.regs[1] = 8);
+        assert_eq!(e, "register r1: golden 7, processor 8");
+    }
+
+    #[test]
+    fn a_missing_register_is_reported() {
+        let e = mismatch(|r| r.regs.truncate(1));
+        assert_eq!(e, "register counts differ: golden 2, processor 1");
+    }
+
+    #[test]
+    fn a_wrong_committed_count_is_reported() {
+        let e = mismatch(|r| r.stats.committed += 1);
+        assert_eq!(e, "committed count: golden 4, processor 5");
+    }
+
+    #[test]
+    fn a_wrong_memory_size_is_reported() {
+        // The golden memory is sized from the result's, but never below
+        // the program's four-word image.
+        let e = mismatch(|r| r.mem = MemImage::new(3));
+        assert_eq!(e, "memory sizes differ: golden 4, processor 3");
+    }
+
+    #[test]
+    fn a_stray_store_at_a_high_address_is_named() {
+        let e = mismatch(|r| r.mem.write(65_000, 9));
+        assert_eq!(e, "memory[65000]: golden 0, processor 9");
+    }
 }

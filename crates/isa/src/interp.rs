@@ -5,13 +5,15 @@
 //! stream) that this interpreter produces. The integration tests
 //! property-check that equivalence over random programs.
 //!
-//! Memory is word-addressed and **wraps modulo the memory size**, so
-//! every instruction is total: speculatively executed wrong-path loads
-//! and stores in the processor models can never trap, matching the
-//! paper's requirement that misprediction recovery needs no clean-up
-//! ("nothing needs to be done to recover from misprediction except to
-//! fetch new instructions from the correct program path").
+//! Memory is word-addressed and **wraps modulo the memory size**
+//! ([`effective_addr`]), so every instruction is total: speculatively
+//! executed wrong-path loads and stores in the processor models can
+//! never trap, matching the paper's requirement that misprediction
+//! recovery needs no clean-up ("nothing needs to be done to recover
+//! from misprediction except to fetch new instructions from the
+//! correct program path").
 
+use crate::image::{self, effective_addr, MemImage};
 use crate::instr::Instr;
 use crate::program::Program;
 
@@ -72,8 +74,8 @@ pub struct Interp {
     pub pc: usize,
     /// Register file, length `num_regs` of the program.
     pub regs: Vec<u32>,
-    /// Word-addressed data memory.
-    pub mem: Vec<u32>,
+    /// Word-addressed data memory. Store through [`MemImage::write`].
+    pub mem: MemImage,
     /// Has a `halt` executed (or the pc fallen off the end)?
     pub halted: bool,
     steps: usize,
@@ -86,8 +88,9 @@ pub const DEFAULT_MEM_WORDS: usize = 1 << 16;
 impl Interp {
     /// Create an interpreter over a validated program.
     ///
-    /// Memory is sized `max(mem_words, program.init_mem.len(), 1)` and
-    /// initialised from the program's image (zero-filled beyond it).
+    /// Memory is sized [`image::mem_words`]`(mem_words,
+    /// &program.init_mem)` and initialised from the program's image
+    /// (zero-filled beyond it).
     ///
     /// # Panics
     /// Panics if the program fails [`Program::validate`].
@@ -96,7 +99,7 @@ impl Interp {
             instrs: Vec::new(),
             pc: 0,
             regs: Vec::new(),
-            mem: Vec::new(),
+            mem: MemImage::default(),
             halted: false,
             steps: 0,
         };
@@ -106,7 +109,9 @@ impl Interp {
 
     /// Rewind to the start of `program` in place. Equivalent to
     /// `*self = Interp::new(program, mem_words)`, but allocation-free
-    /// once the retained buffers are large enough.
+    /// once the retained buffers are large enough, and the memory costs
+    /// the pages the last run wrote (see [`MemImage::reset`]), not its
+    /// size.
     ///
     /// # Panics
     /// Panics if the program fails [`Program::validate`].
@@ -116,10 +121,10 @@ impl Interp {
             .expect("program must validate before execution");
         self.instrs.clone_from(&program.instrs);
         self.regs.clone_from(&program.init_regs);
-        let size = mem_words.max(program.init_mem.len()).max(1);
-        self.mem.clear();
-        self.mem.resize(size, 0);
-        self.mem[..program.init_mem.len()].copy_from_slice(&program.init_mem);
+        self.mem.reset(
+            image::mem_words(mem_words, &program.init_mem),
+            &program.init_mem,
+        );
         self.pc = 0;
         self.halted = false;
         self.steps = 0;
@@ -128,12 +133,6 @@ impl Interp {
     /// Dynamic instructions committed so far.
     pub fn steps(&self) -> usize {
         self.steps
-    }
-
-    /// Resolve an effective word address (wrapping modulo memory size).
-    #[inline]
-    pub fn effective_addr(&self, base: u32, offset: i32) -> usize {
-        (base.wrapping_add(offset as u32) as usize) % self.mem.len()
     }
 
     /// Execute one instruction; returns its record, or `None` if the
@@ -176,15 +175,15 @@ impl Interp {
                 result = Some(v);
             }
             Instr::Load { rd, base, offset } => {
-                let addr = self.effective_addr(self.regs[base.index()], offset);
+                let addr = effective_addr(self.regs[base.index()], offset, self.mem.len());
                 let v = self.mem[addr];
                 self.regs[rd.index()] = v;
                 result = Some(v);
                 mem_addr = Some(addr);
             }
             Instr::Store { src, base, offset } => {
-                let addr = self.effective_addr(self.regs[base.index()], offset);
-                self.mem[addr] = self.regs[src.index()];
+                let addr = effective_addr(self.regs[base.index()], offset, self.mem.len());
+                self.mem.write(addr, self.regs[src.index()]);
                 mem_addr = Some(addr);
             }
             Instr::Branch {
@@ -349,7 +348,7 @@ mod tests {
             4,
         );
         let mut m = Interp::new(&p, 16);
-        m.mem[0] = 1234;
+        m.mem.write(0, 1234);
         let out = m.run(100);
         assert!(out.halted());
         assert_eq!(m.mem[4], 99);
@@ -372,7 +371,7 @@ mod tests {
             2,
         );
         let mut m = Interp::new(&p, 16);
-        m.mem[3] = 77;
+        m.mem.write(3, 77);
         m.run(100);
         assert_eq!(m.regs[1], 77);
     }
@@ -433,7 +432,7 @@ mod tests {
         assert_eq!(got.instrs, want.instrs);
         assert_eq!(got.pc, want.pc);
         assert_eq!(got.regs, want.regs);
-        assert_eq!(got.mem, want.mem);
+        assert_eq!(got.mem[..], want.mem[..]);
         assert_eq!(got.halted, want.halted);
         assert_eq!(got.steps, want.steps);
     }
@@ -491,14 +490,44 @@ mod tests {
             1,
         )
         .with_init_mem(vec![7, 8]);
+        // A store to address -1, which wraps into the last word: in a
+        // 64 Ki-word memory that is the last page, which the resets to a
+        // smaller and then a larger memory after it must zero.
+        let high = prog(
+            vec![
+                Instr::LoadImm {
+                    rd: Reg(0),
+                    imm: -1,
+                },
+                Instr::LoadImm { rd: Reg(1), imm: 9 },
+                Instr::Store {
+                    src: Reg(1),
+                    base: Reg(0),
+                    offset: 0,
+                },
+                Instr::Halt,
+            ],
+            2,
+        );
         let mut reused = Interp::new(&large, 64);
         reused.run(1000);
-        for (p, mem_words) in [(&small, 4), (&large, 16), (&small, 128), (&large, 64)] {
+        for (p, mem_words) in [
+            (&small, 4),
+            (&large, 16),
+            (&small, 128),
+            (&large, 64),
+            (&high, 1 << 16),
+            (&small, 4),
+            (&large, 1 << 16),
+        ] {
             reused.reset(p, mem_words);
             let mut fresh = Interp::new(p, mem_words);
             assert_same_state(&reused, &fresh);
             assert_eq!(reused.run_traced(1000), fresh.run_traced(1000));
             assert_same_state(&reused, &fresh);
+            if std::ptr::eq(p, &high) {
+                assert_eq!(reused.mem[(1 << 16) - 1], 9);
+            }
         }
     }
 

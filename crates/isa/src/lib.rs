@@ -4,7 +4,9 @@
 //! The paper (§7) evaluates "a very simple RISC instruction set
 //! architecture \[with\] 32 32-bit logical registers … no floating point
 //! … each instruction reads at most two registers and writes at most
-//! one". This crate implements that ISA completely:
+//! one". This crate implements that ISA completely and owns its
+//! architectural state, data memory included; `ultrascalar-memsys`
+//! only models the timing of reaching that memory:
 //!
 //! * [`instr`] — the instruction forms, their operand/result register
 //!   sets (statically guaranteed ≤ 2 reads, ≤ 1 write), and execution
@@ -17,6 +19,11 @@
 //!   so serving mode re-runs a repeated source without re-assembling;
 //! * [`program`] — the [`program::Program`] container shared by every
 //!   processor model;
+//! * [`image`] — architectural data memory: the sizing and
+//!   wrap-around rules every model shares, and [`MemImage`], a dense
+//!   image that tracks which 64-word pages may be nonzero, so
+//!   rewinding, copying and comparing one costs the pages a run
+//!   touched rather than the whole memory;
 //! * [`interp`] — the *golden* sequential interpreter: the architectural
 //!   oracle that every Ultrascalar model must match instruction for
 //!   instruction;
@@ -37,6 +44,7 @@ pub mod asm;
 pub mod binary;
 pub mod cache;
 pub mod encode;
+pub mod image;
 pub mod instr;
 pub mod interp;
 pub mod program;
@@ -46,6 +54,7 @@ pub use asm::{assemble, disassemble, AsmError};
 pub use binary::{read_binary, write_binary, BinaryError};
 pub use cache::{CacheStats, ProgramCache, ShardedProgramCache};
 pub use encode::{decode, encode, DecodeError};
+pub use image::{effective_addr, mem_words, MemImage};
 pub use instr::{AluOp, BranchCond, Instr, Reg};
 pub use interp::{ExecRecord, Interp, RunOutcome};
 pub use program::Program;

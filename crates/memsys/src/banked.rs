@@ -5,7 +5,7 @@
 //! sequential accesses evenly. Each bank accepts one access per
 //! `bank_occupancy` cycles.
 
-use crate::image::MemImage;
+use ultrascalar_isa::MemImage;
 
 /// Banked, word-addressed storage with per-bank occupancy tracking.
 /// The storage is a page-tracked [`MemImage`], so a rewind zeroes only
@@ -108,19 +108,6 @@ impl BankedMemory {
         }
     }
 
-    /// Debug/architectural read without occupying a bank.
-    #[inline]
-    pub fn peek(&self, addr: usize) -> u32 {
-        self.words[addr % self.words.len()]
-    }
-
-    /// Debug/architectural write without occupying a bank.
-    #[inline]
-    pub fn poke(&mut self, addr: usize, v: u32) {
-        let n = self.words.len();
-        self.words.write(addr % n, v);
-    }
-
     /// The architectural contents (for end-of-run comparison with the
     /// golden interpreter, and for copying into a run's result).
     pub fn image(&self) -> &MemImage {
@@ -145,7 +132,7 @@ mod tests {
         let mut m = BankedMemory::new(16, 4, 1);
         assert_eq!(m.access(5, Some(42), 0), Some(42));
         assert_eq!(m.access(5, None, 1), Some(42));
-        assert_eq!(m.peek(5), 42);
+        assert_eq!(m.image()[5], 42);
     }
 
     #[test]
@@ -176,15 +163,15 @@ mod tests {
     #[test]
     fn addresses_wrap() {
         let mut m = BankedMemory::new(8, 2, 1);
-        m.poke(9, 77); // wraps to 1
-        assert_eq!(m.peek(1), 77);
-        assert_eq!(m.access(17, None, 0), Some(77)); // 17 mod 8 = 1
+        m.access(9, Some(77), 0); // wraps to 1
+        assert_eq!(m.image()[1], 77);
+        assert_eq!(m.access(17, None, 1), Some(77)); // 17 mod 8 = 1
     }
 
     #[test]
     fn image_loading() {
         let mut m = BankedMemory::new(8, 2, 1);
-        m.poke(6, 9);
+        m.access(6, Some(9), 0);
         m.reset(8, &[1, 2, 3]);
         assert_eq!(&m.image()[..3], &[1, 2, 3]);
         assert_eq!(m.image()[3], 0);

@@ -84,11 +84,6 @@ impl FatTree {
         *self.caps.last().expect("at least one level")
     }
 
-    /// Link capacity of a subtree at `level` (0 = single leaf).
-    pub fn capacity_at(&self, level: usize) -> usize {
-        self.caps[level]
-    }
-
     /// Reset per-cycle usage. Call once per simulated cycle. O(1): the
     /// generation stamp advances and every counter lazily reads as zero
     /// until touched again.

@@ -6,7 +6,9 @@
 //! allows one to choose how much bandwidth to implement by adjusting
 //! the fatness of the trees", and its headline complexity results are
 //! parameterised by the provided memory bandwidth `M(n)`. This crate
-//! provides:
+//! models the *timing* of reaching memory; what memory holds, its size
+//! and its address arithmetic are architectural state and belong to
+//! `ultrascalar-isa`. It provides:
 //!
 //! * [`bandwidth`] — the `M(n) = c·n^p` family with the paper's three
 //!   regimes (`p < ½`, `p = ½`, `p > ½`) and its regularity condition;
@@ -15,11 +17,8 @@
 //!   granted oldest-first (the hardware arbitrates with prefix
 //!   circuits), and blocked requests retry next cycle;
 //! * [`banked`] — the interleaved memory banks behind the tree, with
-//!   per-bank occupancy;
-//! * [`image`] — [`MemImage`], the banks' storage and a run result's
-//!   final memory: a dense image that tracks which 64-word pages may be
-//!   nonzero, so rewinding, copying and comparing one costs the pages a
-//!   run touched rather than the whole memory;
+//!   per-bank occupancy, storing the words in `ultrascalar-isa`'s
+//!   page-tracked `MemImage`;
 //! * [`system`] — [`system::MemSystem`], the synchronous request/
 //!   response interface the processor models drive.
 
@@ -31,10 +30,8 @@ pub mod banked;
 pub mod butterfly;
 pub mod cache;
 pub mod fattree;
-pub mod image;
 pub mod system;
 
 pub use bandwidth::Bandwidth;
 pub use cache::{CacheConfig, ClusterCaches};
-pub use image::MemImage;
 pub use system::{MemConfig, MemRequest, MemResponse, MemStats, MemSystem, NetworkKind, ReqKind};

@@ -13,7 +13,7 @@ use crate::banked::BankedMemory;
 use crate::butterfly::Butterfly;
 use crate::cache::{CacheConfig, ClusterCaches};
 use crate::fattree::FatTree;
-use crate::image::MemImage;
+use ultrascalar_isa::{mem_words, MemImage};
 
 /// Which interconnect carries requests to the banks (the paper's §2:
 /// "via two fat-tree or butterfly networks").
@@ -217,7 +217,7 @@ pub struct MemSystem {
 impl MemSystem {
     /// Build a memory system and load the initial image.
     pub fn new(cfg: MemConfig, image: &[u32]) -> Self {
-        let words = cfg.words.max(image.len()).max(1);
+        let words = mem_words(cfg.words, image);
         let mut banks = BankedMemory::new(words, cfg.banks.max(1), cfg.bank_occupancy);
         banks.reset(words, image);
         let net = match cfg.network {
@@ -252,8 +252,7 @@ impl MemSystem {
     /// Allocation-free unless the image forces a larger word count than
     /// any previous run.
     pub fn reset(&mut self, image: &[u32]) {
-        let words = self.cfg.words.max(image.len()).max(1);
-        self.banks.reset(words, image);
+        self.banks.reset(mem_words(self.cfg.words, image), image);
         self.net.reset();
         if let Some(caches) = &mut self.caches {
             caches.reset();
@@ -405,11 +404,6 @@ impl MemSystem {
     pub fn image(&self) -> &MemImage {
         self.banks.image()
     }
-
-    /// Architectural read (no timing effects).
-    pub fn peek(&self, addr: usize) -> u32 {
-        self.banks.peek(addr)
-    }
 }
 
 #[cfg(test)]
@@ -446,9 +440,9 @@ mod tests {
     #[test]
     fn stores_apply_immediately_loads_snapshot() {
         let mut m = MemSystem::new(MemConfig::ideal(2, 8), &[]);
-        // Store at cycle 0; peek sees it at once.
+        // Store at cycle 0; the image holds it at once.
         m.tick(0, &[req(1, 0, 3, ReqKind::Store(55))]);
-        assert_eq!(m.peek(3), 55);
+        assert_eq!(m.image()[3], 55);
         // A load offered the same address next cycle returns 55.
         m.tick(1, &[req(2, 1, 3, ReqKind::Load)]);
         let (_, done) = m.tick(2, &[]);

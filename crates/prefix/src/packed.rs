@@ -6,7 +6,7 @@
 //! engine keeps its station sets (which stations the per-cycle walk
 //! visits, which are parked on a producer) in them too, and finds the
 //! next member with a trailing-zeros scan. A memory image
-//! (`ultrascalar-memsys`'s `MemImage`) marks its written pages in one.
+//! (`ultrascalar-isa`'s `MemImage`) marks its written pages in one.
 
 /// A fixed-length bitset over `u64` words with word-parallel clears
 /// and scans — the packed replacement for per-cycle `Vec<bool>` maps
