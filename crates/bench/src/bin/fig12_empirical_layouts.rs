@@ -9,7 +9,7 @@
 
 use ultrascalar_bench::Table;
 use ultrascalar_vlsi::empirical::figure12;
-use ultrascalar_vlsi::floorplan::LayoutCache;
+use ultrascalar_vlsi::floorplan::{hybrid_floorplan, usi_floorplan};
 use ultrascalar_vlsi::metrics::ArchParams;
 use ultrascalar_vlsi::{hybrid, usi, Tech};
 
@@ -58,13 +58,9 @@ fn main() {
 
     // Scaling the *placed* floorplans (every station, cluster and
     // channel strip an explicit rectangle) well past the paper's
-    // measured points. The memoised layout cache answers each size
-    // from the previous one's rectangle prefix — byte-identical to a
-    // from-scratch placement — so the sweep extends to n = 4096
-    // without re-deriving 2n − 1 rectangles per point.
-    println!("\nplaced floorplans at scale (memoised subtree layouts, 0.35 µm):");
+    // measured points, to n = 4096.
+    println!("\nplaced floorplans at scale (0.35 µm):");
     let tech = Tech::cmos_035();
-    let mut cache = LayoutCache::new();
     let mut t = Table::new(vec![
         "n",
         "US-I rects",
@@ -76,10 +72,10 @@ fn main() {
     ]);
     for n in [64usize, 128, 256, 512, 1024, 2048, 4096] {
         let p = ArchParams::paper_empirical(n);
-        let f_usi = cache.usi_floorplan(&p, &tech);
-        let f_hy = cache.hybrid_floorplan(&p, 32, &tech);
-        // Placed bounding boxes must land exactly on the analytic
-        // recurrences the paper's Figure 11 row evaluates.
+        let f_usi = usi_floorplan(&p, &tech);
+        let f_hy = hybrid_floorplan(&p, 32, &tech);
+        // Placement and recurrence are one doubling loop; the placed
+        // bounding boxes must land on the side it returns.
         let bb_usi = f_usi.bounding();
         let side_usi = usi::side_um(&p, &tech);
         assert!(
@@ -105,12 +101,6 @@ fn main() {
         ]);
     }
     println!("{t}");
-    println!(
-        "layout cache: {} families, {} rects built, {} served from memoised prefixes",
-        cache.families(),
-        cache.rects_built(),
-        cache.rects_reused()
-    );
 
     println!("\nprojection to 0.1 µm (the paper's closing claim):");
     let f10 = figure12(&Tech::cmos_010());

@@ -22,6 +22,7 @@ fn drain(m: &mut MemSystem, reqs: &[MemRequest]) -> u64 {
     m.reset(&[]);
     let mut pending: Vec<MemRequest> = reqs.to_vec();
     let cap = 1_000 + 100 * reqs.len() as u64;
+    let (mut accepted, mut done) = (Vec::new(), Vec::new());
     let mut t = 0u64;
     while !pending.is_empty() {
         assert!(
@@ -32,8 +33,8 @@ fn drain(m: &mut MemSystem, reqs: &[MemRequest]) -> u64 {
             reqs.len(),
             pending[0].id
         );
-        let (acc, _) = m.tick(t, &pending);
-        pending.retain(|r| !acc.contains(&r.id));
+        m.tick_into(t, &pending, &mut accepted, &mut done);
+        pending.retain(|r| !accepted.contains(&r.id));
         t += 1;
     }
     t

@@ -19,7 +19,7 @@ use crate::station::{MemPhase, StationEntry};
 use crate::stats::ProcStats;
 use crate::timing::InstrTiming;
 use ultrascalar_isa::{effective_addr, Instr, Program, Reg};
-use ultrascalar_memsys::{MemRequest, MemSystem, ReqKind};
+use ultrascalar_memsys::{MemRequest, MemResponse, MemSystem, ReqKind};
 
 /// A source operand captured at dispatch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -164,10 +164,13 @@ impl Processor for BaselineOoO {
             0,
         );
 
-        // Per-cycle request buffer, reused across the whole run (the
-        // scan itself is allocation-free: producer lookups go through
-        // [`rob_locate`] instead of per-cycle snapshot maps).
+        // Per-cycle request, accept and response buffers, reused across
+        // the whole run (the scan itself is allocation-free: producer
+        // lookups go through [`rob_locate`] instead of per-cycle
+        // snapshot maps).
         let mut requests: Vec<MemRequest> = Vec::new();
+        let mut accepted: Vec<u64> = Vec::new();
+        let mut responses: Vec<MemResponse> = Vec::new();
 
         // Producer lookup, live against the ROB. Equivalent to the
         // start-of-cycle snapshot it replaces: an entry that issues
@@ -340,15 +343,15 @@ impl Processor for BaselineOoO {
 
             // ---- Memory.
             let offered_requests = !requests.is_empty();
-            let (accepted, responses) = mem.tick(t, &requests);
+            mem.tick_into(t, &requests, &mut accepted, &mut responses);
             let had_responses = !responses.is_empty();
-            for id in accepted {
+            for &id in &accepted {
                 if let Some(i) = rob_locate(&rob, id) {
                     rob[i].st.issued_at = Some(t);
                     rob[i].st.mem = MemPhase::InFlight;
                 }
             }
-            for resp in responses {
+            for resp in &responses {
                 if let Some(i) = rob_locate(&rob, resp.id) {
                     let e = &mut rob[i].st;
                     if e.mem == MemPhase::InFlight {

@@ -2,7 +2,7 @@
 //!
 //! Per cycle the processor submits the memory operations whose
 //! serialisation conditions (the CSPP circuits) are met, oldest first.
-//! [`MemSystem::tick`] arbitrates them through the fat tree and the
+//! [`MemSystem::tick_into`] arbitrates them through the fat tree and the
 //! banks, applies accepted operations, and delivers responses after
 //! the configured latency (`base + 2·hops·hop_latency + bank`).
 //! Rejected requests simply retry next cycle — the processor keeps the
@@ -274,23 +274,16 @@ impl MemSystem {
     }
 
     /// One cycle: offer `requests` (oldest first — the offered order is
-    /// the grant priority), return the set accepted this cycle, and
-    /// deliver responses for accesses completing *this* cycle.
+    /// the grant priority), write the ids accepted this cycle into
+    /// `accepted` and the responses for accesses completing *this*
+    /// cycle into `done`. Both buffers are caller-owned and cleared
+    /// first, so a processor's cycle loop reuses the same two vectors
+    /// across millions of cycles instead of allocating whenever there
+    /// is traffic.
     ///
     /// Accepted stores take architectural effect immediately (the
     /// processor guarantees ordering before submitting); accepted loads
     /// snapshot their value immediately and deliver it at completion.
-    pub fn tick(&mut self, now: u64, requests: &[MemRequest]) -> (Vec<u64>, Vec<MemResponse>) {
-        let mut accepted = Vec::new();
-        let mut done = Vec::new();
-        self.tick_into(now, requests, &mut accepted, &mut done);
-        (accepted, done)
-    }
-
-    /// [`MemSystem::tick`] writing into caller-owned buffers (cleared
-    /// first), so a processor's cycle loop can reuse the same two
-    /// vectors across millions of cycles instead of allocating a fresh
-    /// pair whenever there is traffic.
     pub fn tick_into(
         &mut self,
         now: u64,
@@ -387,10 +380,10 @@ impl MemSystem {
     /// The earliest cycle at which an in-flight access will deliver its
     /// response, if any. Event-driven processor models use this to jump
     /// straight to the next memory event instead of ticking through
-    /// quiet cycles: skipping a [`MemSystem::tick`] whose `requests` are
-    /// empty and whose `now` is before this cycle is observationally
-    /// free (per-cycle network capacity resets are idempotent and banks
-    /// compare absolute busy times).
+    /// quiet cycles: skipping a [`MemSystem::tick_into`] whose
+    /// `requests` are empty and whose `now` is before this cycle is
+    /// observationally free (per-cycle network capacity resets are
+    /// idempotent and banks compare absolute busy times).
     pub fn next_completion_at(&self) -> Option<u64> {
         self.in_flight.iter().map(|&(t, _)| t).min()
     }
@@ -410,6 +403,17 @@ impl MemSystem {
 mod tests {
     use super::*;
 
+    /// One [`MemSystem::tick_into`] cycle into fresh buffers.
+    pub(super) fn tick(
+        m: &mut MemSystem,
+        now: u64,
+        requests: &[MemRequest],
+    ) -> (Vec<u64>, Vec<MemResponse>) {
+        let (mut accepted, mut done) = (Vec::new(), Vec::new());
+        m.tick_into(now, requests, &mut accepted, &mut done);
+        (accepted, done)
+    }
+
     fn req(id: u64, leaf: usize, addr: usize, kind: ReqKind) -> MemRequest {
         MemRequest {
             id,
@@ -423,10 +427,10 @@ mod tests {
     fn ideal_memory_is_single_cycle() {
         let mut m = MemSystem::new(MemConfig::ideal(4, 16), &[7, 8, 9]);
         assert_eq!(m.latency(), 1);
-        let (acc, done) = m.tick(0, &[req(1, 0, 2, ReqKind::Load)]);
+        let (acc, done) = tick(&mut m, 0, &[req(1, 0, 2, ReqKind::Load)]);
         assert_eq!(acc, vec![1]);
         assert!(done.is_empty());
-        let (_, done) = m.tick(1, &[]);
+        let (_, done) = tick(&mut m, 1, &[]);
         assert_eq!(
             done,
             vec![MemResponse {
@@ -441,11 +445,11 @@ mod tests {
     fn stores_apply_immediately_loads_snapshot() {
         let mut m = MemSystem::new(MemConfig::ideal(2, 8), &[]);
         // Store at cycle 0; the image holds it at once.
-        m.tick(0, &[req(1, 0, 3, ReqKind::Store(55))]);
+        tick(&mut m, 0, &[req(1, 0, 3, ReqKind::Store(55))]);
         assert_eq!(m.image()[3], 55);
         // A load offered the same address next cycle returns 55.
-        m.tick(1, &[req(2, 1, 3, ReqKind::Load)]);
-        let (_, done) = m.tick(2, &[]);
+        tick(&mut m, 1, &[req(2, 1, 3, ReqKind::Load)]);
+        let (_, done) = tick(&mut m, 2, &[]);
         assert_eq!(done[0].value, Some(55));
     }
 
@@ -467,7 +471,7 @@ mod tests {
         let reqs: Vec<MemRequest> = (0..16)
             .map(|i| req(i as u64, i, i, ReqKind::Load))
             .collect();
-        let (acc, _) = m.tick(0, &reqs);
+        let (acc, _) = tick(&mut m, 0, &reqs);
         assert_eq!(acc.len(), 4);
         // The rejected 12 retry next cycle; again 4 admitted.
         let rest: Vec<MemRequest> = reqs
@@ -475,7 +479,7 @@ mod tests {
             .filter(|r| !acc.contains(&r.id))
             .copied()
             .collect();
-        let (acc2, _) = m.tick(1, &rest);
+        let (acc2, _) = tick(&mut m, 1, &rest);
         assert_eq!(acc2.len(), 4);
         assert!(m.stats().link_rejections > 0);
     }
@@ -495,7 +499,8 @@ mod tests {
         };
         let mut m = MemSystem::new(cfg, &[]);
         // Two requests; only one slot. The first offered (oldest) wins.
-        let (acc, _) = m.tick(
+        let (acc, _) = tick(
+            &mut m,
             0,
             &[req(10, 0, 0, ReqKind::Load), req(11, 1, 1, ReqKind::Load)],
         );
@@ -517,14 +522,15 @@ mod tests {
         };
         let mut m = MemSystem::new(cfg, &[]);
         // Addresses 0 and 2 share bank 0.
-        let (acc, _) = m.tick(
+        let (acc, _) = tick(
+            &mut m,
             0,
             &[req(1, 0, 0, ReqKind::Load), req(2, 1, 2, ReqKind::Load)],
         );
         assert_eq!(acc, vec![1]);
         assert_eq!(m.stats().bank_conflicts, 1);
         // After occupancy expires the second succeeds.
-        let (acc, _) = m.tick(4, &[req(2, 1, 2, ReqKind::Load)]);
+        let (acc, _) = tick(&mut m, 4, &[req(2, 1, 2, ReqKind::Load)]);
         assert_eq!(acc, vec![2]);
     }
 
@@ -560,12 +566,12 @@ mod tests {
         };
         let mut m = MemSystem::new(cfg, &[1, 2, 3, 4]);
         let lat = m.latency(); // 0 + 2*1*1 + 1 = 3
-        m.tick(10, &[req(9, 2, 1, ReqKind::Load)]);
+        tick(&mut m, 10, &[req(9, 2, 1, ReqKind::Load)]);
         for t in 11..10 + lat {
-            let (_, done) = m.tick(t, &[]);
+            let (_, done) = tick(&mut m, t, &[]);
             assert!(done.is_empty(), "t={t}");
         }
-        let (_, done) = m.tick(10 + lat, &[]);
+        let (_, done) = tick(&mut m, 10 + lat, &[]);
         assert_eq!(
             done,
             vec![MemResponse {
@@ -578,14 +584,15 @@ mod tests {
     #[test]
     fn image_reflects_all_stores() {
         let mut m = MemSystem::new(MemConfig::ideal(2, 8), &[]);
-        m.tick(0, &[req(1, 0, 1, ReqKind::Store(10))]);
-        m.tick(1, &[req(2, 1, 2, ReqKind::Store(20))]);
+        tick(&mut m, 0, &[req(1, 0, 1, ReqKind::Store(10))]);
+        tick(&mut m, 1, &[req(2, 1, 2, ReqKind::Store(20))]);
         assert_eq!(&m.image()[..3], &[0, 10, 20]);
     }
 }
 
 #[cfg(test)]
 mod butterfly_tests {
+    use super::tests::tick;
     use super::*;
 
     fn req(id: u64, leaf: usize, addr: usize) -> MemRequest {
@@ -601,9 +608,10 @@ mod butterfly_tests {
     fn butterfly_system_delivers_loads() {
         let cfg = MemConfig::ideal(8, 32).with_network(NetworkKind::Butterfly);
         let mut m = MemSystem::new(cfg, &[10, 11, 12, 13]);
-        let (acc, _) = m.tick(0, &[req(1, 3, 2)]);
+        let (acc, _) = tick(&mut m, 0, &[req(1, 3, 2)]);
         assert_eq!(acc, vec![1]);
-        let (_, done) = m.tick(m.latency(), &[]);
+        let lat = m.latency();
+        let (_, done) = tick(&mut m, lat, &[]);
         assert_eq!(
             done,
             vec![MemResponse {
@@ -630,7 +638,7 @@ mod butterfly_tests {
         };
         let mut m = MemSystem::new(cfg, &[]);
         let reqs: Vec<MemRequest> = (0..8).map(|i| req(i as u64, i, 5)).collect();
-        let (acc, _) = m.tick(0, &reqs);
+        let (acc, _) = tick(&mut m, 0, &reqs);
         // Bank occupancy also limits to one — either way exactly one.
         assert_eq!(acc.len(), 1);
         assert!(m.stats().link_rejections + m.stats().bank_conflicts >= 7);
@@ -652,7 +660,7 @@ mod butterfly_tests {
         };
         let mut m = MemSystem::new(cfg, &[]);
         let reqs: Vec<MemRequest> = (0..8).map(|i| req(i as u64, i, i)).collect();
-        let (acc, _) = m.tick(0, &reqs);
+        let (acc, _) = tick(&mut m, 0, &reqs);
         assert_eq!(acc.len(), 8);
     }
 
@@ -677,6 +685,7 @@ mod butterfly_tests {
 
 #[cfg(test)]
 mod cache_tests {
+    use super::tests::tick;
     use super::*;
 
     fn cached_cfg(n: usize) -> MemConfig {
@@ -706,18 +715,18 @@ mod cache_tests {
     fn second_load_hits_and_skips_network() {
         let mut m = MemSystem::new(cached_cfg(8), &[9, 8, 7]);
         // Miss: goes through the network.
-        let (acc, _) = m.tick(0, &[load(1, 0, 2)]);
+        let (acc, _) = tick(&mut m, 0, &[load(1, 0, 2)]);
         assert_eq!(acc, vec![1]);
         // Drain the response (fill happens at acceptance).
         let lat = m.latency();
-        let (_, done) = m.tick(lat, &[]);
+        let (_, done) = tick(&mut m, lat, &[]);
         assert_eq!(done[0].value, Some(7));
         // Hit: served in hit_latency cycles, no network admission.
         let before = m.stats().admitted;
-        let (acc, _) = m.tick(lat + 1, &[load(2, 1, 2)]);
+        let (acc, _) = tick(&mut m, lat + 1, &[load(2, 1, 2)]);
         assert_eq!(acc, vec![2]);
         assert_eq!(m.stats().admitted, before, "hit must not enter the network");
-        let (_, done) = m.tick(lat + 2, &[]);
+        let (_, done) = tick(&mut m, lat + 2, &[]);
         assert_eq!(
             done,
             vec![MemResponse {
@@ -733,9 +742,10 @@ mod cache_tests {
     fn stores_update_cached_copies() {
         let mut m = MemSystem::new(cached_cfg(8), &[0; 16]);
         // Load addr 5 into leaf 0's group cache.
-        m.tick(0, &[load(1, 0, 5)]);
+        tick(&mut m, 0, &[load(1, 0, 5)]);
         // Store a new value.
-        let (acc, _) = m.tick(
+        let (acc, _) = tick(
+            &mut m,
             1,
             &[MemRequest {
                 id: 2,
@@ -746,11 +756,11 @@ mod cache_tests {
         );
         assert_eq!(acc, vec![2]);
         // A subsequent hit must see the stored value, not the stale one.
-        let (acc, _) = m.tick(2, &[load(3, 0, 5)]);
+        let (acc, _) = tick(&mut m, 2, &[load(3, 0, 5)]);
         assert_eq!(acc, vec![3]);
         let mut got = None;
         for t in 3..20 {
-            let (_, done) = m.tick(t, &[]);
+            let (_, done) = tick(&mut m, t, &[]);
             for d in done {
                 if d.id == 3 {
                     got = d.value;
@@ -765,10 +775,10 @@ mod cache_tests {
         let mut m = MemSystem::new(cached_cfg(8), &[1, 2, 3, 4]);
         // Leaf 0 (group 0) loads addr 3; leaf 7 (group 1) misses on the
         // same address.
-        m.tick(0, &[load(1, 0, 3)]);
+        tick(&mut m, 0, &[load(1, 0, 3)]);
         let lat = m.latency();
-        m.tick(lat, &[]);
-        let (acc, _) = m.tick(lat + 1, &[load(2, 7, 3)]);
+        tick(&mut m, lat, &[]);
+        let (acc, _) = tick(&mut m, lat + 1, &[load(2, 7, 3)]);
         assert_eq!(acc.len(), 1);
         assert_eq!(m.stats().cache_hits, 0, "different group must miss");
     }

@@ -1,17 +1,17 @@
 //! Explicit floorplan placement: the recursive layouts of Figures 6
 //! and 10 as concrete, overlap-checked rectangle placements.
 //!
-//! The analytic modules ([`crate::usi`], [`crate::hybrid`]) evaluate
-//! the side-length recurrences numerically; this module *constructs*
-//! the layout — every station, channel strip and cluster gets a placed
-//! rectangle — so tests can verify that the geometry is realisable
-//! (components are disjoint, the bounding box matches the recurrence)
-//! and the experiment binaries can render the floorplans the paper
-//! draws.
+//! There is one H-tree: the doubling loop that evaluates the
+//! side-length recurrences for [`crate::usi`] and [`crate::hybrid`]
+//! also places every station, cluster and channel strip when handed a
+//! rectangle buffer. This module seeds that buffer and wraps the result,
+//! so tests can verify that the geometry is realisable (components are
+//! disjoint) and the experiment binaries can render the floorplans the
+//! paper draws.
 
 use crate::metrics::ArchParams;
 use crate::tech::Tech;
-use crate::{usi, usii};
+use crate::{hybrid, usi};
 
 /// An axis-aligned rectangle (µm).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -172,160 +172,26 @@ impl Placement {
     }
 }
 
-/// In-progress bottom-up H-tree construction. The doubling loop only
-/// ever *appends* to the rectangle list — the existing half is left in
-/// place and the copy is the one that gets shifted — so the list at
-/// `size = m` is an exact prefix of the list at every larger size built
-/// with the same leaf side and channel widths. [`LayoutCache`] exploits
-/// exactly that: it keeps the largest build per parameter family and
-/// answers smaller sizes by slicing, larger ones by resuming the loop.
-struct HtreeBuild {
-    rects: Vec<(Component, Rect)>,
-    /// Bounding width/height of the placed prefix.
-    w: f64,
-    h: f64,
-    /// Leaves placed so far (always a power of two).
-    size: usize,
-    /// Next cut direction.
-    horizontal: bool,
-    /// Rect-list length after each doubling: `prefix_lens[k]` is the
-    /// length at `size = 2^k`.
-    prefix_lens: Vec<usize>,
-    /// Bit patterns of `chan(2^k)` for `k = 1..`, in level order — the
-    /// part of the parameter family that depends on the bandwidth
-    /// regime.
-    chans: Vec<u64>,
-}
-
-impl HtreeBuild {
-    fn seed(leaf_side: f64, mk_leaf: &dyn Fn(usize) -> Component) -> Self {
-        HtreeBuild {
-            rects: vec![(
-                mk_leaf(0),
-                Rect {
-                    x: 0.0,
-                    y: 0.0,
-                    w: leaf_side,
-                    h: leaf_side,
-                },
-            )],
-            w: leaf_side,
-            h: leaf_side,
-            size: 1,
-            horizontal: true,
-            prefix_lens: vec![1],
-            chans: Vec::new(),
-        }
-    }
-
-    /// Continue doubling until `n` leaves are placed. Work bottom-up:
-    /// at each doubling, duplicate the current placement and separate
-    /// the copies by the channel strip (the level's `chan` width, split
-    /// evenly across the two cut axes, as in [`usi::htree`]).
-    fn extend_to(
-        &mut self,
-        n: usize,
-        chan: &dyn Fn(usize) -> f64,
-        mk_leaf: &dyn Fn(usize) -> Component,
-    ) {
-        while self.size < n {
-            let leaf_count = self.size;
-            self.size *= 2;
-            let full = chan(self.size);
-            self.chans.push(full.to_bits());
-            let c = full / 2.0;
-            let (w, h, horizontal) = (self.w, self.h, self.horizontal);
-            let mut copy: Vec<(Component, Rect)> = self
-                .rects
-                .iter()
-                .map(|(comp, r)| {
-                    let comp = match comp {
-                        Component::Station(i) => mk_leaf(i + leaf_count),
-                        Component::Cluster(i) => mk_leaf(i + leaf_count),
-                        Component::Channel(l) => Component::Channel(*l),
-                    };
-                    let r = if horizontal {
-                        Rect {
-                            x: r.x + w + c,
-                            ..*r
-                        }
-                    } else {
-                        Rect {
-                            y: r.y + h + c,
-                            ..*r
-                        }
-                    };
-                    (comp, r)
-                })
-                .collect();
-            // The channel strip between the halves.
-            let level = self.size.trailing_zeros() as usize;
-            let strip = if horizontal {
-                Rect {
-                    x: w,
-                    y: 0.0,
-                    w: c,
-                    h,
-                }
-            } else {
-                Rect {
-                    x: 0.0,
-                    y: h,
-                    w,
-                    h: c,
-                }
-            };
-            self.rects.append(&mut copy);
-            self.rects.push((Component::Channel(level), strip));
-            if horizontal {
-                self.w = 2.0 * w + c;
-            } else {
-                self.h = 2.0 * h + c;
-            }
-            self.horizontal = !horizontal;
-            self.prefix_lens.push(self.rects.len());
-        }
-    }
-
-    /// The placement at `n` leaves (`n <= self.size`): the exact prefix
-    /// of the rect list as it stood after the `log2(n)`-th doubling.
-    fn placement_at(&self, n: usize) -> Placement {
-        let len = self.prefix_lens[n.trailing_zeros() as usize];
-        Placement {
-            rects: self.rects[..len].to_vec(),
-        }
-    }
-}
-
-/// Recursively place an H-tree of `n` leaves of side `leaf_side`,
-/// returning the placement (leaves labelled by in-order index via
-/// `mk_leaf`). Channels between siblings carry the level's `chan`
-/// width, split evenly across the two cut axes, as in [`usi::htree`].
-fn place_htree(
-    n: usize,
-    leaf_side: f64,
-    chan: &dyn Fn(usize) -> f64,
-    mk_leaf: &dyn Fn(usize) -> Component,
-) -> Placement {
-    assert!(
-        n > 0 && n.is_power_of_two(),
-        "H-tree needs a power-of-two n"
-    );
-    let mut build = HtreeBuild::seed(leaf_side, mk_leaf);
-    build.extend_to(n, chan, mk_leaf);
-    Placement { rects: build.rects }
+/// Seed an H-tree with leaf 0 at the origin and let [`usi::htree`]'s
+/// doubling loop place the rest.
+fn place(tree: (usize, f64, impl Fn(usize) -> f64), leaf0: Component) -> Placement {
+    let side = tree.1;
+    let mut rects = vec![(
+        leaf0,
+        Rect {
+            x: 0.0,
+            y: 0.0,
+            w: side,
+            h: side,
+        },
+    )];
+    usi::htree(tree, Some(&mut rects));
+    Placement { rects }
 }
 
 /// Place an `n`-station Ultrascalar I (Figure 6).
 pub fn usi_floorplan(p: &ArchParams, tech: &Tech) -> Placement {
-    let leaf = tech.station_side_um(p.l, p.bits);
-    let chan = |subtree: usize| usi::channel_um(p.l, p.bits, p.mem.capacity(subtree), tech);
-    place_htree(
-        p.n.next_power_of_two().max(1),
-        leaf,
-        &chan,
-        &Component::Station,
-    )
+    place(usi::tree(p, tech), Component::Station(0))
 }
 
 /// Place a hybrid (Figure 10): clusters of `c` stations as H-tree
@@ -334,149 +200,7 @@ pub fn usi_floorplan(p: &ArchParams, tech: &Tech) -> Placement {
 /// # Panics
 /// Panics unless `c` divides `n` and `n/c` is a power of two.
 pub fn hybrid_floorplan(p: &ArchParams, c: usize, tech: &Tech) -> Placement {
-    assert!(
-        c >= 1 && p.n.is_multiple_of(c),
-        "cluster size must divide n"
-    );
-    let k = p.n / c;
-    assert!(k.is_power_of_two(), "cluster count must be a power of two");
-    let cluster = ArchParams { n: c, ..*p };
-    let leaf = usii::side_linear_um(&cluster, tech);
-    let chan = |clusters: usize| usi::channel_um(p.l, p.bits, p.mem.capacity(clusters * c), tech);
-    place_htree(k, leaf, &chan, &Component::Cluster)
-}
-
-/// One memoised parameter family: all placements sharing a leaf kind,
-/// leaf side and per-level channel widths are prefixes of the largest
-/// one built, so only that largest build is stored.
-struct CacheEntry {
-    kind: std::mem::Discriminant<Component>,
-    /// Bit pattern of the leaf side (exact match, not tolerance).
-    leaf_side: u64,
-    build: HtreeBuild,
-}
-
-/// Memoised floorplan placement across sweep points and bandwidth
-/// regimes.
-///
-/// The H-tree builder is append-only across doublings, so a placement
-/// at `n` leaves is an exact prefix of the placement at any larger
-/// power of two with the same leaf side and channel widths. The cache
-/// keeps the largest build per parameter family (keyed on the leaf
-/// component kind, the leaf side's bit pattern and the bit patterns of
-/// each level's channel width — the part a bandwidth regime controls)
-/// and answers a request by slicing that prefix, resuming the doubling
-/// loop only for levels never built before. Because the resumed loop
-/// replays exactly the float operations the from-scratch construction
-/// would perform, every returned placement is **byte-identical** to
-/// the corresponding [`usi_floorplan`] / [`hybrid_floorplan`] result —
-/// the empirical-layout sweeps rely on that to scale past `n = 1024`
-/// without changing a single output rectangle.
-#[derive(Default)]
-pub struct LayoutCache {
-    entries: Vec<CacheEntry>,
-    rects_built: usize,
-    rects_reused: usize,
-}
-
-impl LayoutCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Distinct parameter families held.
-    pub fn families(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Rectangles constructed from scratch over the cache's lifetime.
-    pub fn rects_built(&self) -> usize {
-        self.rects_built
-    }
-
-    /// Rectangles served from a memoised prefix instead of being
-    /// re-derived.
-    pub fn rects_reused(&self) -> usize {
-        self.rects_reused
-    }
-
-    fn place(
-        &mut self,
-        n: usize,
-        leaf_side: f64,
-        chan: &dyn Fn(usize) -> f64,
-        mk_leaf: &dyn Fn(usize) -> Component,
-    ) -> Placement {
-        assert!(
-            n > 0 && n.is_power_of_two(),
-            "H-tree needs a power-of-two n"
-        );
-        let kind = std::mem::discriminant(&mk_leaf(0));
-        let side_bits = leaf_side.to_bits();
-        let levels = n.trailing_zeros() as usize;
-        // A family matches when every *shared* level's channel width
-        // has the same bit pattern; levels beyond the request are not
-        // consulted (they cannot affect the sliced prefix).
-        let found = self.entries.iter().position(|e| {
-            e.kind == kind
-                && e.leaf_side == side_bits
-                && e.build
-                    .chans
-                    .iter()
-                    .take(levels)
-                    .enumerate()
-                    .all(|(k, &bits)| bits == chan(1usize << (k + 1)).to_bits())
-        });
-        let (i, created) = match found {
-            Some(i) => (i, false),
-            None => {
-                self.entries.push(CacheEntry {
-                    kind,
-                    leaf_side: side_bits,
-                    build: HtreeBuild::seed(leaf_side, mk_leaf),
-                });
-                (self.entries.len() - 1, true)
-            }
-        };
-        let entry = &mut self.entries[i];
-        let before = if created { 0 } else { entry.build.rects.len() };
-        entry.build.extend_to(n, chan, mk_leaf);
-        let placement = entry.build.placement_at(n);
-        self.rects_built += entry.build.rects.len() - before;
-        self.rects_reused += placement.rects.len().min(before);
-        placement
-    }
-
-    /// Memoised [`usi_floorplan`] — byte-identical output.
-    pub fn usi_floorplan(&mut self, p: &ArchParams, tech: &Tech) -> Placement {
-        let leaf = tech.station_side_um(p.l, p.bits);
-        let chan = |subtree: usize| usi::channel_um(p.l, p.bits, p.mem.capacity(subtree), tech);
-        self.place(
-            p.n.next_power_of_two().max(1),
-            leaf,
-            &chan,
-            &Component::Station,
-        )
-    }
-
-    /// Memoised [`hybrid_floorplan`] — byte-identical output.
-    ///
-    /// # Panics
-    /// Panics unless `c` divides `n` and `n/c` is a power of two.
-    pub fn hybrid_floorplan(&mut self, p: &ArchParams, c: usize, tech: &Tech) -> Placement {
-        assert!(
-            c >= 1 && p.n.is_multiple_of(c),
-            "cluster size must divide n"
-        );
-        let k = p.n / c;
-        assert!(k.is_power_of_two(), "cluster count must be a power of two");
-        let cluster = ArchParams { n: c, ..*p };
-        let leaf = usii::side_linear_um(&cluster, tech);
-        let chan =
-            |clusters: usize| usi::channel_um(p.l, p.bits, p.mem.capacity(clusters * c), tech);
-        self.place(k, leaf, &chan, &Component::Cluster)
-    }
+    place(hybrid::tree(p, c, tech), Component::Cluster(0))
 }
 
 #[cfg(test)]
@@ -499,36 +223,95 @@ mod tests {
             let f = usi_floorplan(&params(n), &Tech::cmos_035());
             assert_eq!(f.leaves(), n, "n={n}");
             assert!(f.violations().is_empty(), "n={n}: {:?}", f.violations());
+            // Each doubling numbers the copied stations after the originals.
+            let mut ids: Vec<usize> = f
+                .rects
+                .iter()
+                .filter_map(|(c, _)| match c {
+                    Component::Station(i) => Some(*i),
+                    _ => None,
+                })
+                .collect();
+            ids.sort_unstable();
+            assert!(ids.into_iter().eq(0..n), "n={n}: station indices");
         }
+    }
+
+    /// Every bandwidth regime the figures sweep.
+    fn regimes() -> [Bandwidth; 4] {
+        [
+            Bandwidth::sublinear_sqrt(0.25),
+            Bandwidth::sqrt(),
+            Bandwidth::full(),
+            Bandwidth::constant(1.0),
+        ]
     }
 
     #[test]
     fn bounding_box_matches_recurrence() {
         let tech = Tech::cmos_035();
-        for n in [4usize, 16, 64, 256] {
-            let p = params(n);
-            let f = usi_floorplan(&p, &tech);
-            let bb = f.bounding();
-            let side = usi::side_um(&p, &tech);
-            assert!(
-                (bb.w.max(bb.h) - side).abs() / side < 1e-9,
-                "n={n}: bb {} vs recurrence {}",
-                bb.w.max(bb.h),
-                side
-            );
+        for mem in regimes() {
+            for n in [1usize, 4, 16, 64, 256, 1024, 4096] {
+                let p = ArchParams { mem, ..params(n) };
+                let f = usi_floorplan(&p, &tech);
+                assert_eq!(f.leaves(), n);
+                let bb = f.bounding();
+                let side = usi::side_um(&p, &tech);
+                assert!(
+                    (bb.w.max(bb.h) - side).abs() / side < 1e-9,
+                    "{mem:?} n={n}: bb {} vs recurrence {}",
+                    bb.w.max(bb.h),
+                    side
+                );
+            }
         }
     }
 
     #[test]
     fn hybrid_floorplan_places_clusters() {
         let tech = Tech::cmos_035();
-        let p = params(32);
-        let f = hybrid_floorplan(&p, 8, &tech);
-        assert_eq!(f.leaves(), 4);
-        assert!(f.violations().is_empty());
-        let bb = f.bounding();
-        let side = crate::hybrid::side_um(&p, 8, &tech);
-        assert!((bb.w.max(bb.h) - side).abs() / side < 1e-9);
+        for mem in regimes() {
+            for (n, c) in [(32usize, 8usize), (128, 32), (4096, 8), (4096, 32)] {
+                let p = ArchParams { mem, ..params(n) };
+                let f = hybrid_floorplan(&p, c, &tech);
+                assert_eq!(f.leaves(), n / c);
+                assert!(f.violations().is_empty(), "{mem:?} n={n} c={c}");
+                let bb = f.bounding();
+                let side = hybrid::side_um(&p, c, &tech);
+                assert!(
+                    (bb.w.max(bb.h) - side).abs() / side < 1e-9,
+                    "{mem:?} n={n} c={c}: bb {} vs recurrence {}",
+                    bb.w.max(bb.h),
+                    side
+                );
+            }
+        }
+    }
+
+    /// FNV-64 over the bits of every placed rect, in every regime at
+    /// fig12's largest size. A change to the doubling loop's float
+    /// order (say `r.x + (w + c)` for `r.x + w + c`) moves no figure
+    /// digit but fails here.
+    #[test]
+    fn placed_rects_match_recorded_digest() {
+        let tech = Tech::cmos_035();
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for mem in regimes() {
+            let p = ArchParams {
+                mem,
+                ..params(4096)
+            };
+            for f in [usi_floorplan(&p, &tech), hybrid_floorplan(&p, 32, &tech)] {
+                for (_, r) in &f.rects {
+                    for v in [r.x, r.y, r.w, r.h] {
+                        for b in v.to_bits().to_le_bytes() {
+                            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(h, 0x3a02_54c8_e69c_2314, "placed rect digest {h:016x}");
     }
 
     #[test]
@@ -569,178 +352,5 @@ mod tests {
         levels.sort_unstable();
         levels.dedup();
         assert_eq!(levels, vec![1, 2, 3, 4]); // sizes 2, 4, 8, 16
-    }
-
-    #[test]
-    #[should_panic(expected = "power-of-two")]
-    fn bad_htree_size_panics() {
-        let _ = place_htree(3, 1.0, &|_| 0.0, &Component::Station);
-    }
-
-    /// Bit-pattern comparison: `PartialEq` on `f64` would already fail
-    /// on any drift, but the contract is *byte* identity, so compare
-    /// the raw representations.
-    fn assert_rects_bitwise_equal(a: &Placement, b: &Placement, what: &str) {
-        assert_eq!(a.rects.len(), b.rects.len(), "{what}: rect count");
-        for (i, ((ca, ra), (cb, rb))) in a.rects.iter().zip(&b.rects).enumerate() {
-            assert_eq!(ca, cb, "{what}: component {i}");
-            for (va, vb) in [(ra.x, rb.x), (ra.y, rb.y), (ra.w, rb.w), (ra.h, rb.h)] {
-                assert_eq!(va.to_bits(), vb.to_bits(), "{what}: rect {i}");
-            }
-        }
-    }
-
-    #[test]
-    fn cached_usi_floorplan_byte_identical_all_orders() {
-        let tech = Tech::cmos_035();
-        let mut cache = LayoutCache::new();
-        // Ascending builds extend the memoised prefix; the repeated
-        // descending sizes are pure slices. Every answer must match
-        // the from-scratch construction bit for bit.
-        for n in [1usize, 4, 16, 64, 256, 64, 16, 4, 1, 128] {
-            let fresh = usi_floorplan(&params(n), &tech);
-            let cached = cache.usi_floorplan(&params(n), &tech);
-            assert_rects_bitwise_equal(&cached, &fresh, &format!("usi n={n}"));
-        }
-        assert_eq!(cache.families(), 1, "one bandwidth regime, one family");
-        assert!(cache.rects_reused() > cache.rects_built());
-    }
-
-    #[test]
-    fn cached_hybrid_floorplan_byte_identical() {
-        let tech = Tech::cmos_035();
-        let mut cache = LayoutCache::new();
-        for n in [32usize, 128, 512, 128, 32] {
-            let fresh = hybrid_floorplan(&params(n), 8, &tech);
-            let cached = cache.hybrid_floorplan(&params(n), 8, &tech);
-            assert_rects_bitwise_equal(&cached, &fresh, &format!("hybrid n={n}"));
-        }
-        assert_eq!(cache.families(), 1);
-    }
-
-    #[test]
-    fn cache_separates_bandwidth_regimes_and_leaf_kinds() {
-        let tech = Tech::cmos_035();
-        let mut cache = LayoutCache::new();
-        let constant = params(64);
-        let sqrt = ArchParams {
-            mem: Bandwidth::sqrt(),
-            ..constant
-        };
-        // Interleave two regimes and both floorplan kinds: each keeps
-        // its own family and each stays byte-identical to the
-        // from-scratch run.
-        for _ in 0..2 {
-            for p in [&constant, &sqrt] {
-                assert_rects_bitwise_equal(
-                    &cache.usi_floorplan(p, &tech),
-                    &usi_floorplan(p, &tech),
-                    "usi regime",
-                );
-                assert_rects_bitwise_equal(
-                    &cache.hybrid_floorplan(p, 16, &tech),
-                    &hybrid_floorplan(p, 16, &tech),
-                    "hybrid regime",
-                );
-            }
-        }
-        // usi × {constant, sqrt} and hybrid × {constant, sqrt}. (A
-        // station family and a cluster family can never merge even if
-        // their geometry coincided: the leaf kind is part of the key.)
-        assert_eq!(cache.families(), 4);
-        // The second round was served entirely from memoised prefixes.
-        let built = cache.rects_built();
-        for p in [&constant, &sqrt] {
-            let _ = cache.usi_floorplan(p, &tech);
-            let _ = cache.hybrid_floorplan(p, 16, &tech);
-        }
-        assert_eq!(cache.rects_built(), built, "no rebuild on repeat");
-    }
-}
-
-impl Placement {
-    /// Render the placement as a standalone SVG document (stations in
-    /// blue, clusters in teal, channels in grey), scaled to `width_px`.
-    pub fn svg(&self, width_px: u32) -> String {
-        let bb = self.bounding();
-        let scale = width_px as f64 / bb.w.max(1e-9);
-        let h_px = (bb.h * scale).ceil().max(1.0);
-        let mut out = String::new();
-        out.push_str(&format!(
-            "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"{width_px}\" \
-             height=\"{h_px:.0}\" viewBox=\"0 0 {width_px} {h_px:.0}\">\n"
-        ));
-        out.push_str(&format!(
-            "  <rect x=\"0\" y=\"0\" width=\"{width_px}\" height=\"{h_px:.0}\" \
-             fill=\"#ffffff\"/>\n"
-        ));
-        // Channels behind, leaves in front.
-        let mut order: Vec<&(Component, Rect)> = self.rects.iter().collect();
-        order.sort_by_key(|(c, _)| match c {
-            Component::Channel(_) => 0,
-            _ => 1,
-        });
-        for (c, r) in order {
-            let (fill, label) = match c {
-                Component::Station(i) => ("#4477aa", format!("S{i}")),
-                Component::Cluster(i) => ("#44aa99", format!("C{i}")),
-                Component::Channel(l) => ("#bbbbbb", format!("ch{l}")),
-            };
-            // SVG y grows downward; flip.
-            let x = (r.x - bb.x) * scale;
-            let y = (bb.y2() - r.y2()) * scale;
-            let w = r.w * scale;
-            let h = r.h * scale;
-            out.push_str(&format!(
-                "  <rect x=\"{x:.2}\" y=\"{y:.2}\" width=\"{w:.2}\" height=\"{h:.2}\" \
-                 fill=\"{fill}\" stroke=\"#333333\" stroke-width=\"0.5\">\
-                 <title>{label}</title></rect>\n"
-            ));
-        }
-        out.push_str("</svg>\n");
-        out
-    }
-}
-
-#[cfg(test)]
-mod svg_tests {
-    use super::*;
-    use ultrascalar_memsys::Bandwidth;
-
-    #[test]
-    fn svg_contains_every_component() {
-        let p = ArchParams {
-            n: 16,
-            l: 32,
-            bits: 32,
-            mem: Bandwidth::constant(1.0),
-        };
-        let f = usi_floorplan(&p, &Tech::cmos_035());
-        let svg = f.svg(640);
-        assert!(svg.starts_with("<svg"));
-        assert!(svg.ends_with("</svg>\n"));
-        let rects = svg.matches("<rect").count();
-        // Background + every placed component.
-        assert_eq!(rects, 1 + f.rects.len());
-        assert!(svg.contains("<title>S0</title>"));
-        assert!(svg.contains("ch1"));
-    }
-
-    #[test]
-    fn svg_is_well_nested() {
-        let p = ArchParams {
-            n: 4,
-            l: 8,
-            bits: 32,
-            mem: Bandwidth::constant(1.0),
-        };
-        let f = usi_floorplan(&p, &Tech::cmos_035());
-        let svg = f.svg(100);
-        assert_eq!(svg.matches("<svg").count(), 1);
-        assert_eq!(svg.matches("</svg>").count(), 1);
-        assert_eq!(
-            svg.matches("<rect").count(),
-            svg.matches("/rect>").count() + 1
-        );
     }
 }

@@ -15,21 +15,21 @@ use crate::metrics::{ArchParams, Metrics};
 use crate::tech::Tech;
 use crate::{usi, usii};
 
-/// Side length (µm) of a hybrid with clusters of `c` stations:
-/// an H-tree over `n/c` leaves, each leaf a linear-gate-delay
-/// Ultrascalar II cluster of `c` stations (plus its modified-bit OR
-/// trees, Figure 9 — a constant-factor strip folded into the cluster
-/// pitch).
+/// The hybrid's H-tree (Figure 10) as `(leaves, leaf_side, chan)` for
+/// [`usi::htree`]: `n/c` leaves, each a linear-gate-delay Ultrascalar
+/// II cluster of `c` stations (plus its modified-bit OR trees, Figure 9
+/// — a constant-factor strip folded into the cluster pitch), and
+/// between two subtrees of clusters the Ultrascalar I channel for the
+/// stations they hold.
 ///
 /// # Panics
 /// Panics unless `c` divides `n` and `n/c` is a power of two (H-tree
 /// granularity; `c == n` degenerates to a single cluster).
-pub fn side_um(p: &ArchParams, c: usize, tech: &Tech) -> f64 {
-    let (w, h, _) = layout(p, c, tech);
-    w.max(h)
-}
-
-fn layout(p: &ArchParams, c: usize, tech: &Tech) -> (f64, f64, f64) {
+pub(crate) fn tree<'t>(
+    p: &ArchParams,
+    c: usize,
+    tech: &'t Tech,
+) -> (usize, f64, impl Fn(usize) -> f64 + 't) {
     assert!(c >= 1 && c <= p.n, "cluster size must be in 1..=n");
     assert!(p.n.is_multiple_of(c), "cluster size must divide n");
     let k = p.n / c;
@@ -38,9 +38,19 @@ fn layout(p: &ArchParams, c: usize, tech: &Tech) -> (f64, f64, f64) {
         "number of clusters must be a power of two for the H-tree"
     );
     let cluster = ArchParams { n: c, ..*p };
-    let leaf = usii::side_linear_um(&cluster, tech);
-    let chan = |clusters: usize| usi::channel_um(p.l, p.bits, p.mem.capacity(clusters * c), tech);
-    usi::htree(k, leaf, &chan)
+    let p = *p;
+    let chan =
+        move |clusters: usize| usi::channel_um(p.l, p.bits, p.mem.capacity(clusters * c), tech);
+    (k, usii::side_linear_um(&cluster, tech), chan)
+}
+
+/// Side length (µm) of a hybrid with clusters of `c` stations.
+///
+/// # Panics
+/// Panics unless `c` divides `n` and `n/c` is a power of two.
+pub fn side_um(p: &ArchParams, c: usize, tech: &Tech) -> f64 {
+    let (w, h, _) = usi::htree(tree(p, c, tech), None);
+    w.max(h)
 }
 
 /// Gate levels: the linear cluster search (`Θ(C + L)`) plus the
@@ -53,11 +63,11 @@ pub fn gate_delay(p: &ArchParams, c: usize) -> f64 {
 
 /// Full metric record at cluster size `c`.
 pub fn metrics_with_cluster(p: &ArchParams, c: usize, tech: &Tech) -> Metrics {
-    let (w, h, wire) = layout(p, c, tech);
-    let cluster = ArchParams { n: c, ..*p };
+    let tree = tree(p, c, tech);
     // Worst path: across the source cluster, up and down the H-tree,
     // across the destination cluster.
-    let cluster_crossing = 2.0 * usii::side_linear_um(&cluster, tech);
+    let cluster_crossing = 2.0 * tree.1;
+    let (w, h, wire) = usi::htree(tree, None);
     Metrics {
         gate_delay: gate_delay(p, c),
         wire_um: 2.0 * wire + 2.0 * cluster_crossing,

@@ -13,7 +13,7 @@
 //!   matching the paper's Magic layouts;
 //! * [`usi`] — the Ultrascalar I H-tree (Figure 6): recurrences
 //!   `X(n) = 2X(n/4) + Θ(L + M(n))`, `W(n) = X(n/4) + Θ(L + M(n)) +
-//!   W(n/2)`;
+//!   W(n/2)`, evaluated by the crate's one H-tree doubling loop;
 //! * [`usii`] — the Ultrascalar II diagonal grid (Figure 7) and its
 //!   log-depth mesh-of-trees variant (Figure 8): side `Θ(n + L)`
 //!   resp. `Θ((n+L)·log(n+L))`;
@@ -21,6 +21,9 @@
 //!   `C` stations inside a US-I H-tree, `U(n) = 2U(n/4) + Θ(L + M(n))`
 //!   with base case the cluster side, plus the §6 optimal-cluster-size
 //!   search (the paper's `C* = Θ(L)`);
+//! * [`floorplan`] — the Figure 6 and 10 layouts as placed
+//!   rectangles, produced by the same doubling loop that evaluates the
+//!   US-I and hybrid recurrences;
 //! * [`threed`] — the §7 three-dimensional packaging bounds;
 //! * [`metrics`] — the combined gate/wire/total-delay and area record
 //!   (rows of Figure 11);

@@ -16,8 +16,12 @@
 //! is supported; powers of four give the paper's square layout), with
 //! channel widths computed from the technology's wire pitch and the
 //! actual wire counts of the per-register CSPP trees and the fat-tree
-//! memory links.
+//! memory links. The same doubling loop (`htree`) serves the hybrid,
+//! whose leaves are clusters, and places the rectangles of
+//! [`crate::floorplan`]'s layouts, so recurrence and placement are one
+//! computation.
 
+use crate::floorplan::{Component, Rect};
 use crate::metrics::{ArchParams, Metrics};
 use crate::tech::Tech;
 
@@ -50,13 +54,22 @@ pub(crate) fn channel_um(l: usize, bits: usize, ports: usize, tech: &Tech) -> f6
     tracks as f64 * tech.global_pitch_um + prefix_strip + mem_strip
 }
 
-/// Exact H-tree evaluation: returns `(width, height, root_to_leaf_wire)`
-/// in µm for a tree over `n` leaves of side `leaf_side`.
+/// The H-tree doubling loop, shared by the recurrences and the placed
+/// floorplans. `tree` is `(leaves, leaf_side, chan)` as an
+/// architecture states it ([`tree`], [`crate::hybrid::tree`]); returns
+/// `(width, height, root_to_leaf_wire)` in µm.
 ///
-/// At each doubling the two child rectangles sit either side of a
-/// channel of width `chan(n_subtree)`; cuts alternate axes so the
-/// aspect ratio stays within 2.
-pub(crate) fn htree(n: usize, leaf_side: f64, chan: &dyn Fn(usize) -> f64) -> (f64, f64, f64) {
+/// At each doubling the layout so far is copied beside itself across a
+/// channel of width `chan(n_subtree)`, split across the two cut axes;
+/// cuts alternate axes so the aspect ratio stays within 2. Given a
+/// `rects` buffer seeded with leaf 0 at the origin, each doubling also
+/// appends the copy (its leaves numbered after the originals) and the
+/// channel strip labelled with its level (1 = innermost pairing), so
+/// the buffer ends holding every placed leaf and strip.
+pub(crate) fn htree(
+    (n, leaf_side, chan): (usize, f64, impl Fn(usize) -> f64),
+    mut rects: Option<&mut Vec<(Component, Rect)>>,
+) -> (f64, f64, f64) {
     assert!(
         n > 0 && n.is_power_of_two(),
         "H-tree needs a power-of-two n"
@@ -67,8 +80,43 @@ pub(crate) fn htree(n: usize, leaf_side: f64, chan: &dyn Fn(usize) -> f64) -> (f
     let mut size = 1usize;
     let mut horizontal = true; // next cut duplicates along x
     while size < n {
+        let leaves = size;
         size *= 2;
         let c = chan(size) / 2.0; // channel split across the two cut axes
+        if let Some(rects) = rects.as_deref_mut() {
+            let len = rects.len();
+            rects.extend_from_within(..);
+            for (comp, r) in &mut rects[len..] {
+                match comp {
+                    Component::Station(i) | Component::Cluster(i) => *i += leaves,
+                    Component::Channel(_) => {}
+                }
+                // `r.x + w + c`, not `r.x + (w + c)`: the placed rects'
+                // bits depend on this float order.
+                if horizontal {
+                    r.x = r.x + w + c;
+                } else {
+                    r.y = r.y + h + c;
+                }
+            }
+            let strip = if horizontal {
+                Rect {
+                    x: w,
+                    y: 0.0,
+                    w: c,
+                    h,
+                }
+            } else {
+                Rect {
+                    x: 0.0,
+                    y: h,
+                    w,
+                    h: c,
+                }
+            };
+            let level = size.trailing_zeros() as usize;
+            rects.push((Component::Channel(level), strip));
+        }
         if horizontal {
             // Root-to-child wire: from the channel centre to the child
             // rectangle's centre.
@@ -83,17 +131,25 @@ pub(crate) fn htree(n: usize, leaf_side: f64, chan: &dyn Fn(usize) -> f64) -> (f
     (w, h, wire)
 }
 
+/// The Ultrascalar I's H-tree (Figure 6) as `(leaves, leaf_side,
+/// chan)` for [`htree`]: one station per leaf, and between two
+/// subtrees a channel for the `L` registers and the memory ports of
+/// the merged subtree.
+pub(crate) fn tree<'t>(p: &ArchParams, tech: &'t Tech) -> (usize, f64, impl Fn(usize) -> f64 + 't) {
+    let p = *p;
+    let chan = move |subtree| channel_um(p.l, p.bits, p.mem.capacity(subtree), tech);
+    (
+        p.n.next_power_of_two().max(1),
+        tech.station_side_um(p.l, p.bits),
+        chan,
+    )
+}
+
 /// Side length (µm) of an `n`-station Ultrascalar I (square for powers
 /// of four; max dimension otherwise).
 pub fn side_um(p: &ArchParams, tech: &Tech) -> f64 {
-    let (w, h, _) = layout(p, tech);
+    let (w, h, _) = htree(tree(p, tech), None);
     w.max(h)
-}
-
-fn layout(p: &ArchParams, tech: &Tech) -> (f64, f64, f64) {
-    let leaf = tech.station_side_um(p.l, p.bits);
-    let chan = |subtree: usize| channel_um(p.l, p.bits, p.mem.capacity(subtree), tech);
-    htree(p.n.next_power_of_two().max(1), leaf, &chan)
 }
 
 /// Critical-path gate levels of the CSPP-tree datapath: two traversals
@@ -108,7 +164,7 @@ pub fn gate_delay(n: usize) -> f64 {
 
 /// Full metric record for one parameter point.
 pub fn metrics(p: &ArchParams, tech: &Tech) -> Metrics {
-    let (w, h, wire) = layout(p, tech);
+    let (w, h, wire) = htree(tree(p, tech), None);
     // "Every datapath signal goes up the tree, and then down. Thus the
     // longest datapath signal is 2W(n)."
     Metrics {
@@ -248,7 +304,7 @@ mod tests {
     #[test]
     fn power_of_four_layouts_are_square() {
         let tech = Tech::cmos_035();
-        let (w, h, _) = layout(&params(64, 32, Bandwidth::constant(1.0)), &tech);
+        let (w, h, _) = htree(tree(&params(64, 32, Bandwidth::constant(1.0)), &tech), None);
         assert!((w / h - 1.0).abs() < 0.2, "w={w} h={h}");
     }
 
@@ -263,6 +319,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "power-of-two")]
     fn non_power_of_two_htree_rejected() {
-        let _ = htree(3, 1.0, &|_| 0.0);
+        let _ = htree((3, 1.0, |_| 0.0), None);
     }
 }
