@@ -11,6 +11,12 @@
 //! differential tests compare simulators against each other on the same
 //! generated programs), not bit-compatibility with any particular
 //! upstream version.
+//!
+//! One addition has no upstream counterpart: the seeded-case runner
+//! [`case_rng`] / [`cases`], the workspace's one idiom for randomized
+//! tests. Case `i` of a test is a pure function of its seed and `i`, so
+//! any single case replays on its own, and a failing case names its
+//! seed, its index and its test.
 
 /// Core source of randomness: 64 uniformly distributed bits per call.
 pub trait RngCore {
@@ -164,10 +170,43 @@ pub mod rngs {
     }
 }
 
+/// The generator for case `i` of a test seeded with `seed`: a pure
+/// function of the two, so case `i` replays without cases `0..i`.
+pub fn case_rng(seed: u64, i: u64) -> rngs::StdRng {
+    rngs::StdRng::seed_from_u64(seed ^ i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+}
+
+/// Run cases `0..n` of a randomized test, handing case `i` the
+/// generator [`case_rng`]`(seed, i)` and its index.
+///
+/// There is no shrinking. A case that panics, from any `assert!` or
+/// anywhere else, re-panics with the test's thread name (libtest names
+/// each thread after its test), the seed and the case index in front of
+/// the original message; `case_rng(seed, i)` then replays that case
+/// alone.
+pub fn cases(seed: u64, n: u64, mut case: impl FnMut(&mut rngs::StdRng, u64)) {
+    for i in 0..n {
+        let mut rng = case_rng(seed, i);
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| case(&mut rng, i)));
+        if let Err(payload) = run {
+            let msg = payload
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "(non-string panic payload)".into());
+            let thread = std::thread::current();
+            panic!(
+                "{}: seed {seed:#x} case {i} of {n} failed (replay: rand::case_rng({seed:#x}, {i})): {msg}",
+                thread.name().unwrap_or("<unnamed thread>")
+            );
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::rngs::StdRng;
-    use super::{Rng, SeedableRng};
+    use super::{case_rng, cases, Rng, SeedableRng};
 
     #[test]
     fn deterministic_per_seed() {
@@ -207,5 +246,44 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         let heads = (0..10_000).filter(|_| rng.gen_bool(0.5)).count();
         assert!((4_000..6_000).contains(&heads), "heads = {heads}");
+    }
+
+    #[test]
+    #[should_panic(expected = "seed 0x5eed case 3 of 10 failed")]
+    fn failing_case_names_seed_and_index() {
+        cases(0x5EED, 10, |_, i| assert!(i != 3, "plain assert"));
+    }
+
+    #[test]
+    fn failure_message_names_test_and_keeps_original() {
+        let err = std::panic::catch_unwind(|| {
+            cases(1, 4, |rng, _| {
+                let v: u64 = rng.gen();
+                assert_eq!(v, 0, "drew {v}");
+            })
+        })
+        .unwrap_err();
+        let msg = err.downcast_ref::<String>().unwrap();
+        assert!(
+            msg.starts_with(
+                "tests::failure_message_names_test_and_keeps_original: seed 0x1 case 0 of 4"
+            ),
+            "{msg}"
+        );
+        assert!(msg.contains("drew "), "{msg}");
+    }
+
+    #[test]
+    fn one_case_replays_alone() {
+        let mut in_run = Vec::new();
+        cases(99, 10, |rng, i| {
+            if i == 5 {
+                in_run = (0..8).map(|_| rng.gen::<u64>()).collect();
+            }
+        });
+        let mut alone = case_rng(99, 5);
+        let replay: Vec<u64> = (0..8).map(|_| alone.gen()).collect();
+        assert_eq!(in_run, replay);
+        assert_ne!(replay[0], case_rng(99, 4).gen::<u64>());
     }
 }

@@ -320,9 +320,9 @@ pub struct Worker {
 }
 
 impl Worker {
-    /// Create a worker bound to `slot` (an index below
-    /// [`ServeShared::workers`], used for the per-worker request
-    /// tally).
+    /// Create a worker bound to `slot` (an index below the
+    /// [`ServeOptions::workers`] the server was built with, used for the
+    /// per-worker request tally).
     pub fn new(shared: Arc<ServeShared>, slot: usize) -> Self {
         assert!(slot < shared.workers, "worker slot out of range");
         Worker {
@@ -1284,7 +1284,7 @@ struct Registry {
     closed: bool,
 }
 
-/// Socket mode: [`ServeShared::workers`] threads, each owning one
+/// Socket mode: [`ServeOptions::workers`] threads, each owning one
 /// [`Worker`] for the server's life and serving one connection at a
 /// time. Returns once a shutdown request has been served (or accepting
 /// failed) and every thread has joined; the socket file is removed on

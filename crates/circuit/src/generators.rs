@@ -705,23 +705,19 @@ mod tests {
 }
 
 #[cfg(test)]
-mod proptests {
+mod random_tests {
     use super::*;
     use crate::build::bus_value;
-    use proptest::prelude::*;
+    use rand::{cases, Rng};
     use ultrascalar_prefix::{cspp_ring, BoolAnd, First};
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        /// Gate-level CSPP tree ≡ algorithmic CSPP (bus payload, First).
-        #[test]
-        fn cspp_tree_gates_match_model(
-            n in 1usize..24,
-            data in proptest::collection::vec((0u64..256, any::<bool>()), 24),
-        ) {
-            let vals: Vec<u64> = data.iter().take(n).map(|&(v, _)| v).collect();
-            let segs: Vec<bool> = data.iter().take(n).map(|&(_, s)| s).collect();
+    /// Gate-level CSPP tree ≡ algorithmic CSPP (bus payload, First).
+    #[test]
+    fn cspp_tree_gates_match_model() {
+        cases(0x6E0_0001, 64, |rng, _| {
+            let n = rng.gen_range(1usize..24);
+            let vals: Vec<u64> = (0..n).map(|_| rng.gen_range(0..256)).collect();
+            let segs: Vec<bool> = (0..n).map(|_| rng.gen()).collect();
             let mut nl = Netlist::new();
             let tree = CsppTree::build(&mut nl, n, 8, CombineOp::First);
             let mut inputs = vec![false; nl.num_inputs()];
@@ -734,19 +730,23 @@ mod proptests {
             let e = nl.evaluate(&inputs, &[]).unwrap();
             let model = cspp_ring::<u64, First>(&vals, &segs);
             for i in 0..n {
-                prop_assert_eq!(bus_value(&e, &tree.out_value[i]), model[i].value);
-                prop_assert_eq!(e.value(tree.out_seg[i]), model[i].seg);
+                assert_eq!(
+                    bus_value(&e, &tree.out_value[i]),
+                    model[i].value,
+                    "station {i}"
+                );
+                assert_eq!(e.value(tree.out_seg[i]), model[i].seg, "station {i}");
             }
-        }
+        });
+    }
 
-        /// Gate-level 1-bit AND CSPP ≡ algorithmic model.
-        #[test]
-        fn cspp_tree_and_gates_match_model(
-            n in 1usize..32,
-            data in proptest::collection::vec((any::<bool>(), any::<bool>()), 32),
-        ) {
-            let vals: Vec<bool> = data.iter().take(n).map(|&(v, _)| v).collect();
-            let segs: Vec<bool> = data.iter().take(n).map(|&(_, s)| s).collect();
+    /// Gate-level 1-bit AND CSPP ≡ algorithmic model.
+    #[test]
+    fn cspp_tree_and_gates_match_model() {
+        cases(0x6E0_0002, 64, |rng, _| {
+            let n = rng.gen_range(1usize..32);
+            let vals: Vec<bool> = (0..n).map(|_| rng.gen()).collect();
+            let segs: Vec<bool> = (0..n).map(|_| rng.gen()).collect();
             let mut nl = Netlist::new();
             let tree = CsppTree::build(&mut nl, n, 1, CombineOp::BitAnd);
             let mut inputs = vec![false; nl.num_inputs()];
@@ -757,21 +757,20 @@ mod proptests {
             let e = nl.evaluate(&inputs, &[]).unwrap();
             let model = cspp_ring::<bool, BoolAnd>(&vals, &segs);
             for i in 0..n {
-                prop_assert_eq!(e.value(tree.out_value[i][0]), model[i].value);
+                assert_eq!(e.value(tree.out_value[i][0]), model[i].value, "station {i}");
             }
-        }
+        });
+    }
 
-        /// Mux ring ≡ CSPP model whenever at least one modified bit is
-        /// raised.
-        #[test]
-        fn mux_ring_gates_match_model(
-            n in 1usize..16,
-            data in proptest::collection::vec((0u64..16, any::<bool>()), 16),
-            force in 0usize..16,
-        ) {
-            let vals: Vec<u64> = data.iter().take(n).map(|&(v, _)| v).collect();
-            let mut segs: Vec<bool> = data.iter().take(n).map(|&(_, s)| s).collect();
-            segs[force % n] = true; // ensure the ring is cut
+    /// Mux ring ≡ CSPP model whenever at least one modified bit is
+    /// raised.
+    #[test]
+    fn mux_ring_gates_match_model() {
+        cases(0x6E0_0003, 64, |rng, _| {
+            let n = rng.gen_range(1usize..16);
+            let vals: Vec<u64> = (0..n).map(|_| rng.gen_range(0..16)).collect();
+            let mut segs: Vec<bool> = (0..n).map(|_| rng.gen()).collect();
+            segs[rng.gen_range(0usize..16) % n] = true; // ensure the ring is cut
             let mut nl = Netlist::new();
             let ring = MuxRing::build(&mut nl, n, 4);
             let mut inputs = vec![false; nl.num_inputs()];
@@ -784,19 +783,25 @@ mod proptests {
             let e = nl.evaluate(&inputs, &[]).unwrap();
             let model = cspp_ring::<u64, First>(&vals, &segs);
             for i in 0..n {
-                prop_assert_eq!(bus_value(&e, &ring.incoming[i]), model[i].value);
+                assert_eq!(
+                    bus_value(&e, &ring.incoming[i]),
+                    model[i].value,
+                    "station {i}"
+                );
             }
-        }
+        });
+    }
 
-        /// US-II column ≡ "last valid matching row" specification.
-        #[test]
-        fn usii_column_matches_spec(
-            rows in 1usize..12,
-            data in proptest::collection::vec((0u64..8, 0u64..256, any::<bool>()), 12),
-            req in 0u64..8,
-            tree in any::<bool>(),
-        ) {
-            let data = &data[..rows];
+    /// US-II column ≡ "last valid matching row" specification.
+    #[test]
+    fn usii_column_matches_spec() {
+        cases(0x6E0_0004, 64, |rng, _| {
+            let rows = rng.gen_range(1usize..12);
+            let data: Vec<(u64, u64, bool)> = (0..rows)
+                .map(|_| (rng.gen_range(0..8), rng.gen_range(0..256), rng.gen()))
+                .collect();
+            let req = rng.gen_range(0u64..8);
+            let tree: bool = rng.gen();
             let mut nl = Netlist::new();
             let col = UsiiColumn::build(&mut nl, rows, 3, 8, tree);
             let mut inputs = vec![false; nl.num_inputs()];
@@ -817,11 +822,19 @@ mod proptests {
                 .rev()
                 .find(|&&(num, _, valid)| valid && num == req)
                 .map(|&(_, val, _)| val);
-            prop_assert_eq!(e.value(col.found), expect.is_some());
+            assert_eq!(
+                e.value(col.found),
+                expect.is_some(),
+                "rows {data:?}, request {req}"
+            );
             if let Some(v) = expect {
-                prop_assert_eq!(bus_value(&e, &col.out_value), v);
+                assert_eq!(
+                    bus_value(&e, &col.out_value),
+                    v,
+                    "rows {data:?}, request {req}"
+                );
             }
-        }
+        });
     }
 }
 

@@ -1,11 +1,13 @@
 //! One differential harness: seeded (program, configuration) pairs,
 //! each checked five ways.
 //!
-//! Case `i` is a pure function of [`SEED`] and `i`: one program drawn
-//! from `isa::workload` (a random straight-line program, a random
-//! counted loop, or a standard-suite kernel) and one [`ProcConfig`]
-//! from a sampler that draws every field, with `validate()` as its only
-//! filter. Each pair must pass:
+//! Case `i` draws from `rand::case_rng(SEED, i)`, the workspace's one
+//! seeded-case generator, so it is a pure function of [`SEED`] and `i`
+//! and replays alone. It is one program drawn from `isa::workload` (a
+//! random straight-line program, a random counted loop, or a
+//! standard-suite kernel) and one [`ProcConfig`] from a sampler that
+//! draws every field, with `validate()` as its only filter. Each pair
+//! must pass:
 //!
 //! 1. **golden** — a halted run's architectural state equals the
 //!    golden interpreter's; a run that did not halt used its whole
@@ -27,8 +29,8 @@
 //!    conventional superscalar's ILP: on the config's projection to
 //!    C = 1, no memory renaming and single-cycle forwarding.
 //!
-//! The offline proptest stub does not shrink, so a failure prints what
-//! a replay needs: seed and case index, the config (`Debug`), an `.asm`
+//! Nothing shrinks a failing case, so a failure prints what a replay
+//! needs: seed and case index, the config (`Debug`), an `.asm`
 //! dump that reassembles to the same `Program` (asserted for every
 //! case), and the `usim run` line when every sampled field is a `usim`
 //! flag (asserted to parse back to the same config). A case still
@@ -47,7 +49,7 @@ use std::thread;
 use std::time::Duration;
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use ultrascalar::processor::check_against_golden;
 use ultrascalar::{
     BaselineOoO, ForwardModel, LaneBatcher, LatencyModel, PredictorKind, ProcConfig, ProcStats,
@@ -79,9 +81,9 @@ struct Sampler {
 }
 
 impl Sampler {
-    fn new(seed: u64) -> Self {
+    fn new(rng: StdRng) -> Self {
         Sampler {
-            rng: StdRng::seed_from_u64(seed),
+            rng,
             offered: BTreeSet::new(),
             drawn: Vec::new(),
         }
@@ -311,7 +313,7 @@ struct Case {
 }
 
 fn case(index: u64) -> Case {
-    let mut s = Sampler::new(SEED ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    let mut s = Sampler::new(rand::case_rng(SEED, index));
     let (origin, program) = s.program();
     let (cfg, rejected) = s.config();
     let lanes = match s.pick("lanes", &["2..=4", "5..=16", "17..=64"]) {

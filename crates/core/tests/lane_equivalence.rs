@@ -10,7 +10,7 @@
 //! ALU op and branch condition, epoch segmentation, a single divergent
 //! lane, full convergence, fallbacks and warm scratch.
 
-use proptest::prelude::*;
+use rand::Rng;
 use ultrascalar::{
     LaneBatcher, PredictorKind, ProcConfig, Processor, RunResult, Ultrascalar, MAX_LANES,
 };
@@ -248,27 +248,22 @@ fn branchy_loop(iters: u32, data_seed: u64) -> Program {
     ultrascalar_isa::asm::assemble(&src, 16).expect("branchy_loop assembles")
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-    /// The ISSUE's pinned sweep: bimodal configs × branchy programs ×
-    /// batch {3, 64}, every lane byte-identical to its serial twin —
-    /// registers, memory, cycles, stats, timings — however the epochs
-    /// segment and however many lanes peel mid-replay.
-    #[test]
-    fn bimodal_branchy_batches_match_serial(
-        seed in any::<u64>(),
-        data_seed in any::<u64>(),
-        iters in 4u32..20,
-        table_bits in 2u32..7,
-        arch in 0usize..3,
-        random_prog in any::<bool>(),
-    ) {
-        let pred = PredictorKind::Bimodal(1usize << table_bits);
-        let (name, cfg) = match arch {
+/// The pinned sweep: bimodal configs × branchy programs × batch
+/// {3, 64}, every lane byte-identical to its serial twin — registers,
+/// memory, cycles, stats, timings — however the epochs segment and
+/// however many lanes peel mid-replay.
+#[test]
+fn bimodal_branchy_batches_match_serial() {
+    rand::cases(0x1A4E_0001, 24, |rng, _| {
+        let (seed, data_seed): (u64, u64) = (rng.gen(), rng.gen());
+        let iters = rng.gen_range(4u32..20);
+        let pred = PredictorKind::Bimodal(1usize << rng.gen_range(2u32..7));
+        let (name, cfg) = match rng.gen_range(0..3) {
             0 => ("usi", ProcConfig::ultrascalar_i(16).with_predictor(pred)),
             1 => ("usii", ProcConfig::ultrascalar_ii(16).with_predictor(pred)),
             _ => ("hybrid", ProcConfig::hybrid(16, 4).with_predictor(pred)),
         };
+        let random_prog: bool = rng.gen();
         let prog = if random_prog {
             workload::random_program(&RandomCfg {
                 len: 24,
@@ -284,7 +279,7 @@ proptest! {
             branchy_loop(iters, data_seed)
         };
         if prog.validate().is_err() {
-            return Ok(());
+            return;
         }
         let mut batcher = LaneBatcher::new();
         for b in [3usize, 64] {
@@ -295,16 +290,16 @@ proptest! {
         // Both groups (b=3 and b=64) either lane-batched or demoted
         // with the demotion counted; batched groups account for every
         // lane as a lock-step run or a peel.
-        prop_assert_eq!(stats.batches + stats.fallbacks, 2, "{:?}", stats);
-        prop_assert!(stats.lane_runs + stats.peels <= 67, "{:?}", stats);
-        prop_assert!(stats.replay_peels <= stats.peels, "{:?}", stats);
+        assert_eq!(stats.batches + stats.fallbacks, 2, "{stats:?}");
+        assert!(stats.lane_runs + stats.peels <= 67, "{stats:?}");
+        assert!(stats.replay_peels <= stats.peels, "{stats:?}");
         // A batched branchy run must actually segment: the kernel's
         // zero words force leader mispredicts under every bimodal
         // table size.
         if !random_prog && stats.batches > 0 {
-            prop_assert!(stats.epochs > stats.batches, "{:?}", stats);
+            assert!(stats.epochs > stats.batches, "{stats:?}");
         }
-    }
+    });
 }
 
 #[test]

@@ -194,11 +194,6 @@ impl ShardedProgramCache {
         }
     }
 
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Return the assembled program for `src`, locking only the shard
     /// the content hash selects. The returned `Arc` is usable after
     /// the shard lock is released; a hit performs no allocation.
@@ -219,11 +214,6 @@ impl ShardedProgramCache {
             total.entries += s.entries;
         }
         total
-    }
-
-    /// Per-shard counter snapshots (for shard-balance observability).
-    pub fn shard_stats(&self) -> Vec<CacheStats> {
-        self.shards.iter().map(|s| lock(s).stats()).collect()
     }
 }
 
@@ -302,19 +292,11 @@ mod tests {
     #[test]
     fn sharded_cache_serves_and_rolls_up() {
         let c = ShardedProgramCache::new(8, 4);
-        assert_eq!(c.num_shards(), 4);
         let p1 = c.get_or_assemble(PROG, 32).expect("assembles");
         let p2 = c.get_or_assemble(PROG, 32).expect("assembles");
         assert_eq!(p1, p2);
         let s = c.stats();
         assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
-        // Exactly one shard saw the traffic.
-        let busy: Vec<_> = c
-            .shard_stats()
-            .into_iter()
-            .filter(|s| s.hits + s.misses > 0)
-            .collect();
-        assert_eq!(busy.len(), 1);
     }
 
     #[test]

@@ -196,28 +196,22 @@ impl Eq for MemImage {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::RngCore;
 
     const LENS: [usize; 6] = [1, 63, 64, 65, 1024, 65536];
 
-    /// xorshift64: the model test's seeded operation stream.
-    fn next(x: &mut u64) -> u64 {
-        *x ^= *x << 13;
-        *x ^= *x >> 7;
-        *x ^= *x << 17;
-        *x
-    }
-
     #[test]
     fn reset_write_clone_from_and_swap_match_a_vec_model() {
-        for seed in 1..=8u64 {
-            let mut x = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        const SEED: u64 = 0x1A6E_0001;
+        for case in 0..8 {
+            let mut rng = rand::case_rng(SEED, case);
             let mut imgs: [MemImage; 3] = Default::default();
             let mut model: [Vec<u32>; 3] = Default::default();
             for step in 0..600 {
-                let r = next(&mut x);
+                let r = rng.next_u64();
                 let i = (r % 3) as usize;
                 let j = (r >> 8) as usize % 3;
-                let ctx = format!("seed {seed} step {step}");
+                let ctx = format!("seed {SEED:#x} case {case} step {step}");
                 match (r >> 16) % 8 {
                     0 => {
                         let len = LENS[(r >> 24) as usize % LENS.len()];
@@ -238,7 +232,7 @@ mod tests {
                     }
                     _ if !model[i].is_empty() => {
                         for _ in 0..1 + (r >> 24) % 4 {
-                            let w = next(&mut x);
+                            let w = rng.next_u64();
                             let addr = w as usize % model[i].len();
                             let v = (w >> 40) as u32 % 3;
                             imgs[i].write(addr, v);

@@ -7,7 +7,7 @@
 //! scale has ILP ≈ n) plus tunable random code in between.
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 use crate::instr::{AluOp, BranchCond, Instr, Reg};
 use crate::program::Program;
@@ -768,26 +768,16 @@ pub fn standard_suite(seed: u64) -> Vec<(&'static str, Program)> {
     ]
 }
 
-/// SplitMix64 — the tiny deterministic generator used to spread lane
-/// seeds (self-contained so lane populations are reproducible across
-/// harnesses without threading an `Rng`).
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Deterministic per-lane initial registers: lane `lane` of a batch
 /// population seeded with `seed`. Register 0 is left at zero (many
 /// kernels use a low register as a hard-wired zero/base); the rest get
-/// independent pseudo-random values.
+/// independent pseudo-random values, the low halves of a `StdRng`
+/// stream, so a population is reproducible from `(seed, lane)` alone.
 pub fn lane_init_regs(num_regs: usize, seed: u64, lane: usize) -> Vec<u32> {
-    let mut state = seed ^ (lane as u64).wrapping_mul(0xA076_1D64_78BD_642F);
+    let mut rng = StdRng::seed_from_u64(seed ^ (lane as u64).wrapping_mul(0xA076_1D64_78BD_642F));
     let mut regs = vec![0u32; num_regs];
     for r in regs.iter_mut().skip(1) {
-        *r = splitmix64(&mut state) as u32;
+        *r = rng.next_u64() as u32;
     }
     regs
 }

@@ -183,6 +183,8 @@ pub fn cspp_all_earlier(conditions: &[bool], oldest: usize) -> Vec<bool> {
 mod tests {
     use super::*;
     use crate::op::{BoolAnd, First, Sum};
+    use rand::rngs::StdRng;
+    use rand::{case_rng, Rng};
 
     /// The worked example of paper Figure 5: station 6 is oldest (seg
     /// raised); stations {6, 7, 0, 1, 3} have met the condition; the
@@ -243,23 +245,15 @@ mod tests {
         assert_eq!(out[7].value, (10, true));
     }
 
-    /// Deterministic xorshift for the size sweeps below.
-    fn xorshift(state: &mut u64) -> u64 {
-        *state ^= *state << 13;
-        *state ^= *state >> 7;
-        *state ^= *state << 17;
-        *state
-    }
-
     /// Segment bits for sweep fill `fill`: none at all (every output a
     /// wrap-around artefact, which must still agree), dense, sparse,
     /// and all raised.
-    fn seg_fill(n: usize, fill: usize, state: &mut u64) -> Vec<bool> {
+    fn seg_fill(n: usize, fill: usize, rng: &mut StdRng) -> Vec<bool> {
         (0..n)
             .map(|_| match fill {
                 0 => false,
-                1 => xorshift(state) & 1 == 1,
-                2 => xorshift(state) & 7 == 0,
+                1 => rng.gen(),
+                2 => rng.gen_range(0..8) == 0,
                 _ => true,
             })
             .collect()
@@ -279,13 +273,14 @@ mod tests {
         }
         // Every ring size up to 130 — each non-power-of-two padding
         // shape and the 63/64/65, 127/128/129 boundaries — under Sum,
-        // First and the paper's AND operator.
-        let mut state = 0x1357_9BDF_2468_ACE0u64;
+        // First and the paper's AND operator. Ring size n draws from
+        // `case_rng(0x1357_9BDF_2468_ACE0, n)`.
         for n in 1..=130usize {
+            let mut rng = case_rng(0x1357_9BDF_2468_ACE0, n as u64);
             for fill in 0..4 {
-                let vals: Vec<u64> = (0..n).map(|_| xorshift(&mut state) % 1000).collect();
+                let vals: Vec<u64> = (0..n).map(|_| rng.gen_range(0..1000)).collect();
                 let bits: Vec<bool> = vals.iter().map(|v| v % 5 != 0).collect();
-                let seg = seg_fill(n, fill, &mut state);
+                let seg = seg_fill(n, fill, &mut rng);
                 assert_eq!(
                     cspp_ring::<_, Sum>(&vals, &seg),
                     cspp_tree::<_, Sum>(&vals, &seg),
@@ -307,11 +302,11 @@ mod tests {
 
     #[test]
     fn noncyclic_ring_and_tree_agree() {
-        let mut state = 0x0FED_CBA9_8765_4321u64;
         for n in 1..=130usize {
+            let mut rng = case_rng(0x0FED_CBA9_8765_4321, n as u64);
             let vals: Vec<u64> = (0..n as u64).map(|i| i * 11 + 5).collect();
             for fill in 0..4 {
-                let seg = seg_fill(n, fill, &mut state);
+                let seg = seg_fill(n, fill, &mut rng);
                 // Non-identity seeds, with and without a boundary bit.
                 for init in [SegPair::leaf(999u64, true), SegPair::leaf(7, false)] {
                     assert_eq!(
@@ -402,78 +397,82 @@ mod tests {
 }
 
 #[cfg(test)]
-mod proptests {
+mod random_tests {
     use super::*;
     use crate::op::{BoolAnd, First, Max, Sum};
-    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{cases, Rng};
 
-    proptest! {
-        #[test]
-        fn cspp_tree_matches_ring_sum(
-            vals in proptest::collection::vec(0u64..1000, 1..80),
-            segbits in proptest::collection::vec(any::<bool>(), 1..80),
-        ) {
-            let n = vals.len().min(segbits.len());
-            let vals = &vals[..n];
-            let seg = &segbits[..n];
-            prop_assert_eq!(
-                cspp_ring::<_, Sum>(vals, seg),
-                cspp_tree::<_, Sum>(vals, seg)
+    /// `(vals, seg)` of one length `n = min(a, b)`, where `a` and `b`
+    /// are drawn independently from `1..max_len`; each value is drawn by
+    /// `val` and each segment bit is fair.
+    fn draw<T>(
+        rng: &mut StdRng,
+        max_len: usize,
+        val: impl Fn(&mut StdRng) -> T,
+    ) -> (Vec<T>, Vec<bool>) {
+        let n = rng.gen_range(1..max_len).min(rng.gen_range(1..max_len));
+        let vals = (0..n).map(|_| val(rng)).collect();
+        (vals, (0..n).map(|_| rng.gen()).collect())
+    }
+
+    #[test]
+    fn cspp_tree_matches_ring_sum() {
+        cases(0xC599_0001, 64, |rng, _| {
+            let (vals, seg) = draw(rng, 80, |r| r.gen_range(0u64..1000));
+            assert_eq!(
+                cspp_ring::<_, Sum>(&vals, &seg),
+                cspp_tree::<_, Sum>(&vals, &seg),
+                "seg {seg:?}"
             );
-        }
+        });
+    }
 
-        #[test]
-        fn cspp_tree_matches_ring_first(
-            vals in proptest::collection::vec(0u32..1000, 1..80),
-            segbits in proptest::collection::vec(any::<bool>(), 1..80),
-        ) {
-            let n = vals.len().min(segbits.len());
-            let vals = &vals[..n];
-            let seg = &segbits[..n];
-            prop_assert_eq!(
-                cspp_ring::<_, First>(vals, seg),
-                cspp_tree::<_, First>(vals, seg)
+    #[test]
+    fn cspp_tree_matches_ring_first() {
+        cases(0xC599_0002, 64, |rng, _| {
+            let (vals, seg) = draw(rng, 80, |r| r.gen_range(0u32..1000));
+            assert_eq!(
+                cspp_ring::<_, First>(&vals, &seg),
+                cspp_tree::<_, First>(&vals, &seg),
+                "seg {seg:?}"
             );
-        }
+        });
+    }
 
-        #[test]
-        fn cspp_tree_matches_ring_and(
-            vals in proptest::collection::vec(any::<bool>(), 1..100),
-            segbits in proptest::collection::vec(any::<bool>(), 1..100),
-        ) {
-            let n = vals.len().min(segbits.len());
-            prop_assert_eq!(
-                cspp_ring::<_, BoolAnd>(&vals[..n], &segbits[..n]),
-                cspp_tree::<_, BoolAnd>(&vals[..n], &segbits[..n])
+    #[test]
+    fn cspp_tree_matches_ring_and() {
+        cases(0xC599_0003, 64, |rng, _| {
+            let (vals, seg) = draw(rng, 100, |r| r.gen::<bool>());
+            assert_eq!(
+                cspp_ring::<_, BoolAnd>(&vals, &seg),
+                cspp_tree::<_, BoolAnd>(&vals, &seg),
+                "seg {seg:?}"
             );
-        }
+        });
+    }
 
-        #[test]
-        fn noncyclic_tree_matches_ring_max(
-            vals in proptest::collection::vec(0i64..10000, 1..80),
-            segbits in proptest::collection::vec(any::<bool>(), 1..80),
-            init in 0i64..10000,
-            init_seg in any::<bool>(),
-        ) {
-            let n = vals.len().min(segbits.len());
-            let seed = SegPair::leaf(init, init_seg);
-            prop_assert_eq!(
-                segmented_prefix_ring::<_, Max>(&vals[..n], &segbits[..n], seed),
-                segmented_prefix_tree::<_, Max>(&vals[..n], &segbits[..n], seed)
+    #[test]
+    fn noncyclic_tree_matches_ring_max() {
+        cases(0xC599_0004, 64, |rng, _| {
+            let (vals, seg) = draw(rng, 80, |r| r.gen_range(0i64..10000));
+            let init = SegPair::leaf(rng.gen_range(0i64..10000), rng.gen());
+            assert_eq!(
+                segmented_prefix_ring::<_, Max>(&vals, &seg, init),
+                segmented_prefix_tree::<_, Max>(&vals, &seg, init),
+                "seg {seg:?} init {init:?}"
             );
-        }
+        });
+    }
 
-        /// Direct specification check: out[i] with First equals the
-        /// value of the nearest cyclically-preceding raised segment.
-        #[test]
-        fn cspp_first_is_nearest_preceding_writer(
-            vals in proptest::collection::vec(0u32..1000, 1..60),
-            segbits in proptest::collection::vec(any::<bool>(), 1..60),
-        ) {
-            let n = vals.len().min(segbits.len());
-            let vals = &vals[..n];
-            let seg = &segbits[..n];
-            let out = cspp_tree::<_, First>(vals, seg);
+    /// Direct specification check: out[i] with First equals the
+    /// value of the nearest cyclically-preceding raised segment.
+    #[test]
+    fn cspp_first_is_nearest_preceding_writer() {
+        cases(0xC599_0005, 64, |rng, _| {
+            let (vals, seg) = draw(rng, 60, |r| r.gen_range(0u32..1000));
+            let n = vals.len();
+            let out = cspp_tree::<_, First>(&vals, &seg);
             if seg.iter().any(|&s| s) {
                 for (i, o) in out.iter().enumerate() {
                     // Walk backwards from i-1, wrapping, to the nearest
@@ -484,15 +483,13 @@ mod proptests {
                         j = (j + n - 1) % n;
                         steps += 1;
                     }
-                    prop_assert!(seg[j]);
-                    prop_assert_eq!(o.value, vals[j], "station {}", i);
-                    prop_assert!(o.seg);
+                    assert!(seg[j]);
+                    assert_eq!(o.value, vals[j], "station {i}, seg {seg:?}");
+                    assert!(o.seg);
                 }
             } else {
-                for p in &out {
-                    prop_assert!(!p.seg);
-                }
+                assert!(out.iter().all(|p| !p.seg));
             }
-        }
+        });
     }
 }

@@ -147,22 +147,21 @@ mod tests {
 }
 
 #[cfg(test)]
-mod proptests {
+mod random_tests {
     use super::*;
-    use proptest::prelude::*;
+    use rand::{cases, Rng};
 
-    proptest! {
-        #[test]
-        fn prefix_allocator_matches_reference(
-            req in proptest::collection::vec(any::<bool>(), 1..64),
-            k in 0usize..70,
-            oldest_raw in 0usize..64,
-        ) {
-            let oldest = oldest_raw % req.len();
-            prop_assert_eq!(
+    #[test]
+    fn prefix_allocator_matches_reference() {
+        cases(0x5C4E_0001, 64, |rng, _| {
+            let req: Vec<bool> = (0..rng.gen_range(1..64)).map(|_| rng.gen()).collect();
+            let k = rng.gen_range(0usize..70);
+            let oldest = rng.gen_range(0usize..64) % req.len();
+            assert_eq!(
                 allocate_oldest_first(&req, k, oldest),
-                allocate_reference(&req, k, oldest)
+                allocate_reference(&req, k, oldest),
+                "req {req:?}, k {k}, oldest {oldest}"
             );
-        }
+        });
     }
 }

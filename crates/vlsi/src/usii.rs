@@ -197,7 +197,7 @@ mod tests {
 /// with a linear-time prefix circuit. This works well in practice
 /// because at some point the wire-lengths near the root of the tree
 /// become so long that the wire-delay is comparable to a gate delay …
-/// [its] asymptotic results are exactly the same as for the linear-time
+/// \[its\] asymptotic results are exactly the same as for the linear-time
 /// circuit (the wire delays, gate delays, and side length are all n)
 /// with greatly improved constant factors."
 ///
