@@ -7,6 +7,12 @@
 //! | [`UsiiColumn`] (linear) | Figure 7 (US-II grid column) | `Θ(rows)` |
 //! | [`UsiiColumn`] (tree) | Figure 8 (mesh-of-trees column) | `Θ(log rows + log width)` |
 //! | [`UsiiDatapath`] | Figure 7/8 (full US-II register network) | per column |
+//! | [`WindowController`] | §2 (US-I window sequencing) | `Θ(log n)` |
+//!
+//! The `vlsi` crate's gate delays are the exact structural depths of
+//! [`WindowController`] (Ultrascalar I) and [`UsiiDatapath`]
+//! (Ultrascalar II, both forms); the workspace's `paper_claims` tests
+//! hold them equal.
 //!
 //! Every generator exposes its input nodes so tests can drive arbitrary
 //! vectors, and is property-tested against the algorithmic models in

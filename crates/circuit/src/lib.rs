@@ -29,7 +29,6 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod alu;
 pub mod build;
 pub mod generators;
 pub mod netlist;

@@ -53,24 +53,35 @@ pub fn side_um(p: &ArchParams, c: usize, tech: &Tech) -> f64 {
     w.max(h)
 }
 
-/// Gate levels: the linear cluster search (`Θ(C + L)`) plus the
-/// inter-cluster CSPP tree (`Θ(log(n/C))`) — Figure 11 column 4's
-/// `Θ(L + log n)` when `C = Θ(L)`.
+/// Gate levels: the linear cluster search (`Θ(C + L)`,
+/// [`usii::gate_delay_linear`] at `n = C`) followed by the Ultrascalar
+/// I sequencing over the `n/C` clusters (`Θ(log(n/C))`,
+/// [`usi::gate_delay`]) — Figure 11 column 4's `Θ(L + log n)` when
+/// `C = Θ(L)`. A single cluster has no inter-cluster tree, so `C = n`
+/// is exactly the Ultrascalar II.
 pub fn gate_delay(p: &ArchParams, c: usize) -> f64 {
     let cluster = ArchParams { n: c, ..*p };
-    usii::gate_delay_linear(&cluster) + usi::gate_delay((p.n / c).max(1))
+    let clusters = p.n / c;
+    let tree = if clusters > 1 {
+        usi::gate_delay(clusters)
+    } else {
+        0.0
+    };
+    usii::gate_delay_linear(&cluster) + tree
 }
 
 /// Full metric record at cluster size `c`.
 pub fn metrics_with_cluster(p: &ArchParams, c: usize, tech: &Tech) -> Metrics {
     let tree = tree(p, c, tech);
     // Worst path: across the source cluster, up and down the H-tree,
-    // across the destination cluster.
-    let cluster_crossing = 2.0 * tree.1;
+    // across the destination cluster. A single cluster is crossed once,
+    // as in the Ultrascalar II.
+    let crossings = if tree.0 > 1 { 2.0 } else { 1.0 };
+    let cluster_wire = crossings * 2.0 * tree.1;
     let (w, h, wire) = usi::htree(tree, None);
     Metrics {
         gate_delay: gate_delay(p, c),
-        wire_um: 2.0 * wire + 2.0 * cluster_crossing,
+        wire_um: 2.0 * wire + cluster_wire,
         side_um: w.max(h),
         area_um2: w * h,
     }
@@ -218,18 +229,23 @@ mod tests {
         assert!(r(64) > 1.5);
     }
 
+    /// C = n: a single Ultrascalar II cluster, with no H-tree channel,
+    /// no inter-cluster tree and one cluster crossing.
     #[test]
-    fn degenerate_cluster_sizes() {
+    fn one_cluster_hybrid_is_the_ultrascalar_ii() {
         let tech = Tech::cmos_035();
-        let p = params(64, 32, Bandwidth::constant(1.0));
-        // C = n: a single US-II cluster (no H-tree channels).
-        let m = metrics_with_cluster(&p, 64, &tech);
-        let u2 = usii::metrics_linear(&p, &tech);
-        assert!((m.side_um - u2.side_um).abs() < 1e-6);
+        for (n, l) in [(16, 32), (64, 32), (256, 8)] {
+            let p = params(n, l, Bandwidth::constant(1.0));
+            assert_eq!(
+                metrics_with_cluster(&p, n, &tech),
+                usii::metrics_linear(&p, &tech),
+                "n={n} L={l}"
+            );
+        }
         // C = 1: pure US-I topology (stations as leaves), though the
         // leaf includes the one-station grid wrapper.
-        let m1 = metrics_with_cluster(&p, 1, &tech);
-        assert!(m1.side_um > 0.0);
+        let p = params(64, 32, Bandwidth::constant(1.0));
+        assert!(metrics_with_cluster(&p, 1, &tech).side_um > 0.0);
     }
 
     #[test]
@@ -250,8 +266,10 @@ mod tests {
         let d32_big = gate_delay(&p2, 32);
         // 16× more stations: only a handful more gate levels (log term).
         assert!(d32_big - d32 < 20.0);
-        // Bigger clusters: linear growth.
+        // Bigger clusters: linear growth. Clusters of 128 instead of 32
+        // search 96 more rows and sequence two fewer tree levels (4
+        // gate levels each).
         let d128 = gate_delay(&p2, 128);
-        assert!(d128 > d32_big + 150.0);
+        assert_eq!(d128, d32_big + 96.0 - 2.0 * 4.0);
     }
 }

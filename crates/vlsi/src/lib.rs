@@ -6,11 +6,17 @@
 //! recursively defined layout. This crate instantiates those layouts
 //! from technology constants and evaluates the recurrences exactly
 //! (no closed forms are assumed — the closed forms are *checked
-//! against* the recursions in the tests and benches):
+//! against* the recursions in the tests and benches). Gate delays are
+//! closed forms too, but each one is the exact structural depth of the
+//! `ultrascalar-circuit` netlist that models the datapath, which the
+//! workspace's `paper_claims` tests check level for level:
 //!
 //! * [`tech`] — technology parameters (wire pitch, cell sizes, gate
 //!   and repeatered-wire delay), with a calibrated 0.35 µm instance
 //!   matching the paper's Magic layouts;
+//! * [`delay`] — the repeater-insertion wire model (§3's "wire delay
+//!   can be made linear"), whose slope is the technology's wire delay
+//!   per µm;
 //! * [`usi`] — the Ultrascalar I H-tree (Figure 6): recurrences
 //!   `X(n) = 2X(n/4) + Θ(L + M(n))`, `W(n) = X(n/4) + Θ(L + M(n)) +
 //!   W(n/2)`, evaluated by the crate's one H-tree doubling loop;

@@ -30,6 +30,12 @@ impl ArchParams {
     }
 }
 
+/// `⌈log₂ n⌉` (0 for `n ≤ 1`): the levels of a balanced binary tree
+/// over `n` leaves.
+pub(crate) fn ceil_log2(n: usize) -> u32 {
+    n.next_power_of_two().trailing_zeros()
+}
+
 /// The measured complexity of one layout at one parameter point.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Metrics {

@@ -8,6 +8,8 @@
 //! [`crate::empirical`]). The constants scale linearly with feature
 //! size, so other nodes derive by scaling.
 
+use crate::delay::WireModel;
+
 /// Physical constants of a process + standard-cell library.
 ///
 /// Two wire pitches are distinguished, as in real methodology: H-tree
@@ -37,7 +39,8 @@ pub struct Tech {
     /// Delay of one 2-input gate, ps.
     pub gate_delay_ps: f64,
     /// Delay of repeatered wire, ps per µm (the paper cites \[Dally &
-    /// Poulton\] for linear-in-length repeatered wires).
+    /// Poulton\] for linear-in-length repeatered wires): the slope of
+    /// an optimally repeated wire, [`WireModel::ps_per_um`].
     pub wire_ps_per_um: f64,
 }
 
@@ -51,7 +54,9 @@ impl Tech {
     /// 64 × 64-bit registers). The constants below are calibrated once
     /// so the Ultrascalar I model reproduces the paper's measured
     /// 7 cm × 7 cm at n = 64, L = 32, b = 32 (see
-    /// `empirical::figure12`); everything else is a model output.
+    /// `empirical::figure12`); everything else is a model output. The
+    /// wire slope is derived, not calibrated: it is the repeater
+    /// model's [`WireModel::cmos_035`] slope.
     pub fn cmos_035() -> Self {
         Tech {
             feature_um: 0.35,
@@ -62,7 +67,7 @@ impl Tech {
             alu_bit_area_um2: 16_000.0,
             station_overhead_um2: 250_000.0,
             gate_delay_ps: 90.0,
-            wire_ps_per_um: 0.12,
+            wire_ps_per_um: WireModel::cmos_035().ps_per_um(),
         }
     }
 
@@ -141,6 +146,7 @@ mod tests {
     fn total_delay_combines_terms() {
         let t = Tech::cmos_035();
         let d = t.total_delay_ps(10.0, 1000.0);
-        assert!((d - (10.0 * 90.0 + 1000.0 * 0.12)).abs() < 1e-9);
+        let slope = WireModel::cmos_035().ps_per_um();
+        assert!((d - (10.0 * 90.0 + 1000.0 * slope)).abs() < 1e-9);
     }
 }

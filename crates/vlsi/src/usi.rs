@@ -22,7 +22,7 @@
 //! computation.
 
 use crate::floorplan::{Component, Rect};
-use crate::metrics::{ArchParams, Metrics};
+use crate::metrics::{ceil_log2, ArchParams, Metrics};
 use crate::tech::Tech;
 
 /// Wire tracks crossing an H-tree channel that serve the *register*
@@ -152,14 +152,18 @@ pub fn side_um(p: &ArchParams, tech: &Tech) -> f64 {
     w.max(h)
 }
 
-/// Critical-path gate levels of the CSPP-tree datapath: two traversals
-/// of a `log₂ n`-level tree, a small constant of gate levels per
-/// combining node (one bus mux + one OR), plus station decode/readout.
-/// `Θ(log n)` — cross-checked against the measured settle depth of the
-/// gate-level `CsppTree` in the bench suite.
+/// Critical-path gate levels: the depth of the window-sequencing logic
+/// (`circuit::generators::WindowController`), whose 1-bit AND-CSPP
+/// trees are the deepest path. Each of the `⌈log₂ n⌉` tree levels costs
+/// two gate levels going up and two coming down (an AND, then the
+/// segment mux; the segment OR runs beside them), and the station glue
+/// adds three (the oldest-station OR and two ANDs): `4⌈log₂ n⌉ + 3`.
+/// The register datapath's `CsppTree` is shallower, one mux per level
+/// each way. `Θ(log n)`, and equal to the structural depth of the
+/// controller netlist for every power-of-two `n`, the window the
+/// H-tree lays out.
 pub fn gate_delay(n: usize) -> f64 {
-    let levels = (n.max(2) as f64).log2().ceil();
-    2.0 * levels * 2.0 + 6.0
+    f64::from(4 * ceil_log2(n) + 3)
 }
 
 /// Full metric record for one parameter point.

@@ -7,12 +7,12 @@
 //! switches fit in the triangle above the diagonal "since M(n) = O(n)
 //! in all cases".
 
-use crate::metrics::{ArchParams, Metrics};
+use crate::metrics::{ceil_log2, ArchParams, Metrics};
 use crate::tech::Tech;
 
 /// Register-number field width.
 fn regnum_bits(l: usize) -> usize {
-    (usize::BITS - (l.max(2) - 1).leading_zeros()) as usize
+    ceil_log2(l.max(2)) as usize
 }
 
 /// Pitch (µm) of one register-binding row or argument column in the
@@ -43,19 +43,30 @@ pub fn side_log_um(p: &ArchParams, tech: &Tech) -> f64 {
     side_linear_um(p, tech) * ((p.n + p.l).max(2) as f64).log2()
 }
 
-/// Gate levels of the linear grid: the last column's serial search
-/// through `n + L − 1` bindings ("the clock period grows as
-/// O(n + L)") after a comparator.
-pub fn gate_delay_linear(p: &ArchParams) -> f64 {
-    2.0 * (p.n + p.l) as f64 + (p.bits.max(2) as f64).log2() + 2.0
+/// Gate levels of a row's register-number match, shared by both
+/// grids: an XNOR per bit (two levels), a `⌈log₂ r⌉`-level AND tree
+/// over the `r`-bit field, and the AND with the row's valid bit.
+fn match_levels(l: usize) -> u32 {
+    ceil_log2(regnum_bits(l)) + 3
 }
 
-/// Gate levels of the mesh-of-trees grid: request fan-out
-/// (`log(n + L)`), comparison (`log log L` – a couple of levels on a
-/// `log L`-bit field), and the reduction tree back up (`log(n + L)`).
+/// Gate levels of the linear grid (Figure 7): a row's match, then the
+/// outgoing-register column's serial search, one mux per binding
+/// through all `n + L` rows ("the clock period grows as O(n + L)"):
+/// `(n + L) + ⌈log₂ r⌉ + 3` for `r`-bit register numbers. The payload
+/// width does not enter: every payload bit has its own mux chain.
+/// Equal to the structural depth of the linear `UsiiDatapath` netlist.
+pub fn gate_delay_linear(p: &ArchParams) -> f64 {
+    (p.n + p.l) as f64 + f64::from(match_levels(p.l))
+}
+
+/// Gate levels of the mesh-of-trees grid (Figure 8): the request's
+/// `⌈log₂(n + L)⌉`-level fan-out tree, a row's match, and the
+/// `⌈log₂(n + L)⌉`-level reduction tree back up:
+/// `2⌈log₂(n + L)⌉ + ⌈log₂ r⌉ + 3`. Equal to the structural depth of
+/// the tree `UsiiDatapath` netlist.
 pub fn gate_delay_log(p: &ArchParams) -> f64 {
-    let nl = ((p.n + p.l).max(2)) as f64;
-    2.0 * nl.log2() * 2.0 + (regnum_bits(p.l).max(2) as f64).log2() + 4.0
+    f64::from(2 * ceil_log2(p.n + p.l) + match_levels(p.l))
 }
 
 /// Metrics of the linear-gate-delay Ultrascalar II.
@@ -111,9 +122,11 @@ mod tests {
     #[test]
     fn gate_delay_linear_vs_log() {
         // Figure 11 column 2 vs 3: Θ(n + L) vs Θ(log(n + L)).
+        // At (256, 32) the register number is 5 bits wide: 3 levels
+        // of AND tree after the XNOR, plus the valid AND.
         let p = params(256, 32);
-        assert!(gate_delay_linear(&p) > 500.0);
-        assert!(gate_delay_log(&p) < 50.0);
+        assert_eq!(gate_delay_linear(&p), (256 + 32 + 3 + 3) as f64);
+        assert_eq!(gate_delay_log(&p), (2 * 9 + 3 + 3) as f64);
         // Linear delay doubles with n; log delay adds a constant.
         let d_lin = gate_delay_linear(&params(512, 32)) / gate_delay_linear(&params(256, 32));
         assert!(d_lin > 1.7);
@@ -190,119 +203,5 @@ mod tests {
             usi_big.side_um,
             usii_big.side_um
         );
-    }
-}
-
-/// The §5 mixed strategy: "replace the part of each tree near the root
-/// with a linear-time prefix circuit. This works well in practice
-/// because at some point the wire-lengths near the root of the tree
-/// become so long that the wire-delay is comparable to a gate delay …
-/// \[its\] asymptotic results are exactly the same as for the linear-time
-/// circuit (the wire delays, gate delays, and side length are all n)
-/// with greatly improved constant factors."
-///
-/// `tree_levels` levels of fan-in happen in log-depth trees hidden in
-/// the existing cell area ("we found that there was enough space in our
-/// Ultrascalar II datapath to implement about three levels of the tree
-/// without impacting the total layout area"); the remaining
-/// `(n + L) / 2^levels` rows are searched by the linear chain.
-pub fn gate_delay_mixed(p: &ArchParams, tree_levels: u32) -> f64 {
-    let rows = (p.n + p.l).max(1) as f64;
-    let chain = (rows / 2f64.powi(tree_levels as i32)).max(1.0);
-    2.0 * chain + 2.0 * tree_levels as f64 + (p.bits.max(2) as f64).log2() + 2.0
-}
-
-/// Metrics for the mixed strategy: the linear layout's side (no
-/// mesh-of-trees area blow-up) with the reduced gate depth.
-pub fn metrics_mixed(p: &ArchParams, tech: &Tech, tree_levels: u32) -> Metrics {
-    let side = side_linear_um(p, tech);
-    Metrics::from_side(gate_delay_mixed(p, tree_levels), 2.0 * side, side)
-}
-
-#[cfg(test)]
-mod mixed_tests {
-    use super::*;
-    use ultrascalar_memsys::Bandwidth;
-
-    fn params(n: usize, l: usize) -> ArchParams {
-        ArchParams {
-            n,
-            l,
-            bits: 32,
-            mem: Bandwidth::full(),
-        }
-    }
-
-    #[test]
-    fn mixed_keeps_the_linear_footprint() {
-        let tech = Tech::cmos_035();
-        let p = params(256, 32);
-        assert_eq!(
-            metrics_mixed(&p, &tech, 3).side_um,
-            metrics_linear(&p, &tech).side_um
-        );
-    }
-
-    #[test]
-    fn three_levels_cut_the_gate_delay_by_nearly_8x() {
-        let p = params(1024, 32);
-        let lin = gate_delay_linear(&p);
-        let mixed = gate_delay_mixed(&p, 3);
-        let ratio = lin / mixed;
-        assert!(ratio > 5.0 && ratio < 9.0, "ratio {ratio}");
-    }
-
-    #[test]
-    fn zero_levels_is_the_linear_circuit() {
-        let p = params(128, 32);
-        // Same asymptote, same leading 2·(n+L) term.
-        let d0 = gate_delay_mixed(&p, 0);
-        let dl = gate_delay_linear(&p);
-        assert!((d0 - dl).abs() <= 2.0, "{d0} vs {dl}");
-    }
-
-    #[test]
-    fn mixed_is_still_asymptotically_linear() {
-        let d1 = gate_delay_mixed(&params(1 << 12, 32), 3);
-        let d2 = gate_delay_mixed(&params(1 << 13, 32), 3);
-        assert!(d2 / d1 > 1.8, "{d1} → {d2}");
-    }
-}
-
-/// The §4 wrap-around variant: "The Ultrascalar II can easily be
-/// modified to handle wrap-around … Furthermore, it appears to cost
-/// nearly a factor of two in area." Functionally it schedules like the
-/// Ultrascalar I (station-granular refill); physically it pays ~2× the
-/// grid area (each binding row/column must be duplicated so the window
-/// origin can rotate).
-pub fn metrics_wraparound(p: &ArchParams, tech: &Tech) -> Metrics {
-    let base = metrics_linear(p, tech);
-    let side = base.side_um * std::f64::consts::SQRT_2;
-    Metrics {
-        gate_delay: base.gate_delay,
-        wire_um: base.wire_um * std::f64::consts::SQRT_2,
-        side_um: side,
-        area_um2: 2.0 * base.area_um2,
-    }
-}
-
-#[cfg(test)]
-mod wraparound_tests {
-    use super::*;
-    use ultrascalar_memsys::Bandwidth;
-
-    #[test]
-    fn costs_a_factor_of_two_in_area() {
-        let tech = Tech::cmos_035();
-        let p = ArchParams {
-            n: 64,
-            l: 32,
-            bits: 32,
-            mem: Bandwidth::full(),
-        };
-        let base = metrics_linear(&p, &tech);
-        let wrap = metrics_wraparound(&p, &tech);
-        assert!((wrap.area_um2 / base.area_um2 - 2.0).abs() < 1e-9);
-        assert_eq!(wrap.gate_delay, base.gate_delay);
     }
 }

@@ -216,23 +216,78 @@ fn one_cycle_recovery_penalty() {
     assert!(penalty <= 4 * wrong.stats.mispredictions, "{penalty}");
 }
 
-/// The paper's opening motivation: the Ultrascalar's gate delay is
-/// logarithmic where conventional broadcast circuits are quadratic —
-/// check the gate-level measurement end to end through the circuit
-/// crate: 64× more stations, constant extra depth per doubling.
+/// E5/E7: every Figure 11 gate delay is a depth claim, and each vlsi
+/// closed form is the exact structural depth of the `circuit` netlist
+/// that models it — the US-I window controller (its deepest CSPP
+/// trees), both US-II grids, and the hybrid's linear cluster followed
+/// by the US-I controller over the clusters.
 #[test]
-fn gate_depth_log_scaling_measured() {
-    use ultrascalar_suite::circuit::generators::{CombineOp, CsppTree};
+fn gate_delays_are_netlist_depths() {
+    use ultrascalar_suite::circuit::generators::{UsiiDatapath, WindowController};
     use ultrascalar_suite::circuit::Netlist;
-    let depth_at = |n: usize| {
+    fn depth(build: impl FnOnce(&mut Netlist)) -> f64 {
         let mut nl = Netlist::new();
-        let tree = CsppTree::build(&mut nl, n, 33, CombineOp::First);
-        let mut inputs = vec![false; nl.num_inputs()];
-        inputs[tree.seg[0].0 as usize] = true;
-        nl.evaluate(&inputs, &[]).unwrap().max_level()
+        build(&mut nl);
+        f64::from(nl.structural_depth().expect("acyclic datapath"))
+    }
+    let controller = |n| {
+        depth(|nl| {
+            WindowController::build(nl, n);
+        })
     };
-    let d8 = depth_at(8);
-    let d512 = depth_at(512);
-    // 64× more stations: six doublings, a small constant each.
-    assert!(d512 - d8 <= 6 * 4, "d8={d8} d512={d512}");
+    // A 1-bit payload: every payload bit has its own mux chain, so the
+    // width does not change the depth (checked below).
+    let grid = |n, l, width, tree| {
+        depth(|nl| {
+            UsiiDatapath::build(nl, n, l, width, tree);
+        })
+    };
+    let params = |n, l| ArchParams {
+        n,
+        l,
+        bits: 32,
+        mem: Bandwidth::constant(1.0),
+    };
+
+    // US-I: exact for every power-of-two window the H-tree lays out,
+    // 1 … 4096 stations; an upper bound on the left-packed trees of
+    // the windows in between.
+    for n in (1..=32).chain((6..=12).map(|k| 1 << k)) {
+        let (form, measured) = (usi::gate_delay(n), controller(n));
+        if n.is_power_of_two() {
+            assert_eq!(form, measured, "US-I n={n}");
+        } else {
+            assert!(measured <= form, "US-I n={n}: {measured} > {form}");
+        }
+    }
+
+    // US-II, the linear grid (Figure 7) and the mesh of trees (Figure 8).
+    for (l, ns) in [
+        (4, &[1, 2, 3, 8, 16, 64][..]),
+        (8, &[1, 3, 16, 64]),
+        (32, &[1, 8]),
+    ] {
+        for &n in ns {
+            let p = params(n, l);
+            let lin = grid(n, l, 1, false);
+            assert_eq!(usii::gate_delay_linear(&p), lin, "US-II linear n={n} L={l}");
+            let log = grid(n, l, 1, true);
+            assert_eq!(usii::gate_delay_log(&p), log, "US-II log n={n} L={l}");
+        }
+    }
+    for tree in [false, true] {
+        assert_eq!(grid(8, 8, 1, tree), grid(8, 8, 33, tree), "tree={tree}");
+    }
+
+    // Hybrid: the cluster's linear grid, then the US-I controller over
+    // the n/C clusters (none for a single cluster).
+    let (n, l) = (64, 8);
+    for c in hybrid::feasible_clusters(n) {
+        let over_clusters = if n > c { controller(n / c) } else { 0.0 };
+        assert_eq!(
+            hybrid::gate_delay(&params(n, l), c),
+            grid(c, l, 1, false) + over_clusters,
+            "hybrid n={n} L={l} C={c}"
+        );
+    }
 }
