@@ -6,18 +6,18 @@
 //!
 //! The corners are the feature interactions the engine's program-order
 //! walk has to get right: memory-renaming store re-resolution, shared
-//! ALUs, latency-bearing memory, the trace cache, fetch caps, no cycle
-//! skipping, and pipelined forwarding across windows (1 to 7 H-tree
-//! hop levels) and per-hop costs from 0 to the saturating `u64`
-//! extremes, plus windows of 96 to 256 stations, wider than one 64-bit
-//! word. Two of those wide corners put the window on a memory network
-//! (US-II w128 on the butterfly; the hybrid w256/C = 64 with renaming
-//! and cluster caches on the fat tree), so memory ops wait on
-//! all-earlier lanes across bitset words and requests are rejected and
-//! re-offered. Each of the 42 corners runs 20 seeded random programs
-//! at every register-file width regime (6, 65, 128 and 256 registers)
-//! plus the 14 standard kernels: 3948 cases. A schedule change anywhere
-//! — a cycle, a slot, a forwarding distance — changes a digest.
+//! ALUs, latency-bearing memory, fetch caps, no cycle skipping, and
+//! pipelined forwarding across windows (1 to 7 H-tree hop levels) and
+//! per-hop costs from 0 to the saturating `u64` extremes, plus windows
+//! of 96 to 256 stations, wider than one 64-bit word. Two of those wide
+//! corners put the window on a memory network (US-II w128 on the
+//! butterfly; the hybrid w256/C = 64 with renaming and cluster caches
+//! on the fat tree), so memory ops wait on all-earlier lanes across
+//! bitset words and requests are rejected and re-offered. Each of the
+//! 42 corners runs 20 seeded random programs at every register-file
+//! width regime (6, 65, 128 and 256 registers) plus the 14 standard
+//! kernels: 3948 cases. A schedule change anywhere — a cycle, a slot, a
+//! forwarding distance — changes a digest.
 //!
 //! The two path-selection diagnostics `packed_fallbacks` and
 //! `packed_shape_gated` are not schedule data; they are kept out of the
@@ -136,7 +136,6 @@ fn feature_corners() -> Vec<(String, ProcConfig)> {
                 .with_predictor(PredictorKind::Bimodal(16))
                 .with_memory_renaming()
                 .with_shared_alus(2)
-                .with_trace_cache(1, 3)
                 .with_fetch_width(3)
                 .with_latency(lat),
         ),
@@ -244,7 +243,6 @@ fn wide_corners() -> Vec<(String, ProcConfig)> {
                 .with_predictor(PredictorKind::Bimodal(16))
                 .with_memory_renaming()
                 .with_shared_alus(2)
-                .with_trace_cache(4, 2)
                 .with_latency(lat),
         ),
         (
