@@ -56,7 +56,7 @@ fn main() {
             inputs[w.0 as usize] = vals[i] >> b & 1 == 1;
         }
     }
-    let ring_eval = ring_nl.evaluate(&inputs, &[]).expect("ring settles");
+    let ring_eval = ring_nl.evaluate(&inputs).expect("ring settles");
 
     // CSPP tree (Figure 4).
     let mut tree_nl = Netlist::new();
@@ -68,7 +68,7 @@ fn main() {
             inputs[w.0 as usize] = vals[i] >> b & 1 == 1;
         }
     }
-    let tree_eval = tree_nl.evaluate(&inputs, &[]).expect("tree settles");
+    let tree_eval = tree_nl.evaluate(&inputs).expect("tree settles");
 
     let mut t = Table::new(vec![
         "station",

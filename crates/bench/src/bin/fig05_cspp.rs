@@ -33,7 +33,7 @@ fn main() {
         inputs[tree.values[i][0].0 as usize] = cond[i];
         inputs[tree.seg[i].0 as usize] = i == oldest;
     }
-    let eval = nl.evaluate(&inputs, &[]).expect("settles");
+    let eval = nl.evaluate(&inputs).expect("settles");
 
     let mut t = Table::new(vec![
         "station",
@@ -67,7 +67,7 @@ fn main() {
         for i in 0..n {
             inputs[tree.values[i][0].0 as usize] = true;
         }
-        let eval = nl.evaluate(&inputs, &[]).expect("settles");
+        let eval = nl.evaluate(&inputs).expect("settles");
         t.row(vec![
             format!("{n}"),
             format!("{}", nl.logic_gate_count()),

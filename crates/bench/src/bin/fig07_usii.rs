@@ -59,7 +59,7 @@ fn main() {
         set(&dp.arg_request[3][0], 2, &mut inputs);
         set(&dp.arg_request[3][1], 1, &mut inputs);
 
-        let eval = nl.evaluate(&inputs, &[]).expect("datapath settles");
+        let eval = nl.evaluate(&inputs).expect("datapath settles");
         println!(
             "{label}: {} gates, settled depth {}",
             nl.logic_gate_count(),
@@ -107,7 +107,7 @@ fn main() {
                 inputs[col.row_valid[r].0 as usize] = true;
             }
             inputs[col.request[0].0 as usize] = true; // request = 1
-            let eval = nl.evaluate(&inputs, &[]).expect("settles");
+            let eval = nl.evaluate(&inputs).expect("settles");
             row.push(format!("{}", eval.max_level()));
             gates.push(format!("{}", nl.logic_gate_count()));
         }

@@ -84,12 +84,19 @@ fn main() {
         let u1 = metrics_of(Arch::UsI, &p, &tech).side_um;
         let u2 = metrics_of(Arch::UsIILinear, &p, &tech).side_um;
         let hy = metrics_of(Arch::Hybrid, &p, &tech).side_um;
-        let best = if hy <= u1 && hy <= u2 {
-            "hybrid"
-        } else if u2 <= u1 {
-            "US-II"
+        // A shared minimum prints as a tie: where the hybrid's nearest
+        // feasible cluster is n, the hybrid *is* the US-II.
+        let sides = [("US-I", u1), ("US-II", u2), ("hybrid", hy)];
+        let min = u1.min(u2).min(hy);
+        let smallest: Vec<&str> = sides
+            .iter()
+            .filter(|(_, s)| *s == min)
+            .map(|(name, _)| *name)
+            .collect();
+        let best = if smallest.len() == 1 {
+            smallest[0]
         } else {
-            "US-I"
+            "tie"
         };
         t.row(vec![
             format!("{n}"),

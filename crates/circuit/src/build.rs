@@ -141,7 +141,7 @@ mod tests {
     fn const_bus_and_bus_value_roundtrip() {
         let mut nl = Netlist::new();
         let b = const_bus(&mut nl, 0b1011_0010, 8);
-        let e = nl.evaluate(&[], &[]).unwrap();
+        let e = nl.evaluate(&[]).unwrap();
         assert_eq!(bus_value(&e, &b), 0b1011_0010);
     }
 
@@ -152,9 +152,9 @@ mod tests {
         let a = const_bus(&mut nl, 0xA5, 8);
         let b = const_bus(&mut nl, 0x3C, 8);
         let m = mux_bus(&mut nl, sel, &a, &b);
-        let e = nl.evaluate(&[false], &[]).unwrap();
+        let e = nl.evaluate(&[false]).unwrap();
         assert_eq!(bus_value(&e, &m), 0xA5);
-        let e = nl.evaluate(&[true], &[]).unwrap();
+        let e = nl.evaluate(&[true]).unwrap();
         assert_eq!(bus_value(&e, &m), 0x3C);
     }
 
@@ -168,7 +168,7 @@ mod tests {
                     .collect();
                 let at = and_tree(&mut nl, &xs);
                 let ot = or_tree(&mut nl, &xs);
-                let e = nl.evaluate(&[], &[]).unwrap();
+                let e = nl.evaluate(&[]).unwrap();
                 let bits: Vec<bool> = (0..n).map(|i| pattern >> (i % 32) & 1 == 1).collect();
                 assert_eq!(e.value(at), bits.iter().all(|&b| b), "and n={n}");
                 assert_eq!(e.value(ot), bits.iter().any(|&b| b), "or n={n}");
@@ -184,7 +184,7 @@ mod tests {
             let xs: Vec<NodeId> = (0..n).map(|_| nl.input()).collect();
             let root = and_tree(&mut nl, &xs);
             nl.mark_output(root);
-            let e = nl.evaluate(&vec![true; n], &[]).unwrap();
+            let e = nl.evaluate(&vec![true; n]).unwrap();
             assert_eq!(e.max_level(), k, "n={n}");
         }
     }
@@ -199,7 +199,7 @@ mod tests {
             let mut inputs = vec![false; 12];
             set_bus_value(&mut inputs, 0, 6, x);
             set_bus_value(&mut inputs, 6, 6, y);
-            let e = nl.evaluate(&inputs, &[]).unwrap();
+            let e = nl.evaluate(&inputs).unwrap();
             assert_eq!(e.value(eq), x == y, "{x} vs {y}");
         }
     }
@@ -212,7 +212,7 @@ mod tests {
             let leaves = fanout_tree(&mut nl, x, copies);
             assert_eq!(leaves.len(), copies);
             for v in [false, true] {
-                let e = nl.evaluate(&[v], &[]).unwrap();
+                let e = nl.evaluate(&[v]).unwrap();
                 for &l in &leaves {
                     assert_eq!(e.value(l), v);
                     assert!(
@@ -229,7 +229,7 @@ mod tests {
         let mut nl = Netlist::new();
         let b = const_bus(&mut nl, 0x2A, 6);
         let copies = fanout_bus(&mut nl, &b, 5);
-        let e = nl.evaluate(&[], &[]).unwrap();
+        let e = nl.evaluate(&[]).unwrap();
         for c in &copies {
             assert_eq!(bus_value(&e, c), 0x2A);
         }

@@ -454,7 +454,7 @@ mod tests {
         d.set_bus(&ring.inserted[2], 0xAA);
         d.set(ring.modified[5], true);
         d.set_bus(&ring.inserted[5], 0x55);
-        let e = nl.evaluate(&d.inputs, &[]).unwrap();
+        let e = nl.evaluate(&d.inputs).unwrap();
         // Stations 3,4,5 see 0xAA; stations 6,7,0,1,2 see 0x55.
         for i in [3usize, 4, 5] {
             assert_eq!(bus_value(&e, &ring.incoming[i]), 0xAA, "station {i}");
@@ -473,7 +473,7 @@ mod tests {
             let mut d = Driver::new(nl.num_inputs());
             d.set(ring.modified[0], true);
             d.set(ring.inserted[0][0], true);
-            let e = nl.evaluate(&d.inputs, &[]).unwrap();
+            let e = nl.evaluate(&d.inputs).unwrap();
             let lvl = e.max_level() as usize;
             assert!(lvl >= n - 1 && lvl <= n + 1, "n={n} level={lvl}");
         }
@@ -485,7 +485,7 @@ mod tests {
         let _ring = MuxRing::build(&mut nl, 4, 2);
         let d = Driver::new(nl.num_inputs());
         assert!(matches!(
-            nl.evaluate(&d.inputs, &[]),
+            nl.evaluate(&d.inputs),
             Err(crate::netlist::EvalError::NotConstructive { .. })
         ));
     }
@@ -503,7 +503,7 @@ mod tests {
             d.set_bus(&tree.values[i], vals[i]);
             d.set(tree.seg[i], segs[i]);
         }
-        let e = nl.evaluate(&d.inputs, &[]).unwrap();
+        let e = nl.evaluate(&d.inputs).unwrap();
         let model = cspp_ring::<u64, First>(&vals, &segs);
         for i in 0..n {
             assert_eq!(
@@ -527,7 +527,7 @@ mod tests {
             for i in 0..n {
                 d.set(tree.values[i][0], true);
             }
-            let e = nl.evaluate(&d.inputs, &[]).unwrap();
+            let e = nl.evaluate(&d.inputs).unwrap();
             let lvl = e.max_level();
             // Each tree level costs O(1) gates; total ≈ 2·log2(n)·c.
             assert!(
@@ -550,7 +550,7 @@ mod tests {
         for i in [6usize, 7, 0, 1, 3] {
             d.set(tree.values[i][0], true);
         }
-        let e = nl.evaluate(&d.inputs, &[]).unwrap();
+        let e = nl.evaluate(&d.inputs).unwrap();
         for i in 0..n {
             let expected = matches!(i, 7 | 0 | 1 | 2);
             if i != 6 {
@@ -581,14 +581,14 @@ mod tests {
                 d.set(col.row_valid[r], *valid);
             }
             d.set_bus(&col.request, 2);
-            let e = nl.evaluate(&d.inputs, &[]).unwrap();
+            let e = nl.evaluate(&d.inputs).unwrap();
             // Last *valid* row binding r2 is row 2 (value 33).
             assert_eq!(bus_value(&e, &col.out_value), 33, "tree={tree}");
             assert!(e.value(col.found));
 
             // Request an unbound register.
             d.set_bus(&col.request, 6);
-            let e = nl.evaluate(&d.inputs, &[]).unwrap();
+            let e = nl.evaluate(&d.inputs).unwrap();
             assert!(!e.value(col.found), "tree={tree}");
         }
     }
@@ -612,7 +612,7 @@ mod tests {
                     d.set(col.row_valid[r], true);
                 }
                 d.set_bus(&col.request, 1);
-                let e = nl.evaluate(&d.inputs, &[]).unwrap();
+                let e = nl.evaluate(&d.inputs).unwrap();
                 assert_eq!(bus_value(&e, &col.out_value), 0);
                 if tree {
                     tree_depths.push(e.max_level());
@@ -670,7 +670,7 @@ mod tests {
             d.set_bus(&dp.arg_request[1][0], 3);
             d.set_bus(&dp.arg_request[1][1], 0);
 
-            let e = nl.evaluate(&d.inputs, &[]).unwrap();
+            let e = nl.evaluate(&d.inputs).unwrap();
             assert_eq!(bus_value(&e, &dp.arg_value[3][0]), 9 | ready, "tree={tree}");
             assert_eq!(bus_value(&e, &dp.arg_value[3][1]), 7 | ready, "tree={tree}");
             assert_eq!(bus_value(&e, &dp.arg_value[1][0]), 4 | ready);
@@ -704,7 +704,7 @@ mod tests {
         d.set(dp.st_valid[2], true);
         d.set_bus(&dp.st_value[2], 31);
         d.set_bus(&dp.arg_request[1][0], 3);
-        let e = nl.evaluate(&d.inputs, &[]).unwrap();
+        let e = nl.evaluate(&d.inputs).unwrap();
         assert_eq!(bus_value(&e, &dp.arg_value[1][0]), 3); // initial R3
         assert_eq!(bus_value(&e, &dp.out_value[3]), 31); // final R3
     }
@@ -733,7 +733,7 @@ mod random_tests {
                 }
                 inputs[tree.seg[i].0 as usize] = segs[i];
             }
-            let e = nl.evaluate(&inputs, &[]).unwrap();
+            let e = nl.evaluate(&inputs).unwrap();
             let model = cspp_ring::<u64, First>(&vals, &segs);
             for i in 0..n {
                 assert_eq!(
@@ -760,7 +760,7 @@ mod random_tests {
                 inputs[tree.values[i][0].0 as usize] = vals[i];
                 inputs[tree.seg[i].0 as usize] = segs[i];
             }
-            let e = nl.evaluate(&inputs, &[]).unwrap();
+            let e = nl.evaluate(&inputs).unwrap();
             let model = cspp_ring::<bool, BoolAnd>(&vals, &segs);
             for i in 0..n {
                 assert_eq!(e.value(tree.out_value[i][0]), model[i].value, "station {i}");
@@ -786,7 +786,7 @@ mod random_tests {
                     inputs[w.0 as usize] = vals[i] >> b & 1 == 1;
                 }
             }
-            let e = nl.evaluate(&inputs, &[]).unwrap();
+            let e = nl.evaluate(&inputs).unwrap();
             let model = cspp_ring::<u64, First>(&vals, &segs);
             for i in 0..n {
                 assert_eq!(
@@ -822,7 +822,7 @@ mod random_tests {
                 inputs[col.row_valid[r].0 as usize] = valid;
             }
             setb(&col.request, req, &mut inputs);
-            let e = nl.evaluate(&inputs, &[]).unwrap();
+            let e = nl.evaluate(&inputs).unwrap();
             let expect = data
                 .iter()
                 .rev()
@@ -1026,7 +1026,7 @@ mod controller_tests {
                     inputs[wc.branch_ok[i].0 as usize] = branch_ok[i];
                     inputs[wc.oldest[i].0 as usize] = i == oldest;
                 }
-                let e = nl.evaluate(&inputs, &[]).expect("controller settles");
+                let e = nl.evaluate(&inputs).expect("controller settles");
                 let want = reference(&finished, &store_done, &load_done, &branch_ok, oldest);
                 for i in 0..n {
                     assert_eq!(
@@ -1070,7 +1070,7 @@ mod controller_tests {
                 inputs[wc.branch_ok[i].0 as usize] = true;
                 inputs[wc.oldest[i].0 as usize] = i == oldest;
             }
-            let e = nl.evaluate(&inputs, &[]).unwrap();
+            let e = nl.evaluate(&inputs).unwrap();
             let count = (0..n).filter(|&i| e.value(wc.becomes_oldest[i])).count();
             assert!(count <= 1, "{count} stations claim oldest");
         }
@@ -1091,7 +1091,7 @@ mod controller_tests {
                 inputs[wc.load_done[i].0 as usize] = true;
                 inputs[wc.branch_ok[i].0 as usize] = true;
             }
-            let e = nl.evaluate(&inputs, &[]).unwrap();
+            let e = nl.evaluate(&inputs).unwrap();
             depths.push(e.max_level());
         }
         // 16x more stations: bounded extra depth.

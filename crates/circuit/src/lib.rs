@@ -8,14 +8,14 @@
 //! crate makes those claims *measurable*: it builds the actual gate
 //! networks and reports the settled depth of every evaluation.
 //!
-//! * [`netlist`] — a structural netlist of two-input gates, muxes and
-//!   latches, with a **constructive three-valued, event-driven
-//!   evaluator**. Combinational *cycles are allowed* (the Ultrascalar
-//!   mux rings and the tied-together tree tops are genuinely cyclic);
-//!   an evaluation succeeds iff every node settles monotonically, which
-//!   is exactly the condition under which the real hardware settles.
-//!   Each node records the unit-delay *level* at which it settled, so
-//!   `max_level` is the critical-path gate delay for that input vector.
+//! * [`netlist`] — a structural netlist of two-input gates and muxes,
+//!   with a **constructive three-valued, event-driven evaluator**.
+//!   Combinational *cycles are allowed* (the Ultrascalar mux rings and
+//!   the tied-together tree tops are genuinely cyclic); an evaluation
+//!   succeeds iff every node settles monotonically, which is exactly the
+//!   condition under which the real hardware settles. Each node records
+//!   the unit-delay *level* at which it settled, so `max_level` is the
+//!   critical-path gate delay for that input vector.
 //! * [`build`] — bus-level combinators (word muxes, equality
 //!   comparators, AND/OR reduction trees, fan-out trees).
 //! * [`generators`] — the paper's structures: per-register mux ring,

@@ -37,14 +37,6 @@ pub enum Gate {
     Input,
     /// A constant.
     Const(bool),
-    /// A clocked state element. Its *output* is the latched state; its
-    /// data input is connected with [`Netlist::connect_latch`].
-    Latch {
-        /// Data input node (`NodeId(u32::MAX)` until connected).
-        d: NodeId,
-        /// Power-on state.
-        init: bool,
-    },
     /// Inverter.
     Not(NodeId),
     /// Two-input AND.
@@ -64,14 +56,11 @@ pub enum Gate {
     },
 }
 
-const UNCONNECTED: NodeId = NodeId(u32::MAX);
-
 /// A netlist under construction or evaluation.
 #[derive(Debug, Clone, Default)]
 pub struct Netlist {
     gates: Vec<Gate>,
     inputs: Vec<NodeId>,
-    latches: Vec<NodeId>,
     outputs: Vec<NodeId>,
 }
 
@@ -85,15 +74,6 @@ pub enum EvalError {
         /// Inputs declared.
         want: usize,
     },
-    /// The wrong number of latch states was supplied.
-    LatchCount {
-        /// States supplied.
-        got: usize,
-        /// Latches declared.
-        want: usize,
-    },
-    /// A latch's data input was never connected.
-    UnconnectedLatch(NodeId),
     /// The circuit did not settle: a combinational cycle was not cut by
     /// any controlling value.
     NotConstructive {
@@ -108,10 +88,6 @@ impl std::fmt::Display for EvalError {
             EvalError::InputCount { got, want } => {
                 write!(f, "supplied {got} input values, circuit has {want} inputs")
             }
-            EvalError::LatchCount { got, want } => {
-                write!(f, "supplied {got} latch states, circuit has {want} latches")
-            }
-            EvalError::UnconnectedLatch(n) => write!(f, "latch {n:?} has no data input"),
             EvalError::NotConstructive { unresolved } => write!(
                 f,
                 "circuit did not settle: {unresolved} node(s) unresolved (uncut cycle)"
@@ -128,7 +104,6 @@ pub struct Evaluation {
     values: Vec<bool>,
     levels: Vec<u32>,
     outputs: Vec<NodeId>,
-    next_latch_state: Vec<bool>,
 }
 
 impl Evaluation {
@@ -138,8 +113,8 @@ impl Evaluation {
         self.values[n.idx()]
     }
 
-    /// Unit-delay level at which a node settled (inputs, constants and
-    /// latch outputs are level 0).
+    /// Unit-delay level at which a node settled (inputs and constants
+    /// are level 0).
     #[inline]
     pub fn level(&self, n: NodeId) -> u32 {
         self.levels[n.idx()]
@@ -163,12 +138,6 @@ impl Evaluation {
                 .max()
                 .unwrap_or(0)
         }
-    }
-
-    /// Latch data-input values sampled by this evaluation — the latch
-    /// state for the next clock cycle.
-    pub fn next_latch_state(&self) -> &[bool] {
-        &self.next_latch_state
     }
 }
 
@@ -194,28 +163,6 @@ impl Netlist {
     /// A constant node.
     pub fn constant(&mut self, v: bool) -> NodeId {
         self.push(Gate::Const(v))
-    }
-
-    /// Declare a latch with the given power-on state; connect its data
-    /// input later with [`Netlist::connect_latch`].
-    pub fn latch(&mut self, init: bool) -> NodeId {
-        let id = self.push(Gate::Latch {
-            d: UNCONNECTED,
-            init,
-        });
-        self.latches.push(id);
-        id
-    }
-
-    /// Connect a latch's data input.
-    ///
-    /// # Panics
-    /// Panics if `l` is not a latch.
-    pub fn connect_latch(&mut self, l: NodeId, d: NodeId) {
-        match &mut self.gates[l.idx()] {
-            Gate::Latch { d: slot, .. } => *slot = d,
-            g => panic!("connect_latch on non-latch gate {g:?}"),
-        }
     }
 
     /// Inverter.
@@ -255,7 +202,7 @@ impl Netlist {
         self.outputs.push(n);
     }
 
-    /// Total gate count (including inputs/constants/latches).
+    /// Total node count (including inputs and constants).
     pub fn len(&self) -> usize {
         self.gates.len()
     }
@@ -265,12 +212,12 @@ impl Netlist {
         self.gates.is_empty()
     }
 
-    /// Number of *logic* gates (excluding inputs, constants, latches) —
-    /// the paper's area-relevant count.
+    /// Number of *logic* gates (excluding inputs and constants) — the
+    /// paper's area-relevant count.
     pub fn logic_gate_count(&self) -> usize {
         self.gates
             .iter()
-            .filter(|g| !matches!(g, Gate::Input | Gate::Const(_) | Gate::Latch { .. }))
+            .filter(|g| !matches!(g, Gate::Input | Gate::Const(_)))
             .count()
     }
 
@@ -279,32 +226,15 @@ impl Netlist {
         self.inputs.len()
     }
 
-    /// Number of declared latches.
-    pub fn num_latches(&self) -> usize {
-        self.latches.len()
-    }
-
-    /// Initial latch state vector (power-on values).
-    pub fn initial_latch_state(&self) -> Vec<bool> {
-        self.latches
-            .iter()
-            .map(|&l| match self.gates[l.idx()] {
-                Gate::Latch { init, .. } => init,
-                _ => unreachable!("latches list holds only latches"),
-            })
-            .collect()
-    }
-
     /// Structural worst-case depth via longest path, for *acyclic*
     /// netlists; `None` if the combinational graph has a cycle.
     pub fn structural_depth(&self) -> Option<u32> {
-        // Kahn's algorithm over combinational edges (latch outputs are
-        // sources; latch data inputs are sinks, not edges).
+        // Kahn's algorithm over the fan-in edges.
         let n = self.gates.len();
         let mut indeg = vec![0u32; n];
         let mut fanout: Vec<Vec<u32>> = vec![Vec::new(); n];
         for (i, g) in self.gates.iter().enumerate() {
-            for f in comb_fanins(g) {
+            for f in fanins(g) {
                 indeg[i] += 1;
                 fanout[f.idx()].push(i as u32);
             }
@@ -333,35 +263,15 @@ impl Netlist {
         }
     }
 
-    /// Evaluate the combinational logic for one cycle.
+    /// Evaluate the logic for one input vector.
     ///
-    /// `input_values` are matched to inputs in declaration order;
-    /// `latch_state` to latches in declaration order (use
-    /// [`Netlist::initial_latch_state`] for cycle 0 and
-    /// [`Evaluation::next_latch_state`] thereafter).
-    pub fn evaluate(
-        &self,
-        input_values: &[bool],
-        latch_state: &[bool],
-    ) -> Result<Evaluation, EvalError> {
+    /// `input_values` are matched to inputs in declaration order.
+    pub fn evaluate(&self, input_values: &[bool]) -> Result<Evaluation, EvalError> {
         if input_values.len() != self.inputs.len() {
             return Err(EvalError::InputCount {
                 got: input_values.len(),
                 want: self.inputs.len(),
             });
-        }
-        if latch_state.len() != self.latches.len() {
-            return Err(EvalError::LatchCount {
-                got: latch_state.len(),
-                want: self.latches.len(),
-            });
-        }
-        for &l in &self.latches {
-            if let Gate::Latch { d, .. } = self.gates[l.idx()] {
-                if d == UNCONNECTED {
-                    return Err(EvalError::UnconnectedLatch(l));
-                }
-            }
         }
 
         let n = self.gates.len();
@@ -371,13 +281,13 @@ impl Netlist {
         // Fan-out lists for event-driven propagation.
         let mut fanout: Vec<Vec<u32>> = vec![Vec::new(); n];
         for (i, g) in self.gates.iter().enumerate() {
-            for f in comb_fanins(g) {
+            for f in fanins(g) {
                 fanout[f.idx()].push(i as u32);
             }
         }
 
         let mut worklist: Vec<u32> = Vec::with_capacity(n);
-        // Seed: inputs, constants, latch outputs.
+        // Seed: inputs and constants.
         for (i, g) in self.gates.iter().enumerate() {
             if let Gate::Const(v) = g {
                 value[i] = Some(*v);
@@ -386,10 +296,6 @@ impl Netlist {
         }
         for (k, &id) in self.inputs.iter().enumerate() {
             value[id.idx()] = Some(input_values[k]);
-            worklist.push(id.0);
-        }
-        for (k, &id) in self.latches.iter().enumerate() {
-            value[id.idx()] = Some(latch_state[k]);
             worklist.push(id.0);
         }
 
@@ -416,28 +322,18 @@ impl Netlist {
         }
 
         let values: Vec<bool> = value.into_iter().map(|v| v.expect("all settled")).collect();
-        let next_latch_state = self
-            .latches
-            .iter()
-            .map(|&l| match self.gates[l.idx()] {
-                Gate::Latch { d, .. } => values[d.idx()],
-                _ => unreachable!(),
-            })
-            .collect();
         Ok(Evaluation {
             values,
             levels: level,
             outputs: self.outputs.clone(),
-            next_latch_state,
         })
     }
 }
 
-/// Combinational fan-ins of a gate (latch data inputs are *not*
-/// combinational edges — they are sampled at the clock edge).
-fn comb_fanins(g: &Gate) -> impl Iterator<Item = NodeId> {
+/// Fan-ins of a gate.
+fn fanins(g: &Gate) -> impl Iterator<Item = NodeId> {
     let v: [Option<NodeId>; 3] = match *g {
-        Gate::Input | Gate::Const(_) | Gate::Latch { .. } => [None, None, None],
+        Gate::Input | Gate::Const(_) => [None, None, None],
         Gate::Not(a) => [Some(a), None, None],
         Gate::And(a, b) | Gate::Or(a, b) | Gate::Xor(a, b) => [Some(a), Some(b), None],
         Gate::Mux { sel, a, b } => [Some(sel), Some(a), Some(b)],
@@ -451,7 +347,7 @@ fn try_settle(g: &Gate, value: &[Option<bool>], level: &[u32]) -> Option<(bool, 
     let val = |n: NodeId| value[n.idx()];
     let lvl = |n: NodeId| level[n.idx()];
     match *g {
-        Gate::Input | Gate::Const(_) | Gate::Latch { .. } => None, // seeded, never here
+        Gate::Input | Gate::Const(_) => None, // seeded, never here
         Gate::Not(a) => val(a).map(|v| (!v, lvl(a) + 1)),
         Gate::And(a, b) => match (val(a), val(b)) {
             (Some(false), _) => Some((false, lvl(a) + 1)),
@@ -491,7 +387,7 @@ mod tests {
         let xor = nl.xor(a, b);
         let not = nl.not(a);
         for (av, bv) in [(false, false), (false, true), (true, false), (true, true)] {
-            let e = nl.evaluate(&[av, bv], &[]).unwrap();
+            let e = nl.evaluate(&[av, bv]).unwrap();
             assert_eq!(e.value(and), av && bv);
             assert_eq!(e.value(or), av || bv);
             assert_eq!(e.value(xor), av ^ bv);
@@ -506,9 +402,9 @@ mod tests {
         let a = nl.input();
         let b = nl.input();
         let m = nl.mux(s, a, b);
-        let e = nl.evaluate(&[false, true, false], &[]).unwrap();
+        let e = nl.evaluate(&[false, true, false]).unwrap();
         assert!(e.value(m)); // sel=0 → a=1
-        let e = nl.evaluate(&[true, true, false], &[]).unwrap();
+        let e = nl.evaluate(&[true, true, false]).unwrap();
         assert!(!e.value(m)); // sel=1 → b=0
     }
 
@@ -521,7 +417,7 @@ mod tests {
             x = nl.not(x);
         }
         nl.mark_output(x);
-        let e = nl.evaluate(&[true], &[]).unwrap();
+        let e = nl.evaluate(&[true]).unwrap();
         assert_eq!(e.max_level(), 10);
         assert_eq!(e.level(a), 0);
     }
@@ -537,7 +433,7 @@ mod tests {
             deep = nl.not(deep);
         }
         let g = nl.and(zero, deep);
-        let e = nl.evaluate(&[true], &[]).unwrap();
+        let e = nl.evaluate(&[true]).unwrap();
         assert!(!e.value(g));
         assert_eq!(e.level(g), 1);
     }
@@ -550,17 +446,8 @@ mod tests {
         let mut nl = Netlist::new();
         let sels: Vec<NodeId> = (0..n).map(|_| nl.input()).collect();
         let inss: Vec<NodeId> = (0..n).map(|_| nl.input()).collect();
-        // Create mux placeholders via latch-free forward refs: build
-        // muxes referencing a vector of yet-unknown nodes is impossible
-        // with plain combinators, so use the standard two-pass trick:
-        // allocate "wire" inputs?  Instead: chain is cyclic, so build
-        // muxes in order, then the first mux's `a` leg must reference
-        // the last mux. We achieve this by constructing the last mux
-        // first using a dummy that we can't rewire — so instead build
-        // with explicit gate surgery: push muxes with a placeholder and
-        // fix up. Netlist doesn't expose surgery; emulate a cycle using
-        // a latchless trick: mux_0 references mux_{n-1} by id, which we
-        // can compute because ids are sequential.
+        // A netlist cannot be rewired, so mux_0's `a` leg names
+        // mux_{n-1} by id ahead of time: ids are sequential.
         let first_mux = NodeId(nl.len() as u32);
         let last_mux = NodeId(first_mux.0 + (n as u32) - 1);
         let mut prev = last_mux;
@@ -577,13 +464,13 @@ mod tests {
         let mut inputs = vec![false; 2 * n];
         inputs[2] = true; // sel_2
         inputs[n + 2] = true; // ins_2
-        let e = nl.evaluate(&inputs, &[]).unwrap();
+        let e = nl.evaluate(&inputs).unwrap();
         for &m in &muxes {
             assert!(e.value(m));
         }
 
         // No select high: uncut cycle must be reported, not looped.
-        let e = nl.evaluate(&vec![false; 2 * n], &[]);
+        let e = nl.evaluate(&vec![false; 2 * n]);
         assert!(matches!(e, Err(EvalError::NotConstructive { .. })));
     }
 
@@ -607,38 +494,11 @@ mod tests {
     }
 
     #[test]
-    fn latch_sequential_counter() {
-        // 1-bit toggler: latch feeding an inverter feeding the latch.
-        let mut nl = Netlist::new();
-        let l = nl.latch(false);
-        let inv = nl.not(l);
-        nl.connect_latch(l, inv);
-        let mut state = nl.initial_latch_state();
-        let mut seen = Vec::new();
-        for _ in 0..4 {
-            let e = nl.evaluate(&[], &state).unwrap();
-            seen.push(e.value(l));
-            state = e.next_latch_state().to_vec();
-        }
-        assert_eq!(seen, vec![false, true, false, true]);
-    }
-
-    #[test]
-    fn unconnected_latch_rejected() {
-        let mut nl = Netlist::new();
-        let _l = nl.latch(false);
-        assert!(matches!(
-            nl.evaluate(&[], &[false]),
-            Err(EvalError::UnconnectedLatch(_))
-        ));
-    }
-
-    #[test]
     fn input_count_checked() {
         let mut nl = Netlist::new();
         let _ = nl.input();
         assert!(matches!(
-            nl.evaluate(&[], &[]),
+            nl.evaluate(&[]),
             Err(EvalError::InputCount { got: 0, want: 1 })
         ));
     }
@@ -648,98 +508,10 @@ mod tests {
         let mut nl = Netlist::new();
         let a = nl.input();
         let c = nl.constant(true);
-        let l = nl.latch(false);
-        let g = nl.and(a, c);
-        nl.connect_latch(l, g);
-        assert_eq!(nl.len(), 4);
+        let _ = nl.and(a, c);
+        assert_eq!(nl.len(), 3);
         assert_eq!(nl.logic_gate_count(), 1);
         assert_eq!(nl.num_inputs(), 1);
-        assert_eq!(nl.num_latches(), 1);
-    }
-}
-
-impl Netlist {
-    /// Inventory by gate kind: `(inputs, constants, latches, not, and,
-    /// or, xor, mux)` — the area-relevant census the VLSI models use.
-    pub fn census(&self) -> GateCensus {
-        let mut c = GateCensus::default();
-        for g in &self.gates {
-            match g {
-                Gate::Input => c.inputs += 1,
-                Gate::Const(_) => c.constants += 1,
-                Gate::Latch { .. } => c.latches += 1,
-                Gate::Not(_) => c.nots += 1,
-                Gate::And(..) => c.ands += 1,
-                Gate::Or(..) => c.ors += 1,
-                Gate::Xor(..) => c.xors += 1,
-                Gate::Mux { .. } => c.muxes += 1,
-            }
-        }
-        c
-    }
-}
-
-/// Gate counts by kind (see [`Netlist::census`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GateCensus {
-    /// External inputs.
-    pub inputs: usize,
-    /// Constant nodes.
-    pub constants: usize,
-    /// State elements.
-    pub latches: usize,
-    /// Inverters.
-    pub nots: usize,
-    /// AND gates.
-    pub ands: usize,
-    /// OR gates.
-    pub ors: usize,
-    /// XOR gates.
-    pub xors: usize,
-    /// 2:1 multiplexers.
-    pub muxes: usize,
-}
-
-impl GateCensus {
-    /// Total logic gates (everything but inputs/constants/latches).
-    pub fn logic(&self) -> usize {
-        self.nots + self.ands + self.ors + self.xors + self.muxes
-    }
-}
-
-#[cfg(test)]
-mod census_tests {
-    use super::*;
-
-    #[test]
-    fn census_counts_each_kind() {
-        let mut nl = Netlist::new();
-        let a = nl.input();
-        let b = nl.input();
-        let c = nl.constant(true);
-        let l = nl.latch(false);
-        let n = nl.not(a);
-        let x = nl.and(a, b);
-        let o = nl.or(x, c);
-        let e = nl.xor(o, n);
-        let m = nl.mux(a, e, o);
-        nl.connect_latch(l, m);
-        let census = nl.census();
-        assert_eq!(
-            census,
-            GateCensus {
-                inputs: 2,
-                constants: 1,
-                latches: 1,
-                nots: 1,
-                ands: 1,
-                ors: 1,
-                xors: 1,
-                muxes: 1,
-            }
-        );
-        assert_eq!(census.logic(), 5);
-        assert_eq!(census.logic(), nl.logic_gate_count());
     }
 }
 
@@ -754,9 +526,7 @@ mod random_netlist_tests {
             return v;
         }
         let v = match nl_gates[n.idx()] {
-            Gate::Input | Gate::Const(_) | Gate::Latch { .. } => {
-                unreachable!("sources are pre-seeded")
-            }
+            Gate::Input | Gate::Const(_) => unreachable!("sources are pre-seeded"),
             Gate::Not(a) => !reference_eval(nl_gates, values, a),
             Gate::And(a, b) => {
                 reference_eval(nl_gates, values, a) & reference_eval(nl_gates, values, b)
@@ -804,7 +574,7 @@ mod random_netlist_tests {
             }
             let last = *nodes.last().unwrap();
             nl.mark_output(last);
-            let eval = nl.evaluate(&inputs, &[]).unwrap();
+            let eval = nl.evaluate(&inputs).unwrap();
 
             // Reference: rebuild the same gate list as a shadow
             // structure and evaluate it recursively.

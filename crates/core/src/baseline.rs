@@ -82,8 +82,7 @@ impl Processor for BaselineOoO {
         let lat = self.cfg.latency;
 
         let words = self.cfg.mem.words;
-        let mut fetch = FetchUnit::new(program, self.cfg.predictor, words)
-            .with_trace_cache(self.cfg.trace_cache);
+        let mut fetch = FetchUnit::new(program, self.cfg.predictor, words);
         let mut mem = MemSystem::new(self.cfg.mem.clone(), &program.init_mem);
         // Registers, stats and timings (when the caller asked for
         // them) accumulate directly into `out`.
@@ -383,7 +382,7 @@ impl Processor for BaselineOoO {
                                 rename[rd.index()] = Some(e.st.seq);
                             }
                         }
-                        fetch.redirect(correct, t + 1);
+                        fetch.redirect(correct);
                         break;
                     }
                 }
@@ -447,21 +446,18 @@ impl Processor for BaselineOoO {
                 break;
             }
 
-            // ---- Dispatch new instructions, visible next cycle
-            // (unless a trace-cache miss is stalling fetch).
+            // ---- Dispatch new instructions, visible next cycle.
             let seq_before_dispatch = next_seq;
-            if t + 1 >= fetch.ready_at() {
-                dispatch(
-                    &mut rob,
-                    &mut fetch,
-                    &mut rename,
-                    committed_regs,
-                    &mut next_seq,
-                    &mut alloc_counter,
-                    stats,
-                    t + 1,
-                );
-            }
+            dispatch(
+                &mut rob,
+                &mut fetch,
+                &mut rename,
+                committed_regs,
+                &mut next_seq,
+                &mut alloc_counter,
+                stats,
+                t + 1,
+            );
             let dispatched = next_seq != seq_before_dispatch;
 
             // ---- Cycle skip: a provably silent cycle (nothing issued
@@ -481,10 +477,6 @@ impl Processor for BaselineOoO {
                 let mut event = next_completion;
                 if let Some(m) = mem.next_completion_at() {
                     event = event.min(m);
-                }
-                let room = rob.len() < n;
-                if t + 1 < fetch.ready_at() && room && !fetch.exhausted() {
-                    event = event.min(fetch.ready_at() - 1);
                 }
                 let target = event.min(self.cfg.max_cycles).max(t + 1);
                 let skipped = target - (t + 1);

@@ -94,12 +94,6 @@ pub struct ProcConfig {
     pub memory_renaming: bool,
     /// Register-forwarding latency model.
     pub forward: ForwardModel,
-    /// Trace-cache fetch model: `Some((entries, miss_penalty))` makes a
-    /// misprediction redirect to an uncached trace head stall fetch for
-    /// `miss_penalty` cycles (LRU over `entries` heads). `None` models
-    /// the paper's ideal trace cache (every redirect resumes next
-    /// cycle).
-    pub trace_cache: Option<(usize, u64)>,
     /// Instructions fetched per cycle (`None` = one per freed station,
     /// i.e. fetch width = issue width, the paper's assumption that "the
     /// issue width and the instruction-fetch width scale together").
@@ -109,11 +103,11 @@ pub struct ProcConfig {
     /// Event-driven cycle skipping (on by default): when a cycle is
     /// provably silent — nothing issued, no memory traffic, no
     /// completion, commit or refill — the engine jumps straight to the
-    /// next scheduled event (completion, forwarding-readiness, memory
-    /// response or fetch-stall expiry), accumulating per-cycle
-    /// statistics in closed form over the skipped span. Results are
-    /// cycle-exact either way; `false` retains the naive
-    /// tick-every-cycle loop as a differential-testing reference.
+    /// next scheduled event (completion, forwarding-readiness or memory
+    /// response), accumulating per-cycle statistics in closed form over
+    /// the skipped span. Results are cycle-exact either way; `false`
+    /// retains the naive tick-every-cycle loop as a differential-testing
+    /// reference.
     pub cycle_skip: bool,
 }
 
@@ -132,7 +126,6 @@ impl ProcConfig {
             alus: None,
             memory_renaming: false,
             forward: ForwardModel::SingleCycle,
-            trace_cache: None,
             fetch_width: None,
             cycle_skip: true,
         }
@@ -197,13 +190,6 @@ impl ProcConfig {
         self
     }
 
-    /// Builder: model a finite trace cache (`entries` heads,
-    /// `miss_penalty` stall cycles on a redirect miss).
-    pub fn with_trace_cache(mut self, entries: usize, miss_penalty: u64) -> Self {
-        self.trace_cache = Some((entries, miss_penalty));
-        self
-    }
-
     /// Builder: disable event-driven cycle skipping, forcing the naive
     /// tick-every-cycle loop. Cycle-exact results are identical with
     /// skipping on; this exists as the differential-testing reference
@@ -245,9 +231,6 @@ impl ProcConfig {
         }
         if self.predictor == PredictorKind::Bimodal(0) {
             return Err("a bimodal predictor needs at least one counter".into());
-        }
-        if matches!(self.trace_cache, Some((0, _))) {
-            return Err("a trace cache needs at least one entry".into());
         }
         Ok(())
     }
@@ -315,20 +298,18 @@ mod tests {
             .is_err());
     }
 
-    /// The sizes `Predictor::new` and the trace cache assert on are
-    /// configuration errors, not panics.
+    /// The size `Predictor::new` asserts on is a configuration error,
+    /// not a panic.
     #[test]
-    fn zero_predictor_and_trace_cache_sizes_rejected() {
+    fn zero_bimodal_predictor_size_rejected() {
         let base = ProcConfig::ultrascalar_i(4);
         assert!(base
             .clone()
             .with_predictor(PredictorKind::Bimodal(0))
             .validate()
             .is_err());
-        assert!(base.clone().with_trace_cache(0, 3).validate().is_err());
         assert!(base
             .with_predictor(PredictorKind::Bimodal(1))
-            .with_trace_cache(1, 0)
             .validate()
             .is_ok());
     }

@@ -640,15 +640,14 @@ impl ReplayLog {
 /// The unified Ultrascalar processor model.
 ///
 /// The engine retains its allocation-heavy working state — fetch unit
-/// (with its predictor and trace cache), memory system, station ring,
-/// rename table, walk buffers — across runs. [`Processor::run_reusing`]
-/// rewinds all of it in place, so a warm engine serving its second and
-/// later requests for a same-shape program performs **zero**
-/// allocations (the serve-mode probe pins this); [`Processor::run`]
-/// produces identical results and merely pays for a fresh
-/// [`RunResult`]. Retention is invisible to results: the
-/// reuse-equivalence tests pin a warm engine cycle-exact against a
-/// freshly constructed one.
+/// (with its predictor), memory system, station ring, rename table,
+/// walk buffers — across runs. [`Processor::run_reusing`] rewinds all
+/// of it in place, so a warm engine serving its second and later
+/// requests for a same-shape program performs **zero** allocations
+/// (the serve-mode probe pins this); [`Processor::run`] produces
+/// identical results and merely pays for a fresh [`RunResult`].
+/// Retention is invisible to results: the reuse-equivalence tests pin a
+/// warm engine cycle-exact against a freshly constructed one.
 #[derive(Debug)]
 pub struct Ultrascalar {
     cfg: ProcConfig,
@@ -747,10 +746,6 @@ impl Processor for Ultrascalar {
         }
     }
 
-    fn reset(&mut self) {
-        self.scratch = EngineScratch::default();
-    }
-
     fn run_reusing(&mut self, program: &Program, out: &mut RunResult) {
         self.run_inner(program, out, false);
     }
@@ -769,9 +764,9 @@ impl Ultrascalar {
 
         // Rewind the retained working state in place. The engine's
         // configuration is fixed at construction, so each component's
-        // shape (predictor kind, memory config, trace-cache geometry,
-        // ALU pool size, ring size) never changes between runs — reset,
-        // not rebuild, except on the very first run.
+        // shape (predictor kind, memory config, ALU pool size, ring
+        // size) never changes between runs — reset, not rebuild, except
+        // on the very first run.
         let EngineScratch {
             fetch,
             mem,
@@ -789,12 +784,7 @@ impl Ultrascalar {
         replay.clear();
         match fetch {
             Some(f) => f.reset(program, words),
-            None => {
-                *fetch = Some(
-                    FetchUnit::new(program, predictor, words)
-                        .with_trace_cache(self.cfg.trace_cache),
-                )
-            }
+            None => *fetch = Some(FetchUnit::new(program, predictor, words)),
         }
         let fetch = fetch.as_mut().expect("fetch unit initialised above");
         match mem {
@@ -1174,8 +1164,7 @@ impl Ultrascalar {
                         // (Sources whose producers have not even issued
                         // are covered transitively: the oldest blocked
                         // entry in the window always reduces to an
-                        // issued producer, an in-flight memory op, or a
-                        // fetch stall.)
+                        // issued producer or an in-flight memory op.)
                         next_source_ready = next_source_ready.min(wake_up(&s0, &s1, t));
                         // Blocked on a producer that has not scheduled
                         // its completion: park on it until it does (a
@@ -1358,7 +1347,7 @@ impl Ultrascalar {
                         rename[rd.index()] = Some(Link { seq: e.seq, slot });
                     }
                 }
-                fetch.redirect(correct, t + 1);
+                fetch.redirect(correct);
                 break;
             }
 
@@ -1428,21 +1417,18 @@ impl Ultrascalar {
                 break;
             }
 
-            // ---- Phase E: refill freed stations, live next cycle
-            // (unless a trace-cache miss is stalling fetch).
+            // ---- Phase E: refill freed stations, live next cycle.
             let seq_before_refill = next_seq;
-            if t + 1 >= fetch.ready_at() {
-                refill(
-                    ring,
-                    rename,
-                    wake,
-                    head,
-                    &mut len,
-                    fetch,
-                    &mut next_seq,
-                    t + 1,
-                );
-            }
+            refill(
+                ring,
+                rename,
+                wake,
+                head,
+                &mut len,
+                fetch,
+                &mut next_seq,
+                t + 1,
+            );
             let refilled = next_seq != seq_before_refill;
 
             // ---- Cycle skip: if this cycle was provably silent —
@@ -1467,12 +1453,6 @@ impl Ultrascalar {
                 let mut event = next_completion.min(next_source_ready);
                 if let Some(m) = mem.next_completion_at() {
                     event = event.min(m);
-                }
-                // A stalled fetch re-enables refill in the Phase E of
-                // the cycle before it is ready; that is an event only
-                // if the window has room for the refill to fill.
-                if t + 1 < fetch.ready_at() && len < n && !fetch.exhausted() {
-                    event = event.min(fetch.ready_at() - 1);
                 }
                 // No event at all (a genuinely wedged machine) spins to
                 // the deadlock guard exactly like the naive loop.

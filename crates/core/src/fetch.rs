@@ -2,15 +2,13 @@
 //!
 //! The paper connects stations to "an instruction trace cache via
 //! fat-tree networks" (§2) and assumes fetch width scales with issue
-//! width; here fetch supplies up to one instruction per freed station
-//! per cycle and follows the predicted path until redirected by a
-//! misprediction. Under perfect prediction the predictor's oracle is
-//! the golden interpreter, stepped once per fetched instruction: fetch
+//! width. Supply here is that ideal trace cache: fetch supplies up to
+//! one instruction per freed station per cycle, follows the predicted
+//! path, and after a misprediction redirect supplies again on the next
+//! cycle. Under perfect prediction the predictor's oracle is the
+//! golden interpreter, stepped once per fetched instruction: fetch
 //! never leaves the committed path, so the k-th fetch is the k-th
-//! golden step and no redirect ever comes. The unit also owns the
-//! optional [`TraceCache`]: a redirect to an uncached trace head stalls
-//! supply for the miss penalty, and both processors ask
-//! [`FetchUnit::ready_at`] when fetch can supply again.
+//! golden step and no redirect ever comes.
 
 use crate::predict::{Predictor, PredictorKind};
 use ultrascalar_isa::{Instr, Program};
@@ -35,10 +33,6 @@ pub struct FetchUnit {
     cur_pc: Option<usize>,
     /// The branch predictor consulted at fetch.
     predictor: Predictor,
-    /// Redirect targets with a cached trace, if the model has one.
-    trace_cache: Option<TraceCache>,
-    /// First cycle fetch can supply after the last redirect.
-    ready_at: u64,
 }
 
 impl FetchUnit {
@@ -50,30 +44,16 @@ impl FetchUnit {
             instrs: program.instrs.clone(),
             cur_pc: Some(0),
             predictor: Predictor::new(kind, program, mem_words),
-            trace_cache: None,
-            ready_at: 0,
         }
     }
 
-    /// Builder: model a trace cache of `(entries, miss_penalty)`
-    /// ([`crate::ProcConfig::trace_cache`]); `None` leaves redirects
-    /// free.
-    pub fn with_trace_cache(mut self, geometry: Option<(usize, u64)>) -> Self {
-        self.trace_cache = geometry.map(|(entries, penalty)| TraceCache::new(entries, penalty));
-        self
-    }
-
-    /// Rewind to the start of `program`, keeping the predictor kind and
-    /// trace-cache geometry. Equivalent to building a new unit, but
-    /// allocation-free once the retained buffers are large enough.
+    /// Rewind to the start of `program`, keeping the predictor kind.
+    /// Equivalent to building a new unit, but allocation-free once the
+    /// retained buffers are large enough.
     pub fn reset(&mut self, program: &Program, mem_words: usize) {
         self.instrs.clone_from(&program.instrs);
         self.cur_pc = Some(0);
         self.predictor.reset(program, mem_words);
-        if let Some(tc) = &mut self.trace_cache {
-            tc.reset();
-        }
-        self.ready_at = 0;
     }
 
     /// Fetch the next instruction along the (predicted) path, or `None`
@@ -105,25 +85,17 @@ impl FetchUnit {
         self.cur_pc.is_none()
     }
 
-    /// The first cycle fetch can supply a station for: the end of the
-    /// last redirect's trace-cache miss stall (0 before any redirect).
-    pub fn ready_at(&self) -> u64 {
-        self.ready_at
-    }
-
     /// Redirect to the architecturally correct pc after a misprediction
-    /// flush. Fetch supplies again from cycle `at`, or after the miss
-    /// penalty if the trace cache does not hold `pc`.
+    /// flush.
     ///
     /// # Panics
     /// Panics under perfect prediction (it can never mispredict).
-    pub fn redirect(&mut self, pc: usize, at: u64) {
+    pub fn redirect(&mut self, pc: usize) {
         assert!(
             self.predictor.kind() != PredictorKind::Perfect,
             "perfect fetch redirected — misprediction under a perfect oracle"
         );
         self.cur_pc = Some(pc);
-        self.ready_at = at + self.trace_cache.as_mut().map_or(0, |tc| tc.redirect(pc));
     }
 
     /// Train the predictor on a resolved branch.
@@ -192,25 +164,9 @@ mod tests {
         assert_eq!(f.next().unwrap().pc, 0);
         assert_eq!(f.next().unwrap().pc, 1);
         // Branch resolves taken: redirect to 3.
-        f.redirect(3, 0);
+        f.redirect(3);
         assert_eq!(f.next().unwrap().pc, 3);
         assert!(f.next().is_none());
-    }
-
-    #[test]
-    fn redirect_stalls_on_a_trace_cache_miss() {
-        let p = branchy_program();
-        let mut f =
-            FetchUnit::new(&p, PredictorKind::NotTaken, 1 << 16).with_trace_cache(Some((2, 3)));
-        assert_eq!(f.ready_at(), 0);
-        f.redirect(3, 5);
-        assert_eq!(f.ready_at(), 8, "a miss stalls for the penalty");
-        f.redirect(3, 10);
-        assert_eq!(f.ready_at(), 10, "a hit resumes at once");
-        f.reset(&p, 1 << 16);
-        assert_eq!(f.ready_at(), 0);
-        f.redirect(3, 1);
-        assert_eq!(f.ready_at(), 4, "reset forgets cached traces");
     }
 
     #[test]
@@ -256,105 +212,6 @@ mod tests {
     fn perfect_redirect_panics() {
         let p = branchy_program();
         let mut f = FetchUnit::new(&p, PredictorKind::Perfect, 1 << 16);
-        f.redirect(0, 0);
-    }
-}
-
-/// A simple trace cache over redirect targets (the paper's instruction
-/// supply is "an instruction trace cache \[Rotenberg et al.; Yeh et
-/// al.\] via fat-tree networks"). Sequential fetch along the predicted
-/// path always hits (the trace under construction); a *redirect* to a
-/// target whose trace is not cached pays `miss_penalty` cycles before
-/// fetch resumes. LRU over `entries` trace heads.
-#[derive(Debug, Clone)]
-pub struct TraceCache {
-    entries: usize,
-    penalty: u64,
-    lru: std::collections::VecDeque<usize>,
-    /// Redirects that hit a cached trace head.
-    pub hits: u64,
-    /// Redirects that missed and paid the penalty.
-    pub misses: u64,
-}
-
-impl TraceCache {
-    /// Build with `entries` trace heads and `miss_penalty` stall cycles.
-    ///
-    /// # Panics
-    /// Panics if `entries == 0`.
-    pub fn new(entries: usize, miss_penalty: u64) -> Self {
-        assert!(entries > 0, "trace cache needs entries");
-        TraceCache {
-            entries,
-            penalty: miss_penalty,
-            lru: std::collections::VecDeque::new(),
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    /// Rewind to the as-constructed state for a new run: traces
-    /// forgotten, counters cleared, retained capacity kept.
-    pub fn reset(&mut self) {
-        self.lru.clear();
-        self.hits = 0;
-        self.misses = 0;
-    }
-
-    /// Record a redirect to `pc`; returns the fetch stall in cycles
-    /// (0 on a hit).
-    pub fn redirect(&mut self, pc: usize) -> u64 {
-        if let Some(idx) = self.lru.iter().position(|&p| p == pc) {
-            self.lru.remove(idx);
-            self.lru.push_front(pc);
-            self.hits += 1;
-            0
-        } else {
-            self.lru.push_front(pc);
-            self.lru.truncate(self.entries);
-            self.misses += 1;
-            self.penalty
-        }
-    }
-}
-
-#[cfg(test)]
-mod trace_cache_tests {
-    use super::*;
-
-    #[test]
-    fn first_redirect_misses_repeat_hits() {
-        let mut tc = TraceCache::new(4, 3);
-        assert_eq!(tc.redirect(10), 3);
-        assert_eq!(tc.redirect(10), 0);
-        assert_eq!(tc.hits, 1);
-        assert_eq!(tc.misses, 1);
-    }
-
-    #[test]
-    fn lru_evicts_oldest() {
-        let mut tc = TraceCache::new(2, 5);
-        tc.redirect(1);
-        tc.redirect(2);
-        tc.redirect(3); // evicts 1
-        assert_eq!(tc.redirect(2), 0);
-        assert_eq!(tc.redirect(1), 5); // was evicted
-    }
-
-    #[test]
-    fn touch_refreshes_lru_position() {
-        let mut tc = TraceCache::new(2, 5);
-        tc.redirect(1);
-        tc.redirect(2);
-        tc.redirect(1); // refresh 1
-        tc.redirect(3); // evicts 2
-        assert_eq!(tc.redirect(1), 0);
-        assert_eq!(tc.redirect(2), 5);
-    }
-
-    #[test]
-    #[should_panic(expected = "needs entries")]
-    fn zero_entries_rejected() {
-        let _ = TraceCache::new(0, 1);
+        f.redirect(0);
     }
 }

@@ -84,16 +84,9 @@ pub trait Processor {
     /// `out.timings` chooses whether the run records timings (`Some`
     /// is cleared and filled, `None` stays `None`). Models reuse
     /// `out`'s buffers instead of allocating a fresh result, and those
-    /// that retain working state (see [`Processor::reset`]) reuse that
-    /// too, which is what makes a warm engine's request loop
-    /// allocation-free.
+    /// that retain working state across runs reuse that too, which is
+    /// what makes a warm engine's request loop allocation-free.
     fn run_reusing(&mut self, program: &Program, out: &mut RunResult);
-
-    /// Drop any working state retained across runs, returning the model
-    /// to its freshly-constructed (cold) footprint. Purely a memory
-    /// release: results never depend on whether a model is warm or
-    /// cold. The default is a no-op for models that retain nothing.
-    fn reset(&mut self) {}
 }
 
 /// Compare a run result against the golden interpreter's architectural

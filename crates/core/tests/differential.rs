@@ -212,10 +212,6 @@ impl Sampler {
                 },
             },
         };
-        let trace_cache = match self.pick("trace_cache", &["ideal", "finite"]) {
-            "ideal" => None,
-            _ => Some((self.rng.gen_range(0..=8), self.rng.gen_range(0..=20))),
-        };
         let fetch_width = match self.pick("fetch_width", &["issue-width", "capped"]) {
             "issue-width" => None,
             _ => Some(self.rng.gen_range(0..=8)),
@@ -240,7 +236,6 @@ impl Sampler {
             alus,
             memory_renaming,
             forward,
-            trace_cache,
             fetch_width,
             cycle_skip: true,
         }
@@ -635,7 +630,7 @@ fn failure_report(c: &Case, msg: &str) -> String {
             "cargo run --release -p ultrascalar-bench --bin usim -- run {}",
             usim_args(&o, &path).join(" ")
         ),
-        None => "not expressible with usim flags (latency, trace cache or memory)".into(),
+        None => "not expressible with usim flags (latency or memory)".into(),
     };
     format!(
         "differential case {} (SEED {SEED:#x}) failed: {msg}\n\

@@ -1,9 +1,9 @@
 //! Tests for the paper's extension mechanisms: the shared-ALU
 //! scheduler (§1/§7), memory renaming (§7), the pipelined
-//! (distance-dependent) forwarding study (§7), cluster caches, fetch
-//! width and the trace cache. These pin each mechanism's effect;
-//! that every mechanism, alone or combined, preserves architectural
-//! state and US-I/baseline identity is checked in `differential.rs`.
+//! (distance-dependent) forwarding study (§7), cluster caches and
+//! fetch width. These pin each mechanism's effect; that every
+//! mechanism, alone or combined, preserves architectural state and
+//! US-I/baseline identity is checked in `differential.rs`.
 
 use rand::Rng;
 use ultrascalar::{ForwardModel, PredictorKind, ProcConfig, Processor, Ultrascalar};
@@ -368,48 +368,4 @@ fn fetch_width_one_caps_ipc_at_one() {
     let prog = workload::vec_scale(32, 2);
     let r = Ultrascalar::new(ProcConfig::ultrascalar_i(8).with_fetch_width(1)).run(&prog);
     assert!(r.ipc() <= 1.0 + 1e-9, "IPC {} with fetch width 1", r.ipc());
-}
-
-// ---------- trace-cache fetch model ----------
-
-#[test]
-fn trace_cache_misses_cost_cycles() {
-    // A loop whose back edge mispredicts under NotTaken: the first
-    // redirect misses, later ones hit; with a huge penalty the run
-    // must slow down vs the ideal trace cache.
-    let prog = workload::sum_reduction(32);
-    let ideal =
-        Ultrascalar::new(ProcConfig::ultrascalar_i(8).with_predictor(PredictorKind::NotTaken))
-            .run(&prog);
-    let cold = Ultrascalar::new(
-        ProcConfig::ultrascalar_i(8)
-            .with_predictor(PredictorKind::NotTaken)
-            .with_trace_cache(1, 20),
-    )
-    .run(&prog);
-    assert_eq!(ideal.regs, cold.regs);
-    assert!(
-        cold.cycles > ideal.cycles,
-        "{} vs {}",
-        cold.cycles,
-        ideal.cycles
-    );
-    // A warm, large trace cache costs little: the loop head stays
-    // resident after the first miss.
-    let warm = Ultrascalar::new(
-        ProcConfig::ultrascalar_i(8)
-            .with_predictor(PredictorKind::NotTaken)
-            .with_trace_cache(64, 20),
-    )
-    .run(&prog);
-    assert!(warm.cycles <= cold.cycles);
-    assert!(warm.cycles < ideal.cycles + 25, "one compulsory miss only");
-}
-
-#[test]
-fn perfect_prediction_never_touches_the_trace_cache() {
-    let prog = workload::sum_reduction(32);
-    let a = Ultrascalar::new(ProcConfig::ultrascalar_i(8)).run(&prog);
-    let b = Ultrascalar::new(ProcConfig::ultrascalar_i(8).with_trace_cache(1, 100)).run(&prog);
-    assert_eq!(a.cycles, b.cycles);
 }

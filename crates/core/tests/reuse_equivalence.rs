@@ -67,9 +67,8 @@ fn allocations(f: impl FnOnce()) -> usize {
 
 /// The configuration corners the serving mode is expected to cycle
 /// through: every reset path in the engine (fetch rewind, predictor
-/// rewind, trace-cache flush, memory-system rewind, station ring and
-/// rename table, shared-ALU pool, pipelined forwarding) is on at least
-/// one of them.
+/// rewind, memory-system rewind, station ring and rename table,
+/// shared-ALU pool, pipelined forwarding) is on at least one of them.
 fn configs() -> Vec<(&'static str, ProcConfig)> {
     let realistic_mem = MemConfig {
         n_leaves: 16,
@@ -96,11 +95,10 @@ fn configs() -> Vec<(&'static str, ProcConfig)> {
                 .with_mem(realistic_mem.clone()),
         ),
         (
-            "usi-shared-alus-trace-cache",
+            "usi-shared-alus",
             ProcConfig::ultrascalar_i(8)
                 .with_predictor(PredictorKind::Bimodal(16))
-                .with_shared_alus(2)
-                .with_trace_cache(4, 3),
+                .with_shared_alus(2),
         ),
         (
             "hybrid-cluster-cache-butterfly",
@@ -150,21 +148,6 @@ fn alternating_programs_reset_cleanly() {
             assert_same(&format!("alt/{name}/round{round}"), &out, &fresh);
         }
     }
-}
-
-/// A cold reset releases retained state without changing behaviour.
-#[test]
-fn explicit_reset_keeps_results_exact() {
-    let suite = workload::standard_suite(3);
-    let cfg = ProcConfig::ultrascalar_i(8).with_predictor(PredictorKind::Bimodal(64));
-    let mut engine = Ultrascalar::new(cfg.clone());
-    let mut out = RunResult::recording_timings();
-    let (name, prog) = &suite[0];
-    engine.run_reusing(prog, &mut out);
-    let first = out.clone();
-    engine.reset();
-    engine.run_reusing(prog, &mut out);
-    assert_same(&format!("post-reset/{name}"), &out, &first);
 }
 
 /// The pool's warm path composes the same guarantees: acquire-and-run

@@ -56,7 +56,6 @@ fn configs() -> Vec<(&'static str, ProcConfig)> {
                 .with_predictor(PredictorKind::NotTaken)
                 .with_memory_renaming()
                 .with_shared_alus(2)
-                .with_trace_cache(2, 3)
                 .with_fetch_width(3)
                 .with_forwarding(ForwardModel::Pipelined { per_hop: 2 }),
         ),

@@ -51,7 +51,7 @@ fn main() {
         inputs[tree.seg[done].0 as usize] = true;
     }
 
-    let eval = nl.evaluate(&inputs, &[]).expect("datapath settles");
+    let eval = nl.evaluate(&inputs).expect("datapath settles");
     println!("station | incoming value | settled at gate level");
     println!("--------+----------------+---------------------");
     for i in 0..n {

@@ -139,7 +139,7 @@ fn circuit_agrees_with_prefix_model_through_umbrella() {
         }
         inputs[tree.seg[i].0 as usize] = seg[i];
     }
-    let eval = nl.evaluate(&inputs, &[]).unwrap();
+    let eval = nl.evaluate(&inputs).unwrap();
     let model = cspp_ring::<u64, First>(&vals, &seg);
     for (i, m) in model.iter().enumerate() {
         assert_eq!(bus_value(&eval, &tree.out_value[i]), m.value, "station {i}");
