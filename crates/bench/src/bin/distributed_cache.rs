@@ -10,8 +10,8 @@
 //! cargo run -p ultrascalar-bench --bin distributed_cache
 //! ```
 
-use ultrascalar::{EnginePool, PredictorKind, ProcConfig};
-use ultrascalar_bench::{parallel_map_with, Table};
+use ultrascalar::{PredictorKind, ProcConfig, Processor, Ultrascalar};
+use ultrascalar_bench::Table;
 use ultrascalar_isa::workload;
 use ultrascalar_memsys::{Bandwidth, CacheConfig, MemConfig, NetworkKind};
 use ultrascalar_vlsi::metrics::ArchParams;
@@ -49,25 +49,18 @@ fn main() {
     ]);
     let mut total_saved = 0i64;
     let pred = PredictorKind::Bimodal(64);
-    let cfg_plain = ProcConfig::hybrid(n, n / clusters)
-        .with_predictor(pred)
-        .with_mem(base.clone());
-    let cfg_cached = ProcConfig::hybrid(n, n / clusters)
-        .with_predictor(pred)
-        .with_mem(cached.clone());
-    let suite = workload::standard_suite(61);
-    // Each worker keeps two warm engines (plain and cached memory
-    // hierarchy) and rewinds them per kernel.
-    let results = parallel_map_with(
-        &suite,
-        || EnginePool::new(2),
-        |pool, (_, prog)| {
-            let plain = pool.acquire(&cfg_plain).run(prog).clone();
-            let cached = pool.acquire(&cfg_cached).run(prog).clone();
-            (plain, cached)
-        },
+    let mut plain_cpu = Ultrascalar::new(
+        ProcConfig::hybrid(n, n / clusters)
+            .with_predictor(pred)
+            .with_mem(base),
     );
-    for ((name, _), (plain, with_cache)) in suite.iter().zip(&results) {
+    let mut cached_cpu = Ultrascalar::new(
+        ProcConfig::hybrid(n, n / clusters)
+            .with_predictor(pred)
+            .with_mem(cached),
+    );
+    for (name, prog) in workload::standard_suite(61) {
+        let (plain, with_cache) = (plain_cpu.run(&prog), cached_cpu.run(&prog));
         assert_eq!(plain.regs, with_cache.regs, "{name}");
         assert_eq!(plain.mem, with_cache.mem, "{name}");
         let plain_net_loads = plain.stats.mem.loads;

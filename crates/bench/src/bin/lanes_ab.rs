@@ -16,7 +16,8 @@
 //! across), so the table reports per-run epochs, divergence peels, and
 //! replay peels next to each speedup. A final config-major section
 //! runs every (arch, kernel) population through the sweep harness's
-//! [`LanePool`] — the grouping the grid binaries use.
+//! [`LanePool`], which keeps one warm lane engine per config — the
+//! grouping the repository benchmark's `lane_pop` workload times.
 //!
 //! Usage: `lanes_ab [--json] [--quick]`. `--json` writes
 //! `BENCH_lanes.json` with per-cell throughput points and
@@ -207,8 +208,7 @@ fn main() {
     // Config-major section: the same (arch, kernel) populations at
     // batch 64, but dispatched through the sweep harness — each worker
     // holds a `LanePool`, so every cell it claims reuses the warm
-    // engine for that cell's config (how `ipc_ablation` and
-    // `throughput` lane-batch their multi-seed populations).
+    // engine for that cell's config.
     println!("\n== config-major populations through the sweep-harness lane pool ==\n");
     let cells: Vec<(usize, usize)> = (0..archs.len())
         .flat_map(|a| (0..kernels.len()).map(move |k| (a, k)))

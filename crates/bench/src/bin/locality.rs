@@ -9,8 +9,8 @@
 //! cargo run -p ultrascalar-bench --bin locality
 //! ```
 
-use ultrascalar::{EnginePool, PredictorKind, ProcConfig};
-use ultrascalar_bench::{parallel_map_with, Table};
+use ultrascalar::{PredictorKind, ProcConfig, Processor, Ultrascalar};
+use ultrascalar_bench::Table;
 use ultrascalar_isa::workload;
 
 fn main() {
@@ -26,15 +26,10 @@ fn main() {
     ]);
     let mut total_hist = vec![0u64; 64];
     let mut total_reg = 0u64;
-    let suite = workload::standard_suite(42);
-    let cfg = ProcConfig::ultrascalar_i(16).with_predictor(PredictorKind::Bimodal(64));
-    // Each worker keeps one warm engine and rewinds it per kernel.
-    let results = parallel_map_with(
-        &suite,
-        || EnginePool::new(1),
-        |pool, (_, prog)| pool.acquire(&cfg).run(prog).clone(),
-    );
-    for ((name, _), r) in suite.iter().zip(&results) {
+    let mut engine =
+        Ultrascalar::new(ProcConfig::ultrascalar_i(16).with_predictor(PredictorKind::Bimodal(64)));
+    for (name, prog) in workload::standard_suite(42) {
+        let r = engine.run(&prog);
         let h = &r.stats.forward_dist;
         let get = |i: usize| h.get(i).copied().unwrap_or(0);
         let d34 = get(3) + get(4);

@@ -7,8 +7,8 @@
 //! cargo run -p ultrascalar-bench --bin networks
 //! ```
 
-use ultrascalar::{EnginePool, PredictorKind, ProcConfig};
-use ultrascalar_bench::{parallel_map_with, Table};
+use ultrascalar::{PredictorKind, ProcConfig, Processor, Ultrascalar};
+use ultrascalar_bench::Table;
 use ultrascalar_isa::workload;
 use ultrascalar_memsys::{Bandwidth, MemConfig, MemRequest, MemSystem, NetworkKind, ReqKind};
 
@@ -95,21 +95,15 @@ fn main() {
         ),
     ];
     let mut t = Table::new(vec!["traffic", "fat tree (cycles)", "butterfly (cycles)"]);
-    // Each worker keeps one memory system per topology and rewinds
-    // them per traffic pattern.
-    let fly_cfg = base.clone().with_network(NetworkKind::Butterfly);
-    let drained = parallel_map_with(
-        &patterns,
-        || {
-            (
-                MemSystem::new(base.clone(), &[]),
-                MemSystem::new(fly_cfg.clone(), &[]),
-            )
-        },
-        |(tree, fly), (_, reqs)| (drain(tree, reqs), drain(fly, reqs)),
-    );
-    for ((name, _), (tree, fly)) in patterns.iter().zip(&drained) {
-        t.row(vec![name.to_string(), format!("{tree}"), format!("{fly}")]);
+    // One memory system per topology, rewound per traffic pattern.
+    let mut tree = MemSystem::new(base.clone(), &[]);
+    let mut fly = MemSystem::new(base.clone().with_network(NetworkKind::Butterfly), &[]);
+    for (name, reqs) in &patterns {
+        t.row(vec![
+            name.to_string(),
+            format!("{}", drain(&mut tree, reqs)),
+            format!("{}", drain(&mut fly, reqs)),
+        ]);
     }
     println!("{t}");
 
@@ -122,24 +116,18 @@ fn main() {
         ..base.clone()
     };
     let pred = PredictorKind::Bimodal(64);
-    let cfg_tree = ProcConfig::ultrascalar_i(16)
-        .with_predictor(pred)
-        .with_mem(mem16.clone());
-    let cfg_fly = ProcConfig::ultrascalar_i(16)
-        .with_predictor(pred)
-        .with_mem(mem16.clone().with_network(NetworkKind::Butterfly));
-    let suite = workload::standard_suite(29);
-    // Each worker keeps one warm engine per topology.
-    let results = parallel_map_with(
-        &suite,
-        || EnginePool::new(2),
-        |pool, (_, prog)| {
-            let tree = pool.acquire(&cfg_tree).run(prog).clone();
-            let fly = pool.acquire(&cfg_fly).run(prog).clone();
-            (tree, fly)
-        },
+    let mut tree_cpu = Ultrascalar::new(
+        ProcConfig::ultrascalar_i(16)
+            .with_predictor(pred)
+            .with_mem(mem16.clone()),
     );
-    for ((name, _), (tree, fly)) in suite.iter().zip(&results) {
+    let mut fly_cpu = Ultrascalar::new(
+        ProcConfig::ultrascalar_i(16)
+            .with_predictor(pred)
+            .with_mem(mem16.with_network(NetworkKind::Butterfly)),
+    );
+    for (name, prog) in workload::standard_suite(29) {
+        let (tree, fly) = (tree_cpu.run(&prog), fly_cpu.run(&prog));
         assert_eq!(tree.regs, fly.regs, "{name}");
         t.row(vec![
             name.to_string(),

@@ -7,41 +7,27 @@
 //! per second, per architecture and window size.
 //!
 //! Each (architecture, window) row is a geomean over the whole kernel
-//! suite. Every kernel runs as a multi-seed *population* (the scored
-//! program plus lane-variant seeds) through one [`LanePool`]: the row's
-//! config groups its populations onto one warm lane-batch engine
-//! (config-major grouping), and the scored IPC comes from population
-//! member 0, which the lane engine guarantees byte-identical to a
-//! serial run.
+//! suite, one serial run per kernel.
 //!
 //! ```text
 //! cargo run -p ultrascalar-bench --bin throughput
 //! ```
 
-use ultrascalar::{PredictorKind, ProcConfig, RunResult};
-use ultrascalar_bench::sweep::LanePool;
+use ultrascalar::{PredictorKind, ProcConfig, Processor, Ultrascalar};
 use ultrascalar_bench::Table;
-use ultrascalar_isa::{workload, Program};
+use ultrascalar_isa::workload;
 use ultrascalar_memsys::Bandwidth;
 use ultrascalar_vlsi::metrics::ArchParams;
 use ultrascalar_vlsi::{hybrid, usi, usii, Tech};
 
-/// Seeds per kernel: the scored program plus 7 lane-variant seeds
-/// riding the same schedule-shared batch.
-const POP: usize = 8;
-
-/// Geomean IPC over the kernel suite (member 0 of each population).
-fn geomean_ipc(pool: &mut LanePool, cfg: &ProcConfig) -> f64 {
+/// Geomean IPC over the kernel suite.
+fn geomean_ipc(cfg: &ProcConfig) -> f64 {
     let kernels = workload::standard_suite(2121);
     let mut s = 0.0;
-    for (k, (_, prog)) in kernels.iter().enumerate() {
-        let mut population = vec![prog.clone()];
-        population.extend(workload::lane_variants(prog, POP - 1, 0x717 ^ k as u64));
-        let refs: Vec<&Program> = population.iter().collect();
-        let mut out = vec![RunResult::default(); POP];
-        pool.run_population(cfg, &refs, &mut out);
-        assert!(out[0].halted);
-        s += out[0].ipc().ln();
+    for (_, prog) in &kernels {
+        let r = Ultrascalar::new(cfg.clone()).run(prog);
+        assert!(r.halted);
+        s += r.ipc().ln();
     }
     (s / kernels.len() as f64).exp()
 }
@@ -85,7 +71,6 @@ fn main() {
             ]
         })
         .collect();
-    let mut pool = LanePool::new();
 
     let mut t = Table::new(vec![
         "architecture",
@@ -97,7 +82,7 @@ fn main() {
         "MIPS/cm²",
     ]);
     for (name, n, m, cfg) in &rows {
-        let ipc = geomean_ipc(&mut pool, cfg);
+        let ipc = geomean_ipc(cfg);
         let period_ps = m.total_delay_ps(&tech);
         let mhz = 1e6 / period_ps;
         let mips = mhz * ipc;
@@ -116,16 +101,5 @@ fn main() {
         "the shapes the paper predicts: the Ultrascalar II's Θ(n + L) clock\n\
          period erodes its (slightly lower) IPC as n grows; the hybrid\n\
          pairs near-US-I IPC with the best clock and area at scale."
-    );
-    let lanes = pool.stats();
-    println!(
-        "\nlane-batched populations: {} batches over {} epochs, {} lane \
-         runs, {} peels ({} replay), {} serial demotions",
-        lanes.batches,
-        lanes.epochs,
-        lanes.lane_runs,
-        lanes.peels,
-        lanes.replay_peels,
-        lanes.fallbacks
     );
 }

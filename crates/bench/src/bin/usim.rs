@@ -1,31 +1,7 @@
 //! `usim` — the Ultrascalar command-line driver.
 //!
-//! ```text
-//! usim run  <file.asm> [options]    run a program on a processor model
-//! usim asm  <file.asm> [--regs N] [--emit out.ubin]
-//!                                   assemble; list encodings or write a .ubin
-//! usim serve [--socket PATH]        batch mode: JSON requests in, JSON
-//!                                   responses out (see crate::serve)
-//! usim help                         this text
-//!
-//! run options:
-//!   --arch usi|usii|hybrid   topology (default usi)
-//!   --window N / -n N        stations (default 16)
-//!   --cluster C / -c C       hybrid cluster size (default n/4)
-//!   --predictor P            perfect|nottaken|taken|btfn|bimodal:K
-//!   --alus K                 shared-ALU pool (Memo 2 scheduler)
-//!   --mem-exp P              memory bandwidth M(s) = s^P (default 1)
-//!   --butterfly              butterfly interconnect instead of fat tree
-//!   --renaming               memory renaming (store→load forwarding)
-//!   --cache                  distributed per-cluster caches
-//!   --fetch-width F          cap instruction fetch per cycle
-//!   --per-hop H              pipelined forwarding, H cycles per tree hop
-//!   --regs N                 logical registers (default 32)
-//!   --diagram                print the Figure 3 timing diagram
-//!   --occupancy              print the station-occupancy trace
-//!   --show-regs              print non-zero final registers
-//!   --max-cycles N           cycle budget
-//! ```
+//! `usim help` prints every subcommand and option (the `HELP` text at
+//! the end of this file).
 //!
 //! Example:
 //! ```text

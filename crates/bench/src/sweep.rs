@@ -1,19 +1,20 @@
-//! Sweep helpers for the experiment binaries.
+//! Sweep helpers for `lanes_ab` and the repository benchmark.
 //!
 //! A sweep evaluates the same measurement at many independent parameter
-//! points (window sizes × kernels, networks × bandwidths, …).
-//! [`parallel_map_with`] runs those points concurrently on `std::thread`
-//! scoped threads with a shared atomic work index — idle workers steal
-//! the next unclaimed point, so uneven point costs (a 256-wide window
-//! simulates far slower than a 16-wide one) still load-balance.
-//! Results are returned **in input order** regardless of completion
-//! order, so a binary that computes all its rows through it and then
-//! prints sequentially produces byte-identical output to a serial run.
+//! points (configs × kernels × batch sizes). [`parallel_map_with`] runs
+//! those points concurrently on `std::thread` scoped threads with a
+//! shared atomic work index — idle workers steal the next unclaimed
+//! point, so uneven point costs (a 256-wide window simulates far slower
+//! than a 16-wide one) still load-balance. Results are returned **in
+//! input order** regardless of completion order, so a caller that
+//! computes all its rows through it and then prints sequentially
+//! produces byte-identical output to a serial run.
 //!
 //! [`LanePool`] keeps warm lane-batch engines per configuration, and
 //! [`JsonReport`] is the machine-readable side of `lanes_ab --json`
 //! (hand-rolled serialisation — this workspace takes no serde
-//! dependency).
+//! dependency). The figure binaries use none of them: each runs its
+//! printed cells serially.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
@@ -28,12 +29,12 @@ use crate::serve::escape_into;
 /// threaded through every point it claims.
 ///
 /// This is how sweeps hoist per-point setup out of the measurement
-/// loop: a worker's state holds warm engines ([`ultrascalar::EnginePool`])
-/// or resettable memory systems, so each point rewinds existing
-/// structures instead of reallocating them. Workers buffer
-/// `(index, result)` pairs and the caller's thread merges them after
-/// the scope joins, so no lock is held during measurement. On a
-/// single-CPU host one worker runs every point with one state.
+/// loop: a worker's state holds warm engines (a [`LanePool`]), so each
+/// point rewinds existing structures instead of reallocating them.
+/// Workers buffer `(index, result)` pairs and the caller's thread
+/// merges them after the scope joins, so no lock is held during
+/// measurement. On a single-CPU host one worker runs every point with
+/// one state.
 ///
 /// # Panics
 /// Propagates a panic from any worker (the sweep is deterministic, so

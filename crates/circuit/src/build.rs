@@ -37,30 +37,17 @@ pub fn mux_bus(nl: &mut Netlist, sel: NodeId, a: &[NodeId], b: &[NodeId]) -> Bus
 /// # Panics
 /// Panics on an empty input slice.
 pub fn and_tree(nl: &mut Netlist, xs: &[NodeId]) -> NodeId {
-    reduce_tree(xs, &mut |a, b| nl.and(a, b))
-}
-
-/// Balanced OR reduction tree; depth `ceil(log2 n)`.
-///
-/// # Panics
-/// Panics on an empty input slice.
-pub fn or_tree(nl: &mut Netlist, xs: &[NodeId]) -> NodeId {
-    reduce_tree(xs, &mut |a, b| nl.or(a, b))
-}
-
-fn reduce_tree(xs: &[NodeId], combine: &mut impl FnMut(NodeId, NodeId) -> NodeId) -> NodeId {
     assert!(!xs.is_empty(), "reduction over empty slice");
     let mut layer: Vec<NodeId> = xs.to_vec();
     while layer.len() > 1 {
-        let mut next = Vec::with_capacity(layer.len().div_ceil(2));
-        for pair in layer.chunks(2) {
-            next.push(if pair.len() == 2 {
-                combine(pair[0], pair[1])
-            } else {
-                pair[0]
-            });
-        }
-        layer = next;
+        layer = layer
+            .chunks(2)
+            .map(|pair| match *pair {
+                [a, b] => nl.and(a, b),
+                [a] => a,
+                _ => unreachable!("chunks(2)"),
+            })
+            .collect();
     }
     layer[0]
 }
@@ -120,19 +107,6 @@ pub fn bus_value(eval: &crate::netlist::Evaluation, bus: &[NodeId]) -> u64 {
         .fold(0u64, |acc, (i, &n)| acc | (eval.value(n) as u64) << i)
 }
 
-/// Bind a bus's input values into an input-vector under construction.
-///
-/// `slots` must be the positions of `bus`'s wires in the netlist input
-/// order; in practice buses are created with [`input_bus`] so their
-/// wires are consecutive. This helper writes `value`'s bits into
-/// `inputs` at the positions corresponding to `bus`'s wires, given the
-/// id of the first input node of the netlist.
-pub fn set_bus_value(inputs: &mut [bool], bus_first_input_index: usize, width: usize, value: u64) {
-    for i in 0..width {
-        inputs[bus_first_input_index + i] = value >> i & 1 == 1;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,7 +133,7 @@ mod tests {
     }
 
     #[test]
-    fn and_or_trees_match_folds() {
+    fn and_tree_matches_fold() {
         for n in 1..=17usize {
             for pattern in [0u32, !0u32, 0b1_1010_1010_1010_1010, 7] {
                 let mut nl = Netlist::new();
@@ -167,11 +141,9 @@ mod tests {
                     .map(|i| nl.constant(pattern >> (i % 32) & 1 == 1))
                     .collect();
                 let at = and_tree(&mut nl, &xs);
-                let ot = or_tree(&mut nl, &xs);
                 let e = nl.evaluate(&[]).unwrap();
                 let bits: Vec<bool> = (0..n).map(|i| pattern >> (i % 32) & 1 == 1).collect();
                 assert_eq!(e.value(at), bits.iter().all(|&b| b), "and n={n}");
-                assert_eq!(e.value(ot), bits.iter().any(|&b| b), "or n={n}");
             }
         }
     }
@@ -196,9 +168,7 @@ mod tests {
         let b = input_bus(&mut nl, 6);
         let eq = eq_comparator(&mut nl, &a, &b);
         for (x, y) in [(0u64, 0u64), (5, 5), (5, 4), (63, 63), (63, 31)] {
-            let mut inputs = vec![false; 12];
-            set_bus_value(&mut inputs, 0, 6, x);
-            set_bus_value(&mut inputs, 6, 6, y);
+            let inputs: Vec<bool> = (0..12).map(|i| [x, y][i / 6] >> (i % 6) & 1 == 1).collect();
             let e = nl.evaluate(&inputs).unwrap();
             assert_eq!(e.value(eq), x == y, "{x} vs {y}");
         }

@@ -120,11 +120,6 @@ impl Evaluation {
         self.levels[n.idx()]
     }
 
-    /// Values of the declared outputs, in declaration order.
-    pub fn output_values(&self) -> Vec<bool> {
-        self.outputs.iter().map(|&n| self.value(n)).collect()
-    }
-
     /// Critical-path gate delay of this evaluation: the maximum settle
     /// level over the declared outputs (or over all nodes if no outputs
     /// were declared).
@@ -197,7 +192,7 @@ impl Netlist {
     }
 
     /// Declare a node as a circuit output (affects
-    /// [`Evaluation::max_level`] and [`Evaluation::output_values`]).
+    /// [`Evaluation::max_level`]).
     pub fn mark_output(&mut self, n: NodeId) {
         self.outputs.push(n);
     }

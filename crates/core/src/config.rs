@@ -199,16 +199,6 @@ impl ProcConfig {
         self
     }
 
-    /// Number of clusters `K = n / C`.
-    ///
-    /// # Panics
-    /// Panics if the configuration is invalid (use
-    /// [`ProcConfig::validate`] first for a `Result`).
-    pub fn num_clusters(&self) -> usize {
-        self.validate().expect("invalid processor configuration");
-        self.window / self.cluster
-    }
-
     /// Check the structural constraints.
     pub fn validate(&self) -> Result<(), String> {
         if self.window == 0 {
@@ -248,13 +238,6 @@ mod tests {
         assert_eq!(hop_level(4, 5), 1);
         assert_eq!(hop_level(0, 7), 3);
         assert_eq!(hop_level(0, 63), 6);
-    }
-
-    #[test]
-    fn presets() {
-        assert_eq!(ProcConfig::ultrascalar_i(8).num_clusters(), 8);
-        assert_eq!(ProcConfig::ultrascalar_ii(8).num_clusters(), 1);
-        assert_eq!(ProcConfig::hybrid(32, 8).num_clusters(), 4);
     }
 
     #[test]

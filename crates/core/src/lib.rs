@@ -66,7 +66,7 @@ pub use config::{ForwardModel, ProcConfig};
 pub use engine::{FlushEvent, FlushedEntry, ReplayLog, Ultrascalar, WalkCensus};
 pub use lane::{LaneBatchEngine, LaneBatchStats, LaneBatcher, MAX_LANES, MAX_LEADER_LOG};
 pub use latency::LatencyModel;
-pub use pool::{config_shard_hash, EnginePool, PoolStats, PooledEngine, ShardedEnginePool};
+pub use pool::{PoolStats, PooledEngine, ShardedEnginePool};
 pub use predict::PredictorKind;
 pub use processor::{Processor, RunResult};
 pub use stats::ProcStats;

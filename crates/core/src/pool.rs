@@ -5,33 +5,26 @@
 //! expensive structures are built once and rewound in place. An engine
 //! retains its fetch unit, memory system, window clusters and scan
 //! buffers across runs (see [`crate::engine::Ultrascalar`]), so a pool
-//! hit turns a request into a pure [`Processor::run_reusing`] call —
+//! hit turns a request into a pure [`crate::Processor::run_reusing`] call —
 //! zero allocations in steady state. Each pooled engine carries its own
 //! [`RunResult`] buffer for the same reason.
 //!
-//! Each pool is a small linear-scan LRU: request streams alternate
+//! Each shard is a small linear-scan LRU: request streams alternate
 //! between a handful of configurations, so an exact `ProcConfig`
 //! comparison over a few entries beats any hashing scheme — and a
 //! config compare allocates nothing.
 //!
-//! Two access disciplines are provided:
-//!
-//! * [`EnginePool::acquire`] — borrow a warm engine in place. The
-//!   single-threaded discipline: the caller runs while the pool is
-//!   mutably borrowed.
-//! * [`EnginePool::try_take`] / [`EnginePool::put`] and the
-//!   multi-shard [`ShardedEnginePool::checkout`] /
-//!   [`ShardedEnginePool::checkin`] — *remove* a warm engine from the
-//!   pool, run it with no lock held, and return it afterwards. The
-//!   concurrent serving loop's discipline: a shard mutex is held only
-//!   for the linear scan, never for a simulation, so worker threads
-//!   contend for nanoseconds, not for run times. Two workers
-//!   simulating the same configuration simply hold two engines; both
-//!   go back at check-in (evicting LRU entries past capacity).
+//! The access discipline is [`ShardedEnginePool::checkout`] /
+//! [`ShardedEnginePool::checkin`]: *remove* a warm engine from the
+//! pool, run it with no lock held, and return it afterwards. A shard
+//! mutex is held only for the linear scan, never for a simulation, so
+//! worker threads contend for nanoseconds, not for run times. Two
+//! workers simulating the same configuration simply hold two engines;
+//! both go back at check-in (evicting LRU entries past capacity).
 
 use crate::config::ProcConfig;
 use crate::engine::Ultrascalar;
-use crate::processor::{Processor, RunResult};
+use crate::processor::RunResult;
 use std::sync::{Mutex, MutexGuard};
 
 /// A warm engine with its reusable result buffer.
@@ -39,29 +32,19 @@ use std::sync::{Mutex, MutexGuard};
 pub struct PooledEngine {
     /// The engine (configuration fixed at pool admission).
     pub engine: Ultrascalar,
-    /// Result buffer for [`Processor::run_reusing`]; overwritten by
-    /// each run, so read it before the next acquire-and-run. It
-    /// records no timings unless its `timings` is set to `Some`.
+    /// Result buffer for [`crate::Processor::run_reusing`]; overwritten
+    /// by each run, so read it before the next run. It records no
+    /// timings unless its `timings` is set to `Some`.
     pub result: RunResult,
 }
 
 impl PooledEngine {
     /// Build a cold engine for `cfg` (the checkout-miss path).
-    ///
-    /// # Panics
-    /// Panics if `cfg` is invalid (as [`Ultrascalar::new`] would).
-    pub fn new(cfg: &ProcConfig) -> Self {
+    fn new(cfg: &ProcConfig) -> Self {
         PooledEngine {
             engine: Ultrascalar::new(cfg.clone()),
             result: RunResult::default(),
         }
-    }
-
-    /// Run `program` on the warm engine into the pooled result buffer
-    /// and return a reference to it.
-    pub fn run(&mut self, program: &ultrascalar_isa::Program) -> &RunResult {
-        self.engine.run_reusing(program, &mut self.result);
-        &self.result
     }
 }
 
@@ -69,9 +52,9 @@ impl PooledEngine {
 /// pool's).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Acquisitions/checkouts served by an already-warm engine.
+    /// Checkouts served by an already-warm engine.
     pub hits: u64,
-    /// Acquisitions/checkouts that had to build an engine.
+    /// Checkouts that had to build an engine.
     pub misses: u64,
     /// Warm engines dropped to make room at capacity.
     pub evictions: u64,
@@ -80,9 +63,10 @@ pub struct PoolStats {
     pub warm: usize,
 }
 
-/// LRU pool of warm engines keyed by exact [`ProcConfig`] equality.
+/// One shard: an LRU pool of warm engines keyed by exact
+/// [`ProcConfig`] equality.
 #[derive(Debug)]
-pub struct EnginePool {
+struct EnginePool {
     entries: Vec<(u64, PooledEngine)>,
     capacity: usize,
     stamp: u64,
@@ -92,11 +76,8 @@ pub struct EnginePool {
 }
 
 impl EnginePool {
-    /// Create a pool holding at most `capacity` warm engines.
-    ///
-    /// # Panics
-    /// Panics if `capacity == 0`.
-    pub fn new(capacity: usize) -> Self {
+    /// A pool holding at most `capacity` warm engines.
+    fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "engine pool needs capacity");
         EnginePool {
             entries: Vec::with_capacity(capacity + 1),
@@ -108,41 +89,11 @@ impl EnginePool {
         }
     }
 
-    /// Fetch the warm engine for `cfg`, building one on first use (and
-    /// evicting the least recently used engine at capacity). A hit
-    /// performs no allocation at all.
-    ///
-    /// # Panics
-    /// Panics if `cfg` is invalid (as [`Ultrascalar::new`] would).
-    pub fn acquire(&mut self, cfg: &ProcConfig) -> &mut PooledEngine {
-        self.stamp += 1;
-        let found = self
-            .entries
-            .iter()
-            .position(|(_, p)| p.engine.config() == cfg);
-        let idx = match found {
-            Some(i) => {
-                self.hits += 1;
-                self.entries[i].0 = self.stamp;
-                i
-            }
-            None => {
-                self.misses += 1;
-                if self.entries.len() == self.capacity {
-                    self.evict_lru();
-                }
-                self.entries.push((self.stamp, PooledEngine::new(cfg)));
-                self.entries.len() - 1
-            }
-        };
-        &mut self.entries[idx].1
-    }
-
     /// Remove and return the warm engine for `cfg` if one is pooled
     /// (counted as a hit; `None` is counted as a miss and the caller
     /// builds its own). A hit performs no allocation — the entry is
     /// `swap_remove`d out of the scan vector.
-    pub fn try_take(&mut self, cfg: &ProcConfig) -> Option<PooledEngine> {
+    fn try_take(&mut self, cfg: &ProcConfig) -> Option<PooledEngine> {
         self.stamp += 1;
         let found = self
             .entries
@@ -164,7 +115,7 @@ impl EnginePool {
     /// evicting the least recently used entry if the pool is over
     /// capacity. Within capacity this performs no allocation: the
     /// entry vector's slack is reserved up front.
-    pub fn put(&mut self, engine: PooledEngine) {
+    fn put(&mut self, engine: PooledEngine) {
         self.stamp += 1;
         self.entries.push((self.stamp, engine));
         while self.entries.len() > self.capacity {
@@ -184,18 +135,8 @@ impl EnginePool {
         self.evictions += 1;
     }
 
-    /// Engines currently pooled.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Is the pool empty (no engine warmed yet)?
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Counter snapshot.
-    pub fn stats(&self) -> PoolStats {
+    fn stats(&self) -> PoolStats {
         PoolStats {
             hits: self.hits,
             misses: self.misses,
@@ -210,7 +151,7 @@ impl EnginePool {
 /// configs land in the same shard and the exact `ProcConfig` equality
 /// scan still separates them); what matters is that *equal* configs
 /// always hash equal, and that the hash allocates nothing.
-pub fn config_shard_hash(cfg: &ProcConfig) -> u64 {
+fn config_shard_hash(cfg: &ProcConfig) -> u64 {
     #[inline]
     fn mix(h: u64, v: u64) -> u64 {
         (h ^ v).wrapping_mul(0x0000_0100_0000_01b3)
@@ -263,9 +204,9 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// N independent [`EnginePool`] shards, each behind its own mutex,
-/// selected by [`config_shard_hash`] — the concurrent serving loop's
-/// shared engine pool.
+/// N independent LRU shards of warm engines, each behind its own
+/// mutex and selected by a stable hash of the configuration — the
+/// concurrent serving loop's shared engine pool.
 ///
 /// The access discipline is checkout/checkin: a checkout *removes* the
 /// warm engine (or builds one on a miss, outside any lock), the worker
@@ -335,58 +276,68 @@ impl ShardedEnginePool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ultrascalar_isa::workload;
+    use crate::processor::Processor;
+    use ultrascalar_isa::{workload, Program};
+
+    /// Run `prog` on a checked-out engine into its result buffer.
+    fn run<'a>(e: &'a mut PooledEngine, prog: &Program) -> &'a RunResult {
+        e.engine.run_reusing(prog, &mut e.result);
+        &e.result
+    }
+
+    /// Check out and straight back in: one warm-or-cold visit.
+    fn visit(pool: &ShardedEnginePool, cfg: &ProcConfig) {
+        pool.checkin(pool.checkout(cfg));
+    }
+
+    fn counts(pool: &ShardedEnginePool) -> (u64, u64, usize) {
+        let s = pool.stats();
+        (s.hits, s.misses, s.warm)
+    }
 
     #[test]
     fn hit_reuses_miss_builds() {
-        let mut pool = EnginePool::new(2);
+        let pool = ShardedEnginePool::new(2, 1);
         let a = ProcConfig::ultrascalar_i(4);
         let b = ProcConfig::ultrascalar_ii(4);
-        pool.acquire(&a);
-        assert_eq!(
-            (pool.stats().hits, pool.stats().misses, pool.len()),
-            (0, 1, 1)
-        );
-        pool.acquire(&a);
-        assert_eq!(
-            (pool.stats().hits, pool.stats().misses, pool.len()),
-            (1, 1, 1)
-        );
-        pool.acquire(&b);
-        assert_eq!(
-            (pool.stats().hits, pool.stats().misses, pool.len()),
-            (1, 2, 2)
-        );
+        visit(&pool, &a);
+        assert_eq!(counts(&pool), (0, 1, 1));
+        visit(&pool, &a);
+        assert_eq!(counts(&pool), (1, 1, 1));
+        visit(&pool, &b);
+        assert_eq!(counts(&pool), (1, 2, 2));
     }
 
     #[test]
     fn capacity_evicts_least_recently_used() {
-        let mut pool = EnginePool::new(2);
+        let pool = ShardedEnginePool::new(2, 1);
         let a = ProcConfig::ultrascalar_i(4);
         let b = ProcConfig::ultrascalar_i(8);
         let c = ProcConfig::ultrascalar_i(16);
-        pool.acquire(&a);
-        pool.acquire(&b);
-        pool.acquire(&a); // refresh a: b is now LRU
-        pool.acquire(&c); // evicts b
-        assert_eq!(pool.len(), 2);
+        visit(&pool, &a);
+        visit(&pool, &b);
+        visit(&pool, &a); // refresh a: b is now LRU
+        visit(&pool, &c); // evicts b
+        assert_eq!(pool.stats().warm, 2);
         assert_eq!(pool.stats().evictions, 1);
         let before = pool.stats().misses;
-        pool.acquire(&a);
+        visit(&pool, &a);
         assert_eq!(pool.stats().misses, before, "a must still be warm");
-        pool.acquire(&b);
+        visit(&pool, &b);
         assert_eq!(pool.stats().misses, before + 1, "b was evicted");
     }
 
     #[test]
     fn pooled_run_matches_fresh_engine() {
-        let mut pool = EnginePool::new(1);
+        let pool = ShardedEnginePool::new(1, 1);
         let cfg = ProcConfig::ultrascalar_i(8);
         for (name, prog) in workload::standard_suite(3) {
             let fresh = Ultrascalar::new(cfg.clone()).run(&prog);
-            let warm = pool.acquire(&cfg).run(&prog);
+            let mut e = pool.checkout(&cfg);
+            let warm = run(&mut e, &prog);
             assert_eq!(warm.cycles, fresh.cycles, "{name}");
             assert_eq!(warm.regs, fresh.regs, "{name}");
+            pool.checkin(e);
         }
     }
 
@@ -399,11 +350,11 @@ mod tests {
         pool.put(PooledEngine::new(&a));
         let taken = pool.try_take(&a).expect("warm engine comes back");
         assert_eq!(
-            (pool.stats().hits, pool.stats().misses, pool.len()),
+            (pool.stats().hits, pool.stats().misses, pool.stats().warm),
             (1, 1, 0)
         );
         pool.put(taken);
-        assert_eq!(pool.len(), 1);
+        assert_eq!(pool.stats().warm, 1);
         assert_eq!(pool.stats().evictions, 0);
     }
 
@@ -414,7 +365,7 @@ mod tests {
         let b = ProcConfig::ultrascalar_i(8);
         pool.put(PooledEngine::new(&a));
         pool.put(PooledEngine::new(&b));
-        assert_eq!(pool.len(), 1);
+        assert_eq!(pool.stats().warm, 1);
         assert_eq!(pool.stats().evictions, 1);
         // The later put (b) survives; a was the LRU.
         assert!(pool.try_take(&b).is_some());
@@ -501,7 +452,7 @@ mod tests {
         assert_eq!(pool.stats().misses, 1);
         assert_eq!(pool.stats().warm, 0, "checked-out engine is owned");
         let prog = ultrascalar_isa::assemble("li r1, 5\nhalt\n", 32).unwrap();
-        assert_eq!(e.run(&prog).regs[1], 5);
+        assert_eq!(run(&mut e, &prog).regs[1], 5);
         pool.checkin(e);
         assert_eq!(pool.stats().warm, 1);
         let _e2 = pool.checkout(&cfg);
@@ -523,7 +474,7 @@ mod tests {
                 for i in 0..16 {
                     let cfg = &configs[(t + i) % configs.len()];
                     let mut e = pool.checkout(cfg);
-                    assert_eq!(e.run(&prog).regs[1], 9);
+                    assert_eq!(run(&mut e, &prog).regs[1], 9);
                     pool.checkin(e);
                 }
             }));

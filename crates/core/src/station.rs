@@ -82,12 +82,6 @@ impl StationEntry {
         self.completed_at.is_some_and(|c| c < t)
     }
 
-    /// Has execution finished at all (regardless of cycle)?
-    #[inline]
-    pub fn is_done(&self) -> bool {
-        self.completed_at.is_some()
-    }
-
     /// Is this the synthetic halt inserted when the pc runs off the end
     /// of the program?
     #[inline]
@@ -117,7 +111,6 @@ mod tests {
         e.completed_at = Some(4);
         assert!(e.done_before(5));
         assert!(!e.done_before(4));
-        assert!(e.is_done());
     }
 
     #[test]

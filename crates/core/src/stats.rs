@@ -208,15 +208,6 @@ impl ProcStats {
         }
         self.forward_dist.get(1).copied().unwrap_or(0) as f64 / total as f64
     }
-
-    /// Misprediction rate over committed branches.
-    pub fn mispredict_rate(&self) -> f64 {
-        if self.branches == 0 {
-            0.0
-        } else {
-            self.mispredictions as f64 / self.branches as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -240,7 +231,6 @@ mod tests {
         let s = ProcStats::default();
         assert_eq!(s.ipc(), 0.0);
         assert_eq!(s.mean_occupancy(), 0.0);
-        assert_eq!(s.mispredict_rate(), 0.0);
         assert_eq!(s.local_forward_fraction(), 0.0);
     }
 

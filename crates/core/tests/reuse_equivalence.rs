@@ -13,8 +13,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use ultrascalar::{
-    BaselineOoO, EnginePool, ForwardModel, LaneBatcher, PredictorKind, ProcConfig, Processor,
-    RunResult, Ultrascalar,
+    BaselineOoO, ForwardModel, LaneBatcher, PredictorKind, ProcConfig, Processor, RunResult,
+    ShardedEnginePool, Ultrascalar,
 };
 use ultrascalar_isa::{asm, workload, Program};
 use ultrascalar_memsys::{Bandwidth, CacheConfig, MemConfig, NetworkKind};
@@ -150,22 +150,23 @@ fn alternating_programs_reset_cleanly() {
     }
 }
 
-/// The pool's warm path composes the same guarantees: acquire-and-run
-/// matches a fresh engine for every kernel even as configs alternate
-/// and evict.
+/// The pool's warm path composes the same guarantees: a checked-out
+/// engine's run matches a fresh engine for every kernel even as
+/// configs alternate and evict.
 #[test]
 fn pooled_engines_stay_exact_under_eviction() {
     let suite = workload::standard_suite(6);
     let all = configs();
     // Capacity below the config count forces evictions and rebuilds.
-    let mut pool = EnginePool::new(2);
+    let pool = ShardedEnginePool::new(2, 1);
     for (cname, cfg) in all.iter().chain(all.iter()) {
         for (kname, prog) in suite.iter().take(3) {
-            let pooled = pool.acquire(cfg);
+            let mut pooled = pool.checkout(cfg);
             pooled.result.timings.get_or_insert_with(Vec::new);
-            let warm = pooled.run(prog).clone();
+            pooled.engine.run_reusing(prog, &mut pooled.result);
             let fresh = Ultrascalar::new(cfg.clone()).run_timed(prog);
-            assert_same(&format!("pool/{cname}/{kname}"), &warm, &fresh);
+            assert_same(&format!("pool/{cname}/{kname}"), &pooled.result, &fresh);
+            pool.checkin(pooled);
         }
     }
     assert!(pool.stats().misses > all.len() as u64, "evictions occurred");

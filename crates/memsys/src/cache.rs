@@ -141,16 +141,6 @@ impl ClusterCaches {
             }
         }
     }
-
-    /// Hit rate over all lookups so far.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -221,14 +211,5 @@ mod tests {
         for g in 0..4 {
             assert_eq!(groups.iter().filter(|&&x| x == g).count(), 4);
         }
-    }
-
-    #[test]
-    fn hit_rate() {
-        let mut c = ClusterCaches::new(CacheConfig::small(1));
-        c.fill(0, 1, 5);
-        let _ = c.lookup(0, 1);
-        let _ = c.lookup(0, 2);
-        assert!((c.hit_rate() - 0.5).abs() < 1e-12);
     }
 }

@@ -1,4 +1,4 @@
-//! Segmented and **cyclic segmented** parallel prefix (CSPP).
+//! **Cyclic segmented** parallel prefix (CSPP).
 //!
 //! The CSPP circuit (Henry & Kuszmaul, Ultrascalar Memo 1; paper
 //! Figures 4–5) is the workhorse of the Ultrascalar: for each position
@@ -20,61 +20,13 @@
 //!
 //! Both a quadratic-work reference evaluation ([`cspp_ring`]) and the
 //! hardware's `Θ(log n)`-depth tree evaluation ([`cspp_tree`]) are
-//! provided; property tests pin them together. The tree forms, and the
-//! circuit generators' gate-emitting [`cspp_heap_with`], all run the
-//! one sweep in [`crate::tree`].
+//! provided; property tests pin them together. The tree form and the
+//! circuit generators (whose combine emits gates into a netlist) run
+//! the one up/down sweep in [`cspp_heap_with`]; its gate-level
+//! `Θ(log n)` depth is measured on those generated netlists
+//! (`fig05_cspp`, `tests/paper_claims.rs`).
 
 use crate::op::{PrefixOp, SegOp, SegPair};
-use crate::tree::exclusive_sweep_with;
-
-/// Lift each station's `(value, segment bit)` to a leaf summary.
-fn seg_leaves<T: Clone>(xs: &[T], seg: &[bool]) -> Vec<SegPair<T>> {
-    assert_eq!(xs.len(), seg.len(), "value/segment length mismatch");
-    xs.iter()
-        .zip(seg)
-        .map(|(x, &s)| SegPair::leaf(x.clone(), s))
-        .collect()
-}
-
-/// Non-cyclic segmented *exclusive* backward-looking prefix, linear
-/// reference implementation.
-///
-/// `out[i]` summarises `init ⊗ x[0] ⊗ … ⊗ x[i-1]` under the segmented
-/// combination rule: accumulation restarts at every raised segment bit,
-/// so `out[i].value` is the combination of the inputs since (and
-/// including) the nearest preceding segment start, and `out[i].seg`
-/// reports whether any boundary precedes `i` at all. `init` flows in
-/// before element 0 (e.g. the committed register file in a processor
-/// datapath).
-///
-/// # Panics
-/// Panics if `xs.len() != seg.len()`.
-pub fn segmented_prefix_ring<T: Clone, O: PrefixOp<T>>(
-    xs: &[T],
-    seg: &[bool],
-    init: SegPair<T>,
-) -> Vec<SegPair<T>> {
-    assert_eq!(xs.len(), seg.len(), "value/segment length mismatch");
-    let mut out = Vec::with_capacity(xs.len());
-    let mut acc = init;
-    for (x, &s) in xs.iter().zip(seg) {
-        out.push(acc.clone());
-        acc = SegOp::<O>::combine(&acc, &SegPair::leaf(x.clone(), s));
-    }
-    out
-}
-
-/// Non-cyclic segmented exclusive prefix via a `Θ(log n)`-depth tree.
-///
-/// Semantics identical to [`segmented_prefix_ring`]; returns the same
-/// vector for every input (property-tested).
-pub fn segmented_prefix_tree<T: Clone, O: PrefixOp<T>>(
-    xs: &[T],
-    seg: &[bool],
-    init: SegPair<T>,
-) -> Vec<SegPair<T>> {
-    exclusive_sweep_with(&seg_leaves(xs, seg), |_| init, SegOp::<O>::combine)
-}
 
 /// Cyclic segmented parallel prefix, quadratic reference evaluation.
 ///
@@ -96,10 +48,9 @@ pub fn segmented_prefix_tree<T: Clone, O: PrefixOp<T>>(
 /// equals the fold of exactly the `n` cyclically-preceding elements.
 ///
 /// This is the slow reference form, kept as the oracle for property
-/// tests; production paths (benches, the allocator in
-/// [`crate::sched`]) use [`cspp_tree`]. A debug assertion rejects
-/// rings beyond 4096 stations to catch the reference form sneaking
-/// into a sized sweep.
+/// tests and the circuit generators' cross-checks; [`cspp_tree`] is
+/// the hardware's form. A debug assertion rejects rings beyond 4096
+/// stations to catch the reference form sneaking into a sized sweep.
 ///
 /// # Panics
 /// Panics if `xs.len() != seg.len()` or the ring is empty.
@@ -137,7 +88,28 @@ pub fn cspp_ring<T: Clone, O: PrefixOp<T>>(xs: &[T], seg: &[bool]) -> Vec<SegPai
 /// # Panics
 /// Panics on empty input or if `xs.len() != seg.len()`.
 pub fn cspp_tree<T: Clone, O: PrefixOp<T>>(xs: &[T], seg: &[bool]) -> Vec<SegPair<T>> {
-    cspp_heap_with(&seg_leaves(xs, seg), SegOp::<O>::combine)
+    assert_eq!(xs.len(), seg.len(), "value/segment length mismatch");
+    let leaves: Vec<SegPair<T>> = xs
+        .iter()
+        .zip(seg)
+        .map(|(x, &s)| SegPair::leaf(x.clone(), s))
+        .collect();
+    cspp_heap_with(&leaves, SegOp::<O>::combine)
+}
+
+/// Number of leaves covered by heap node `k` in a tree of `size`
+/// leaf slots (`size` a power of two, `k` in `1..2*size`).
+#[inline]
+fn node_span(size: usize, k: usize) -> usize {
+    debug_assert!(k >= 1 && k < 2 * size);
+    (2 * size) >> (usize::BITS - k.leading_zeros())
+}
+
+/// Does heap node `k` cover at least one of the `n` real leaves?
+#[inline]
+fn occupied(size: usize, n: usize, k: usize) -> bool {
+    // Leftmost leaf index covered by k is k*span - size.
+    k * node_span(size, k) < size + n
 }
 
 /// Cyclic prefix over a heap-layout tree, driven by a *closure*
@@ -145,18 +117,57 @@ pub fn cspp_tree<T: Clone, O: PrefixOp<T>>(xs: &[T], seg: &[bool]) -> Vec<SegPai
 /// generators use, where "combining" two summaries means **emitting
 /// gates into a netlist** (the closure captures `&mut Netlist`).
 ///
+/// One up-sweep and one down-sweep over a left-balanced heap of
+/// `2 * size` slots (`size = ceil_pow2(n)`), leaves in order, internal
+/// nodes combining contiguous intervals. Occupancy is *arithmetic*, not
+/// data: node `k` covers `span(k) = (2*size) >> bitlen(k)` leaves
+/// starting at leaf `k*span(k) - size`, so it is occupied iff
+/// `k * span(k) < size + n`. Because leaves are left-packed, a node's
+/// right child being occupied implies its left child is too, so
+/// non-power-of-two widths cost no dead combines.
+///
 /// Tying the top of the tree: what flows into leaf 0 "from before" is
 /// the root's own summary — for segmented leaves, the accumulation
 /// since the *last* raised segment bit, exactly the paper's cyclic
 /// wrap (Figure 4). Returns `out[i]` = the combination flowing into
-/// leaf `i` from its cyclic predecessors, in the fixed combination
-/// order of [`exclusive_sweep_with`].
+/// leaf `i` from its cyclic predecessors. The combination *order* —
+/// which pairs are combined, bottom-up then top-down — is fixed, so a
+/// gate-emitting `combine` generates the canonical `Θ(log n)`-depth
+/// circuit.
 ///
 /// # Panics
 /// Panics on empty input.
-pub fn cspp_heap_with<T: Clone>(leaves: &[T], combine: impl FnMut(&T, &T) -> T) -> Vec<T> {
+pub fn cspp_heap_with<T: Clone>(leaves: &[T], mut combine: impl FnMut(&T, &T) -> T) -> Vec<T> {
     assert!(!leaves.is_empty(), "CSPP ring must be non-empty");
-    exclusive_sweep_with(leaves, T::clone, combine)
+    let n = leaves.len();
+    let size = n.next_power_of_two();
+    // Unoccupied slots hold filler that is never read.
+    let mut summaries: Vec<T> = vec![leaves[0].clone(); 2 * size];
+    summaries[size..size + n].clone_from_slice(leaves);
+    for k in (1..size).rev() {
+        if occupied(size, n, 2 * k + 1) {
+            let c = combine(&summaries[2 * k], &summaries[2 * k + 1]);
+            summaries[k] = c;
+        } else if occupied(size, n, 2 * k) {
+            // Left-packed: an occupied node with an empty right child
+            // just forwards its left child's summary.
+            summaries[k] = summaries[2 * k].clone();
+        }
+    }
+    let mut prefix: Vec<T> = vec![summaries[1].clone(); 2 * size];
+    for k in 1..size {
+        if !occupied(size, n, k) {
+            continue;
+        }
+        // Left child (occupied whenever k is) sees the same prefix;
+        // right child sees prefix ⊗ left-summary.
+        let p = prefix[k].clone();
+        if occupied(size, n, 2 * k + 1) {
+            prefix[2 * k + 1] = combine(&p, &summaries[2 * k]);
+        }
+        prefix[2 * k] = p;
+    }
+    prefix[size..size + n].to_vec()
 }
 
 /// Paper Figure 5 convenience: the 1-bit CSPP with the AND operator.
@@ -182,9 +193,42 @@ pub fn cspp_all_earlier(conditions: &[bool], oldest: usize) -> Vec<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::op::{BoolAnd, First, Sum};
+    use crate::op::{BoolAnd, First};
     use rand::rngs::StdRng;
     use rand::{case_rng, Rng};
+
+    /// Wrapping addition. Unlike the paper's idempotent or selecting
+    /// operators, it changes the result when the sweep combines a leaf
+    /// twice or drops one, so the ring-vs-tree sweeps use it too.
+    pub(super) struct Sum;
+
+    impl PrefixOp<u64> for Sum {
+        fn combine(a: &u64, b: &u64) -> u64 {
+            a.wrapping_add(*b)
+        }
+    }
+
+    #[test]
+    fn occupancy_arithmetic_matches_option_heap() {
+        for n in 1..=40usize {
+            let size = n.next_power_of_two();
+            // Reference: propagate leaf occupancy up the heap.
+            let mut occ = vec![false; 2 * size];
+            for i in 0..n {
+                occ[size + i] = true;
+            }
+            for k in (1..size).rev() {
+                occ[k] = occ[2 * k] || occ[2 * k + 1];
+            }
+            for k in 1..2 * size {
+                assert_eq!(occupied(size, n, k), occ[k], "n={n} k={k}");
+                // Left-packed invariant: right occupied => left occupied.
+                if k < size && occ[2 * k + 1] {
+                    assert!(occ[2 * k]);
+                }
+            }
+        }
+    }
 
     /// The worked example of paper Figure 5: station 6 is oldest (seg
     /// raised); stations {6, 7, 0, 1, 3} have met the condition; the
@@ -301,25 +345,6 @@ mod tests {
     }
 
     #[test]
-    fn noncyclic_ring_and_tree_agree() {
-        for n in 1..=130usize {
-            let mut rng = case_rng(0x0FED_CBA9_8765_4321, n as u64);
-            let vals: Vec<u64> = (0..n as u64).map(|i| i * 11 + 5).collect();
-            for fill in 0..4 {
-                let seg = seg_fill(n, fill, &mut rng);
-                // Non-identity seeds, with and without a boundary bit.
-                for init in [SegPair::leaf(999u64, true), SegPair::leaf(7, false)] {
-                    assert_eq!(
-                        segmented_prefix_ring::<_, Sum>(&vals, &seg, init),
-                        segmented_prefix_tree::<_, Sum>(&vals, &seg, init),
-                        "n={n} fill={fill} init={init:?}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn heap_with_closure_matches_cspp_ring() {
         for n in 1..=33usize {
             let vals: Vec<u32> = (0..n as u32).map(|i| i * 7 + 1).collect();
@@ -344,13 +369,13 @@ mod tests {
 
     #[test]
     fn no_segment_bit_anywhere_reports_unsegmented() {
-        let vals = [1u32, 2, 3, 4];
+        let vals = [1u64, 2, 3, 4];
         let seg = [false; 4];
         let out = cspp_tree::<_, Sum>(&vals, &seg);
         // Without a boundary the values are wrap-around artefacts
         // (ring-fold ⊗ prefix-fold); the seg=false flag marks them as
         // don't-care for callers.
-        for (p, expect) in out.iter().zip([10u32, 11, 13, 16]) {
+        for (p, expect) in out.iter().zip([10u64, 11, 13, 16]) {
             assert!(!p.seg);
             assert_eq!(p.value, expect);
         }
@@ -364,18 +389,46 @@ mod tests {
     }
 
     #[test]
-    fn init_flows_to_position_zero() {
-        let out =
-            segmented_prefix_ring::<u32, Sum>(&[1, 2], &[false, false], SegPair::leaf(50, true));
-        assert_eq!(out[0].value, 50);
-        assert_eq!(out[1].value, 51);
-        assert!(out[1].seg);
-    }
-
-    #[test]
     #[should_panic(expected = "oldest station out of range")]
     fn oldest_out_of_range_panics() {
         let _ = cspp_all_earlier(&[true, false], 5);
+    }
+
+    /// Figure 5's semantics at every ring size: station `i` (other than
+    /// the oldest, whose wrapped output the hardware ignores) sees high
+    /// iff every station from `oldest` to `i - 1`, cyclically, has its
+    /// condition set. Ring size n draws fresh conditions for every
+    /// `oldest` and fill from `case_rng(0xF165_0005, n)`.
+    #[test]
+    fn cspp_all_earlier_matches_its_definition() {
+        for n in 1..=130usize {
+            let mut rng = case_rng(0xF165_0005, n as u64);
+            for oldest in 0..n {
+                for fill in 0..4 {
+                    // Always, mostly, sometimes and never set.
+                    let cond: Vec<bool> = (0..n)
+                        .map(|_| match fill {
+                            0 => true,
+                            1 => rng.gen_range(0..8) != 0,
+                            2 => rng.gen(),
+                            _ => false,
+                        })
+                        .collect();
+                    let out = cspp_all_earlier(&cond, oldest);
+                    // Walk the ring from the oldest station, ANDing in
+                    // each station before the one it reaches.
+                    let mut want = true;
+                    for step in 1..n {
+                        want &= cond[(oldest + step - 1) % n];
+                        let i = (oldest + step) % n;
+                        assert_eq!(
+                            out[i], want,
+                            "n={n} fill={fill} oldest={oldest} station {i}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -398,8 +451,9 @@ mod tests {
 
 #[cfg(test)]
 mod random_tests {
+    use super::tests::Sum;
     use super::*;
-    use crate::op::{BoolAnd, First, Max, Sum};
+    use crate::op::{BoolAnd, First};
     use rand::rngs::StdRng;
     use rand::{cases, Rng};
 
@@ -448,19 +502,6 @@ mod random_tests {
                 cspp_ring::<_, BoolAnd>(&vals, &seg),
                 cspp_tree::<_, BoolAnd>(&vals, &seg),
                 "seg {seg:?}"
-            );
-        });
-    }
-
-    #[test]
-    fn noncyclic_tree_matches_ring_max() {
-        cases(0xC599_0004, 64, |rng, _| {
-            let (vals, seg) = draw(rng, 80, |r| r.gen_range(0i64..10000));
-            let init = SegPair::leaf(rng.gen_range(0i64..10000), rng.gen());
-            assert_eq!(
-                segmented_prefix_ring::<_, Max>(&vals, &seg, init),
-                segmented_prefix_tree::<_, Max>(&vals, &seg, init),
-                "seg {seg:?} init {init:?}"
             );
         });
     }

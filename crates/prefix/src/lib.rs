@@ -8,33 +8,26 @@
 //!   reader (paper Figure 4),
 //! * three 1-bit CSPP circuits with the AND operator sequence
 //!   instructions: "all earlier stations finished", "all earlier stores
-//!   finished", "all earlier branches confirmed" (paper Figure 5),
-//! * the Ultrascalar II register network is a column of *(non-cyclic)
-//!   segmented* reduction trees that locate the nearest preceding writer
-//!   of a requested register (paper Figure 8).
+//!   finished", "all earlier branches confirmed" (paper Figure 5).
 //!
-//! This crate provides those primitives as pure algorithms:
+//! This crate provides the CSPP as pure algorithms:
 //!
-//! * [`scan`] — serial reference scans (inclusive, exclusive, segmented),
-//! * [`tree`] — the one left-balanced up/down tree sweep
-//!   ([`tree::exclusive_sweep_with`]) behind every tree form below and
-//!   the circuit generators' netlists, plus plain tree scans,
-//! * [`cspp`] — segmented and cyclic-segmented prefix, both a naive
-//!   reference "ring" evaluation and the logarithmic-depth tree
-//!   evaluation used by the hardware, plus the closure-driven
-//!   [`cspp::cspp_heap_with`] the circuit generators emit gates through,
-//! * [`sched`] — the Memo 2 shared-ALU scheduler as a cyclic prefix
-//!   count,
+//! * [`cspp`] — the quadratic reference "ring" evaluation
+//!   ([`cspp_ring`], the definition), the logarithmic-depth tree
+//!   evaluation used by the hardware ([`cspp_tree`]), the
+//!   closure-driven [`cspp_heap_with`] the circuit generators emit
+//!   gates through, and Figure 5's [`cspp::cspp_all_earlier`],
+//! * [`op`] — the associative-operator abstraction with the two
+//!   operators used in the paper ([`op::First`], the
+//!   register-forwarding operator `a ⊗ b = a`, and [`op::BoolAnd`], the
+//!   sequencing operator `a ⊗ b = a ∧ b`) and their segmented lift,
 //! * [`packed`] — the [`packed::BitWords`] bitset behind the memory
-//!   butterfly's per-cycle link raster,
-//! * [`op`] — the associative-operator abstraction shared by all of the
-//!   above, including the two operators used in the paper
-//!   ([`op::First`], the register-forwarding operator `a ⊗ b = a`, and
-//!   [`op::BoolAnd`], the sequencing operator `a ⊗ b = a ∧ b`).
+//!   butterfly's per-cycle link raster, the engine's station sets and
+//!   the memory image's page marks.
 //!
 //! The gate-level realisations of the same structures live in the
 //! `ultrascalar-circuit` crate; property tests there check that the
-//! netlists agree with the algorithms in this crate.
+//! netlists agree with [`cspp_ring`].
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -42,17 +35,10 @@
 pub mod cspp;
 pub mod op;
 pub mod packed;
-pub mod scan;
-pub mod sched;
-pub mod tree;
 
-pub use cspp::{
-    cspp_heap_with, cspp_ring, cspp_tree, segmented_prefix_ring, segmented_prefix_tree,
-};
-pub use op::{BoolAnd, BoolOr, First, Last, Max, Min, PrefixOp, SegPair, Sum};
+pub use cspp::{cspp_heap_with, cspp_ring, cspp_tree};
+pub use op::{BoolAnd, First, PrefixOp, SegPair};
 pub use packed::BitWords;
-pub use sched::allocate_oldest_first;
-pub use tree::{tree_scan_exclusive, tree_scan_inclusive};
 
 /// The host's SIMD level, `"avx2"` or `"swar"`, from
 /// `is_x86_feature_detected!`. Detection only: nothing in the workspace

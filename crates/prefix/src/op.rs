@@ -10,20 +10,14 @@
 //!   oldest station this computes "have *all* earlier stations met a
 //!   condition", used for deallocation, memory serialisation and branch
 //!   commit (paper Figure 5).
-//!
-//! A handful of further operators ([`Sum`], [`Min`], [`Max`], [`Last`],
-//! [`BoolOr`]) are provided for tests and for the scheduling extensions
-//! discussed in the paper's §1 (priority allocation of shared ALUs is a
-//! prefix-sum over request bits).
 
 use std::marker::PhantomData;
 
 /// An associative binary operator over `T`.
 ///
 /// Implementations must satisfy `combine(combine(a, b), c) ==
-/// combine(a, combine(b, c))` for all inputs; the property tests in this
-/// crate check associativity on random samples for every shipped
-/// operator.
+/// combine(a, combine(b, c))` for all inputs; the tests in this module
+/// check it for both shipped operators.
 pub trait PrefixOp<T> {
     /// Combine two adjacent interval summaries, `a` covering the
     /// interval immediately *before* `b`.
@@ -48,17 +42,6 @@ impl<T: Clone> PrefixOp<T> for First {
     }
 }
 
-/// The dual of [`First`]: `a ⊗ b = b`, selecting the last element.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Last;
-
-impl<T: Clone> PrefixOp<T> for Last {
-    #[inline]
-    fn combine(_a: &T, b: &T) -> T {
-        b.clone()
-    }
-}
-
 /// The paper's sequencing operator: `a ⊗ b = a ∧ b`.
 ///
 /// A cyclic segmented prefix with `BoolAnd`, segment bit raised at the
@@ -73,59 +56,6 @@ impl PrefixOp<bool> for BoolAnd {
         *a && *b
     }
 }
-
-/// Boolean OR, used e.g. for the hybrid cluster's modified-bit trees
-/// (paper Figure 9: "each cluster now generates a modified bit for each
-/// logical register using a tree of OR gates").
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BoolOr;
-
-impl PrefixOp<bool> for BoolOr {
-    #[inline]
-    fn combine(a: &bool, b: &bool) -> bool {
-        *a || *b
-    }
-}
-
-/// Wrapping integer addition; prefix sums allocate shared resources
-/// (the prioritised ALU scheduler of Ultrascalar Memo 2 is a prefix sum
-/// over request bits).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Sum;
-
-macro_rules! impl_sum {
-    ($($t:ty),*) => {$(
-        impl PrefixOp<$t> for Sum {
-            #[inline]
-            fn combine(a: &$t, b: &$t) -> $t {
-                a.wrapping_add(*b)
-            }
-        }
-    )*};
-}
-impl_sum!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
-
-/// Minimum.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Min;
-
-/// Maximum.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Max;
-
-macro_rules! impl_minmax {
-    ($($t:ty),*) => {$(
-        impl PrefixOp<$t> for Min {
-            #[inline]
-            fn combine(a: &$t, b: &$t) -> $t { (*a).min(*b) }
-        }
-        impl PrefixOp<$t> for Max {
-            #[inline]
-            fn combine(a: &$t, b: &$t) -> $t { (*a).max(*b) }
-        }
-    )*};
-}
-impl_minmax!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 
 /// An interval summary for **segmented** prefix computation: the value
 /// accumulated since the nearest segment boundary inside the interval,
@@ -196,35 +126,15 @@ mod tests {
     }
 
     #[test]
-    fn last_selects_last() {
-        assoc::<u32, Last>(1, 2, 3);
-        assert_eq!(<Last as PrefixOp<u32>>::combine(&7, &9), 9);
-    }
-
-    #[test]
     fn bool_ops() {
         for a in [false, true] {
             for b in [false, true] {
                 for c in [false, true] {
                     assoc::<bool, BoolAnd>(a, b, c);
-                    assoc::<bool, BoolOr>(a, b, c);
                 }
             }
         }
         assert!(!BoolAnd::combine(&true, &false));
-        assert!(BoolOr::combine(&true, &false));
-    }
-
-    #[test]
-    fn sum_wraps() {
-        assert_eq!(<Sum as PrefixOp<u8>>::combine(&250, &10), 4);
-        assoc::<u8, Sum>(200, 100, 56);
-    }
-
-    #[test]
-    fn min_max() {
-        assert_eq!(<Min as PrefixOp<i32>>::combine(&-3, &5), -3);
-        assert_eq!(<Max as PrefixOp<i32>>::combine(&-3, &5), 5);
     }
 
     #[test]
@@ -232,15 +142,15 @@ mod tests {
         // Interval B contains a boundary: A's value is discarded.
         let a = SegPair::leaf(10u32, false);
         let b = SegPair::leaf(20u32, true);
-        let r = SegOp::<Sum>::combine(&a, &b);
+        let r = SegOp::<First>::combine(&a, &b);
         assert_eq!(r.value, 20);
         assert!(r.seg);
 
         // No boundary in B: plain combination, boundary flag from A.
         let a = SegPair::leaf(10u32, true);
         let b = SegPair::leaf(20u32, false);
-        let r = SegOp::<Sum>::combine(&a, &b);
-        assert_eq!(r.value, 30);
+        let r = SegOp::<First>::combine(&a, &b);
+        assert_eq!(r.value, 10);
         assert!(r.seg);
     }
 
