@@ -1,8 +1,8 @@
 //! The walk census (`Ultrascalar::walk_census`) balances: every hold
 //! ends in exactly one release or squash, every park in exactly one
-//! wake or squash, and whatever is left is still in the window when the
-//! run ends — counted there from the engine's sets, not derived from
-//! the other counters. A load waits on one lane that sets once, so it
+//! wake or squash, every flight in exactly one landing or squash, and
+//! whatever is left is still in the window when the run ends — counted
+//! there from the engine's sets, not derived from the other counters. A load waits on one lane that sets once, so it
 //! is held at most once; a store waits on three, so at most three
 //! times. A release that runs past its lane's next blocker, or fires
 //! while an older station still clears the lane, re-holds stations and
@@ -86,10 +86,10 @@ fn programs() -> Vec<(String, Program)> {
 }
 
 /// The bound on holds: one per fetched load and three per fetched
-/// store (none under memory renaming, where stores stay in the walk).
-/// Every fetched station either commits or is squashed by a flush, so
-/// the run must have recorded its timings and logged its flushes.
-fn hold_bound(engine: &Ultrascalar, r: &RunResult, renaming: bool) -> u64 {
+/// store. Every fetched station either commits or is squashed by a
+/// flush, so the run must have recorded its timings and logged its
+/// flushes.
+fn hold_bound(engine: &Ultrascalar, r: &RunResult) -> u64 {
     assert!(
         engine.replay_log().is_complete(),
         "the flush log is partial"
@@ -100,7 +100,7 @@ fn hold_bound(engine: &Ultrascalar, r: &RunResult, renaming: bool) -> u64 {
         .chain(flushed)
         .map(|i| match i {
             Instr::Load { .. } => 1,
-            Instr::Store { .. } if !renaming => 3,
+            Instr::Store { .. } => 3,
             _ => 0,
         })
         .sum()
@@ -116,6 +116,11 @@ fn check(key: &str, c: &WalkCensus, r: &RunResult, bound: u64, window: usize, sk
         c.walk_parks + c.refill_parks,
         c.wakes + c.squashed_parks + c.parked_at_end,
         "{key}: parks unbalanced: {c:?}"
+    );
+    assert_eq!(
+        c.flights,
+        c.landings + c.squashed_flights + c.flying_at_end,
+        "{key}: flights unbalanced: {c:?}"
     );
     assert!(
         c.holds <= bound,
@@ -143,7 +148,6 @@ fn check(key: &str, c: &WalkCensus, r: &RunResult, bound: u64, window: usize, sk
 fn walk_census_balances_and_bounds_holds() {
     let mut total = WalkCensus::default();
     for (corner, cfg) in configs() {
-        let renaming = cfg.memory_renaming;
         let (window, skip) = (cfg.window, cfg.cycle_skip);
         let mut engine = Ultrascalar::new(cfg.clone());
         assert_eq!(engine.walk_census(), WalkCensus::default());
@@ -152,14 +156,7 @@ fn walk_census_balances_and_bounds_holds() {
             let key = format!("{corner} {name}");
             engine.run_logging_flushes(&p, &mut r);
             let c = engine.walk_census();
-            check(
-                &key,
-                &c,
-                &r,
-                hold_bound(&engine, &r, renaming),
-                window,
-                skip,
-            );
+            check(&key, &c, &r, hold_bound(&engine, &r), window, skip);
             // The census is the run's own: a cold engine, logging and
             // recording nothing, counts the same.
             let mut cold = Ultrascalar::new(cfg.clone());
@@ -179,6 +176,9 @@ fn walk_census_balances_and_bounds_holds() {
                 (&mut total.wakes, c.wakes),
                 (&mut total.squashed_parks, c.squashed_parks),
                 (&mut total.parked_at_end, c.parked_at_end),
+                (&mut total.flights, c.flights),
+                (&mut total.landings, c.landings),
+                (&mut total.squashed_flights, c.squashed_flights),
             ] {
                 *sum += n;
             }
@@ -193,6 +193,9 @@ fn walk_census_balances_and_bounds_holds() {
         ("refill parks", total.refill_parks),
         ("wakes", total.wakes),
         ("squashed parks", total.squashed_parks),
+        ("flights", total.flights),
+        ("landings", total.landings),
+        ("squashed flights", total.squashed_flights),
     ] {
         assert!(n > 0, "no run produced {what}: {total:?}");
     }

@@ -5,7 +5,8 @@
 //! stage costs one store per 64 wires instead of one per wire. The
 //! engine keeps its station sets (which stations the per-cycle walk
 //! visits, which are parked on a producer) in them too, and finds the
-//! next member with a trailing-zeros scan. A memory image
+//! next member with a trailing-zeros scan (or the previous one with a
+//! leading-zeros scan). A memory image
 //! (`ultrascalar-isa`'s `MemImage`) marks its written pages in one.
 
 /// A fixed-length bitset over `u64` words with word-parallel clears
@@ -186,6 +187,32 @@ impl BitWords {
             bits = self.words[w];
         }
     }
+
+    /// The highest raised bit in `from..to`, if any: a leading-zeros
+    /// scan down from `to`, one load per word down to the first hit.
+    ///
+    /// # Panics
+    /// Panics if `from < to` and `to > len`.
+    #[inline]
+    pub fn prev_set(&self, from: usize, to: usize) -> Option<usize> {
+        if from >= to {
+            return None;
+        }
+        assert!(to <= self.len, "bit range out of range");
+        let mut w = (to - 1) / 64;
+        let mut bits = self.words[w] & (!0u64 >> (63 - (to - 1) % 64));
+        loop {
+            if bits != 0 {
+                let i = w * 64 + 63 - bits.leading_zeros() as usize;
+                return (i >= from).then_some(i);
+            }
+            if w * 64 <= from {
+                return None;
+            }
+            w -= 1;
+            bits = self.words[w];
+        }
+    }
 }
 
 #[cfg(test)]
@@ -264,6 +291,8 @@ mod tests {
             }
             let want = (lo..hi).find(|&k| model[k]);
             assert_eq!(b.next_set(lo, hi), want, "next_set({lo}, {hi})");
+            let want = (lo..hi).rev().find(|&k| model[k]);
+            assert_eq!(b.prev_set(lo, hi), want, "prev_set({lo}, {hi})");
             let count = model[lo..hi].iter().filter(|&&m| m).count() as u64;
             assert_eq!(b.count_range(lo, hi), count, "count_range({lo}, {hi})");
             let covered: Vec<usize> = BitWords::range_masks(lo, hi)
@@ -285,6 +314,7 @@ mod tests {
             }
         }
         assert_eq!(b.next_set(5, 5), None);
+        assert_eq!(b.prev_set(5, 5), None);
     }
 
     #[test]
