@@ -7,7 +7,7 @@
 //! working set shaped like a design-space sweep: each client sends
 //! config-grouped blocks (several programs under one configuration
 //! before switching). Clients wait for each response before sending
-//! the next request, so no lane groups form. Per cell it reports
+//! the next request. Per cell it reports
 //! requests/sec, p50/p99 round-trip latency, and the cache/pool hit
 //! rates read straight from the shared serving state, then writes the
 //! grid to `BENCH_serve.json`.

@@ -1,4 +1,5 @@
-//! The A/B benchmark kernels of `lanes_ab` and the lane differential tests.
+//! The lane kernels: the programs the lane differential tests, the lane
+//! allocation probes and the lane pool test run.
 //!
 //! Each kernel pins one engine regime (blocked-station-heavy,
 //! forwarding-heavy, …). The `*_seeded` variants read their working
@@ -7,7 +8,7 @@
 //! [`ultrascalar_isa::workload::lane_variants`] computes genuinely
 //! different values per lane while taking identical branch paths and
 //! touching no memory: the lockstep-friendly shape the lane-parallel
-//! batch engine is measured on.
+//! batcher is tested on.
 
 use ultrascalar_isa::Program;
 

@@ -17,5 +17,5 @@ pub mod table;
 
 pub use fig11::{expected, measured_exponents, Arch, ExpectedExponents, MeasuredExponents};
 pub use serve::Server;
-pub use sweep::{parallel_map_with, JsonReport};
+pub use sweep::parallel_map_with;
 pub use table::Table;

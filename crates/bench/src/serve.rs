@@ -28,21 +28,14 @@
 //!   checkin returns it (two workers on the same configuration simply
 //!   hold two engines).
 //!
-//! Every run request is served as a **lane group** of
-//! 1..=[`ultrascalar::MAX_LANES`] requests, submitted as one
-//! [`ultrascalar::LaneBatcher`] batch on one checked-out engine. The
-//! request that starts a group is its leader; while more complete
-//! request lines already sit in the read buffer and name the leader's
-//! configuration and program, they join it. A batch of two or more is
-//! one engine pass whose schedule is shared across every converged
-//! lane; a batch of one is the plain serial run. Either way the
-//! responses are byte-identical to serving the lines one at a time. A
-//! request/response client never has a second line buffered, so each
-//! of its requests is a group of one. The members past each leader are
-//! counted as `batched_runs`, and as engine-pool hits, so
-//! `engine_pool_hits + engine_pool_misses == runs`; lock-step-delivered
-//! results and divergence peels are counted separately
-//! (`lane_batched_runs` / `lane_divergence_peels` in `{"cmd":"stats"}`).
+//! Request lines are answered one at a time, in order. A run request
+//! is one [`ultrascalar::Processor::run_reusing`] call on an engine
+//! checked out of the pool for that run, into the worker's one reused
+//! result buffer; its response is written and flushed before the next
+//! line is read. A client that pipelines its lines therefore gets the
+//! same bytes as one that waits for each answer, and every run is one
+//! checkout, so `engine_pool_hits + engine_pool_misses == runs` in
+//! `{"cmd":"stats"}`.
 //!
 //! Each worker keeps the zero-allocation warm path of the serial
 //! server: requests parse into worker-owned reused [`String`] buffers
@@ -71,12 +64,11 @@
 //! on stdin, whose client started the server and can read its files
 //! anyway.
 //!
-//! The JSON codec is hand-rolled like [`crate::sweep::JsonReport`]:
-//! this workspace takes no serde dependency. Identical requests
-//! produce byte-identical responses (per-request wall time is
-//! reported only when the request opts in with `"timing": true`);
-//! cache effectiveness is observable through the counters of a
-//! `{"cmd":"stats"}` request and the final summary.
+//! The JSON codec is hand-rolled: this workspace takes no serde
+//! dependency. Identical requests produce byte-identical responses
+//! (per-request wall time is reported only when the request opts in
+//! with `"timing": true`); cache effectiveness is observable through
+//! the counters of a `{"cmd":"stats"}` request and the final summary.
 
 use std::fmt::Write as _;
 use std::io::{BufRead, Write};
@@ -87,9 +79,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use crate::cli::{self, RunOptions, ServeOptions};
-use ultrascalar::{
-    LaneBatchStats, LaneBatcher, PoolStats, ProcConfig, RunResult, ShardedEnginePool, MAX_LANES,
-};
+use ultrascalar::{PoolStats, ProcConfig, Processor, RunResult, ShardedEnginePool};
 use ultrascalar_isa::{CacheStats, Program, ShardedProgramCache};
 use ultrascalar_memsys::NetworkKind;
 
@@ -133,8 +123,8 @@ struct Request {
     cmd: Cmd,
     id: String,
     has_id: bool,
-    /// The inline program text; for a run leader with a
-    /// `program_path`, the file's text once it is read.
+    /// The inline program text; for a run with a `program_path`, the
+    /// file's text once it is read.
     program: String,
     has_program: bool,
     program_path: String,
@@ -175,12 +165,6 @@ pub struct ServeCounters {
     /// Connections that ended abnormally (EOF mid-line, read error,
     /// broken pipe on write).
     pub disconnects: u64,
-    /// Runs that rode a lane group behind its leader, on the engine
-    /// the leader checked out (counted as engine-pool hits).
-    pub batched_runs: u64,
-    /// Lane-batch counters summed over every group of two or more
-    /// requests: the `lane_*` keys of `{"cmd":"stats"}`.
-    pub lane: LaneBatchStats,
     /// Total cycles simulated across all runs.
     pub cycles_simulated: u64,
     /// Total instructions committed across all runs.
@@ -204,8 +188,6 @@ pub struct ServeShared {
     runs: AtomicU64,
     errors: AtomicU64,
     disconnects: AtomicU64,
-    batched: AtomicU64,
-    lane: Mutex<LaneBatchStats>,
     cycles_simulated: AtomicU64,
     instructions_committed: AtomicU64,
     packed_fallbacks: AtomicU64,
@@ -232,8 +214,6 @@ impl ServeShared {
             runs: AtomicU64::new(0),
             errors: AtomicU64::new(0),
             disconnects: AtomicU64::new(0),
-            batched: AtomicU64::new(0),
-            lane: Mutex::new(LaneBatchStats::default()),
             cycles_simulated: AtomicU64::new(0),
             instructions_committed: AtomicU64::new(0),
             packed_fallbacks: AtomicU64::new(0),
@@ -260,8 +240,6 @@ impl ServeShared {
             runs: self.runs.load(Ordering::Relaxed),
             errors: self.errors.load(Ordering::Relaxed),
             disconnects: self.disconnects.load(Ordering::Relaxed),
-            batched_runs: self.batched.load(Ordering::Relaxed),
-            lane: *lock(&self.lane),
             cycles_simulated: self.cycles_simulated.load(Ordering::Relaxed),
             instructions_committed: self.instructions_committed.load(Ordering::Relaxed),
             packed_fallbacks: self.packed_fallbacks.load(Ordering::Relaxed),
@@ -274,13 +252,10 @@ impl ServeShared {
         self.programs.stats()
     }
 
-    /// Engine-pool counters, with every lane-group member past its
-    /// leader counted as a hit on the leader's engine, so that
+    /// Engine-pool counters. Every run checks out one engine, so
     /// `hits + misses == runs`.
     pub fn engine_stats(&self) -> PoolStats {
-        let mut s = self.engines.stats();
-        s.hits += self.batched.load(Ordering::Relaxed);
-        s
+        self.engines.stats()
     }
 
     /// Requests handled per worker slot.
@@ -293,30 +268,24 @@ impl ServeShared {
 }
 
 /// One serving worker: a handle on the shared state plus the reused
-/// request/response buffers and the lane group being collected. Each
-/// connection (or the stdin stream) is driven by exactly one worker.
+/// request, result and response buffers. Each connection (or the stdin
+/// stream) is driven by exactly one worker.
 #[derive(Debug)]
 pub struct Worker {
     shared: Arc<ServeShared>,
     slot: usize,
     key: String,
     sval: String,
-    /// The current group's responses, each newline-terminated.
+    /// The current line's response, newline-terminated.
     line_out: String,
     /// Whether a run may name a `program_path` (stdin only).
     reads_paths: bool,
-    batcher: LaneBatcher,
-    /// When the current group's leader was admitted.
+    /// When the current line arrived.
     started: Instant,
-    /// Parsed requests of the group being collected (slots reused);
-    /// slot 0 is the leader.
-    group: Vec<Request>,
-    /// The group's configuration (the leader's, shared by all).
-    group_cfg: Option<ProcConfig>,
-    /// One cache handle per group member (cleared per leader).
-    group_programs: Vec<Arc<Program>>,
-    /// One reused result slot per lane.
-    group_results: Vec<RunResult>,
+    /// The current line, parsed.
+    req: Request,
+    /// The current run's result.
+    result: RunResult,
 }
 
 impl Worker {
@@ -332,12 +301,9 @@ impl Worker {
             sval: String::new(),
             line_out: String::new(),
             reads_paths: true,
-            batcher: LaneBatcher::new(),
             started: Instant::now(),
-            group: Vec::new(),
-            group_cfg: None,
-            group_programs: Vec::with_capacity(MAX_LANES),
-            group_results: Vec::new(),
+            req: Request::default(),
+            result: RunResult::default(),
         }
     }
 
@@ -346,13 +312,11 @@ impl Worker {
         &self.shared
     }
 
-    /// Handle one request line as a group of one and return the
-    /// response line (no trailing newline). Never fails: malformed
-    /// requests produce an `{"ok":false,"error":…}` response.
+    /// Handle one request line and return the response line (no
+    /// trailing newline). Never fails: malformed requests produce an
+    /// `{"ok":false,"error":…}` response.
     pub fn handle_line(&mut self, line: &str) -> &str {
-        if self.admit(0, line) {
-            self.execute_group(1);
-        }
+        self.serve_line(line);
         self.line_out.strip_suffix('\n').unwrap_or(&self.line_out)
     }
 
@@ -360,7 +324,7 @@ impl Worker {
     /// line (newline included), counted as a failed request.
     fn reject_long_line(&mut self) {
         self.started = Instant::now();
-        self.tally(1, 1);
+        self.tally(true);
         self.line_out.clear();
         let _ = writeln!(
             self.line_out,
@@ -368,114 +332,62 @@ impl Worker {
         );
     }
 
-    /// The one place request lines are counted: `requests` more lines
-    /// answered by this worker, `errors` of them with an error
-    /// response, and the wall time since the current leader arrived.
-    fn tally(&self, requests: u64, errors: u64) {
+    /// The one place request lines are counted: one more line answered
+    /// by this worker, with an error response if `error`, and the wall
+    /// time since it arrived.
+    fn tally(&self, error: bool) {
         let s = &self.shared;
-        s.requests.fetch_add(requests, Ordering::Relaxed);
-        s.worker_requests[self.slot].fetch_add(requests, Ordering::Relaxed);
-        if errors > 0 {
-            s.errors.fetch_add(errors, Ordering::Relaxed);
+        s.requests.fetch_add(1, Ordering::Relaxed);
+        s.worker_requests[self.slot].fetch_add(1, Ordering::Relaxed);
+        if error {
+            s.errors.fetch_add(1, Ordering::Relaxed);
         }
         s.wall_nanos
             .fetch_add(self.started.elapsed().as_nanos() as u64, Ordering::Relaxed);
     }
 
-    /// Parse `line` into group slot `n` and admit it to the group.
-    ///
-    /// Slot 0 is the leader and starts a new group. A run leader whose
-    /// program and configuration resolve is admitted and waits for
-    /// [`Worker::execute_group`]. Anything else — `stats`, `shutdown`,
-    /// a malformed line, a run that fails to resolve — is answered on
-    /// the spot into `line_out`, and `false` is returned.
-    ///
-    /// Slot `n > 0` joins only if it is an inline-program run with the
-    /// leader's program text, register count and configuration. Its
-    /// cache lookup is then a hit on the entry the leader resolved, so
-    /// the accounting matches serving the line by itself. A line that
-    /// does not join has touched no shared state; the caller serves it
-    /// next, as a leader.
-    fn admit(&mut self, n: usize, line: &str) -> bool {
-        while self.group.len() <= n {
-            self.group.push(Request::default());
-        }
-        if n == 0 {
-            self.started = Instant::now();
-            self.line_out.clear();
-        }
-        let parsed = parse_request(line, &mut self.group[n], &mut self.key, &mut self.sval);
-        if n > 0 {
-            let Worker {
-                shared,
-                group,
-                group_cfg,
-                group_programs,
-                ..
-            } = self;
-            let (leader, req) = (&group[0], &group[n]);
-            let joins = parsed.is_ok()
-                && req.cmd == Cmd::Run
-                && req.has_program
-                && !req.has_program_path
-                && req.opts.regs == leader.opts.regs
-                && req.program == leader.program
-                && cli::build_config(&req.opts).is_ok_and(|cfg| group_cfg.as_ref() == Some(&cfg));
-            if !joins {
-                return false;
-            }
-            return match shared.programs.get_or_assemble(&req.program, req.opts.regs) {
-                Ok(program) => {
-                    group_programs.push(program);
-                    true
-                }
-                Err(_) => false,
-            };
-        }
+    /// Parse and answer one request line into `line_out`, newline
+    /// included: run it, or answer `stats`, `shutdown`, a malformed
+    /// line or a run that fails to resolve.
+    fn serve_line(&mut self, line: &str) {
+        self.started = Instant::now();
+        self.line_out.clear();
+        let parsed = parse_request(line, &mut self.req, &mut self.key, &mut self.sval);
         let answer = match parsed {
-            Ok(()) if self.group[0].cmd == Cmd::Run => match self.resolve_run() {
-                Ok(()) => return true,
+            Ok(()) if self.req.cmd == Cmd::Run => match self.resolve_run() {
+                Ok((cfg, program)) => return self.run(&cfg, &program),
                 Err(e) => Err(e),
             },
             other => other,
         };
-        self.tally(1, answer.is_err() as u64);
+        self.tally(answer.is_err());
         let Worker {
             shared,
-            group,
+            req,
             line_out,
             ..
         } = self;
         match answer {
-            Err(e) => write_error_line(line_out, &group[0], &e),
-            Ok(()) if group[0].cmd == Cmd::Stats => write_stats(line_out, shared),
+            Err(e) => write_error_line(line_out, req, &e),
+            Ok(()) if req.cmd == Cmd::Stats => write_stats(line_out, shared),
             Ok(()) => {
                 shared.request_shutdown();
                 line_out.push_str("{\"ok\":true,\"shutdown\":true}");
             }
         }
         line_out.push('\n');
-        false
     }
 
-    /// Resolve the run leader in group slot 0: read its `program_path`
-    /// into its `program` buffer when the program is not inline, build
-    /// its configuration, and look its program up in the cache.
-    fn resolve_run(&mut self) -> Result<(), String> {
-        let Worker {
-            shared,
-            reads_paths,
-            group,
-            group_cfg,
-            group_programs,
-            ..
-        } = self;
-        let req = &mut group[0];
+    /// Resolve the parsed run: read its `program_path` into its
+    /// `program` buffer when the program is not inline, build its
+    /// configuration, and look its program up in the cache.
+    fn resolve_run(&mut self) -> Result<(ProcConfig, Arc<Program>), String> {
+        let req = &mut self.req;
         match (req.has_program, req.has_program_path) {
             (true, true) => return Err("give either `program` or `program_path`, not both".into()),
             (false, false) => return Err("request needs a `program` or `program_path`".into()),
             (true, false) => {}
-            (false, true) if !*reads_paths => return Err(NO_PATHS_ON_SOCKETS.into()),
+            (false, true) if !self.reads_paths => return Err(NO_PATHS_ON_SOCKETS.into()),
             (false, true) => {
                 let bytes = std::fs::read(&req.program_path)
                     .map_err(|e| format!("cannot read {}: {e}", req.program_path))?;
@@ -485,60 +397,34 @@ impl Worker {
             }
         }
         let cfg = cli::build_config(&req.opts)?;
-        let program = shared
+        let program = self
+            .shared
             .programs
             .get_or_assemble(&req.program, req.opts.regs)
             .map_err(|e| e.to_string())?;
-        *group_cfg = Some(cfg);
-        group_programs.clear();
-        group_programs.push(program);
-        Ok(())
+        Ok((cfg, program))
     }
 
-    /// Run the admitted group of `n` requests as one lane batch on one
-    /// engine checked out of the pool, and serialise every response, in
-    /// request order and newline-terminated, into `line_out`. A batch
-    /// of one is the plain serial run. The members after the leader
-    /// ride the leader's engine, so they count as batched runs (and
-    /// pool hits, as they would be one line at a time); the lane
-    /// counters additionally record how many results the lock-step pass
-    /// delivered and how many lanes peeled.
-    fn execute_group(&mut self, n: usize) {
+    /// Run the resolved request on an engine checked out of the pool,
+    /// and serialise its response into `line_out`.
+    fn run(&mut self, cfg: &ProcConfig, program: &Program) {
         let Worker {
             shared,
-            batcher,
-            group,
-            group_cfg,
-            group_programs,
-            group_results,
+            req,
+            result,
             line_out,
             ..
         } = self;
-        let cfg = group_cfg.take().expect("group leader admitted");
-        let mut pooled = shared.engines.checkout(&cfg);
-        while group_results.len() < n {
-            group_results.push(RunResult::default());
-        }
-        let before = *batcher.stats();
+        let mut pooled = shared.engines.checkout(cfg);
         let run_started = Instant::now();
-        batcher.run_batch(
-            &mut pooled.engine,
-            &group_programs[..n],
-            &mut group_results[..n],
-        );
-        let share = run_started.elapsed() / n as u32;
+        pooled.engine.run_reusing(program, result);
+        let wall = run_started.elapsed();
         shared.engines.checkin(pooled);
-        if n > 1 {
-            shared.batched.fetch_add(n as u64 - 1, Ordering::Relaxed);
-            lock(&shared.lane).merge(&batcher.stats().delta_since(&before));
-        }
-        for (req, r) in group[..n].iter().zip(group_results.iter()) {
-            count_run(shared, r);
-            let wall_us = req.timing.then_some(share.as_micros() as u64);
-            write_run(line_out, req, &cfg, r, wall_us);
-            line_out.push('\n');
-        }
-        self.tally(n as u64, 0);
+        count_run(shared, result);
+        let wall_us = req.timing.then_some(wall.as_micros() as u64);
+        write_run(line_out, req, cfg, result, wall_us);
+        line_out.push('\n');
+        self.tally(false);
     }
 }
 
@@ -617,10 +503,7 @@ pub fn final_summary(shared: &ServeShared) -> String {
     format!(
         "usim serve: {} requests ({} runs, {} errors, {} disconnects), \
          program cache {} hits / {} misses / {} evictions, \
-         engine pool {} hits / {} misses / {} evictions ({} batched), \
-         {} lane-batched runs over {} epochs \
-         ({} divergence peels, {} replay peels; demoted \
-         {} incompatible / {} leader / {} structure / {} verify), \
+         engine pool {} hits / {} misses / {} evictions, \
          {} cycles simulated, {} instructions committed, \
          {} packed fallbacks, {:.3} s busy",
         c.requests,
@@ -633,15 +516,6 @@ pub fn final_summary(shared: &ServeShared) -> String {
         ep.hits,
         ep.misses,
         ep.evictions,
-        c.batched_runs,
-        c.lane.lane_runs,
-        c.lane.epochs,
-        c.lane.peels,
-        c.lane.replay_peels,
-        c.lane.fallback_incompatible,
-        c.lane.fallback_leader,
-        c.lane.fallback_structure,
-        c.lane.fallback_verify,
         c.cycles_simulated,
         c.instructions_committed,
         c.packed_fallbacks,
@@ -716,12 +590,7 @@ fn write_stats(out: &mut String, shared: &ServeShared) {
     let _ = write!(
         out,
         "{{\"ok\":true,\"stats\":{{\"requests\":{},\"runs\":{},\"errors\":{},\
-         \"disconnects\":{},\"batched_runs\":{},\
-         \"lane_batched_runs\":{},\"lane_divergence_peels\":{},\
-         \"lane_epochs\":{},\"lane_replay_peels\":{},\
-         \"lane_demote_incompatible\":{},\"lane_demote_leader\":{},\
-         \"lane_demote_structure\":{},\"lane_demote_verify\":{},\
-         \"program_cache_hits\":{},\"program_cache_misses\":{},\
+         \"disconnects\":{},\"program_cache_hits\":{},\"program_cache_misses\":{},\
          \"program_cache_evictions\":{},\"programs_cached\":{},\
          \"engine_pool_hits\":{},\"engine_pool_misses\":{},\
          \"engine_pool_evictions\":{},\"engines_warm\":{},\
@@ -731,15 +600,6 @@ fn write_stats(out: &mut String, shared: &ServeShared) {
         c.runs,
         c.errors,
         c.disconnects,
-        c.batched_runs,
-        c.lane.lane_runs,
-        c.lane.peels,
-        c.lane.epochs,
-        c.lane.replay_peels,
-        c.lane.fallback_incompatible,
-        c.lane.fallback_leader,
-        c.lane.fallback_structure,
-        c.lane.fallback_verify,
         pc.hits,
         pc.misses,
         pc.evictions,
@@ -766,7 +626,7 @@ fn write_stats(out: &mut String, shared: &ServeShared) {
 
 /// Append `s` to `out` as the body of a JSON string: quotes,
 /// backslashes and every control character are escaped.
-pub(crate) fn escape_into(out: &mut String, s: &str) {
+fn escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -1088,10 +948,8 @@ fn parse_options(
 
 /// How one blocking raw-line read ended.
 enum LineRead {
-    /// A complete newline-terminated line, plus how many bytes were
-    /// left sitting in the reader's internal buffer after it — the
-    /// lane-batch grouping signal (0 means "nothing known buffered").
-    Line { rest: usize },
+    /// A complete newline-terminated line.
+    Line,
     /// Clean EOF on a line boundary.
     Eof,
     /// A line longer than [`MAX_LINE_BYTES`], drained through its
@@ -1104,9 +962,8 @@ enum LineRead {
 }
 
 /// Read one line (through its `\n`) into `buf` via `fill_buf` /
-/// `consume`, so the bytes already buffered behind it stay observable.
-/// At most [`MAX_LINE_BYTES`] are buffered; the rest of a longer line
-/// is consumed and dropped.
+/// `consume`. At most [`MAX_LINE_BYTES`] are buffered; the rest of a
+/// longer line is consumed and dropped.
 fn read_raw_line<R: BufRead>(reader: &mut R, buf: &mut Vec<u8>) -> LineRead {
     buf.clear();
     let mut too_long = false;
@@ -1128,139 +985,61 @@ fn read_raw_line<R: BufRead>(reader: &mut R, buf: &mut Vec<u8>) -> LineRead {
         let room = MAX_LINE_BYTES - buf.len();
         too_long |= take > room;
         buf.extend_from_slice(&chunk[..take.min(room)]);
-        let rest = chunk.len() - take;
         reader.consume(take);
         if newline.is_some() {
             return if too_long {
                 LineRead::TooLong
             } else {
-                LineRead::Line { rest }
+                LineRead::Line
             };
         }
     }
 }
 
-/// Pull the next complete line out of the reader's internal buffer
-/// without risking a blocking read: when `rest > 0` the buffer is
-/// non-empty, so `fill_buf` returns what is already there without
-/// touching the underlying stream. A line that is only partially
-/// buffered is left in place (`rest` drops to 0 and the next blocking
-/// read picks it up).
-fn buffered_line<R: BufRead>(reader: &mut R, rest: &mut usize, buf: &mut Vec<u8>) -> bool {
-    buf.clear();
-    if *rest == 0 {
-        return false;
-    }
-    let Ok(chunk) = reader.fill_buf() else {
-        *rest = 0;
-        return false;
-    };
-    match chunk.iter().position(|&b| b == b'\n') {
-        Some(pos) => {
-            buf.extend_from_slice(&chunk[..=pos]);
-            *rest = chunk.len() - (pos + 1);
-            reader.consume(pos + 1);
-            true
-        }
-        None => {
-            *rest = 0;
-            false
-        }
-    }
-}
-
 /// Drive one worker over one request stream until EOF, a write
-/// failure, or shutdown. Abnormal ends (EOF mid-line, read error,
-/// broken pipe) bump the `disconnects` counter and close only this
-/// stream — the shared state and every other connection stay healthy.
-///
-/// Each run request leads a lane group (see the module docs): while
-/// more complete lines already sit in the read buffer, the ones that
-/// match the leader join it, and the group's responses are written and
-/// flushed together. The line that breaks a group (a different
-/// request, a malformed line, a `stats`/`shutdown` command) is stashed
-/// and served next, in order. A request/response client never has a
-/// second line buffered, so each of its requests is a group of one.
+/// failure, or shutdown. Each line's response is written and flushed
+/// before the next line is read. Abnormal ends (EOF mid-line, read
+/// error, broken pipe) bump the `disconnects` counter and close only
+/// this stream — the shared state and every other connection stay
+/// healthy.
 fn stream_loop<R: BufRead, W: Write>(worker: &mut Worker, mut reader: R, mut writer: W) {
     let mut line: Vec<u8> = Vec::new();
-    let mut stash: Vec<u8> = Vec::new();
-    let mut have_stash = false;
-    let mut rest = 0usize;
     let disconnect = |worker: &Worker| {
         worker.shared.disconnects.fetch_add(1, Ordering::Relaxed);
     };
     loop {
-        if have_stash {
-            std::mem::swap(&mut line, &mut stash);
-            have_stash = false;
-        } else {
-            match read_raw_line(&mut reader, &mut line) {
-                LineRead::Line { rest: r } => rest = r,
-                LineRead::TooLong => {
-                    worker.reject_long_line();
-                    if writer.write_all(worker.line_out.as_bytes()).is_err()
-                        || writer.flush().is_err()
-                    {
-                        disconnect(worker);
-                        break;
-                    }
-                    continue;
-                }
-                LineRead::Eof => break,
-                LineRead::PartialEof => {
-                    // The client vanished mid-line: a partial request
-                    // is never processed, only counted.
-                    let blank = std::str::from_utf8(&line).is_ok_and(|t| t.trim().is_empty());
-                    if !blank {
-                        disconnect(worker);
-                    }
-                    break;
-                }
-                LineRead::Failed => {
+        match read_raw_line(&mut reader, &mut line) {
+            LineRead::Line => {
+                let Ok(text) = std::str::from_utf8(&line) else {
+                    // `read_line` would have failed with InvalidData here.
                     disconnect(worker);
                     break;
-                }
-            }
-        }
-        let Ok(text) = std::str::from_utf8(&line) else {
-            // `read_line` would have failed with InvalidData here.
-            disconnect(worker);
-            break;
-        };
-        let trimmed = text.trim();
-        if trimmed.is_empty() {
-            continue;
-        }
-        // A line that is not UTF-8 behind the leader ends the stream
-        // once the group before it is answered, as it would have
-        // served one line at a time.
-        let mut poisoned = false;
-        if worker.admit(0, trimmed) {
-            let mut n = 1;
-            while n < MAX_LANES && buffered_line(&mut reader, &mut rest, &mut stash) {
-                let Ok(mtext) = std::str::from_utf8(&stash) else {
-                    poisoned = true;
-                    break;
                 };
-                let mtrim = mtext.trim();
-                if mtrim.is_empty() {
+                let trimmed = text.trim();
+                if trimmed.is_empty() {
                     continue;
                 }
-                if !worker.admit(n, mtrim) {
-                    have_stash = true;
-                    break;
-                }
-                n += 1;
+                worker.serve_line(trimmed);
             }
-            worker.execute_group(n);
+            LineRead::TooLong => worker.reject_long_line(),
+            LineRead::Eof => break,
+            LineRead::PartialEof => {
+                // The client vanished mid-line: a partial request is
+                // never processed, only counted.
+                let blank = std::str::from_utf8(&line).is_ok_and(|t| t.trim().is_empty());
+                if !blank {
+                    disconnect(worker);
+                }
+                break;
+            }
+            LineRead::Failed => {
+                disconnect(worker);
+                break;
+            }
         }
         if writer.write_all(worker.line_out.as_bytes()).is_err() || writer.flush().is_err() {
             // Downstream closed the pipe; count it and stop quietly
             // like `usim run | head` does.
-            disconnect(worker);
-            break;
-        }
-        if poisoned {
             disconnect(worker);
             break;
         }

@@ -7,8 +7,8 @@
 //! intended, replace that binary's line with the digest the failure
 //! prints and say why in the change's notes.
 //!
-//! `usim` (a CLI), `serve_bench` and `lanes_ab` (wall-clock timings)
-//! are not figures and are left out.
+//! `usim` (a CLI) and `serve_bench` (wall-clock timings) are not
+//! figures and are left out.
 
 use std::collections::HashMap;
 use std::process::Command;
@@ -16,7 +16,7 @@ use std::process::Command;
 const DIGESTS: &str = include_str!("data/figure_digests.txt");
 
 /// Binaries under `src/bin` whose output is not a deterministic figure.
-const NOT_FIGURES: [&str; 3] = ["usim", "serve_bench", "lanes_ab"];
+const NOT_FIGURES: [&str; 2] = ["usim", "serve_bench"];
 
 macro_rules! figures {
     ($($name:literal),* $(,)?) => {

@@ -1,5 +1,5 @@
-//! Differential suite for the lane-parallel batch engine over the A/B
-//! benchmark kernels: every batch result must be byte-identical to the
+//! Differential suite for the lane batcher over the lane kernels:
+//! every batch result must be byte-identical to the
 //! same programs run serially on a fresh scalar engine — across both
 //! reference architectures, the perfect predictor (one clean epoch),
 //! a bimodal predictor (whose mispredicts segment the run into epochs
@@ -8,7 +8,7 @@
 //! kernels, and small and full batch widths.
 
 use ultrascalar::{
-    ForwardModel, LaneBatchEngine, PredictorKind, ProcConfig, Processor, RunResult, Ultrascalar,
+    ForwardModel, LaneBatcher, PredictorKind, ProcConfig, Processor, RunResult, Ultrascalar,
 };
 use ultrascalar_bench::kernels::{
     branch_gauntlet, branch_gauntlet_seeded, div_chain, div_chain_seeded, forward_fan,
@@ -86,15 +86,16 @@ fn lane_batches_match_serial_over_the_kernel_suite() {
                 let population = workload::lane_variants(prog, b, 0xFEED ^ b as u64);
                 let refs: Vec<&Program> = population.iter().collect();
                 let expect = serial_runs(cfg, &refs);
-                let mut engine = LaneBatchEngine::new(cfg.clone());
+                let mut engine = Ultrascalar::new(cfg.clone());
+                let mut batcher = LaneBatcher::new();
                 let mut got = vec![RunResult::recording_timings(); b];
-                engine.run_batch(&refs, &mut got);
+                batcher.run_batch(&mut engine, &refs, &mut got);
                 for (l, (g, e)) in got.iter().zip(&expect).enumerate() {
                     assert_identical(&label, g, e, l);
                 }
                 // And again on the warm engine: reuse must not change
                 // results either.
-                engine.run_batch(&refs, &mut got);
+                batcher.run_batch(&mut engine, &refs, &mut got);
                 for (l, (g, e)) in got.iter().zip(&expect).enumerate() {
                     assert_identical(&label, g, e, l);
                 }
@@ -119,13 +120,14 @@ fn branchy_kernels_segment_into_epochs_and_spec_storm_replay_peels() {
         let population = workload::lane_variants(&prog, 64, 0x1A17E5);
         let refs: Vec<&Program> = population.iter().collect();
         let expect = serial_runs(&cfg, &refs);
-        let mut engine = LaneBatchEngine::new(cfg.clone());
+        let mut engine = Ultrascalar::new(cfg.clone());
+        let mut batcher = LaneBatcher::new();
         let mut got = vec![RunResult::recording_timings(); 64];
-        engine.run_batch(&refs, &mut got);
+        batcher.run_batch(&mut engine, &refs, &mut got);
         for (l, (g, e)) in got.iter().zip(&expect).enumerate() {
             assert_identical(kname, g, e, l);
         }
-        let s = *engine.lane_stats();
+        let s = *batcher.stats();
         assert_eq!(s.batches, 1, "{kname}: the group must lane-batch");
         assert_eq!(s.fallbacks, 0, "{kname}: no serial demotion");
         assert!(s.epochs > 1, "{kname}: mispredicts must segment the run");

@@ -258,7 +258,7 @@ fn concurrent_workers_allocate_nothing_in_steady_state() {
 
 #[test]
 fn lane_batch_step_loop_allocates_nothing_in_steady_state() {
-    use ultrascalar::{LaneBatchEngine, ProcConfig, RunResult};
+    use ultrascalar::{LaneBatcher, ProcConfig, RunResult, Ultrascalar};
     use ultrascalar_bench::kernels::div_chain_seeded;
     use ultrascalar_isa::{workload, Program};
 
@@ -270,23 +270,24 @@ fn lane_batch_step_loop_allocates_nothing_in_steady_state() {
     let prog = div_chain_seeded(8);
     let population = workload::lane_variants(&prog, 64, 0x5EED);
     let refs: Vec<&Program> = population.iter().collect();
-    let mut engine = LaneBatchEngine::new(ProcConfig::ultrascalar_i(8));
+    let mut engine = Ultrascalar::new(ProcConfig::ultrascalar_i(8));
+    let mut batcher = LaneBatcher::new();
     let mut out = vec![RunResult::default(); 64];
 
     // Warm-up sizes the batcher's per-lane planes, the scalar engine's
     // scratch and every RunResult's register/memory buffers.
-    engine.run_batch(&refs, &mut out);
-    engine.run_batch(&refs, &mut out);
+    batcher.run_batch(&mut engine, &refs, &mut out);
+    batcher.run_batch(&mut engine, &refs, &mut out);
 
-    let stats_before = *engine.lane_stats();
+    let stats_before = *batcher.stats();
     let guard = ProbeGuard::arm();
     let before = ALLOCS.load(Ordering::SeqCst);
     for _ in 0..10 {
-        engine.run_batch(&refs, &mut out);
+        batcher.run_batch(&mut engine, &refs, &mut out);
     }
     let after = ALLOCS.load(Ordering::SeqCst);
     drop(guard);
-    let stats = *engine.lane_stats();
+    let stats = *batcher.stats();
     assert_eq!(
         after - before,
         0,
@@ -303,7 +304,7 @@ fn lane_batch_step_loop_allocates_nothing_in_steady_state() {
 
 #[test]
 fn epoch_replay_loop_allocates_nothing_in_steady_state() {
-    use ultrascalar::{LaneBatchEngine, PredictorKind, ProcConfig, RunResult};
+    use ultrascalar::{LaneBatcher, PredictorKind, ProcConfig, RunResult, Ultrascalar};
     use ultrascalar_bench::kernels::{branch_gauntlet_seeded, spec_storm_seeded};
     use ultrascalar_isa::{workload, Program};
 
@@ -321,23 +322,24 @@ fn epoch_replay_loop_allocates_nothing_in_steady_state() {
     ] {
         let population = workload::lane_variants(&prog, 64, 0x5EED);
         let refs: Vec<&Program> = population.iter().collect();
-        let mut engine = LaneBatchEngine::new(cfg.clone());
+        let mut engine = Ultrascalar::new(cfg.clone());
+        let mut batcher = LaneBatcher::new();
         let mut out = vec![RunResult::default(); 64];
 
         // Warm-up sizes every retained buffer, the replay scratch
         // included.
-        engine.run_batch(&refs, &mut out);
-        engine.run_batch(&refs, &mut out);
+        batcher.run_batch(&mut engine, &refs, &mut out);
+        batcher.run_batch(&mut engine, &refs, &mut out);
 
-        let stats_before = *engine.lane_stats();
+        let stats_before = *batcher.stats();
         let guard = ProbeGuard::arm();
         let before = ALLOCS.load(Ordering::SeqCst);
         for _ in 0..10 {
-            engine.run_batch(&refs, &mut out);
+            batcher.run_batch(&mut engine, &refs, &mut out);
         }
         let after = ALLOCS.load(Ordering::SeqCst);
         drop(guard);
-        let stats = engine.lane_stats().delta_since(&stats_before);
+        let stats = batcher.stats().delta_since(&stats_before);
         assert_eq!(
             after - before,
             0,

@@ -53,7 +53,6 @@ fn repeated_request_is_byte_identical_and_hits_caches() {
         ),
         (3, 1)
     );
-    assert_eq!(s.shared().counters().batched_runs, 0, "no lane groups");
     assert_eq!(s.shared().counters().runs, 4);
     assert_eq!(s.shared().counters().errors, 0);
 }
@@ -269,7 +268,6 @@ fn stats_and_shutdown_commands() {
     assert!(stats.contains("\"engine_pool_hits\":1"), "{stats}");
     assert!(stats.contains("\"program_cache_evictions\":0"), "{stats}");
     assert!(stats.contains("\"engine_pool_evictions\":0"), "{stats}");
-    assert!(stats.contains("\"batched_runs\":0"), "{stats}");
     assert!(stats.contains("\"disconnects\":0"), "{stats}");
     assert!(stats.contains("\"workers\":1"), "{stats}");
     assert!(stats.contains("\"worker_requests\":[3]"), "{stats}");
@@ -349,103 +347,48 @@ fn broken_pipe_on_write_counts_as_disconnect() {
     let mut s = Server::new(8, 4);
     let input = format!("{PROG}\n{PROG}\n");
     serve_stream(&mut s, input.as_bytes(), BrokenPipe);
-    // Both requests arrived pipelined, so they run as one lane-batch
-    // group before the first write hits the broken pipe and the stream
-    // stops.
-    assert_eq!(s.shared().counters().runs, 2);
+    // Both requests arrived pipelined, but each line is answered before
+    // the next is read: the first response hits the broken pipe and the
+    // stream stops before the second line runs.
+    assert_eq!(s.shared().counters().runs, 1);
     assert_eq!(s.shared().counters().disconnects, 1);
 }
 
-/// A branchy countdown loop under the perfect predictor: one clean
-/// epoch, the original misprediction-free schedule-share case.
+/// A branchy countdown loop under the perfect predictor.
 const LOOP_PERFECT: &str = r#"{"program":"li r1, 5\nli r2, 0\nli r3, 0\nloop:\nadd r3, r3, r1\nsubi r1, r1, 1\nbne r1, r2, loop\nhalt\n","options":{"window":8,"predictor":"perfect"}}"#;
 
-/// The same loop under the default bimodal predictor: the leader
-/// mispredicts, so the run splits into several clean epochs and the
-/// group lane-batches via epoch-segmented schedule sharing.
+/// The same loop under the default bimodal predictor, which
+/// mispredicts and flushes.
 const LOOP_BIMODAL: &str = r#"{"program":"li r1, 5\nli r2, 0\nli r3, 0\nloop:\nadd r3, r3, r1\nsubi r1, r1, 1\nbne r1, r2, loop\nhalt\n","options":{"window":8}}"#;
 
+/// Pipelined identical requests get the response a lone request gets,
+/// each from one engine checkout and one program-cache lookup.
 #[test]
-fn pipelined_identical_requests_lane_batch_byte_identically() {
-    // Serial baseline: one request at a time, grouping never engages.
-    let mut serial = Server::new(8, 4);
-    let baseline = serial.handle_line(LOOP_PERFECT).to_string();
-    assert!(baseline.starts_with("{\"ok\":true,"), "{baseline}");
+fn pipelined_identical_requests_match_serial_serving() {
+    for req in [LOOP_PERFECT, LOOP_BIMODAL] {
+        let baseline = Server::new(8, 4).handle_line(req).to_string();
+        assert!(baseline.starts_with("{\"ok\":true,"), "{baseline}");
 
-    let mut s = Server::new(8, 4);
-    let input = format!("{LOOP_PERFECT}\n").repeat(4);
-    let mut out: Vec<u8> = Vec::new();
-    serve_stream(&mut s, input.as_bytes(), &mut out);
-    let lines: Vec<&str> = std::str::from_utf8(&out).unwrap().lines().collect();
-    assert_eq!(lines.len(), 4, "{lines:?}");
-    for l in &lines {
-        assert_eq!(*l, baseline, "lane-batched response must be byte-identical");
+        let mut s = Server::new(8, 4);
+        let input = format!("{req}\n").repeat(4);
+        let mut out: Vec<u8> = Vec::new();
+        serve_stream(&mut s, input.as_bytes(), &mut out);
+        let lines: Vec<&str> = std::str::from_utf8(&out).unwrap().lines().collect();
+        assert_eq!(lines.len(), 4, "{lines:?}");
+        for l in &lines {
+            assert_eq!(*l, baseline, "pipelined response must be byte-identical");
+        }
+        let c = s.shared().counters();
+        assert_eq!((c.requests, c.runs, c.errors), (4, 4, 0));
+        let pool = s.shared().engine_stats();
+        assert_eq!((pool.hits, pool.misses), (3, 1), "one checkout per run");
+        let cache = s.shared().program_stats();
+        assert_eq!((cache.hits, cache.misses), (3, 1), "one lookup per run");
     }
-    let c = s.shared().counters();
-    assert_eq!(c.requests, 4);
-    assert_eq!(c.runs, 4);
-    assert_eq!(c.errors, 0);
-    assert_eq!(c.lane.lane_runs, 4, "all four lanes rode one batch");
-    assert_eq!(c.lane.peels, 0);
-    assert_eq!(c.batched_runs, 3, "members ride the leader's engine");
-    let pool = s.shared().engine_stats();
-    assert_eq!(
-        (pool.hits, pool.misses),
-        (3, 1),
-        "members count as pool hits"
-    );
-    assert_eq!(pool.hits + pool.misses, c.runs);
-    assert_eq!(
-        (
-            s.shared().program_stats().hits,
-            s.shared().program_stats().misses
-        ),
-        (3, 1),
-        "members hit the leader's cache entry"
-    );
 }
 
 #[test]
-fn bimodal_group_lane_batches_across_epochs_byte_identically() {
-    // Baseline: the same three requests one line at a time (the
-    // predictor tables reset per run, so all three responses match).
-    let mut serial = Server::new(8, 4);
-    let expect: Vec<String> = (0..3)
-        .map(|_| serial.handle_line(LOOP_BIMODAL).to_string())
-        .collect();
-
-    let mut s = Server::new(8, 4);
-    let input = format!("{LOOP_BIMODAL}\n").repeat(3);
-    let mut out: Vec<u8> = Vec::new();
-    serve_stream(&mut s, input.as_bytes(), &mut out);
-    let lines: Vec<&str> = std::str::from_utf8(&out).unwrap().lines().collect();
-    assert_eq!(lines.len(), 3, "{lines:?}");
-    for (l, e) in lines.iter().zip(&expect) {
-        assert_eq!(*l, e, "lane-batched response must match serial serving");
-    }
-    let c = s.shared().counters();
-    assert_eq!(c.runs, 3);
-    assert_eq!(
-        c.lane.lane_runs, 3,
-        "mispredicting leader no longer blocks the gate"
-    );
-    assert!(
-        c.lane.epochs >= 2,
-        "the leader's flushes segment the run into multiple epochs, got {}",
-        c.lane.epochs
-    );
-    // Identical lanes never diverge from the leader, during replay or
-    // otherwise, and no demotion cause fires.
-    assert_eq!(c.lane.peels, 0);
-    assert_eq!(c.lane.replay_peels, 0);
-    assert_eq!(c.lane.fallback_incompatible, 0);
-    assert_eq!(c.lane.fallback_leader, 0);
-    assert_eq!(c.lane.fallback_structure, 0);
-    assert_eq!(c.lane.fallback_verify, 0);
-}
-
-#[test]
-fn group_breakers_are_served_in_order() {
+fn commands_and_errors_are_served_in_stream_order() {
     let input = format!(
         "{LOOP_PERFECT}\n{LOOP_PERFECT}\n{{\"cmd\":\"stats\"}}\n{LOOP_PERFECT}\n\
          nonsense\n{LOOP_PERFECT}\n{{\"cmd\":\"shutdown\"}}\n"
@@ -455,25 +398,23 @@ fn group_breakers_are_served_in_order() {
     serve_stream(&mut s, input.as_bytes(), &mut out);
     let lines: Vec<&str> = std::str::from_utf8(&out).unwrap().lines().collect();
     assert_eq!(lines.len(), 7, "{lines:?}");
-    // The four run responses are identical whether a line rode a lane
-    // batch (the first two) or ran serially after a breaker.
+    // The four run responses are identical wherever a command or a
+    // malformed line sits between them.
     assert_eq!(lines[0], lines[1]);
     assert_eq!(lines[0], lines[3]);
     assert_eq!(lines[0], lines[5]);
-    // Breakers answer in stream order: stats after the first group,
-    // the malformed line's error, then shutdown.
+    // Stats, the malformed line's error and shutdown answer in stream
+    // order.
     assert!(lines[2].contains("\"requests\":3"), "{}", lines[2]);
-    assert!(lines[2].contains("\"lane_batched_runs\":2"), "{}", lines[2]);
     assert!(lines[4].starts_with("{\"ok\":false,"), "{}", lines[4]);
     assert_eq!(lines[6], "{\"ok\":true,\"shutdown\":true}");
     let c = s.shared().counters();
     assert_eq!(c.runs, 4);
     assert_eq!(c.errors, 1);
-    assert_eq!(c.lane.lane_runs, 2, "only the unbroken pair batched");
 }
 
 #[test]
-fn alternating_configs_never_group() {
+fn alternating_configs_are_answered_per_config() {
     let a = PROG;
     let b = r#"{"program":"li r1, 6\nli r2, 7\nmul r3, r1, r2\nhalt\n","options":{"window":16}}"#;
     let mut s = Server::new(8, 4);
@@ -486,43 +427,28 @@ fn alternating_configs_never_group() {
     assert_eq!(lines[1], lines[3]);
     assert!(lines[0].contains("\"window\":8"), "{}", lines[0]);
     assert!(lines[1].contains("\"window\":16"), "{}", lines[1]);
-    let c = s.shared().counters();
-    assert_eq!(c.runs, 4);
-    assert_eq!(
-        c.lane.lane_runs, 0,
-        "config changes break every would-be group"
-    );
+    assert_eq!(s.shared().counters().runs, 4);
 }
 
-/// A stats response with the values that legitimately differ between
-/// grouped and one-at-a-time serving — the lane counters,
-/// `batched_runs` and wall time — blanked out.
-fn mask_grouping_and_wall(line: &str) -> String {
+/// A stats response with its wall time, the one value that differs
+/// between two servings of the same lines, blanked out.
+fn mask_wall(line: &str) -> String {
     line.split(',')
         .map(|field| match field.split_once(':') {
-            Some((key, _))
-                if key.starts_with("\"lane_")
-                    || key == "\"wall_s\""
-                    || key == "\"batched_runs\"" =>
-            {
-                format!("{key}:_")
-            }
+            Some((key, _)) if key == "\"wall_s\"" => format!("{key}:_"),
             _ => field.to_string(),
         })
         .collect::<Vec<_>>()
         .join(",")
 }
 
-/// Pipelined serving groups buffered lines into lane batches; serving
-/// the same lines one at a time through `handle_line` never groups.
-/// Both must give the same responses and the same accounting: every
-/// counter but the lane counters, `batched_runs` and wall time, and
-/// the program-cache and engine-pool statistics (whose hits and misses
-/// add up to the runs either way). The stream covers each way a line
-/// can end or join a group: identical members, members differing only
+/// Streaming the lines and serving them one at a time through
+/// `handle_line` must give the same responses and the same accounting:
+/// every counter but wall time, and the program-cache and engine-pool
+/// statistics. The stream covers identical lines, lines differing only
 /// in `id`, `registers` or `timing: false`, one differing in its
-/// configuration, a `program_path` leader, an invalid-config leader
-/// and an assembly-error leader with lines buffered behind them, a
+/// configuration, a `program_path` request, an invalid-config request
+/// and an assembly-error request with lines buffered behind them, a
 /// malformed line, a blank line and `stats`.
 #[test]
 fn pipelined_and_one_at_a_time_serving_account_identically() {
@@ -565,35 +491,31 @@ fn pipelined_and_one_at_a_time_serving_account_identically() {
     ];
     let input: String = lines.iter().map(|l| format!("{l}\n")).collect();
 
-    let mut grouped = Server::new(8, 4);
+    let mut streamed = Server::new(8, 4);
     let mut out: Vec<u8> = Vec::new();
-    serve_stream(&mut grouped, input.as_bytes(), &mut out);
-    let grouped_lines: Vec<String> = std::str::from_utf8(&out)
+    serve_stream(&mut streamed, input.as_bytes(), &mut out);
+    let streamed_lines: Vec<String> = std::str::from_utf8(&out)
         .unwrap()
         .lines()
-        .map(mask_grouping_and_wall)
+        .map(mask_wall)
         .collect();
 
     let mut single = Server::new(8, 4);
     let single_lines: Vec<String> = lines
         .iter()
         .filter(|l| !l.trim().is_empty())
-        .map(|l| mask_grouping_and_wall(single.handle_line(l)))
+        .map(|l| mask_wall(single.handle_line(l)))
         .collect();
     std::fs::remove_file(&asm).ok();
 
-    assert_eq!(grouped_lines.len(), 20, "{grouped_lines:?}");
-    assert_eq!(grouped_lines, single_lines);
-    let (g, s) = (grouped.shared(), single.shared());
-    assert!(g.counters().lane.lane_runs > 0, "the stream must group");
-    assert_eq!(s.counters().lane.lane_runs, 0, "handle_line never groups");
-    let unlaned = |c: ServeCounters| ServeCounters {
-        batched_runs: 0,
-        lane: Default::default(),
+    assert_eq!(streamed_lines.len(), 20, "{streamed_lines:?}");
+    assert_eq!(streamed_lines, single_lines);
+    let (g, s) = (streamed.shared(), single.shared());
+    let unwalled = |c: ServeCounters| ServeCounters {
         wall: Duration::ZERO,
         ..c
     };
-    assert_eq!(unlaned(g.counters()), unlaned(s.counters()));
+    assert_eq!(unwalled(g.counters()), unwalled(s.counters()));
     assert_eq!(g.program_stats(), s.program_stats());
     assert_eq!(g.engine_stats(), s.engine_stats());
     assert_eq!(g.worker_request_counts(), s.worker_request_counts());

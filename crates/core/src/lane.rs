@@ -217,7 +217,10 @@ impl LaneBatchStats {
 
 /// Retained scratch + counters for lane-parallel batch runs. One
 /// instance serves any number of batches over any engine; all working
-/// buffers are reused, so a warm batch allocates nothing.
+/// buffers are reused, so a warm batch allocates nothing. The caller
+/// owns the engine and passes it to every [`LaneBatcher::run_batch`]
+/// (the benchmark's lane pool keeps one batcher beside each of its warm
+/// engines).
 #[derive(Debug, Default)]
 pub struct LaneBatcher {
     /// The lock-step register file, one lane-major value per
@@ -282,8 +285,7 @@ impl LaneBatcher {
     /// to calling `engine.run_reusing` on each in turn — but sharing
     /// one engine pass across every lane that stays converged with
     /// lane 0. Programs may be given by reference or behind an `Arc`
-    /// (anything that borrows as [`Program`]), so pooled callers like
-    /// `usim serve` batch straight from their cache handles.
+    /// (anything that borrows as [`Program`]).
     ///
     /// Every slot must ask the same of timings as `out[0]`: all
     /// `Some` (record) or all `None` (record nothing). Converged lanes
@@ -879,40 +881,6 @@ fn branch_mask(cond: BranchCond, a: &Lanes, b: &Lanes) -> u64 {
         };
     }
     per_lane!(Eq Ne Lt Ge Ltu Geu)
-}
-
-/// An engine plus its lane batcher as one unit, for callers that own
-/// their engine (the `lanes_ab` sweep). `usim serve` composes
-/// [`LaneBatcher`] with pooled engines directly instead.
-#[derive(Debug)]
-pub struct LaneBatchEngine {
-    engine: Ultrascalar,
-    batcher: LaneBatcher,
-}
-
-impl LaneBatchEngine {
-    /// An engine + batcher for the given configuration.
-    pub fn new(cfg: ProcConfig) -> Self {
-        LaneBatchEngine {
-            engine: Ultrascalar::new(cfg),
-            batcher: LaneBatcher::new(),
-        }
-    }
-
-    /// The wrapped engine's configuration.
-    pub fn config(&self) -> &ProcConfig {
-        self.engine.config()
-    }
-
-    /// Batch-level lane counters.
-    pub fn lane_stats(&self) -> &LaneBatchStats {
-        self.batcher.stats()
-    }
-
-    /// Run a batch; see [`LaneBatcher::run_batch`].
-    pub fn run_batch<P: Borrow<Program>>(&mut self, programs: &[P], out: &mut [RunResult]) {
-        self.batcher.run_batch(&mut self.engine, programs, out);
-    }
 }
 
 #[cfg(test)]

@@ -64,7 +64,7 @@ pub mod timing;
 pub use baseline::BaselineOoO;
 pub use config::{ForwardModel, ProcConfig};
 pub use engine::{FlushEvent, FlushedEntry, ReplayLog, Ultrascalar, WalkCensus};
-pub use lane::{LaneBatchEngine, LaneBatchStats, LaneBatcher, MAX_LANES, MAX_LEADER_LOG};
+pub use lane::{LaneBatchStats, LaneBatcher, MAX_LANES, MAX_LEADER_LOG};
 pub use latency::LatencyModel;
 pub use pool::{PoolStats, PooledEngine, ShardedEnginePool};
 pub use predict::PredictorKind;

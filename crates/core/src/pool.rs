@@ -164,9 +164,9 @@ fn config_shard_hash(cfg: &ProcConfig) -> u64 {
     h = mix(h, cfg.mem.hop_latency);
     h = mix(h, cfg.mem.network as u64);
     h = mix(h, cfg.mem.cluster_cache.is_some() as u64);
-    h = mix(h, cfg.alus.map_or(0, |k| k as u64 + 1));
+    h = mix(h, cfg.alus.map_or(0, |k| (k as u64).wrapping_add(1)));
     h = mix(h, cfg.memory_renaming as u64);
-    h = mix(h, cfg.fetch_width.map_or(0, |f| f as u64 + 1));
+    h = mix(h, cfg.fetch_width.map_or(0, |f| (f as u64).wrapping_add(1)));
     // Two removed boolean knobs used to be mixed in here; mixing their
     // constant `false` keeps every shard placement unchanged.
     h = mix(mix(h, 0), 0);
@@ -191,7 +191,7 @@ fn config_shard_hash(cfg: &ProcConfig) -> u64 {
             crate::predict::PredictorKind::NotTaken => 2,
             crate::predict::PredictorKind::Taken => 3,
             crate::predict::PredictorKind::Btfn => 4,
-            crate::predict::PredictorKind::Bimodal(k) => 8 + k as u64,
+            crate::predict::PredictorKind::Bimodal(k) => (k as u64).wrapping_add(8),
         },
     );
     h
@@ -442,6 +442,28 @@ mod tests {
         let e = pool.checkout(&cfg);
         pool.checkin(e);
         assert_eq!(pool.stats().warm, 1);
+    }
+
+    /// Regression: the `alus`, `fetch_width` and bimodal-size mixes
+    /// added a constant without wrapping, so a debug build panicked on
+    /// `usize::MAX`. Each must hash without panicking, stably. (`alus`
+    /// and `fetch_width` at `usize::MAX` wrap onto `None`'s 0, a
+    /// collision the exact config scan resolves.)
+    #[test]
+    fn shard_hash_handles_extreme_counts() {
+        use crate::predict::PredictorKind;
+        let base = ProcConfig::ultrascalar_i(8);
+        for cfg in [
+            base.clone().with_shared_alus(usize::MAX),
+            base.clone().with_fetch_width(usize::MAX),
+            base.with_predictor(PredictorKind::Bimodal(usize::MAX)),
+        ] {
+            assert_eq!(
+                config_shard_hash(&cfg),
+                config_shard_hash(&cfg.clone()),
+                "{cfg:?}"
+            );
+        }
     }
 
     #[test]

@@ -368,7 +368,7 @@ fn single_divergent_lane_peels_at_epoch_boundary() {
 
 #[test]
 fn identical_lanes_fully_converge() {
-    // The serve smoke-test shape: N identical requests. No lane can
+    // N identical programs. No lane can
     // peel, and every lane's result equals the leader's.
     let cfg = ProcConfig::ultrascalar_i(8);
     let prog = workload::dot_product(24);
@@ -410,7 +410,7 @@ fn batch_of_one_short_circuits() {
 
 #[test]
 fn warm_batcher_reruns_are_identical() {
-    // The same batcher across many groups (the serve usage pattern):
+    // The same batcher across many groups (the lane pool's pattern):
     // scratch reuse must never leak state between batches.
     let cfg = ProcConfig::ultrascalar_i(16);
     let mut batcher = LaneBatcher::new();
