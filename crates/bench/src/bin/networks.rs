@@ -34,7 +34,7 @@ fn drain(m: &mut MemSystem, reqs: &[MemRequest]) -> u64 {
             pending[0].id
         );
         m.tick_into(t, &pending, &mut accepted, &mut done);
-        pending.retain(|r| !accepted.contains(&r.id));
+        pending.retain(|r| !accepted.contains(r));
         t += 1;
     }
     t

@@ -168,7 +168,7 @@ impl Processor for BaselineOoO {
         // lookups go through [`rob_locate`] instead of per-cycle
         // snapshot maps).
         let mut requests: Vec<MemRequest> = Vec::new();
-        let mut accepted: Vec<u64> = Vec::new();
+        let mut accepted: Vec<MemRequest> = Vec::new();
         let mut responses: Vec<MemResponse> = Vec::new();
 
         // Producer lookup, live against the ROB. Equivalent to the
@@ -344,8 +344,8 @@ impl Processor for BaselineOoO {
             let offered_requests = !requests.is_empty();
             mem.tick_into(t, &requests, &mut accepted, &mut responses);
             let had_responses = !responses.is_empty();
-            for &id in &accepted {
-                if let Some(i) = rob_locate(&rob, id) {
+            for req in &accepted {
+                if let Some(i) = rob_locate(&rob, req.id) {
                     rob[i].st.issued_at = Some(t);
                     rob[i].st.mem = MemPhase::InFlight;
                 }

@@ -535,26 +535,6 @@ fn ring_slot(head: usize, j: usize, n: usize) -> usize {
     }
 }
 
-/// Slot of the occupied station with sequence number `seq`, by binary
-/// search: sequence numbers are allocated monotonically and never
-/// reused, and refill (append) and flush (truncate) preserve program
-/// order, so the occupied run is sorted by `seq` — with gaps where a
-/// flush squashed stations, so `seq - base` arithmetic would be
-/// unsound.
-fn locate(ring: &[Station], head: usize, len: usize, seq: u64) -> Option<usize> {
-    let (mut lo, mut hi) = (0, len);
-    while lo < hi {
-        let mid = (lo + hi) / 2;
-        if ring[ring_slot(head, mid, ring.len())].e.seq < seq {
-            lo = mid + 1;
-        } else {
-            hi = mid;
-        }
-    }
-    let s = ring_slot(head, lo, ring.len());
-    (lo < len && ring[s].e.seq == seq).then_some(s)
-}
-
 /// The resolved value of one source operand.
 enum Source {
     /// From an in-window producer (`dist` = seq distance).
@@ -762,7 +742,7 @@ struct EngineScratch {
     replay: ReplayLog,
     alu_free_at: Vec<u64>,
     /// Caller-side buffers for [`MemSystem::tick_into`].
-    accepted: Vec<u64>,
+    accepted: Vec<MemRequest>,
     responses: Vec<MemResponse>,
 }
 
@@ -1329,26 +1309,34 @@ impl Ultrascalar {
             let offered_requests = !requests.is_empty();
             mem.tick_into(t, requests, accepted, responses);
             let had_responses = !responses.is_empty();
-            for &id in accepted.iter() {
-                if let Some(s) = locate(ring, head, len, id) {
-                    let e = &mut ring[s].e;
-                    e.issued_at = Some(t);
-                    e.mem = MemPhase::InFlight;
-                    issued_now += 1;
-                    wake.fly(s, lane_of(&e.instr).expect("a memory op clears a lane"));
-                }
+            // Every request names its station's slot as its leaf. An
+            // acceptance is for a request offered in this cycle's walk,
+            // whose station is still in place; a response may find its
+            // slot vacated or refilled by a flush since it flew, so it
+            // lands only on an occupied slot that still holds its seq
+            // (seqs are never reused).
+            for req in accepted.iter() {
+                let s = req.leaf;
+                debug_assert!(
+                    at(s) < len && ring[s].e.seq == req.id,
+                    "accepted slot {s} moved"
+                );
+                let e = &mut ring[s].e;
+                e.issued_at = Some(t);
+                e.mem = MemPhase::InFlight;
+                issued_now += 1;
+                wake.fly(s, lane_of(&e.instr).expect("a memory op clears a lane"));
             }
             for resp in responses.iter() {
-                if let Some(s) = locate(ring, head, len, resp.id) {
-                    let e = &mut ring[s].e;
-                    if e.mem == MemPhase::InFlight {
-                        e.completed_at = Some(t);
-                        e.result = resp.value;
-                        e.actual_next = Some(e.pc + 1);
-                        e.mem = MemPhase::None;
-                        wake.land(s, lane_of(&e.instr).expect("a memory op clears a lane"));
-                        wake.wake(s);
-                    }
+                let s = resp.leaf;
+                let e = &mut ring[s].e;
+                if at(s) < len && e.seq == resp.id && e.mem == MemPhase::InFlight {
+                    e.completed_at = Some(t);
+                    e.result = resp.value;
+                    e.actual_next = Some(e.pc + 1);
+                    e.mem = MemPhase::None;
+                    wake.land(s, lane_of(&e.instr).expect("a memory op clears a lane"));
+                    wake.wake(s);
                 }
             }
 

@@ -3,13 +3,15 @@
 //! Serving mode re-simulates the same few sources across many
 //! configuration points (the design-space-exploration workload of the
 //! related work), so repeated requests should skip the assembler
-//! entirely. The key is an FNV-1a hash over the source text and the
-//! register-file width; because hashes can collide, every entry also
-//! keeps its source and a hit requires an exact match — a cache hit
-//! can never return the wrong program, and the hit path allocates
-//! nothing (hashing and comparison both run over borrowed bytes, and
-//! the cached program is shared out as an [`Arc`] clone, a refcount
-//! bump).
+//! entirely. The key is the source text and the register-file width.
+//! A lookup hashes the source once with std's `DefaultHasher`, which
+//! reads it a word at a time (a byte-serial hash such as [`fnv1a`]
+//! costs several times more on a typical request's program); because
+//! hashes can collide, every entry also keeps its source and a hit
+//! requires an exact match — a cache hit can never return the wrong
+//! program, and the hit path allocates nothing (hashing and comparison
+//! both run over borrowed bytes, and the cached program is shared out
+//! as an [`Arc`] clone, a refcount bump).
 //!
 //! Two forms are provided:
 //!
@@ -17,7 +19,8 @@
 //!   pool in the core crate: request streams cycle through a handful of
 //!   programs, so scanning a few entries beats maintaining a map.
 //! * [`ShardedProgramCache`] — N independent [`ProgramCache`] shards,
-//!   each behind its own lock, selected by the same content hash. The
+//!   each behind its own lock, selected by the same content hash, which
+//!   is handed down to the shard rather than computed again. The
 //!   concurrent serving loop's worker threads hash straight to their
 //!   shard, so two workers assembling different programs never contend
 //!   on one LRU mutex (the NYU Ultracomputer lesson: shared-structure
@@ -25,13 +28,16 @@
 //!   hit/miss/eviction counters roll up through
 //!   [`ShardedProgramCache::stats`].
 
+use std::hash::Hasher;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::asm::{assemble, AsmError};
 use crate::program::Program;
 
-/// FNV-1a over a byte string: tiny, dependency-free, and good enough
-/// to make full-source comparisons rare.
+/// FNV-1a over a byte string: tiny, dependency-free and stable across
+/// Rust releases, for digests pinned in tests (the workload image
+/// digest). It reads one byte at a time, so the program cache keys on
+/// a word-at-a-time hash instead.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -39,6 +45,15 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+/// The program cache's content hash of `src`: std's `DefaultHasher`
+/// (SipHash-1-3 under fixed keys) over the bytes, which consumes eight
+/// bytes per step. Deterministic within a build; nothing persists it.
+fn source_hash(src: &str) -> u64 {
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    h.write(src.as_bytes());
+    h.finish()
 }
 
 /// Roll-up of cache counters (one shard's, or the whole sharded
@@ -105,8 +120,18 @@ impl ProgramCache {
         src: &str,
         num_regs: usize,
     ) -> Result<Arc<Program>, AsmError> {
+        self.get_or_assemble_hashed(source_hash(src), src, num_regs)
+    }
+
+    /// [`ProgramCache::get_or_assemble`] with `hash ==
+    /// source_hash(src)` already computed by the caller.
+    fn get_or_assemble_hashed(
+        &mut self,
+        hash: u64,
+        src: &str,
+        num_regs: usize,
+    ) -> Result<Arc<Program>, AsmError> {
         self.stamp += 1;
-        let hash = fnv1a(src.as_bytes());
         let found = self
             .entries
             .iter_mut()
@@ -169,8 +194,8 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// N independent [`ProgramCache`] shards, each behind its own mutex,
-/// selected by the FNV-1a content hash — the concurrent serving
-/// loop's shared program cache.
+/// selected by the content hash — the concurrent serving loop's shared
+/// program cache.
 #[derive(Debug)]
 pub struct ShardedProgramCache {
     shards: Vec<Mutex<ProgramCache>>,
@@ -195,12 +220,14 @@ impl ShardedProgramCache {
     }
 
     /// Return the assembled program for `src`, locking only the shard
-    /// the content hash selects. The returned `Arc` is usable after
-    /// the shard lock is released; a hit performs no allocation.
+    /// the content hash selects; the shard reuses that hash for its own
+    /// lookup, so the source is hashed once. The returned `Arc` is
+    /// usable after the shard lock is released; a hit performs no
+    /// allocation.
     pub fn get_or_assemble(&self, src: &str, num_regs: usize) -> Result<Arc<Program>, AsmError> {
-        let hash = fnv1a(src.as_bytes());
+        let hash = source_hash(src);
         let shard = &self.shards[(hash % self.shards.len() as u64) as usize];
-        lock(shard).get_or_assemble(src, num_regs)
+        lock(shard).get_or_assemble_hashed(hash, src, num_regs)
     }
 
     /// Counters summed across all shards.

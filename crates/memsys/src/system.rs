@@ -124,6 +124,9 @@ pub struct MemRequest {
 pub struct MemResponse {
     /// The request's identifier.
     pub id: u64,
+    /// The request's leaf, so a caller that issues from slot `leaf`
+    /// finds the waiting op without searching for `id`.
+    pub leaf: usize,
     /// Loaded value (`None` for stores).
     pub value: Option<u32>,
 }
@@ -274,12 +277,13 @@ impl MemSystem {
     }
 
     /// One cycle: offer `requests` (oldest first — the offered order is
-    /// the grant priority), write the ids accepted this cycle into
+    /// the grant priority), copy the requests accepted this cycle into
     /// `accepted` and the responses for accesses completing *this*
-    /// cycle into `done`. Both buffers are caller-owned and cleared
-    /// first, so a processor's cycle loop reuses the same two vectors
-    /// across millions of cycles instead of allocating whenever there
-    /// is traffic.
+    /// cycle into `done`; both carry each request's `id` and `leaf`.
+    /// Both buffers are caller-owned and cleared first, so a
+    /// processor's cycle loop reuses the same two vectors across
+    /// millions of cycles instead of allocating whenever there is
+    /// traffic.
     ///
     /// Accepted stores take architectural effect immediately (the
     /// processor guarantees ordering before submitting); accepted loads
@@ -288,7 +292,7 @@ impl MemSystem {
         &mut self,
         now: u64,
         requests: &[MemRequest],
-        accepted: &mut Vec<u64>,
+        accepted: &mut Vec<MemRequest>,
         done: &mut Vec<MemResponse>,
     ) {
         accepted.clear();
@@ -307,10 +311,11 @@ impl MemSystem {
                         done,
                         MemResponse {
                             id: req.id,
+                            leaf: req.leaf,
                             value: Some(v),
                         },
                     ));
-                    accepted.push(req.id);
+                    accepted.push(*req);
                     continue;
                 }
             }
@@ -341,6 +346,7 @@ impl MemSystem {
             }
             let resp = MemResponse {
                 id: req.id,
+                leaf: req.leaf,
                 value: match req.kind {
                     ReqKind::Load => {
                         self.stats.loads += 1;
@@ -353,7 +359,7 @@ impl MemSystem {
                 },
             };
             self.in_flight.push((now + self.latency(), resp));
-            accepted.push(req.id);
+            accepted.push(*req);
         }
         self.stats.admitted = self.net.admitted();
         self.stats.link_rejections = self.net.rejections();
@@ -403,7 +409,8 @@ impl MemSystem {
 mod tests {
     use super::*;
 
-    /// One [`MemSystem::tick_into`] cycle into fresh buffers.
+    /// One [`MemSystem::tick_into`] cycle into fresh buffers: the
+    /// accepted ids and the responses.
     pub(super) fn tick(
         m: &mut MemSystem,
         now: u64,
@@ -411,7 +418,7 @@ mod tests {
     ) -> (Vec<u64>, Vec<MemResponse>) {
         let (mut accepted, mut done) = (Vec::new(), Vec::new());
         m.tick_into(now, requests, &mut accepted, &mut done);
-        (accepted, done)
+        (accepted.iter().map(|r| r.id).collect(), done)
     }
 
     fn req(id: u64, leaf: usize, addr: usize, kind: ReqKind) -> MemRequest {
@@ -435,6 +442,7 @@ mod tests {
             done,
             vec![MemResponse {
                 id: 1,
+                leaf: 0,
                 value: Some(9)
             }]
         );
@@ -576,6 +584,7 @@ mod tests {
             done,
             vec![MemResponse {
                 id: 9,
+                leaf: 2,
                 value: Some(2)
             }]
         );
@@ -616,6 +625,7 @@ mod butterfly_tests {
             done,
             vec![MemResponse {
                 id: 1,
+                leaf: 3,
                 value: Some(12)
             }]
         );
@@ -731,6 +741,7 @@ mod cache_tests {
             done,
             vec![MemResponse {
                 id: 2,
+                leaf: 1,
                 value: Some(7)
             }]
         );
