@@ -38,13 +38,20 @@ fn main() -> ExitCode {
             }
         }),
         "serve" => {
-            return match cli::parse_serve(rest).and_then(|o| ultrascalar_bench::serve::serve(&o)) {
+            let o = match cli::parse_serve(rest) {
+                Ok(o) => o,
+                Err(e) => {
+                    eprintln!("usim: {e}");
+                    return ExitCode::from(2);
+                }
+            };
+            return match ultrascalar_bench::serve::serve(&o) {
                 Ok(()) => ExitCode::SUCCESS,
                 Err(e) => {
                     eprintln!("usim: {e}");
                     ExitCode::FAILURE
                 }
-            }
+            };
         }
         "help" | "--help" | "-h" => {
             println!("{}", HELP);
@@ -81,18 +88,19 @@ const HELP: &str = "usim — Ultrascalar command-line driver
                                     free
   usim run also accepts .ubin object files
 
-serve options:
+serve options (a bad one exits with status 2 before anything starts):
   --socket PATH            listen on a Unix socket (default: stdin→stdout);
                            socket mode serves many clients at once;
                            `program_path` requests are refused there
   --workers N              socket serving threads, started with the server
-                           (default: the host's available parallelism); each
-                           serves one connection at a time, and further
-                           clients wait in the listen backlog
-  --program-cache N        assembled-program LRU capacity (default 64)
-  --engines N              warm-engine LRU capacity (default 8), shared by
-                           every worker; each run checks an engine out and
-                           back in
+                           (default: the host's available parallelism; at
+                           most 1024); each serves one connection at a time,
+                           and further clients wait in the listen backlog
+  --program-cache N        assembled-program LRU capacity (default 64; at
+                           most 65536)
+  --engines N              warm-engine LRU capacity (default 8; at most
+                           1024), shared by every worker; each run checks
+                           an engine out and back in
 
 run options:
   --arch usi|usii|hybrid   topology (default usi)

@@ -269,9 +269,9 @@ pub struct ServeOptions {
 }
 
 /// The default `--workers`: the host's available parallelism (1 when
-/// the host won't say).
+/// the host won't say), at most [`MAX_WORKERS`].
 pub fn default_workers() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+    std::thread::available_parallelism().map_or(1, |n| n.get().min(MAX_WORKERS))
 }
 
 impl Default for ServeOptions {
@@ -285,48 +285,88 @@ impl Default for ServeOptions {
     }
 }
 
+/// A `usim serve` argument error, found before anything is allocated
+/// or started; `usim` reports it as a usage error (exit status 2).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ServeArgError {
+    /// A flag with no value after it.
+    MissingValue(&'static str),
+    /// A flag whose value is not a count.
+    BadValue(&'static str),
+    /// A count outside `1..=max`.
+    OutOfRange {
+        /// The flag.
+        flag: &'static str,
+        /// The value given.
+        value: usize,
+        /// The largest value accepted.
+        max: usize,
+    },
+    /// A flag `usim serve` does not know.
+    UnknownFlag(String),
+    /// A positional argument (`usim serve` takes none).
+    Positional(String),
+}
+
+impl std::fmt::Display for ServeArgError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ServeArgError::MissingValue(flag) => write!(f, "{flag} needs a value"),
+            ServeArgError::BadValue(flag) => write!(f, "bad {flag}"),
+            ServeArgError::OutOfRange { flag, value, max } => {
+                write!(f, "{flag} {value} not in 1..={max}")
+            }
+            ServeArgError::UnknownFlag(flag) => write!(f, "unknown flag `{flag}`"),
+            ServeArgError::Positional(a) => write!(f, "unexpected positional argument `{a}`"),
+        }
+    }
+}
+
 /// Parse `usim serve` arguments (everything after the subcommand).
-pub fn parse_serve(args: &[String]) -> Result<ServeOptions, String> {
+pub fn parse_serve(args: &[String]) -> Result<ServeOptions, ServeArgError> {
     let mut o = ServeOptions::default();
     let mut it = args.iter();
-    let value = |it: &mut std::slice::Iter<String>, flag: &str| -> Result<String, String> {
-        it.next()
-            .cloned()
-            .ok_or_else(|| format!("{flag} needs a value"))
+    let count = |it: &mut std::slice::Iter<String>, flag: &'static str, max: usize| {
+        let v = it.next().ok_or(ServeArgError::MissingValue(flag))?;
+        let value = v.parse().map_err(|_| ServeArgError::BadValue(flag))?;
+        if (1..=max).contains(&value) {
+            Ok(value)
+        } else {
+            Err(ServeArgError::OutOfRange { flag, value, max })
+        }
     };
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--socket" => o.socket = Some(value(&mut it, "--socket")?),
+            "--socket" => {
+                let path = it.next().ok_or(ServeArgError::MissingValue("--socket"))?;
+                o.socket = Some(path.clone());
+            }
             "--program-cache" => {
-                o.program_cache = value(&mut it, "--program-cache")?
-                    .parse()
-                    .map_err(|_| "bad --program-cache".to_string())?
+                o.program_cache = count(&mut it, "--program-cache", MAX_PROGRAM_CACHE)?
             }
-            "--engines" => {
-                o.engines = value(&mut it, "--engines")?
-                    .parse()
-                    .map_err(|_| "bad --engines".to_string())?
+            "--engines" => o.engines = count(&mut it, "--engines", MAX_ENGINES)?,
+            "--workers" => o.workers = count(&mut it, "--workers", MAX_WORKERS)?,
+            flag if flag.starts_with("--") => {
+                return Err(ServeArgError::UnknownFlag(flag.to_string()))
             }
-            "--workers" => {
-                o.workers = value(&mut it, "--workers")?
-                    .parse()
-                    .map_err(|_| "bad --workers".to_string())?;
-                if o.workers == 0 {
-                    return Err("--workers must be at least 1".into());
-                }
-            }
-            flag if flag.starts_with("--") => return Err(format!("unknown flag `{flag}`")),
-            extra => return Err(format!("unexpected positional argument `{extra}`")),
+            extra => return Err(ServeArgError::Positional(extra.to_string())),
         }
-    }
-    if o.program_cache == 0 {
-        return Err("--program-cache must be at least 1".into());
-    }
-    if o.engines == 0 {
-        return Err("--engines must be at least 1".into());
     }
     Ok(o)
 }
+
+/// Largest `usim serve --program-cache` accepted: the program cache
+/// reserves an entry per program up front.
+pub const MAX_PROGRAM_CACHE: usize = 1 << 16;
+
+/// Largest `usim serve --engines` accepted: the engine pool reserves a
+/// slot per engine up front, and each pooled engine keeps its whole
+/// working state warm.
+pub const MAX_ENGINES: usize = 1 << 10;
+
+/// Largest `usim serve --workers` accepted: each worker is an
+/// operating-system thread, all started with the server.
+pub const MAX_WORKERS: usize = 1 << 10;
 
 /// Largest `--window` (and serve `options.window`) accepted. The engine
 /// and the memory network allocate per-station state for the whole
@@ -609,13 +649,42 @@ mod tests {
 
     #[test]
     fn parse_serve_rejects_bad_input() {
-        assert!(parse_serve(&args("--bogus")).is_err());
-        assert!(parse_serve(&args("stray.asm")).is_err());
-        assert!(parse_serve(&args("--program-cache 0")).is_err());
-        assert!(parse_serve(&args("--engines 0")).is_err());
-        assert!(parse_serve(&args("--engines x")).is_err());
-        assert!(parse_serve(&args("--workers 0")).is_err());
-        assert!(parse_serve(&args("--workers -1")).is_err());
+        use ServeArgError::*;
+        for (line, want) in [
+            ("--bogus", UnknownFlag("--bogus".into())),
+            ("stray.asm", Positional("stray.asm".into())),
+            ("--socket", MissingValue("--socket")),
+            ("--engines", MissingValue("--engines")),
+            ("--engines x", BadValue("--engines")),
+            ("--workers -1", BadValue("--workers")),
+        ] {
+            assert_eq!(parse_serve(&args(line)), Err(want), "{line}");
+        }
+    }
+
+    /// Zero and oversized start-up sizes are rejected by the parser
+    /// alone: nothing here builds a cache or pool or starts a thread.
+    #[test]
+    fn parse_serve_bounds_start_up_sizes() {
+        for (flag, max) in [
+            ("--program-cache", MAX_PROGRAM_CACHE),
+            ("--engines", MAX_ENGINES),
+            ("--workers", MAX_WORKERS),
+        ] {
+            let o = parse_serve(&args(&format!("{flag} {max}"))).unwrap();
+            let got = match flag {
+                "--program-cache" => o.program_cache,
+                "--engines" => o.engines,
+                _ => o.workers,
+            };
+            assert_eq!(got, max, "{flag}");
+            for value in [0, max + 1, 1_000_000_000_000_000] {
+                let e = parse_serve(&args(&format!("{flag} {value}"))).unwrap_err();
+                assert_eq!(e, ServeArgError::OutOfRange { flag, value, max });
+                assert_eq!(e.to_string(), format!("{flag} {value} not in 1..={max}"));
+            }
+        }
+        assert!(default_workers() <= MAX_WORKERS);
     }
 
     #[test]

@@ -158,8 +158,10 @@ impl ServeShared {
     /// `engines` engines, each a single LRU behind one lock.
     ///
     /// # Panics
-    /// Panics if a capacity or the worker count is zero (the CLI
-    /// parser rejects these first).
+    /// Panics if a capacity or the worker count is zero, and may abort
+    /// on one too large to allocate (the CLI parser rejects both
+    /// first, against [`cli::MAX_PROGRAM_CACHE`], [`cli::MAX_ENGINES`]
+    /// and [`cli::MAX_WORKERS`]).
     pub fn new(o: &ServeOptions) -> Self {
         assert!(o.workers > 0, "serve needs at least one worker");
         ServeShared {

@@ -226,6 +226,14 @@ impl<'a> P<'a> {
         }
     }
 
+    /// The whole character starting at byte `i`, for error texts.
+    fn char_at(&self, i: usize) -> char {
+        self.s
+            .get(i..)
+            .and_then(|rest| rest.chars().next())
+            .unwrap_or(char::REPLACEMENT_CHARACTER)
+    }
+
     fn peek(&mut self) -> Option<u8> {
         self.skip_ws();
         self.b.get(self.i).copied()
@@ -238,9 +246,11 @@ impl<'a> P<'a> {
                 self.i += 1;
                 Ok(())
             }
-            Some(&c) => Err(format!(
+            Some(_) => Err(format!(
                 "bad JSON: expected `{}` at byte {}, found `{}`",
-                want as char, self.i, c as char
+                want as char,
+                self.i,
+                self.char_at(self.i)
             )),
             None => Err(format!(
                 "bad JSON: expected `{}` at byte {}, found end of line",
@@ -279,6 +289,7 @@ impl<'a> P<'a> {
             let Some(&e) = self.b.get(self.i) else {
                 return Err("bad JSON: unterminated escape".into());
             };
+            let escape_at = self.i;
             self.i += 1;
             match e {
                 b'"' => out.push('"'),
@@ -313,7 +324,10 @@ impl<'a> P<'a> {
                         None => return Err("bad JSON: invalid \\u escape".into()),
                     }
                 }
-                other => return Err(format!("bad JSON: unknown escape `\\{}`", other as char)),
+                _ => {
+                    let other = self.char_at(escape_at);
+                    return Err(format!("bad JSON: unknown escape `\\{other}`"));
+                }
             }
         }
     }
@@ -639,8 +653,10 @@ mod tests {
             (r#""\ud83d\u0041""#, "bad JSON: invalid low surrogate"),
             (r#""\ud83d\ud83d""#, "bad JSON: invalid low surrogate"),
             (r#""\x""#, "bad JSON: unknown escape `\\x`"),
-            (r#""\é""#, "bad JSON: unknown escape `\\Ã`"),
+            (r#""\é""#, "bad JSON: unknown escape `\\é`"),
+            (r#""\😀""#, "bad JSON: unknown escape `\\😀`"),
             ("abc", "bad JSON: expected `\"` at byte 0, found `a`"),
+            ("  é", "bad JSON: expected `\"` at byte 2, found `é`"),
         ];
         let mut out = String::new();
         for (json, want) in cases {

@@ -1,5 +1,6 @@
 //! Process-level checks of the `usim` binary's error contract: a bad
-//! input exits 1 with a one-line message, never an abort.
+//! input exits 1 (a bad `usim serve` flag 2) with a one-line message,
+//! never an abort.
 
 use std::process::Command;
 
@@ -43,5 +44,27 @@ fn run_with_zero_or_huge_pools_exits_1_with_a_one_line_error() {
         let err = String::from_utf8(out.stderr).unwrap();
         assert_eq!(err.lines().count(), 1, "{err}");
         assert!(err.contains(needle), "{flag} {value}: {err}");
+    }
+}
+
+/// `usim serve` start-up sizes too large to allocate are usage errors
+/// found by the parser: exit 2 and one line naming the flag, before any
+/// cache, pool or worker thread exists (they once aborted with exit
+/// 134, "memory allocation of … bytes failed").
+#[test]
+fn serve_with_huge_start_up_sizes_exits_2_naming_the_flag() {
+    for flag in ["--engines", "--program-cache", "--workers"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_usim"))
+            .args(["serve", flag, "1000000000000000"])
+            .output()
+            .expect("spawn usim");
+        assert_eq!(out.status.code(), Some(2), "{flag}: {out:?}");
+        assert!(out.stdout.is_empty(), "{out:?}");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(err.lines().count(), 1, "{err}");
+        assert!(
+            err.contains(&format!("{flag} 1000000000000000 not in 1..=")),
+            "{err}"
+        );
     }
 }

@@ -18,7 +18,7 @@ use crate::processor::{Processor, RunResult};
 use crate::station::{MemPhase, StationEntry};
 use crate::stats::ProcStats;
 use crate::timing::InstrTiming;
-use ultrascalar_isa::{effective_addr, Instr, Program, Reg};
+use ultrascalar_isa::{effective_addr, Instr, Program};
 use ultrascalar_memsys::{MemRequest, MemResponse, MemSystem, ReqKind};
 
 /// A source operand captured at dispatch.
@@ -229,72 +229,9 @@ impl Processor for BaselineOoO {
                         let seq = e.st.seq;
                         // Shared-ALU admission (Alu/AluImm classes),
                         // oldest-first by scan order.
-                        let needs_alu = matches!(instr, Instr::Alu { .. } | Instr::AluImm { .. });
-                        let alu_ok = self.cfg.alus.is_none() || free_alus > 0;
-                        if needs_alu && !alu_ok {
-                            stats.alu_stalls += 1;
-                        }
-                        let grab_alu = |rob: &VecDeque<RobEntry>,
-                                        free: &mut usize,
-                                        alu_free_at: &mut Vec<u64>,
-                                        i: usize,
-                                        t: u64| {
-                            if self.cfg.alus.is_some() {
-                                *free -= 1;
-                                let done = rob[i].st.completed_at.expect("just set");
-                                let slot = alu_free_at
-                                    .iter_mut()
-                                    .find(|f| **f <= t)
-                                    .expect("free ALU counted");
-                                *slot = done + 1;
-                            }
-                        };
+                        let shared_alu = self.cfg.alus.is_some()
+                            && matches!(instr, Instr::Alu { .. } | Instr::AluImm { .. });
                         match instr {
-                            Instr::Alu { op, .. } if alu_ok => {
-                                let e = &mut rob[i].st;
-                                e.issued_at = Some(t);
-                                e.completed_at = Some(t + lat.of(&instr) - 1);
-                                e.result = Some(op.apply(v0, v1));
-                                e.actual_next = Some(e.pc + 1);
-                                grab_alu(&rob, &mut free_alus, &mut alu_free_at, i, t);
-                            }
-                            Instr::AluImm { op, imm, .. } if alu_ok => {
-                                let e = &mut rob[i].st;
-                                e.issued_at = Some(t);
-                                e.completed_at = Some(t + lat.of(&instr) - 1);
-                                e.result = Some(op.apply(v0, imm as u32));
-                                e.actual_next = Some(e.pc + 1);
-                                grab_alu(&rob, &mut free_alus, &mut alu_free_at, i, t);
-                            }
-                            Instr::Alu { .. } | Instr::AluImm { .. } => {}
-                            Instr::LoadImm { imm, .. } => {
-                                let e = &mut rob[i].st;
-                                e.issued_at = Some(t);
-                                e.completed_at = Some(t + lat.of(&instr) - 1);
-                                e.result = Some(imm as u32);
-                                e.actual_next = Some(e.pc + 1);
-                            }
-                            Instr::Branch { cond, target, .. } => {
-                                let taken = cond.eval(v0, v1);
-                                let e = &mut rob[i].st;
-                                e.issued_at = Some(t);
-                                e.completed_at = Some(t + lat.of(&instr) - 1);
-                                e.taken = Some(taken);
-                                e.actual_next =
-                                    Some(if taken { target as usize } else { e.pc + 1 });
-                            }
-                            Instr::Jump { target } => {
-                                let e = &mut rob[i].st;
-                                e.issued_at = Some(t);
-                                e.completed_at = Some(t);
-                                e.actual_next = Some(target as usize);
-                            }
-                            Instr::Halt | Instr::Nop => {
-                                let e = &mut rob[i].st;
-                                e.issued_at = Some(t);
-                                e.completed_at = Some(t);
-                                e.actual_next = Some(e.pc + 1);
-                            }
                             Instr::Load { offset, .. } => {
                                 if all_stores_done {
                                     let addr = effective_addr(v0, offset, mem.words());
@@ -317,6 +254,34 @@ impl Processor for BaselineOoO {
                                         kind: ReqKind::Store(v1),
                                     });
                                     rob[i].st.mem = MemPhase::Requesting;
+                                }
+                            }
+                            _ if shared_alu && free_alus == 0 => stats.alu_stalls += 1,
+                            _ => {
+                                // Every other instruction issues in one
+                                // step, completing `lat.of` cycles on.
+                                let (result, taken) = match instr {
+                                    Instr::Alu { op, .. } => (Some(op.apply(v0, v1)), None),
+                                    Instr::AluImm { op, imm, .. } => {
+                                        (Some(op.apply(v0, imm as u32)), None)
+                                    }
+                                    Instr::LoadImm { imm, .. } => (Some(imm as u32), None),
+                                    Instr::Branch { cond, .. } => (None, Some(cond.eval(v0, v1))),
+                                    _ => (None, None),
+                                };
+                                let done_at = t + lat.of(&instr) - 1;
+                                let e = &mut rob[i].st;
+                                e.issued_at = Some(t);
+                                e.completed_at = Some(done_at);
+                                e.result = result;
+                                e.taken = taken;
+                                if shared_alu {
+                                    free_alus -= 1;
+                                    let unit = alu_free_at
+                                        .iter_mut()
+                                        .find(|f| **f <= t)
+                                        .expect("free ALU counted");
+                                    *unit = done_at + 1;
                                 }
                             }
                         }
@@ -356,7 +321,6 @@ impl Processor for BaselineOoO {
                     if e.mem == MemPhase::InFlight {
                         e.completed_at = Some(t);
                         e.result = resp.value;
-                        e.actual_next = Some(e.pc + 1);
                         e.mem = MemPhase::None;
                     }
                 }
@@ -369,7 +333,7 @@ impl Processor for BaselineOoO {
                 if e.instr.is_branch() && e.completed_at == Some(t) {
                     fetch.train(e.pc, e.taken.unwrap_or(false));
                     if e.mispredicted() {
-                        let correct = e.actual_next.expect("resolved");
+                        let correct = e.resolved_next().expect("resolved");
                         stats.flushed += (rob.len() - (i + 1)) as u64;
                         rob.truncate(i + 1);
                         alloc_counter = rob[i].ring_index + 1;
@@ -501,11 +465,4 @@ impl Processor for BaselineOoO {
         *out_cycles = t;
         *out_halted = halted;
     }
-}
-
-/// Helper mirroring `Instr::reads` indices for rename capture (kept for
-/// potential external use).
-#[allow(dead_code)]
-fn read_regs(i: &Instr) -> [Option<Reg>; 2] {
-    i.reads()
 }

@@ -70,8 +70,10 @@
 //! is unfinished, and under memory renaming, for a store, unresolved.
 //! The oldest parked station bounds the done prefix, and the oldest
 //! parked load, branch and store, and under renaming the oldest parked
-//! unresolved store (per-lane bitsets), clear their flag lanes for
-//! every younger station. Cycle skip needs no new event: a parked
+//! unresolved store, clear their flag lanes for every younger station.
+//! A parked station is unfinished, so it is still among its lane's
+//! *blockers* (see below), and the oldest that clears lane `k` is the
+//! first member of `parked ∩ blockers[k]`. Cycle skip needs no new event: a parked
 //! station's producer is unscheduled, which the "covered transitively"
 //! argument at the blocked-operand wake-ups already relies on, and the
 //! ready time of its other operand, no longer collected, passes while
@@ -102,7 +104,7 @@
 //! clears it only for stations younger than itself). The walk releases
 //! that run's holds, word by word across the ring, and reaches them
 //! later in the same walk. A held or in-flight station is unfinished,
-//! so it counts in the parked sets for the done prefix and its kind's
+//! so it counts in the parked set for the done prefix and its kind's
 //! lane; it is already resolved, so it never clears the renaming lane.
 //! A load is held at most once and a store at most three times (once
 //! per lane), which [`WalkCensus`] lets tests check.
@@ -239,13 +241,11 @@ struct WakeLists {
     /// Stations out of the walk and unfinished: parked on a producer,
     /// held on a lane or in flight.
     parked: BitWords,
-    /// The parked, held and in-flight stations, by the flag lanes they
-    /// clear: their [`lane_of`], and the renaming lane for a store not
-    /// yet resolved.
-    parked_by_kind: [BitWords; 4],
     /// Per flag lane, the stations that may still clear it: the
     /// loads, branches and stores the walk has not yet found done, and
     /// under memory renaming the stores it has not yet found resolved.
+    /// Every parked, held or in-flight station is unfinished, so
+    /// `parked ∩ blockers[k]` is the set of those that clear lane `k`.
     blockers: [BitWords; 4],
     /// Per flag lane, the ready memory ops waiting for it to set at
     /// their slot, and how many there are.
@@ -269,7 +269,6 @@ impl WakeLists {
             *self = WakeLists {
                 active: BitWords::new(n),
                 parked: BitWords::new(n),
-                parked_by_kind: std::array::from_fn(|_| BitWords::new(n)),
                 blockers: std::array::from_fn(|_| BitWords::new(n)),
                 held: std::array::from_fn(|_| BitWords::new(n)),
                 held_count: [0; 4],
@@ -287,7 +286,6 @@ impl WakeLists {
                 &mut self.resolved,
             ];
             sets.into_iter()
-                .chain(&mut self.parked_by_kind)
                 .chain(&mut self.blockers)
                 .chain(&mut self.held)
                 .for_each(BitWords::clear);
@@ -305,23 +303,15 @@ impl WakeLists {
         self.next[w] as usize == w
     }
 
-    /// Take station `w` out of the walk into the parked sets: lane
-    /// `kind` (see [`lane_of`]) and, while it is an unresolved store
-    /// under memory renaming, the renaming lane.
-    fn leave(&mut self, w: usize, kind: Option<usize>) {
+    /// Take station `w` out of the walk into the parked set.
+    fn leave(&mut self, w: usize) {
         self.active.unset(w);
         self.parked.set(w);
-        if let Some(k) = kind {
-            self.parked_by_kind[k].set(w);
-            if k == 0 && self.blockers[RESOLVED_LANE].get(w) {
-                self.parked_by_kind[RESOLVED_LANE].set(w);
-            }
-        }
     }
 
-    /// Take station `w` (clearing lane `kind`, see [`lane_of`]) out of
-    /// the walk until producer slot `p` schedules its completion.
-    fn park(&mut self, w: usize, p: usize, kind: Option<usize>) {
+    /// Take station `w` out of the walk until producer slot `p`
+    /// schedules its completion.
+    fn park(&mut self, w: usize, p: usize) {
         let n = self.active.len();
         let h = (n + p) as u32;
         let first = self.next[h as usize];
@@ -329,7 +319,7 @@ impl WakeLists {
         self.prev[w] = h;
         self.prev[first as usize] = w as u32;
         self.next[h as usize] = w as u32;
-        self.leave(w, kind);
+        self.leave(w);
     }
 
     /// Producer slot `p` has scheduled its completion: move every
@@ -344,7 +334,6 @@ impl WakeLists {
             self.prev[w] = w as u32;
             self.active.set(w);
             self.parked.unset(w);
-            self.parked_by_kind.iter_mut().for_each(|b| b.unset(w));
             self.census.wakes += 1;
             w = after;
         }
@@ -352,41 +341,37 @@ impl WakeLists {
         self.prev[h] = h as u32;
     }
 
-    /// Take the ready memory op `w` (clearing lane `kind`) out of the
-    /// walk until flag lane `lane` sets at its slot.
-    fn hold(&mut self, w: usize, lane: usize, kind: usize) {
+    /// Take the ready memory op `w` out of the walk until flag lane
+    /// `lane` sets at its slot.
+    fn hold(&mut self, w: usize, lane: usize) {
         debug_assert!(
             self.unlinked(w),
             "holding station {w}, parked on a producer"
         );
-        self.leave(w, Some(kind));
+        self.leave(w);
         self.held[lane].set(w);
         self.held_count[lane] += 1;
         self.census.holds += 1;
     }
 
-    /// The memory op `w` (clearing lane `kind`) had its request
-    /// accepted: out of the walk until its response arrives. It has
-    /// issued, so it is resolved and clears only lane `kind`.
-    fn fly(&mut self, w: usize, kind: usize) {
+    /// The memory op `w` had its request accepted: out of the walk
+    /// until its response arrives. It has issued, so it is resolved
+    /// and clears only its own [`lane_of`].
+    fn fly(&mut self, w: usize) {
         debug_assert!(
             self.unlinked(w) && !self.blockers[RESOLVED_LANE].get(w),
             "station {w} flies parked or unresolved"
         );
-        self.active.unset(w);
-        self.parked.set(w);
-        self.parked_by_kind[kind].set(w);
+        self.leave(w);
         self.flying.set(w);
         self.census.flights += 1;
     }
 
-    /// The response for the in-flight station `w` (clearing lane
-    /// `kind`) arrived: back into the walk, which finds it finished
-    /// next cycle.
-    fn land(&mut self, w: usize, kind: usize) {
+    /// The response for the in-flight station `w` arrived: back into
+    /// the walk, which finds it finished next cycle.
+    fn land(&mut self, w: usize) {
         self.flying.unset(w);
         self.parked.unset(w);
-        self.parked_by_kind[kind].unset(w);
         self.active.set(w);
         self.census.landings += 1;
     }
@@ -439,9 +424,6 @@ impl WakeLists {
             self.held[lane].clear_word(w, bits);
             self.active.or_word(w, bits);
             self.parked.clear_word(w, bits);
-            self.parked_by_kind
-                .iter_mut()
-                .for_each(|b| b.clear_word(w, bits));
             self.held_count[lane] -= u64::from(bits.count_ones());
             self.census.releases += u64::from(bits.count_ones());
         }
@@ -478,7 +460,6 @@ impl WakeLists {
             &mut self.resolved,
         ];
         sets.into_iter()
-            .chain(&mut self.parked_by_kind)
             .chain(&mut self.blockers)
             .for_each(|b| b.clear_range(from, to));
     }
@@ -933,8 +914,7 @@ impl Ultrascalar {
                     src,
                 };
                 *len += 1;
-                let kind = lane_of(&f.instr);
-                if let Some(k) = kind {
+                if let Some(k) = lane_of(&f.instr) {
                     wake.blockers[k].set(slot);
                 }
                 if renaming && f.instr.is_store() {
@@ -954,7 +934,7 @@ impl Ultrascalar {
                     .find(|p| p.seq >= front_seq && ring[p.slot].e.completed_at.is_none());
                 match unscheduled {
                     Some(p) => {
-                        wake.park(slot, p.slot, kind);
+                        wake.park(slot, p.slot);
                         wake.census.refill_parks += 1;
                     }
                     _ => wake.active.set(slot),
@@ -1011,11 +991,26 @@ impl Ultrascalar {
             let mut done_prefix = first_from(&wake.parked, head).map_or(len, at);
             // The oldest parked, held or in-flight store, load and
             // branch, and the oldest parked unresolved store under
-            // renaming, clear their lanes for every younger station.
+            // renaming, clear their lanes for every younger station:
+            // each is the first member of `parked ∩ blockers[k]`.
+            debug_assert!(
+                (0..n).all(|s| !wake.parked.get(s)
+                    || lane_of(&ring[s].e.instr).is_none_or(|k| wake.blockers[k].get(s))),
+                "a parked, held or in-flight station no longer blocks its lane"
+            );
             let mut kind_drops = [usize::MAX; 4];
             if done_prefix < len {
-                for (d, set) in kind_drops.iter_mut().zip(&wake.parked_by_kind) {
-                    *d = first_from(set, head).map_or(usize::MAX, at);
+                // One word-wise AND scan in ring order from `head`.
+                let ring_words =
+                    BitWords::range_masks(head, n).chain(BitWords::range_masks(0, head));
+                for (w, mask) in ring_words {
+                    let parked = wake.parked.word(w) & mask;
+                    for (d, set) in kind_drops.iter_mut().zip(&wake.blockers) {
+                        let bits = parked & set.word(w);
+                        if *d == usize::MAX && bits != 0 {
+                            *d = at(w * 64 + bits.trailing_zeros() as usize);
+                        }
+                    }
                 }
             }
 
@@ -1073,7 +1068,6 @@ impl Ultrascalar {
                 // rejected request; record its forwardings only on
                 // the first attempt.
                 let first_attempt = entry.mem == MemPhase::None;
-                let mut issued_alu_class = false;
                 if eligible {
                     let s0 = operand(ring, pos, 0, front_seq, t, fwd, committed_regs);
                     let s1 = operand(ring, pos, 1, front_seq, t, fwd, committed_regs);
@@ -1085,77 +1079,17 @@ impl Ultrascalar {
                             Some(Source::Committed { .. }) => stats.regfile_reads += 1,
                             None => {}
                         };
+                        let (v0, v1) = (
+                            s0.as_ref().map_or(0, Source::value),
+                            s1.as_ref().map_or(0, Source::value),
+                        );
                         let e = &mut ring[pos].e;
                         let instr = e.instr;
+                        let shared_alu = self.cfg.alus.is_some()
+                            && matches!(instr, Instr::Alu { .. } | Instr::AluImm { .. });
                         match instr {
-                            Instr::Alu { op, .. } => {
-                                if self.cfg.alus.is_none() || free_alus > 0 {
-                                    if self.cfg.alus.is_some() {
-                                        free_alus -= 1;
-                                        issued_alu_class = true;
-                                    }
-                                    let v = op.apply(
-                                        s0.as_ref().expect("alu rs1").value(),
-                                        s1.as_ref().expect("alu rs2").value(),
-                                    );
-                                    e.issued_at = Some(t);
-                                    e.completed_at = Some(t + lat.of(&instr) - 1);
-                                    e.result = Some(v);
-                                    e.actual_next = Some(e.pc + 1);
-                                    record_fw(stats, &s0);
-                                    record_fw(stats, &s1);
-                                } else {
-                                    stats.alu_stalls += 1;
-                                }
-                            }
-                            Instr::AluImm { op, imm, .. } => {
-                                if self.cfg.alus.is_none() || free_alus > 0 {
-                                    if self.cfg.alus.is_some() {
-                                        free_alus -= 1;
-                                        issued_alu_class = true;
-                                    }
-                                    let v = op
-                                        .apply(s0.as_ref().expect("alui rs1").value(), imm as u32);
-                                    e.issued_at = Some(t);
-                                    e.completed_at = Some(t + lat.of(&instr) - 1);
-                                    e.result = Some(v);
-                                    e.actual_next = Some(e.pc + 1);
-                                    record_fw(stats, &s0);
-                                } else {
-                                    stats.alu_stalls += 1;
-                                }
-                            }
-                            Instr::LoadImm { imm, .. } => {
-                                e.issued_at = Some(t);
-                                e.completed_at = Some(t + lat.of(&instr) - 1);
-                                e.result = Some(imm as u32);
-                                e.actual_next = Some(e.pc + 1);
-                            }
-                            Instr::Branch { cond, target, .. } => {
-                                let a = s0.as_ref().expect("branch rs1").value();
-                                let b = s1.as_ref().expect("branch rs2").value();
-                                let taken = cond.eval(a, b);
-                                e.issued_at = Some(t);
-                                e.completed_at = Some(t + lat.of(&instr) - 1);
-                                e.taken = Some(taken);
-                                e.actual_next =
-                                    Some(if taken { target as usize } else { e.pc + 1 });
-                                record_fw(stats, &s0);
-                                record_fw(stats, &s1);
-                            }
-                            Instr::Jump { target } => {
-                                e.issued_at = Some(t);
-                                e.completed_at = Some(t);
-                                e.actual_next = Some(target as usize);
-                            }
-                            Instr::Halt | Instr::Nop => {
-                                e.issued_at = Some(t);
-                                e.completed_at = Some(t);
-                                e.actual_next = Some(e.pc + 1);
-                            }
                             Instr::Load { offset, .. } => {
-                                let base = s0.as_ref().expect("load base").value();
-                                let addr = effective_addr(base, offset, mem.words());
+                                let addr = effective_addr(v0, offset, mem.words());
                                 // Memory renaming: once every older
                                 // store's address is known, either
                                 // forward from the nearest match or go
@@ -1172,12 +1106,11 @@ impl Ultrascalar {
                                 if !go {
                                     // Held until its lane sets here.
                                     let lane = if renaming { RESOLVED_LANE } else { 0 };
-                                    wake.hold(pos, lane, 1);
+                                    wake.hold(pos, lane);
                                 } else if let Some(s) = hit {
                                     e.issued_at = Some(t);
                                     e.completed_at = Some(t);
                                     e.result = Some(s.value);
-                                    e.actual_next = Some(e.pc + 1);
                                     e.mem_addr = Some(addr);
                                     stats.store_forwards += 1;
                                     record_fw(stats, &s0);
@@ -1196,9 +1129,7 @@ impl Ultrascalar {
                                 }
                             }
                             Instr::Store { offset, .. } => {
-                                let base = s0.as_ref().expect("store base").value();
-                                let val = s1.as_ref().expect("store src").value();
-                                let addr = effective_addr(base, offset, mem.words());
+                                let addr = effective_addr(v0, offset, mem.words());
                                 if wake.blockers[RESOLVED_LANE].get(pos) {
                                     // Memory renaming: the store resolves
                                     // on this first ready visit, for good.
@@ -1207,7 +1138,7 @@ impl Ultrascalar {
                                     // if it never issues — wrong-path
                                     // stores never do — so the flush
                                     // replay log needs it.
-                                    stores[pos] = StoreInfo { addr, value: val };
+                                    stores[pos] = StoreInfo { addr, value: v1 };
                                     wake.resolved.set(pos);
                                     let lane_set = flags & F_STORES_RESOLVED != 0;
                                     wake.unblock(RESOLVED_LANE, pos, lane_set, head);
@@ -1218,7 +1149,7 @@ impl Ultrascalar {
                                         id: seq,
                                         leaf: pos,
                                         addr,
-                                        kind: ReqKind::Store(val),
+                                        kind: ReqKind::Store(v1),
                                     });
                                     e.mem = MemPhase::Requesting;
                                     e.mem_addr = Some(addr);
@@ -1230,7 +1161,39 @@ impl Ultrascalar {
                                     // Held until the first clear lane of
                                     // the three sets here.
                                     let lane = (!flags & F_STORE_ISSUE).trailing_zeros();
-                                    wake.hold(pos, lane as usize, 0);
+                                    wake.hold(pos, lane as usize);
+                                }
+                            }
+                            _ if shared_alu && free_alus == 0 => stats.alu_stalls += 1,
+                            _ => {
+                                // Every other instruction issues in one
+                                // step: its result or branch direction,
+                                // complete `lat.of` cycles on (a jump,
+                                // nop or halt within this cycle), and a
+                                // shared ALU held through completion.
+                                let (result, taken) = match instr {
+                                    Instr::Alu { op, .. } => (Some(op.apply(v0, v1)), None),
+                                    Instr::AluImm { op, imm, .. } => {
+                                        (Some(op.apply(v0, imm as u32)), None)
+                                    }
+                                    Instr::LoadImm { imm, .. } => (Some(imm as u32), None),
+                                    Instr::Branch { cond, .. } => (None, Some(cond.eval(v0, v1))),
+                                    _ => (None, None),
+                                };
+                                let done_at = t + lat.of(&instr) - 1;
+                                e.issued_at = Some(t);
+                                e.completed_at = Some(done_at);
+                                e.result = result;
+                                e.taken = taken;
+                                record_fw(stats, &s0);
+                                record_fw(stats, &s1);
+                                if shared_alu {
+                                    free_alus -= 1;
+                                    let unit = alu_free_at
+                                        .iter_mut()
+                                        .find(|f| **f <= t)
+                                        .expect("a free ALU was counted");
+                                    *unit = done_at + 1;
                                 }
                             }
                         }
@@ -1257,7 +1220,7 @@ impl Ultrascalar {
                         };
                         if let Some(k) = [&s0, &s1].iter().position(unscheduled) {
                             let p = ring[pos].src[k].expect("a forwarded operand is linked");
-                            wake.park(pos, p.slot, kind);
+                            wake.park(pos, p.slot);
                             wake.census.walk_parks += 1;
                         }
                     }
@@ -1289,18 +1252,6 @@ impl Ultrascalar {
                 if renaming && wake.blockers[RESOLVED_LANE].get(pos) {
                     flags &= !F_STORES_RESOLVED;
                 }
-                if issued_alu_class {
-                    // Occupy a shared ALU through the completion cycle.
-                    let done_at = ring[pos]
-                        .e
-                        .completed_at
-                        .expect("alu-class issue sets completion");
-                    let unit = alu_free_at
-                        .iter_mut()
-                        .find(|f| **f <= t)
-                        .expect("a free ALU was counted");
-                    *unit = done_at + 1;
-                }
             }
 
             // ---- Phase B: memory arbitration and responses, through
@@ -1325,7 +1276,7 @@ impl Ultrascalar {
                 e.issued_at = Some(t);
                 e.mem = MemPhase::InFlight;
                 issued_now += 1;
-                wake.fly(s, lane_of(&e.instr).expect("a memory op clears a lane"));
+                wake.fly(s);
             }
             for resp in responses.iter() {
                 let s = resp.leaf;
@@ -1333,9 +1284,8 @@ impl Ultrascalar {
                 if at(s) < len && e.seq == resp.id && e.mem == MemPhase::InFlight {
                     e.completed_at = Some(t);
                     e.result = resp.value;
-                    e.actual_next = Some(e.pc + 1);
                     e.mem = MemPhase::None;
-                    wake.land(s, lane_of(&e.instr).expect("a memory op clears a lane"));
+                    wake.land(s);
                     wake.wake(s);
                 }
             }
@@ -1354,7 +1304,7 @@ impl Ultrascalar {
                 if !e.mispredicted() {
                     continue;
                 }
-                let correct = e.actual_next.expect("resolved branch has next");
+                let correct = e.resolved_next().expect("a completed branch has resolved");
                 let flusher_seq = e.seq;
                 // Log the wrong-path suffix before it is squashed, or
                 // stop logging if it would overflow the log.

@@ -51,8 +51,6 @@ pub struct StationEntry {
     /// the schedule through their addresses, so the lane batcher must
     /// be able to compare a lane's addresses against the leader's.
     pub mem_addr: Option<usize>,
-    /// Resolved architectural next pc (branches/jumps; `pc+1` others).
-    pub actual_next: Option<usize>,
 }
 
 impl StationEntry {
@@ -70,7 +68,6 @@ impl StationEntry {
             mem: MemPhase::None,
             taken: None,
             mem_addr: None,
-            actual_next: None,
         }
     }
 
@@ -89,13 +86,25 @@ impl StationEntry {
         self.pc >= program_len
     }
 
+    /// The next pc a resolved branch leads to: its target if taken,
+    /// `pc + 1` if not. `None` for an unresolved branch and for every
+    /// other instruction, whose next pc fetch already knew.
+    #[inline]
+    pub fn resolved_next(&self) -> Option<usize> {
+        match self.instr {
+            Instr::Branch { target, .. } => {
+                self.taken
+                    .map(|taken| if taken { target as usize } else { self.pc + 1 })
+            }
+            _ => None,
+        }
+    }
+
     /// Did this branch resolve against its prediction?
     #[inline]
     pub fn mispredicted(&self) -> bool {
-        match self.actual_next {
-            Some(actual) => self.instr.is_branch() && actual != self.predicted_next,
-            None => false,
-        }
+        self.resolved_next()
+            .is_some_and(|next| next != self.predicted_next)
     }
 }
 
@@ -113,32 +122,56 @@ mod tests {
         assert!(!e.done_before(4));
     }
 
+    fn branch(pc: usize, target: u32, predicted_next: usize) -> StationEntry {
+        let instr = Instr::Branch {
+            cond: BranchCond::Eq,
+            rs1: Reg(0),
+            rs2: Reg(0),
+            target,
+        };
+        StationEntry::new(0, pc, instr, predicted_next, 0)
+    }
+
     #[test]
     fn misprediction_detection() {
-        let mut e = StationEntry::new(
-            0,
-            3,
-            Instr::Branch {
-                cond: BranchCond::Eq,
-                rs1: Reg(0),
-                rs2: Reg(0),
-                target: 9,
-            },
-            4, // predicted fall-through
-            0,
-        );
+        let mut e = branch(3, 9, 4); // predicted fall-through
         assert!(!e.mispredicted()); // unresolved
-        e.actual_next = Some(9);
+        e.taken = Some(true);
+        assert_eq!(e.resolved_next(), Some(9));
         assert!(e.mispredicted());
-        e.actual_next = Some(4);
+        e.taken = Some(false);
+        assert_eq!(e.resolved_next(), Some(4));
         assert!(!e.mispredicted());
     }
 
     #[test]
-    fn non_branches_never_mispredict() {
-        let mut e = StationEntry::new(0, 0, Instr::Nop, 1, 0);
-        e.actual_next = Some(99);
+    fn unresolved_branch_has_no_next_pc() {
+        let e = branch(3, 9, 9);
+        assert_eq!(e.resolved_next(), None);
         assert!(!e.mispredicted());
+    }
+
+    #[test]
+    fn branch_to_its_fall_through_never_mispredicts() {
+        // Fetch predicts either the target or `pc + 1`: here both are 4.
+        let mut e = branch(3, 4, 4);
+        for taken in [true, false] {
+            e.taken = Some(taken);
+            assert_eq!(e.resolved_next(), Some(4));
+            assert!(!e.mispredicted());
+        }
+    }
+
+    #[test]
+    fn non_branches_never_mispredict() {
+        for instr in [Instr::Nop, Instr::Jump { target: 7 }] {
+            let mut e = StationEntry::new(0, 0, instr, 99, 0);
+            for taken in [None, Some(true), Some(false)] {
+                e.taken = taken;
+                assert_eq!(e.resolved_next(), None);
+                assert!(!e.mispredicted());
+            }
+        }
     }
 
     #[test]

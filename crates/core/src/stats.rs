@@ -98,41 +98,11 @@ impl Clone for ProcStats {
 
 impl ProcStats {
     /// Rewind to the default state in place: counters zeroed and
-    /// histograms emptied while keeping their allocations, so an engine
-    /// reusing a `RunResult` across requests regrows them without
-    /// touching the allocator. Exhaustive destructuring keeps this in
-    /// sync with the struct by construction.
+    /// histograms emptied through the hand-written `clone_from`, which
+    /// keeps their allocations, so an engine reusing a `RunResult`
+    /// across requests regrows them without touching the allocator.
     pub fn reset(&mut self) {
-        let ProcStats {
-            cycles,
-            committed,
-            branches,
-            mispredictions,
-            flushed,
-            occupancy_sum,
-            forward_dist,
-            regfile_reads,
-            issue_hist,
-            store_forwards,
-            alu_stalls,
-            packed_fallbacks,
-            packed_shape_gated,
-            mem,
-        } = self;
-        *cycles = 0;
-        *committed = 0;
-        *branches = 0;
-        *mispredictions = 0;
-        *flushed = 0;
-        *occupancy_sum = 0;
-        forward_dist.clear();
-        *regfile_reads = 0;
-        issue_hist.clear();
-        *store_forwards = 0;
-        *alu_stalls = 0;
-        *packed_fallbacks = 0;
-        *packed_shape_gated = 0;
-        *mem = MemStats::default();
+        self.clone_from(&ProcStats::default());
     }
 
     /// Committed instructions per cycle.
@@ -232,6 +202,21 @@ mod tests {
         assert_eq!(s.ipc(), 0.0);
         assert_eq!(s.mean_occupancy(), 0.0);
         assert_eq!(s.local_forward_fraction(), 0.0);
+    }
+
+    #[test]
+    fn reset_zeroes_and_keeps_histogram_capacity() {
+        let mut s = ProcStats {
+            cycles: 5,
+            alu_stalls: 2,
+            ..ProcStats::default()
+        };
+        s.record_forward(40);
+        s.record_issue_count(3);
+        let caps = (s.forward_dist.capacity(), s.issue_hist.capacity());
+        s.reset();
+        assert_eq!(s, ProcStats::default());
+        assert_eq!((s.forward_dist.capacity(), s.issue_hist.capacity()), caps);
     }
 
     #[test]
