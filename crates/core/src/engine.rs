@@ -35,79 +35,77 @@
 //!
 //! Each cycle one program-order walk issues and computes the running
 //! all-earlier AND flags ("all earlier stores / loads / branches done,
-//! store addresses resolved"), the issue count, the branches completing
-//! this cycle (the only stations branch resolution visits) and the done
-//! prefix commit retires from. It visits only the stations that can
-//! change state: the members of an `active` bitset over the ring slots,
-//! found from `head` with trailing-zeros scans. Four kinds of station
-//! leave it:
+//! store addresses resolved"), the issue count and the branches
+//! completing this cycle (the only stations branch resolution visits).
+//! It visits only the stations that can act: the members of an
+//! `active` bitset over the ring slots, found from `head` with
+//! trailing-zeros scans. Every other unfinished station is in a
+//! `parked` set, because it
 //!
-//! * a **finished** station (done before the cycle) leaves the first
-//!   cycle the walk finds it so. It can issue nothing and clears no
-//!   flag, and finished stays finished.
-//! * a station blocked on an in-window producer whose completion is
-//!   **not yet scheduled** parks on that producer, in an intrusive
-//!   waiter list. Every point that schedules a register writer's
-//!   completion — an ALU, immediate or load-immediate issue, a
-//!   store-forwarded load, a memory response — moves that writer's
-//!   waiters back into the walk. Refill parks a new station the same
-//!   way before its first visit.
-//! * a ready load or store whose all-earlier lane is **clear** is held
-//!   on that lane: a load on "stores done" (on "store addresses
+//! * is blocked on an in-window producer whose completion is **not yet
+//!   scheduled**, and parks on it in an intrusive waiter list. Every
+//!   point that schedules a register writer's completion — an ALU,
+//!   immediate or load-immediate issue, a store-forwarded load, a
+//!   memory response — marks that writer's waiters **woken**. Refill
+//!   parks a new station the same way before its first visit;
+//! * is a ready load or store whose all-earlier lane is **clear**, and
+//!   is held on that lane: a load on "stores done" (on "store addresses
 //!   resolved" under renaming), a store on the first clear lane of the
-//!   three its issue needs. The held station is out of the walk until
-//!   the lane sets at its slot.
-//! * a load or store whose memory request was accepted is **in
-//!   flight**. It is out of the walk until its response arrives, which
-//!   puts it back. An in-flight station has issued, so its only effect
-//!   on the walk is that it is unfinished. A rejected request stays in
-//!   the walk and is offered again.
+//!   three its issue needs;
+//! * had its memory request accepted and is **in flight** until the
+//!   response arrives (a rejected request stays in the walk and is
+//!   offered again); or
+//! * **completes this cycle**, and is *finishing*: the visit that issues
+//!   it with latency one, forwards it a store's value or finds its
+//!   multi-cycle op in its last cycle, or the response that lands it,
+//!   takes it out of the walk. It is unfinished during the cycle and
+//!   finished from the next, so no visit ever finds it finished.
 //!
-//! Parking is exact. A parked station cannot issue before its producer
-//! schedules a completion, and that producer's result is usable no
-//! earlier than the cycle after, which the woken station reaches in
-//! the walk. Until then its only effect on other stations is that it
-//! is unfinished, and under memory renaming, for a store, unresolved.
-//! The oldest parked station bounds the done prefix, and the oldest
-//! parked load, branch and store, and under renaming the oldest parked
-//! unresolved store, clear their flag lanes for every younger station.
-//! A parked station is unfinished, so it is still among its lane's
-//! *blockers* (see below), and the oldest that clears lane `k` is the
-//! first member of `parked ∩ blockers[k]`. Cycle skip needs no new event: a parked
-//! station's producer is unscheduled, which the "covered transitively"
-//! argument at the blocked-operand wake-ups already relies on, and the
-//! ready time of its other operand, no longer collected, passes while
-//! it is still blocked.
+//! Completions and wakes take effect at the start of the next cycle, in
+//! one sweep over the ring's words from `head`: finishing stations leave
+//! `parked` and every lane's *blockers* (below), woken ones rejoin the
+//! walk, and so do holds whose lane has set. The sweep returns the
+//! oldest station in the walk or out of it, which bounds the done
+//! prefix commit retires from, and the slot past which each lane is
+//! clear. Like the circuits' parallel prefix (Figure 5), it derives all
+//! of this from start-of-cycle state; the walk changes only the renaming
+//! lane.
 //!
-//! Refill parking is exact because of the same-walk wake. A station
-//! refilled at the end of cycle `t` is first visible at `t + 1`. Its
-//! producer is older, so the walk at `t + 1` reaches the producer
-//! first; if the producer issues there, its wake puts the station back
-//! in the `active` set, and the walk reaches it later in that same
-//! cycle, as the first visit it would have had. Otherwise the producer
-//! is still unscheduled when the walk reaches the station, which would
-//! have parked it on that first visit. Only a producer still in the
-//! window qualifies (`seq` at or past the oldest station's): an older
-//! one has committed and its slot may hold a younger station.
+//! Waking next cycle is exact. A station woken at `t` has a producer
+//! completing at `done ≥ t`, so its operand is usable no earlier than
+//! `t + 1`, the first cycle it is visited. Until then its only effect on
+//! other stations is that it is unfinished, and under memory renaming,
+//! for a store, unresolved. Refill parking is exact for the same
+//! reason: a station refilled at the end of `t` whose in-window producer
+//! is unscheduled cannot issue before the cycle after that producer
+//! schedules its completion, and that is its first visit. Only a
+//! producer still in the window qualifies (`seq` at or past the oldest
+//! station's): an older one has committed and its slot may hold a
+//! younger station. Cycle skip needs no new event: a cycle that wakes or
+//! completes anything is not silent, and a parked station's producer is
+//! unscheduled, which the "covered transitively" argument at the
+//! blocked-operand wake-ups already relies on; the ready time of its
+//! other operand, not collected, passes while it is still blocked.
 //!
-//! Holding is exact because an all-earlier lane at a station only
-//! moves from clear to set while the station is in the window. Refill
-//! appends younger stations, a flush drops younger ones, and commit
-//! retires finished ones, so no event adds an unfinished station older
-//! than it. Each lane keeps the set of its *blockers*: the loads,
-//! branches or stores the walk has not yet found done (set at refill),
-//! and under renaming the stores it has not yet found resolved. A lane
-//! is clear at a slot exactly while some older blocker remains. When
-//! the walk finds a blocker finished (or resolved) and the lane was set
-//! at its slot, that blocker was the lane's oldest, and the lane now
-//! sets up to and including the lane's next blocker (that blocker
-//! clears it only for stations younger than itself). The walk releases
-//! that run's holds, word by word across the ring, and reaches them
-//! later in the same walk. A held or in-flight station is unfinished,
-//! so it counts in the parked set for the done prefix and its kind's
-//! lane; it is already resolved, so it never clears the renaming lane.
-//! A load is held at most once and a store at most three times (once
-//! per lane), which [`WalkCensus`] lets tests check.
+//! Holding is exact because an all-earlier lane at a station only moves
+//! from clear to set while the station is in the window: refill appends
+//! younger stations, a flush drops younger ones, and commit retires
+//! finished ones. Each lane keeps the set of its blockers: the
+//! unfinished loads, branches or stores (set at refill, cleared by the
+//! sweep), and under renaming the unresolved stores. A lane is set at a
+//! slot exactly while no older blocker remains, so each of lanes 0–2 is
+//! set up to and including its oldest blocker, which clears it only for
+//! younger stations, and the sweep releases that run's holds word by
+//! word. Every parked station is unfinished, so `parked ∩ blockers[k]`
+//! is the set of parked stations that clear lane `k`. A held, in-flight
+//! or finishing station has resolved, so the renaming lane is clear past
+//! the oldest parked unresolved store and past each store the walk
+//! leaves unresolved. A store resolves on its first ready visit; if the
+//! lane was set there, the walk releases the holds up to and including
+//! the lane's next blocker and reaches them later in the same walk. A
+//! load is held at most once and a store at most three times (once per
+//! lane), and every visit has exactly one outcome, which [`WalkCensus`]
+//! lets tests check.
 //!
 //! Under memory renaming a store resolves exactly once, on the visit
 //! where its operands are first ready: it writes its address and value
@@ -180,9 +178,9 @@ fn lane_of(instr: &Instr) -> Option<usize> {
     }
 }
 
-/// What the per-cycle walk did over a run: the cost it paid (visits)
-/// against the work it found (issues), and every way a station left
-/// or re-entered it. Counted in the engine's retained scratch, never in
+/// What the per-cycle walk did over a run: the cost it paid (visits),
+/// the outcome of each visit, and every way a station left or
+/// re-entered it. Counted in the engine's retained scratch, never in
 /// [`RunResult`], so no result or digest depends on it; see
 /// [`Ultrascalar::walk_census`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -194,6 +192,16 @@ pub struct WalkCensus {
     pub visits: u64,
     /// Stations that began execution or had a memory request accepted.
     pub issues: u64,
+    /// Visits that offered a memory request, counting every re-offer
+    /// after a rejection.
+    pub requests: u64,
+    /// Visits blocked only on operands whose producers have scheduled
+    /// their completion.
+    pub operand_waits: u64,
+    /// Visits to an issued multi-cycle op still executing.
+    pub executing: u64,
+    /// Visits to a ready ALU op that found every shared ALU busy.
+    pub alu_stalls: u64,
     /// Ready loads and stores taken out of the walk until an
     /// all-earlier lane sets at their slot.
     pub holds: u64,
@@ -212,7 +220,7 @@ pub struct WalkCensus {
     pub wakes: u64,
     /// Parks ended by a flush squashing the parked station.
     pub squashed_parks: u64,
-    /// Stations still parked when the run ended.
+    /// Stations still parked on a producer when the run ended.
     pub parked_at_end: u64,
     /// Memory ops taken out of the walk when their request was
     /// accepted.
@@ -239,12 +247,16 @@ struct WakeLists {
     /// Stations the walk visits.
     active: BitWords,
     /// Stations out of the walk and unfinished: parked on a producer,
-    /// held on a lane or in flight.
+    /// woken, held on a lane, in flight or finishing.
     parked: BitWords,
+    /// Parked stations whose producer scheduled its completion this
+    /// cycle: back in the walk from the next.
+    woken: BitWords,
+    /// Parked stations that complete this cycle: finished from the next.
+    finishing: BitWords,
     /// Per flag lane, the stations that may still clear it: the
-    /// loads, branches and stores the walk has not yet found done, and
-    /// under memory renaming the stores it has not yet found resolved.
-    /// Every parked, held or in-flight station is unfinished, so
+    /// unfinished loads, branches and stores, and under memory renaming
+    /// the unresolved stores. Every parked station is unfinished, so
     /// `parked ∩ blockers[k]` is the set of those that clear lane `k`.
     blockers: [BitWords; 4],
     /// Per flag lane, the ready memory ops waiting for it to set at
@@ -269,6 +281,8 @@ impl WakeLists {
             *self = WakeLists {
                 active: BitWords::new(n),
                 parked: BitWords::new(n),
+                woken: BitWords::new(n),
+                finishing: BitWords::new(n),
                 blockers: std::array::from_fn(|_| BitWords::new(n)),
                 held: std::array::from_fn(|_| BitWords::new(n)),
                 held_count: [0; 4],
@@ -282,6 +296,8 @@ impl WakeLists {
             let sets = [
                 &mut self.active,
                 &mut self.parked,
+                &mut self.woken,
+                &mut self.finishing,
                 &mut self.flying,
                 &mut self.resolved,
             ];
@@ -322,8 +338,9 @@ impl WakeLists {
         self.leave(w);
     }
 
-    /// Producer slot `p` has scheduled its completion: move every
-    /// station parked on it back into the walk.
+    /// Producer slot `p` has scheduled its completion: mark every
+    /// station parked on it woken. Its operand is usable no earlier
+    /// than the next cycle, so the station rejoins the walk then.
     #[inline]
     fn wake(&mut self, p: usize) {
         let h = self.active.len() + p;
@@ -332,8 +349,7 @@ impl WakeLists {
             let after = self.next[w] as usize;
             self.next[w] = w as u32;
             self.prev[w] = w as u32;
-            self.active.set(w);
-            self.parked.unset(w);
+            self.woken.set(w);
             self.census.wakes += 1;
             w = after;
         }
@@ -367,66 +383,109 @@ impl WakeLists {
         self.census.flights += 1;
     }
 
-    /// The response for the in-flight station `w` arrived: back into
-    /// the walk, which finds it finished next cycle.
+    /// The response for the in-flight station `w` arrived: it completes
+    /// this cycle.
     fn land(&mut self, w: usize) {
         self.flying.unset(w);
-        self.parked.unset(w);
-        self.active.set(w);
+        self.finishing.set(w);
         self.census.landings += 1;
     }
 
-    /// The walk has found blocker `b` of `lane` finished (resolved, for
-    /// the renaming lane). If `lane` was set at `b`'s slot, it is now
-    /// set from the slot after `b` up to and including the lane's next
-    /// blocker, which clears it only for younger stations: move that
-    /// run's holds back into the walk, which reaches them later this
-    /// cycle. `head` is the oldest occupied slot.
-    fn unblock(&mut self, lane: usize, b: usize, lane_set: bool, head: usize) {
-        self.blockers[lane].unset(b);
-        if !lane_set || self.held_count[lane] == 0 {
+    /// Under memory renaming the walk has resolved store `b`. If the
+    /// renaming lane was set at `b`'s slot, it is now set from the slot
+    /// after `b` up to and including the lane's next blocker, which
+    /// clears it only for younger stations: move that run's holds back
+    /// into the walk, which reaches them later this cycle. `head` is
+    /// the oldest occupied slot.
+    fn resolve(&mut self, b: usize, lane_set: bool, head: usize) {
+        self.resolved.set(b);
+        self.blockers[RESOLVED_LANE].unset(b);
+        if !lane_set || self.held_count[RESOLVED_LANE] == 0 {
             return;
         }
-        // Ring order from `b` to the window's end, unrolled: slot
-        // `s % n` for `s` in `b + 1..lim`.
+        // The slots after `b` in ring order, to the window's end.
         let n = self.active.len();
         let lim = if b >= head { head + n } else { head };
-        let blockers = &self.blockers[lane];
-        let next = blockers.next_set(b + 1, lim.min(n)).or_else(|| {
-            let wrapped = if lim > n {
-                blockers.next_set(0, lim - n)
-            } else {
-                None
-            };
-            wrapped.map(|s| s + n)
-        });
-        let end = next.map_or(lim, |s| s + 1);
-        self.release(lane, b + 1, end.min(n));
-        if end > n {
-            self.release(lane, 0, end - n);
+        let run = BitWords::range_masks(b + 1, lim.min(n))
+            .chain(BitWords::range_masks(0, lim.saturating_sub(n)));
+        for (w, mask) in run {
+            // The run ends at the next blocker, inclusive.
+            let next = self.blockers[RESOLVED_LANE].word(w) & mask;
+            self.release(RESOLVED_LANE, w, mask & (next ^ next.wrapping_sub(1)));
+            if next != 0 {
+                break;
+            }
         }
     }
 
-    /// Move the holds on `lane` in slots `from..to` back into the walk,
-    /// one word at a time.
-    fn release(&mut self, lane: usize, from: usize, to: usize) {
-        for (w, mask) in BitWords::range_masks(from, to) {
-            let bits = self.held[lane].word(w) & mask;
-            if bits == 0 {
-                continue;
-            }
-            debug_assert!(
-                (0..64)
-                    .filter(|k| bits >> k & 1 == 1)
-                    .all(|k| self.unlinked(w * 64 + k)),
-                "releasing a station parked on a producer"
-            );
-            self.held[lane].clear_word(w, bits);
-            self.active.or_word(w, bits);
-            self.parked.clear_word(w, bits);
-            self.held_count[lane] -= u64::from(bits.count_ones());
-            self.census.releases += u64::from(bits.count_ones());
+    /// Move the holds on `lane` among the slots `mask` of word `w` back
+    /// into the walk.
+    fn release(&mut self, lane: usize, w: usize, mask: u64) {
+        let bits = self.held[lane].word(w) & mask;
+        if bits == 0 {
+            return;
         }
+        debug_assert!(
+            (0..64)
+                .filter(|k| bits >> k & 1 == 1)
+                .all(|k| self.unlinked(w * 64 + k)),
+            "releasing a station parked on a producer"
+        );
+        self.held[lane].clear_word(w, bits);
+        self.active.or_word(w, bits);
+        self.parked.clear_word(w, bits);
+        self.held_count[lane] -= u64::from(bits.count_ones());
+        self.census.releases += u64::from(bits.count_ones());
+    }
+
+    /// The start of a cycle, in one pass over the ring's words from
+    /// `head`: the stations that finished last cycle leave `parked` and
+    /// every lane's blockers, the woken ones rejoin the walk, and each
+    /// hold on lanes 0–2 up to and including its lane's oldest blocker,
+    /// where the lane is now set, rejoins it too. Returns the oldest
+    /// unfinished slot and each lane's drop slot, past which the lane is
+    /// clear: its oldest blocker, and for the renaming lane its oldest
+    /// parked one (the walk narrows that lane at the stores it visits).
+    /// `usize::MAX` stands for none.
+    fn sweep(&mut self, head: usize) -> (usize, [usize; 4]) {
+        let n = self.active.len();
+        let mut first = usize::MAX;
+        let mut drops = [usize::MAX; 4];
+        let ring_words = BitWords::range_masks(head, n).chain(BitWords::range_masks(0, head));
+        for (w, mask) in ring_words {
+            let (fin, woken) = (self.finishing.word(w), self.woken.word(w));
+            if fin | woken != 0 {
+                self.finishing.clear_word(w, fin);
+                self.woken.clear_word(w, woken);
+                self.parked.clear_word(w, fin | woken);
+                self.active.or_word(w, woken);
+                for b in &mut self.blockers {
+                    b.clear_word(w, fin);
+                }
+            }
+            // Record the first member of `bits`, unless one was found.
+            let mark = |d: &mut usize, bits: u64| {
+                if *d == usize::MAX && bits != 0 {
+                    *d = w * 64 + bits.trailing_zeros() as usize;
+                }
+            };
+            let parked = self.parked.word(w) & mask;
+            mark(&mut first, self.active.word(w) & mask | parked);
+            let unresolved = parked & self.blockers[RESOLVED_LANE].word(w);
+            mark(&mut drops[RESOLVED_LANE], unresolved);
+            for k in 0..RESOLVED_LANE {
+                if drops[k] != usize::MAX {
+                    continue;
+                }
+                let b = self.blockers[k].word(w) & mask;
+                if self.held_count[k] > 0 {
+                    // The lane is set through its first blocker.
+                    self.release(k, w, mask & (b ^ b.wrapping_sub(1)));
+                }
+                mark(&mut drops[k], b);
+            }
+        }
+        (first, drops)
     }
 
     /// Drop slots `from..to` from every set and list (a flush squashed
@@ -456,6 +515,8 @@ impl WakeLists {
         let sets = [
             &mut self.active,
             &mut self.parked,
+            &mut self.woken,
+            &mut self.finishing,
             &mut self.flying,
             &mut self.resolved,
         ];
@@ -474,17 +535,11 @@ impl WakeLists {
             "hold count drifted"
         );
         let flying = self.flying.count_range(0, n);
+        let passing = self.woken.count_range(0, n) + self.finishing.count_range(0, n);
         self.census.held_at_end = held;
         self.census.flying_at_end = flying;
-        self.census.parked_at_end = self.parked.count_range(0, n) - held - flying;
+        self.census.parked_at_end = self.parked.count_range(0, n) - held - flying - passing;
     }
-}
-
-/// The first member of `set` in ring order from `head`.
-#[inline]
-fn first_from(set: &BitWords, head: usize) -> Option<usize> {
-    set.next_set(head, set.len())
-        .or_else(|| set.next_set(0, head))
 }
 
 /// A decode-time producer link: the station that held the nearest
@@ -984,40 +1039,30 @@ impl Ultrascalar {
                     slot + n - head
                 }
             };
-            // Leading stations finished before this cycle: commit's
-            // input. A parked or held station is not finished, so the
-            // oldest one bounds it; the walk lowers it to the oldest
-            // visited station that is not finished either.
-            let mut done_prefix = first_from(&wake.parked, head).map_or(len, at);
-            // The oldest parked, held or in-flight store, load and
-            // branch, and the oldest parked unresolved store under
-            // renaming, clear their lanes for every younger station:
-            // each is the first member of `parked ∩ blockers[k]`.
+            // The start-of-cycle sweep. Leading stations finished
+            // before this cycle are commit's input: the oldest station
+            // in the walk or out of it bounds them. Past its lane's
+            // drop every younger station sees a clear lane.
+            let (first, drops) = wake.sweep(head);
+            let mut done_prefix = if first == usize::MAX { len } else { at(first) };
+            let drops = drops.map(|d| if d == usize::MAX { d } else { at(d) });
             debug_assert!(
-                (0..n).all(|s| !wake.parked.get(s)
-                    || lane_of(&ring[s].e.instr).is_none_or(|k| wake.blockers[k].get(s))),
-                "a parked, held or in-flight station no longer blocks its lane"
+                (0..n).all(|s| {
+                    let e = &ring[s].e;
+                    let live = at(s) < len && !e.done_before(t);
+                    let lane = lane_of(&e.instr).filter(|_| live);
+                    (wake.active.get(s) as u8 + wake.parked.get(s) as u8 == live as u8)
+                        && (0..RESOLVED_LANE).all(|k| {
+                            wake.blockers[k].get(s) == (lane == Some(k))
+                                && (!wake.held[k].get(s) || at(s) > drops[k])
+                        })
+                }),
+                "the walk, parked, blocker or held sets disagree with the stations"
             );
-            let mut kind_drops = [usize::MAX; 4];
-            if done_prefix < len {
-                // One word-wise AND scan in ring order from `head`.
-                let ring_words =
-                    BitWords::range_masks(head, n).chain(BitWords::range_masks(0, head));
-                for (w, mask) in ring_words {
-                    let parked = wake.parked.word(w) & mask;
-                    for (d, set) in kind_drops.iter_mut().zip(&wake.blockers) {
-                        let bits = parked & set.word(w);
-                        if *d == usize::MAX && bits != 0 {
-                            *d = at(w * 64 + bits.trailing_zeros() as usize);
-                        }
-                    }
-                }
-            }
 
             // Active slots in ring order from `head`: `[head, n)`, then
-            // `[0, head)`. Each step re-reads the set, so a station
-            // woken earlier in this walk is visited when the walk
-            // reaches it.
+            // `[0, head)`. Each step re-reads the set, so a hold the
+            // renaming lane releases is visited when the walk reaches it.
             let (mut cursor, mut end) = (head, n);
             loop {
                 let Some(pos) = wake.active.next_set(cursor, end) else {
@@ -1031,8 +1076,8 @@ impl Ultrascalar {
                 let j = at(pos);
                 debug_assert!(j < len, "active slot {pos} is vacant");
                 debug_assert!(
-                    !wake.parked.get(pos) && wake.held.iter().all(|h| !h.get(pos)),
-                    "visiting slot {pos}, which is parked or held"
+                    wake.held.iter().all(|h| !h.get(pos)),
+                    "visiting slot {pos}, which is held"
                 );
                 debug_assert!(
                     ring[pos].e.mem != MemPhase::InFlight,
@@ -1043,27 +1088,18 @@ impl Ultrascalar {
                     "slot {pos} is marked resolved but holds no store under renaming"
                 );
                 wake.census.visits += 1;
-                for (k, &d) in kind_drops.iter().enumerate() {
+                for (k, &d) in drops.iter().enumerate() {
                     if j > d {
                         flags &= !(1 << k);
                     }
                 }
                 let entry = &ring[pos].e;
-                let kind = lane_of(&entry.instr);
-                // A load, branch or store found finished stops blocking
-                // its lane, which may release younger holds.
-                let done = entry.done_before(t);
-                if let Some(k) = kind.filter(|&k| done && wake.blockers[k].get(pos)) {
-                    wake.unblock(k, pos, flags & 1 << k != 0, head);
-                }
-                // A finished station leaves the walk: it issues nothing,
-                // clears no flag and schedules nothing.
-                if done {
-                    wake.active.unset(pos);
-                    continue;
-                }
+                debug_assert!(
+                    t >= entry.fetched_at && !entry.done_before(t),
+                    "visiting slot {pos}, which is not yet visible or finished"
+                );
                 let seq = entry.seq;
-                let eligible = entry.issued_at.is_none() && t >= entry.fetched_at;
+                let eligible = entry.issued_at.is_none();
                 // A memory op may spend several cycles re-offering a
                 // rejected request; record its forwardings only on
                 // the first attempt.
@@ -1123,6 +1159,7 @@ impl Ultrascalar {
                                     });
                                     e.mem = MemPhase::Requesting;
                                     e.mem_addr = Some(addr);
+                                    wake.census.requests += 1;
                                     if first_attempt {
                                         record_fw(stats, &s0);
                                     }
@@ -1139,9 +1176,7 @@ impl Ultrascalar {
                                     // stores never do — so the flush
                                     // replay log needs it.
                                     stores[pos] = StoreInfo { addr, value: v1 };
-                                    wake.resolved.set(pos);
-                                    let lane_set = flags & F_STORES_RESOLVED != 0;
-                                    wake.unblock(RESOLVED_LANE, pos, lane_set, head);
+                                    wake.resolve(pos, flags & F_STORES_RESOLVED != 0, head);
                                     e.mem_addr = Some(addr);
                                 }
                                 if flags & F_STORE_ISSUE == F_STORE_ISSUE {
@@ -1153,6 +1188,7 @@ impl Ultrascalar {
                                     });
                                     e.mem = MemPhase::Requesting;
                                     e.mem_addr = Some(addr);
+                                    wake.census.requests += 1;
                                     if first_attempt {
                                         record_fw(stats, &s0);
                                         record_fw(stats, &s1);
@@ -1164,7 +1200,10 @@ impl Ultrascalar {
                                     wake.hold(pos, lane as usize);
                                 }
                             }
-                            _ if shared_alu && free_alus == 0 => stats.alu_stalls += 1,
+                            _ if shared_alu && free_alus == 0 => {
+                                stats.alu_stalls += 1;
+                                wake.census.alu_stalls += 1;
+                            }
                             _ => {
                                 // Every other instruction issues in one
                                 // step: its result or branch direction,
@@ -1222,20 +1261,22 @@ impl Ultrascalar {
                             let p = ring[pos].src[k].expect("a forwarded operand is linked");
                             wake.park(pos, p.slot);
                             wake.census.walk_parks += 1;
+                        } else {
+                            wake.census.operand_waits += 1;
                         }
                     }
+                } else {
+                    wake.census.executing += 1;
                 }
 
-                // Update the prefix state with this entry, unfinished at
-                // the start of the cycle (an issue this cycle does not
-                // change that, since done_before is strict): it bounds
-                // the done prefix and clears its kind's lane, and an
-                // unresolved store under renaming the renaming lane.
+                // A station completing this cycle leaves the walk. The
+                // sweep already counted every visited station unfinished
+                // in the done prefix and its lane; an unresolved store
+                // under renaming also clears the renaming lane.
                 let entry = &ring[pos].e;
                 if entry.issued_at == Some(t) {
                     issued_now += 1;
                 }
-                done_prefix = done_prefix.min(j);
                 match entry.completed_at {
                     Some(ct) if ct > t => next_completion = next_completion.min(ct),
                     Some(ct) if ct == t => {
@@ -1243,11 +1284,10 @@ impl Ultrascalar {
                         if entry.instr.is_branch() {
                             resolving.push(j);
                         }
+                        wake.leave(pos);
+                        wake.finishing.set(pos);
                     }
                     _ => {}
-                }
-                if let Some(k) = kind {
-                    flags &= !(1 << k);
                 }
                 if renaming && wake.blockers[RESOLVED_LANE].get(pos) {
                     flags &= !F_STORES_RESOLVED;
@@ -1396,8 +1436,7 @@ impl Ultrascalar {
                         halted = true;
                     }
                 }
-                // The walk let every retiring station go when it found
-                // it finished.
+                // The sweep let every retiring station go.
                 debug_assert!(
                     [&wake.active, &wake.parked]
                         .into_iter()
@@ -1405,7 +1444,9 @@ impl Ultrascalar {
                         .all(|b| b.next_set(head, head + cl_len).is_none()),
                     "a retiring cluster is still visited, parked or blocking a lane"
                 );
-                wake.resolved.clear_range(head, head + cl_len);
+                if renaming {
+                    wake.resolved.clear_range(head, head + cl_len);
+                }
                 head = ring_slot(head, c, n);
                 len -= cl_len;
                 done_prefix -= cl_len;

@@ -6,7 +6,11 @@
 //! is held at most once; a store waits on three, so at most three
 //! times. A release that runs past its lane's next blocker, or fires
 //! while an older station still clears the lane, re-holds stations and
-//! breaks that bound.
+//! breaks that bound. Every visit has exactly one outcome: an issue, a
+//! memory request (offered again after a rejection), a hold, a park,
+//! a wait on a producer whose completion is scheduled, a multi-cycle
+//! op still executing, or a shared-ALU stall. A finished station
+//! visited again has none of them and breaks the sum.
 
 use ultrascalar::{
     ForwardModel, PredictorKind, ProcConfig, Processor, RunResult, Ultrascalar, WalkCensus,
@@ -127,9 +131,19 @@ fn check(key: &str, c: &WalkCensus, r: &RunResult, bound: u64, window: usize, sk
         "{key}: {} holds, bound {bound}: {c:?}",
         c.holds
     );
+    // An accepted request issues in the memory phase, not in the walk.
+    let walk_issues = c.issues - c.flights;
+    let outcomes = walk_issues
+        + c.requests
+        + c.holds
+        + c.walk_parks
+        + c.operand_waits
+        + c.executing
+        + c.alu_stalls;
+    assert_eq!(c.visits, outcomes, "{key}: visits unaccounted for: {c:?}");
     assert!(
-        c.issues <= c.visits,
-        "{key}: more issues than visits: {c:?}"
+        c.flights <= c.requests,
+        "{key}: more flights than requests: {c:?}"
     );
     assert!(
         c.visits <= c.cycles * window as u64,
@@ -179,6 +193,10 @@ fn walk_census_balances_and_bounds_holds() {
                 (&mut total.flights, c.flights),
                 (&mut total.landings, c.landings),
                 (&mut total.squashed_flights, c.squashed_flights),
+                (&mut total.requests, c.requests),
+                (&mut total.operand_waits, c.operand_waits),
+                (&mut total.executing, c.executing),
+                (&mut total.alu_stalls, c.alu_stalls),
             ] {
                 *sum += n;
             }
@@ -196,6 +214,10 @@ fn walk_census_balances_and_bounds_holds() {
         ("flights", total.flights),
         ("landings", total.landings),
         ("squashed flights", total.squashed_flights),
+        ("memory requests", total.requests),
+        ("operand waits", total.operand_waits),
+        ("executing visits", total.executing),
+        ("shared-ALU stalls", total.alu_stalls),
     ] {
         assert!(n > 0, "no run produced {what}: {total:?}");
     }

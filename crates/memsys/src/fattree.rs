@@ -17,6 +17,11 @@ use crate::bandwidth::Bandwidth;
 /// Arity of the tree: quadrants, as in the H-tree floorplan.
 pub const ARITY: usize = 4;
 
+/// `log2(ARITY)`: a leaf's subtree at level `l` is `leaf >> (l *
+/// ARITY_BITS)`, a shift instead of a division per level.
+const ARITY_BITS: u32 = ARITY.ilog2();
+const _: () = assert!(ARITY.is_power_of_two(), "subtree ids are shifts");
+
 /// Per-cycle fat-tree admission control.
 #[derive(Debug, Clone)]
 pub struct FatTree {
@@ -112,7 +117,7 @@ impl FatTree {
         // Check every level first (levels 1..=levels are real links;
         // level 0 is the leaf's own port, capacity M(1) = 1).
         for l in 0..=self.levels {
-            let group = leaf / ARITY.pow(l as u32);
+            let group = leaf >> (l as u32 * ARITY_BITS);
             let (stamp, count) = self.used[l][group];
             let count = if stamp == self.generation { count } else { 0 };
             if count >= self.caps[l] {
@@ -121,7 +126,7 @@ impl FatTree {
             }
         }
         for l in 0..=self.levels {
-            let group = leaf / ARITY.pow(l as u32);
+            let group = leaf >> (l as u32 * ARITY_BITS);
             let slot = &mut self.used[l][group];
             let count = if slot.0 == self.generation { slot.1 } else { 0 };
             *slot = (self.generation, count + 1);
