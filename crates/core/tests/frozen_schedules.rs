@@ -22,6 +22,14 @@
 //! schedule change anywhere — a cycle, a slot, a forwarding distance —
 //! changes a digest.
 //!
+//! Each line also records the case's cycle and committed-instruction
+//! counts, printed beside the digests when a case drifts. A case runs
+//! with a cycle budget of twice its recorded cycles plus
+//! [`BUDGET_MARGIN`] (capped by its corner's own `max_cycles`): a run
+//! that halted before ends the same way under that budget, and a change
+//! that deadlocks stops there instead of running to the corner's
+//! budget.
+//!
 //! The two path-selection diagnostics `packed_fallbacks` and
 //! `packed_shape_gated` are not schedule data; they are kept out of the
 //! digest and pinned at zero instead.
@@ -43,6 +51,9 @@ const WIDTHS: [usize; 4] = [6, 65, 128, 256];
 
 /// Random programs per (corner, width).
 const PROGRAMS: u32 = 20;
+
+/// Cycles a case may run past twice its recorded count.
+const BUDGET_MARGIN: u64 = 1000;
 
 struct Rng(u64);
 impl Rng {
@@ -422,33 +433,81 @@ fn digest(r: &RunResult) -> u64 {
     h.0
 }
 
-/// `(key, digest)` for every corner × program of one group, with the
-/// path-selection diagnostics pinned at zero.
-fn run_group(width: Option<usize>) -> Vec<(String, u64)> {
+/// A case's recorded or current outcome: cycles, committed
+/// instructions and digest.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct Outcome {
+    cycles: u64,
+    committed: u64,
+    digest: u64,
+}
+
+impl Outcome {
+    fn of(r: &RunResult) -> Self {
+        Outcome {
+            cycles: r.cycles,
+            committed: r.stats.committed,
+            digest: digest(r),
+        }
+    }
+}
+
+impl std::fmt::Display for Outcome {
+    fn fmt(&self, f: &mut std::fmt::Formatter) -> std::fmt::Result {
+        let (d, c, k) = (self.digest, self.cycles, self.committed);
+        write!(f, "{d:016x} ({c} cycles, {k} committed)")
+    }
+}
+
+/// `(key, outcome)` for every corner × program of one group, with the
+/// path-selection diagnostics pinned at zero. A case in `frozen` runs
+/// with a budget of twice its recorded cycles plus [`BUDGET_MARGIN`].
+fn run_group(width: Option<usize>, frozen: &HashMap<&str, Outcome>) -> Vec<(String, Outcome)> {
     let progs = programs(width);
     let mut out = Vec::new();
     for (corner, cfg) in corners() {
-        let mut engine = Ultrascalar::new(cfg);
         let mut r = RunResult::recording_timings();
         for (name, p) in &progs {
-            engine.run_reusing(p, &mut r);
             let key = format!("{corner} {name}");
+            let budget = frozen
+                .get(key.as_str())
+                .map_or(u64::MAX, |o| 2 * o.cycles + BUDGET_MARGIN);
+            let max_cycles = cfg.max_cycles.min(budget);
+            Ultrascalar::new(ProcConfig {
+                max_cycles,
+                ..cfg.clone()
+            })
+            .run_reusing(p, &mut r);
             assert_eq!(r.stats.packed_fallbacks, 0, "{key}: packed_fallbacks");
             assert_eq!(r.stats.packed_shape_gated, 0, "{key}: packed_shape_gated");
-            out.push((key, digest(&r)));
+            out.push((key, Outcome::of(&r)));
         }
     }
     out
 }
 
-fn frozen() -> HashMap<&'static str, u64> {
+fn frozen() -> HashMap<&'static str, Outcome> {
     FROZEN
         .lines()
         .filter(|l| !l.is_empty() && !l.starts_with('#'))
         .map(|l| {
-            let (key, hex) = l.rsplit_once(' ').expect("`<corner> <program> <digest>`");
-            let d = u64::from_str_radix(hex, 16).expect("hex digest");
-            (key, d)
+            let mut fields = l.rsplitn(4, ' ');
+            let mut next = || {
+                fields
+                    .next()
+                    .expect("`<corner> <program> <cycles> <committed> <digest>`")
+            };
+            let digest = u64::from_str_radix(next(), 16).expect("hex digest");
+            let committed = next().parse().expect("committed count");
+            let cycles = next().parse().expect("cycle count");
+            (
+                next(),
+                Outcome {
+                    cycles,
+                    committed,
+                    digest,
+                },
+            )
         })
         .collect()
 }
@@ -456,10 +515,10 @@ fn frozen() -> HashMap<&'static str, u64> {
 fn check_group(width: Option<usize>) {
     let frozen = frozen();
     let mut drifted = Vec::new();
-    for (key, d) in run_group(width) {
+    for (key, now) in run_group(width, &frozen) {
         match frozen.get(key.as_str()) {
-            Some(&want) if want == d => {}
-            Some(&want) => drifted.push(format!("{key}: frozen {want:016x}, now {d:016x}")),
+            Some(&want) if want == now => {}
+            Some(&want) => drifted.push(format!("{key}: frozen {want}, now {now}")),
             None => drifted.push(format!("{key}: missing from the frozen file")),
         }
     }

@@ -209,10 +209,13 @@ pub struct MemSystem {
     cfg: MemConfig,
     net: Network,
     banks: BankedMemory,
-    /// In-flight accesses: (completion_cycle, response), kept sorted by
-    /// completion cycle (binary heap semantics via sorted insertion is
-    /// unnecessary; we scan — traffic per cycle is small).
+    /// In-flight accesses: (completion_cycle, response), unsorted —
+    /// traffic per cycle is small, and only a tick with a response due
+    /// scans them.
     in_flight: Vec<(u64, MemResponse)>,
+    /// The earliest completion cycle in `in_flight`; `u64::MAX` when it
+    /// is empty.
+    due: u64,
     caches: Option<ClusterCaches>,
     stats: MemStats,
 }
@@ -235,6 +238,7 @@ impl MemSystem {
             net,
             banks,
             in_flight: Vec::new(),
+            due: u64::MAX,
             caches,
             stats: MemStats::default(),
         }
@@ -261,6 +265,7 @@ impl MemSystem {
             caches.reset();
         }
         self.in_flight.clear();
+        self.due = u64::MAX;
         self.stats = MemStats::default();
     }
 
@@ -297,6 +302,10 @@ impl MemSystem {
     ) {
         accepted.clear();
         done.clear();
+        debug_assert_eq!(self.due, self.earliest(), "the kept due cycle drifted");
+        if requests.is_empty() && now < self.due {
+            return;
+        }
         self.net.begin_cycle();
         for req in requests {
             // Distributed cluster cache: a hitting load is served
@@ -307,6 +316,7 @@ impl MemSystem {
                     caches.count_hit();
                     self.stats.loads += 1;
                     let done = now + caches.config().hit_latency;
+                    self.due = self.due.min(done);
                     self.in_flight.push((
                         done,
                         MemResponse {
@@ -358,6 +368,7 @@ impl MemSystem {
                     }
                 },
             };
+            self.due = self.due.min(now + self.latency());
             self.in_flight.push((now + self.latency(), resp));
             accepted.push(*req);
         }
@@ -368,14 +379,20 @@ impl MemSystem {
             self.stats.cache_misses = caches.misses;
         }
 
-        self.in_flight.retain(|&(t, r)| {
-            if t <= now {
-                done.push(r);
-                false
-            } else {
-                true
-            }
-        });
+        if self.due <= now {
+            let landed = self.in_flight.extract_if(.., |&mut (t, _)| t <= now);
+            done.extend(landed.map(|(_, r)| r));
+            self.due = self.earliest();
+        }
+    }
+
+    /// The earliest completion cycle in flight, by a scan.
+    fn earliest(&self) -> u64 {
+        self.in_flight
+            .iter()
+            .map(|&(t, _)| t)
+            .min()
+            .unwrap_or(u64::MAX)
     }
 
     /// Are any accesses still in flight?
@@ -384,14 +401,15 @@ impl MemSystem {
     }
 
     /// The earliest cycle at which an in-flight access will deliver its
-    /// response, if any. Event-driven processor models use this to jump
-    /// straight to the next memory event instead of ticking through
-    /// quiet cycles: skipping a [`MemSystem::tick_into`] whose
-    /// `requests` are empty and whose `now` is before this cycle is
+    /// response, if any; every tick keeps it, so this is O(1).
+    /// Event-driven processor models use this to jump straight to the
+    /// next memory event instead of ticking through quiet cycles: a
+    /// [`MemSystem::tick_into`] whose `requests` are empty and whose
+    /// `now` is before this cycle returns at once, which is
     /// observationally free (per-cycle network capacity resets are
     /// idempotent and banks compare absolute busy times).
     pub fn next_completion_at(&self) -> Option<u64> {
-        self.in_flight.iter().map(|&(t, _)| t).min()
+        (self.due != u64::MAX).then_some(self.due)
     }
 
     /// Statistics so far.
