@@ -38,7 +38,7 @@
 //! store addresses resolved"), the issue count and the branches
 //! completing this cycle (the only stations branch resolution visits).
 //! It visits only the stations that can act: the members of an
-//! `active` bitset over the ring slots, found from `head` with
+//! `active` set over the ring slots, found from `head` with
 //! trailing-zeros scans. Every other unfinished station is in a
 //! `parked` set, because it
 //!
@@ -109,7 +109,7 @@
 //!
 //! Under memory renaming a store resolves exactly once, on the visit
 //! where its operands are first ready: it writes its address and value
-//! into a per-slot table and marks its slot in a `resolved` bitset,
+//! into a per-slot table and marks its slot in a `resolved` set,
 //! which commit and flush clear with their ranges. A load searches the
 //! table only when "store addresses resolved" is set at its slot, so
 //! every older store in the window has resolved and is marked; and an
@@ -121,8 +121,13 @@
 //!
 //! Every schedule, statistic and flush trace is therefore the one a
 //! walk over every station produces, and the per-cycle cost is the
-//! visited stations plus `O(n / 64)` words. The circuits do the same
-//! work in `Θ(log n)` gate delay.
+//! visited stations plus `O(n / 64)` records. The circuits do the same
+//! work in `Θ(log n)` gate delay. A record holds all fourteen per-slot
+//! sets of one ring word of 64 slots (`active`, `parked`, `woken`,
+//! `finishing`, `flying`, `resolved`, and each lane's blockers and
+//! holds), so the sweep, a walk step's park, hold or flight and a
+//! flush's squash reach every set of a word through one index. A
+//! waiter's `next` and `prev` links sit together in the same way.
 //!
 //! Three of the paper's extension mechanisms are implemented behind
 //! configuration switches (all off by default):
@@ -152,7 +157,7 @@ use crate::stats::ProcStats;
 use crate::timing::InstrTiming;
 use ultrascalar_isa::{effective_addr, Instr, Program};
 use ultrascalar_memsys::{MemRequest, MemResponse, MemSystem, ReqKind};
-use ultrascalar_prefix::BitWords;
+use ultrascalar_prefix::packed::{self, BitWords};
 
 // Lanes of the all-earlier flag word: the paper's side-by-side 1-bit
 // AND networks (Figure 5, plus the renaming variant), narrowed as the
@@ -233,108 +238,137 @@ pub struct WalkCensus {
     pub flying_at_end: u64,
 }
 
-/// Which stations the per-cycle walk visits, and who wakes the rest
-/// (see "Wake-up lists" in the module docs). Every set is over ring
-/// slots and holds only occupied ones; an occupied station in neither
-/// `active` nor `parked` is finished.
-/// The waiter lists are circular doubly-linked lists over two fixed
-/// `u32` arrays: nodes `0..n` are the stations, node `n + p` heads
-/// the list of stations parked on producer slot `p`, and an unlinked
-/// node points at itself. Everything is sized once per window, so
-/// parking, holding, flying, waking and flushing never allocate.
-#[derive(Debug, Default)]
-struct WakeLists {
+/// The station sets of ring word `w`: bit `b` of each field is slot
+/// `64·w + b`. Every set holds only occupied slots; an occupied station
+/// in neither `active` nor `parked` is finished.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct SetWord {
     /// Stations the walk visits.
-    active: BitWords,
+    active: u64,
     /// Stations out of the walk and unfinished: parked on a producer,
     /// woken, held on a lane, in flight or finishing.
-    parked: BitWords,
+    parked: u64,
     /// Parked stations whose producer scheduled its completion this
     /// cycle: back in the walk from the next.
-    woken: BitWords,
+    woken: u64,
     /// Parked stations that complete this cycle: finished from the next.
-    finishing: BitWords,
+    finishing: u64,
+    /// The memory ops whose request was accepted and whose response
+    /// has not arrived.
+    flying: u64,
+    /// Under memory renaming, the resolved stores: their slots in
+    /// [`EngineScratch::stores`] hold their address and value.
+    resolved: u64,
     /// Per flag lane, the stations that may still clear it: the
     /// unfinished loads, branches and stores, and under memory renaming
     /// the unresolved stores. Every parked station is unfinished, so
-    /// `parked ∩ blockers[k]` is the set of those that clear lane `k`.
-    blockers: [BitWords; 4],
+    /// `parked & blockers[k]` holds those that clear lane `k`.
+    blockers: [u64; 4],
     /// Per flag lane, the ready memory ops waiting for it to set at
-    /// their slot, and how many there are.
-    held: [BitWords; 4],
+    /// their slot.
+    held: [u64; 4],
+}
+
+impl SetWord {
+    /// Lower the slots of `mask` in every set.
+    fn clear(&mut self, mask: u64) {
+        let sets = [
+            &mut self.active,
+            &mut self.parked,
+            &mut self.woken,
+            &mut self.finishing,
+            &mut self.flying,
+            &mut self.resolved,
+        ];
+        for set in sets
+            .into_iter()
+            .chain(&mut self.blockers)
+            .chain(&mut self.held)
+        {
+            *set &= !mask;
+        }
+    }
+}
+
+/// Which stations the per-cycle walk visits, and who wakes the rest
+/// (see "Wake-up lists" in the module docs), over a window of `n`
+/// stations: one [`SetWord`] per ring word, and the waiter lists, which
+/// are circular doubly-linked lists over one array of `[next, prev]`
+/// links. Nodes `0..n` are the stations, node `n + p` heads the list of
+/// stations parked on producer slot `p`, and an unlinked node points at
+/// itself. Everything is sized once per window, so parking, holding,
+/// flying, waking and flushing never allocate.
+#[derive(Debug, Default)]
+struct WakeLists {
+    n: usize,
+    sets: Vec<SetWord>,
+    /// Per flag lane, how many stations `held` marks.
     held_count: [u64; 4],
-    /// The memory ops whose request was accepted and whose response
-    /// has not arrived.
-    flying: BitWords,
-    /// Under memory renaming, the resolved stores: their slots in
-    /// [`EngineScratch::stores`] hold their address and value.
-    resolved: BitWords,
-    next: Vec<u32>,
-    prev: Vec<u32>,
+    links: Vec<[u32; 2]>,
     census: WalkCensus,
 }
 
 impl WakeLists {
     /// Empty sets and lists for a window of `n` stations.
     fn reset(&mut self, n: usize) {
-        if self.active.len() != n {
-            *self = WakeLists {
-                active: BitWords::new(n),
-                parked: BitWords::new(n),
-                woken: BitWords::new(n),
-                finishing: BitWords::new(n),
-                blockers: std::array::from_fn(|_| BitWords::new(n)),
-                held: std::array::from_fn(|_| BitWords::new(n)),
-                held_count: [0; 4],
-                flying: BitWords::new(n),
-                resolved: BitWords::new(n),
-                next: Vec::with_capacity(2 * n),
-                prev: Vec::with_capacity(2 * n),
-                census: WalkCensus::default(),
-            };
-        } else {
-            let sets = [
-                &mut self.active,
-                &mut self.parked,
-                &mut self.woken,
-                &mut self.finishing,
-                &mut self.flying,
-                &mut self.resolved,
-            ];
-            sets.into_iter()
-                .chain(&mut self.blockers)
-                .chain(&mut self.held)
-                .for_each(BitWords::clear);
-            self.held_count = [0; 4];
-        }
-        self.next.clear();
-        self.next.extend(0..2 * n as u32);
-        self.prev.clear();
-        self.prev.extend(0..2 * n as u32);
+        self.n = n;
+        self.sets.clear();
+        self.sets.resize(n.div_ceil(64), SetWord::default());
+        self.held_count = [0; 4];
+        self.links.clear();
+        self.links.extend((0..2 * n as u32).map(|i| [i; 2]));
         self.census = WalkCensus::default();
+    }
+
+    /// Slot `s`'s record and its bit there.
+    ///
+    /// # Panics
+    /// Panics if `s` is past the window.
+    #[inline]
+    fn slot(&mut self, s: usize) -> (&mut SetWord, u64) {
+        assert!(s < self.n, "station slot out of range");
+        (&mut self.sets[s / 64], 1 << (s % 64))
+    }
+
+    /// Is slot `s` in the set `set` reads?
+    fn has(&self, s: usize, set: impl Fn(&SetWord) -> u64) -> bool {
+        assert!(s < self.n, "station slot out of range");
+        set(&self.sets[s / 64]) >> (s % 64) & 1 == 1
+    }
+
+    /// The first slot in `from..to` of the set `set` reads.
+    #[inline]
+    fn next_in(&self, set: impl Fn(&SetWord) -> u64, from: usize, to: usize) -> Option<usize> {
+        packed::next_set_in(|w| set(&self.sets[w]), from, to)
+    }
+
+    /// The last slot in `from..to` of the set `set` reads.
+    fn prev_in(&self, set: impl Fn(&SetWord) -> u64, from: usize, to: usize) -> Option<usize> {
+        packed::prev_set_in(|w| set(&self.sets[w]), from, to)
     }
 
     /// Is station `w` on no waiter list?
     fn unlinked(&self, w: usize) -> bool {
-        self.next[w] as usize == w
+        self.links[w][0] as usize == w
     }
 
-    /// Take station `w` out of the walk into the parked set.
-    fn leave(&mut self, w: usize) {
-        self.active.unset(w);
-        self.parked.set(w);
+    /// Take station `w` out of the walk into the parked set; returns
+    /// its record and bit.
+    fn leave(&mut self, w: usize) -> (&mut SetWord, u64) {
+        let (r, bit) = self.slot(w);
+        r.active &= !bit;
+        r.parked |= bit;
+        (r, bit)
     }
 
     /// Take station `w` out of the walk until producer slot `p`
     /// schedules its completion.
     fn park(&mut self, w: usize, p: usize) {
-        let n = self.active.len();
-        let h = (n + p) as u32;
-        let first = self.next[h as usize];
-        self.next[w] = first;
-        self.prev[w] = h;
-        self.prev[first as usize] = w as u32;
-        self.next[h as usize] = w as u32;
+        let h = self.n + p;
+        let first = self.links[h][0];
+        self.links[w] = [first, h as u32];
+        self.links[first as usize][1] = w as u32;
+        self.links[h][0] = w as u32;
         self.leave(w);
     }
 
@@ -343,18 +377,21 @@ impl WakeLists {
     /// than the next cycle, so the station rejoins the walk then.
     #[inline]
     fn wake(&mut self, p: usize) {
-        let h = self.active.len() + p;
-        let mut w = self.next[h] as usize;
+        let h = self.n + p;
+        let mut w = self.links[h][0] as usize;
         while w != h {
-            let after = self.next[w] as usize;
-            self.next[w] = w as u32;
-            self.prev[w] = w as u32;
-            self.woken.set(w);
+            debug_assert!(
+                self.has(w, |r| r.parked & !r.woken),
+                "waking station {w}, which is not parked or already woken"
+            );
+            let after = self.links[w][0] as usize;
+            self.links[w] = [w as u32; 2];
+            let (r, bit) = self.slot(w);
+            r.woken |= bit;
             self.census.wakes += 1;
             w = after;
         }
-        self.next[h] = h as u32;
-        self.prev[h] = h as u32;
+        self.links[h] = [h as u32; 2];
     }
 
     /// Take the ready memory op `w` out of the walk until flag lane
@@ -364,8 +401,8 @@ impl WakeLists {
             self.unlinked(w),
             "holding station {w}, parked on a producer"
         );
-        self.leave(w);
-        self.held[lane].set(w);
+        let (r, bit) = self.leave(w);
+        r.held[lane] |= bit;
         self.held_count[lane] += 1;
         self.census.holds += 1;
     }
@@ -375,19 +412,20 @@ impl WakeLists {
     /// and clears only its own [`lane_of`].
     fn fly(&mut self, w: usize) {
         debug_assert!(
-            self.unlinked(w) && !self.blockers[RESOLVED_LANE].get(w),
+            self.unlinked(w) && !self.has(w, |r| r.blockers[RESOLVED_LANE]),
             "station {w} flies parked or unresolved"
         );
-        self.leave(w);
-        self.flying.set(w);
+        let (r, bit) = self.leave(w);
+        r.flying |= bit;
         self.census.flights += 1;
     }
 
     /// The response for the in-flight station `w` arrived: it completes
     /// this cycle.
     fn land(&mut self, w: usize) {
-        self.flying.unset(w);
-        self.finishing.set(w);
+        let (r, bit) = self.slot(w);
+        r.flying &= !bit;
+        r.finishing |= bit;
         self.census.landings += 1;
     }
 
@@ -398,19 +436,16 @@ impl WakeLists {
     /// into the walk, which reaches them later this cycle. `head` is
     /// the oldest occupied slot.
     fn resolve(&mut self, b: usize, lane_set: bool, head: usize) {
-        self.resolved.set(b);
-        self.blockers[RESOLVED_LANE].unset(b);
+        let (r, bit) = self.slot(b);
+        r.resolved |= bit;
+        r.blockers[RESOLVED_LANE] &= !bit;
         if !lane_set || self.held_count[RESOLVED_LANE] == 0 {
             return;
         }
         // The slots after `b` in ring order, to the window's end.
-        let n = self.active.len();
-        let lim = if b >= head { head + n } else { head };
-        let run = BitWords::range_masks(b + 1, lim.min(n))
-            .chain(BitWords::range_masks(0, lim.saturating_sub(n)));
-        for (w, mask) in run {
+        for (w, mask) in ring_run(self.n, b + 1, (head + self.n - b - 1) % self.n) {
             // The run ends at the next blocker, inclusive.
-            let next = self.blockers[RESOLVED_LANE].word(w) & mask;
+            let next = self.sets[w].blockers[RESOLVED_LANE] & mask;
             self.release(RESOLVED_LANE, w, mask & (next ^ next.wrapping_sub(1)));
             if next != 0 {
                 break;
@@ -421,7 +456,7 @@ impl WakeLists {
     /// Move the holds on `lane` among the slots `mask` of word `w` back
     /// into the walk.
     fn release(&mut self, lane: usize, w: usize, mask: u64) {
-        let bits = self.held[lane].word(w) & mask;
+        let bits = self.sets[w].held[lane] & mask;
         if bits == 0 {
             return;
         }
@@ -431,9 +466,10 @@ impl WakeLists {
                 .all(|k| self.unlinked(w * 64 + k)),
             "releasing a station parked on a producer"
         );
-        self.held[lane].clear_word(w, bits);
-        self.active.or_word(w, bits);
-        self.parked.clear_word(w, bits);
+        let r = &mut self.sets[w];
+        r.held[lane] &= !bits;
+        r.active |= bits;
+        r.parked &= !bits;
         self.held_count[lane] -= u64::from(bits.count_ones());
         self.census.releases += u64::from(bits.count_ones());
     }
@@ -453,20 +489,20 @@ impl WakeLists {
         let mut found = [usize::MAX; 5];
         let (hw, young) = (head / 64, (1u64 << (head % 64)) - 1);
         let mut head_bits = [0; 5];
-        for w in (hw..self.active.len().div_ceil(64)).chain(0..hw) {
-            let (fin, woken) = (self.finishing.word(w), self.woken.word(w));
+        for w in (hw..self.sets.len()).chain(0..hw) {
+            let r = &mut self.sets[w];
+            let (fin, woken) = (r.finishing, r.woken);
             if fin | woken != 0 {
-                self.finishing.clear_word(w, fin);
-                self.woken.clear_word(w, woken);
-                self.parked.clear_word(w, fin | woken);
-                self.active.or_word(w, woken);
-                for b in &mut self.blockers {
-                    b.clear_word(w, fin);
+                r.finishing = 0;
+                r.woken = 0;
+                r.parked &= !(fin | woken);
+                r.active |= woken;
+                for b in &mut r.blockers {
+                    *b &= !fin;
                 }
             }
-            let (parked, b) = (self.parked.word(w), |k: usize| self.blockers[k].word(w));
-            let unfinished = self.active.word(w) | parked;
-            let bits = [b(0), b(1), b(2), parked & b(3), unfinished];
+            let b = r.blockers;
+            let bits = [b[0], b[1], b[2], r.parked & b[3], r.active | r.parked];
             let mask = if w == hw { !young } else { !0 };
             head_bits = if w == hw { bits } else { head_bits };
             self.search(w, mask, bits, &mut found);
@@ -496,58 +532,63 @@ impl WakeLists {
         }
     }
 
-    /// Drop slots `from..to` from every set and list (a flush squashed
+    /// Drop the `count` slots from `from` in ring order from every set
+    /// and list, one record at a time (a flush squashed them, or under
+    /// renaming commit retired them: then only `resolved` still marks
     /// them). Any station parked on a squashed producer is younger than
     /// it, so squashed too: unlinking the squashed waiters empties the
     /// squashed producers' lists.
-    fn squash(&mut self, from: usize, to: usize) {
-        let mut s = from;
-        while let Some(w) = self.parked.next_set(s, to) {
-            if !self.unlinked(w) {
-                let (a, b) = (self.prev[w], self.next[w]);
-                self.next[a as usize] = b;
-                self.prev[b as usize] = a;
-                self.next[w] = w as u32;
-                self.prev[w] = w as u32;
-                self.census.squashed_parks += 1;
+    fn vacate(&mut self, from: usize, count: usize) {
+        for (w, mask) in ring_run(self.n, from, count) {
+            let r = self.sets[w];
+            let mut parked = r.parked & mask;
+            while parked != 0 {
+                let s = w * 64 + parked.trailing_zeros() as usize;
+                parked &= parked - 1;
+                if !self.unlinked(s) {
+                    let [next, prev] = self.links[s];
+                    self.links[prev as usize][0] = next;
+                    self.links[next as usize][1] = prev;
+                    self.links[s] = [s as u32; 2];
+                    self.census.squashed_parks += 1;
+                }
             }
-            s = w + 1;
+            for (held, held_count) in r.held.iter().zip(&mut self.held_count) {
+                let squashed = u64::from((held & mask).count_ones());
+                *held_count -= squashed;
+                self.census.squashed_holds += squashed;
+            }
+            self.census.squashed_flights += u64::from((r.flying & mask).count_ones());
+            self.sets[w].clear(mask);
         }
-        for (held, count) in self.held.iter_mut().zip(&mut self.held_count) {
-            let squashed = held.count_range(from, to);
-            *count -= squashed;
-            self.census.squashed_holds += squashed;
-            held.clear_range(from, to);
-        }
-        self.census.squashed_flights += self.flying.count_range(from, to);
-        let sets = [
-            &mut self.active,
-            &mut self.parked,
-            &mut self.woken,
-            &mut self.finishing,
-            &mut self.flying,
-            &mut self.resolved,
-        ];
-        sets.into_iter()
-            .chain(&mut self.blockers)
-            .for_each(|b| b.clear_range(from, to));
     }
 
     /// Count the stations still out of the walk when a run ends.
     fn settle_census(&mut self) {
-        let n = self.active.len();
-        let held: u64 = self.held.iter().map(|h| h.count_range(0, n)).sum();
-        debug_assert_eq!(
-            held,
-            self.held_count.iter().sum::<u64>(),
-            "hold count drifted"
-        );
-        let flying = self.flying.count_range(0, n);
-        let passing = self.woken.count_range(0, n) + self.finishing.count_range(0, n);
+        let count = |set: &dyn Fn(&SetWord) -> u64| -> u64 {
+            self.sets
+                .iter()
+                .map(|r| u64::from(set(r).count_ones()))
+                .sum()
+        };
+        let held = (0..4).map(|k| count(&|r| r.held[k])).sum();
+        debug_assert_eq!(held, self.held_count.iter().sum(), "hold count drifted");
+        let (flying, passing) = (count(&|r| r.flying), count(&|r| r.woken | r.finishing));
         self.census.held_at_end = held;
         self.census.flying_at_end = flying;
-        self.census.parked_at_end = self.parked.count_range(0, n) - held - flying - passing;
+        self.census.parked_at_end = count(&|r| r.parked) - held - flying - passing;
     }
+}
+
+/// The words of the `count` slots of an `n`-slot ring that follow slot
+/// `from` (wrapping to slot 0), each as `(word, mask)`, in ring order.
+///
+/// # Panics
+/// Panics if `from` or `count` exceeds `n`.
+fn ring_run(n: usize, from: usize, count: usize) -> impl Iterator<Item = (usize, u64)> {
+    assert!(from <= n && count <= n, "station slot out of range");
+    let to = from + count;
+    BitWords::range_masks(from, to.min(n)).chain(BitWords::range_masks(0, to.saturating_sub(n)))
 }
 
 /// A decode-time producer link: the station that held the nearest
@@ -977,14 +1018,15 @@ impl Ultrascalar {
                     src,
                 };
                 *len += 1;
+                let (r, bit) = wake.slot(slot);
                 if let Some(k) = lane_of(&f.instr) {
-                    wake.blockers[k].set(slot);
+                    r.blockers[k] |= bit;
                 }
                 if renaming && f.instr.is_store() {
-                    wake.blockers[RESOLVED_LANE].set(slot);
+                    r.blockers[RESOLVED_LANE] |= bit;
                 }
                 debug_assert!(
-                    !wake.resolved.get(slot),
+                    r.resolved & bit == 0,
                     "refilled slot {slot} is still marked resolved"
                 );
                 // A producer at or past the oldest station's `seq` is in
@@ -1000,7 +1042,7 @@ impl Ultrascalar {
                         wake.park(slot, p.slot);
                         wake.census.refill_parks += 1;
                     }
-                    _ => wake.active.set(slot),
+                    _ => wake.slot(slot).0.active |= bit,
                 }
             }
         };
@@ -1059,10 +1101,11 @@ impl Ultrascalar {
                     let e = &ring[s].e;
                     let live = at(s) < len && !e.done_before(t);
                     let lane = lane_of(&e.instr).filter(|_| live);
-                    (wake.active.get(s) as u8 + wake.parked.get(s) as u8 == live as u8)
+                    (wake.has(s, |r| r.active) as u8 + wake.has(s, |r| r.parked) as u8
+                        == live as u8)
                         && (0..RESOLVED_LANE).all(|k| {
-                            wake.blockers[k].get(s) == (lane == Some(k))
-                                && (!wake.held[k].get(s) || at(s) > drops[k])
+                            wake.has(s, |r| r.blockers[k]) == (lane == Some(k))
+                                && (!wake.has(s, |r| r.held[k]) || at(s) > drops[k])
                         })
                 }) && {
                     // The sweep's positions by brute force, in program order.
@@ -1074,10 +1117,7 @@ impl Ultrascalar {
                     };
                     let lane = |s: usize| lane_of(&ring[s].e.instr);
                     let unresolved = |s| {
-                        renaming
-                            && lane(s) == Some(0)
-                            && !wake.active.get(s)
-                            && !wake.resolved.get(s)
+                        renaming && lane(s) == Some(0) && !wake.has(s, |r| r.active | r.resolved)
                     };
                     oldest(&|_| true).min(len) == done_prefix
                         && (0..RESOLVED_LANE).all(|k| oldest(&|s| lane(s) == Some(k)) == drops[k])
@@ -1091,7 +1131,7 @@ impl Ultrascalar {
             // renaming lane releases is visited when the walk reaches it.
             let (mut cursor, mut end) = (head, n);
             loop {
-                let Some(pos) = wake.active.next_set(cursor, end) else {
+                let Some(pos) = wake.next_in(|r| r.active, cursor, end) else {
                     if end == n && head > 0 {
                         (cursor, end) = (0, head);
                         continue;
@@ -1102,7 +1142,7 @@ impl Ultrascalar {
                 let j = at(pos);
                 debug_assert!(j < len, "active slot {pos} is vacant");
                 debug_assert!(
-                    wake.held.iter().all(|h| !h.get(pos)),
+                    !wake.has(pos, |r| r.held.iter().fold(0, |a, h| a | h)),
                     "visiting slot {pos}, which is held"
                 );
                 debug_assert!(
@@ -1110,7 +1150,7 @@ impl Ultrascalar {
                     "visiting slot {pos}, which is in flight"
                 );
                 debug_assert!(
-                    !wake.resolved.get(pos) || renaming && ring[pos].e.instr.is_store(),
+                    !wake.has(pos, |r| r.resolved) || renaming && ring[pos].e.instr.is_store(),
                     "slot {pos} is marked resolved but holds no store under renaming"
                 );
                 wake.census.visits += 1;
@@ -1163,7 +1203,7 @@ impl Ultrascalar {
                                     flags & F_STORES_DONE != 0
                                 };
                                 let hit = (renaming && go)
-                                    .then(|| forward_from(&wake.resolved, stores, head, pos, addr))
+                                    .then(|| forward_from(wake, stores, head, pos, addr))
                                     .flatten();
                                 if !go {
                                     // Held until its lane sets here.
@@ -1193,7 +1233,7 @@ impl Ultrascalar {
                             }
                             Instr::Store { offset, .. } => {
                                 let addr = effective_addr(v0, offset, mem.words());
-                                if wake.blockers[RESOLVED_LANE].get(pos) {
+                                if wake.has(pos, |r| r.blockers[RESOLVED_LANE]) {
                                     // Memory renaming: the store resolves
                                     // on this first ready visit, for good.
                                     // Its address shapes the schedule
@@ -1310,12 +1350,12 @@ impl Ultrascalar {
                         if entry.instr.is_branch() {
                             resolving.push(j);
                         }
-                        wake.leave(pos);
-                        wake.finishing.set(pos);
+                        let (r, bit) = wake.leave(pos);
+                        r.finishing |= bit;
                     }
                     _ => {}
                 }
-                if renaming && wake.blockers[RESOLVED_LANE].get(pos) {
+                if renaming && wake.has(pos, |r| r.blockers[RESOLVED_LANE]) {
                     flags &= !F_STORES_RESOLVED;
                 }
             }
@@ -1392,17 +1432,7 @@ impl Ultrascalar {
                 // slots (hardware overwrites the squashed stations in
                 // place).
                 stats.flushed += (len - (j + 1)) as u64;
-                // The squashed stations are `j + 1..len` from `head`:
-                // at most two linear slot runs.
-                let (from, to) = (head + j + 1, head + len);
-                if from >= n {
-                    wake.squash(from - n, to - n);
-                } else if to <= n {
-                    wake.squash(from, to);
-                } else {
-                    wake.squash(from, n);
-                    wake.squash(0, to - n);
-                }
+                wake.vacate(ring_slot(head, j + 1, n), len - (j + 1));
                 len = j + 1;
                 done_prefix = done_prefix.min(len);
                 // Roll the rename table back to the surviving window.
@@ -1464,14 +1494,16 @@ impl Ultrascalar {
                 }
                 // The sweep let every retiring station go.
                 debug_assert!(
-                    [&wake.active, &wake.parked]
-                        .into_iter()
-                        .chain(&wake.blockers)
-                        .all(|b| b.next_set(head, head + cl_len).is_none()),
+                    wake.next_in(
+                        |r| r.active | r.parked | r.blockers.iter().fold(0, |a, b| a | b),
+                        head,
+                        head + cl_len
+                    )
+                    .is_none(),
                     "a retiring cluster is still visited, parked or blocking a lane"
                 );
                 if renaming {
-                    wake.resolved.clear_range(head, head + cl_len);
+                    wake.vacate(head, cl_len);
                 }
                 head = ring_slot(head, c, n);
                 len -= cl_len;
@@ -1558,14 +1590,14 @@ impl Ultrascalar {
 /// and inlined into the walk it slowed the walk of every configuration.
 #[inline(never)]
 fn forward_from(
-    resolved: &BitWords,
+    wake: &WakeLists,
     stores: &[StoreInfo],
     head: usize,
     pos: usize,
     addr: usize,
 ) -> Option<StoreInfo> {
     let search = |from: usize, mut to: usize| {
-        while let Some(s) = resolved.prev_set(from, to) {
+        while let Some(s) = wake.prev_in(|r| r.resolved, from, to) {
             if stores[s].addr == addr {
                 return Some(stores[s]);
             }
@@ -1576,7 +1608,7 @@ fn forward_from(
     if pos >= head {
         search(head, pos)
     } else {
-        search(0, pos).or_else(|| search(head, resolved.len()))
+        search(0, pos).or_else(|| search(head, wake.n))
     }
 }
 
@@ -1598,4 +1630,79 @@ fn wake_up(s0: &Option<Source>, s1: &Option<Source>, t: u64) -> u64 {
         }
     }
     at
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::Rng;
+
+    /// A 130-slot window: three words, the last one partial.
+    const N: usize = 130;
+
+    /// Case `i`'s lists: each station parked on a random producer, held
+    /// on a random lane or neither, and in each other set with a
+    /// density that varies by case; the slots `vacant` picks left out.
+    fn lists(i: u64, vacant: impl Fn(usize) -> bool) -> WakeLists {
+        let rng = &mut rand::case_rng(0x5E7_0001, i);
+        let density = [0.5, 0.1, 0.02][i as usize % 3];
+        let mut wl = WakeLists::default();
+        wl.reset(N);
+        for s in 0..N {
+            let (op, p) = (rng.gen_range(0..3), rng.gen_range(0..N));
+            let bits: Vec<u64> = (0..9).map(|_| u64::from(rng.gen_bool(density))).collect();
+            match op {
+                _ if vacant(s) => continue,
+                0 => wl.park(s, p),
+                1 => wl.hold(s, p % 4),
+                _ => {}
+            }
+            let (r, bit) = wl.slot(s);
+            let sets = [&mut r.active, &mut r.woken, &mut r.finishing];
+            for (set, b) in sets.into_iter().chain(&mut r.blockers).zip(&bits) {
+                *set |= bit * b;
+            }
+            r.flying |= bit * bits[7];
+            r.resolved |= bit * bits[8];
+        }
+        wl
+    }
+
+    #[test]
+    fn scans_match_a_brute_force_scan() {
+        for i in 0..12 {
+            let wl = lists(i, |_| false);
+            for from in 0..=N {
+                for to in from..=N {
+                    let next = (from..to).find(|&s| wl.has(s, |r| r.active));
+                    let prev = (from..to).rev().find(|&s| wl.has(s, |r| r.resolved));
+                    let got = wl.next_in(|r| r.active, from, to);
+                    assert_eq!(got, next, "case {i}: next {from}..{to}");
+                    let got = wl.prev_in(|r| r.resolved, from, to);
+                    assert_eq!(got, prev, "case {i}: prev {from}..{to}");
+                }
+            }
+        }
+    }
+
+    /// Vacating a ring run leaves the records and links of the same
+    /// lists built without those slots: every field of every touched
+    /// record cleared, every vacated waiter unlinked and its list
+    /// closed around it. The hold counts match the held bits.
+    #[test]
+    fn vacate_clears_every_field_and_unlinks_its_waiters() {
+        rand::cases(0x5E7_0002, 64, |rng, i| {
+            // At least 65 slots: the run crosses a word boundary.
+            let (from, count) = (rng.gen_range(0..N), rng.gen_range(65..=N));
+            let mut wl = lists(i, |_| false);
+            wl.vacate(from, count);
+            let want = lists(i, |s| (s + N - from) % N < count);
+            assert_eq!(wl.sets, want.sets, "records, {count} from {from}");
+            assert_eq!(wl.links, want.links, "waiter links, {count} from {from}");
+            for k in 0..4 {
+                let held: u32 = wl.sets.iter().map(|r| r.held[k].count_ones()).sum();
+                assert_eq!(wl.held_count[k], u64::from(held), "lane {k}'s hold count");
+            }
+        });
+    }
 }

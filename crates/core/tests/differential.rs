@@ -57,8 +57,11 @@ use ultrascalar::{
 };
 use ultrascalar_bench::cli::{build_config, parse_run, ArchChoice, RunOptions};
 use ultrascalar_isa::workload::{self, RandomCfg};
-use ultrascalar_isa::{assemble, disassemble, Interp, Program};
+use ultrascalar_isa::{assemble, Interp, Program};
 use ultrascalar_memsys::{Bandwidth, CacheConfig, MemConfig, NetworkKind};
+
+mod common;
+use common::{program_source, replay, usim_args, usim_options};
 
 const SEED: u64 = 0x0D1F_F5EE_D000_0001;
 const CASES: u64 = 120;
@@ -333,93 +336,6 @@ fn case(index: u64) -> Case {
     }
 }
 
-/// Assembly text that reassembles to `p` with `p.num_regs` registers.
-fn to_asm(p: &Program) -> String {
-    let mut out = String::new();
-    for (r, &v) in p.init_regs.iter().enumerate() {
-        if v != 0 {
-            out += &format!(".reg r{r}, {}\n", v as i32);
-        }
-    }
-    for chunk in p.init_mem.chunks(16) {
-        let words: Vec<String> = chunk.iter().map(|&w| (w as i32).to_string()).collect();
-        out += &format!(".word {}\n", words.join(", "));
-    }
-    for i in &p.instrs {
-        out += &disassemble(i);
-        out.push('\n');
-    }
-    out
-}
-
-/// The `usim run` options that reproduce `cfg`, if every field of it
-/// is a `usim` flag.
-fn usim_options(cfg: &ProcConfig, regs: usize) -> Option<RunOptions> {
-    let o = RunOptions {
-        arch: match cfg.cluster {
-            1 => ArchChoice::UsI,
-            c if c == cfg.window => ArchChoice::UsII,
-            _ => ArchChoice::Hybrid,
-        },
-        window: cfg.window,
-        cluster: Some(cfg.cluster),
-        predictor: cfg.predictor,
-        alus: cfg.alus,
-        mem_exp: cfg.mem.bandwidth.exponent,
-        network: cfg.mem.network,
-        renaming: cfg.memory_renaming,
-        cache: cfg.mem.cluster_cache.is_some(),
-        fetch_width: cfg.fetch_width,
-        per_hop: match cfg.forward {
-            ForwardModel::SingleCycle => None,
-            ForwardModel::Pipelined { per_hop } => Some(per_hop),
-        },
-        regs,
-        max_cycles: cfg.max_cycles,
-        ..RunOptions::default()
-    };
-    (build_config(&o).as_ref() == Ok(cfg)).then_some(o)
-}
-
-/// The `usim run` arguments for `o`, reading the program from `path`.
-fn usim_args(o: &RunOptions, path: &str) -> Vec<String> {
-    let mut args = format!("{path} --regs {} --window {}", o.regs, o.window);
-    args += &match o.arch {
-        ArchChoice::UsI => " --arch usi".to_string(),
-        ArchChoice::UsII => " --arch usii".to_string(),
-        ArchChoice::Hybrid => format!(" --arch hybrid --cluster {}", o.cluster.unwrap_or(1)),
-    };
-    args += " --predictor ";
-    args += &match o.predictor {
-        PredictorKind::Perfect => "perfect".to_string(),
-        PredictorKind::NotTaken => "nottaken".to_string(),
-        PredictorKind::Taken => "taken".to_string(),
-        PredictorKind::Btfn => "btfn".to_string(),
-        PredictorKind::Bimodal(k) => format!("bimodal:{k}"),
-    };
-    if let Some(k) = o.alus {
-        args += &format!(" --alus {k}");
-    }
-    args += &format!(" --mem-exp {}", o.mem_exp);
-    for (on, flag) in [
-        (o.network == NetworkKind::Butterfly, " --butterfly"),
-        (o.renaming, " --renaming"),
-        (o.cache, " --cache"),
-    ] {
-        if on {
-            args += flag;
-        }
-    }
-    if let Some(f) = o.fetch_width {
-        args += &format!(" --fetch-width {f}");
-    }
-    if let Some(h) = o.per_hop {
-        args += &format!(" --per-hop {h}");
-    }
-    args += &format!(" --max-cycles {} --show-regs", o.max_cycles);
-    args.split_whitespace().map(str::to_string).collect()
-}
-
 /// Field-for-field equality, naming the first field that differs.
 fn same(what: &str, got: &RunResult, want: &RunResult) -> Result<(), String> {
     let field = if got.halted != want.halted {
@@ -471,7 +387,7 @@ fn check(c: &Case, prev: &Program, batcher: &mut LaneBatcher, t: &mut Tally) -> 
     let (cfg, p) = (&c.cfg, &c.program);
 
     // The replay aids must reproduce the case.
-    if assemble(&to_asm(p), p.num_regs).as_ref() != Ok(p) {
+    if assemble(&program_source(p), p.num_regs).as_ref() != Ok(p) {
         return Err("the .asm dump does not reassemble to the program".into());
     }
     if let Some(o) = usim_options(cfg, p.num_regs) {
@@ -617,21 +533,11 @@ fn check(c: &Case, prev: &Program, batcher: &mut LaneBatcher, t: &mut Tally) -> 
 
 /// Everything a replay needs, with the `.asm` dump written out.
 fn failure_report(c: &Case, msg: &str) -> String {
-    let path = format!(
-        "{}/differential-case-{}.asm",
-        env!("CARGO_TARGET_TMPDIR"),
-        c.index
+    let (written, replay) = replay(
+        &format!("differential-case-{}", c.index),
+        &c.cfg,
+        &c.program,
     );
-    let written = std::fs::write(&path, to_asm(&c.program))
-        .map(|()| path.clone())
-        .unwrap_or_else(|e| format!("(could not write {path}: {e})"));
-    let replay = match usim_options(&c.cfg, c.program.num_regs) {
-        Some(o) => format!(
-            "cargo run --release -p ultrascalar-bench --bin usim -- run {}",
-            usim_args(&o, &path).join(" ")
-        ),
-        None => "not expressible with usim flags (latency or memory)".into(),
-    };
     format!(
         "differential case {} (SEED {SEED:#x}) failed: {msg}\n\
          program: {}\nasm dump: {written}\nusim: {replay}\n\

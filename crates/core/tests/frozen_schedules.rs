@@ -23,18 +23,26 @@
 //! changes a digest.
 //!
 //! Each line also records the case's cycle and committed-instruction
-//! counts, printed beside the digests when a case drifts. A case runs
-//! with a cycle budget of twice its recorded cycles plus
+//! counts, printed beside the digests when a case drifts. The first
+//! drifts also print the case's `.asm` dump and the `usim run` line
+//! that replays it, or that its corner has no `usim` equivalent. A
+//! case runs with a cycle budget of twice its recorded cycles plus
 //! [`BUDGET_MARGIN`] (capped by its corner's own `max_cycles`): a run
 //! that halted before ends the same way under that budget, and a change
 //! that deadlocks stops there instead of running to the corner's
-//! budget.
+//! budget. A change that loops inside one cycle never reaches a budget:
+//! a watchdog names the case and ends the test binary after [`HANG`].
 //!
 //! The two path-selection diagnostics `packed_fallbacks` and
 //! `packed_shape_gated` are not schedule data; they are kept out of the
 //! digest and pinned at zero instead.
 
 use std::collections::HashMap;
+use std::io::Write;
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::Mutex;
+use std::thread;
+use std::time::{Duration, Instant};
 
 use ultrascalar::{
     ForwardModel, LatencyModel, PredictorKind, ProcConfig, ProcStats, Processor, RunResult,
@@ -42,6 +50,9 @@ use ultrascalar::{
 };
 use ultrascalar_isa::{workload, AluOp, BranchCond, Instr, Program, Reg};
 use ultrascalar_memsys::{CacheConfig, MemConfig, MemStats, NetworkKind};
+
+mod common;
+use common::replay;
 
 const FROZEN: &str = include_str!("data/frozen_schedules.txt");
 
@@ -54,6 +65,29 @@ const PROGRAMS: u32 = 20;
 
 /// Cycles a case may run past twice its recorded count.
 const BUDGET_MARGIN: u64 = 1000;
+
+/// Drifted cases a failure prints, each with its replay line.
+const REPLAYED: usize = 8;
+
+/// Wall time one case may run before its group's watchdog ends the
+/// test binary: a change that loops inside one cycle never reaches the
+/// cycle budget.
+const HANG: Duration = Duration::from_secs(60);
+
+/// Until `stop` disconnects, check every second how long the group's
+/// current case (`running`: its key, and when it started) has run; past
+/// [`HANG`], print its key and end the process.
+fn watchdog(running: &Mutex<(String, Instant)>, stop: mpsc::Receiver<()>) {
+    while let Err(RecvTimeoutError::Timeout) = stop.recv_timeout(Duration::from_secs(1)) {
+        let (key, since) = &*running.lock().expect("no case panics holding the lock");
+        if since.elapsed() > HANG {
+            // Past the test harness's output capture, which `exit` drops.
+            let msg = format!("{key}: still running after {HANG:?}, a hang inside a cycle\n");
+            let _ = std::io::stderr().write_all(msg.as_bytes());
+            std::process::exit(101);
+        }
+    }
+}
 
 struct Rng(u64);
 impl Rng {
@@ -459,28 +493,59 @@ impl std::fmt::Display for Outcome {
     }
 }
 
-/// `(key, outcome)` for every corner × program of one group, with the
-/// path-selection diagnostics pinned at zero. A case in `frozen` runs
-/// with a budget of twice its recorded cycles plus [`BUDGET_MARGIN`].
-fn run_group(width: Option<usize>, frozen: &HashMap<&str, Outcome>) -> Vec<(String, Outcome)> {
+/// Run every corner × program of one group, with the path-selection
+/// diagnostics pinned at zero, and report each case whose outcome is
+/// not the one in `frozen`. A frozen case runs with a budget of twice
+/// its recorded cycles plus [`BUDGET_MARGIN`]; the first
+/// [`REPLAYED`] drifts also name the `usim run` line that replays them.
+/// A case that runs for [`HANG`] ends the test binary.
+fn drifts(width: Option<usize>, frozen: &HashMap<&str, Outcome>) -> Vec<String> {
+    let running = Mutex::new(("(setup)".to_string(), Instant::now()));
+    let (stop, stopped) = mpsc::channel();
+    thread::scope(|scope| {
+        scope.spawn(|| watchdog(&running, stopped));
+        // Dropped on return or unwind, which ends the watchdog.
+        let _stop = stop;
+        run_cases(width, frozen, &running)
+    })
+}
+
+/// [`drifts`] without its watchdog: `running` names each case as it
+/// starts.
+fn run_cases(
+    width: Option<usize>,
+    frozen: &HashMap<&str, Outcome>,
+    running: &Mutex<(String, Instant)>,
+) -> Vec<String> {
     let progs = programs(width);
     let mut out = Vec::new();
     for (corner, cfg) in corners() {
         let mut r = RunResult::recording_timings();
         for (name, p) in &progs {
             let key = format!("{corner} {name}");
-            let budget = frozen
-                .get(key.as_str())
-                .map_or(u64::MAX, |o| 2 * o.cycles + BUDGET_MARGIN);
-            let max_cycles = cfg.max_cycles.min(budget);
-            Ultrascalar::new(ProcConfig {
-                max_cycles,
+            *running.lock().expect("the watchdog only reads") = (key.clone(), Instant::now());
+            let want = frozen.get(key.as_str()).copied();
+            let budget = want.map_or(u64::MAX, |o| 2 * o.cycles + BUDGET_MARGIN);
+            let cfg = ProcConfig {
+                max_cycles: cfg.max_cycles.min(budget),
                 ..cfg.clone()
-            })
-            .run_reusing(p, &mut r);
+            };
+            Ultrascalar::new(cfg.clone()).run_reusing(p, &mut r);
             assert_eq!(r.stats.packed_fallbacks, 0, "{key}: packed_fallbacks");
             assert_eq!(r.stats.packed_shape_gated, 0, "{key}: packed_shape_gated");
-            out.push((key, Outcome::of(&r)));
+            let now = Outcome::of(&r);
+            let Some(want) = want else {
+                out.push(format!("{key}: missing from the frozen file"));
+                continue;
+            };
+            if want != now {
+                let mut report = format!("{key}: frozen {want}, now {now}");
+                if out.len() < REPLAYED {
+                    let (asm, usim) = replay(&format!("frozen-{corner}-{name}"), &cfg, p);
+                    report += &format!("\n  asm dump: {asm}\n  usim: {usim}");
+                }
+                out.push(report);
+            }
         }
     }
     out
@@ -513,20 +578,12 @@ fn frozen() -> HashMap<&'static str, Outcome> {
 }
 
 fn check_group(width: Option<usize>) {
-    let frozen = frozen();
-    let mut drifted = Vec::new();
-    for (key, now) in run_group(width, &frozen) {
-        match frozen.get(key.as_str()) {
-            Some(&want) if want == now => {}
-            Some(&want) => drifted.push(format!("{key}: frozen {want}, now {now}")),
-            None => drifted.push(format!("{key}: missing from the frozen file")),
-        }
-    }
+    let drifted = drifts(width, &frozen());
     assert!(
         drifted.is_empty(),
-        "{} schedules drifted, first: {:#?}",
+        "{} schedules drifted, first:\n{}",
         drifted.len(),
-        &drifted[..drifted.len().min(8)]
+        drifted[..drifted.len().min(REPLAYED)].join("\n")
     );
 }
 

@@ -22,8 +22,10 @@
 //!   register-forwarding operator `a ⊗ b = a`, and [`op::BoolAnd`], the
 //!   sequencing operator `a ⊗ b = a ∧ b`) and their segmented lift,
 //! * [`packed`] — the [`packed::BitWords`] bitset behind the memory
-//!   butterfly's per-cycle link raster, the engine's station sets and
-//!   the memory image's page marks.
+//!   butterfly's per-cycle link raster and the memory image's page
+//!   marks, and the word scans ([`packed::next_set_in`],
+//!   [`packed::prev_set_in`]) that also search the engine's per-word
+//!   station-set records.
 //!
 //! The gate-level realisations of the same structures live in the
 //! `ultrascalar-circuit` crate; property tests there check that the

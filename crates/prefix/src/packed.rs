@@ -2,16 +2,16 @@
 //!
 //! The memory network keeps its per-cycle link occupancy in these
 //! words (`ultrascalar-memsys`'s butterfly raster), so clearing a
-//! stage costs one store per 64 wires instead of one per wire. The
-//! engine keeps its station sets (which stations the per-cycle walk
-//! visits, which are parked on a producer) in them too, and finds the
-//! next member with a trailing-zeros scan (or the previous one with a
-//! leading-zeros scan). A memory image
-//! (`ultrascalar-isa`'s `MemImage`) marks its written pages in one.
+//! stage costs one store per 64 wires instead of one per wire. A
+//! memory image (`ultrascalar-isa`'s `MemImage`) marks its written
+//! pages in one. The scans [`next_set_in`] and [`prev_set_in`] take the
+//! words through a closure, so they also serve bitsets stored some
+//! other way: the engine keeps its station sets as fields of one
+//! record per word and scans one field at a time.
 
 /// A fixed-length bitset over `u64` words with word-parallel clears
 /// and scans — the packed replacement for per-cycle `Vec<bool>` maps
-/// (the memory butterfly's stage wires, the engine's station sets).
+/// (the memory butterfly's stage wires, the memory image's pages).
 #[derive(Debug, Default)]
 pub struct BitWords {
     words: Vec<u64>,
@@ -86,38 +86,6 @@ impl BitWords {
         self.words[i / 64] |= 1u64 << (i % 64);
     }
 
-    /// Lower bit `i`.
-    ///
-    /// # Panics
-    /// Panics if `i >= len`.
-    #[inline]
-    pub fn unset(&mut self, i: usize) {
-        assert!(i < self.len, "bit index out of range");
-        self.words[i / 64] &= !(1u64 << (i % 64));
-    }
-
-    /// Lower every bit in `from..to` (one store per word touched).
-    ///
-    /// # Panics
-    /// Panics if `to > len`.
-    pub fn clear_range(&mut self, from: usize, to: usize) {
-        assert!(to <= self.len, "bit range out of range");
-        for (w, mask) in Self::range_masks(from, to) {
-            self.words[w] &= !mask;
-        }
-    }
-
-    /// Number of raised bits in `from..to`.
-    ///
-    /// # Panics
-    /// Panics if `to > len`.
-    pub fn count_range(&self, from: usize, to: usize) -> u64 {
-        assert!(to <= self.len, "bit range out of range");
-        Self::range_masks(from, to)
-            .map(|(w, mask)| u64::from((self.words[w] & mask).count_ones()))
-            .sum()
-    }
-
     /// The words that bits `from..to` occupy, each as `(word index,
     /// mask of its bits inside the range)`, in order: the way to act
     /// on a range of several bitsets one word at a time.
@@ -154,64 +122,59 @@ impl BitWords {
         self.words[w] |= mask;
     }
 
-    /// Lower the bits of `mask` in word `w`.
-    ///
-    /// # Panics
-    /// Panics if `w` lies past the last word.
-    #[inline]
-    pub fn clear_word(&mut self, w: usize, mask: u64) {
-        self.words[w] &= !mask;
-    }
-
-    /// The lowest raised bit in `from..to`, if any: a trailing-zeros
-    /// scan, one load per word up to the first hit.
+    /// The lowest raised bit in `from..to`, if any (see [`next_set_in`]).
     ///
     /// # Panics
     /// Panics if `from < to` and `to` lies past the last word.
     #[inline]
     pub fn next_set(&self, from: usize, to: usize) -> Option<usize> {
-        if from >= to {
-            return None;
-        }
-        let mut w = from / 64;
-        let mut bits = self.words[w] & (!0u64 << (from % 64));
-        loop {
-            if bits != 0 {
-                let i = w * 64 + bits.trailing_zeros() as usize;
-                return (i < to).then_some(i);
-            }
-            w += 1;
-            if w * 64 >= to {
-                return None;
-            }
-            bits = self.words[w];
-        }
+        next_set_in(|w| self.words[w], from, to)
     }
+}
 
-    /// The highest raised bit in `from..to`, if any: a leading-zeros
-    /// scan down from `to`, one load per word down to the first hit.
-    ///
-    /// # Panics
-    /// Panics if `from < to` and `to > len`.
-    #[inline]
-    pub fn prev_set(&self, from: usize, to: usize) -> Option<usize> {
-        if from >= to {
+/// The lowest raised bit in `from..to` of the bitset whose word `w` is
+/// `word(w)`, if any: a trailing-zeros scan, one word read per word up
+/// to the first hit.
+#[inline]
+pub fn next_set_in(word: impl Fn(usize) -> u64, from: usize, to: usize) -> Option<usize> {
+    if from >= to {
+        return None;
+    }
+    let mut w = from / 64;
+    let mut bits = word(w) & (!0u64 << (from % 64));
+    loop {
+        if bits != 0 {
+            let i = w * 64 + bits.trailing_zeros() as usize;
+            return (i < to).then_some(i);
+        }
+        w += 1;
+        if w * 64 >= to {
             return None;
         }
-        assert!(to <= self.len, "bit range out of range");
-        let mut w = (to - 1) / 64;
-        let mut bits = self.words[w] & (!0u64 >> (63 - (to - 1) % 64));
-        loop {
-            if bits != 0 {
-                let i = w * 64 + 63 - bits.leading_zeros() as usize;
-                return (i >= from).then_some(i);
-            }
-            if w * 64 <= from {
-                return None;
-            }
-            w -= 1;
-            bits = self.words[w];
+        bits = word(w);
+    }
+}
+
+/// The highest raised bit in `from..to` of the bitset whose word `w`
+/// is `word(w)`, if any: a leading-zeros scan down from `to`, one word
+/// read per word down to the first hit.
+#[inline]
+pub fn prev_set_in(word: impl Fn(usize) -> u64, from: usize, to: usize) -> Option<usize> {
+    if from >= to {
+        return None;
+    }
+    let mut w = (to - 1) / 64;
+    let mut bits = word(w) & (!0u64 >> (63 - (to - 1) % 64));
+    loop {
+        if bits != 0 {
+            let i = w * 64 + 63 - bits.leading_zeros() as usize;
+            return (i >= from).then_some(i);
         }
+        if w * 64 <= from {
+            return None;
+        }
+        w -= 1;
+        bits = word(w);
     }
 }
 
@@ -249,7 +212,7 @@ mod tests {
     }
 
     #[test]
-    fn unset_clear_range_and_next_set_match_a_bool_model() {
+    fn scans_and_word_ops_match_a_bool_model() {
         let len = 200;
         let mut b = BitWords::new(len);
         let mut model = vec![false; len];
@@ -261,40 +224,30 @@ mod tests {
             let i = (x % len as u64) as usize;
             let j = ((x >> 20) % (len as u64 + 1)) as usize;
             let (lo, hi) = (i.min(j), i.max(j));
-            match (x >> 40) % 6 {
-                0 | 1 => {
+            match (x >> 40) % 8 {
+                0 => {
+                    b.clear();
+                    model.fill(false);
+                }
+                1..=4 => {
                     b.set(i);
                     model[i] = true;
                 }
-                2 => {
-                    b.unset(i);
-                    model[i] = false;
-                }
-                3 => {
-                    b.clear_range(lo, hi);
-                    model[lo..hi].fill(false);
-                }
-                // Word-wise raise and lower of a range's odd bits.
-                k => {
+                // Word-wise raise of a range's odd bits.
+                _ => {
                     for (w, mask) in BitWords::range_masks(lo, hi) {
-                        let odd = mask & 0xAAAA_AAAA_AAAA_AAAA;
-                        if k == 4 {
-                            b.or_word(w, odd);
-                        } else {
-                            b.clear_word(w, odd);
-                        }
+                        b.or_word(w, mask & 0xAAAA_AAAA_AAAA_AAAA);
                     }
                     for bit in (lo..hi).filter(|t| t % 2 == 1) {
-                        model[bit] = k == 4;
+                        model[bit] = true;
                     }
                 }
             }
             let want = (lo..hi).find(|&k| model[k]);
             assert_eq!(b.next_set(lo, hi), want, "next_set({lo}, {hi})");
             let want = (lo..hi).rev().find(|&k| model[k]);
-            assert_eq!(b.prev_set(lo, hi), want, "prev_set({lo}, {hi})");
-            let count = model[lo..hi].iter().filter(|&&m| m).count() as u64;
-            assert_eq!(b.count_range(lo, hi), count, "count_range({lo}, {hi})");
+            let got = prev_set_in(|w| b.word(w), lo, hi);
+            assert_eq!(got, want, "prev_set_in({lo}, {hi})");
             let covered: Vec<usize> = BitWords::range_masks(lo, hi)
                 .flat_map(|(w, mask)| {
                     (0..64)
@@ -314,7 +267,7 @@ mod tests {
             }
         }
         assert_eq!(b.next_set(5, 5), None);
-        assert_eq!(b.prev_set(5, 5), None);
+        assert_eq!(prev_set_in(|w| b.word(w), 5, 5), None);
     }
 
     #[test]
