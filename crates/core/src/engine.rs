@@ -9,6 +9,25 @@
 //! `head` a whole cluster at a time, refill appends at the tail and a
 //! flush truncates the tail.
 //!
+//! # One cycle
+//!
+//! A run's state lives in one `RunState`, built on an engine's first
+//! run and rewound on later ones. Each cycle calls its phase methods in
+//! DESIGN §5's order:
+//!
+//! 1. `sweep`: last cycle's completions and wakes take effect, and the
+//!    done prefix and each lane's drop are read off the station sets;
+//! 2. `walk`: the program-order walk over the active stations, where
+//!    `visit` issues a ready station, offers its memory request, or
+//!    holds, parks or leaves it waiting;
+//! 3. `memory`: the arbiter accepts requests and responses land;
+//! 4. `resolve`: completing branches train the predictor, and the
+//!    oldest mispredicted one flushes every younger station;
+//! 5. `commit`: the oldest clusters retire, once complete and done;
+//! 6. `refill`: fetched instructions fill the freed stations, live
+//!    from the next cycle;
+//! 7. `skip`: after a silent cycle, jump to the next scheduled event.
+//!
 //! # Producer links
 //!
 //! The hardware's CSPP finds each station's nearest preceding writer of
@@ -148,7 +167,7 @@
 // mutated mid-walk, which iterator borrows cannot express.
 #![allow(clippy::needless_range_loop)]
 
-use crate::config::{ForwardModel, ProcConfig};
+use crate::config::ProcConfig;
 use crate::fetch::FetchUnit;
 use crate::lane::MAX_LEADER_LOG;
 use crate::processor::{Processor, RunResult};
@@ -184,10 +203,10 @@ fn lane_of(instr: &Instr) -> Option<usize> {
 }
 
 /// What the per-cycle walk did over a run: the cost it paid (visits),
-/// the outcome of each visit, and every way a station left or
-/// re-entered it. Counted in the engine's retained scratch, never in
-/// [`RunResult`], so no result or digest depends on it; see
-/// [`Ultrascalar::walk_census`].
+/// the outcome of each visit, every way a station left or re-entered
+/// it, and every way a station entered or left the window. Counted in
+/// the engine's retained run state, never in [`RunResult`], so no
+/// result or digest depends on it; see [`Ultrascalar::walk_census`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WalkCensus {
     /// Cycles the engine executed; spans cycle skip jumped are not
@@ -236,6 +255,15 @@ pub struct WalkCensus {
     pub squashed_flights: u64,
     /// Stations still in flight when the run ended.
     pub flying_at_end: u64,
+    /// Stations refill placed in the window.
+    pub refills: u64,
+    /// Stations commit retired, counting the synthetic halt that
+    /// [`ProcStats::committed`] leaves out.
+    pub retired: u64,
+    /// Stations still in the window when the run ended. Each placed
+    /// station retired, was flushed ([`ProcStats::flushed`]) or is
+    /// resident.
+    pub resident_at_end: u64,
 }
 
 /// The station sets of ring word `w`: bit `b` of each field is slot
@@ -257,7 +285,7 @@ struct SetWord {
     /// has not arrived.
     flying: u64,
     /// Under memory renaming, the resolved stores: their slots in
-    /// [`EngineScratch::stores`] hold their address and value.
+    /// [`RunState::stores`] hold their address and value.
     resolved: u64,
     /// Per flag lane, the stations that may still clear it: the
     /// unfinished loads, branches and stores, and under memory renaming
@@ -620,73 +648,18 @@ fn ring_slot(head: usize, j: usize, n: usize) -> usize {
     }
 }
 
-/// The resolved value of one source operand.
-enum Source {
-    /// From an in-window producer (`dist` = seq distance).
-    Forwarded {
-        value: u32,
-        ready: bool,
-        /// First cycle at which the forwarded value is usable
-        /// (producer completion plus forwarding latency), if the
-        /// producer has a scheduled completion. Feeds the event-driven
-        /// cycle skip: an unready source with a known `ready_at` is a
-        /// future event the engine may jump to.
-        ready_at: Option<u64>,
-        dist: u64,
-    },
-    /// From the committed register file (always ready).
-    Committed { value: u32 },
-}
-
-impl Source {
-    fn ready(&self) -> bool {
-        match self {
-            Source::Forwarded { ready, .. } => *ready,
-            Source::Committed { .. } => true,
-        }
-    }
-    fn value(&self) -> u32 {
-        match self {
-            Source::Forwarded { value, .. } | Source::Committed { value } => *value,
-        }
-    }
-}
-
-/// Resolve operand `k` of the station in `slot` at cycle `t`: one probe
-/// of its producer link. A producer whose `seq` is at or past the
-/// oldest occupied station's (`front_seq`) is still in the window and
-/// forwards; otherwise it has committed and the committed register
-/// file holds its value.
-#[inline(always)]
-fn operand(
-    ring: &[Station],
-    slot: usize,
-    k: usize,
-    front_seq: u64,
-    t: u64,
-    fwd: ForwardModel,
-    committed: &[u32],
-) -> Option<Source> {
-    let st = &ring[slot];
-    let r = st.e.instr.reads()[k]?;
-    Some(match st.src[k] {
-        Some(p) if p.seq >= front_seq => {
-            let w = &ring[p.slot].e;
-            // `done + 1` first, then the saturating hop cost.
-            let ready_at = w
-                .completed_at
-                .map(|done| (done + 1).saturating_add(fwd.extra(p.slot, slot)));
-            Source::Forwarded {
-                value: w.result.unwrap_or(0),
-                ready: ready_at.is_some_and(|ra| ra <= t),
-                ready_at,
-                dist: st.e.seq - p.seq,
-            }
-        }
-        _ => Source::Committed {
-            value: committed[r.index()],
-        },
-    })
+/// One resolved source operand: its value, the first cycle it is
+/// usable and, if an in-window producer forwards it, the `seq` distance
+/// to that producer. A committed-register read is usable at once
+/// (`ready_at` 0); a forwarded value from its producer's completion
+/// plus the forwarding latency, or never known (`None`) while the
+/// producer has no scheduled completion. A known `ready_at` still
+/// ahead is an event the cycle skip may jump to.
+#[derive(Clone, Copy)]
+struct Source {
+    value: u32,
+    ready_at: Option<u64>,
+    dist: Option<u64>,
 }
 
 /// A resolved store's address and data, for the loads' forwarding
@@ -727,7 +700,7 @@ pub struct FlushedEntry {
     /// The squashed instruction.
     pub instr: Instr,
     /// `Some(direction)` iff the branch completed strictly before the
-    /// flush cycle — exactly the condition under which Phase C trained
+    /// flush cycle — exactly the condition under which `resolve` trained
     /// the predictor on it.
     pub resolved_taken: Option<bool>,
     /// Effective address, if the load/store computed one.
@@ -788,47 +761,18 @@ impl ReplayLog {
 ///
 /// The engine retains its allocation-heavy working state — fetch unit
 /// (with its predictor), memory system, station ring, rename table,
-/// walk buffers — across runs. [`Processor::run_reusing`] rewinds all
-/// of it in place, so a warm engine serving its second and later
-/// requests for a same-shape program performs **zero** allocations
-/// (the serve-mode probe pins this); [`Processor::run`] produces
-/// identical results and merely pays for a fresh [`RunResult`].
-/// Retention is invisible to results: the reuse-equivalence tests pin a
-/// warm engine cycle-exact against a freshly constructed one.
+/// walk buffers — across runs: the first run builds it and every later
+/// one rewinds it in place, so a warm engine serving its second and
+/// later requests for a same-shape program performs **zero**
+/// allocations (the serve-mode probe pins this); [`Processor::run`]
+/// produces identical results and merely pays for a fresh
+/// [`RunResult`]. Retention is invisible to results: the
+/// reuse-equivalence tests pin a warm engine cycle-exact against a
+/// freshly constructed one.
 #[derive(Debug)]
 pub struct Ultrascalar {
     cfg: ProcConfig,
-    scratch: EngineScratch,
-}
-
-/// Working state retained across runs. Everything here is rewound (not
-/// rebuilt) at the top of each run.
-#[derive(Debug, Default)]
-struct EngineScratch {
-    fetch: Option<FetchUnit>,
-    mem: Option<MemSystem>,
-    /// The `n` physical stations, indexed by slot.
-    ring: Vec<Station>,
-    /// Per architectural register, the youngest writer refill has
-    /// placed in the window (possibly since committed — the operand
-    /// probe tells).
-    rename: Vec<Option<Link>>,
-    /// The walk's station sets and waiter lists.
-    wake: WakeLists,
-    /// Program-order indices of the branches completing this cycle.
-    resolving: Vec<usize>,
-    /// Per slot, the address and value of the store there if
-    /// [`WakeLists::resolved`] marks it (memory renaming only; searched
-    /// only while every older store is resolved).
-    stores: Vec<StoreInfo>,
-    /// Memory requests offered to the arbiter this cycle.
-    requests: Vec<MemRequest>,
-    /// Wrong-path trace of the most recent run (see [`ReplayLog`]).
-    replay: ReplayLog,
-    alu_free_at: Vec<u64>,
-    /// Caller-side buffers for [`MemSystem::tick_into`].
-    accepted: Vec<MemRequest>,
-    responses: Vec<MemResponse>,
+    state: Option<RunState>,
 }
 
 impl Ultrascalar {
@@ -838,10 +782,7 @@ impl Ultrascalar {
     /// Panics if the configuration is invalid.
     pub fn new(cfg: ProcConfig) -> Self {
         cfg.validate().expect("invalid processor configuration");
-        Ultrascalar {
-            cfg,
-            scratch: EngineScratch::default(),
-        }
+        Ultrascalar { cfg, state: None }
     }
 
     /// The configuration.
@@ -853,7 +794,12 @@ impl Ultrascalar {
     /// flush with its squashed entries, in flush order. Empty unless
     /// that run was [`Ultrascalar::run_logging_flushes`].
     pub fn replay_log(&self) -> &ReplayLog {
-        &self.scratch.replay
+        static EMPTY: ReplayLog = ReplayLog {
+            events: Vec::new(),
+            entries: Vec::new(),
+            complete: false,
+        };
+        self.state.as_ref().map_or(&EMPTY, |s| &s.replay)
     }
 
     /// [`Processor::run_reusing`], also logging every misprediction
@@ -862,13 +808,29 @@ impl Ultrascalar {
     /// leader this way; the schedule and result are the same as an
     /// unlogged run's.
     pub fn run_logging_flushes(&mut self, program: &Program, out: &mut RunResult) {
-        self.run_inner(program, out, true);
+        self.run_with(program, out, true);
     }
 
     /// What the per-cycle walk did in the most recent run (all zero
     /// before the first).
     pub fn walk_census(&self) -> WalkCensus {
-        self.scratch.wake.census
+        self.state
+            .as_ref()
+            .map_or_else(WalkCensus::default, |s| s.wake.census)
+    }
+
+    /// One run into `out`; `log_flushes` fills the replay log.
+    fn run_with(&mut self, program: &Program, out: &mut RunResult, log_flushes: bool) {
+        program.validate().expect("program must validate");
+        if let Some(state) = &mut self.state {
+            state.fetch.reset(program, self.cfg.mem.words);
+            state.mem.reset(&program.init_mem);
+        }
+        let state = self
+            .state
+            .get_or_insert_with(|| RunState::new(&self.cfg, program));
+        state.rewind(program, out, log_flushes);
+        state.execute(program, out);
     }
 }
 
@@ -895,741 +857,764 @@ impl Processor for Ultrascalar {
     }
 
     fn run_reusing(&mut self, program: &Program, out: &mut RunResult) {
-        self.run_inner(program, out, false);
+        self.run_with(program, out, false);
     }
 }
 
-impl Ultrascalar {
-    /// One run into `out`; `log_flushes` fills the replay log.
-    fn run_inner(&mut self, program: &Program, out: &mut RunResult, mut log_flushes: bool) {
-        program.validate().expect("program must validate");
-        let n = self.cfg.window;
-        let c = self.cfg.cluster;
-        let lat = self.cfg.latency;
-        let fwd = self.cfg.forward;
-        let renaming = self.cfg.memory_renaming;
-        let (predictor, words) = (self.cfg.predictor, self.cfg.mem.words);
+/// Everything that outlives one cycle of a run (see "One cycle" in the
+/// module docs). The committed register file, statistics and timings
+/// accumulate directly in the caller's [`RunResult`], so finishing a
+/// run writes nothing it would have to copy.
+#[derive(Debug)]
+struct RunState {
+    cfg: ProcConfig,
+    fetch: FetchUnit,
+    mem: MemSystem,
+    /// The `n` physical stations, indexed by slot.
+    ring: Vec<Station>,
+    /// The occupied run: `len` stations in program order from the
+    /// cluster-aligned slot `head`.
+    head: usize,
+    len: usize,
+    /// The `seq` refill gives its next station.
+    next_seq: u64,
+    /// Per architectural register, the youngest writer refill has
+    /// placed in the window (possibly since committed — the operand
+    /// probe tells).
+    rename: Vec<Option<Link>>,
+    /// The walk's station sets and waiter lists.
+    wake: WakeLists,
+    /// Per slot, the address and value of the store there if
+    /// [`SetWord::resolved`] marks it (memory renaming only; searched
+    /// only while every older store is resolved).
+    stores: Vec<StoreInfo>,
+    /// Memory requests offered to the arbiter this cycle, and the
+    /// caller-side buffers for [`MemSystem::tick_into`].
+    requests: Vec<MemRequest>,
+    accepted: Vec<MemRequest>,
+    responses: Vec<MemResponse>,
+    /// Program-order positions of the branches completing this cycle.
+    resolving: Vec<usize>,
+    /// Shared-ALU pool: first cycle each unit is free again.
+    alu_free_at: Vec<u64>,
+    /// Wrong-path trace of the most recent run (see [`ReplayLog`]), and
+    /// whether this run still logs into it.
+    replay: ReplayLog,
+    log_flushes: bool,
+}
 
-        // Rewind the retained working state in place. The engine's
-        // configuration is fixed at construction, so each component's
-        // shape (predictor kind, memory config, ALU pool size, ring
-        // size) never changes between runs — reset, not rebuild, except
-        // on the very first run.
-        let EngineScratch {
-            fetch,
-            mem,
-            ring,
-            rename,
-            wake,
-            resolving,
-            stores,
-            requests,
-            replay,
-            alu_free_at,
-            accepted,
-            responses,
-        } = &mut self.scratch;
-        replay.clear();
-        match fetch {
-            Some(f) => f.reset(program, words),
-            None => *fetch = Some(FetchUnit::new(program, predictor, words)),
-        }
-        let fetch = fetch.as_mut().expect("fetch unit initialised above");
-        match mem {
-            Some(m) => m.reset(&program.init_mem),
-            None => *mem = Some(MemSystem::new(self.cfg.mem.clone(), &program.init_mem)),
-        }
-        let mem = mem.as_mut().expect("memory system initialised above");
-        if ring.len() != n {
-            let vacant = Station {
-                e: StationEntry::new(u64::MAX, 0, Instr::Nop, 0, 0),
-                src: [None; 2],
-            };
-            *ring = vec![vacant; n];
-            *stores = vec![StoreInfo { addr: 0, value: 0 }; n];
-        }
-        rename.clear();
-        rename.resize(program.num_regs, None);
-        wake.reset(n);
-        resolving.clear();
-        requests.clear();
-        // The occupied run: `len` stations in program order from the
-        // cluster-aligned slot `head`.
-        let mut head: usize = 0;
-        let mut len: usize = 0;
-        let mut next_seq: u64 = 0;
+/// What the walk did in one cycle, as far as the cycle skip needs.
+struct Walked {
+    /// Stations that began execution.
+    issued: usize,
+    /// Did a visited station complete this cycle?
+    completed: bool,
+    /// Did a ready ALU op find every shared ALU busy?
+    stalled: bool,
+    /// The earliest later cycle at which a visited station completes or
+    /// a blocked one's operand becomes usable (`u64::MAX` for none).
+    next_event: u64,
+}
 
-        // The caller's result buffer is the working state: committed
-        // registers, and timings when the caller asked for them,
-        // accumulate directly into `out`, so finishing a run writes
-        // nothing it would have to copy.
-        let RunResult {
-            halted: out_halted,
-            cycles: out_cycles,
-            regs: committed_regs,
-            mem: out_mem,
-            stats,
-            timings,
-        } = out;
-        stats.reset();
-        let mut timings = timings.as_mut();
-        if let Some(t) = timings.as_mut() {
+/// One cycle's memory traffic, as far as the cycle skip needs.
+struct Traffic {
+    offered: bool,
+    /// Requests accepted: their stations issued.
+    accepted: usize,
+    responded: bool,
+}
+
+impl RunState {
+    /// The state for runs under `cfg`, with `program`'s fetch unit and
+    /// memory loaded.
+    fn new(cfg: &ProcConfig, program: &Program) -> Self {
+        let vacant = Station {
+            e: StationEntry::new(u64::MAX, 0, Instr::Nop, 0, 0),
+            src: [None; 2],
+        };
+        RunState {
+            cfg: cfg.clone(),
+            fetch: FetchUnit::new(program, cfg.predictor, cfg.mem.words),
+            mem: MemSystem::new(cfg.mem.clone(), &program.init_mem),
+            ring: vec![vacant; cfg.window],
+            head: 0,
+            len: 0,
+            next_seq: 0,
+            rename: Vec::new(),
+            wake: WakeLists::default(),
+            stores: vec![StoreInfo { addr: 0, value: 0 }; cfg.window],
+            requests: Vec::new(),
+            accepted: Vec::new(),
+            responses: Vec::new(),
+            resolving: Vec::new(),
+            alu_free_at: vec![0; cfg.alus.unwrap_or(0)],
+            replay: ReplayLog::default(),
+            log_flushes: false,
+        }
+    }
+
+    /// Rewind everything but the fetch unit and memory system for a run
+    /// of `program` into `out`, in place.
+    fn rewind(&mut self, program: &Program, out: &mut RunResult, log_flushes: bool) {
+        self.replay.clear();
+        self.log_flushes = log_flushes;
+        self.rename.clear();
+        self.rename.resize(program.num_regs, None);
+        self.wake.reset(self.cfg.window);
+        self.alu_free_at.fill(0);
+        (self.head, self.len, self.next_seq) = (0, 0, 0);
+        out.stats.reset();
+        if let Some(t) = out.timings.as_mut() {
             t.clear();
         }
-        committed_regs.clone_from(&program.init_regs);
-        let mut halted = false;
-        // Shared-ALU pool: first cycle each unit is free again.
-        alu_free_at.clear();
-        if let Some(pool) = self.cfg.alus {
-            alu_free_at.resize(pool, 0u64);
-        }
-        // Refill: append fetched instructions at the tail — filling the
-        // youngest partial cluster, then fresh ones — stations becoming
-        // live at `visible_at`; at most `fetch_width` per cycle. Each
-        // station links its sources to their producers here, once, and
-        // parks on the first in-window one with no scheduled completion
-        // instead of entering the walk.
-        let fetch_budget = self.cfg.fetch_width.unwrap_or(n);
-        let refill = |ring: &mut [Station],
-                      rename: &mut [Option<Link>],
-                      wake: &mut WakeLists,
-                      head: usize,
-                      len: &mut usize,
-                      fetch: &mut FetchUnit,
-                      next_seq: &mut u64,
-                      visible_at: u64| {
-            let mut budget = fetch_budget;
-            while *len < n && budget > 0 {
-                let Some(f) = fetch.next() else { return };
-                budget -= 1;
-                let seq = *next_seq;
-                *next_seq += 1;
-                let slot = ring_slot(head, *len, n);
-                let reads = f.instr.reads();
-                let src = [
-                    reads[0].and_then(|r| rename[r.index()]),
-                    reads[1].and_then(|r| rename[r.index()]),
-                ];
-                if let Some(rd) = f.instr.writes() {
-                    rename[rd.index()] = Some(Link { seq, slot });
-                }
-                ring[slot] = Station {
-                    e: StationEntry::new(seq, f.pc, f.instr, f.predicted_next, visible_at),
-                    src,
-                };
-                *len += 1;
-                let (r, bit) = wake.slot(slot);
-                if let Some(k) = lane_of(&f.instr) {
-                    r.blockers[k] |= bit;
-                }
-                if renaming && f.instr.is_store() {
-                    r.blockers[RESOLVED_LANE] |= bit;
-                }
-                debug_assert!(
-                    r.resolved & bit == 0,
-                    "refilled slot {slot} is still marked resolved"
-                );
-                // A producer at or past the oldest station's `seq` is in
-                // the window; an older one has committed (its slot may
-                // hold a younger station by now).
-                let front_seq = ring[head].e.seq;
-                let unscheduled = src
-                    .iter()
-                    .flatten()
-                    .find(|p| p.seq >= front_seq && ring[p.slot].e.completed_at.is_none());
-                match unscheduled {
-                    Some(p) => {
-                        wake.park(slot, p.slot);
-                        wake.census.refill_parks += 1;
-                    }
-                    _ => wake.slot(slot).0.active |= bit,
-                }
-            }
-        };
+        out.regs.clone_from(&program.init_regs);
+    }
 
-        // Initial fill: the window starts filling at cycle 0.
-        refill(ring, rename, wake, head, &mut len, fetch, &mut next_seq, 0);
-
-        let mut t: u64 = 0;
-        while t < self.cfg.max_cycles {
-            if len == 0 && fetch.exhausted() {
-                // Nothing in flight and nothing left to fetch.
-                break;
-            }
-            let occupancy = len as u64;
-            stats.occupancy_sum += occupancy;
-            wake.census.cycles += 1;
-
-            // Event-driven cycle skipping: while the cycle executes we
-            // collect the earliest future event (a completion, a
-            // forwarded operand becoming usable) and enough evidence to
-            // decide afterwards whether the cycle was silent — i.e.
-            // whether fast-forwarding to that event is observationally
-            // exact.
-            let mut next_completion = u64::MAX;
-            let mut next_source_ready = u64::MAX;
-            let mut completes_now = false;
-            let alu_stalls_before = stats.alu_stalls;
-
-            // ---- Phase A: the program-order walk over the active
-            // stations; issue & collect memory requests. Prefix flags
-            // mirror the CSPP circuits, computed on start-of-cycle
-            // state.
-            let mut flags: u64 = F_STORES_DONE | F_LOADS_DONE | F_BRANCHES_DONE | F_STORES_RESOLVED;
-            let front_seq = ring[head].e.seq;
-            let mut issued_now = 0usize;
-            resolving.clear();
-            requests.clear();
-            let mut free_alus = alu_free_at.iter().filter(|&&f| f <= t).count();
-            // Program-order position of an occupied slot.
-            let at = |slot: usize| {
-                if slot >= head {
-                    slot - head
-                } else {
-                    slot + n - head
-                }
-            };
-            // The start-of-cycle sweep. Leading stations finished
-            // before this cycle are commit's input: the oldest station
-            // in the walk or out of it bounds them. Past its lane's
-            // drop every younger station sees a clear lane.
-            let [d0, d1, d2, d3, first] = wake.sweep(head);
-            let mut done_prefix = if first == usize::MAX { len } else { at(first) };
-            let drops = [d0, d1, d2, d3].map(|d| if d == usize::MAX { d } else { at(d) });
-            debug_assert!(
-                (0..n).all(|s| {
-                    let e = &ring[s].e;
-                    let live = at(s) < len && !e.done_before(t);
-                    let lane = lane_of(&e.instr).filter(|_| live);
-                    (wake.has(s, |r| r.active) as u8 + wake.has(s, |r| r.parked) as u8
-                        == live as u8)
-                        && (0..RESOLVED_LANE).all(|k| {
-                            wake.has(s, |r| r.blockers[k]) == (lane == Some(k))
-                                && (!wake.has(s, |r| r.held[k]) || at(s) > drops[k])
-                        })
-                }) && {
-                    // The sweep's positions by brute force, in program order.
-                    let oldest = |f: &dyn Fn(usize) -> bool| {
-                        let mut slots = (0..len).map(|j| ring_slot(head, j, n));
-                        slots
-                            .position(|s| !ring[s].e.done_before(t) && f(s))
-                            .unwrap_or(usize::MAX)
-                    };
-                    let lane = |s: usize| lane_of(&ring[s].e.instr);
-                    let unresolved = |s| {
-                        renaming && lane(s) == Some(0) && !wake.has(s, |r| r.active | r.resolved)
-                    };
-                    oldest(&|_| true).min(len) == done_prefix
-                        && (0..RESOLVED_LANE).all(|k| oldest(&|s| lane(s) == Some(k)) == drops[k])
-                        && oldest(&unresolved) == drops[RESOLVED_LANE]
-                },
-                "the walk's sets or the sweep's positions disagree with the stations"
-            );
-
-            // Active slots in ring order from `head`: `[head, n)`, then
-            // `[0, head)`. Each step re-reads the set, so a hold the
-            // renaming lane releases is visited when the walk reaches it.
-            let (mut cursor, mut end) = (head, n);
-            loop {
-                let Some(pos) = wake.next_in(|r| r.active, cursor, end) else {
-                    if end == n && head > 0 {
-                        (cursor, end) = (0, head);
-                        continue;
-                    }
-                    break;
-                };
-                cursor = pos + 1;
-                let j = at(pos);
-                debug_assert!(j < len, "active slot {pos} is vacant");
-                debug_assert!(
-                    !wake.has(pos, |r| r.held.iter().fold(0, |a, h| a | h)),
-                    "visiting slot {pos}, which is held"
-                );
-                debug_assert!(
-                    ring[pos].e.mem != MemPhase::InFlight,
-                    "visiting slot {pos}, which is in flight"
-                );
-                debug_assert!(
-                    !wake.has(pos, |r| r.resolved) || renaming && ring[pos].e.instr.is_store(),
-                    "slot {pos} is marked resolved but holds no store under renaming"
-                );
-                wake.census.visits += 1;
-                for (k, &d) in drops.iter().enumerate() {
-                    if j > d {
-                        flags &= !(1 << k);
-                    }
-                }
-                let entry = &ring[pos].e;
-                debug_assert!(
-                    t >= entry.fetched_at && !entry.done_before(t),
-                    "visiting slot {pos}, which is not yet visible or finished"
-                );
-                let seq = entry.seq;
-                let eligible = entry.issued_at.is_none();
-                // A memory op may spend several cycles re-offering a
-                // rejected request; record its forwardings only on
-                // the first attempt.
-                let first_attempt = entry.mem == MemPhase::None;
-                if eligible {
-                    let s0 = operand(ring, pos, 0, front_seq, t, fwd, committed_regs);
-                    let s1 = operand(ring, pos, 1, front_seq, t, fwd, committed_regs);
-                    let ready = s0.as_ref().is_none_or(Source::ready)
-                        && s1.as_ref().is_none_or(Source::ready);
-                    if ready {
-                        let record_fw = |stats: &mut ProcStats, s: &Option<Source>| match s {
-                            Some(Source::Forwarded { dist, .. }) => stats.record_forward(*dist),
-                            Some(Source::Committed { .. }) => stats.regfile_reads += 1,
-                            None => {}
-                        };
-                        let (v0, v1) = (
-                            s0.as_ref().map_or(0, Source::value),
-                            s1.as_ref().map_or(0, Source::value),
-                        );
-                        let e = &mut ring[pos].e;
-                        let instr = e.instr;
-                        let shared_alu = self.cfg.alus.is_some()
-                            && matches!(instr, Instr::Alu { .. } | Instr::AluImm { .. });
-                        match instr {
-                            Instr::Load { offset, .. } => {
-                                let addr = effective_addr(v0, offset, mem.words());
-                                // Memory renaming: once every older
-                                // store's address is known, either
-                                // forward from the nearest match or go
-                                // to memory immediately. Without it, a
-                                // load waits for every older store.
-                                let go = if renaming {
-                                    flags & F_STORES_RESOLVED != 0
-                                } else {
-                                    flags & F_STORES_DONE != 0
-                                };
-                                let hit = (renaming && go)
-                                    .then(|| forward_from(wake, stores, head, pos, addr))
-                                    .flatten();
-                                if !go {
-                                    // Held until its lane sets here.
-                                    let lane = if renaming { RESOLVED_LANE } else { 0 };
-                                    wake.hold(pos, lane);
-                                } else if let Some(s) = hit {
-                                    e.issued_at = Some(t);
-                                    e.completed_at = Some(t);
-                                    e.result = Some(s.value);
-                                    e.mem_addr = Some(addr);
-                                    stats.store_forwards += 1;
-                                    record_fw(stats, &s0);
-                                } else if go {
-                                    requests.push(MemRequest {
-                                        id: seq,
-                                        leaf: pos,
-                                        addr,
-                                        kind: ReqKind::Load,
-                                    });
-                                    e.mem = MemPhase::Requesting;
-                                    e.mem_addr = Some(addr);
-                                    wake.census.requests += 1;
-                                    if first_attempt {
-                                        record_fw(stats, &s0);
-                                    }
-                                }
-                            }
-                            Instr::Store { offset, .. } => {
-                                let addr = effective_addr(v0, offset, mem.words());
-                                if wake.has(pos, |r| r.blockers[RESOLVED_LANE]) {
-                                    // Memory renaming: the store resolves
-                                    // on this first ready visit, for good.
-                                    // Its address shapes the schedule
-                                    // (younger loads forward from it) even
-                                    // if it never issues — wrong-path
-                                    // stores never do — so the flush
-                                    // replay log needs it.
-                                    stores[pos] = StoreInfo { addr, value: v1 };
-                                    wake.resolve(pos, flags & F_STORES_RESOLVED != 0, head);
-                                    e.mem_addr = Some(addr);
-                                }
-                                if flags & F_STORE_ISSUE == F_STORE_ISSUE {
-                                    requests.push(MemRequest {
-                                        id: seq,
-                                        leaf: pos,
-                                        addr,
-                                        kind: ReqKind::Store(v1),
-                                    });
-                                    e.mem = MemPhase::Requesting;
-                                    e.mem_addr = Some(addr);
-                                    wake.census.requests += 1;
-                                    if first_attempt {
-                                        record_fw(stats, &s0);
-                                        record_fw(stats, &s1);
-                                    }
-                                } else {
-                                    // Held until the first clear lane of
-                                    // the three sets here.
-                                    let lane = (!flags & F_STORE_ISSUE).trailing_zeros();
-                                    wake.hold(pos, lane as usize);
-                                }
-                            }
-                            _ if shared_alu && free_alus == 0 => {
-                                stats.alu_stalls += 1;
-                                wake.census.alu_stalls += 1;
-                            }
-                            _ => {
-                                // Every other instruction issues in one
-                                // step: its result or branch direction,
-                                // complete `lat.of` cycles on (a jump,
-                                // nop or halt within this cycle), and a
-                                // shared ALU held through completion.
-                                let (result, taken) = match instr {
-                                    Instr::Alu { op, .. } => (Some(op.apply(v0, v1)), None),
-                                    Instr::AluImm { op, imm, .. } => {
-                                        (Some(op.apply(v0, imm as u32)), None)
-                                    }
-                                    Instr::LoadImm { imm, .. } => (Some(imm as u32), None),
-                                    Instr::Branch { cond, .. } => (None, Some(cond.eval(v0, v1))),
-                                    _ => (None, None),
-                                };
-                                let done_at = t + lat.of(&instr) - 1;
-                                e.issued_at = Some(t);
-                                e.completed_at = Some(done_at);
-                                e.result = result;
-                                e.taken = taken;
-                                record_fw(stats, &s0);
-                                record_fw(stats, &s1);
-                                if shared_alu {
-                                    free_alus -= 1;
-                                    let unit = alu_free_at
-                                        .iter_mut()
-                                        .find(|f| **f <= t)
-                                        .expect("a free ALU was counted");
-                                    *unit = done_at + 1;
-                                }
-                            }
-                        }
-                        // An eligible station had no completion, so one
-                        // set here was scheduled just now: wake its
-                        // waiters (none unless it writes a register).
-                        if ring[pos].e.completed_at.is_some() {
-                            wake.wake(pos);
-                        }
-                    } else {
-                        // Blocked on operands. Each pending forwarded
-                        // source whose producer already has a scheduled
-                        // completion becomes usable at a known future
-                        // cycle — a wake-up event for the cycle skip.
-                        // (Sources whose producers have not even issued
-                        // are covered transitively: the oldest blocked
-                        // entry in the window always reduces to an
-                        // issued producer or an in-flight memory op.)
-                        next_source_ready = next_source_ready.min(wake_up(&s0, &s1, t));
-                        // Blocked on a producer that has not scheduled
-                        // its completion: park on it until it does.
-                        let unscheduled = |s: &&Option<Source>| {
-                            matches!(s, Some(Source::Forwarded { ready_at: None, .. }))
-                        };
-                        if let Some(k) = [&s0, &s1].iter().position(unscheduled) {
-                            let p = ring[pos].src[k].expect("a forwarded operand is linked");
-                            wake.park(pos, p.slot);
-                            wake.census.walk_parks += 1;
-                        } else {
-                            wake.census.operand_waits += 1;
-                        }
-                    }
-                } else {
-                    wake.census.executing += 1;
-                }
-
-                // A station completing this cycle leaves the walk. The
-                // sweep already counted every visited station unfinished
-                // in the done prefix and its lane; an unresolved store
-                // under renaming also clears the renaming lane.
-                let entry = &ring[pos].e;
-                if entry.issued_at == Some(t) {
-                    issued_now += 1;
-                }
-                match entry.completed_at {
-                    Some(ct) if ct > t => next_completion = next_completion.min(ct),
-                    Some(ct) if ct == t => {
-                        completes_now = true;
-                        if entry.instr.is_branch() {
-                            resolving.push(j);
-                        }
-                        let (r, bit) = wake.leave(pos);
-                        r.finishing |= bit;
-                    }
-                    _ => {}
-                }
-                if renaming && wake.has(pos, |r| r.blockers[RESOLVED_LANE]) {
-                    flags &= !F_STORES_RESOLVED;
-                }
-            }
-
-            // ---- Phase B: memory arbitration and responses, through
-            // the retained accept/response buffers (the memory system
-            // clears them first) — no per-cycle allocation.
-            let offered_requests = !requests.is_empty();
-            mem.tick_into(t, requests, accepted, responses);
-            let had_responses = !responses.is_empty();
-            // Every request names its station's slot as its leaf. An
-            // acceptance is for a request offered in this cycle's walk,
-            // whose station is still in place; a response may find its
-            // slot vacated or refilled by a flush since it flew, so it
-            // lands only on an occupied slot that still holds its seq
-            // (seqs are never reused).
-            for req in accepted.iter() {
-                let s = req.leaf;
-                debug_assert!(
-                    at(s) < len && ring[s].e.seq == req.id,
-                    "accepted slot {s} moved"
-                );
-                let e = &mut ring[s].e;
-                e.issued_at = Some(t);
-                e.mem = MemPhase::InFlight;
-                issued_now += 1;
-                wake.fly(s);
-            }
-            for resp in responses.iter() {
-                let s = resp.leaf;
-                let e = &mut ring[s].e;
-                if at(s) < len && e.seq == resp.id && e.mem == MemPhase::InFlight {
-                    e.completed_at = Some(t);
-                    e.result = resp.value;
-                    e.mem = MemPhase::None;
-                    wake.land(s);
-                    wake.wake(s);
-                }
-            }
-
+    /// The run: an initial fill at cycle 0, then DESIGN §5's cycle until
+    /// the halt commits, the machine drains or the cycle budget ends.
+    fn execute(&mut self, program: &Program, out: &mut RunResult) {
+        self.refill(0);
+        let (mut t, mut halted) = (0, false);
+        while t < self.cfg.max_cycles && !(self.len == 0 && self.fetch.exhausted()) {
+            let occupancy = self.len as u64;
+            out.stats.occupancy_sum += occupancy;
+            self.wake.census.cycles += 1;
+            let (done, drops) = self.sweep(t);
+            let walked = self.walk(t, drops, out);
+            let traffic = self.memory(t);
             // Issue-rate histogram: stations that began execution (or
             // had a memory request accepted) this cycle.
-            stats.record_issue_count(issued_now);
-            wake.census.issues += issued_now as u64;
-
-            // ---- Phase C: branch resolution, training and the paper's
-            // one-cycle misprediction recovery, over this cycle's
-            // completing branches in program order.
-            for &j in resolving.iter() {
-                let e = &ring[ring_slot(head, j, n)].e;
-                fetch.train(e.pc, e.taken.unwrap_or(false));
-                if !e.mispredicted() {
-                    continue;
-                }
-                let correct = e.resolved_next().expect("a completed branch has resolved");
-                let flusher_seq = e.seq;
-                // Log the wrong-path suffix before it is squashed, or
-                // stop logging if it would overflow the log.
-                let start = replay.entries.len();
-                if log_flushes && start + (len - (j + 1)) > MAX_LEADER_LOG {
-                    log_flushes = false;
-                    *replay = ReplayLog::default();
-                } else if log_flushes && j + 1 < len {
-                    for k in j + 1..len {
-                        replay.push_entry(&ring[ring_slot(head, k, n)].e, t);
-                    }
-                    replay.events.push(FlushEvent {
-                        branch_seq: flusher_seq,
-                        start,
-                        len: len - (j + 1),
-                    });
-                }
-                // Flush everything younger; refill reuses the flushed
-                // slots (hardware overwrites the squashed stations in
-                // place).
-                stats.flushed += (len - (j + 1)) as u64;
-                wake.vacate(ring_slot(head, j + 1, n), len - (j + 1));
-                len = j + 1;
-                done_prefix = done_prefix.min(len);
-                // Roll the rename table back to the surviving window.
-                rename.fill(None);
-                for k in 0..len {
-                    let slot = ring_slot(head, k, n);
-                    let e = &ring[slot].e;
-                    if let Some(rd) = e.instr.writes() {
-                        rename[rd.index()] = Some(Link { seq: e.seq, slot });
-                    }
-                }
-                fetch.redirect(correct);
-                break;
-            }
-
-            // ---- Phase D: in-order commit at cluster granularity
-            // (the oldest-station CSPP, evaluated on start-of-cycle
-            // state): the oldest cluster retires once it is complete
-            // and inside the done prefix.
-            let mut committed_any = false;
-            while len > 0 {
-                let cl_len = len.min(c);
-                let complete_cluster = cl_len == c || fetch.exhausted();
-                if !(complete_cluster && done_prefix >= cl_len) {
-                    break;
-                }
-                committed_any = true;
-                // `head` is cluster-aligned and `C` divides `n`, so a
-                // cluster never wraps.
-                for slot in head..head + cl_len {
-                    let e = &ring[slot].e;
-                    if !e.is_synthetic(program.len()) {
-                        stats.committed += 1;
-                        if let Some(timings) = timings.as_mut() {
-                            timings.push(InstrTiming {
-                                seq: e.seq,
-                                pc: e.pc,
-                                instr: e.instr,
-                                fetched: e.fetched_at,
-                                issue: e.issued_at.expect("committed ⇒ issued"),
-                                complete: e.completed_at.expect("committed ⇒ completed"),
-                                slot,
-                            });
-                        }
-                        if e.instr.is_branch() {
-                            stats.branches += 1;
-                            if e.mispredicted() {
-                                stats.mispredictions += 1;
-                            }
-                        }
-                        if let Some(rd) = e.instr.writes() {
-                            committed_regs[rd.index()] =
-                                e.result.expect("writer committed with result");
-                        }
-                    }
-                    if matches!(e.instr, Instr::Halt) {
-                        halted = true;
-                    }
-                }
-                // The sweep let every retiring station go.
-                debug_assert!(
-                    wake.next_in(
-                        |r| r.active | r.parked | r.blockers.iter().fold(0, |a, b| a | b),
-                        head,
-                        head + cl_len
-                    )
-                    .is_none(),
-                    "a retiring cluster is still visited, parked or blocking a lane"
-                );
-                if renaming {
-                    wake.vacate(head, cl_len);
-                }
-                head = ring_slot(head, c, n);
-                len -= cl_len;
-                done_prefix -= cl_len;
-                if halted {
-                    break;
-                }
-            }
-            if halted {
-                t += 1;
-                break;
-            }
-
-            // ---- Phase E: refill freed stations, live next cycle.
-            let seq_before_refill = next_seq;
-            refill(
-                ring,
-                rename,
-                wake,
-                head,
-                &mut len,
-                fetch,
-                &mut next_seq,
-                t + 1,
-            );
-            let refilled = next_seq != seq_before_refill;
-
-            // ---- Cycle skip: if this cycle was provably silent —
-            // nothing issued or stalled on an ALU, no memory traffic in
-            // either direction, no completion, no commit and no refill
-            // — then every cycle up to the next scheduled event is an
-            // identical no-op: the walk re-derives the same blocked
-            // state (operand readiness and prefix flags depend only on
-            // completion times, all in the future), commit and refill
-            // stay ineligible, and a memory tick with no request before
-            // its next due response returns at once, so skipping it is
-            // free. Jump straight to the event, accounting the skipped
-            // span in closed form.
-            let silent = issued_now == 0
-                && !offered_requests
-                && !had_responses
-                && !completes_now
-                && !committed_any
-                && !refilled
-                && stats.alu_stalls == alu_stalls_before;
-            if self.cfg.cycle_skip && silent {
-                let mut event = next_completion.min(next_source_ready);
-                if let Some(m) = mem.next_completion_at() {
-                    event = event.min(m);
-                }
-                // No event at all (a genuinely wedged machine) spins to
-                // the deadlock guard exactly like the naive loop.
-                let target = event.min(self.cfg.max_cycles).max(t + 1);
-                let skipped = target - (t + 1);
-                if skipped > 0 {
-                    stats.occupancy_sum += skipped * occupancy;
-                    stats.record_idle_cycles(skipped);
-                    t = target - 1;
-                }
-            }
-
+            let issued = walked.issued + traffic.accepted;
+            out.stats.record_issue_count(issued);
+            self.wake.census.issues += issued as u64;
+            let done = self.resolve(t, done, &mut out.stats);
+            let committed;
+            (committed, halted) = self.commit(done, program.len(), out);
             t += 1;
+            if halted {
+                break;
+            }
+            let refilled = self.refill(t);
+            let silent = issued == 0
+                && !(traffic.offered || traffic.responded)
+                && !(walked.completed || walked.stalled || committed || refilled);
+            if silent && self.cfg.cycle_skip {
+                t = self.skip(t, walked.next_event, occupancy, &mut out.stats);
+            }
         }
-
-        wake.settle_census();
-        stats.cycles = t;
-        stats.mem = mem.stats();
+        self.wake.settle_census();
+        self.wake.census.resident_at_end = self.len as u64;
+        out.stats.cycles = t;
+        out.stats.mem = self.mem.stats();
         // Commit retires in program order, so the record is already
         // sorted by `seq`.
-        debug_assert!(timings
+        debug_assert!(out
+            .timings
             .as_ref()
             .is_none_or(|t| t.windows(2).all(|w| w[0].seq < w[1].seq)));
-        replay.complete = log_flushes;
+        self.replay.complete = self.log_flushes;
         // Sparse: copies only the pages either image marks as written.
-        out_mem.clone_from(mem.image());
-        *out_cycles = t;
-        *out_halted = halted;
+        out.mem.clone_from(self.mem.image());
+        out.cycles = t;
+        out.halted = halted;
+    }
+
+    /// Program-order position of the occupied slot `slot`.
+    #[inline]
+    fn order(&self, slot: usize) -> usize {
+        if slot >= self.head {
+            slot - self.head
+        } else {
+            slot + self.cfg.window - self.head
+        }
+    }
+
+    /// Is producer `p` still in the window (`seq` at or past the oldest
+    /// station's)? An older one has committed, and its slot may hold a
+    /// younger station by now.
+    #[inline]
+    fn in_window(&self, p: Link) -> bool {
+        p.seq >= self.ring[self.head].e.seq
+    }
+
+    /// The start of cycle `t` ([`WakeLists::sweep`]). Returns the done
+    /// prefix, the leading stations finished before `t` that commit may
+    /// retire (the oldest station in the walk or out of it bounds them),
+    /// and each lane's drop position, past which every younger station
+    /// sees the lane clear (`usize::MAX` for none).
+    fn sweep(&mut self, t: u64) -> (usize, [usize; 4]) {
+        let [d0, d1, d2, d3, first] = self.wake.sweep(self.head);
+        let order = |s| if s == usize::MAX { s } else { self.order(s) };
+        let (done, drops) = (order(first).min(self.len), [d0, d1, d2, d3].map(order));
+        debug_assert!(
+            self.sets_agree(t, done, drops),
+            "the walk's sets or the sweep's positions disagree with the stations"
+        );
+        (done, drops)
+    }
+
+    /// The sweep's result checked by brute force over the stations: each
+    /// occupied unfinished station is in exactly one of `active` and
+    /// `parked`, each of lanes 0–2 has its unfinished stations as
+    /// blockers and holds only stations past its drop, and `done` and
+    /// `drops` are the oldest matching stations. Only debug builds call
+    /// it.
+    fn sets_agree(&self, t: u64, done: usize, drops: [usize; 4]) -> bool {
+        let (n, len, wake, ring) = (self.cfg.window, self.len, &self.wake, &self.ring);
+        (0..n).all(|s| {
+            let e = &ring[s].e;
+            let live = self.order(s) < len && !e.done_before(t);
+            let lane = lane_of(&e.instr).filter(|_| live);
+            (wake.has(s, |r| r.active) as u8 + wake.has(s, |r| r.parked) as u8 == live as u8)
+                && (0..RESOLVED_LANE).all(|k| {
+                    wake.has(s, |r| r.blockers[k]) == (lane == Some(k))
+                        && (!wake.has(s, |r| r.held[k]) || self.order(s) > drops[k])
+                })
+        }) && {
+            // The sweep's positions by brute force, in program order.
+            let oldest = |f: &dyn Fn(usize) -> bool| {
+                let mut slots = (0..len).map(|j| ring_slot(self.head, j, n));
+                slots
+                    .position(|s| !ring[s].e.done_before(t) && f(s))
+                    .unwrap_or(usize::MAX)
+            };
+            let lane = |s: usize| lane_of(&ring[s].e.instr);
+            let unresolved = |s| {
+                self.cfg.memory_renaming
+                    && lane(s) == Some(0)
+                    && !wake.has(s, |r| r.active | r.resolved)
+            };
+            oldest(&|_| true).min(len) == done
+                && (0..RESOLVED_LANE).all(|k| oldest(&|s| lane(s) == Some(k)) == drops[k])
+                && oldest(&unresolved) == drops[RESOLVED_LANE]
+        }
+    }
+
+    /// The program-order walk over the active stations, the
+    /// all-earlier flags narrowed past each lane's drop position. Each
+    /// unissued station takes its [`RunState::visit`] step. A station
+    /// completing this cycle leaves the walk (finishing), and a
+    /// completing branch is queued for [`RunState::resolve`].
+    fn walk(&mut self, t: u64, drops: [usize; 4], out: &mut RunResult) -> Walked {
+        let (n, head, stalls) = (self.cfg.window, self.head, self.wake.census.alu_stalls);
+        let mut walked = Walked {
+            issued: 0,
+            completed: false,
+            stalled: false,
+            next_event: u64::MAX,
+        };
+        let mut flags = F_STORE_ISSUE | F_STORES_RESOLVED;
+        self.resolving.clear();
+        self.requests.clear();
+        // Active slots in ring order from `head`: `[head, n)`, then
+        // `[0, head)`. Each step re-reads the set, so a hold the
+        // renaming lane releases is visited when the walk reaches it.
+        let (mut cursor, mut end) = (head, n);
+        loop {
+            let Some(pos) = self.wake.next_in(|r| r.active, cursor, end) else {
+                if end == n && head > 0 {
+                    (cursor, end) = (0, head);
+                    continue;
+                }
+                break;
+            };
+            cursor = pos + 1;
+            let j = self.order(pos);
+            debug_assert!(j < self.len, "active slot {pos} is vacant");
+            debug_assert!(
+                !self.wake.has(pos, |r| r.held.iter().fold(0, |a, h| a | h)),
+                "visiting slot {pos}, which is held"
+            );
+            debug_assert!(
+                self.ring[pos].e.mem != MemPhase::InFlight,
+                "visiting slot {pos}, which is in flight"
+            );
+            debug_assert!(
+                !self.wake.has(pos, |r| r.resolved)
+                    || self.cfg.memory_renaming && self.ring[pos].e.instr.is_store(),
+                "slot {pos} is marked resolved but holds no store under renaming"
+            );
+            self.wake.census.visits += 1;
+            for (k, &d) in drops.iter().enumerate() {
+                if j > d {
+                    flags &= !(1 << k);
+                }
+            }
+            let e = &self.ring[pos].e;
+            debug_assert!(
+                t >= e.fetched_at && !e.done_before(t),
+                "visiting slot {pos}, which is not yet visible or finished"
+            );
+            if e.issued_at.is_none() {
+                let ready_at = self.visit(pos, t, flags, out);
+                walked.next_event = walked.next_event.min(ready_at);
+            } else {
+                self.wake.census.executing += 1;
+            }
+
+            // A station completing this cycle leaves the walk. The
+            // sweep already counted every visited station unfinished
+            // in the done prefix and its lane; an unresolved store
+            // under renaming also clears the renaming lane.
+            let e = &self.ring[pos].e;
+            walked.issued += usize::from(e.issued_at == Some(t));
+            match e.completed_at {
+                Some(ct) if ct > t => walked.next_event = walked.next_event.min(ct),
+                Some(ct) if ct == t => {
+                    walked.completed = true;
+                    if e.instr.is_branch() {
+                        self.resolving.push(j);
+                    }
+                    let (r, bit) = self.wake.leave(pos);
+                    r.finishing |= bit;
+                }
+                _ => {}
+            }
+            if self.cfg.memory_renaming && self.wake.has(pos, |r| r.blockers[RESOLVED_LANE]) {
+                flags &= !F_STORES_RESOLVED;
+            }
+        }
+        walked.stalled = self.wake.census.alu_stalls != stalls;
+        walked
+    }
+
+    /// One walk step: the unissued station in `pos`, under the
+    /// all-earlier `flags` at its slot, issues, offers its memory
+    /// request, is held on a lane or parked on a producer, or waits.
+    /// Returns the first cycle its pending operands become usable, if
+    /// their producers have scheduled completions (`u64::MAX` if not):
+    /// a wake-up event for the cycle skip. (Sources whose producers
+    /// have not even issued are covered transitively: the oldest
+    /// blocked entry in the window always reduces to an issued producer
+    /// or an in-flight memory op.)
+    #[inline(always)]
+    fn visit(&mut self, pos: usize, t: u64, flags: u64, out: &mut RunResult) -> u64 {
+        let operand = |k| self.operand(pos, k, &out.regs);
+        let srcs = [operand(0), operand(1)];
+        // Usable from: 0 for no source, never for a producer that has
+        // not scheduled its completion.
+        let [r0, r1] = srcs.map(|s| s.map_or(0, |s| s.ready_at.unwrap_or(u64::MAX)));
+        if r0.max(r1) > t {
+            // Blocked on a producer that has not scheduled its
+            // completion: park on it until it does.
+            let unscheduled = |s: &Option<Source>| s.is_some_and(|s| s.ready_at.is_none());
+            if let Some(k) = srcs.iter().position(unscheduled) {
+                let p = self.ring[pos].src[k].expect("a forwarded operand is linked");
+                self.wake.park(pos, p.slot);
+                self.wake.census.walk_parks += 1;
+            } else {
+                self.wake.census.operand_waits += 1;
+            }
+            let pending = |r: u64| if r > t { r } else { u64::MAX };
+            return pending(r0).min(pending(r1));
+        }
+        let [v0, v1] = srcs.map(|s| s.map_or(0, |s| s.value));
+        let renaming = self.cfg.memory_renaming;
+        let instr = self.ring[pos].e.instr;
+        let shared_alu =
+            self.cfg.alus.is_some() && matches!(instr, Instr::Alu { .. } | Instr::AluImm { .. });
+        match instr {
+            Instr::Load { offset, .. } => {
+                let addr = effective_addr(v0, offset, self.mem.words());
+                // Memory renaming: once every older store's address is
+                // known, either forward from the nearest match or go to
+                // memory immediately. Without it, a load waits for
+                // every older store.
+                let lane = if renaming { RESOLVED_LANE } else { 0 };
+                if flags >> lane & 1 == 0 {
+                    // Held until its lane sets here.
+                    self.wake.hold(pos, lane);
+                } else if let Some(s) = renaming.then(|| self.forward_from(pos, addr)).flatten() {
+                    let e = &mut self.ring[pos].e;
+                    (e.issued_at, e.completed_at) = (Some(t), Some(t));
+                    (e.result, e.mem_addr) = (Some(s.value), Some(addr));
+                    out.stats.store_forwards += 1;
+                    record_forwards(&mut out.stats, &srcs);
+                } else {
+                    self.offer(pos, addr, ReqKind::Load, &srcs, &mut out.stats);
+                }
+            }
+            Instr::Store { offset, .. } => {
+                let addr = effective_addr(v0, offset, self.mem.words());
+                if self.wake.has(pos, |r| r.blockers[RESOLVED_LANE]) {
+                    // Memory renaming: the store resolves on this first
+                    // ready visit, for good. Its address shapes the
+                    // schedule (younger loads forward from it) even if
+                    // it never issues — wrong-path stores never do — so
+                    // the flush replay log needs it.
+                    self.stores[pos] = StoreInfo { addr, value: v1 };
+                    self.wake
+                        .resolve(pos, flags & F_STORES_RESOLVED != 0, self.head);
+                    self.ring[pos].e.mem_addr = Some(addr);
+                }
+                if flags & F_STORE_ISSUE == F_STORE_ISSUE {
+                    self.offer(pos, addr, ReqKind::Store(v1), &srcs, &mut out.stats);
+                } else {
+                    // Held until the first clear lane of the three sets
+                    // here.
+                    let lane = (!flags & F_STORE_ISSUE).trailing_zeros();
+                    self.wake.hold(pos, lane as usize);
+                }
+            }
+            _ if shared_alu && !self.alu_free_at.iter().any(|&f| f <= t) => {
+                out.stats.alu_stalls += 1;
+                self.wake.census.alu_stalls += 1;
+            }
+            _ => {
+                // Every other instruction issues in one step: its
+                // result or branch direction, complete `lat.of` cycles
+                // on (a jump, nop or halt within this cycle), and a
+                // shared ALU held through completion.
+                let (result, taken) = match instr {
+                    Instr::Alu { op, .. } => (Some(op.apply(v0, v1)), None),
+                    Instr::AluImm { op, imm, .. } => (Some(op.apply(v0, imm as u32)), None),
+                    Instr::LoadImm { imm, .. } => (Some(imm as u32), None),
+                    Instr::Branch { cond, .. } => (None, Some(cond.eval(v0, v1))),
+                    _ => (None, None),
+                };
+                let done_at = t + self.cfg.latency.of(&instr) - 1;
+                let e = &mut self.ring[pos].e;
+                (e.issued_at, e.completed_at) = (Some(t), Some(done_at));
+                (e.result, e.taken) = (result, taken);
+                record_forwards(&mut out.stats, &srcs);
+                if shared_alu {
+                    let unit = self.alu_free_at.iter_mut().find(|f| **f <= t);
+                    *unit.expect("a free ALU was found") = done_at + 1;
+                }
+            }
+        }
+        // An unissued station had no completion, so one set here was
+        // scheduled just now: wake its waiters (none unless it writes a
+        // register).
+        if self.ring[pos].e.completed_at.is_some() {
+            self.wake.wake(pos);
+        }
+        u64::MAX
+    }
+
+    /// Resolve operand `k` of the station in `slot`: one probe of its
+    /// producer link. A producer still in the window forwards; otherwise
+    /// it has committed and the committed register file `committed`
+    /// holds its value.
+    #[inline(always)]
+    fn operand(&self, slot: usize, k: usize, committed: &[u32]) -> Option<Source> {
+        let st = &self.ring[slot];
+        let r = st.e.instr.reads()[k]?;
+        Some(match st.src[k] {
+            Some(p) if self.in_window(p) => {
+                let w = &self.ring[p.slot].e;
+                // `done + 1` first, then the saturating hop cost.
+                let hops = self.cfg.forward.extra(p.slot, slot);
+                Source {
+                    value: w.result.unwrap_or(0),
+                    ready_at: w.completed_at.map(|done| (done + 1).saturating_add(hops)),
+                    dist: Some(st.e.seq - p.seq),
+                }
+            }
+            _ => Source {
+                value: committed[r.index()],
+                ready_at: Some(0),
+                dist: None,
+            },
+        })
+    }
+
+    /// Offer the memory request of the ready load or store in `pos` to
+    /// the arbiter. A rejected request is offered again on later
+    /// visits; the operands' forwardings count on the first offer only.
+    fn offer(
+        &mut self,
+        pos: usize,
+        addr: usize,
+        kind: ReqKind,
+        srcs: &[Option<Source>; 2],
+        stats: &mut ProcStats,
+    ) {
+        let e = &mut self.ring[pos].e;
+        self.requests.push(MemRequest {
+            id: e.seq,
+            leaf: pos,
+            addr,
+            kind,
+        });
+        if e.mem == MemPhase::None {
+            record_forwards(stats, srcs);
+        }
+        (e.mem, e.mem_addr) = (MemPhase::Requesting, Some(addr));
+        self.wake.census.requests += 1;
+    }
+
+    /// The youngest resolved store to `addr` older than the load in slot
+    /// `pos`: a search of the marked slots in ring order `[head, pos)`,
+    /// youngest first. Kept out of line: only loads under renaming
+    /// search, and inlined into the walk it slowed the walk of every
+    /// configuration.
+    #[inline(never)]
+    fn forward_from(&self, pos: usize, addr: usize) -> Option<StoreInfo> {
+        let search = |from: usize, mut to: usize| {
+            while let Some(s) = self.wake.prev_in(|r| r.resolved, from, to) {
+                if self.stores[s].addr == addr {
+                    return Some(self.stores[s]);
+                }
+                to = s;
+            }
+            None
+        };
+        if pos >= self.head {
+            search(self.head, pos)
+        } else {
+            search(0, pos).or_else(|| search(self.head, self.cfg.window))
+        }
+    }
+
+    /// The arbiter takes this cycle's requests, oldest first,
+    /// through the retained accept and response buffers (the memory
+    /// system clears them first). Every request names its station's
+    /// slot as its leaf. An acceptance is for a request offered in this
+    /// cycle's walk, whose station is still in place: it issues and
+    /// flies. A response may find its slot vacated or refilled by a
+    /// flush since it flew, so it lands only on an occupied slot that
+    /// still holds its seq (seqs are never reused).
+    fn memory(&mut self, t: u64) -> Traffic {
+        self.mem
+            .tick_into(t, &self.requests, &mut self.accepted, &mut self.responses);
+        for req in &self.accepted {
+            let s = req.leaf;
+            debug_assert!(
+                self.order(s) < self.len && self.ring[s].e.seq == req.id,
+                "accepted slot {s} moved"
+            );
+            let e = &mut self.ring[s].e;
+            (e.issued_at, e.mem) = (Some(t), MemPhase::InFlight);
+            self.wake.fly(s);
+        }
+        for resp in &self.responses {
+            let s = resp.leaf;
+            let occupied = self.order(s) < self.len;
+            let e = &mut self.ring[s].e;
+            if occupied && e.seq == resp.id && e.mem == MemPhase::InFlight {
+                (e.completed_at, e.result, e.mem) = (Some(t), resp.value, MemPhase::None);
+                self.wake.land(s);
+                self.wake.wake(s);
+            }
+        }
+        Traffic {
+            offered: !self.requests.is_empty(),
+            accepted: self.accepted.len(),
+            responded: !self.responses.is_empty(),
+        }
+    }
+
+    /// This cycle's completing branches, in program order,
+    /// train the predictor, and the oldest mispredicted one flushes
+    /// every younger station, rolls the rename table back to the
+    /// surviving window and redirects fetch: the paper's one-cycle
+    /// recovery. Returns the done prefix `done`, cut at the flush.
+    fn resolve(&mut self, t: u64, done: usize, stats: &mut ProcStats) -> usize {
+        let n = self.cfg.window;
+        for i in 0..self.resolving.len() {
+            let j = self.resolving[i];
+            let e = &self.ring[ring_slot(self.head, j, n)].e;
+            self.fetch.train(e.pc, e.taken.unwrap_or(false));
+            if !e.mispredicted() {
+                continue;
+            }
+            let correct = e.resolved_next().expect("a completed branch has resolved");
+            if self.log_flushes {
+                self.log_flush(j, t);
+            }
+            // Flush everything younger; refill reuses the flushed
+            // slots (hardware overwrites the squashed stations in
+            // place).
+            let squashed = self.len - (j + 1);
+            stats.flushed += squashed as u64;
+            self.wake.vacate(ring_slot(self.head, j + 1, n), squashed);
+            self.len = j + 1;
+            // Roll the rename table back to the surviving window.
+            self.rename.fill(None);
+            for k in 0..self.len {
+                let slot = ring_slot(self.head, k, n);
+                let e = &self.ring[slot].e;
+                if let Some(rd) = e.instr.writes() {
+                    self.rename[rd.index()] = Some(Link { seq: e.seq, slot });
+                }
+            }
+            self.fetch.redirect(correct);
+            return done.min(self.len);
+        }
+        done
+    }
+
+    /// Log the wrong-path stations younger than the mispredicted branch
+    /// at position `j` before its flush at `t` squashes them, or stop
+    /// logging if they would overflow the log.
+    fn log_flush(&mut self, j: usize, t: u64) {
+        let (start, len) = (self.replay.entries.len(), self.len - (j + 1));
+        if start + len > MAX_LEADER_LOG {
+            self.log_flushes = false;
+            self.replay = ReplayLog::default();
+        } else if len > 0 {
+            let n = self.cfg.window;
+            for k in j + 1..self.len {
+                self.replay
+                    .push_entry(&self.ring[ring_slot(self.head, k, n)].e, t);
+            }
+            let branch_seq = self.ring[ring_slot(self.head, j, n)].e.seq;
+            self.replay.events.push(FlushEvent {
+                branch_seq,
+                start,
+                len,
+            });
+        }
+    }
+
+    /// In-order commit at cluster granularity (the
+    /// oldest-station CSPP, evaluated on start-of-cycle state): the
+    /// oldest cluster retires once it is complete and inside the done
+    /// prefix `done`, then the next. Returns whether a cluster retired,
+    /// and whether the halt did.
+    fn commit(&mut self, mut done: usize, program_len: usize, out: &mut RunResult) -> (bool, bool) {
+        let (c, n) = (self.cfg.cluster, self.cfg.window);
+        let mut committed = false;
+        while self.len > 0 {
+            let cl_len = self.len.min(c);
+            if !((cl_len == c || self.fetch.exhausted()) && done >= cl_len) {
+                break;
+            }
+            committed = true;
+            let mut halted = false;
+            // `head` is cluster-aligned and `C` divides `n`, so a
+            // cluster never wraps.
+            for slot in self.head..self.head + cl_len {
+                let e = &self.ring[slot].e;
+                halted |= matches!(e.instr, Instr::Halt);
+                if e.is_synthetic(program_len) {
+                    continue;
+                }
+                out.stats.committed += 1;
+                if let Some(timings) = out.timings.as_mut() {
+                    timings.push(InstrTiming {
+                        seq: e.seq,
+                        pc: e.pc,
+                        instr: e.instr,
+                        fetched: e.fetched_at,
+                        issue: e.issued_at.expect("committed ⇒ issued"),
+                        complete: e.completed_at.expect("committed ⇒ completed"),
+                        slot,
+                    });
+                }
+                if e.instr.is_branch() {
+                    out.stats.branches += 1;
+                    out.stats.mispredictions += u64::from(e.mispredicted());
+                }
+                if let Some(rd) = e.instr.writes() {
+                    out.regs[rd.index()] = e.result.expect("writer committed with result");
+                }
+            }
+            // The sweep let every retiring station go.
+            debug_assert!(
+                self.wake
+                    .next_in(
+                        |r| r.active | r.parked | r.blockers.iter().fold(0, |a, b| a | b),
+                        self.head,
+                        self.head + cl_len
+                    )
+                    .is_none(),
+                "a retiring cluster is still visited, parked or blocking a lane"
+            );
+            self.wake.census.retired += cl_len as u64;
+            if self.cfg.memory_renaming {
+                self.wake.vacate(self.head, cl_len);
+            }
+            self.head = ring_slot(self.head, c, n);
+            self.len -= cl_len;
+            done -= cl_len;
+            if halted {
+                return (true, true);
+            }
+        }
+        (committed, false)
+    }
+
+    /// Append fetched instructions at the tail — filling the
+    /// youngest partial cluster, then fresh ones — as stations live at
+    /// `visible_at`, at most `fetch_width` of them. Each station links
+    /// its sources to their producers here, once, and parks on the
+    /// first in-window one with no scheduled completion instead of
+    /// entering the walk. Returns whether it placed any.
+    fn refill(&mut self, visible_at: u64) -> bool {
+        let (n, before) = (self.cfg.window, self.len);
+        for _ in 0..(n - before).min(self.cfg.fetch_width.unwrap_or(n)) {
+            let Some(f) = self.fetch.next() else { break };
+            let (seq, slot) = (self.next_seq, ring_slot(self.head, self.len, n));
+            self.next_seq += 1;
+            let [r0, r1] = f.instr.reads();
+            let src = [r0, r1].map(|r| r.and_then(|r| self.rename[r.index()]));
+            if let Some(rd) = f.instr.writes() {
+                self.rename[rd.index()] = Some(Link { seq, slot });
+            }
+            self.ring[slot] = Station {
+                e: StationEntry::new(seq, f.pc, f.instr, f.predicted_next, visible_at),
+                src,
+            };
+            self.len += 1;
+            let (r, bit) = self.wake.slot(slot);
+            if let Some(k) = lane_of(&f.instr) {
+                r.blockers[k] |= bit;
+            }
+            if self.cfg.memory_renaming && f.instr.is_store() {
+                r.blockers[RESOLVED_LANE] |= bit;
+            }
+            debug_assert!(
+                r.resolved & bit == 0,
+                "refilled slot {slot} is still marked resolved"
+            );
+            let unscheduled = src
+                .iter()
+                .flatten()
+                .find(|p| self.in_window(**p) && self.ring[p.slot].e.completed_at.is_none());
+            match unscheduled {
+                Some(p) => {
+                    self.wake.park(slot, p.slot);
+                    self.wake.census.refill_parks += 1;
+                }
+                _ => self.wake.slot(slot).0.active |= bit,
+            }
+        }
+        self.wake.census.refills += (self.len - before) as u64;
+        self.len != before
+    }
+
+    /// Cycle skip, after a silent cycle ending at `t`: nothing issued or
+    /// stalled on an ALU, no memory traffic in either direction, no
+    /// completion, no commit and no refill. Every cycle up to the next
+    /// scheduled event is then an identical no-op: the walk re-derives
+    /// the same blocked state (operand readiness and prefix flags
+    /// depend only on completion times, all in the future), commit and
+    /// refill stay ineligible, and a memory tick with no request before
+    /// its next due response returns at once, so skipping it is free.
+    /// Returns the cycle to go on from: the earlier of the walk's
+    /// `event` and the next memory response, with the skipped span's
+    /// statistics in closed form. No event at all (a genuinely wedged
+    /// machine) runs to the deadlock guard exactly like the naive loop.
+    fn skip(&self, t: u64, event: u64, occupancy: u64, stats: &mut ProcStats) -> u64 {
+        let due = self.mem.next_completion_at().unwrap_or(u64::MAX);
+        let target = event.min(due).min(self.cfg.max_cycles).max(t);
+        stats.occupancy_sum += (target - t) * occupancy;
+        stats.record_idle_cycles(target - t);
+        target
     }
 }
 
-/// The youngest resolved store to `addr` older than the load in slot
-/// `pos`: a search of the marked slots in ring order `[head, pos)`,
-/// youngest first. Kept out of line: only loads under renaming search,
-/// and inlined into the walk it slowed the walk of every configuration.
-#[inline(never)]
-fn forward_from(
-    wake: &WakeLists,
-    stores: &[StoreInfo],
-    head: usize,
-    pos: usize,
-    addr: usize,
-) -> Option<StoreInfo> {
-    let search = |from: usize, mut to: usize| {
-        while let Some(s) = wake.prev_in(|r| r.resolved, from, to) {
-            if stores[s].addr == addr {
-                return Some(stores[s]);
-            }
-            to = s;
-        }
-        None
-    };
-    if pos >= head {
-        search(head, pos)
-    } else {
-        search(0, pos).or_else(|| search(head, wake.n))
-    }
-}
-
-/// The earliest future cycle at which a blocked station's pending
-/// forwarded operands become usable (`u64::MAX` if none has a scheduled
-/// producer completion).
-fn wake_up(s0: &Option<Source>, s1: &Option<Source>, t: u64) -> u64 {
-    let mut at = u64::MAX;
-    for s in [s0, s1] {
-        if let Some(Source::Forwarded {
-            ready: false,
-            ready_at: Some(ra),
-            ..
-        }) = s
-        {
-            if *ra > t {
-                at = at.min(*ra);
-            }
+/// Count how a ready station's operands arrived: forwarded, by `seq`
+/// distance, or read from the committed register file.
+fn record_forwards(stats: &mut ProcStats, srcs: &[Option<Source>; 2]) {
+    for s in srcs.iter().flatten() {
+        match s.dist {
+            Some(d) => stats.record_forward(d),
+            None => stats.regfile_reads += 1,
         }
     }
-    at
 }
 
 #[cfg(test)]

@@ -10,7 +10,8 @@
 //! memory request (offered again after a rejection), a hold, a park,
 //! a wait on a producer whose completion is scheduled, a multi-cycle
 //! op still executing, or a shared-ALU stall. A finished station
-//! visited again has none of them and breaks the sum.
+//! visited again has none of them and breaks the sum. Every station
+//! refill places retires, is flushed or is still resident at the end.
 
 use ultrascalar::{
     ForwardModel, PredictorKind, ProcConfig, Processor, RunResult, Ultrascalar, WalkCensus,
@@ -150,6 +151,20 @@ fn check(key: &str, c: &WalkCensus, r: &RunResult, bound: u64, window: usize, sk
         "{key}: more visits than stations: {c:?}"
     );
     assert!(c.cycles <= r.cycles, "{key}: executed more cycles than ran");
+    // Every station refill placed retired, was squashed by a flush or
+    // is still in the window; of the retired, only a synthetic halt
+    // goes uncounted in `committed`.
+    assert_eq!(
+        c.refills,
+        c.retired + r.stats.flushed + c.resident_at_end,
+        "{key}: window stations unbalanced: {c:?}"
+    );
+    assert!(
+        c.retired - r.stats.committed <= 1,
+        "{key}: {} retired, {} committed: {c:?}",
+        c.retired,
+        r.stats.committed
+    );
     if !skip {
         assert_eq!(
             c.cycles, r.cycles,
