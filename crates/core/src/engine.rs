@@ -15,14 +15,15 @@
 //! run and rewound on later ones. Each cycle calls its phase methods in
 //! DESIGN §5's order:
 //!
-//! 1. `sweep`: last cycle's completions and wakes take effect, and the
-//!    done prefix and each lane's drop are read off the station sets;
+//! 1. `sweep`: last cycle's completions and wakes take effect;
 //! 2. `walk`: the program-order walk over the active stations, where
 //!    `visit` issues a ready station, offers its memory request, or
-//!    holds, parks or leaves it waiting;
+//!    holds, parks or leaves it waiting; the first ready load or store
+//!    finds each lane's drop position;
 //! 3. `memory`: the arbiter accepts requests and responses land;
-//! 4. `resolve`: completing branches train the predictor, and the
-//!    oldest mispredicted one flushes every younger station;
+//! 4. `resolve`: the done prefix is found, completing branches train
+//!    the predictor, and the oldest mispredicted one flushes every
+//!    younger station;
 //! 5. `commit`: the oldest clusters retire, once complete and done;
 //! 6. `refill`: fetched instructions fill the freed stations, live
 //!    from the next cycle;
@@ -52,11 +53,10 @@
 //!
 //! # Wake-up lists
 //!
-//! Each cycle one program-order walk issues and computes the running
-//! all-earlier AND flags ("all earlier stores / loads / branches done,
-//! store addresses resolved"), the issue count and the branches
-//! completing this cycle (the only stations branch resolution visits).
-//! It visits only the stations that can act: the members of an
+//! Each cycle one program-order walk issues, reads the all-earlier AND
+//! flags ("all earlier stores / loads / branches done, store addresses
+//! resolved") and collects the branches completing this cycle (the only
+//! stations branch resolution visits). It visits only the members of an
 //! `active` set over the ring slots, found from `head` with
 //! trailing-zeros scans. Every other unfinished station is in a
 //! `parked` set, because it
@@ -81,14 +81,13 @@
 //!   finished from the next, so no visit ever finds it finished.
 //!
 //! Completions and wakes take effect at the start of the next cycle, in
-//! one sweep over the ring's words from `head`: finishing stations leave
-//! `parked` and every lane's *blockers* (below), woken ones rejoin the
-//! walk, and so do holds whose lane has set. The sweep returns the
-//! oldest station in the walk or out of it, which bounds the done
-//! prefix commit retires from, and the slot past which each lane is
-//! clear. Like the circuits' parallel prefix (Figure 5), it derives all
-//! of this from start-of-cycle state; the walk changes only the renaming
-//! lane.
+//! one sweep over the ring's words: finishing stations leave `parked`
+//! and every lane's *blockers* (below), woken ones rejoin the walk, and
+//! so do holds whose lane has set. The positions the circuits' parallel
+//! prefix (Figure 5) derives from start-of-cycle state are found where
+//! they are read, and are the same there (`RunState::drops`,
+//! `RunState::done_prefix`): each lane's drop at the walk's first ready
+//! load or store, and the done prefix commit retires from after `memory`.
 //!
 //! Waking next cycle is exact. A station woken at `t` has a producer
 //! completing at `done ≥ t`, so its operand is usable no earlier than
@@ -109,22 +108,21 @@
 //! Holding is exact because an all-earlier lane at a station only moves
 //! from clear to set while the station is in the window: refill appends
 //! younger stations, a flush drops younger ones, and commit retires
-//! finished ones. Each lane keeps the set of its blockers: the
-//! unfinished loads, branches or stores (set at refill, cleared by the
-//! sweep), and under renaming the unresolved stores. A lane is set at a
-//! slot exactly while no older blocker remains, so each of lanes 0–2 is
-//! set up to and including its oldest blocker, which clears it only for
-//! younger stations, and the sweep releases that run's holds word by
-//! word. Every parked station is unfinished, so `parked ∩ blockers[k]`
-//! is the set of parked stations that clear lane `k`. A held, in-flight
-//! or finishing station has resolved, so the renaming lane is clear past
-//! the oldest parked unresolved store and past each store the walk
-//! leaves unresolved. A store resolves on its first ready visit; if the
-//! lane was set there, the walk releases the holds up to and including
-//! the lane's next blocker and reaches them later in the same walk. A
-//! load is held at most once and a store at most three times (once per
-//! lane), and every visit has exactly one outcome, which [`WalkCensus`]
-//! lets tests check.
+//! finished ones. A lane's blockers are its unfinished loads, branches
+//! or stores (set at refill, cleared by the sweep), and under renaming
+//! the unresolved stores. A lane is set at a slot exactly while no
+//! older blocker remains, so each of lanes 0–2 is set through its
+//! oldest blocker. That blocker moves only when a blocker finishes, and
+//! only then does the sweep release the lane's holds through the new
+//! one. A held, in-flight or finishing store has resolved, so the
+//! renaming lane is clear past the oldest store in
+//! `parked ∩ blockers[3]` (every parked station is unfinished) and
+//! past each store the walk leaves unresolved. A store resolves on its
+//! first ready visit; if the lane was set there, the walk releases the
+//! holds through the lane's next blocker and reaches them later in the
+//! same walk. A load is held at most once and a store at most three times
+//! (once per lane), and every visit has exactly one outcome, which
+//! [`WalkCensus`] lets tests check.
 //!
 //! Under memory renaming a store resolves exactly once, on the visit
 //! where its operands are first ready: it writes its address and value
@@ -179,9 +177,9 @@ use ultrascalar_memsys::{MemRequest, MemResponse, MemSystem, ReqKind};
 use ultrascalar_prefix::packed::{self, BitWords};
 
 // Lanes of the all-earlier flag word: the paper's side-by-side 1-bit
-// AND networks (Figure 5, plus the renaming variant), narrowed as the
-// walk passes each station. Lane `k` is bit `k`; a load, branch or
-// store clears lane [`lane_of`] while unfinished.
+// AND networks (Figure 5, plus the renaming variant), each clear past
+// its drop position. Lane `k` is bit `k`; a load, branch or store
+// clears lane [`lane_of`] while unfinished.
 const F_STORES_DONE: u64 = 1 << 0;
 const F_LOADS_DONE: u64 = 1 << 1;
 const F_BRANCHES_DONE: u64 = 1 << 2;
@@ -214,6 +212,10 @@ pub struct WalkCensus {
     pub cycles: u64,
     /// Stations the walk visited, summed over the executed cycles.
     pub visits: u64,
+    /// Executed cycles whose walk found the lane drop positions: it
+    /// reached a ready load or store, the only stations that read the
+    /// all-earlier flags.
+    pub flag_scans: u64,
     /// Stations that began execution or had a memory request accepted.
     pub issues: u64,
     /// Visits that offered a memory request, counting every re-offer
@@ -467,14 +469,19 @@ impl WakeLists {
         let (r, bit) = self.slot(b);
         r.resolved |= bit;
         r.blockers[RESOLVED_LANE] &= !bit;
-        if !lane_set || self.held_count[RESOLVED_LANE] == 0 {
-            return;
+        if lane_set && self.held_count[RESOLVED_LANE] > 0 {
+            // The slots after `b` in ring order, to the window's end.
+            self.release_through(RESOLVED_LANE, b + 1, (head + self.n - b - 1) % self.n);
         }
-        // The slots after `b` in ring order, to the window's end.
-        for (w, mask) in ring_run(self.n, b + 1, (head + self.n - b - 1) % self.n) {
-            // The run ends at the next blocker, inclusive.
-            let next = self.sets[w].blockers[RESOLVED_LANE] & mask;
-            self.release(RESOLVED_LANE, w, mask & (next ^ next.wrapping_sub(1)));
+    }
+
+    /// Move the holds on `lane` among the `count` slots from `from`, in
+    /// ring order, up to and including the lane's first blocker there,
+    /// back into the walk.
+    fn release_through(&mut self, lane: usize, from: usize, count: usize) {
+        for (w, mask) in ring_run(self.n, from, count) {
+            let next = self.sets[w].blockers[lane] & mask;
+            self.release(lane, w, mask & (next ^ next.wrapping_sub(1)));
             if next != 0 {
                 break;
             }
@@ -502,60 +509,30 @@ impl WakeLists {
         self.census.releases += u64::from(bits.count_ones());
     }
 
-    /// The start of a cycle, in one pass over the ring's words from
-    /// `head`: the stations that finished last cycle leave `parked` and
-    /// every lane's blockers, the woken ones rejoin the walk, and each
-    /// hold on lanes 0–2 up to and including its lane's oldest blocker,
-    /// where the lane is now set, rejoins it too. Returns each lane's
-    /// drop slot, past which the lane is clear (its oldest blocker, and
-    /// for the renaming lane its oldest parked one: the walk narrows that
-    /// lane at the stores it visits), then the oldest unfinished slot.
-    /// `usize::MAX` stands for none. Each word is read and merged once:
-    /// the head word's slots below `head` are the ring's youngest, so
-    /// their bits wait in a local and are searched last.
-    fn sweep(&mut self, head: usize) -> [usize; 5] {
-        let mut found = [usize::MAX; 5];
-        let (hw, young) = (head / 64, (1u64 << (head % 64)) - 1);
-        let mut head_bits = [0; 5];
-        for w in (hw..self.sets.len()).chain(0..hw) {
-            let r = &mut self.sets[w];
+    /// The start of a cycle: the stations that finished last cycle leave
+    /// `parked` and every lane's blockers, and the woken ones rejoin the
+    /// walk, one record at a time. A lane's oldest blocker moves only
+    /// when one of its blockers finishes, so only then does each of
+    /// lanes 0–2 release its holds through its new oldest blocker, in
+    /// ring order from `head`, the oldest occupied slot.
+    fn sweep(&mut self, head: usize) {
+        let mut lost = [0; 4];
+        for r in &mut self.sets {
             let (fin, woken) = (r.finishing, r.woken);
             if fin | woken != 0 {
                 r.finishing = 0;
                 r.woken = 0;
                 r.parked &= !(fin | woken);
                 r.active |= woken;
-                for b in &mut r.blockers {
+                for (b, lost) in r.blockers.iter_mut().zip(&mut lost) {
+                    *lost |= *b & fin;
                     *b &= !fin;
                 }
             }
-            let b = r.blockers;
-            let bits = [b[0], b[1], b[2], r.parked & b[3], r.active | r.parked];
-            let mask = if w == hw { !young } else { !0 };
-            head_bits = if w == hw { bits } else { head_bits };
-            self.search(w, mask, bits, &mut found);
         }
-        self.search(hw, young, head_bits, &mut found);
-        found
-    }
-
-    /// [`WakeLists::sweep`] over slots `mask` of word `w`, younger than
-    /// every slot searched before: `found` records the first of each of
-    /// `bits` and holds are released through their lane's first blocker.
-    fn search(&mut self, w: usize, mask: u64, bits: [u64; 5], found: &mut [usize; 5]) {
-        // An index loop: a zip/enumerate/filter form of this loop made
-        // the whole engine about 5% slower on usbench's suite programs.
-        for k in 0..5 {
-            if found[k] != usize::MAX {
-                continue;
-            }
-            let b = bits[k] & mask;
-            if k < RESOLVED_LANE && self.held_count[k] > 0 {
-                // The lane is set through its first blocker.
-                self.release(k, w, mask & (b ^ b.wrapping_sub(1)));
-            }
-            if b != 0 {
-                found[k] = w * 64 + b.trailing_zeros() as usize;
+        for k in 0..RESOLVED_LANE {
+            if lost[k] != 0 && self.held_count[k] > 0 {
+                self.release_through(k, head, self.n);
             }
         }
     }
@@ -914,6 +891,11 @@ struct Walked {
     /// The earliest later cycle at which a visited station completes or
     /// a blocked one's operand becomes usable (`u64::MAX` for none).
     next_event: u64,
+    /// The lane drop positions, found at the first ready load or store.
+    drops: Option<[usize; 4]>,
+    /// The oldest unresolved store the walk visited (`usize::MAX` for
+    /// none), past which the renaming lane is clear too.
+    unresolved: usize,
 }
 
 /// One cycle's memory traffic, as far as the cycle skip needs.
@@ -979,14 +961,22 @@ impl RunState {
             let occupancy = self.len as u64;
             out.stats.occupancy_sum += occupancy;
             self.wake.census.cycles += 1;
-            let (done, drops) = self.sweep(t);
-            let walked = self.walk(t, drops, out);
+            let eager = self.sweep(t);
+            let walked = self.walk(t, out);
             let traffic = self.memory(t);
             // Issue-rate histogram: stations that began execution (or
             // had a memory request accepted) this cycle.
             let issued = walked.issued + traffic.accepted;
             out.stats.record_issue_count(issued);
             self.wake.census.issues += issued as u64;
+            let done = self.done_prefix();
+            // A store the walk parked can be the renaming lane's drop
+            // only if the walk visited it unresolved.
+            let cut = |[a, b, c, r]: [usize; 4]| [a, b, c, r.min(walked.unresolved)];
+            debug_assert!(
+                eager.is_none_or(|(d, e)| (d, cut(e)) == (done, cut(walked.drops.unwrap_or(e)))),
+                "positions found during the cycle differ from its start's"
+            );
             let done = self.resolve(t, done, &mut out.stats);
             let committed;
             (committed, halted) = self.commit(done, program.len(), out);
@@ -1037,24 +1027,53 @@ impl RunState {
         p.seq >= self.ring[self.head].e.seq
     }
 
-    /// The start of cycle `t` ([`WakeLists::sweep`]). Returns the done
-    /// prefix, the leading stations finished before `t` that commit may
-    /// retire (the oldest station in the walk or out of it bounds them),
-    /// and each lane's drop position, past which every younger station
-    /// sees the lane clear (`usize::MAX` for none).
-    fn sweep(&mut self, t: u64) -> (usize, [usize; 4]) {
-        let [d0, d1, d2, d3, first] = self.wake.sweep(self.head);
-        let order = |s| if s == usize::MAX { s } else { self.order(s) };
-        let (done, drops) = (order(first).min(self.len), [d0, d1, d2, d3].map(order));
+    /// The start of cycle `t` ([`WakeLists::sweep`]). Debug builds also
+    /// find the cycle's positions here, check them by brute force and
+    /// return them, to check those found later against.
+    fn sweep(&mut self, t: u64) -> Option<(usize, [usize; 4])> {
+        self.wake.sweep(self.head);
+        let eager = cfg!(debug_assertions).then(|| (self.done_prefix(), self.drops()));
         debug_assert!(
-            self.sets_agree(t, done, drops),
-            "the walk's sets or the sweep's positions disagree with the stations"
+            eager.is_none_or(|(done, drops)| self.sets_agree(t, done, drops)),
+            "the walk's sets or the cycle's positions disagree with the stations"
         );
-        (done, drops)
+        eager
     }
 
-    /// The sweep's result checked by brute force over the stations: each
-    /// occupied unfinished station is in exactly one of `active` and
+    /// Program-order position of the oldest station in the set `set`
+    /// reads (`usize::MAX` for none).
+    fn oldest(&self, set: impl Fn(&SetWord) -> u64 + Copy) -> usize {
+        let (wake, head) = (&self.wake, self.head);
+        let first = wake
+            .next_in(set, head, self.cfg.window)
+            .or_else(|| wake.next_in(set, 0, head));
+        first.map_or(usize::MAX, |s| self.order(s))
+    }
+
+    /// Each lane's drop position, past which younger stations see the
+    /// lane clear: its oldest blocker, and for the renaming lane its
+    /// oldest parked one. The walk finds them at its first ready load or
+    /// store, as they were at the cycle's start: only the sweep changes
+    /// lanes 0–2's blockers, and a store the walk parked unresolved
+    /// before then has cleared the renaming lane past it.
+    fn drops(&self) -> [usize; 4] {
+        std::array::from_fn(|k| match k {
+            RESOLVED_LANE if !self.cfg.memory_renaming => usize::MAX,
+            RESOLVED_LANE => self.oldest(|r| r.parked & r.blockers[k]),
+            _ => self.oldest(|r| r.blockers[k]),
+        })
+    }
+
+    /// The done prefix: the leading stations finished before this cycle,
+    /// which commit may retire (the oldest station in the walk or out of
+    /// it bounds them). Found after `memory`: from the sweep until then,
+    /// stations only move between `active` and `parked`, never out.
+    fn done_prefix(&self) -> usize {
+        self.oldest(|r| r.active | r.parked).min(self.len)
+    }
+
+    /// The cycle's positions checked by brute force over the stations:
+    /// each occupied unfinished station is in exactly one of `active` and
     /// `parked`, each of lanes 0–2 has its unfinished stations as
     /// blockers and holds only stations past its drop, and `done` and
     /// `drops` are the oldest matching stations. Only debug builds call
@@ -1090,20 +1109,21 @@ impl RunState {
         }
     }
 
-    /// The program-order walk over the active stations, the
-    /// all-earlier flags narrowed past each lane's drop position. Each
-    /// unissued station takes its [`RunState::visit`] step. A station
+    /// The program-order walk over the active stations. Each unissued
+    /// station takes its [`RunState::visit`] step, where a ready load or
+    /// store reads the all-earlier flags ([`RunState::flags`]). A station
     /// completing this cycle leaves the walk (finishing), and a
     /// completing branch is queued for [`RunState::resolve`].
-    fn walk(&mut self, t: u64, drops: [usize; 4], out: &mut RunResult) -> Walked {
+    fn walk(&mut self, t: u64, out: &mut RunResult) -> Walked {
         let (n, head, stalls) = (self.cfg.window, self.head, self.wake.census.alu_stalls);
         let mut walked = Walked {
             issued: 0,
             completed: false,
             stalled: false,
             next_event: u64::MAX,
+            drops: None,
+            unresolved: usize::MAX,
         };
-        let mut flags = F_STORE_ISSUE | F_STORES_RESOLVED;
         self.resolving.clear();
         self.requests.clear();
         // Active slots in ring order from `head`: `[head, n)`, then
@@ -1135,27 +1155,19 @@ impl RunState {
                 "slot {pos} is marked resolved but holds no store under renaming"
             );
             self.wake.census.visits += 1;
-            for (k, &d) in drops.iter().enumerate() {
-                if j > d {
-                    flags &= !(1 << k);
-                }
-            }
             let e = &self.ring[pos].e;
             debug_assert!(
                 t >= e.fetched_at && !e.done_before(t),
                 "visiting slot {pos}, which is not yet visible or finished"
             );
             if e.issued_at.is_none() {
-                let ready_at = self.visit(pos, t, flags, out);
-                walked.next_event = walked.next_event.min(ready_at);
+                self.visit(pos, t, &mut walked, out);
             } else {
                 self.wake.census.executing += 1;
             }
 
-            // A station completing this cycle leaves the walk. The
-            // sweep already counted every visited station unfinished
-            // in the done prefix and its lane; an unresolved store
-            // under renaming also clears the renaming lane.
+            // A station completing this cycle leaves the walk; a store
+            // left unresolved clears the renaming lane past it.
             let e = &self.ring[pos].e;
             walked.issued += usize::from(e.issued_at == Some(t));
             match e.completed_at {
@@ -1171,24 +1183,24 @@ impl RunState {
                 _ => {}
             }
             if self.cfg.memory_renaming && self.wake.has(pos, |r| r.blockers[RESOLVED_LANE]) {
-                flags &= !F_STORES_RESOLVED;
+                walked.unresolved = walked.unresolved.min(j);
             }
         }
         walked.stalled = self.wake.census.alu_stalls != stalls;
+        self.wake.census.flag_scans += u64::from(walked.drops.is_some());
         walked
     }
 
-    /// One walk step: the unissued station in `pos`, under the
-    /// all-earlier `flags` at its slot, issues, offers its memory
-    /// request, is held on a lane or parked on a producer, or waits.
-    /// Returns the first cycle its pending operands become usable, if
-    /// their producers have scheduled completions (`u64::MAX` if not):
-    /// a wake-up event for the cycle skip. (Sources whose producers
-    /// have not even issued are covered transitively: the oldest
-    /// blocked entry in the window always reduces to an issued producer
-    /// or an in-flight memory op.)
+    /// One step of the walk `walked`: the unissued station in `pos`
+    /// issues, offers its memory request, is held on a lane or parked on
+    /// a producer, or waits. The first cycle its pending operands become
+    /// usable, if their producers have scheduled completions, is a
+    /// wake-up event for the cycle skip. (Sources whose producers have
+    /// not even issued are covered transitively: the oldest blocked
+    /// entry in the window always reduces to an issued producer or an
+    /// in-flight memory op.)
     #[inline(always)]
-    fn visit(&mut self, pos: usize, t: u64, flags: u64, out: &mut RunResult) -> u64 {
+    fn visit(&mut self, pos: usize, t: u64, walked: &mut Walked, out: &mut RunResult) {
         let operand = |k| self.operand(pos, k, &out.regs);
         let srcs = [operand(0), operand(1)];
         // Usable from: 0 for no source, never for a producer that has
@@ -1206,7 +1218,8 @@ impl RunState {
                 self.wake.census.operand_waits += 1;
             }
             let pending = |r: u64| if r > t { r } else { u64::MAX };
-            return pending(r0).min(pending(r1));
+            walked.next_event = walked.next_event.min(pending(r0)).min(pending(r1));
+            return;
         }
         let [v0, v1] = srcs.map(|s| s.map_or(0, |s| s.value));
         let renaming = self.cfg.memory_renaming;
@@ -1215,6 +1228,7 @@ impl RunState {
             self.cfg.alus.is_some() && matches!(instr, Instr::Alu { .. } | Instr::AluImm { .. });
         match instr {
             Instr::Load { offset, .. } => {
+                let flags = self.flags(pos, walked);
                 let addr = effective_addr(v0, offset, self.mem.words());
                 // Memory renaming: once every older store's address is
                 // known, either forward from the nearest match or go to
@@ -1235,6 +1249,7 @@ impl RunState {
                 }
             }
             Instr::Store { offset, .. } => {
+                let flags = self.flags(pos, walked);
                 let addr = effective_addr(v0, offset, self.mem.words());
                 if self.wake.has(pos, |r| r.blockers[RESOLVED_LANE]) {
                     // Memory renaming: the store resolves on this first
@@ -1289,7 +1304,16 @@ impl RunState {
         if self.ring[pos].e.completed_at.is_some() {
             self.wake.wake(pos);
         }
-        u64::MAX
+    }
+
+    /// The all-earlier flags at slot `pos` in the walk `walked`, whose
+    /// drop positions the first call finds.
+    #[inline(always)]
+    fn flags(&self, pos: usize, walked: &mut Walked) -> u64 {
+        let j = self.order(pos);
+        let [a, b, c, r] = *walked.drops.get_or_insert_with(|| self.drops());
+        let drops = [a, b, c, r.min(walked.unresolved)];
+        (0..4).fold(0, |flags, k| flags | u64::from(j <= drops[k]) << k)
     }
 
     /// Resolve operand `k` of the station in `slot`: one probe of its

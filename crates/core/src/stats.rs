@@ -19,8 +19,10 @@ pub struct ProcStats {
     /// Sum over cycles of occupied stations (divide by cycles for mean
     /// occupancy).
     pub occupancy_sum: u64,
-    /// Histogram of producer→consumer forwarding distances in dynamic
-    /// instructions (index 0 = immediate predecessor); reads satisfied
+    /// Histogram of producer→consumer forwarding distances, indexed by
+    /// `consumer seq − producer seq`: index 1 is the immediate
+    /// predecessor and index 0 stays empty. Sequence numbers a flush
+    /// squashed between the two count in the distance. Reads satisfied
     /// by the committed register file are counted in
     /// [`ProcStats::regfile_reads`]. Used for the paper's §7 locality
     /// back-of-envelope.

@@ -12,6 +12,10 @@
 //! op still executing, or a shared-ALU stall. A finished station
 //! visited again has none of them and breaks the sum. Every station
 //! refill places retires, is flushed or is still resident at the end.
+//! A walk finds the lane positions at most once a cycle, at a ready load
+//! or store. In a halted run without flushes, the forwardings and
+//! register-file reads add up to the committed instructions' source
+//! operands.
 
 use ultrascalar::{
     ForwardModel, PredictorKind, ProcConfig, Processor, RunResult, Ultrascalar, WalkCensus,
@@ -146,6 +150,13 @@ fn check(key: &str, c: &WalkCensus, r: &RunResult, bound: u64, window: usize, sk
         c.flights <= c.requests,
         "{key}: more flights than requests: {c:?}"
     );
+    // A walk finds the lane positions at most once, at a ready load or
+    // store, whose visit issues (a store-forwarded load), offers a
+    // request or holds.
+    assert!(
+        c.flag_scans <= c.cycles.min(walk_issues + c.requests + c.holds),
+        "{key}: more flag scans than cycles or ready memory ops: {c:?}"
+    );
     assert!(
         c.visits <= c.cycles * window as u64,
         "{key}: more visits than stations: {c:?}"
@@ -169,6 +180,24 @@ fn check(key: &str, c: &WalkCensus, r: &RunResult, bound: u64, window: usize, sk
         assert_eq!(
             c.cycles, r.cycles,
             "{key}: no skip, yet cycles were skipped"
+        );
+    }
+    // Each source operand of an issued instruction is counted once, as
+    // a forwarding or a committed-register-file read. With no flush
+    // and a committed halt, the issued instructions are the committed
+    // ones.
+    if r.halted && r.stats.flushed == 0 {
+        let sources: usize = r
+            .recorded_timings()
+            .iter()
+            .map(|x| x.instr.reads().iter().flatten().count())
+            .sum();
+        let forwards: u64 = r.stats.forward_dist.iter().sum();
+        assert_eq!(
+            r.stats.regfile_reads + forwards,
+            sources as u64,
+            "{key}: {} register-file reads and {forwards} forwardings for {sources} operands",
+            r.stats.regfile_reads
         );
     }
 }
@@ -212,6 +241,7 @@ fn walk_census_balances_and_bounds_holds() {
                 (&mut total.operand_waits, c.operand_waits),
                 (&mut total.executing, c.executing),
                 (&mut total.alu_stalls, c.alu_stalls),
+                (&mut total.flag_scans, c.flag_scans),
             ] {
                 *sum += n;
             }
@@ -233,6 +263,7 @@ fn walk_census_balances_and_bounds_holds() {
         ("operand waits", total.operand_waits),
         ("executing visits", total.executing),
         ("shared-ALU stalls", total.alu_stalls),
+        ("flag scans", total.flag_scans),
     ] {
         assert!(n > 0, "no run produced {what}: {total:?}");
     }
