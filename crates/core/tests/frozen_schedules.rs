@@ -16,9 +16,12 @@
 //! butterfly; US-II w64 with renaming, two shared ALUs and one-cycle
 //! hops on the fat tree), so memory ops wait on all-earlier lanes
 //! across bitset words and requests are rejected and re-offered, also
-//! outside the hybrid under renaming. Each of the 44 corners runs 20
+//! outside the hybrid under renaming. Two window-24 corners size every
+//! table that is indexed by a remainder or quotient off a power of two
+//! (bimodal entries, banks, memory words, cache lines and groups,
+//! butterfly ports). Each of the 46 corners runs 20
 //! seeded random programs at every register-file width regime (6, 65,
-//! 128 and 256 registers) plus the 14 standard kernels: 4136 cases. A
+//! 128 and 256 registers) plus the 14 standard kernels: 4324 cases. A
 //! schedule change anywhere — a cycle, a slot, a forwarding distance —
 //! changes a digest.
 //!
@@ -339,10 +342,41 @@ fn wide_corners() -> Vec<(String, ProcConfig)> {
     ]
 }
 
+/// Sizes that are not powers of two, so an index a mask computes in
+/// place of a remainder or quotient moves a schedule: a 13-entry
+/// bimodal table, 12 banks over 1 000 words, a 48-line cluster cache in
+/// 3 groups, and a window-24 butterfly, whose √n bandwidth gives 5
+/// ports over 32 padded positions.
+fn odd_corners() -> Vec<(String, ProcConfig)> {
+    // √n bandwidth and 24 / 2 = 12 banks.
+    let mem = |network| MemConfig::realistic(24, 1000).with_network(network);
+    let cache = CacheConfig {
+        groups: 3,
+        lines: 48,
+        hit_latency: 1,
+    };
+    vec![
+        (
+            "hybrid-w24-c6-odd-cache".into(),
+            ProcConfig::hybrid(24, 6)
+                .with_predictor(PredictorKind::Bimodal(13))
+                .with_memory_renaming()
+                .with_mem(mem(NetworkKind::FatTree).with_cluster_cache(cache)),
+        ),
+        (
+            "us1-w24-odd-butterfly".into(),
+            ProcConfig::ultrascalar_i(24)
+                .with_predictor(PredictorKind::Bimodal(13))
+                .with_mem(mem(NetworkKind::Butterfly)),
+        ),
+    ]
+}
+
 fn corners() -> Vec<(String, ProcConfig)> {
     let mut out = feature_corners();
     out.extend(pipelined_corners());
     out.extend(wide_corners());
+    out.extend(odd_corners());
     out
 }
 
