@@ -15,10 +15,13 @@
 //! A walk finds the lane positions at most once a cycle, at a ready load
 //! or store. In a halted run without flushes, the forwardings and
 //! register-file reads add up to the committed instructions' source
-//! operands.
+//! operands, in the engine and in the baseline alike. The census is
+//! counted only when asked for: an uncounted run gives the same result
+//! and leaves the last counted run's census in place.
 
 use ultrascalar::{
-    ForwardModel, PredictorKind, ProcConfig, Processor, RunResult, Ultrascalar, WalkCensus,
+    BaselineOoO, ForwardModel, PredictorKind, ProcConfig, Processor, RunResult, Ultrascalar,
+    WalkCensus,
 };
 use ultrascalar_isa::workload::{self, RandomCfg};
 use ultrascalar_isa::{Instr, Program};
@@ -182,10 +185,13 @@ fn check(key: &str, c: &WalkCensus, r: &RunResult, bound: u64, window: usize, sk
             "{key}: no skip, yet cycles were skipped"
         );
     }
-    // Each source operand of an issued instruction is counted once, as
-    // a forwarding or a committed-register-file read. With no flush
-    // and a committed halt, the issued instructions are the committed
-    // ones.
+    operands_balance(key, r);
+}
+
+/// Each source operand of an issued instruction is counted once, as a
+/// forwarding or a committed-register-file read. With no flush and a
+/// committed halt, the issued instructions are the committed ones.
+fn operands_balance(key: &str, r: &RunResult) {
     if r.halted && r.stats.flushed == 0 {
         let sources: usize = r
             .recorded_timings()
@@ -208,8 +214,13 @@ fn walk_census_balances_and_bounds_holds() {
     for (corner, cfg) in configs() {
         let (window, skip) = (cfg.window, cfg.cycle_skip);
         let mut engine = Ultrascalar::new(cfg.clone());
+        engine.count_walk(true);
         assert_eq!(engine.walk_census(), WalkCensus::default());
-        let mut r = RunResult::recording_timings();
+        let mut baseline = BaselineOoO::new(cfg.clone());
+        let (mut r, mut u) = (
+            RunResult::recording_timings(),
+            RunResult::recording_timings(),
+        );
         for (name, p) in programs() {
             let key = format!("{corner} {name}");
             engine.run_logging_flushes(&p, &mut r);
@@ -218,12 +229,22 @@ fn walk_census_balances_and_bounds_holds() {
             // The census is the run's own: a cold engine, logging and
             // recording nothing, counts the same.
             let mut cold = Ultrascalar::new(cfg.clone());
+            cold.count_walk(true);
             cold.run(&p);
             assert_eq!(
                 cold.walk_census(),
                 c,
                 "{key}: warm and cold censuses differ"
             );
+            // Counting changes nothing a run reports, and an uncounted
+            // run leaves the census alone.
+            engine.count_walk(false);
+            engine.run_logging_flushes(&p, &mut u);
+            engine.count_walk(true);
+            assert_eq!(u, r, "{key}: counted and uncounted results differ");
+            assert_eq!(engine.walk_census(), c, "{key}: an uncounted run counted");
+            baseline.run_reusing(&p, &mut u);
+            operands_balance(&format!("{key} (baseline)"), &u);
             for (sum, n) in [
                 (&mut total.holds, c.holds),
                 (&mut total.releases, c.releases),
