@@ -109,7 +109,10 @@ impl Processor for BaselineOoO {
 
         // Dispatch: fill the ROB, consulting the rename map once per
         // operand (the conventional design point); at most
-        // `fetch_width` instructions per cycle.
+        // `fetch_width` instructions per cycle. How an operand arrives
+        // is counted at issue, as the Ultrascalar counts it, so the
+        // wrong-path instructions a flush squashes unissued count
+        // nowhere.
         let fetch_budget = self.cfg.fetch_width.unwrap_or(n);
         let dispatch = |rob: &mut VecDeque<RobEntry>,
                         fetch: &mut FetchUnit,
@@ -117,7 +120,6 @@ impl Processor for BaselineOoO {
                         committed_regs: &Vec<u32>,
                         next_seq: &mut u64,
                         alloc_counter: &mut usize,
-                        stats: &mut ProcStats,
                         visible_at: u64| {
             let mut budget = fetch_budget;
             while rob.len() < n && budget > 0 {
@@ -128,14 +130,8 @@ impl Processor for BaselineOoO {
                 for (slot, r) in f.instr.reads().into_iter().enumerate() {
                     if let Some(r) = r {
                         src[slot] = match rename[r.index()] {
-                            Some(tag) => {
-                                stats.record_forward(*next_seq - tag);
-                                Operand::Tag(tag)
-                            }
-                            None => {
-                                stats.regfile_reads += 1;
-                                Operand::Value(committed_regs[r.index()])
-                            }
+                            Some(tag) => Operand::Tag(tag),
+                            None => Operand::Value(committed_regs[r.index()]),
                         };
                     }
                 }
@@ -159,7 +155,6 @@ impl Processor for BaselineOoO {
             committed_regs,
             &mut next_seq,
             &mut alloc_counter,
-            stats,
             0,
         );
 
@@ -225,8 +220,22 @@ impl Processor for BaselineOoO {
                     let (r1, v1) = operand(&rob, e.src[1], t);
                     let e = &rob[i];
                     if r0 && r1 {
-                        let instr = e.st.instr;
-                        let seq = e.st.seq;
+                        let (instr, seq, src) = (e.st.instr, e.st.seq, e.src);
+                        // Counted at issue, or at a memory op's first
+                        // offer: forwarded from a producer still in the
+                        // ROB, by `seq` distance, or read from the
+                        // committed register file (a retired producer's
+                        // broadcast value included).
+                        let record_forwards = |stats: &mut ProcStats| {
+                            for o in src {
+                                match o {
+                                    Operand::Tag(tag) => stats.record_forward(seq - tag),
+                                    Operand::Value(_) => stats.regfile_reads += 1,
+                                    Operand::None => {}
+                                }
+                            }
+                        };
+                        let first_offer = e.st.mem == MemPhase::None;
                         // Shared-ALU admission (Alu/AluImm classes),
                         // oldest-first by scan order.
                         let shared_alu = self.cfg.alus.is_some()
@@ -241,6 +250,9 @@ impl Processor for BaselineOoO {
                                         addr,
                                         kind: ReqKind::Load,
                                     });
+                                    if first_offer {
+                                        record_forwards(stats);
+                                    }
                                     rob[i].st.mem = MemPhase::Requesting;
                                 }
                             }
@@ -253,6 +265,9 @@ impl Processor for BaselineOoO {
                                         addr,
                                         kind: ReqKind::Store(v1),
                                     });
+                                    if first_offer {
+                                        record_forwards(stats);
+                                    }
                                     rob[i].st.mem = MemPhase::Requesting;
                                 }
                             }
@@ -275,6 +290,7 @@ impl Processor for BaselineOoO {
                                 e.completed_at = Some(done_at);
                                 e.result = result;
                                 e.taken = taken;
+                                record_forwards(stats);
                                 if shared_alu {
                                     free_alus -= 1;
                                     let unit = alu_free_at
@@ -419,7 +435,6 @@ impl Processor for BaselineOoO {
                 committed_regs,
                 &mut next_seq,
                 &mut alloc_counter,
-                stats,
                 t + 1,
             );
             let dispatched = next_seq != seq_before_dispatch;

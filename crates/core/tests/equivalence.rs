@@ -106,6 +106,13 @@ fn assert_cycle_identical(cfg: ProcConfig, program: &Program, label: &str) {
         a.stats.committed, b.stats.committed,
         "{label}: committed count"
     );
+    // Both count an operand's arrival when its instruction issues, so
+    // wrong-path instructions squashed before issue count in neither.
+    assert_eq!(
+        (&a.stats.forward_dist, a.stats.regfile_reads),
+        (&b.stats.forward_dist, b.stats.regfile_reads),
+        "{label}: forwarding histogram and register-file reads"
+    );
     let (ta, tb) = (a.recorded_timings(), b.recorded_timings());
     assert_eq!(ta.len(), tb.len(), "{label}: timing length");
     for (x, y) in ta.iter().zip(tb) {
