@@ -30,7 +30,25 @@ pub fn mem_words(min_words: usize, image: &[u32]) -> usize {
 /// `words` words: the sum wraps at 32 bits, then modulo `words`.
 #[inline]
 pub fn effective_addr(base: u32, offset: i32, words: usize) -> usize {
-    (base.wrapping_add(offset as u32) as usize) % words
+    wrap(base.wrapping_add(offset as u32) as usize, words)
+}
+
+/// `x % n`, without a hardware divide where none is needed: `x` itself
+/// when it is already below `n`, a mask when `n` is a power of two, and
+/// the remainder otherwise. Every table the simulator indexes modulo
+/// its size goes through here.
+///
+/// # Panics
+/// Panics if `n == 0` and `x` is not below it.
+#[inline(always)]
+pub fn wrap(x: usize, n: usize) -> usize {
+    if x < n {
+        x
+    } else if n.is_power_of_two() {
+        x & (n - 1)
+    } else {
+        x % n
+    }
 }
 
 /// A memory image whose words outside its marked pages are all zero.
@@ -196,9 +214,42 @@ impl Eq for MemImage {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::RngCore;
+    use rand::{Rng, RngCore};
 
     const LENS: [usize; 6] = [1, 63, 64, 65, 1024, 65536];
+
+    /// `wrap` and `effective_addr` equal the plain remainder, at powers
+    /// of two and off them, for operands below, at and above the
+    /// divisor.
+    #[test]
+    fn wrap_is_the_remainder() {
+        rand::cases(0x1A6E_0003, 256, |rng, i| {
+            let n = match i % 3 {
+                0 => 1usize << rng.gen_range(0..20),
+                1 => [3, 12, 13, 24, 1000][i as usize % 5],
+                _ => rng.gen_range(1..100_000),
+            };
+            let xs = [
+                0,
+                n - 1,
+                n,
+                n + 1,
+                2 * n,
+                rng.gen_range(0..n),
+                rng.gen_range(n..1usize << 40),
+            ];
+            for x in xs.into_iter().chain([usize::MAX, rng.next_u64() as usize]) {
+                assert_eq!(wrap(x, n), x % n, "{x} mod {n}");
+            }
+            let (base, offset) = (rng.next_u64() as u32, rng.next_u64() as i32);
+            let want = (base.wrapping_add(offset as u32) as usize) % n;
+            assert_eq!(
+                effective_addr(base, offset, n),
+                want,
+                "{base} + {offset} mod {n}"
+            );
+        });
+    }
 
     #[test]
     fn reset_write_clone_from_and_swap_match_a_vec_model() {

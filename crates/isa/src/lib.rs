@@ -54,7 +54,7 @@ pub use asm::{assemble, disassemble, AsmError};
 pub use binary::{read_binary, write_binary, BinaryError};
 pub use cache::{CacheStats, ProgramCache, ShardedProgramCache};
 pub use encode::{decode, encode, DecodeError};
-pub use image::{effective_addr, mem_words, MemImage};
+pub use image::{effective_addr, mem_words, wrap, MemImage};
 pub use instr::{AluOp, BranchCond, Instr, Reg};
 pub use interp::{ExecRecord, Interp, RunOutcome};
 pub use program::Program;

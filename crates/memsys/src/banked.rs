@@ -5,7 +5,7 @@
 //! sequential accesses evenly. Each bank accepts one access per
 //! `bank_occupancy` cycles.
 
-use ultrascalar_isa::MemImage;
+use ultrascalar_isa::{wrap, MemImage};
 
 /// Banked, word-addressed storage with per-bank occupancy tracking.
 /// The storage is a page-tracked [`MemImage`], so a rewind zeroes only
@@ -76,13 +76,13 @@ impl BankedMemory {
     /// The bank holding word `addr`.
     #[inline]
     pub fn bank_of(&self, addr: usize) -> usize {
-        addr % self.banks
+        wrap(addr, self.banks)
     }
 
     /// Is `addr`'s bank free at `now`?
     #[inline]
     pub fn bank_free(&self, addr: usize, now: u64) -> bool {
-        self.free_at[self.bank_of(addr % self.words.len())] <= now
+        self.free_at[self.bank_of(wrap(addr, self.words.len()))] <= now
     }
 
     /// Perform an access at `now`: returns the loaded value (for loads)
@@ -91,7 +91,7 @@ impl BankedMemory {
     /// and the access is refused with `None`… except stores, which the
     /// caller must only issue when free.
     pub fn access(&mut self, addr: usize, store: Option<u32>, now: u64) -> Option<u32> {
-        let addr = addr % self.words.len();
+        let addr = wrap(addr, self.words.len());
         let bank = self.bank_of(addr);
         if self.free_at[bank] > now {
             self.bank_conflicts += 1;
@@ -125,6 +125,37 @@ mod tests {
         for a in 0..64 {
             assert_eq!(m.bank_of(a), a % 8);
         }
+    }
+
+    /// The bank and the wrapped word are the plain remainders, at every
+    /// bank count and memory size.
+    #[test]
+    fn bank_and_word_are_remainders() {
+        use rand::Rng;
+        rand::cases(0xBA4C_0001, 64, |rng, i| {
+            let banks = [1, 2, 3, 12, 16, 24][i as usize % 6];
+            let words = [8, 13, 1000, 1024][i as usize % 4];
+            let mut m = BankedMemory::new(words, banks, 1);
+            let addrs = [
+                0,
+                banks - 1,
+                banks,
+                banks + 1,
+                words - 1,
+                words,
+                2 * words + 1,
+            ];
+            for (t, a) in addrs
+                .into_iter()
+                .chain([rng.gen_range(0..1 << 30)])
+                .enumerate()
+            {
+                assert_eq!(m.bank_of(a), a % banks, "{a} over {banks} banks");
+                let v = rng.gen_range(0..1 << 31);
+                m.access(a, Some(v), 2 * t as u64);
+                assert_eq!(m.image()[a % words], v, "{a} in {words} words");
+            }
+        });
     }
 
     #[test]

@@ -16,6 +16,7 @@
 //! count is the bandwidth profile's root capacity `⌈M(n)⌉`.
 
 use crate::bandwidth::Bandwidth;
+use ultrascalar_isa::wrap;
 use ultrascalar_prefix::packed::BitWords;
 
 /// Per-cycle butterfly admission control.
@@ -25,6 +26,8 @@ pub struct Butterfly {
     n: usize,
     stages: usize,
     ports: usize,
+    /// Positions between consecutive ports, `n / ports`.
+    stride: usize,
     /// `used[s]` bit `q`: the wire entering position `q` after stage
     /// `s` is taken this cycle. Packed so `begin_cycle` clears 64
     /// wires per word instead of one `bool` at a time.
@@ -50,6 +53,7 @@ impl Butterfly {
             n,
             stages,
             ports,
+            stride: n / ports,
             used: vec![BitWords::new(n); stages.max(1)],
             admitted: 0,
             conflicts: 0,
@@ -68,8 +72,7 @@ impl Butterfly {
 
     /// Far-side position serving a given word address.
     pub fn dest_of(&self, addr: usize) -> usize {
-        let port = addr % self.ports;
-        port * (self.n / self.ports.min(self.n))
+        wrap(addr, self.ports) * self.stride
     }
 
     /// Reset per-cycle wire usage (one word write per 64 wires).
@@ -126,6 +129,28 @@ impl Butterfly {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A destination is the port, `addr` modulo the port count, times
+    /// the positions per port, at every window and bandwidth.
+    #[test]
+    fn destination_is_port_times_stride() {
+        use rand::Rng;
+        rand::cases(0xB077_0001, 64, |rng, i| {
+            let leaves = [24, 16, 200, 5, 64][i as usize % 5];
+            let bw = [
+                Bandwidth::sqrt(),
+                Bandwidth::full(),
+                Bandwidth::constant(3.0),
+            ];
+            let b = Butterfly::new(leaves, bw[i as usize % 3]);
+            let (n, ports) = (leaves.next_power_of_two(), b.ports());
+            let addrs = [0, ports - 1, ports, ports + 1, 3 * ports];
+            for a in addrs.into_iter().chain([rng.gen_range(0..1 << 30)]) {
+                let want = (a % ports) * (n / ports.min(n));
+                assert_eq!(b.dest_of(a), want, "{a} over {ports} ports of {n}");
+            }
+        });
+    }
 
     #[test]
     fn identity_routing_all_pass() {

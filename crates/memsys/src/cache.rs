@@ -12,6 +12,8 @@
 //! cycle — which is what makes the speculative wrong-path loads that
 //! fill the cache harmless.
 
+use ultrascalar_isa::wrap;
+
 /// Configuration of the distributed caches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
@@ -80,17 +82,30 @@ impl ClusterCaches {
         self.misses = 0;
     }
 
-    /// Which group serves a station leaf, given the total leaf count.
+    /// Which group serves a station leaf, given the total leaf count:
+    /// `leaf · groups / n_leaves`, a shift when `n_leaves` is a power of
+    /// two.
     pub fn group_of(&self, leaf: usize, n_leaves: usize) -> usize {
         if n_leaves == 0 {
             return 0;
         }
-        (leaf * self.cfg.groups / n_leaves.max(1)).min(self.cfg.groups - 1)
+        let scaled = leaf * self.cfg.groups;
+        let group = if n_leaves.is_power_of_two() {
+            scaled >> n_leaves.trailing_zeros()
+        } else {
+            scaled / n_leaves
+        };
+        group.min(self.cfg.groups - 1)
+    }
+
+    /// The line that may hold word `addr`: `addr` modulo the line count.
+    pub fn line_of(&self, addr: usize) -> usize {
+        wrap(addr, self.cfg.lines)
     }
 
     /// Probe without touching the statistics (for retried requests).
     pub fn probe(&self, group: usize, addr: usize) -> Option<u32> {
-        let line = addr % self.cfg.lines;
+        let line = self.line_of(addr);
         if self.tags[group][line] == Some(addr) {
             Some(self.data[group][line])
         } else {
@@ -126,7 +141,7 @@ impl ClusterCaches {
 
     /// Fill a line after a miss response.
     pub fn fill(&mut self, group: usize, addr: usize, value: u32) {
-        let line = addr % self.cfg.lines;
+        let line = self.line_of(addr);
         self.tags[group][line] = Some(addr);
         self.data[group][line] = value;
     }
@@ -134,7 +149,7 @@ impl ClusterCaches {
     /// Write-through update: every group holding `addr` gets the new
     /// value (no invalidations needed — the caches can never go stale).
     pub fn write_update(&mut self, addr: usize, value: u32) {
-        let line = addr % self.cfg.lines;
+        let line = self.line_of(addr);
         for g in 0..self.cfg.groups {
             if self.tags[g][line] == Some(addr) {
                 self.data[g][line] = value;
@@ -196,6 +211,34 @@ mod tests {
         c.fill(0, 3, 10);
         c.write_update(11, 99); // same line index, different address
         assert_eq!(c.lookup(0, 3), Some(10));
+    }
+
+    /// The group and line are the plain quotient and remainder, at
+    /// every leaf count, group count and line count.
+    #[test]
+    fn group_and_line_are_quotient_and_remainder() {
+        use rand::Rng;
+        rand::cases(0xCAC4_0001, 64, |rng, i| {
+            let c = ClusterCaches::new(CacheConfig {
+                groups: [1, 3, 4, 5][i as usize % 4],
+                lines: [1, 48, 64, 13][i as usize % 4],
+                hit_latency: 1,
+            });
+            let (groups, lines) = (c.config().groups, c.config().lines);
+            let n_leaves = [16, 24, 1, 256, 7][i as usize % 5];
+            for leaf in (0..n_leaves).chain([rng.gen_range(0..n_leaves)]) {
+                let want = (leaf * groups / n_leaves).min(groups - 1);
+                assert_eq!(
+                    c.group_of(leaf, n_leaves),
+                    want,
+                    "leaf {leaf} of {n_leaves}"
+                );
+            }
+            let addrs = [0, lines - 1, lines, lines + 1, 2 * lines];
+            for a in addrs.into_iter().chain([rng.gen_range(0..1 << 30)]) {
+                assert_eq!(c.line_of(a), a % lines, "{a} over {lines} lines");
+            }
+        });
     }
 
     #[test]
