@@ -1,15 +1,18 @@
 //! Memory timing against an independent model: random request streams
 //! go through [`MemSystem::tick_into`] and through a small per-cycle
 //! reference model written here from the documented rules, and every
-//! cycle's acceptances and responses, the final image and the counters
-//! must agree.
+//! cycle's acceptances and responses, the final image and the whole
+//! [`MemStats`] must agree.
 //!
 //! The model keeps each bank's busy-until cycle, counts the requests
 //! that leave each fat-tree subtree in the current cycle against its
 //! capacity `⌈M(size)⌉`, charges every admitted access one fixed
 //! latency (`base + 2·hop·levels + bank occupancy`), and serves a load
 //! that hits its group's cluster cache at the cache's own latency
-//! without touching a bank or the network. Rejected requests are
+//! without touching a bank or the network. It counts a request refused
+//! by a busy bank as a bank conflict, one refused by a full subtree as
+//! a link rejection, and a load that misses its cache as a miss only
+//! once the network admits it. Rejected requests are
 //! offered again, oldest first, as a processor offers them. Like the
 //! engine's cycle skip, a stream sometimes jumps over quiet cycles to
 //! the next due response, so a response due at a tick with no request
@@ -20,7 +23,8 @@
 
 use rand::Rng;
 use ultrascalar_memsys::{
-    Bandwidth, CacheConfig, MemConfig, MemRequest, MemResponse, MemSystem, NetworkKind, ReqKind,
+    Bandwidth, CacheConfig, MemConfig, MemRequest, MemResponse, MemStats, MemSystem, NetworkKind,
+    ReqKind,
 };
 
 /// The reference model of one memory system.
@@ -34,10 +38,7 @@ struct Model {
     flying: Vec<(u64, MemResponse)>,
     /// Tree levels between a leaf and the root.
     levels: u32,
-    loads: u64,
-    stores: u64,
-    bank_conflicts: u64,
-    hits: u64,
+    stats: MemStats,
 }
 
 impl Model {
@@ -53,10 +54,7 @@ impl Model {
             lines: vec![vec![None; lines]; groups],
             flying: Vec::new(),
             levels,
-            loads: 0,
-            stores: 0,
-            bank_conflicts: 0,
-            hits: 0,
+            stats: MemStats::default(),
             cfg,
         }
     }
@@ -80,8 +78,8 @@ impl Model {
                 if let Some((_, v)) =
                     self.lines[group][req.addr % cache.lines].filter(|&(a, _)| a == req.addr)
                 {
-                    self.hits += 1;
-                    self.loads += 1;
+                    self.stats.cache_hits += 1;
+                    self.stats.loads += 1;
                     self.flying.push((now + cache.hit_latency, resp(Some(v))));
                     accepted.push(req.id);
                     continue;
@@ -90,7 +88,7 @@ impl Model {
             let word = req.addr % self.words.len();
             let bank = word % cfg.banks;
             if self.bank_free_at[bank] > now {
-                self.bank_conflicts += 1;
+                self.stats.bank_conflicts += 1;
                 continue;
             }
             let subtree = |l: usize| req.leaf / 4usize.pow(l as u32);
@@ -99,8 +97,10 @@ impl Model {
                 sent[l][subtree(l)] >= cfg.bandwidth.capacity(size)
             });
             if full {
+                self.stats.link_rejections += 1;
                 continue;
             }
+            self.stats.admitted += 1;
             for (l, level) in sent.iter_mut().enumerate() {
                 level[subtree(l)] += 1;
             }
@@ -114,7 +114,7 @@ impl Model {
                             *line = Some((req.addr, v));
                         }
                     }
-                    self.stores += 1;
+                    self.stats.stores += 1;
                     None
                 }
                 ReqKind::Load => {
@@ -122,8 +122,9 @@ impl Model {
                     if let Some(cache) = cfg.cluster_cache {
                         let group = (req.leaf * cache.groups / cfg.n_leaves).min(cache.groups - 1);
                         self.lines[group][req.addr % cache.lines] = Some((req.addr, v));
+                        self.stats.cache_misses += 1;
                     }
-                    self.loads += 1;
+                    self.stats.loads += 1;
                     Some(v)
                 }
             };
@@ -182,6 +183,7 @@ fn configs() -> Vec<(&'static str, MemConfig)> {
 #[test]
 fn tick_matches_the_reference_model() {
     let configs = configs();
+    let mut total = MemStats::default();
     rand::cases(0x3E3_7131, 60, |rng, i| {
         let (name, cfg) = configs[i as usize % configs.len()].clone();
         assert_eq!(cfg.network, NetworkKind::FatTree);
@@ -225,12 +227,25 @@ fn tick_matches_the_reference_model() {
             };
         }
         assert_eq!(&sys.image()[..], &model.words[..], "{name}: final image");
+        assert_eq!(sys.stats(), model.stats, "{name}: counters");
         let s = sys.stats();
-        let want = (model.loads, model.stores, model.bank_conflicts, model.hits);
-        assert_eq!(
-            (s.loads, s.stores, s.bank_conflicts, s.cache_hits),
-            want,
-            "{name}: counters"
-        );
+        total.admitted += s.admitted;
+        total.link_rejections += s.link_rejections;
+        total.bank_conflicts += s.bank_conflicts;
+        total.cache_hits += s.cache_hits;
+        total.cache_misses += s.cache_misses;
     });
+    // Every counter moves somewhere in the streams, so one that both
+    // sides leave at zero cannot pass unseen.
+    let counts = [
+        total.admitted,
+        total.link_rejections,
+        total.bank_conflicts,
+        total.cache_hits,
+        total.cache_misses,
+    ];
+    assert!(
+        counts.iter().all(|&c| c > 0),
+        "a counter never moved: {total:?}"
+    );
 }
