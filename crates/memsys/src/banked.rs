@@ -18,10 +18,6 @@ pub struct BankedMemory {
     free_at: Vec<u64>,
     /// Cycles a bank stays busy per access.
     occupancy: u64,
-    /// Total accesses performed.
-    pub accesses: u64,
-    /// Accesses that found their bank busy (retried by the caller).
-    pub bank_conflicts: u64,
 }
 
 impl BankedMemory {
@@ -37,15 +33,13 @@ impl BankedMemory {
             banks,
             free_at: vec![0; banks],
             occupancy: occupancy.max(1),
-            accesses: 0,
-            bank_conflicts: 0,
         }
     }
 
     /// Rewind in place to `BankedMemory::new(words, ..)` loaded with
     /// `image` from word 0: the pages the last run wrote re-zeroed (see
-    /// [`MemImage::reset`]), every bank free at cycle 0, counters
-    /// cleared. The bank count is unchanged.
+    /// [`MemImage::reset`]) and every bank free at cycle 0. The bank
+    /// count is unchanged.
     ///
     /// # Panics
     /// Panics if `words == 0` or the image exceeds `words`.
@@ -53,8 +47,6 @@ impl BankedMemory {
         assert!(words > 0, "need at least one word");
         self.words.reset(words, image);
         self.free_at.fill(0);
-        self.accesses = 0;
-        self.bank_conflicts = 0;
     }
 
     /// Number of words.
@@ -66,11 +58,6 @@ impl BankedMemory {
     /// it).
     pub fn is_empty(&self) -> bool {
         self.words.is_empty()
-    }
-
-    /// Number of banks.
-    pub fn banks(&self) -> usize {
-        self.banks
     }
 
     /// The bank holding word `addr`.
@@ -85,26 +72,20 @@ impl BankedMemory {
         self.free_at[self.bank_of(wrap(addr, self.words.len()))] <= now
     }
 
-    /// Perform an access at `now`: returns the loaded value (for loads)
-    /// and occupies the bank. The caller must have checked
-    /// [`BankedMemory::bank_free`]; a busy bank is counted as a conflict
-    /// and the access is refused with `None`… except stores, which the
-    /// caller must only issue when free.
-    pub fn access(&mut self, addr: usize, store: Option<u32>, now: u64) -> Option<u32> {
+    /// Perform an access at `now`: occupies the bank and returns the
+    /// word (the loaded value, or the stored one). The caller must have
+    /// found the bank free with [`BankedMemory::bank_free`].
+    pub fn access(&mut self, addr: usize, store: Option<u32>, now: u64) -> u32 {
         let addr = wrap(addr, self.words.len());
         let bank = self.bank_of(addr);
-        if self.free_at[bank] > now {
-            self.bank_conflicts += 1;
-            return None;
-        }
+        debug_assert!(self.free_at[bank] <= now, "bank {bank} is busy");
         self.free_at[bank] = now + self.occupancy;
-        self.accesses += 1;
         match store {
             Some(v) => {
                 self.words.write(addr, v);
-                Some(v)
+                v
             }
-            None => Some(self.words[addr]),
+            None => self.words[addr],
         }
     }
 
@@ -161,34 +142,27 @@ mod tests {
     #[test]
     fn read_write_roundtrip() {
         let mut m = BankedMemory::new(16, 4, 1);
-        assert_eq!(m.access(5, Some(42), 0), Some(42));
-        assert_eq!(m.access(5, None, 1), Some(42));
+        assert_eq!(m.access(5, Some(42), 0), 42);
+        assert_eq!(m.access(5, None, 1), 42);
         assert_eq!(m.image()[5], 42);
     }
 
     #[test]
     fn bank_occupancy_blocks_same_bank() {
         let mut m = BankedMemory::new(16, 4, 3);
-        assert!(m.access(0, None, 0).is_some());
+        m.access(0, None, 0);
         // Same bank (addr 4 ≡ 0 mod 4) is busy for 3 cycles.
-        assert!(m.access(4, None, 0).is_none());
-        assert!(m.access(4, None, 2).is_none());
-        assert!(m.access(4, None, 3).is_some());
+        assert!(!m.bank_free(4, 0));
+        assert!(!m.bank_free(4, 2));
+        assert!(m.bank_free(4, 3));
         // A different bank is unaffected.
-        let mut m = BankedMemory::new(16, 4, 3);
-        assert!(m.access(0, None, 0).is_some());
-        assert!(m.access(1, None, 0).is_some());
-        assert_eq!(m.bank_conflicts, 0);
-    }
-
-    #[test]
-    fn conflicts_are_counted() {
+        assert!(m.bank_free(1, 0));
+        // One bank: every address waits out the occupancy.
         let mut m = BankedMemory::new(16, 1, 2);
-        assert!(m.access(0, None, 0).is_some());
-        assert!(m.access(7, None, 0).is_none());
-        assert!(m.access(3, None, 1).is_none());
-        assert_eq!(m.bank_conflicts, 2);
-        assert_eq!(m.accesses, 1);
+        m.access(0, None, 0);
+        assert!(!m.bank_free(7, 0));
+        assert!(!m.bank_free(3, 1));
+        assert!(m.bank_free(3, 2));
     }
 
     #[test]
@@ -196,7 +170,7 @@ mod tests {
         let mut m = BankedMemory::new(8, 2, 1);
         m.access(9, Some(77), 0); // wraps to 1
         assert_eq!(m.image()[1], 77);
-        assert_eq!(m.access(17, None, 1), Some(77)); // 17 mod 8 = 1
+        assert_eq!(m.access(17, None, 1), 77); // 17 mod 8 = 1
     }
 
     #[test]

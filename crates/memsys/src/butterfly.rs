@@ -32,10 +32,6 @@ pub struct Butterfly {
     /// `s` is taken this cycle. Packed so `begin_cycle` clears 64
     /// wires per word instead of one `bool` at a time.
     used: Vec<BitWords>,
-    /// Requests admitted in total.
-    pub admitted: u64,
-    /// Requests refused because a stage wire was taken.
-    pub conflicts: u64,
 }
 
 impl Butterfly {
@@ -55,12 +51,10 @@ impl Butterfly {
             ports,
             stride: n / ports,
             used: vec![BitWords::new(n); stages.max(1)],
-            admitted: 0,
-            conflicts: 0,
         }
     }
 
-    /// Switching stages a request traverses.
+    /// Switching stages a request traverses: the one-way hop count.
     pub fn stages(&self) -> usize {
         self.stages
     }
@@ -80,14 +74,6 @@ impl Butterfly {
         for stage in &mut self.used {
             stage.clear();
         }
-    }
-
-    /// Rewind to the as-constructed state for a new run: wires freed,
-    /// statistics cleared. Allocation-free.
-    pub fn reset(&mut self) {
-        self.begin_cycle();
-        self.admitted = 0;
-        self.conflicts = 0;
     }
 
     /// Try to route from `leaf` to the port serving `addr` this cycle.
@@ -114,14 +100,12 @@ impl Butterfly {
         debug_assert!(self.stages == 0 || pos == dest);
         for (s, &q) in path[..self.stages].iter().enumerate() {
             if self.used[s].get(q) {
-                self.conflicts += 1;
                 return false;
             }
         }
         for (s, &q) in path[..self.stages].iter().enumerate() {
             self.used[s].set(q);
         }
-        self.admitted += 1;
         true
     }
 }
@@ -161,8 +145,6 @@ mod tests {
         for leaf in 0..8 {
             assert!(b.try_route(leaf, leaf), "leaf {leaf}");
         }
-        assert_eq!(b.admitted, 8);
-        assert_eq!(b.conflicts, 0);
     }
 
     #[test]
@@ -172,7 +154,6 @@ mod tests {
         b.begin_cycle();
         let admitted = (0..8).filter(|&l| b.try_route(l, 5)).count();
         assert_eq!(admitted, 1);
-        assert!(b.conflicts > 0);
         b.begin_cycle();
         assert!(b.try_route(7, 5));
     }

@@ -43,10 +43,6 @@ pub struct ClusterCaches {
     /// `tags[g][line]` = cached word address.
     tags: Vec<Vec<Option<usize>>>,
     data: Vec<Vec<u32>>,
-    /// Load hits served locally.
-    pub hits: u64,
-    /// Load misses that went to the network.
-    pub misses: u64,
 }
 
 impl ClusterCaches {
@@ -61,8 +57,6 @@ impl ClusterCaches {
             cfg,
             tags: vec![vec![None; cfg.lines]; cfg.groups],
             data: vec![vec![0; cfg.lines]; cfg.groups],
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -72,14 +66,12 @@ impl ClusterCaches {
     }
 
     /// Rewind to the as-constructed state in place (no allocation):
-    /// every line invalidated, counters cleared. Data words may keep
-    /// stale values — a `None` tag makes them unreachable.
+    /// every line invalidated. Data words may keep stale values — a
+    /// `None` tag makes them unreachable.
     pub fn reset(&mut self) {
         for group in &mut self.tags {
             group.fill(None);
         }
-        self.hits = 0;
-        self.misses = 0;
     }
 
     /// Which group serves a station leaf, given the total leaf count:
@@ -103,7 +95,7 @@ impl ClusterCaches {
         wrap(addr, self.cfg.lines)
     }
 
-    /// Probe without touching the statistics (for retried requests).
+    /// The word `addr` if `group`'s cache holds it.
     pub fn probe(&self, group: usize, addr: usize) -> Option<u32> {
         let line = self.line_of(addr);
         if self.tags[group][line] == Some(addr) {
@@ -111,32 +103,6 @@ impl ClusterCaches {
         } else {
             None
         }
-    }
-
-    /// Look a word up in one group's cache, counting hit/miss.
-    pub fn lookup(&mut self, group: usize, addr: usize) -> Option<u32> {
-        match self.probe(group, addr) {
-            Some(v) => {
-                self.hits += 1;
-                Some(v)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Count a miss explicitly (used by the system once a missing load
-    /// is actually admitted into the network, so retries don't inflate
-    /// the count).
-    pub fn count_miss(&mut self) {
-        self.misses += 1;
-    }
-
-    /// Count a hit explicitly.
-    pub fn count_hit(&mut self) {
-        self.hits += 1;
     }
 
     /// Fill a line after a miss response.
@@ -165,13 +131,11 @@ mod tests {
     #[test]
     fn miss_fill_hit() {
         let mut c = ClusterCaches::new(CacheConfig::small(2));
-        assert_eq!(c.lookup(0, 100), None);
+        assert_eq!(c.probe(0, 100), None);
         c.fill(0, 100, 42);
-        assert_eq!(c.lookup(0, 100), Some(42));
+        assert_eq!(c.probe(0, 100), Some(42));
         // The other group is independent.
-        assert_eq!(c.lookup(1, 100), None);
-        assert_eq!(c.hits, 1);
-        assert_eq!(c.misses, 2);
+        assert_eq!(c.probe(1, 100), None);
     }
 
     #[test]
@@ -184,8 +148,8 @@ mod tests {
         let mut c = ClusterCaches::new(cfg);
         c.fill(0, 3, 10);
         c.fill(0, 11, 20); // 11 % 8 == 3: evicts
-        assert_eq!(c.lookup(0, 3), None);
-        assert_eq!(c.lookup(0, 11), Some(20));
+        assert_eq!(c.probe(0, 3), None);
+        assert_eq!(c.probe(0, 11), Some(20));
     }
 
     #[test]
@@ -194,10 +158,10 @@ mod tests {
         c.fill(0, 7, 1);
         c.fill(2, 7, 1);
         c.write_update(7, 99);
-        assert_eq!(c.lookup(0, 7), Some(99));
-        assert_eq!(c.lookup(2, 7), Some(99));
+        assert_eq!(c.probe(0, 7), Some(99));
+        assert_eq!(c.probe(2, 7), Some(99));
         // A group without the line is unaffected (still a miss).
-        assert_eq!(c.lookup(1, 7), None);
+        assert_eq!(c.probe(1, 7), None);
     }
 
     #[test]
@@ -210,7 +174,7 @@ mod tests {
         let mut c = ClusterCaches::new(cfg);
         c.fill(0, 3, 10);
         c.write_update(11, 99); // same line index, different address
-        assert_eq!(c.lookup(0, 3), Some(10));
+        assert_eq!(c.probe(0, 3), Some(10));
     }
 
     /// The group and line are the plain quotient and remainder, at

@@ -37,10 +37,6 @@ pub struct FatTree {
     used: Vec<Vec<(u64, usize)>>,
     /// Current cycle's generation stamp.
     generation: u64,
-    /// Total requests admitted.
-    pub admitted: u64,
-    /// Requests refused for lack of link capacity.
-    pub link_rejections: u64,
 }
 
 impl FatTree {
@@ -74,12 +70,11 @@ impl FatTree {
             caps,
             used,
             generation: 0,
-            admitted: 0,
-            link_rejections: 0,
         }
     }
 
-    /// Number of tree levels between a leaf and the root.
+    /// Number of tree levels between a leaf and the root: the one-way
+    /// hop count.
     pub fn levels(&self) -> usize {
         self.levels
     }
@@ -94,16 +89,6 @@ impl FatTree {
     /// until touched again.
     pub fn begin_cycle(&mut self) {
         self.generation += 1;
-    }
-
-    /// Rewind to the as-constructed state for a new run: statistics
-    /// cleared and every per-cycle counter back to zero. O(1) — the
-    /// generation stamp advances, so stale counters lazily read as
-    /// zero exactly as in [`FatTree::begin_cycle`].
-    pub fn reset(&mut self) {
-        self.generation += 1;
-        self.admitted = 0;
-        self.link_rejections = 0;
     }
 
     /// Try to admit a request from `leaf` this cycle. On success the
@@ -121,7 +106,6 @@ impl FatTree {
             let (stamp, count) = self.used[l][group];
             let count = if stamp == self.generation { count } else { 0 };
             if count >= self.caps[l] {
-                self.link_rejections += 1;
                 return false;
             }
         }
@@ -131,13 +115,7 @@ impl FatTree {
             let count = if slot.0 == self.generation { slot.1 } else { 0 };
             *slot = (self.generation, count + 1);
         }
-        self.admitted += 1;
         true
-    }
-
-    /// One-way hop count from a leaf to the root.
-    pub fn hops(&self) -> usize {
-        self.levels
     }
 }
 
@@ -167,8 +145,6 @@ mod tests {
         for leaf in 0..16 {
             assert!(t.try_route(leaf), "leaf {leaf}");
         }
-        assert_eq!(t.admitted, 16);
-        assert_eq!(t.link_rejections, 0);
     }
 
     #[test]
@@ -206,7 +182,6 @@ mod tests {
         t.begin_cycle();
         assert!(t.try_route(0));
         assert!(!t.try_route(1)); // root full
-        assert_eq!(t.link_rejections, 1);
         t.begin_cycle();
         // leaf 1's own port was not consumed by the failed attempt.
         assert!(t.try_route(1));

@@ -16,11 +16,20 @@
 //!   subtree of `s` leaves owns `⌈M(s)⌉` upward links, requests are
 //!   granted oldest-first (the hardware arbitrates with prefix
 //!   circuits), and blocked requests retry next cycle;
-//! * [`banked`] — the interleaved memory banks behind the tree, with
+//! * [`butterfly`] — the paper's alternative interconnect: a radix-2
+//!   butterfly with `⌈M(n)⌉` far-side ports, whose conflicting paths
+//!   block;
+//! * [`banked`] — the interleaved memory banks behind the network, with
 //!   per-bank occupancy, storing the words in `ultrascalar-isa`'s
 //!   page-tracked `MemImage`;
+//! * [`cache`] — optional distributed per-cluster caches in front of
+//!   the network (§7), write-through with write-update;
 //! * [`system`] — [`system::MemSystem`], the synchronous request/
 //!   response interface the processor models drive.
+//!
+//! The networks, banks and caches only decide: whether a request may
+//! pass, which word it reads, which line holds it. [`MemSystem`] alone
+//! counts, recording each decision in [`MemStats`] where it acts on it.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

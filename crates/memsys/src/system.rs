@@ -172,42 +172,17 @@ impl Network {
             Network::Fly(b) => b.try_route(leaf, addr),
         }
     }
-
-    fn hops(&self) -> usize {
-        match self {
-            Network::Tree(t) => t.hops(),
-            Network::Fly(b) => b.stages(),
-        }
-    }
-
-    fn admitted(&self) -> u64 {
-        match self {
-            Network::Tree(t) => t.admitted,
-            Network::Fly(b) => b.admitted,
-        }
-    }
-
-    fn reset(&mut self) {
-        match self {
-            Network::Tree(t) => t.reset(),
-            Network::Fly(b) => b.reset(),
-        }
-    }
-
-    fn rejections(&self) -> u64 {
-        match self {
-            Network::Tree(t) => t.link_rejections,
-            Network::Fly(b) => b.conflicts,
-        }
-    }
 }
 
 /// The memory system: interconnect + banks + in-flight completion
-/// queue.
+/// queue. It alone counts: its parts decide whether a request passes,
+/// and [`MemSystem::tick_into`] records each decision in [`MemStats`].
 #[derive(Debug, Clone)]
 pub struct MemSystem {
     cfg: MemConfig,
     net: Network,
+    /// Cycles from admission to response, fixed by the configuration.
+    latency: u64,
     banks: BankedMemory,
     /// In-flight accesses: (completion_cycle, response), unsorted —
     /// traffic per cycle is small, and only a tick with a response due
@@ -226,16 +201,24 @@ impl MemSystem {
         let words = mem_words(cfg.words, image);
         let mut banks = BankedMemory::new(words, cfg.banks.max(1), cfg.bank_occupancy);
         banks.reset(words, image);
-        let net = match cfg.network {
-            NetworkKind::FatTree => Network::Tree(FatTree::new(cfg.n_leaves.max(1), cfg.bandwidth)),
+        let (net, hops) = match cfg.network {
+            NetworkKind::FatTree => {
+                let tree = FatTree::new(cfg.n_leaves.max(1), cfg.bandwidth);
+                let hops = tree.levels();
+                (Network::Tree(tree), hops)
+            }
             NetworkKind::Butterfly => {
-                Network::Fly(Butterfly::new(cfg.n_leaves.max(1), cfg.bandwidth))
+                let fly = Butterfly::new(cfg.n_leaves.max(1), cfg.bandwidth);
+                let hops = fly.stages();
+                (Network::Fly(fly), hops)
             }
         };
+        let latency = cfg.base_latency + 2 * cfg.hop_latency * hops as u64 + cfg.bank_occupancy;
         let caches = cfg.cluster_cache.map(ClusterCaches::new);
         MemSystem {
             cfg,
             net,
+            latency,
             banks,
             in_flight: Vec::new(),
             due: u64::MAX,
@@ -251,16 +234,16 @@ impl MemSystem {
 
     /// Rewind to the freshly-constructed state for a new run, reusing
     /// every retained buffer: the pages of storage the last run wrote
-    /// are re-zeroed and `image` is loaded, network capacities and
-    /// caches are cleared, in-flight accesses are dropped, and
-    /// statistics return to zero. After this, the system is
+    /// are re-zeroed and `image` is loaded, caches are cleared,
+    /// in-flight accesses are dropped, and statistics return to zero
+    /// (the network's usage needs no rewind: every tick that routes
+    /// begins a fresh cycle). After this, the system is
     /// observationally identical to `MemSystem::new(cfg, image)` — the
     /// reuse-equivalence tests in `ultrascalar` pin that cycle-exactly.
     /// Allocation-free unless the image forces a larger word count than
     /// any previous run.
     pub fn reset(&mut self, image: &[u32]) {
         self.banks.reset(mem_words(self.cfg.words, image), image);
-        self.net.reset();
         if let Some(caches) = &mut self.caches {
             caches.reset();
         }
@@ -271,9 +254,7 @@ impl MemSystem {
 
     /// Total access latency for an admitted request.
     pub fn latency(&self) -> u64 {
-        self.cfg.base_latency
-            + 2 * self.cfg.hop_latency * self.net.hops() as u64
-            + self.cfg.bank_occupancy
+        self.latency
     }
 
     /// Memory size in words.
@@ -308,23 +289,19 @@ impl MemSystem {
         }
         self.net.begin_cycle();
         for req in requests {
-            // Distributed cluster cache: a hitting load is served
-            // locally and never enters the network.
-            if let (Some(caches), ReqKind::Load) = (&mut self.caches, req.kind) {
-                let group = caches.group_of(req.leaf, self.cfg.n_leaves);
+            // A load's cluster-cache group, if there are caches.
+            let group = match (&self.caches, req.kind) {
+                (Some(caches), ReqKind::Load) => Some(caches.group_of(req.leaf, self.cfg.n_leaves)),
+                _ => None,
+            };
+            // A hitting load is served locally and never enters the
+            // network.
+            if let (Some(caches), Some(group)) = (&self.caches, group) {
                 if let Some(v) = caches.probe(group, req.addr) {
-                    caches.count_hit();
+                    self.stats.cache_hits += 1;
                     self.stats.loads += 1;
-                    let done = now + caches.config().hit_latency;
-                    self.due = self.due.min(done);
-                    self.in_flight.push((
-                        done,
-                        MemResponse {
-                            id: req.id,
-                            leaf: req.leaf,
-                            value: Some(v),
-                        },
-                    ));
+                    let due = now + caches.config().hit_latency;
+                    self.fly(due, req, Some(v));
                     accepted.push(*req);
                     continue;
                 }
@@ -334,49 +311,31 @@ impl MemSystem {
                 continue;
             }
             if !self.net.try_route(req.leaf, req.addr) {
+                self.stats.link_rejections += 1;
                 continue;
             }
-            let store = match req.kind {
-                ReqKind::Load => None,
-                ReqKind::Store(v) => Some(v),
-            };
-            let value = self
-                .banks
-                .access(req.addr, store, now)
-                .expect("bank checked free");
-            if let Some(caches) = &mut self.caches {
-                match req.kind {
-                    ReqKind::Load => {
-                        caches.count_miss();
-                        let group = caches.group_of(req.leaf, self.cfg.n_leaves);
-                        caches.fill(group, req.addr, value);
+            self.stats.admitted += 1;
+            let value = match req.kind {
+                ReqKind::Load => {
+                    self.stats.loads += 1;
+                    let v = self.banks.access(req.addr, None, now);
+                    if let (Some(caches), Some(group)) = (&mut self.caches, group) {
+                        self.stats.cache_misses += 1;
+                        caches.fill(group, req.addr, v);
                     }
-                    ReqKind::Store(v) => caches.write_update(req.addr, v),
+                    Some(v)
                 }
-            }
-            let resp = MemResponse {
-                id: req.id,
-                leaf: req.leaf,
-                value: match req.kind {
-                    ReqKind::Load => {
-                        self.stats.loads += 1;
-                        Some(value)
+                ReqKind::Store(v) => {
+                    self.stats.stores += 1;
+                    self.banks.access(req.addr, Some(v), now);
+                    if let Some(caches) = &mut self.caches {
+                        caches.write_update(req.addr, v);
                     }
-                    ReqKind::Store(_) => {
-                        self.stats.stores += 1;
-                        None
-                    }
-                },
+                    None
+                }
             };
-            self.due = self.due.min(now + self.latency());
-            self.in_flight.push((now + self.latency(), resp));
+            self.fly(now + self.latency, req, value);
             accepted.push(*req);
-        }
-        self.stats.admitted = self.net.admitted();
-        self.stats.link_rejections = self.net.rejections();
-        if let Some(caches) = &self.caches {
-            self.stats.cache_hits = caches.hits;
-            self.stats.cache_misses = caches.misses;
         }
 
         if self.due <= now {
@@ -386,6 +345,17 @@ impl MemSystem {
         }
     }
 
+    /// Put `req`'s response in flight, due at cycle `due`.
+    fn fly(&mut self, due: u64, req: &MemRequest, value: Option<u32>) {
+        self.due = self.due.min(due);
+        let resp = MemResponse {
+            id: req.id,
+            leaf: req.leaf,
+            value,
+        };
+        self.in_flight.push((due, resp));
+    }
+
     /// The earliest completion cycle in flight, by a scan.
     fn earliest(&self) -> u64 {
         self.in_flight
@@ -393,11 +363,6 @@ impl MemSystem {
             .map(|&(t, _)| t)
             .min()
             .unwrap_or(u64::MAX)
-    }
-
-    /// Are any accesses still in flight?
-    pub fn quiescent(&self) -> bool {
-        self.in_flight.is_empty()
     }
 
     /// The earliest cycle at which an in-flight access will deliver its
@@ -464,7 +429,7 @@ mod tests {
                 value: Some(9)
             }]
         );
-        assert!(m.quiescent());
+        assert_eq!(m.next_completion_at(), None);
     }
 
     #[test]
