@@ -36,7 +36,8 @@ enum Operand {
 #[derive(Debug, Clone)]
 struct RobEntry {
     st: StationEntry,
-    ring_index: usize,
+    /// The station slot (fat-tree leaf), wrapped at dispatch.
+    slot: usize,
     src: [Operand; 2],
 }
 
@@ -98,7 +99,9 @@ impl Processor for BaselineOoO {
         let mut rename: Vec<Option<u64>> = vec![None; program.num_regs];
         let mut rob: VecDeque<RobEntry> = VecDeque::with_capacity(n);
         let mut next_seq: u64 = 0;
-        let mut alloc_counter: usize = 0;
+        let mut next_slot: usize = 0;
+        // The ring's next station slot: a compare, not a `%` per entry.
+        let slot_after = |slot: usize| if slot + 1 == n { 0 } else { slot + 1 };
         stats.reset();
         let mut timings = timings.as_mut();
         if let Some(t) = timings.as_mut() {
@@ -119,7 +122,7 @@ impl Processor for BaselineOoO {
                         rename: &mut Vec<Option<u64>>,
                         committed_regs: &Vec<u32>,
                         next_seq: &mut u64,
-                        alloc_counter: &mut usize,
+                        next_slot: &mut usize,
                         visible_at: u64| {
             let mut budget = fetch_budget;
             while rob.len() < n && budget > 0 {
@@ -140,11 +143,11 @@ impl Processor for BaselineOoO {
                 }
                 rob.push_back(RobEntry {
                     st,
-                    ring_index: *alloc_counter,
+                    slot: *next_slot,
                     src,
                 });
                 *next_seq += 1;
-                *alloc_counter += 1;
+                *next_slot = slot_after(*next_slot);
             }
         };
 
@@ -154,7 +157,7 @@ impl Processor for BaselineOoO {
             &mut rename,
             committed_regs,
             &mut next_seq,
-            &mut alloc_counter,
+            &mut next_slot,
             0,
         );
 
@@ -210,10 +213,13 @@ impl Processor for BaselineOoO {
             let mut all_branches_done = true;
             requests.clear();
             let mut free_alus = alu_free_at.iter().filter(|&&f| f <= t).count();
+            // Non-memory issues in the scan; memory ops issue when
+            // accepted.
+            let mut scan_issues = 0;
 
             for i in 0..rob.len() {
                 let e = &rob[i];
-                let leaf = e.ring_index % n;
+                let leaf = e.slot;
                 let eligible = e.st.issued_at.is_none() && t >= e.st.fetched_at;
                 if eligible {
                     let (r0, v0) = operand(&rob, e.src[0], t);
@@ -290,6 +296,7 @@ impl Processor for BaselineOoO {
                                 e.completed_at = Some(done_at);
                                 e.result = result;
                                 e.taken = taken;
+                                scan_issues += 1;
                                 record_forwards(stats);
                                 if shared_alu {
                                     free_alus -= 1;
@@ -341,7 +348,7 @@ impl Processor for BaselineOoO {
                     }
                 }
             }
-            let issued_now = rob.iter().filter(|e| e.st.issued_at == Some(t)).count();
+            let issued_now = scan_issues + accepted.len();
 
             // ---- Branch resolution + flush with rename-map rollback.
             for i in 0..rob.len() {
@@ -352,7 +359,7 @@ impl Processor for BaselineOoO {
                         let correct = e.resolved_next().expect("resolved");
                         stats.flushed += (rob.len() - (i + 1)) as u64;
                         rob.truncate(i + 1);
-                        alloc_counter = rob[i].ring_index + 1;
+                        next_slot = slot_after(rob[i].slot);
                         // Rollback: rebuild the rename map from the
                         // surviving ROB (hardware restores a
                         // checkpoint).
@@ -390,7 +397,7 @@ impl Processor for BaselineOoO {
                             fetched: e.st.fetched_at,
                             issue: e.st.issued_at.expect("retired ⇒ issued"),
                             complete: e.st.completed_at.expect("retired ⇒ completed"),
-                            slot: e.ring_index % n,
+                            slot: e.slot,
                         });
                     }
                     if e.st.instr.is_branch() {
@@ -434,7 +441,7 @@ impl Processor for BaselineOoO {
                 &mut rename,
                 committed_regs,
                 &mut next_seq,
-                &mut alloc_counter,
+                &mut next_slot,
                 t + 1,
             );
             let dispatched = next_seq != seq_before_dispatch;
