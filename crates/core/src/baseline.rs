@@ -100,7 +100,7 @@ impl Processor for BaselineOoO {
         let mut rob: VecDeque<RobEntry> = VecDeque::with_capacity(n);
         let mut next_seq: u64 = 0;
         let mut next_slot: usize = 0;
-        // The ring's next station slot: a compare, not a `%` per entry.
+        // The station slot after `slot`, round the ring of `n`.
         let slot_after = |slot: usize| if slot + 1 == n { 0 } else { slot + 1 };
         stats.reset();
         let mut timings = timings.as_mut();
