@@ -62,7 +62,9 @@
 //! serving. `options.max_cycles` is at most [`MAX_CYCLES`]. Socket
 //! clients must send programs inline: `program_path` is honoured only
 //! on stdin, whose client started the server and can read its files
-//! anyway.
+//! anyway. A `program_path` file is read through its first
+//! [`MAX_LINE_BYTES`], the bound an inline program has; a longer one
+//! gets an error response.
 //!
 //! The JSON codec is hand-rolled (this workspace takes no serde
 //! dependency) and lives in the `codec` submodule. Identical requests
@@ -72,7 +74,7 @@
 //! `{"cmd":"stats"}` request and the final summary.
 
 use std::fmt::Write as _;
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 use std::net::Shutdown;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -80,8 +82,8 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use crate::cli::{self, ServeOptions};
-use ultrascalar::{PoolStats, ProcConfig, Processor, RunResult, ShardedEnginePool};
-use ultrascalar_isa::{CacheStats, Program, ShardedProgramCache};
+use ultrascalar::{ProcConfig, Processor, RunResult, ShardedEnginePool};
+use ultrascalar_isa::{LruStats, Program, ShardedProgramCache};
 
 mod codec;
 
@@ -206,13 +208,13 @@ impl ServeShared {
     }
 
     /// Program-cache counters.
-    pub fn program_stats(&self) -> CacheStats {
+    pub fn program_stats(&self) -> LruStats {
         self.programs.stats()
     }
 
     /// Engine-pool counters. Every run checks out one engine, so
     /// `hits + misses == runs`.
-    pub fn engine_stats(&self) -> PoolStats {
+    pub fn engine_stats(&self) -> LruStats {
         self.engines.stats()
     }
 
@@ -347,8 +349,16 @@ impl Worker {
             (true, false) => {}
             (false, true) if !self.reads_paths => return Err(NO_PATHS_ON_SOCKETS.into()),
             (false, true) => {
-                let bytes = std::fs::read(&req.program_path)
+                let mut bytes = Vec::new();
+                std::fs::File::open(&req.program_path)
+                    .and_then(|f| f.take(MAX_LINE_BYTES as u64 + 1).read_to_end(&mut bytes))
                     .map_err(|e| format!("cannot read {}: {e}", req.program_path))?;
+                if bytes.len() > MAX_LINE_BYTES {
+                    return Err(format!(
+                        "{} is longer than {MAX_LINE_BYTES} bytes",
+                        req.program_path
+                    ));
+                }
                 let text = std::str::from_utf8(&bytes)
                     .map_err(|e| format!("{} is not UTF-8: {e}", req.program_path))?;
                 req.program.push_str(text);

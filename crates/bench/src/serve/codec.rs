@@ -162,7 +162,7 @@ pub(super) fn write_stats(out: &mut String, shared: &ServeShared) {
         ep.hits,
         ep.misses,
         ep.evictions,
-        ep.warm,
+        ep.entries,
         c.cycles_simulated,
         c.instructions_committed,
         c.packed_fallbacks,

@@ -92,7 +92,7 @@ fn options_map_to_the_configured_engine() {
     // Both engines went back to the pool after their runs: both are
     // warm.
     assert_eq!(
-        s.shared().engine_stats().warm,
+        s.shared().engine_stats().entries,
         2,
         "two distinct configs warmed"
     );
@@ -241,6 +241,30 @@ fn over_long_line_gets_one_error_and_the_stream_keeps_serving() {
     assert_eq!(lines[1], Server::new(8, 4).handle_line(PROG));
     let c = s.shared().counters();
     assert_eq!((c.requests, c.errors, c.runs, c.disconnects), (2, 1, 1, 0));
+}
+
+/// A `program_path` file one byte over [`MAX_LINE_BYTES`] gets an error
+/// that names the limit, read no further than that, and the request
+/// after it its normal answer from the same server.
+#[test]
+fn over_long_program_file_gets_one_error_and_the_stream_keeps_serving() {
+    let path = std::env::temp_dir().join(format!("usim-serve-long-{}.asm", std::process::id()));
+    std::fs::write(&path, vec![b'x'; MAX_LINE_BYTES + 1]).expect("write temp program");
+    let mut s = Server::new(8, 4);
+    let answer = s
+        .handle_line(&format!(r#"{{"program_path":"{}"}}"#, path.display()))
+        .to_string();
+    std::fs::remove_file(&path).ok();
+    assert_eq!(
+        answer,
+        format!(
+            "{{\"ok\":false,\"error\":\"{} is longer than {MAX_LINE_BYTES} bytes\"}}",
+            path.display()
+        )
+    );
+    assert_eq!(s.handle_line(PROG), Server::new(8, 4).handle_line(PROG));
+    let c = s.shared().counters();
+    assert_eq!((c.requests, c.errors, c.runs), (2, 1, 1));
 }
 
 #[test]

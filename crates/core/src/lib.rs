@@ -66,7 +66,7 @@ pub use config::{ForwardModel, ProcConfig};
 pub use engine::{FlushEvent, FlushedEntry, ReplayLog, Ultrascalar, WalkCensus};
 pub use lane::{LaneBatchStats, LaneBatcher, MAX_LANES, MAX_LEADER_LOG};
 pub use latency::LatencyModel;
-pub use pool::{PoolStats, PooledEngine, ShardedEnginePool};
+pub use pool::{PooledEngine, ShardedEnginePool};
 pub use predict::PredictorKind;
 pub use processor::{Processor, RunResult};
 pub use stats::ProcStats;

@@ -9,10 +9,11 @@
 //! zero allocations in steady state. Each pooled engine carries its own
 //! [`RunResult`] buffer for the same reason.
 //!
-//! Each shard is a small linear-scan LRU: request streams alternate
-//! between a handful of configurations, so an exact `ProcConfig`
-//! comparison over a few entries beats any hashing scheme — and a
-//! config compare allocates nothing.
+//! The pool is the serving state's one cache shape,
+//! [`ultrascalar_isa::lru`], keyed by exact [`ProcConfig`] equality:
+//! request streams alternate between a handful of configurations, so
+//! a config compare over a few entries beats any hashing scheme, and
+//! it allocates nothing.
 //!
 //! The access discipline is [`ShardedEnginePool::checkout`] /
 //! [`ShardedEnginePool::checkin`]: *remove* a warm engine from the
@@ -25,7 +26,7 @@
 use crate::config::ProcConfig;
 use crate::engine::Ultrascalar;
 use crate::processor::RunResult;
-use std::sync::{Mutex, MutexGuard};
+use ultrascalar_isa::{LruStats, Shards};
 
 /// A warm engine with its reusable result buffer.
 #[derive(Debug)]
@@ -44,104 +45,6 @@ impl PooledEngine {
         PooledEngine {
             engine: Ultrascalar::new(cfg.clone()),
             result: RunResult::default(),
-        }
-    }
-}
-
-/// Roll-up of pool counters (one shard's, or the whole sharded
-/// pool's).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PoolStats {
-    /// Checkouts served by an already-warm engine.
-    pub hits: u64,
-    /// Checkouts that had to build an engine.
-    pub misses: u64,
-    /// Warm engines dropped to make room at capacity.
-    pub evictions: u64,
-    /// Engines currently pooled (checked-out engines are not counted
-    /// until they come back).
-    pub warm: usize,
-}
-
-/// One shard: an LRU pool of warm engines keyed by exact
-/// [`ProcConfig`] equality.
-#[derive(Debug)]
-struct EnginePool {
-    entries: Vec<(u64, PooledEngine)>,
-    capacity: usize,
-    stamp: u64,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-}
-
-impl EnginePool {
-    /// A pool holding at most `capacity` warm engines.
-    fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "engine pool needs capacity");
-        EnginePool {
-            entries: Vec::with_capacity(capacity + 1),
-            capacity,
-            stamp: 0,
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-        }
-    }
-
-    /// Remove and return the warm engine for `cfg` if one is pooled
-    /// (counted as a hit; `None` is counted as a miss and the caller
-    /// builds its own). A hit performs no allocation — the entry is
-    /// `swap_remove`d out of the scan vector.
-    fn try_take(&mut self, cfg: &ProcConfig) -> Option<PooledEngine> {
-        self.stamp += 1;
-        let found = self
-            .entries
-            .iter()
-            .position(|(_, p)| p.engine.config() == cfg);
-        match found {
-            Some(i) => {
-                self.hits += 1;
-                Some(self.entries.swap_remove(i).1)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Return a checked-out (or freshly built) engine to the pool,
-    /// evicting the least recently used entry if the pool is over
-    /// capacity. Within capacity this performs no allocation: the
-    /// entry vector's slack is reserved up front.
-    fn put(&mut self, engine: PooledEngine) {
-        self.stamp += 1;
-        self.entries.push((self.stamp, engine));
-        while self.entries.len() > self.capacity {
-            self.evict_lru();
-        }
-    }
-
-    fn evict_lru(&mut self) {
-        let lru = self
-            .entries
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, (stamp, _))| *stamp)
-            .map(|(i, _)| i)
-            .expect("pool non-empty at capacity");
-        self.entries.swap_remove(lru);
-        self.evictions += 1;
-    }
-
-    /// Counter snapshot.
-    fn stats(&self) -> PoolStats {
-        PoolStats {
-            hits: self.hits,
-            misses: self.misses,
-            evictions: self.evictions,
-            warm: self.entries.len(),
         }
     }
 }
@@ -197,16 +100,9 @@ fn config_shard_hash(cfg: &ProcConfig) -> u64 {
     h
 }
 
-/// Lock a shard, recovering from poison: shard state is a plain LRU
-/// whose invariants hold on every exit path, so one panicking thread
-/// must not wedge every other worker.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// N independent LRU shards of warm engines, each behind its own
-/// mutex and selected by a stable hash of the configuration — the
-/// concurrent serving loop's shared engine pool.
+/// LRU shards of warm engines, each behind its own mutex and selected
+/// by a stable hash of the configuration — the concurrent serving
+/// loop's shared engine pool.
 ///
 /// The access discipline is checkout/checkin: a checkout *removes* the
 /// warm engine (or builds one on a miss, outside any lock), the worker
@@ -214,29 +110,20 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// shard. Shard mutexes are therefore held only for the linear scans.
 #[derive(Debug)]
 pub struct ShardedEnginePool {
-    shards: Vec<Mutex<EnginePool>>,
+    shards: Shards<PooledEngine>,
 }
 
 impl ShardedEnginePool {
-    /// Create a sharded pool with `shards` shards holding at most
+    /// Create a pool with `shards` shards holding at most
     /// `total_capacity` warm engines between them (each shard gets
-    /// `ceil(total/shards)`, at least one).
+    /// `ceil(total/shards)`).
     ///
     /// # Panics
     /// Panics if either argument is zero.
     pub fn new(total_capacity: usize, shards: usize) -> Self {
-        assert!(total_capacity > 0, "engine pool needs capacity");
-        assert!(shards > 0, "engine pool needs at least one shard");
-        let per_shard = total_capacity.div_ceil(shards).max(1);
         ShardedEnginePool {
-            shards: (0..shards)
-                .map(|_| Mutex::new(EnginePool::new(per_shard)))
-                .collect(),
+            shards: Shards::new(total_capacity, shards),
         }
-    }
-
-    fn shard(&self, cfg: &ProcConfig) -> &Mutex<EnginePool> {
-        &self.shards[(config_shard_hash(cfg) % self.shards.len() as u64) as usize]
     }
 
     /// Check out a warm engine for `cfg`, building a cold one (outside
@@ -247,29 +134,26 @@ impl ShardedEnginePool {
     /// # Panics
     /// Panics if `cfg` is invalid (as [`Ultrascalar::new`] would).
     pub fn checkout(&self, cfg: &ProcConfig) -> PooledEngine {
-        let warm = lock(self.shard(cfg)).try_take(cfg);
+        let warm = self
+            .shards
+            .lock(config_shard_hash(cfg))
+            .take(|p| p.engine.config() == cfg);
         warm.unwrap_or_else(|| PooledEngine::new(cfg))
     }
 
     /// Return a checked-out engine to its shard (evicting that shard's
-    /// LRU entry if it is at capacity). Within capacity this performs
-    /// no allocation.
+    /// LRU entry if it is at capacity). This performs no allocation.
     pub fn checkin(&self, engine: PooledEngine) {
-        let shard = self.shard(engine.engine.config());
-        lock(shard).put(engine);
+        let hash = config_shard_hash(engine.engine.config());
+        self.shards.lock(hash).put(engine);
     }
 
-    /// Counters summed across all shards.
-    pub fn stats(&self) -> PoolStats {
-        let mut total = PoolStats::default();
-        for shard in &self.shards {
-            let s = lock(shard).stats();
-            total.hits += s.hits;
-            total.misses += s.misses;
-            total.evictions += s.evictions;
-            total.warm += s.warm;
-        }
-        total
+    /// Counters summed across all shards: a hit is a checkout served
+    /// by a warm engine, a miss one that built an engine, and
+    /// `entries` counts pooled engines (checked-out engines are not
+    /// counted until they come back).
+    pub fn stats(&self) -> LruStats {
+        self.shards.stats()
     }
 }
 
@@ -292,7 +176,7 @@ mod tests {
 
     fn counts(pool: &ShardedEnginePool) -> (u64, u64, usize) {
         let s = pool.stats();
-        (s.hits, s.misses, s.warm)
+        (s.hits, s.misses, s.entries)
     }
 
     #[test]
@@ -318,7 +202,7 @@ mod tests {
         visit(&pool, &b);
         visit(&pool, &a); // refresh a: b is now LRU
         visit(&pool, &c); // evicts b
-        assert_eq!(pool.stats().warm, 2);
+        assert_eq!(pool.stats().entries, 2);
         assert_eq!(pool.stats().evictions, 1);
         let before = pool.stats().misses;
         visit(&pool, &a);
@@ -342,36 +226,6 @@ mod tests {
     }
 
     #[test]
-    fn take_put_round_trip() {
-        let mut pool = EnginePool::new(2);
-        let a = ProcConfig::ultrascalar_i(4);
-        assert!(pool.try_take(&a).is_none());
-        assert_eq!((pool.stats().hits, pool.stats().misses), (0, 1));
-        pool.put(PooledEngine::new(&a));
-        let taken = pool.try_take(&a).expect("warm engine comes back");
-        assert_eq!(
-            (pool.stats().hits, pool.stats().misses, pool.stats().warm),
-            (1, 1, 0)
-        );
-        pool.put(taken);
-        assert_eq!(pool.stats().warm, 1);
-        assert_eq!(pool.stats().evictions, 0);
-    }
-
-    #[test]
-    fn put_past_capacity_evicts() {
-        let mut pool = EnginePool::new(1);
-        let a = ProcConfig::ultrascalar_i(4);
-        let b = ProcConfig::ultrascalar_i(8);
-        pool.put(PooledEngine::new(&a));
-        pool.put(PooledEngine::new(&b));
-        assert_eq!(pool.stats().warm, 1);
-        assert_eq!(pool.stats().evictions, 1);
-        // The later put (b) survives; a was the LRU.
-        assert!(pool.try_take(&b).is_some());
-    }
-
-    #[test]
     fn shard_hash_stable_and_separates() {
         let a = ProcConfig::ultrascalar_i(8);
         assert_eq!(
@@ -387,9 +241,10 @@ mod tests {
         );
     }
 
-    /// Shard placement is part of serve's observable behaviour (which
-    /// worker's shard warms which engine), so the hash values are
-    /// pinned across config-field removals.
+    /// The hash values are pinned across config-field removals. Only
+    /// placement across several shards depends on them; serve and
+    /// usbench build one shard, so no response, stats line or digest
+    /// does.
     #[test]
     fn shard_hash_values_are_pinned() {
         use crate::config::ForwardModel;
@@ -441,7 +296,7 @@ mod tests {
         let cfg = base.with_forwarding(ForwardModel::Pipelined { per_hop: u64::MAX });
         let e = pool.checkout(&cfg);
         pool.checkin(e);
-        assert_eq!(pool.stats().warm, 1);
+        assert_eq!(pool.stats().entries, 1);
     }
 
     /// Regression: the `alus`, `fetch_width` and bimodal-size mixes
@@ -472,14 +327,14 @@ mod tests {
         let cfg = ProcConfig::ultrascalar_i(8);
         let mut e = pool.checkout(&cfg);
         assert_eq!(pool.stats().misses, 1);
-        assert_eq!(pool.stats().warm, 0, "checked-out engine is owned");
+        assert_eq!(pool.stats().entries, 0, "checked-out engine is owned");
         let prog = ultrascalar_isa::assemble("li r1, 5\nhalt\n", 32).unwrap();
         assert_eq!(run(&mut e, &prog).regs[1], 5);
         pool.checkin(e);
-        assert_eq!(pool.stats().warm, 1);
+        assert_eq!(pool.stats().entries, 1);
         let _e2 = pool.checkout(&cfg);
         let s = pool.stats();
-        assert_eq!((s.hits, s.misses, s.warm), (1, 1, 0));
+        assert_eq!((s.hits, s.misses, s.entries), (1, 1, 0));
     }
 
     #[test]
@@ -506,7 +361,11 @@ mod tests {
         }
         let s = pool.stats();
         assert_eq!(s.hits + s.misses, 4 * 16);
-        assert!(s.warm <= 2, "per-shard capacity respected: {}", s.warm);
+        assert!(
+            s.entries <= 2,
+            "per-shard capacity respected: {}",
+            s.entries
+        );
         assert!(
             s.evictions > 0,
             "4 configs over capacity 2 must evict under contention"

@@ -17,6 +17,8 @@
 //!   disassembler;
 //! * [`cache`] — a content-hash-keyed LRU cache of assembled programs,
 //!   so serving mode re-runs a repeated source without re-assembling;
+//! * [`lru`] — serving mode's one cache shape, a counted linear-scan
+//!   LRU, which the program cache and the core crate's engine pool share;
 //! * [`program`] — the [`program::Program`] container shared by every
 //!   processor model;
 //! * [`image`] — architectural data memory: the sizing and
@@ -47,14 +49,16 @@ pub mod encode;
 pub mod image;
 pub mod instr;
 pub mod interp;
+pub mod lru;
 pub mod program;
 pub mod workload;
 
 pub use asm::{assemble, disassemble, AsmError};
 pub use binary::{read_binary, write_binary, BinaryError};
-pub use cache::{CacheStats, ProgramCache, ShardedProgramCache};
+pub use cache::ShardedProgramCache;
 pub use encode::{decode, encode, DecodeError};
 pub use image::{effective_addr, mem_words, wrap, MemImage};
 pub use instr::{AluOp, BranchCond, Instr, Reg};
 pub use interp::{ExecRecord, Interp, RunOutcome};
+pub use lru::{LruStats, Shards};
 pub use program::Program;
